@@ -51,7 +51,6 @@ from .polynomial import (
     is_reciprocal,
     isolate_real_roots,
     poly,
-    refine,
     sturm_count,
     trace_polynomial,
 )

@@ -94,16 +94,19 @@ def _first_degree_json(d1, precision: int) -> dict:
     }
 
 
+def _entry_decimals(spec: DegreeSpectrum, precision: int) -> list[str]:
+    """Certified decimals of the table entries, from one bisection walk."""
+    if isinstance(spec.d1, int):
+        return ["1"] * len(spec.entries)
+    exponents = [e.exponent for e in spec.entries]
+    return [dec for _, dec in power_decimal(spec.d1, exponents, precision)]
+
+
 def _spectrum_json(spec: DegreeSpectrum, precision: int) -> dict:
-    entries = []
-    for e in spec.entries:
-        if isinstance(spec.d1, int) or e.exponent == 0:
-            dec = "1"
-        else:
-            _, dec = power_decimal(spec.d1, e.exponent, precision)
-        entries.append(
-            {"k": e.k, "exponent": e.exponent, "exact": e.exact, "decimal": dec}
-        )
+    entries = [
+        {"k": e.k, "exponent": e.exponent, "exact": e.exact, "decimal": dec}
+        for e, dec in zip(spec.entries, _entry_decimals(spec, precision))
+    ]
     return {
         "half_dim": spec.half_dim,
         "d1": _first_degree_json(spec.d1, precision),
@@ -117,13 +120,10 @@ def _spectrum_json(spec: DegreeSpectrum, precision: int) -> dict:
 
 
 def _spectrum_table(spec: DegreeSpectrum, precision: int) -> str:
-    rows = []
-    for e in spec.entries:
-        if isinstance(spec.d1, int) or e.exponent == 0:
-            dec = "1"
-        else:
-            _, dec = power_decimal(spec.d1, e.exponent, precision)
-        rows.append((f"d_{e.k}", e.exact, dec))
+    rows = [
+        (f"d_{e.k}", e.exact, dec)
+        for e, dec in zip(spec.entries, _entry_decimals(spec, precision))
+    ]
     w0 = max(len(r[0]) for r in rows)
     w1 = max(len(r[1]) for r in rows)
     lines = [f"{r[0]:<{w0}}  {r[1]:<{w1}}  {r[2]}" for r in rows]

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 
-import numpy as np
-
 from . import linalg
 from .errors import SpectralStructureViolatedError
 from .lattice import GramLattice, LatticeIsometry, verify_isometry
@@ -47,7 +45,7 @@ class SpectrumEntry:
     k: int
     exponent: int  # min(k, 2n - k)
     exact: str
-    decimal: float
+    decimal: float  # d_1^exponent rounded to a double; math.inf past the double range
 
 
 @dataclass(frozen=True)
@@ -82,11 +80,15 @@ class ShapeReport:
 
 def float_spectral_radius(m: list[list[int]]) -> float:
     """Eigenvalue-based spectral radius estimate (diagnostic only)."""
+    import numpy as np
+
     return float(np.abs(np.linalg.eigvals(np.array(m, dtype=float))).max())
 
 
 def power_iteration_radius(m: list[list[int]], iters: int = 500, tol: float = 1e-12) -> float:
     """Spectral radius by plain power iteration with a deterministic start."""
+    import numpy as np
+
     a = np.array(m, dtype=float)
     n = a.shape[0]
     x = np.ones(n) / math.sqrt(n)
@@ -178,7 +180,7 @@ def _quadratic_power_parts(
         return None
     c0, c1, _ = d1.poly.coeffs
     # alpha^2 = -c1*alpha - c0; compute alpha^e = u + v*alpha by repeated product
-    u, v = Fraction(1), Fraction(0)
+    u, v = 1, 0
     for _ in range(e):
         u, v = -v * c0, u - v * c1
     return u + v * a0, v * b0, d
@@ -195,22 +197,44 @@ def exact_power_str(d1: FirstDegree, e: int) -> str:
     return base if e == 1 else f"({base})^{e}"
 
 
-def power_decimal(d1: AlgebraicReal, e: int, sig_digits: int) -> tuple[Fraction, str]:
-    """Certified decimal of d1^e: refine until the interval image is narrow."""
-    if e == 0:
-        return Fraction(1), "1"
+def power_decimal(
+    d1: AlgebraicReal, exponents: list[int], sig_digits: int
+) -> list[tuple[Fraction, str]]:
+    """Certified decimals of d1^e for every e in exponents, in their order.
+
+    d1's interval (lo, hi] is halved twice between checks, once lo > 0.
+    Exponent e is done at the first check where
+    (hi^e - lo^e) * 10^(sig_digits + 2) < lo^e, and d1^e is then the
+    midpoint of (lo^e, hi^e]. As (hi/lo)^e grows with e, a larger exponent
+    never finishes earlier, so one walk serves all exponents in ascending
+    order and each stops at the interval a walk of its own would stop at.
+    """
+    if any(e < 0 for e in exponents):
+        raise ValueError("power decimals need nonnegative exponents")
     if d1.compare_rational(0) <= 0:
         raise ValueError("power decimals need a positive base")
-    a = d1
-    while a.lo <= 0:
-        a = a.refined((a.hi - a.lo) / 2)
-    target = Fraction(1, 10 ** (sig_digits + 2))
-    while True:
-        lo_e, hi_e = a.lo**e, a.hi**e
-        if (hi_e - lo_e) < target * lo_e:
-            mid = (lo_e + hi_e) / 2
-            return mid, format_fraction(mid, sig_digits)
-        a = a.refined((a.hi - a.lo) / 2)
+    done: dict[int, tuple[Fraction, str]] = {0: (Fraction(1), "1")}
+    pending = sorted(set(exponents) - {0})
+    scale = 10 ** (sig_digits + 2)
+    for step, (a, b, den) in enumerate(d1.bisection_path()):
+        while pending and step % 2 == 0 and a > 0:
+            e = pending[0]
+            lo_e, hi_e = a**e, b**e
+            if (hi_e - lo_e) * scale >= lo_e:
+                break
+            mid = Fraction(lo_e + hi_e, 2 * den**e)
+            done[e] = (mid, format_fraction(mid, sig_digits))
+            pending.pop(0)
+        if not pending:
+            break
+    return [done[e] for e in exponents]
+
+
+def _as_float(x: Fraction) -> float:
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
 
 
 def degree_spectrum(n: int, d1: FirstDegree) -> DegreeSpectrum:
@@ -224,22 +248,21 @@ def degree_spectrum(n: int, d1: FirstDegree) -> DegreeSpectrum:
     trivial = isinstance(d1, int)
     if trivial and d1 != 1:
         raise ValueError("integer d1 must be exactly 1")
-    entries = []
-    for k in range(2 * n + 1):
-        e = min(k, 2 * n - k)
-        if trivial or e == 0:
-            entries.append(SpectrumEntry(k, e, "1" if trivial else exact_power_str(d1, e), 1.0))
-            continue
-        mid, _ = power_decimal(d1, e, 17)
-        entries.append(SpectrumEntry(k, e, exact_power_str(d1, e), float(mid)))
+    exponents = [min(k, 2 * n - k) for k in range(2 * n + 1)]
     if trivial:
+        entries = [SpectrumEntry(k, e, "1", 1.0) for k, e in enumerate(exponents)]
         h_nats, h_log10 = 0.0, 0.0
         h_exact = "0"
     else:
+        exact = {e: exact_power_str(d1, e) for e in set(exponents)}
+        entries = [
+            SpectrumEntry(k, e, exact[e], _as_float(mid))
+            for k, (e, (mid, _)) in enumerate(zip(exponents, power_decimal(d1, exponents, 17)))
+        ]
         d1_float = float(d1)
         h_nats = n * math.log(d1_float)
         h_log10 = n * math.log10(d1_float)
-        h_exact = f"{n}*log({exact_power_str(d1, 1)})"
+        h_exact = f"{n}*log({exact[1]})"
     return DegreeSpectrum(
         half_dim=n,
         d1=d1,
@@ -258,7 +281,9 @@ def validate_spectrum_shape(
     endpoints 1, log-concavity, the power law d_k = d1^min(k, 2n-k), and
     strict growth up to the middle when d1 > 1 (constancy when d1 = 1).
 
-    Accepts a DegreeSpectrum or a bare list of decimals (odd length).
+    Accepts a DegreeSpectrum or a bare list of decimals (odd length). A
+    non-finite entry, such as a degree past the double range, is reported
+    as a violation: the float checks cannot judge it.
     """
     if isinstance(spectrum, DegreeSpectrum):
         values = spectrum.decimals
@@ -267,6 +292,12 @@ def validate_spectrum_shape(
     violations: list[str] = []
     if len(values) % 2 != 1 or len(values) < 3:
         return ShapeReport((f"table length {len(values)} is not odd and >= 3",))
+    nonfinite = [k for k, v in enumerate(values) if not math.isfinite(v)]
+    if nonfinite:
+        k = nonfinite[0]
+        return ShapeReport(
+            (f"{len(nonfinite)} non-finite degree(s), first d_{k} = {values[k]}",)
+        )
     n = (len(values) - 1) // 2
     if abs(values[0] - 1.0) > tolerance or abs(values[-1] - 1.0) > tolerance:
         violations.append(f"endpoints d_0 = {values[0]}, d_2n = {values[-1]} are not 1")
@@ -285,10 +316,15 @@ def validate_spectrum_shape(
             violations.append(f"log-concavity violated at k={k}")
     d1 = values[1]
     for k in range(2 * n + 1):
-        expected = d1 ** min(k, 2 * n - k)
+        e = min(k, 2 * n - k)
+        try:
+            expected = d1**e
+        except OverflowError:
+            violations.append(f"power-law violation at k={k}: d_1^{e} is past the double range")
+            continue
         if abs(values[k] - expected) > tolerance * max(1.0, expected):
             violations.append(
-                f"power-law violation at k={k}: d_k = {values[k]}, d_1^{min(k, 2 * n - k)} = {expected}"
+                f"power-law violation at k={k}: d_k = {values[k]}, d_1^{e} = {expected}"
             )
     if d1 > 1 + tolerance:
         for k in range(n):

@@ -1,8 +1,9 @@
 """Exact integer polynomials, Sturm sequences, and certified real roots.
 
-Coefficients are arbitrary-precision ints, constant term first. All root
-counting and isolation is done with rational (Fraction) arithmetic; decimal
-output is produced from certified isolating intervals, never from floats.
+Coefficients are arbitrary-precision ints, constant term first. Root
+counting and isolation use rational (Fraction) Sturm sequences; refinement
+of an isolating interval is integer-only sign bisection. Decimal output is
+produced from certified isolating intervals, never from floats.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import functools
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from . import linalg
 from .errors import (
@@ -165,23 +166,24 @@ def divide_exact(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
         raise ZeroPolynomialError("division by the zero polynomial")
     if p.is_zero:
         return IntPolynomial(())
-    if p.degree < q.degree:
-        raise NotDivisibleError(f"deg {p.degree} < deg {q.degree}")
-    rem = [Fraction(c) for c in p.coeffs]
+    dq = q.degree
+    if p.degree < dq:
+        raise NotDivisibleError("dividend degree is below divisor degree")
+    rem = list(p.coeffs)
     qc = q.coeffs
-    lead = Fraction(qc[-1])
-    quot = [Fraction(0)] * (p.degree - q.degree + 1)
-    for i in range(p.degree - q.degree, -1, -1):
-        f = rem[i + q.degree] / lead
+    lead = qc[-1]
+    quot = [0] * (p.degree - dq + 1)
+    for i in range(len(quot) - 1, -1, -1):
+        f, r = divmod(rem[i + dq], lead)
+        if r:
+            raise NotDivisibleError("quotient has a non-integer coefficient")
         quot[i] = f
         if f:
-            for j, b in enumerate(qc):
-                rem[i + j] -= f * b
-    if any(rem):
-        raise NotDivisibleError(f"({p}) is not divisible by ({q})")
-    if any(f.denominator != 1 for f in quot):
-        raise NotDivisibleError(f"({p}) / ({q}) has non-integer coefficients")
-    return IntPolynomial(tuple(int(f) for f in quot))
+            for j in range(dq):
+                rem[i + j] -= f * qc[j]
+    if any(rem[:dq]):
+        raise NotDivisibleError("nonzero remainder")
+    return IntPolynomial(tuple(quot))
 
 
 @functools.lru_cache(maxsize=None)
@@ -324,6 +326,16 @@ def _sturm_chain(coeffs: tuple[int, ...]) -> tuple[FPoly, ...]:
     return tuple(c for c in chain if c)
 
 
+def _sign_at(weights: list[int], n: int, k: int) -> int:
+    """Sign of p(n / (D * 2^k)) for D > 0, given w_i = c_i * D^(d-i): the
+    sign of sum w_i n^i 2^(k(d-i)), by homogeneous Horner over int."""
+    acc, shift = 0, 0
+    for w in reversed(weights):
+        acc = acc * n + (w << shift)
+        shift += k
+    return (acc > 0) - (acc < 0)
+
+
 def _variations(signs: list[int]) -> int:
     nz = [s for s in signs if s != 0]
     return sum(1 for a, b in zip(nz, nz[1:]) if a * b < 0)
@@ -405,19 +417,51 @@ class AlgebraicReal:
         chain = self._chain()
         return _variations_at(chain, lo, -1) - _variations_at(chain, hi, +1)
 
+    def bisection_path(self):
+        """Yield the isolating interval as integers (a, b, den), lo = a/den
+        and hi = b/den, first as it is and then after each bisection step.
+
+        A step keeps (lo, mid] when p(mid) is 0 or its sign differs from the
+        sign of p(lo), otherwise (mid, hi]. For a square-free p whose
+        interval holds one root, that is the half the Sturm count picks.
+        While p(lo) = 0 (a neighbouring root sits on the open end) or p is
+        not square-free, the sign says nothing and the step counts Sturm
+        sign variations instead.
+        """
+        lo, hi = self.lo, self.hi
+        den = lcm(lo.denominator, hi.denominator)
+        a = lo.numerator * (den // lo.denominator)
+        b = hi.numerator * (den // hi.denominator)
+        yield a, b, den
+        coeffs = self.poly.coeffs
+        d = len(coeffs) - 1
+        # after k steps the endpoints are over den * 2^k
+        weights = [c * den ** (d - i) for i, c in enumerate(coeffs)]
+        square_free = len(self._chain()[-1]) == 1
+        s_lo = _sign_at(weights, a, 0)
+        k = 0
+        while True:
+            m, a, b, k = a + b, 2 * a, 2 * b, k + 1
+            if square_free and s_lo:
+                left = _sign_at(weights, m, k) != s_lo
+            else:
+                left = self._count(Fraction(a, den << k), Fraction(m, den << k)) == 1
+            if left:
+                b = m
+            else:
+                a = m
+                if not s_lo:
+                    s_lo = _sign_at(weights, a, k)
+            yield a, b, den << k
+
     def refined(self, eps: Rational) -> AlgebraicReal:
-        """Shrink the isolating interval to width < eps by Sturm bisection."""
+        """Shrink the isolating interval to width < eps by bisection."""
         eps = Fraction(eps)
         if eps <= 0:
             raise ValueError("eps must be positive")
-        lo, hi = self.lo, self.hi
-        while hi - lo >= eps:
-            mid = (lo + hi) / 2
-            if self._count(lo, mid) == 1:
-                hi = mid
-            else:
-                lo = mid
-        return AlgebraicReal(self.poly, lo, hi)
+        for a, b, den in self.bisection_path():
+            if (b - a) * eps.denominator < eps.numerator * den:
+                return AlgebraicReal(self.poly, Fraction(a, den), Fraction(b, den))
 
     def approx(self, eps: Rational) -> Fraction:
         """Rational approximation within eps of the root."""
@@ -570,11 +614,6 @@ def isolate_real_roots(p: IntPolynomial) -> list[AlgebraicReal]:
         work.append((mid, b, vm, vb))
     roots.sort()
     return [AlgebraicReal(q, a, b) for a, b in roots]
-
-
-def refine(a: AlgebraicReal, eps: Rational) -> AlgebraicReal:
-    """Functional alias for AlgebraicReal.refined."""
-    return a.refined(eps)
 
 
 def square_part(n: int) -> tuple[int, int]:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import pytest
 
 from hkdd import fixtures, linalg
@@ -156,6 +157,27 @@ def test_kummer(capsys):
     assert "entropy = 0" in out
     code, _, err = run_cli(["kummer", "2", "0", "0", "1"], capsys)
     assert code == 3
+
+
+def test_kummer_past_double_range(capsys):
+    # d_400 = d_1^400 is about 10^334; the report is exact and certified all the same
+    code, out, err = run_cli(["kummer", "2", "1", "1", "1", "--half-dim", "400"], capsys)
+    assert code == 0 and err == ""
+    row = next(line for line in out.splitlines() if line.startswith("d_400 "))
+    printed = mpmath.mpf(row.split()[-1])
+    with mpmath.workdps(40):
+        true = ((7 + 3 * mpmath.sqrt(5)) / 2) ** 400
+        assert abs(printed - true) <= mpmath.mpf(10) ** (mpmath.floor(mpmath.log10(true)) - 11)
+
+
+def test_import_leaves_numpy_out():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, hkdd.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def test_natural_check(capsys, m1m2_file):

@@ -94,11 +94,34 @@ def test_power_iterate_degree(root34):
     assert float(cube) == pytest.approx(39201.99997449, abs=1e-5)
 
 
+def test_degree_spectrum_past_double_range():
+    d1 = isolate_real_roots(poly(1, -7, 1))[-1]  # (7+3*sqrt(5))/2, log10 about 0.836
+    spec = degree_spectrum(400, d1)
+    assert spec.entries[368].decimal < math.inf
+    assert spec.entries[369].decimal == math.inf == spec.entries[431].decimal
+    assert spec.entries[400].exact.endswith("*sqrt(5))/2")
+    shape = validate_spectrum_shape(spec)
+    assert not shape.ok
+    assert shape.violations == ("63 non-finite degree(s), first d_369 = inf",)
+
+
+def test_validate_spectrum_shape_past_double_range():
+    # finite entries whose power law overflows a double: reported, not raised
+    report = validate_spectrum_shape([1.0, 1e200, 1e300, 1e200, 1.0])
+    assert any("past the double range" in v for v in report.violations)
+    assert not validate_spectrum_shape([1.0, 2.0, math.nan, 2.0, 1.0]).ok
+
+
 def test_power_decimal_certified(root34):
-    _, s = power_decimal(root34, 2, 12)
+    [(_, s)] = power_decimal(root34, [2], 12)
     assert s == "1153.99913345"
-    _, s1 = power_decimal(root34, 1, 12)
+    [(_, s1)] = power_decimal(root34, [1], 12)
     assert s1 == "33.9705627485"
+    assert power_decimal(root34, [2, 0, 1], 12) == [
+        power_decimal(root34, [2], 12)[0], (1, "1"), power_decimal(root34, [1], 12)[0]
+    ]
+    with pytest.raises(ValueError):
+        power_decimal(root34, [-1], 12)
 
 
 def test_entropy_additive_under_iteration(rank3, iso_m1m2):

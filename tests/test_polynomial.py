@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hkdd import linalg
+from hkdd.dynamics import power_decimal
 from hkdd.errors import (
     NotDivisibleError,
     NotPalindromicError,
@@ -19,10 +22,10 @@ from hkdd.polynomial import (
     char_poly,
     cyclotomic,
     divide_exact,
+    format_fraction,
     is_reciprocal,
     isolate_real_roots,
     poly,
-    refine,
     square_free_part,
     square_part,
     sturm_count,
@@ -99,6 +102,39 @@ def test_divide_exact():
         divide_exact(poly(1, 0, 1), poly(-1, 1))
     with pytest.raises(NotDivisibleError):
         divide_exact(poly(1, 1), poly(2))  # quotient not integral
+    with pytest.raises(NotDivisibleError):
+        divide_exact(poly(1, 1), poly(1, 0, 1))  # divisor degree too high
+
+
+def fraction_divides(p: IntPolynomial, q: IntPolynomial) -> bool:
+    """Reference: long division over Q, then an integrality check."""
+    rem = [Fraction(c) for c in p.coeffs]
+    quot = []
+    for i in range(p.degree - q.degree, -1, -1):
+        f = rem[i + q.degree] / q.coeffs[-1]
+        quot.append(f)
+        for j, b in enumerate(q.coeffs):
+            rem[i + j] -= f * b
+    return not any(rem) and all(f.denominator == 1 for f in quot)
+
+
+def test_divide_exact_matches_fraction_reference():
+    rng = random.Random(43)
+    for _ in range(300):
+        lead = rng.choice((1, -1, 2, 3))
+        q = IntPolynomial(tuple(rng.randint(-4, 4) for _ in range(rng.randint(1, 4))) + (lead,))
+        r = IntPolynomial(tuple(rng.randint(-6, 6) for _ in range(rng.randint(1, 5))))
+        if r.is_zero:
+            continue
+        assert divide_exact(q * r, q) == r
+        p = q * r + IntPolynomial(tuple(rng.randint(-1, 1) for _ in range(q.degree + 1)))
+        if p.degree < q.degree:
+            continue
+        if fraction_divides(p, q):
+            assert divide_exact(p, q) * q == p
+        else:
+            with pytest.raises(NotDivisibleError):
+                divide_exact(p, q)
 
 
 def test_cyclotomic_small():
@@ -192,14 +228,145 @@ def test_isolation_against_numpy_oracle():
 
 def test_refine_nests_and_shrinks():
     root = isolate_real_roots(poly(-2, 0, 1))[-1]
-    fine = refine(root, Fraction(1, 10**6))
+    fine = root.refined(Fraction(1, 10**6))
     assert root.lo <= fine.lo < fine.hi <= root.hi
     assert fine.hi - fine.lo < Fraction(1, 10**6)
     assert float(fine) == pytest.approx(math.sqrt(2), abs=1e-6)
-    finer = refine(fine, Fraction(1, 10**9))
+    finer = fine.refined(Fraction(1, 10**9))
     assert fine.lo <= finer.lo < finer.hi <= fine.hi
-    big_root = refine(isolate_real_roots(poly(1, -34, 1))[-1], Fraction(1, 10**9))
+    big_root = isolate_real_roots(poly(1, -34, 1))[-1].refined(Fraction(1, 10**9))
     assert float(big_root) == pytest.approx(33.970562748477, abs=1e-9)
+
+
+def sturm_refined(a: AlgebraicReal, eps) -> tuple[Fraction, Fraction]:
+    """Reference refinement: bisect, keeping (lo, mid] when its Sturm count is 1."""
+    lo, hi = a.lo, a.hi
+    while hi - lo >= eps:
+        mid = (lo + hi) / 2
+        if sturm_count(a.poly, lo, mid) == 1:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def assert_refines_like_reference(a: AlgebraicReal, eps) -> AlgebraicReal:
+    r = a.refined(eps)
+    assert (r.lo, r.hi) == sturm_refined(a, eps)
+    assert a.lo <= r.lo < r.hi <= a.hi
+    assert r.hi - r.lo < eps
+    assert sturm_count(a.poly, r.lo, r.hi) == 1
+    return r
+
+
+@st.composite
+def polys(draw):
+    """Products of random factors; dyadic linear factors put rational roots
+    where bisection midpoints land."""
+    dyadic = st.builds(lambda n, j: poly(-n, 2**j), st.integers(-40, 40), st.integers(0, 5))
+    general = st.lists(st.integers(-9, 9), min_size=2, max_size=6).map(lambda c: IntPolynomial(tuple(c)))
+    p = ONE_POLY
+    for f in draw(st.lists(st.one_of(dyadic, general), min_size=1, max_size=3)):
+        if not f.is_zero:
+            p = p * f
+    assume(p.degree >= 1)
+    return p
+
+
+@st.composite
+def isolated_roots(draw):
+    """A root of a random polynomial with its isolating interval."""
+    roots = isolate_real_roots(draw(polys()))
+    assume(roots)
+    return roots[draw(st.integers(0, len(roots) - 1))]
+
+
+@st.composite
+def roots_after_a_rational_root(draw):
+    """The next root after a rational root x0, isolated by (x0, hi]: p(lo) = 0."""
+    x0 = Fraction(draw(st.integers(-40, 40)), 2 ** draw(st.integers(0, 5)))
+    p = poly(-x0.numerator, x0.denominator) * draw(polys())
+    later = [r for r in isolate_real_roots(p) if r.compare_rational(x0) > 0]
+    assume(later)
+    return AlgebraicReal(later[0].poly, x0, later[0].hi)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(isolated_roots(), roots_after_a_rational_root()),
+    st.integers(1, 9),
+    st.integers(0, 40),
+    st.integers(1, 9),
+)
+def test_refined_matches_sturm_bisection(root, num, digits, shrink):
+    eps = Fraction(num, 10**digits)
+    fine = assert_refines_like_reference(root, eps)
+    assert_refines_like_reference(fine, eps / (shrink + 1))
+
+
+def test_refined_with_root_on_open_end():
+    # roots 1 and 2: p(lo) = 0, so the sign at lo cannot steer the bisection
+    a = AlgebraicReal(poly(2, -3, 1), 1, 3)
+    r = assert_refines_like_reference(a, Fraction(1, 10**30))
+    assert r.lo < 2 <= r.hi
+    assert_refines_like_reference(a, Fraction(1, 3))
+
+
+def test_refined_rational_root_hit_by_midpoint():
+    # (2x - 1)(x - 3): the first midpoint of (0, 1] is the root 1/2
+    a = AlgebraicReal(poly(3, -7, 2), 0, 1)
+    r = assert_refines_like_reference(a, Fraction(1, 10**20))
+    assert r.hi == Fraction(1, 2)
+    b = AlgebraicReal(poly(-3, 4), Fraction(1, 2), 1)  # root 3/4, hit at step 1
+    assert assert_refines_like_reference(b, Fraction(1, 10**15)).hi == Fraction(3, 4)
+
+
+def test_refined_non_dyadic_interval_from_json():
+    a = AlgebraicReal.from_json({"poly": [-2, 0, 1], "lo": "4/3", "hi": "3/2"})
+    r = assert_refines_like_reference(a, Fraction(1, 10**25))
+    back = AlgebraicReal.from_json(r.to_json())
+    assert (back.lo, back.hi) == (r.lo, r.hi)
+
+
+def test_refined_non_square_free_poly_uses_sturm_counts():
+    # (x^2 - 2)^2 keeps its sign across sqrt(2); only the Sturm count can steer
+    a = AlgebraicReal(poly(-2, 0, 1) * poly(-2, 0, 1), 1, 2)
+    r = assert_refines_like_reference(a, Fraction(1, 10**12))
+    assert r.lo < Fraction(14142135623731, 10**13) and r.hi > Fraction(14142135623730, 10**13)
+
+
+def test_refined_lehmer_matches_reference_at_50_digits():
+    root = isolate_real_roots(LEHMER)[-1]
+    assert_refines_like_reference(root, Fraction(1, 10**50))
+
+
+def per_exponent_decimal(d1: AlgebraicReal, e: int, sig_digits: int) -> tuple[Fraction, str]:
+    """Reference for power_decimal: a walk per exponent, two halvings per check."""
+    if e == 0:
+        return Fraction(1), "1"
+    a = d1
+    while a.lo <= 0:
+        a = a.refined((a.hi - a.lo) / 2)
+    target = Fraction(1, 10 ** (sig_digits + 2))
+    while True:
+        lo_e, hi_e = a.lo**e, a.hi**e
+        if hi_e - lo_e < target * lo_e:
+            mid = (lo_e + hi_e) / 2
+            return mid, format_fraction(mid, sig_digits)
+        a = a.refined((a.hi - a.lo) / 2)
+
+
+@pytest.mark.parametrize(
+    "defining",
+    [LEHMER, poly(1, -7, 1), poly(1, -3134, 1)],  # Lehmer; Kummer traces 3 and 56
+    ids=["lehmer", "kummer_t3", "kummer_t56"],
+)
+def test_power_decimal_one_walk_matches_per_exponent(defining):
+    d1 = isolate_real_roots(defining)[-1]
+    exponents = [0, 1, 2, 3, 2, 1, 0, 7, 12, 5]
+    for sig_digits in (12, 17, 50):
+        got = power_decimal(d1, exponents, sig_digits)
+        assert got == [per_exponent_decimal(d1, e, sig_digits) for e in exponents]
 
 
 def test_decimal_str():
