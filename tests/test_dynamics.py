@@ -1,10 +1,13 @@
+import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
-from hkdd import linalg
+from hkdd import dynamics, linalg
 from hkdd.dynamics import (
     degree_spectrum,
     enumerate_isometries,
@@ -21,8 +24,8 @@ from hkdd.dynamics import (
 )
 from hkdd.errors import SpectralStructureViolatedError
 from hkdd.lattice import make_lattice, verify_isometry
-from hkdd.polynomial import isolate_real_roots, poly
-from hkdd.salem import is_salem_polynomial
+from hkdd.polynomial import char_poly, isolate_real_roots, poly
+from hkdd.salem import SALEM_STRUCTURE, classify_charpoly, is_salem_polynomial
 
 
 @pytest.fixture(scope="module")
@@ -246,3 +249,66 @@ def test_search_rank2_hyperbolic_family():
     polys = {root.poly.coeffs for _, root in results}
     # the x^2 - t x + 1 family shows up through involution compositions
     assert (1, -4, 1) in polys or (1, -14, 1) in polys
+
+
+def reference_search(lat, bound):
+    """The search without shortcuts: every ordered pair of distinct
+    involutions, one classification per matrix."""
+    isometries = enumerate_isometries(lat, bound)
+    hits = {}
+
+    def consider(m):
+        cls = classify_charpoly(char_poly(m))
+        if cls.kind != SALEM_STRUCTURE:
+            return
+        key = cls.salem_factor.coeffs
+        flat = tuple(itertools.chain.from_iterable(m))
+        cur = hits.get(key)
+        if cur is None or flat < cur[0]:
+            hits[key] = (flat, m, cls.salem_root)
+
+    for m in isometries:
+        consider(m)
+    ident = linalg.identity(lat.rank)
+    involutions = [m for m in isometries if linalg.mat_mul(m, m) == ident]
+    for a in involutions:
+        for b in involutions:
+            if a is not b:
+                consider(linalg.mat_mul(a, b))
+    found = [(m, root) for _, m, root in hits.values()]
+    found.sort(key=cmp_to_key(lambda x, y: x[1].compare_to(y[1])))
+    return found
+
+
+U_2_4 = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -2, 0], [0, 0, 0, -4]]
+TWO_MINUS_TWO_CUBED = [[2, 0, 0, 0], [0, -2, 0, 0], [0, 0, -2, 0], [0, 0, 0, -2]]
+
+
+@pytest.mark.parametrize(
+    "gram, bound",
+    [("rank3", b) for b in range(1, 9)]
+    + [(U_2_4, 1), (U_2_4, 2), (TWO_MINUS_TWO_CUBED, 1), ([[4, 8], [8, 4]], 5)],
+)
+def test_search_matches_ordered_pair_reference(rank3, gram, bound):
+    lat = rank3 if gram == "rank3" else make_lattice(gram)
+    got = search_salem_isometries(lat, bound)
+    want = reference_search(lat, bound)
+    assert [(m, r.poly, r.lo, r.hi) for m, r in got] == [(m, r.poly, r.lo, r.hi) for m, r in want]
+
+
+def test_search_classifies_each_char_poly_once(rank3, monkeypatch):
+    calls = Counter()
+
+    def counting(p):
+        calls[p.coeffs] += 1
+        return classify_charpoly(p)
+
+    monkeypatch.setattr(dynamics, "classify_charpoly", counting)
+    search_salem_isometries(rank3, 8)
+    isometries = enumerate_isometries(rank3, 8)
+    ident = linalg.identity(3)
+    involutions = [m for m in isometries if linalg.mat_mul(m, m) == ident]
+    products = [linalg.mat_mul(a, b) for a, b in itertools.permutations(involutions, 2)]
+    distinct = {char_poly(m).coeffs for m in isometries + products}
+    assert set(calls) == distinct
+    assert set(calls.values()) == {1}

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hkdd import linalg
+from hkdd import hyperkahler, linalg
 from hkdd.dynamics import degree_spectrum, first_dynamical_degree
 from hkdd.errors import (
     BadNError,
@@ -115,6 +115,17 @@ def test_beauville_error_paths(quartic_pair):
     h3 = hilbert_lattice(make_lattice([[2]]), 2)
     with pytest.raises(DimensionMismatchError):
         solve_beauville(h3, 0)  # norm 2, not a quartic class
+
+
+def test_beauville_lets_unexpected_errors_through(hilb2, monkeypatch):
+    # only NotIsometryError means "not an isometry"; a fault inside the
+    # check must surface, not be recorded as a rejected candidate
+    def broken(lat, m):
+        raise RuntimeError("fault inside verify_isometry")
+
+    monkeypatch.setattr(hyperkahler, "verify_isometry", broken)
+    with pytest.raises(RuntimeError, match="fault inside"):
+        solve_beauville(hilb2, 0)
 
 
 def test_beauville_extra_class_always_resolves():

@@ -17,6 +17,14 @@ def test_mat_mul_identity():
     assert linalg.mat_mul(linalg.identity(2), m) == m
 
 
+def test_trace_of_product():
+    a = [[1, 2, 0], [-3, 4, 5], [7, 0, -1]]
+    b = [[2, -1, 3], [0, 6, 1], [4, 4, -2]]
+    ab = linalg.mat_mul(a, b)
+    assert linalg.trace_of_product(a, b) == sum(ab[i][i] for i in range(3)) == 72
+    assert linalg.trace_of_product(b, a) == 72
+
+
 def test_mat_pow():
     m = [[1, 1], [0, 1]]
     assert linalg.mat_pow(m, 0) == linalg.identity(2)

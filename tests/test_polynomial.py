@@ -73,6 +73,37 @@ def test_char_poly_matches_cofactor_oracle():
             assert char_poly(m) == det_xI_minus_M(m)
 
 
+def faddeev_leverrier(m):
+    """Reference char poly: M_k = M (M_(k-1) + c_(n-k+1) I), c_(n-k) = -tr(M_k)/k."""
+    n = len(m)
+    coeffs = [0] * n + [1]
+    mk = [row[:] for row in m]
+    coeffs[n - 1] = -sum(mk[i][i] for i in range(n))
+    for k in range(2, n + 1):
+        shifted = [[mk[i][j] + (coeffs[n - k + 1] if i == j else 0) for j in range(n)] for i in range(n)]
+        mk = linalg.mat_mul(m, shifted)
+        tr = sum(mk[i][i] for i in range(n))
+        assert tr % k == 0
+        coeffs[n - k] = -tr // k
+    return IntPolynomial(tuple(coeffs))
+
+
+square_matrices = st.integers(1, 10).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-50, 50), min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(square_matrices, st.lists(st.integers(-60, 60), min_size=3, max_size=3, unique=True))
+def test_char_poly_newton_matches_references(m, points):
+    p = char_poly(m)
+    assert p == faddeev_leverrier(m)
+    n = len(m)
+    for x in points:
+        shifted = [[(x if i == j else 0) - m[i][j] for j in range(n)] for i in range(n)]
+        assert p(x) == linalg.det_bareiss(shifted)
+
+
 def test_char_poly_is_monic_of_full_degree():
     rng = random.Random(29)
     for _ in range(20):
