@@ -64,11 +64,11 @@ from .salem import (
 from .dynamics import (
     DegreeSpectrum,
     ShapeReport,
+    SpectrumDecimals,
     degree_spectrum,
     first_dynamical_degree,
-    multiplicity_one_check,
-    power_iterate_degree,
     search_salem_isometries,
+    spectrum_decimals,
     sym_power_matrix,
     validate_spectrum_shape,
 )

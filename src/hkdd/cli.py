@@ -4,37 +4,30 @@ quartic-involution demo, naturality certificates, and the bounded search.
 Reports go to stdout (aligned text by default, --format json for machines);
 diagnostics go to stderr. Exit codes are stable: 0 success, 2 malformed
 input, 3 isometry/determinant failures, 4 spectral structure violations.
-File inputs use the JSON formats documented in jsonio.
+Each HkddError carries its code and stderr label (see errors), so main has
+one handler for them all. Every decimal of a spectrum report, the entropy
+included, comes from one certified walk (dynamics.spectrum_decimals) at
+--precision. File inputs use the JSON formats documented in jsonio.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from . import fixtures, linalg
 from .dynamics import (
     DegreeSpectrum,
+    SpectrumDecimals,
     degree_from_classification,
     degree_spectrum,
-    power_decimal,
     search_salem_isometries,
+    spectrum_decimals,
     validate_spectrum_shape,
 )
-from .errors import (
-    BadNError,
-    DegreeTooSmallError,
-    DimensionMismatchError,
-    HkddError,
-    NonSquareError,
-    NonSymmetricError,
-    NotIsometryError,
-    NotMonicError,
-    NotUnimodularError,
-    SpectralStructureViolatedError,
-)
+from .errors import HkddError, NotMonicError
 from .hyperkahler import (
     Sl2Matrix,
     compose,
@@ -45,83 +38,45 @@ from .hyperkahler import (
     power,
     solve_beauville,
 )
-from .jsonio import InputParseError, dump_json, encode_matrix, load_lattice, load_matrix
-from .lattice import is_even, norm_of, signature, verify_isometry
-from .polynomial import AlgebraicReal, IntPolynomial, char_poly, format_fraction
+from .jsonio import dump_json, encode_matrix, load_lattice, load_matrix
+from .lattice import is_even, signature, verify_isometry
+from .polynomial import IntPolynomial, char_poly
 from .salem import SALEM_STRUCTURE, classify_charpoly
 
 EXIT_OK = 0
 EXIT_PARSE = 2
-EXIT_NOT_ISOMETRY = 3
-EXIT_SPECTRAL = 4
 
 # roots below this are flagged as small Salem candidates in search reports
 SMALL_SALEM_THRESHOLD = Fraction(13, 10)
 
 
-@dataclass
-class RunConfig:
-    fmt: str
-    precision: int
-
-
-def _fmt_float(x: float, precision: int) -> str:
-    return f"{x:.{precision}g}"
-
-
-def _first_degree_json(d1, precision: int) -> dict:
-    if isinstance(d1, int):
-        return {"exact": "1", "decimal": "1", "poly": None}
-    return {
-        "exact": d1.exact_str(),
-        "decimal": d1.decimal_str(precision),
-        "poly": list(d1.poly.coeffs),
-    }
-
-
-def _entry_decimals(spec: DegreeSpectrum, precision: int) -> list[str]:
-    """Certified decimals of the table entries, from one bisection walk."""
+def _spectrum_json(spec: DegreeSpectrum, dec: SpectrumDecimals, precision: int) -> dict:
     if isinstance(spec.d1, int):
-        return ["1"] * len(spec.entries)
-    exponents = [e.exponent for e in spec.entries]
-    return [dec for _, dec in power_decimal(spec.d1, exponents, precision)]
-
-
-def _spectrum_json(spec: DegreeSpectrum, precision: int) -> dict:
-    entries = [
-        {"k": e.k, "exponent": e.exponent, "exact": e.exact, "decimal": dec}
-        for e, dec in zip(spec.entries, _entry_decimals(spec, precision))
-    ]
+        d1 = {"exact": "1", "decimal": "1", "poly": None}
+    else:
+        d1 = {
+            "exact": spec.entries[1].exact,  # d_1, whose exact string is built once
+            "decimal": spec.d1.decimal_str(precision),
+            "poly": list(spec.d1.poly.coeffs),
+        }
     return {
         "half_dim": spec.half_dim,
-        "d1": _first_degree_json(spec.d1, precision),
-        "entries": entries,
-        "entropy": {
-            "exact": spec.entropy_exact,
-            "nats": _fmt_float(spec.entropy_nats, precision),
-            "log10": _fmt_float(spec.entropy_log10, precision),
-        },
+        "d1": d1,
+        "entries": [
+            {"k": e.k, "exponent": e.exponent, "exact": e.exact, "decimal": d}
+            for e, d in zip(spec.entries, dec.entries)
+        ],
+        "entropy": {"exact": spec.entropy_exact, "nats": dec.nats, "log10": dec.log10},
     }
 
 
-def _spectrum_table(spec: DegreeSpectrum, precision: int) -> str:
-    rows = [
-        (f"d_{e.k}", e.exact, dec)
-        for e, dec in zip(spec.entries, _entry_decimals(spec, precision))
-    ]
+def _spectrum_table(spec: DegreeSpectrum, dec: SpectrumDecimals) -> str:
+    rows = [(f"d_{e.k}", e.exact, d) for e, d in zip(spec.entries, dec.entries)]
     w0 = max(len(r[0]) for r in rows)
     w1 = max(len(r[1]) for r in rows)
     lines = [f"{r[0]:<{w0}}  {r[1]:<{w1}}  {r[2]}" for r in rows]
-    lines.append(
-        f"entropy = {spec.entropy_exact} = "
-        f"{_fmt_float(spec.entropy_nats, precision)} nats "
-        f"({_fmt_float(spec.entropy_log10, precision)} log10)"
-    )
+    lines.append(f"entropy = {spec.entropy_exact} = {dec.nats} nats ({dec.log10} log10)")
     return "\n".join(lines)
-
-
-def _classification_json(cls, precision: int) -> dict:
-    return cls.to_json(precision)
 
 
 def _classification_summary(cls) -> str:
@@ -137,11 +92,11 @@ def _classification_summary(cls) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_lattice_info(args, config: RunConfig) -> int:
+def cmd_lattice_info(args) -> int:
     lat = load_lattice(args.lattice)
     sig = signature(lat)
     det = linalg.det_bareiss(lat.gram_rows())
-    if config.fmt == "json":
+    if args.format == "json":
         sys.stdout.write(
             dump_json(
                 {
@@ -164,45 +119,47 @@ def cmd_lattice_info(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_degrees(args, config: RunConfig) -> int:
+def cmd_degrees(args) -> int:
     lat = load_lattice(args.lattice)
     matrix = load_matrix(args.isometry)
     iso = verify_isometry(lat, matrix)
-    cls = classify_charpoly(char_poly(iso.rows()))
+    cp = char_poly(iso.rows())
+    cls = classify_charpoly(cp)
     d1 = degree_from_classification(cls, iso.rows())
     spec = degree_spectrum(args.half_dim, d1)
-    if config.fmt == "json":
+    dec = spectrum_decimals(spec, args.precision)
+    if args.format == "json":
         sys.stdout.write(
             dump_json(
                 {
                     "lattice": {"labels": list(lat.labels), "gram": encode_matrix(lat.gram_rows())},
                     "isometry": encode_matrix(iso.rows()),
-                    "char_poly": list(char_poly(iso.rows()).coeffs),
-                    "classification": _classification_json(cls, config.precision),
-                    "spectrum": _spectrum_json(spec, config.precision),
+                    "char_poly": list(cp.coeffs),
+                    "classification": cls.to_json(args.precision),
+                    "spectrum": _spectrum_json(spec, dec, args.precision),
                 }
             )
         )
         return EXIT_OK
     print(f"lattice <{', '.join(lat.labels)}>, isometry verified (M^T G M = G)")
-    print(f"char poly: {char_poly(iso.rows())}")
+    print(f"char poly: {cp}")
     print(_classification_summary(cls))
     print(f"degree spectrum for half-dimension n = {spec.half_dim}:")
-    print(_spectrum_table(spec, config.precision))
+    print(_spectrum_table(spec, dec))
     return EXIT_OK
 
 
-def cmd_salem_check(args, config: RunConfig) -> int:
+def cmd_salem_check(args) -> int:
     p = IntPolynomial(tuple(args.coeffs))
     if not p.is_monic:
         raise NotMonicError(f"({p}) is not monic")
     cls = classify_charpoly(p)
-    if config.fmt == "json":
+    if args.format == "json":
         sys.stdout.write(
             dump_json(
                 {
                     "input": list(p.coeffs),
-                    "classification": _classification_json(cls, config.precision),
+                    "classification": cls.to_json(args.precision),
                 }
             )
         )
@@ -212,12 +169,12 @@ def cmd_salem_check(args, config: RunConfig) -> int:
     if cls.salem_root is not None:
         print(
             f"salem root: {cls.salem_root.exact_str()} = "
-            f"{cls.salem_root.decimal_str(config.precision)}"
+            f"{cls.salem_root.decimal_str(args.precision)}"
         )
     return EXIT_OK
 
 
-def cmd_kummer(args, config: RunConfig) -> int:
+def cmd_kummer(args) -> int:
     m = Sl2Matrix(args.a, args.b, args.c, args.d)
     t = m.trace
     if abs(t) <= 2:
@@ -227,14 +184,15 @@ def cmd_kummer(args, config: RunConfig) -> int:
     else:
         branch = "t < -2 (degree is the square of the small eigenvalue)"
     spec = kummer_spectrum(m, args.half_dim)
-    if config.fmt == "json":
+    dec = spectrum_decimals(spec, args.precision)
+    if args.format == "json":
         sys.stdout.write(
             dump_json(
                 {
                     "matrix": m.rows(),
                     "trace": t,
                     "branch": branch,
-                    "spectrum": _spectrum_json(spec, config.precision),
+                    "spectrum": _spectrum_json(spec, dec, args.precision),
                 }
             )
         )
@@ -242,17 +200,17 @@ def cmd_kummer(args, config: RunConfig) -> int:
     print(f"SL(2,Z) matrix {m.rows()}, trace {t}")
     print(f"case: {branch}")
     print(f"degree spectrum on the Hilbert scheme of n = {args.half_dim} points:")
-    print(_spectrum_table(spec, config.precision))
+    print(_spectrum_table(spec, dec))
     return EXIT_OK
 
 
-def cmd_natural_check(args, config: RunConfig) -> int:
+def cmd_natural_check(args) -> int:
     lat = load_lattice(args.lattice)
     matrix = load_matrix(args.isometry)
     hilb = hilbert_from_extended(lat, args.half_dim, args.e_index)
     iso = verify_isometry(lat, matrix)
     cert = naturality_certificate(iso, hilb)
-    if config.fmt == "json":
+    if args.format == "json":
         sys.stdout.write(
             dump_json(
                 {
@@ -279,7 +237,7 @@ def cmd_natural_check(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_search(args, config: RunConfig) -> int:
+def cmd_search(args) -> int:
     lat = load_lattice(args.lattice)
     if lat.rank > 4:
         print(
@@ -289,14 +247,14 @@ def cmd_search(args, config: RunConfig) -> int:
     results = search_salem_isometries(lat, args.bound)
     for m, _ in results:
         verify_isometry(lat, m)
-    if config.fmt == "json":
+    if args.format == "json":
         entries = []
         for m, root in results:
             entries.append(
                 {
                     "matrix": encode_matrix(m),
                     "salem_poly": list(root.poly.coeffs),
-                    "root": root.to_json(config.precision),
+                    "root": root.to_json(args.precision),
                     "small_salem_candidate": bool(root.compare_rational(SMALL_SALEM_THRESHOLD) < 0),
                 }
             )
@@ -305,11 +263,11 @@ def cmd_search(args, config: RunConfig) -> int:
     print(f"salem isometries of <{', '.join(lat.labels)}> within entry bound {args.bound}: {len(results)}")
     for m, root in results:
         flag = "  [small Salem candidate]" if root.compare_rational(SMALL_SALEM_THRESHOLD) < 0 else ""
-        print(f"root {root.decimal_str(config.precision)}  poly {list(root.poly.coeffs)}  matrix {m}{flag}")
+        print(f"root {root.decimal_str(args.precision)}  poly {list(root.poly.coeffs)}  matrix {m}{flag}")
     return EXIT_OK
 
 
-def cmd_beauville_demo(args, config: RunConfig) -> int:
+def cmd_beauville_demo(args) -> int:
     base = fixtures.quartic_pair_lattice()
     hilb = hilbert_lattice(base, 2, e_index=1)
     lat = hilb.extended
@@ -335,9 +293,10 @@ def cmd_beauville_demo(args, config: RunConfig) -> int:
         iso_l = power(comp, ell)
         cls_l = classify_charpoly(char_poly(iso_l.rows()))
         d1_l = degree_from_classification(cls_l, iso_l.rows())
-        spectra.append((ell, degree_spectrum(2, d1_l)))
+        spec_l = degree_spectrum(2, d1_l)
+        spectra.append((ell, spec_l, spectrum_decimals(spec_l, args.precision)))
 
-    if config.fmt == "json":
+    if args.format == "json":
         payload = {
             "lattice": {"labels": list(lat.labels), "gram": encode_matrix(lat.gram_rows())},
             "involutions": [
@@ -347,11 +306,11 @@ def cmd_beauville_demo(args, config: RunConfig) -> int:
             "composition": {
                 "matrix": encode_matrix(comp.rows()),
                 "char_poly": list(cp.coeffs),
-                "classification": _classification_json(cls, config.precision),
+                "classification": cls.to_json(args.precision),
             },
             "spectra": [
-                {"power": ell, "spectrum": _spectrum_json(s, config.precision)}
-                for ell, s in spectra
+                {"power": ell, "spectrum": _spectrum_json(s, dec, args.precision)}
+                for ell, s, dec in spectra
             ],
             "naturality": {
                 "verdict": cert.verdict,
@@ -384,11 +343,13 @@ def cmd_beauville_demo(args, config: RunConfig) -> int:
     print(f"char poly: {cp}")
     print(_classification_summary(cls))
     root = cls.salem_root
-    print(f"salem root: {root.exact_str()} = {root.decimal_str(config.precision)}")
-    for ell, s in spectra:
+    print(f"salem root: {root.exact_str()} = {root.decimal_str(args.precision)}")
+    # the printed decimals are within about one unit in their last digit
+    tolerance = Decimal(10) ** (2 - args.precision)
+    for ell, s, dec in spectra:
         print(f"\ndegree spectrum of (iota2 iota1)^l for l = {ell} (n = 2):")
-        print(_spectrum_table(s, config.precision))
-        shape = validate_spectrum_shape(s)
+        print(_spectrum_table(s, dec))
+        shape = validate_spectrum_shape(dec.entries, tolerance)
         print(f"shape checks: {'all pass' if shape.ok else shape.violations}")
     print("\nnaturality certificate:")
     witness_vec, witness_norm = cert.witness
@@ -514,31 +475,10 @@ def main(argv: list[str] | None = None) -> int:
         print("--bound must be at least 1", file=sys.stderr)
         return EXIT_PARSE
     try:
-        config = RunConfig(fmt=args.format, precision=args.precision)
-        return args.func(args, config)
-    except InputParseError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (
-        NonSquareError,
-        NonSymmetricError,
-        DimensionMismatchError,
-        NotMonicError,
-        DegreeTooSmallError,
-        BadNError,
-    ) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except NotIsometryError as exc:
-        print(f"not an isometry: {exc}", file=sys.stderr)
-        return EXIT_NOT_ISOMETRY
-    except NotUnimodularError as exc:
-        print(f"not unimodular: {exc}", file=sys.stderr)
-        return EXIT_NOT_ISOMETRY
-    except SpectralStructureViolatedError as exc:
-        print(f"spectral structure violated: {exc}", file=sys.stderr)
-        return EXIT_SPECTRAL
-
+        return args.func(args)
+    except HkddError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 if __name__ == "__main__":
     sys.exit(main())

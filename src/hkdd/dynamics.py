@@ -3,31 +3,33 @@
 The degree law for hyperkahler-type isometries says d_k = d_1^min(k, 2n-k)
 across k = 0..2n, with entropy n*ln(d_1). The first degree is the Salem root
 of the characteristic polynomial on the lattice (or exactly 1 when every
-factor is cyclotomic); all decimals here are produced from certified
-isolating intervals. Floating point appears only in the cross-checking
-oracles (power iteration, eigenvalue moduli), never in the exact path.
+factor is cyclotomic). A DegreeSpectrum is d_1 and the exponents, with
+exact symbolic entries; spectrum_decimals renders it at a precision from one
+walk of d_1's certified isolating interval, the entropy included. Floating
+point appears only in the cross-checking oracles (power iteration,
+eigenvalue moduli), never in the exact path.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 from functools import cmp_to_key
+from typing import NamedTuple
 
 from . import linalg
 from .errors import SpectralStructureViolatedError
 from .lattice import GramLattice, LatticeIsometry
 from .polynomial import (
     AlgebraicReal,
-    IntPolynomial,
     char_poly,
     format_fraction,
     quadratic_surd_parts,
     quadratic_surd_str,
-    square_free_part,
-    sturm_count,
 )
 from .salem import (
     ALL_CYCLOTOMIC,
@@ -39,31 +41,48 @@ from .salem import (
 # d_1 is either an exact AlgebraicReal larger than 1 or the exact integer 1.
 FirstDegree = AlgebraicReal | int
 
+# below ln(10) = 2.302585..., so log10 rises at most (rise of ln) / LN10_LOWER
+LN10_LOWER = Fraction(23025, 10000)
+
 
 @dataclass(frozen=True)
 class SpectrumEntry:
     k: int
     exponent: int  # min(k, 2n - k)
     exact: str
-    decimal: float  # d_1^exponent rounded to a double; math.inf past the double range
 
 
 @dataclass(frozen=True)
 class DegreeSpectrum:
     """The table (k, d_k) for k = 0..2n plus entropy, palindromic by the
-    degree law. Exact entries are symbolic powers of d_1; decimals are
-    certified approximations."""
+    degree law. Entries are exact symbolic powers of d_1; their decimals and
+    the entropy's come from spectrum_decimals at a chosen precision."""
 
     half_dim: int
     d1: FirstDegree
     entries: tuple[SpectrumEntry, ...]
-    entropy_nats: float
-    entropy_log10: float
     entropy_exact: str
 
-    @property
-    def decimals(self) -> list[float]:
-        return [e.decimal for e in self.entries]
+
+@dataclass(frozen=True)
+class SpectrumDecimals:
+    """Certified decimals of a degree table at one precision: d_k for
+    k = 0..2n, and the entropy n*ln(d_1) in nats and n*log10(d_1)."""
+
+    entries: tuple[str, ...]
+    nats: str
+    log10: str
+
+
+class PowerDecimals(NamedTuple):
+    """What one walk of d_1's isolating interval certifies: the decimals of
+    d_1^e for the requested exponents, and the midpoints of intervals around
+    ln(d_1) and log10(d_1) whose width is below 10^-(sig_digits+2) of their
+    value."""
+
+    decimals: list[str]
+    ln: Fraction
+    log10: Fraction
 
 
 @dataclass(frozen=True)
@@ -134,206 +153,182 @@ def degree_from_classification(
 # ---------------------------------------------------------------------------
 
 
-def _companion(p: IntPolynomial) -> list[list[int]]:
-    d = p.degree
-    if not p.is_monic or d < 1:
-        raise ValueError("companion matrix needs a monic polynomial of degree >= 1")
-    c = [[0] * d for _ in range(d)]
-    for i in range(1, d):
-        c[i][i - 1] = 1
-    for i in range(d):
-        c[i][d - 1] = -p.coeffs[i]
-    return c
+def exact_power_str(d1: FirstDegree, exponents: list[int]) -> list[str]:
+    """Symbolic renderings of d1^e for every e in exponents, in their order.
 
-
-def power_iterate_degree(d1: AlgebraicReal, power: int) -> AlgebraicReal:
-    """Exact representation of d1^power for a certified d1 > 1.
-
-    The defining polynomial of the power is the (square-free part of the)
-    characteristic polynomial of the power-th companion-matrix power, so the
-    degree never grows. The isolating interval is the image of d1's.
+    A monic quadratic d1 gets closed forms A + B*sqrt(D), from one pass of
+    arithmetic in Z[d1] up to the largest exponent; any other d1 is rendered
+    as powers of its exact string, which is built once.
     """
-    if power < 1:
-        raise ValueError("power must be a positive integer")
-    if power == 1:
-        return d1
-    base = d1
-    while base.lo < 1:
-        base = base.refined((base.hi - base.lo) / 2)
-    q = square_free_part(char_poly(linalg.mat_pow(_companion(base.poly), power)))
-    lo, hi = base.lo, base.hi
-    while sturm_count(q, lo**power, hi**power) != 1:
-        base = base.refined((base.hi - base.lo) / 2)
-        lo, hi = base.lo, base.hi
-    return AlgebraicReal(q, lo**power, hi**power)
-
-
-def _quadratic_power_parts(
-    d1: AlgebraicReal, e: int
-) -> tuple[Fraction, Fraction, int] | None:
-    """(A, B, D) with d1^e = A + B*sqrt(D), via arithmetic in Z[d1]."""
-    parts = quadratic_surd_parts(d1)
+    if isinstance(d1, int):
+        return ["1"] * len(exponents)
+    parts = quadratic_surd_parts(d1) if d1.poly.is_monic else None
     if parts is None:
-        return None
+        base = d1.exact_str()
+        return ["1" if e == 0 else base if e == 1 else f"({base})^{e}" for e in exponents]
     a0, b0, d = parts
-    if not d1.poly.is_monic:
-        return None
     c0, c1, _ = d1.poly.coeffs
-    # alpha^2 = -c1*alpha - c0; compute alpha^e = u + v*alpha by repeated product
-    u, v = 1, 0
-    for _ in range(e):
+    closed = ["1"]
+    # d1^e = u + v*d1 times d1 is -v*c0 + (u - v*c1)*d1, as d1^2 = -c1*d1 - c0
+    u, v = 0, 1
+    for _ in range(max(exponents, default=0)):
+        closed.append(quadratic_surd_str(u + v * a0, v * b0, d))
         u, v = -v * c0, u - v * c1
-    return u + v * a0, v * b0, d
+    return [closed[e] for e in exponents]
 
 
-def exact_power_str(d1: FirstDegree, e: int) -> str:
-    """Symbolic rendering of d1^e; closed form for quadratic d1."""
-    if e == 0 or d1 == 1 or isinstance(d1, int):
-        return "1"
-    parts = _quadratic_power_parts(d1, e)
-    if parts is not None:
-        return quadratic_surd_str(*parts)
-    base = d1.exact_str()
-    return base if e == 1 else f"({base})^{e}"
+def power_decimal(d1: AlgebraicReal, exponents: list[int], sig_digits: int) -> PowerDecimals:
+    """Certified decimals of d1^e for every e in exponents, in their order,
+    and of ln(d1) and log10(d1), all from one walk of d1's interval.
 
-
-def power_decimal(
-    d1: AlgebraicReal, exponents: list[int], sig_digits: int
-) -> list[tuple[Fraction, str]]:
-    """Certified decimals of d1^e for every e in exponents, in their order.
-
-    d1's interval (lo, hi] is halved twice between checks, once lo > 0.
-    Exponent e is done at the first check where
-    (hi^e - lo^e) * 10^(sig_digits + 2) < lo^e, and d1^e is then the
-    midpoint of (lo^e, hi^e]. As (hi/lo)^e grows with e, a larger exponent
-    never finishes earlier, so one walk serves all exponents in ascending
-    order and each stops at the interval a walk of its own would stop at.
+    d1's interval (lo, hi] is halved twice between checks. Exponent e is
+    done at the first check where (hi^e - lo^e) * 10^(sig_digits + 2) < lo^e,
+    and d1^e is then the midpoint of (lo^e, hi^e]. As (hi/lo)^e grows with e,
+    a larger exponent never finishes earlier, so one walk serves all
+    exponents in ascending order and each stops at the interval a walk of
+    its own would stop at. The logarithms are done at the first check where
+    (hi - lo) * 10^(sig_digits + 2) < lo - 1, since ln(hi/lo) <= (hi-lo)/lo
+    and ln(lo) >= (lo-1)/lo, and where the Decimal bounds of _log_intervals
+    pass the same width test.
     """
     if any(e < 0 for e in exponents):
         raise ValueError("power decimals need nonnegative exponents")
-    if d1.compare_rational(0) <= 0:
-        raise ValueError("power decimals need a positive base")
-    done: dict[int, tuple[Fraction, str]] = {0: (Fraction(1), "1")}
+    if d1.compare_rational(1) <= 0:
+        raise ValueError("power decimals need a base larger than 1")
+    done = {0: "1"}
     pending = sorted(set(exponents) - {0})
+    logs = None
     scale = 10 ** (sig_digits + 2)
     for step, (a, b, den) in enumerate(d1.bisection_path()):
-        while pending and step % 2 == 0 and a > 0:
+        if step % 2:
+            continue
+        while pending and a > 0:
             e = pending[0]
             lo_e, hi_e = a**e, b**e
             if (hi_e - lo_e) * scale >= lo_e:
                 break
-            mid = Fraction(lo_e + hi_e, 2 * den**e)
-            done[e] = (mid, format_fraction(mid, sig_digits))
+            done[e] = format_fraction(Fraction(lo_e + hi_e, 2 * den**e), sig_digits)
             pending.pop(0)
-        if not pending:
-            break
-    return [done[e] for e in exponents]
+        if logs is None and (b - a) * scale < a - den:
+            logs = _log_intervals(a, b, den, sig_digits)
+        if not pending and logs is not None:
+            return PowerDecimals([done[e] for e in exponents], *logs)
 
 
-def _as_float(x: Fraction) -> float:
-    try:
-        return float(x)
-    except OverflowError:
-        return math.inf
+def _log_intervals(a: int, b: int, den: int, sig_digits: int) -> tuple[Fraction, Fraction] | None:
+    """Midpoints of certified intervals around ln(x) and log10(x) for the x
+    in (a/den, b/den], 1 < a/den; None while an interval is not narrower
+    than 10^-(sig_digits+2) of its lower end.
+
+    lo = a/den is rounded down to a Decimal; Decimal.ln and .log10 round
+    correctly, so one step down from each is a lower bound, and as
+    ln(hi) - ln(lo) <= (hi - lo)/lo one call per logarithm bounds it from
+    above too. The working precision is sig_digits + 12 digits plus the
+    leading zeros of x - 1: ln(x) is about x - 1, so those digits of x
+    carry none of it.
+    """
+    out = []
+    with localcontext() as ctx:
+        ctx.prec = sig_digits + 12 + len(str(den // (a - den)))
+        ctx.rounding = ROUND_FLOOR
+        lo = Decimal(a) / den
+        rise = Fraction(b, den) / Fraction(lo) - 1
+        for log, per_nat in ((Decimal.ln, 1), (Decimal.log10, 1 / LN10_LOWER)):
+            at_lo = log(lo)
+            low = Fraction(at_lo.next_minus())
+            high = Fraction(at_lo.next_plus()) + rise * per_nat
+            if low <= 0 or (high - low) * 10 ** (sig_digits + 2) >= low:
+                return None
+            out.append((low + high) / 2)
+    return out[0], out[1]
 
 
 def degree_spectrum(n: int, d1: FirstDegree) -> DegreeSpectrum:
-    """Full degree table d_k = d1^min(k, 2n-k) for k = 0..2n with entropy.
+    """Full degree table d_k = d1^min(k, 2n-k) for k = 0..2n with entropy,
+    in exact symbolic form.
 
     d1 = 1 (the AllCyclotomic case) gives the all-ones table and entropy 0.
-    Entropy is reported in nats (natural log) with a log10 companion value.
     """
     if n < 1:
         raise ValueError("half dimension n must be >= 1")
-    trivial = isinstance(d1, int)
-    if trivial and d1 != 1:
+    if isinstance(d1, int) and d1 != 1:
         raise ValueError("integer d1 must be exactly 1")
     exponents = [min(k, 2 * n - k) for k in range(2 * n + 1)]
-    if trivial:
-        entries = [SpectrumEntry(k, e, "1", 1.0) for k, e in enumerate(exponents)]
-        h_nats, h_log10 = 0.0, 0.0
-        h_exact = "0"
-    else:
-        exact = {e: exact_power_str(d1, e) for e in set(exponents)}
-        entries = [
-            SpectrumEntry(k, e, exact[e], _as_float(mid))
-            for k, (e, (mid, _)) in enumerate(zip(exponents, power_decimal(d1, exponents, 17)))
-        ]
-        d1_float = float(d1)
-        h_nats = n * math.log(d1_float)
-        h_log10 = n * math.log10(d1_float)
-        h_exact = f"{n}*log({exact[1]})"
+    exact = exact_power_str(d1, exponents)
     return DegreeSpectrum(
         half_dim=n,
         d1=d1,
-        entries=tuple(entries),
-        entropy_nats=h_nats,
-        entropy_log10=h_log10,
-        entropy_exact=h_exact,
+        entries=tuple(SpectrumEntry(k, e, s) for k, (e, s) in enumerate(zip(exponents, exact))),
+        entropy_exact="0" if isinstance(d1, int) else f"{n}*log({exact[1]})",
+    )
+
+
+def spectrum_decimals(spec: DegreeSpectrum, sig_digits: int) -> SpectrumDecimals:
+    """The decimals a report prints for spec, from one power_decimal walk:
+    each d_k, and n*ln(d_1) and n*log10(d_1) as the midpoints of certified
+    intervals (scaling by n keeps an interval's relative width)."""
+    if isinstance(spec.d1, int):
+        return SpectrumDecimals(("1",) * len(spec.entries), "0", "0")
+    walk = power_decimal(spec.d1, [e.exponent for e in spec.entries], sig_digits)
+    n = spec.half_dim
+    return SpectrumDecimals(
+        tuple(walk.decimals),
+        format_fraction(n * walk.ln, sig_digits),
+        format_fraction(n * walk.log10, sig_digits),
     )
 
 
 def validate_spectrum_shape(
-    spectrum: DegreeSpectrum | list[float],
-    tolerance: float = 1e-9,
+    values: Sequence[str | Decimal | int | float],
+    tolerance: Decimal | float = 1e-9,
 ) -> ShapeReport:
     """Check a degree table against the structural laws: palindromic symmetry,
     endpoints 1, log-concavity, the power law d_k = d1^min(k, 2n-k), and
     strict growth up to the middle when d1 > 1 (constancy when d1 = 1).
 
-    Accepts a DegreeSpectrum or a bare list of decimals (odd length). A
-    non-finite entry, such as a degree past the double range, is reported
-    as a violation: the float checks cannot judge it.
+    values are the decimals of d_0..d_2n, such as the certified strings of
+    spectrum_decimals. Each is read exactly as a Decimal and the checks run
+    in Decimal arithmetic with twice the digits of the longest value, so no
+    table is too large to judge. Equalities hold up to the relative
+    tolerance; a table printed to p significant digits needs about 10^(2-p).
     """
-    if isinstance(spectrum, DegreeSpectrum):
-        values = spectrum.decimals
-    else:
-        values = list(spectrum)
-    violations: list[str] = []
+    values = [Decimal(v) for v in values]
+    tol = Decimal(tolerance)
     if len(values) % 2 != 1 or len(values) < 3:
         return ShapeReport((f"table length {len(values)} is not odd and >= 3",))
-    nonfinite = [k for k, v in enumerate(values) if not math.isfinite(v)]
-    if nonfinite:
-        k = nonfinite[0]
-        return ShapeReport(
-            (f"{len(nonfinite)} non-finite degree(s), first d_{k} = {values[k]}",)
-        )
+    violations: list[str] = []
     n = (len(values) - 1) // 2
-    if abs(values[0] - 1.0) > tolerance or abs(values[-1] - 1.0) > tolerance:
-        violations.append(f"endpoints d_0 = {values[0]}, d_2n = {values[-1]} are not 1")
-    for k in range(2 * n + 1):
-        if abs(values[k] - values[2 * n - k]) > tolerance * max(1.0, abs(values[k])):
-            violations.append(f"palindrome broken at k={k}: {values[k]} vs {values[2 * n - k]}")
-            break
-    logs = []
-    for k, v in enumerate(values):
-        if v <= 0:
-            violations.append(f"nonpositive degree d_{k} = {v}")
-            return ShapeReport(tuple(violations))
-        logs.append(math.log(v))
-    for k in range(1, 2 * n):
-        if logs[k - 1] + logs[k + 1] > 2 * logs[k] + tolerance:
-            violations.append(f"log-concavity violated at k={k}")
-    d1 = values[1]
-    for k in range(2 * n + 1):
-        e = min(k, 2 * n - k)
-        try:
-            expected = d1**e
-        except OverflowError:
-            violations.append(f"power-law violation at k={k}: d_1^{e} is past the double range")
-            continue
-        if abs(values[k] - expected) > tolerance * max(1.0, expected):
-            violations.append(
-                f"power-law violation at k={k}: d_k = {values[k]}, d_1^{e} = {expected}"
-            )
-    if d1 > 1 + tolerance:
-        for k in range(n):
-            if not values[k] < values[k + 1]:
-                violations.append(f"not strictly increasing at k={k}")
-    else:
+    with localcontext() as ctx:
+        ctx.prec = 2 * max(len(v.as_tuple().digits) for v in values) + 10
+        if abs(values[0] - 1) > tol or abs(values[-1] - 1) > tol:
+            violations.append(f"endpoints d_0 = {values[0]}, d_2n = {values[-1]} are not 1")
+        for k in range(2 * n + 1):
+            if abs(values[k] - values[2 * n - k]) > tol * max(1, abs(values[k])):
+                violations.append(f"palindrome broken at k={k}: {values[k]} vs {values[2 * n - k]}")
+                break
         for k, v in enumerate(values):
-            if abs(v - 1.0) > tolerance:
-                violations.append(f"d1 = 1 but d_{k} = {v} != 1")
+            if v <= 0:
+                violations.append(f"nonpositive degree d_{k} = {v}")
+                return ShapeReport(tuple(violations))
+        for k in range(1, 2 * n):
+            if values[k - 1] * values[k + 1] > values[k] ** 2 * (1 + tol):
+                violations.append(f"log-concavity violated at k={k}")
+        d1 = values[1]
+        for k in range(2 * n + 1):
+            expected = d1 ** min(k, 2 * n - k)
+            if abs(values[k] - expected) > tol * max(1, expected):
+                violations.append(
+                    f"power-law violation at k={k}: d_k = {values[k]}, "
+                    f"d_1^{min(k, 2 * n - k)} = {expected}"
+                )
+        if d1 > 1 + tol:
+            for k in range(n):
+                if not values[k] < values[k + 1]:
+                    violations.append(f"not strictly increasing at k={k}")
+        else:
+            for k, v in enumerate(values):
+                if abs(v - 1) > tol:
+                    violations.append(f"d1 = 1 but d_{k} = {v} != 1")
     return ShapeReport(tuple(violations))
 
 
@@ -375,29 +370,6 @@ def sym_power_matrix(m: list[list[int]], k: int) -> list[list[int]]:
             if coef:
                 out[index[part]][col] = coef
     return out
-
-
-def multiplicity_one_check(m: list[list[int]], k: int) -> bool:
-    """Is d1^k attained by exactly one eigenvalue multiset of size k?
-
-    Eigenvalues of Sym^k are products over index multisets. With the Salem
-    structure the moduli are one root > 1 (simple), one < 1, and the rest
-    exactly 1, so a product reaches modulus d1^k only by choosing the large
-    root k times; the count is C(mult + k - 1, k) for its multiplicity.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    cls = classify_charpoly(char_poly(m))
-    if cls.kind != SALEM_STRUCTURE:
-        raise SpectralStructureViolatedError(
-            f"classification is {cls.kind}, need SalemStructure",
-            float_spectral_radius(m),
-        )
-    # the Salem factor occurs exactly once (the peeled remainder is the
-    # factor itself) and its large root is simple (square-free certificate)
-    large_root_multiplicity = 1
-    count = math.comb(large_root_multiplicity + k - 1, k)
-    return count == 1
 
 
 # ---------------------------------------------------------------------------

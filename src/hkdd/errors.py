@@ -1,8 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, with the CLI's exit codes.
+
+Each error carries the exit code and stderr label the CLI reports it with:
+2 for malformed input, 3 for an isometry or determinant failure, 4 for a
+violated spectral structure. A subclass without its own entry inherits the
+base class's code 2 and label "input error".
+"""
 
 
 class HkddError(Exception):
     """Base class for all domain errors raised by this package."""
+
+    exit_code = 2
+    label = "input error"
 
 
 class NonSquareError(HkddError):
@@ -19,6 +28,9 @@ class DimensionMismatchError(HkddError):
 
 class NotIsometryError(HkddError):
     """M^T G M != G; carries one witness position."""
+
+    exit_code = 3
+    label = "not an isometry"
 
     def __init__(self, i: int, j: int, expected: int, got: int):
         self.i, self.j, self.expected, self.got = i, j, expected, got
@@ -57,6 +69,9 @@ class SpectralStructureViolatedError(HkddError):
     Carries a floating-point spectral radius estimate for diagnostics.
     """
 
+    exit_code = 4
+    label = "spectral structure violated"
+
     def __init__(self, message: str, float_spectral_radius: float | None = None):
         self.float_spectral_radius = float_spectral_radius
         if float_spectral_radius is not None:
@@ -89,3 +104,6 @@ class AmbiguousSolutionError(HkddError):
 
 class NotUnimodularError(HkddError):
     """2x2 integer matrix must have determinant exactly 1."""
+
+    exit_code = 3
+    label = "not unimodular"

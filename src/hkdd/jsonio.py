@@ -17,7 +17,10 @@ _INT53 = 1 << 53
 
 
 class InputParseError(HkddError):
-    """Input file or payload does not match the documented JSON formats."""
+    """Input file or payload does not match the documented JSON formats.
+
+    The CLI reports it with the base class's exit code 2, "input error".
+    """
 
 
 def encode_int(x: int) -> int | str:

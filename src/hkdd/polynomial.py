@@ -641,7 +641,7 @@ def is_perfect_square(n: int) -> bool:
     return n >= 0 and isqrt(n) ** 2 == n
 
 
-def _quadratic_surd_str(a: Fraction, b: Fraction, d: int) -> str:
+def quadratic_surd_str(a: Fraction, b: Fraction, d: int) -> str:
     """Render a + b*sqrt(d) with a common denominator, e.g. (7+3*sqrt(5))/2."""
     denom = lcm(a.denominator, b.denominator)
     p = int(a * denom)
@@ -688,13 +688,9 @@ def _exact_root_str(a: AlgebraicReal) -> str:
         return str(Fraction(-p.coeffs[0], p.coeffs[1]))
     parts = quadratic_surd_parts(a)
     if parts is not None:
-        return _quadratic_surd_str(*parts)
+        return quadratic_surd_str(*parts)
     idx = sturm_count(p, None, a.lo) + 1
     lo_s = format_fraction(a.lo, 8)
     hi_s = format_fraction(a.hi, 8)
     return f"root #{idx} of {p} in [{lo_s}, {hi_s}]"
 
-
-def quadratic_surd_str(a: Fraction, b: Fraction, d: int) -> str:
-    """Public rendering of A + B*sqrt(D) in lowest common-denominator form."""
-    return _quadratic_surd_str(a, b, d)

@@ -175,7 +175,15 @@ def salem_root_of(p: IntPolynomial) -> AlgebraicReal:
 
 def classify_charpoly(p: IntPolynomial) -> SalemClassification:
     """Peel cyclotomic factors; remainder 1 means AllCyclotomic, a Salem
-    remainder gives SalemStructure, anything else is NotSpectrallyValid."""
+    remainder gives SalemStructure, anything else is NotSpectrallyValid.
+
+    A SalemStructure certificate also settles multiplicity one: the Salem
+    factor is the whole remainder, so it occurs once, it is square-free (its
+    trace polynomial has distinct real roots), and exactly one of its roots
+    exceeds 1. So d1 is a simple eigenvalue and, as every other eigenvalue
+    has modulus at most 1, d1^k is attained once among the k-fold products
+    that are the eigenvalues of Sym^k.
+    """
     if not p.is_monic:
         raise NotMonicError(f"({p}) is not monic")
     factors, rem = peel_cyclotomic(p)

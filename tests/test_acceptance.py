@@ -23,9 +23,9 @@ from hkdd.cli import main
 from hkdd.dynamics import (
     degree_spectrum,
     first_dynamical_degree,
-    multiplicity_one_check,
     power_iteration_radius,
     search_salem_isometries,
+    spectrum_decimals,
     sym_power_dim,
     sym_power_matrix,
     validate_spectrum_shape,
@@ -42,8 +42,8 @@ from hkdd.lattice import (
     signature,
     verify_isometry,
 )
-from hkdd.polynomial import IntPolynomial, cyclotomic, poly
-from hkdd.salem import is_salem_polynomial
+from hkdd.polynomial import IntPolynomial, char_poly, cyclotomic, poly
+from hkdd.salem import SALEM_STRUCTURE, classify_charpoly, is_salem_polynomial
 
 D1_ORACLE = 17 + 12 * math.sqrt(2)
 D2_ORACLE = D1_ORACLE**2
@@ -134,19 +134,21 @@ def test_criterion_3_solver_disambiguation(hilb2):
 
 def test_criterion_4_kummer_example():
     with criterion(4, "Kummer: t=2 flat; t=3, n=2 gives (1,q,q^2,q,1); t=-3 same q"):
-        flat = kummer_spectrum(Sl2Matrix(1, 1, 0, 1), 2)
-        assert flat.decimals == [1.0] * 5
-        assert flat.entropy_nats == 0.0
+        flat = spectrum_decimals(kummer_spectrum(Sl2Matrix(1, 1, 0, 1), 2), 17)
+        assert [float(d) for d in flat.entries] == [1.0] * 5
+        assert float(flat.nats) == 0.0
 
         spec = kummer_spectrum(Sl2Matrix(2, 1, 1, 1), 2)
         assert spec.d1.poly == poly(1, -7, 1)
-        q = spec.decimals[1]
+        dec = spectrum_decimals(spec, 17)
+        values = [float(d) for d in dec.entries]
+        q = values[1]
         assert abs(q - 6.854101966) <= 1e-8
         assert abs(q - Q_ORACLE) <= 1e-8
-        assert spec.decimals == pytest.approx([1, q, q * q, q, 1], rel=1e-9)
+        assert values == pytest.approx([1, q, q * q, q, 1], rel=1e-9)
         # the spec sheet prints 3.8498984 for the entropy, which contradicts
         # its own formula 2*ln(q) with its own q; the float oracle decides
-        assert abs(spec.entropy_nats - 2 * math.log(Q_ORACLE)) <= 1e-6
+        assert abs(float(dec.nats) - 2 * math.log(Q_ORACLE)) <= 1e-6
 
         neg = kummer_spectrum(Sl2Matrix(-2, -1, -1, -1), 2)
         assert neg.d1.equals(spec.d1)
@@ -190,10 +192,10 @@ def test_criterion_6_theorem_property_suite(catalogue8):
         for _ in range(200):
             d1 = rng.choice(roots)
             n = rng.randint(1, 5)
-            spec = degree_spectrum(n, d1)
-            report = validate_spectrum_shape(spec, tolerance=1e-9)
+            dec = spectrum_decimals(degree_spectrum(n, d1), 17)
+            report = validate_spectrum_shape(dec.entries, tolerance=1e-9)
             assert report.ok, report.violations
-            values = spec.decimals
+            values = [float(d) for d in dec.entries]
             # palindromic symmetry and strict growth, asserted directly too
             for k in range(2 * n + 1):
                 assert values[k] == pytest.approx(values[2 * n - k], rel=1e-9)
@@ -211,8 +213,12 @@ def test_criterion_7_sym_power_oracle(iso_m1m2):
         d1 = float(first_dynamical_degree(iso_m1m2))
         rho = power_iteration_radius(sym_power_matrix(iso_m1m2.rows(), 2))
         assert abs(rho - d1 * d1) / (d1 * d1) <= 1e-6
-        assert multiplicity_one_check(iso_m1m2.rows(), 1) is True
-        assert multiplicity_one_check(iso_m1m2.rows(), 2) is True
+        # multiplicity one follows from the Salem certificate; numpy confirms
+        # that d1^k is a simple eigenvalue modulus of Sym^k
+        assert classify_charpoly(char_poly(iso_m1m2.rows())).kind == SALEM_STRUCTURE
+        for k in (1, 2):
+            moduli = np.abs(np.linalg.eigvals(np.array(sym_power_matrix(iso_m1m2.rows(), k), dtype=float)))
+            assert np.sum(np.abs(moduli - d1**k) <= 1e-6 * d1**k) == 1
 
 
 def test_criterion_8_lattice_facts():

@@ -1,3 +1,4 @@
+import inspect
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import mpmath
 import pytest
 
-from hkdd import fixtures, linalg
+from hkdd import cli, dynamics, errors, fixtures, jsonio, linalg
 from hkdd.cli import main
 from hkdd.jsonio import dump_json
 
@@ -243,3 +244,98 @@ def test_precision_flag(capsys, m1m2_file):
         capsys,
     )
     assert code == 2
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Count the calls of fn through every hkdd module that binds it."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hkdd" and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
+
+
+def within_one_ulp(printed: str, true, digits: int) -> bool:
+    with mpmath.workdps(digits + 20):
+        ulp = mpmath.mpf(10) ** (mpmath.floor(mpmath.log10(true)) - digits + 1)
+        return abs(mpmath.mpf(printed) - true) <= ulp
+
+
+@pytest.mark.parametrize("digits", [12, 50, 200])
+@pytest.mark.parametrize(
+    "argv, n, d1",
+    [
+        (["kummer", "2", "1", "1", "1", "--half-dim", "3"], 3, lambda: (7 + 3 * mpmath.sqrt(5)) / 2),
+        (["kummer", "31", "2", "15", "1", "--half-dim", "100"], 100, lambda: 511 + mpmath.sqrt(511**2 - 1)),
+        (["beauville-demo"], 2, lambda: 17 + 12 * mpmath.sqrt(2)),
+    ],
+    ids=["kummer-t3-n3", "kummer-t32-n100", "demo"],
+)
+def test_entropy_within_one_ulp_of_mpmath(capsys, argv, n, d1, digits):
+    code, out, _ = run_cli(["--format", "json", "--precision", str(digits)] + argv, capsys)
+    assert code == 0
+    report = json.loads(out)
+    entropy = (report["spectra"][0]["spectrum"] if "spectra" in report else report["spectrum"])["entropy"]
+    with mpmath.workdps(digits + 20):
+        x = d1()
+        assert within_one_ulp(entropy["nats"], n * mpmath.log(x), digits), entropy["nats"]
+        assert within_one_ulp(entropy["log10"], n * mpmath.log10(x), digits), entropy["log10"]
+
+
+@pytest.mark.parametrize(
+    "argv, spectra",
+    [
+        (["kummer", "2", "1", "1", "1", "--half-dim", "5"], 1),
+        (["--format", "json", "kummer", "2", "1", "1", "1"], 1),
+        (["kummer", "1", "1", "0", "1"], 0),
+        (["beauville-demo"], 3),
+        (["--format", "json", "beauville-demo"], 3),
+    ],
+)
+def test_one_walk_per_printed_spectrum(capsys, monkeypatch, argv, spectra):
+    calls = count_calls(monkeypatch, dynamics.power_decimal)
+    code, _, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert len(calls) == spectra
+
+
+def test_one_walk_for_degrees(capsys, monkeypatch, m1m2_file):
+    calls = count_calls(monkeypatch, dynamics.power_decimal)
+    for fmt in ("table", "json"):
+        argv = ["--format", fmt, "degrees", "--lattice", rank3_path(), "--isometry", m1m2_file]
+        assert run_cli(argv, capsys)[0] == 0
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("precision", [3, 12, 50, 200])
+def test_beauville_demo_shape_checks_pass(capsys, precision):
+    code, out, _ = run_cli(["--precision", str(precision), "beauville-demo"], capsys)
+    assert code == 0
+    assert out.count("shape checks: all pass") == 3
+
+
+def test_every_error_has_a_documented_exit_code():
+    classes = {
+        cls
+        for module in (errors, jsonio)
+        for _, cls in inspect.getmembers(module, inspect.isclass)
+        if issubclass(cls, errors.HkddError)
+    }
+    assert jsonio.InputParseError in classes and len(classes) >= 18
+    for cls in classes:
+        assert cls.exit_code in {2, 3, 4}, cls
+        assert isinstance(cls.label, str) and cls.label, cls
+
+
+def test_error_without_own_entry_exits_with_base_code(capsys, monkeypatch):
+    def unsolvable(hilb, index):
+        raise errors.NoSolutionError("no integer solution")
+
+    monkeypatch.setattr(cli, "solve_beauville", unsolvable)
+    code, out, err = run_cli(["beauville-demo"], capsys)
+    assert (code, out, err) == (2, "", "input error: no integer solution\n")

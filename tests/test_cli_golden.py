@@ -1,0 +1,100 @@
+"""Golden stdout and exit codes for every subcommand, in table and JSON form,
+at precisions 3, 12, 50 and 200.
+
+Each case has one snapshot file in tests/golden/ holding a section per
+format and precision: a header line `$ hkdd <argv> [exit <code>]`, then the
+exact stdout. Input paths in the argv are written as {name} placeholders for
+tests/golden/inputs/<name>.json, and {rank3} for the bundled rank-3 lattice.
+
+Regenerate the snapshots with `PYTHONPATH=src python tests/test_cli_golden.py`;
+the diff of tests/golden/ is then the change in CLI output.
+"""
+
+import io
+import re
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from hkdd import fixtures
+from hkdd.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+PRECISIONS = (3, 12, 50, 200)
+FORMATS = ("table", "json")
+
+LEHMER = "1 1 0 -1 -1 -1 -1 -1 0 1 1"
+CASES = {
+    "lattice-info": "lattice-info {rank3}",
+    "degrees-m1m2": "degrees --lattice {rank3} --isometry {m1m2} --half-dim 2",
+    "degrees-identity": "degrees --lattice {rank3} --isometry {identity3} --half-dim 3",
+    "degrees-e10-lehmer": "degrees --lattice {e10_lattice} --isometry {e10_coxeter} --half-dim 3",
+    "degrees-not-isometry": "degrees --lattice {rank3} --isometry {not_isometry}",
+    "degrees-salem-squared": "degrees --lattice {g4} --isometry {m4_salem_squared}",
+    "salem-check-34": "salem-check -- 1 -34 1",
+    "salem-check-lehmer": f"salem-check -- {LEHMER}",
+    "salem-check-not-palindromic": "salem-check -- -1 -1 1",
+    "salem-check-not-monic": "salem-check -- 1 2",
+    "kummer-t3": "kummer 2 1 1 1 --half-dim 3",
+    "kummer-t-3": "kummer -2 -1 -1 -1 --half-dim 2",
+    "kummer-flat": "kummer 1 1 0 1 --half-dim 2",
+    "kummer-t6": "kummer 5 2 2 1 --half-dim 7",
+    "kummer-one-point": "kummer 2 1 1 1 --half-dim 1",
+    "beauville-demo": "beauville-demo",
+    "natural-check": "natural-check --lattice {rank3} --isometry {m1m2} --half-dim 2",
+    "search": "search --lattice {rank3} --bound 3",
+}
+HEADER = re.compile(r"^\$ hkdd (.*) \[exit (\d+)\]\n", re.MULTILINE)
+
+
+def _argv(case: str, fmt: str, precision: int) -> list[str]:
+    return ["--format", fmt, "--precision", str(precision)] + CASES[case].split()
+
+
+def _resolve(argv: list[str]) -> list[str]:
+    paths = {"rank3": str(fixtures.fixture_path("rank3_lattice.json"))}
+
+    def path(m: re.Match) -> str:
+        return paths.get(m.group(1)) or str(GOLDEN / "inputs" / f"{m.group(1)}.json")
+
+    return [re.sub(r"\{(\w+)\}", path, a) for a in argv]
+
+
+def run(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(_resolve(argv))
+    return code, out.getvalue()
+
+
+def read_snapshot(case: str) -> dict[str, tuple[int, str]]:
+    text = (GOLDEN / f"{case}.txt").read_text()
+    heads = list(HEADER.finditer(text))
+    ends = [h.start() for h in heads[1:]] + [len(text)]
+    return {h.group(1): (int(h.group(2)), text[h.end():end]) for h, end in zip(heads, ends)}
+
+
+def write_snapshot(case: str) -> None:
+    parts = []
+    for fmt in FORMATS:
+        for precision in PRECISIONS:
+            argv = _argv(case, fmt, precision)
+            code, out = run(argv)
+            parts.append(f"$ hkdd {' '.join(argv)} [exit {code}]\n{out}")
+    (GOLDEN / f"{case}.txt").write_text("".join(parts))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_matches_snapshot(case):
+    snapshot = read_snapshot(case)
+    argvs = [_argv(case, fmt, p) for fmt in FORMATS for p in PRECISIONS]
+    assert sorted(snapshot) == sorted(" ".join(a) for a in argvs)
+    for argv in argvs:
+        assert run(argv) == snapshot[" ".join(argv)], " ".join(argv)
+
+
+if __name__ == "__main__":
+    for name in sys.argv[1:] or CASES:
+        write_snapshot(name)

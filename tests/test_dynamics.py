@@ -2,29 +2,31 @@ import itertools
 import math
 import random
 from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cmp_to_key
 
+import mpmath
 import pytest
 
 from hkdd import dynamics, linalg
 from hkdd.dynamics import (
     degree_spectrum,
     enumerate_isometries,
+    exact_power_str,
     first_dynamical_degree,
     float_spectral_radius,
-    multiplicity_one_check,
     power_decimal,
-    power_iterate_degree,
     power_iteration_radius,
     search_salem_isometries,
+    spectrum_decimals,
     sym_power_dim,
     sym_power_matrix,
     validate_spectrum_shape,
 )
 from hkdd.errors import SpectralStructureViolatedError
 from hkdd.lattice import make_lattice, verify_isometry
-from hkdd.polynomial import char_poly, isolate_real_roots, poly
+from hkdd.polynomial import AlgebraicReal, char_poly, isolate_real_roots, poly
 from hkdd.salem import SALEM_STRUCTURE, classify_charpoly, is_salem_polynomial
 
 
@@ -61,79 +63,149 @@ def test_degree_spectrum_exact_table(root34):
         "17+12*sqrt(2)",
         "1",
     ]
-    assert spec.entries[2].decimal == pytest.approx(
+    dec = spectrum_decimals(spec, 17)
+    assert float(dec.entries[2]) == pytest.approx(
         (17 + 12 * math.sqrt(2)) ** 2, rel=1e-12
     )
-    assert spec.entropy_nats == pytest.approx(2 * math.log(17 + 12 * math.sqrt(2)), rel=1e-12)
+    assert float(dec.nats) == pytest.approx(2 * math.log(17 + 12 * math.sqrt(2)), rel=1e-12)
     assert spec.entropy_exact == "2*log(17+12*sqrt(2))"
 
 
 def test_degree_spectrum_trivial():
     spec = degree_spectrum(4, 1)
-    assert [e.decimal for e in spec.entries] == [1.0] * 9
-    assert spec.entropy_nats == 0.0
-    assert validate_spectrum_shape(spec).ok
+    dec = spectrum_decimals(spec, 17)
+    assert [float(d) for d in dec.entries] == [1.0] * 9
+    assert float(dec.nats) == 0.0
+    assert validate_spectrum_shape(dec.entries).ok
 
 
 def test_spectrum_palindrome_and_product_law(root34):
     # palindrome d_k = d_{2n-k}, and the multiplicative face of the power law
     # on the rising leg: d_k * d_{n-k} = d_n
     for n in (1, 2, 3, 4):
-        spec = degree_spectrum(n, root34)
-        values = spec.decimals
+        values = [float(d) for d in spectrum_decimals(degree_spectrum(n, root34), 17).entries]
         for k in range(2 * n + 1):
             assert values[k] == pytest.approx(values[2 * n - k], rel=1e-9)
         for k in range(n + 1):
             assert values[k] * values[n - k] == pytest.approx(values[n], rel=1e-9)
 
 
-def test_power_iterate_degree(root34):
-    sq = power_iterate_degree(root34, 2)
-    assert sq.exact_str() == "577+408*sqrt(2)"
-    assert sq.poly == poly(1, -1154, 1)
-    assert power_iterate_degree(root34, 1) is root34
-    cube = power_iterate_degree(root34, 3)
+def test_exact_power_str_quadratic(root34):
+    assert exact_power_str(root34, [2, 0, 1]) == ["577+408*sqrt(2)", "1", "17+12*sqrt(2)"]
+    assert exact_power_str(isolate_real_roots(poly(1, -7, 1))[-1], [1, 3]) == ["(7+3*sqrt(5))/2", "161+72*sqrt(5)"]
+    assert exact_power_str(1, [0, 1, 2]) == ["1", "1", "1"]
+    [cube] = power_decimal(root34, [3], 17).decimals
     assert float(cube) == pytest.approx((17 + 12 * math.sqrt(2)) ** 3, rel=1e-12)
     assert float(cube) == pytest.approx(39201.99997449, abs=1e-5)
+
+
+def test_exact_power_str_builds_one_exact_string(monkeypatch):
+    lehmer = isolate_real_roots(poly(1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))[-1]
+    calls = []
+    exact_str = type(lehmer).exact_str
+    monkeypatch.setattr(type(lehmer), "exact_str", lambda self: calls.append(1) or exact_str(self))
+    spec = degree_spectrum(8, lehmer)
+    assert len(calls) == 1
+    base = spec.entries[1].exact
+    assert base.startswith("root #2 of x^10 + x^9")
+    assert [e.exact for e in spec.entries[:3]] == ["1", base, f"({base})^2"]
+    assert spec.entropy_exact == f"8*log({base})"
+
+
+def test_degree_spectrum_makes_no_walk_and_no_float(root34, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("degree_spectrum must stay exact")
+
+    monkeypatch.setattr(dynamics, "power_decimal", forbidden)
+    monkeypatch.setattr(type(root34), "__float__", forbidden)
+    spec = degree_spectrum(5, root34)
+    assert spec.entries[5].exact == exact_power_str(root34, [5])[0]
 
 
 def test_degree_spectrum_past_double_range():
     d1 = isolate_real_roots(poly(1, -7, 1))[-1]  # (7+3*sqrt(5))/2, log10 about 0.836
     spec = degree_spectrum(400, d1)
-    assert spec.entries[368].decimal < math.inf
-    assert spec.entries[369].decimal == math.inf == spec.entries[431].decimal
     assert spec.entries[400].exact.endswith("*sqrt(5))/2")
-    shape = validate_spectrum_shape(spec)
-    assert not shape.ok
-    assert shape.violations == ("63 non-finite degree(s), first d_369 = inf",)
+    dec = spectrum_decimals(spec, 12)
+    assert dec.entries[368].endswith("E+307") and dec.entries[369].endswith("E+308")
+    assert dec.entries[400].endswith("E+334") and dec.entries[431] == dec.entries[369]
+    assert dec.nats == "769.938920095"  # 400 * ln((7+3*sqrt(5))/2), mpmath
+    # d_1 has 12 digits, so d_1^400 is off by up to 400 half-units in the last
+    shape = validate_spectrum_shape(dec.entries, tolerance=1e-8)
+    assert shape.ok, shape.violations
 
 
 def test_validate_spectrum_shape_past_double_range():
-    # finite entries whose power law overflows a double: reported, not raised
+    # entries and powers past the double range are judged like any other
     report = validate_spectrum_shape([1.0, 1e200, 1e300, 1e200, 1.0])
-    assert any("past the double range" in v for v in report.violations)
-    assert not validate_spectrum_shape([1.0, 2.0, math.nan, 2.0, 1.0]).ok
+    assert any("power-law violation at k=2" in v for v in report.violations)
+    assert validate_spectrum_shape(["1", "1E+200", "1E+400", "1E+200", "1"]).ok
 
 
 def test_power_decimal_certified(root34):
-    [(_, s)] = power_decimal(root34, [2], 12)
-    assert s == "1153.99913345"
-    [(_, s1)] = power_decimal(root34, [1], 12)
-    assert s1 == "33.9705627485"
-    assert power_decimal(root34, [2, 0, 1], 12) == [
-        power_decimal(root34, [2], 12)[0], (1, "1"), power_decimal(root34, [1], 12)[0]
-    ]
+    assert power_decimal(root34, [2], 12).decimals == ["1153.99913345"]
+    assert power_decimal(root34, [1], 12).decimals == ["33.9705627485"]
+    assert power_decimal(root34, [2, 0, 1], 12).decimals == ["1153.99913345", "1", "33.9705627485"]
     with pytest.raises(ValueError):
         power_decimal(root34, [-1], 12)
+    with pytest.raises(ValueError):
+        power_decimal(isolate_real_roots(poly(1, -34, 1))[0], [1], 12)  # 17-12*sqrt(2) < 1
+
+
+@pytest.mark.parametrize("digits", [12, 50, 200])
+@pytest.mark.parametrize(
+    "defining, n",
+    [
+        (poly(1, -34, 1), 2),
+        (poly(1, -7, 1), 3),
+        (poly(1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1), 5),  # Lehmer
+        (poly(1, -3134, 1), 92),  # Kummer trace 56
+    ],
+    ids=["root34", "kummer_t3", "lehmer", "kummer_t56"],
+)
+def test_entropy_within_one_ulp_of_mpmath(defining, n, digits):
+    dec = spectrum_decimals(degree_spectrum(n, isolate_real_roots(defining)[-1]), digits)
+    with mpmath.workdps(digits + 20):
+        d1 = max(mpmath.polyroots(list(reversed(defining.coeffs)), maxsteps=200, extraprec=2 * digits), key=abs)
+        for printed, true in ((dec.nats, n * mpmath.log(d1)), (dec.log10, n * mpmath.log10(d1))):
+            ulp = mpmath.mpf(10) ** (mpmath.floor(mpmath.log10(true)) - digits + 1)
+            assert abs(mpmath.mpf(printed) - true) <= ulp, printed
+            assert len(Decimal(printed).as_tuple().digits) == digits
+
+
+def test_power_decimal_logarithm_near_one():
+    # root 1 + 10^-30: ln is about 10^-30 and needs 30 digits past the leading zeros
+    x = AlgebraicReal(poly(-(10**30 + 1), 10**30), 1, 2)
+    walk = power_decimal(x, [1], 12)
+    with mpmath.workdps(80):
+        true = mpmath.log(1 + mpmath.mpf(10) ** -30)
+        assert abs(walk.ln - Fraction(str(true))) < 1e-13 * walk.ln
+        assert abs(walk.log10 - Fraction(str(true / mpmath.log(10)))) < 1e-13 * walk.log10
+
+
+@pytest.mark.parametrize("digits", [3, 12, 50, 200])
+def test_shape_check_reads_certified_decimals(root34, digits):
+    tolerance = Decimal(10) ** (2 - digits)
+    for d1 in (root34, isolate_real_roots(poly(1, -7, 1))[-1]):
+        entries = list(spectrum_decimals(degree_spectrum(2, d1), digits).entries)
+        assert validate_spectrum_shape(entries, tolerance).ok
+        # moving d_2 by 100 units in its last digit breaks the power law
+        with localcontext() as ctx:
+            ctx.prec = digits + 5
+            entries[2] = str(Decimal(entries[2]) * (1 + Decimal(10) ** (3 - digits)))
+        report = validate_spectrum_shape(entries, tolerance)
+        assert any(v.startswith("power-law violation at k=2") for v in report.violations)
 
 
 def test_entropy_additive_under_iteration(rank3, iso_m1m2):
     from hkdd.hyperkahler import power
 
-    base = degree_spectrum(2, first_dynamical_degree(iso_m1m2)).entropy_nats
+    def nats(iso):
+        return float(spectrum_decimals(degree_spectrum(2, first_dynamical_degree(iso)), 17).nats)
+
+    base = nats(iso_m1m2)
     for ell in (1, 2, 3, 4):
-        spec = degree_spectrum(2, first_dynamical_degree(power(iso_m1m2, ell)))
-        assert spec.entropy_nats == pytest.approx(ell * base, abs=1e-9)
+        assert nats(power(iso_m1m2, ell)) == pytest.approx(ell * base, abs=1e-9)
 
 
 def test_validate_spectrum_shape_flags():
@@ -176,11 +248,16 @@ def test_sym_power_multiplicativity_on_search_results(rank3, catalogue):
 
 
 def test_multiplicity_one(iso_m1m2):
+    # the Salem certificate implies that d1^k is a simple eigenvalue of
+    # Sym^k; numpy's eigenvalue moduli confirm it for k = 1..3
+    import numpy as np
+
     m = iso_m1m2.rows()
-    assert multiplicity_one_check(m, 1) is True
-    assert multiplicity_one_check(m, 2) is True
-    with pytest.raises(SpectralStructureViolatedError):
-        multiplicity_one_check(linalg.identity(3), 2)
+    assert classify_charpoly(char_poly(m)).kind == SALEM_STRUCTURE
+    d1 = float(first_dynamical_degree(iso_m1m2))
+    for k in (1, 2, 3):
+        moduli = np.abs(np.linalg.eigvals(np.array(sym_power_matrix(m, k), dtype=float)))
+        assert np.sum(np.abs(moduli - d1**k) <= 1e-6 * d1**k) == 1
 
 
 def test_spectral_structure_violated_carries_diagnostic():

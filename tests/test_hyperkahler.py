@@ -4,7 +4,7 @@ import random
 import pytest
 
 from hkdd import hyperkahler, linalg
-from hkdd.dynamics import degree_spectrum, first_dynamical_degree
+from hkdd.dynamics import degree_spectrum, first_dynamical_degree, spectrum_decimals
 from hkdd.errors import (
     BadNError,
     DimensionMismatchError,
@@ -214,15 +214,15 @@ def test_kummer_family_is_salem_or_one():
 
 
 def test_kummer_spectrum_values():
-    spec = kummer_spectrum(Sl2Matrix(2, 1, 1, 1), 2)
+    dec = spectrum_decimals(kummer_spectrum(Sl2Matrix(2, 1, 1, 1), 2), 17)
     q = (7 + 3 * math.sqrt(5)) / 2
-    assert spec.decimals == pytest.approx([1, q, q * q, q, 1], rel=1e-10)
-    assert spec.entropy_nats == pytest.approx(2 * math.log(q), rel=1e-12)
-    spec3 = kummer_spectrum(Sl2Matrix(2, 1, 1, 1), 3)
-    assert spec3.entropy_nats == pytest.approx(3 * math.log(q), rel=1e-12)
-    flat = kummer_spectrum(Sl2Matrix(1, 1, 0, 1), 5)
-    assert flat.decimals == [1.0] * 11
-    assert flat.entropy_nats == 0.0
+    assert [float(d) for d in dec.entries] == pytest.approx([1, q, q * q, q, 1], rel=1e-10)
+    assert float(dec.nats) == pytest.approx(2 * math.log(q), rel=1e-12)
+    dec3 = spectrum_decimals(kummer_spectrum(Sl2Matrix(2, 1, 1, 1), 3), 17)
+    assert float(dec3.nats) == pytest.approx(3 * math.log(q), rel=1e-12)
+    flat = spectrum_decimals(kummer_spectrum(Sl2Matrix(1, 1, 0, 1), 5), 17)
+    assert [float(d) for d in flat.entries] == [1.0] * 11
+    assert float(flat.nats) == 0.0
     with pytest.raises(BadNError):
         kummer_spectrum(Sl2Matrix(2, 1, 1, 1), 1)
 
