@@ -3,11 +3,13 @@ quartic-involution demo, naturality certificates, and the bounded search.
 
 Reports go to stdout (aligned text by default, --format json for machines);
 diagnostics go to stderr. Exit codes are stable: 0 success, 2 malformed
-input, 3 isometry/determinant failures, 4 spectral structure violations.
-Each HkddError carries its code and stderr label (see errors), so main has
-one handler for them all. Every decimal of a spectrum report, the entropy
-included, comes from one certified walk (dynamics.spectrum_decimals) at
---precision. File inputs use the JSON formats documented in jsonio.
+input, 3 isometry/determinant failures, 4 spectral structure violations,
+and 1 for an unexpected internal error, reported as the single stderr line
+`internal error: <Type>: <message>`. Each HkddError carries its code and
+stderr label (see errors), so main has one handler for them all. Every
+decimal of a spectrum report, the entropy included, comes from one
+certified walk (dynamics.spectrum_decimals) at --precision. File inputs
+use the JSON formats documented in jsonio.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .polynomial import IntPolynomial, char_poly
 from .salem import SALEM_STRUCTURE, classify_charpoly
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_PARSE = 2
 
 # roots below this are flagged as small Salem candidates in search reports
@@ -479,6 +482,10 @@ def main(argv: list[str] | None = None) -> int:
     except HkddError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
+    except Exception as exc:  # last resort: a bug, reported in one line
+        message = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 if __name__ == "__main__":
     sys.exit(main())

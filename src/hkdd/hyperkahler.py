@@ -31,6 +31,7 @@ from .errors import (
 from .lattice import (
     GramLattice,
     LatticeIsometry,
+    _integer_quadratic_roots,
     invariant_sublattice,
     make_lattice,
     norm_of,
@@ -215,9 +216,10 @@ def _beauville_candidates(
 
     The two pairing constraints (image, iota_h) = (x, h) and
     (image, iota_e) = (x, e) are solved exactly; substituting the general
-    integer solution into the norm constraint leaves a one-variable integer
-    quadratic at rank 3 (solved exactly) or a bounded enumeration in the
-    remaining free variables at higher rank.
+    integer solution u0 + sum t_i k_i into the norm constraint leaves an
+    integer quadratic in the last t. At rank 3 that is the only variable;
+    at higher rank the other t run over [-coordinate_bound, coordinate_bound]
+    and only roots in that range are kept.
     """
     g = lat.gram_rows()
     r = lat.rank
@@ -235,53 +237,24 @@ def _beauville_candidates(
         return []
     u0, kernel = solution
     target = g[x][x]
+    if not kernel:
+        return [tuple(u0)] if linalg.bilinear(g, u0, u0) == target else []
+    *free, last = kernel
+    a = linalg.bilinear(g, last, last)
     candidates: list[tuple[int, ...]] = []
-    if len(kernel) == 0:
-        if linalg.bilinear(g, u0, u0) == target:
-            candidates.append(tuple(u0))
-        return candidates
-    if len(kernel) == 1:
-        k = kernel[0]
-        a = linalg.bilinear(g, k, k)
-        b = 2 * linalg.bilinear(g, u0, k)
-        c = linalg.bilinear(g, u0, u0) - target
-        for t in _integer_quadratic_roots(a, b, c, coordinate_bound):
-            candidates.append(tuple(x0 + t * kx for x0, kx in zip(u0, k)))
-        return sorted(candidates)
     for ts in itertools.product(
-        range(-coordinate_bound, coordinate_bound + 1), repeat=len(kernel)
+        range(-coordinate_bound, coordinate_bound + 1), repeat=len(free)
     ):
-        v = list(u0)
-        for t, k in zip(ts, kernel):
+        w = list(u0)
+        for t, k in zip(ts, free):
             for i in range(r):
-                v[i] += t * k[i]
-        if linalg.bilinear(g, v, v) == target:
-            candidates.append(tuple(v))
+                w[i] += t * k[i]
+        b = 2 * linalg.bilinear(g, w, last)
+        c = linalg.bilinear(g, w, w) - target
+        for t in _integer_quadratic_roots(a, b, c, coordinate_bound):
+            if not free or -coordinate_bound <= t <= coordinate_bound:
+                candidates.append(tuple(wi + t * ki for wi, ki in zip(w, last)))
     return sorted(candidates)
-
-
-def _integer_quadratic_roots(a: int, b: int, c: int, bound: int) -> list[int]:
-    """Integer roots of a t^2 + b t + c = 0; the degenerate all-zero equation
-    falls back to the bounded range (filters upstream must disambiguate)."""
-    if a == 0:
-        if b == 0:
-            return list(range(-bound, bound + 1)) if c == 0 else []
-        return [-c // b] if c % b == 0 else []
-    disc = b * b - 4 * a * c
-    if disc < 0:
-        return []
-    from .polynomial import is_perfect_square
-
-    if not is_perfect_square(disc):
-        return []
-    from math import isqrt
-
-    s = isqrt(disc)
-    roots = []
-    for num in (-b + s, -b - s):
-        if num % (2 * a) == 0:
-            roots.append(num // (2 * a))
-    return sorted(set(roots))
 
 
 def solve_beauville(

@@ -1,0 +1,99 @@
+"""natural-check on lattices of rank 6 to 10 and on degenerate Grams ends
+within a stated time with a documented exit code (0, 2, 3 or 4). Each case
+runs `python -m hkdd.cli` in a fresh process with a timeout, so a hang fails
+the test instead of stalling the suite.
+"""
+
+import json
+import subprocess
+import sys
+
+import pytest
+
+def diagonal(entries):
+    return [[x if i == j else 0 for j, x in enumerate(entries)] for i in range(len(entries))]
+
+
+def block_sum(*blocks):
+    n = sum(len(b) for b in blocks)
+    gram = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            gram[at + i][at : at + len(row)] = row
+        at += len(b)
+    return gram
+
+
+def a_negative(k):
+    """The root lattice A_k with its form negated."""
+    return [[-2 if i == j else (1 if abs(i - j) == 1 else 0) for j in range(k)] for i in range(k)]
+
+
+def identity(n):
+    return diagonal([1] * n)
+
+
+def negate_e(n, e_index):
+    m = identity(n)
+    m[e_index][e_index] = -1
+    return m
+
+
+U = [[0, 1], [1, 0]]
+# each case: lattice Gram (label "e" at e_index), isometry, seconds, exit
+# code, and a line of stdout (or of stderr, for an error)
+CASES = {
+    "rank6-identity": (
+        diagonal([2, -2, 2, 2, 2, 2]), 1, identity(6), 10, 0,
+        "PossiblyNatural: fixed class of norm -2 exists",
+    ),
+    "rank6-negate-e-definite": (
+        diagonal([2, -2, 2, 2, 2, 2]), 1, negate_e(6, 1), 10, 0,
+        "NotNatural: restricted fixed form cannot represent -2: the form has signature "
+        "(p, n, z) = (5, 0, 0), so it takes no negative value",
+    ),
+    # fixed form 11 * <1, -1, 1, 1, 1>: indefinite, no congruence up to 9
+    # excludes -2, and no vector reaches it, so the work budget ends the scan
+    "rank6-no-witness-budget": (
+        diagonal([11, -2, -11, 11, 11, 11]), 1, negate_e(6, 1), 30, 0,
+        "PossiblyNatural: no fixed class of norm -2 found within bound 13, "
+        "and no certificate applies",
+    ),
+    "rank8-identity": (
+        block_sum(U, [[-2]], a_negative(5)), 2, identity(8), 10, 0,
+        "PossiblyNatural: fixed class of norm -2 exists",
+    ),
+    "rank10-identity": (
+        block_sum(U, [[-2]], a_negative(7)), 2, identity(10), 10, 0,
+        "PossiblyNatural: fixed class of norm -2 exists",
+    ),
+    "degenerate-gram-identity": (
+        diagonal([0, -2, 0]), 1, identity(3), 10, 0,
+        "PossiblyNatural: fixed class of norm -2 exists",
+    ),
+    "zero-gram": (
+        diagonal([0, 0, 0]), 1, identity(3), 10, 2,
+        "input error: (e, e) = 0, need -2 for n = 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_natural_check_ends_in_time(case, tmp_path):
+    gram, e_index, matrix, seconds, code, line = CASES[case]
+    labels = [f"b{i}" for i in range(len(gram))]
+    labels[e_index] = "e"
+    lattice = tmp_path / "lattice.json"
+    lattice.write_text(json.dumps({"labels": labels, "gram": gram}))
+    isometry = tmp_path / "isometry.json"
+    isometry.write_text(json.dumps({"matrix": matrix}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hkdd.cli", "natural-check",
+         "--lattice", str(lattice), "--isometry", str(isometry)],
+        capture_output=True,
+        text=True,
+        timeout=seconds,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert line in (proc.stdout if code == 0 else proc.stderr).splitlines()

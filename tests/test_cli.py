@@ -180,6 +180,17 @@ def test_import_leaves_numpy_out():
     assert proc.stdout.strip() == "False"
 
 
+def test_unexpected_error_is_one_line_exit_1(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("no such\nstate")
+
+    monkeypatch.setattr(cli, "cmd_lattice_info", broken)
+    code, out, err = run_cli(["lattice-info", rank3_path()], capsys)
+    assert code == cli.EXIT_INTERNAL == 1
+    assert out == ""
+    assert err == "internal error: RuntimeError: no such state\n"
+
+
 def test_natural_check(capsys, m1m2_file):
     code, out, _ = run_cli(
         ["natural-check", "--lattice", rank3_path(), "--isometry", m1m2_file], capsys

@@ -44,6 +44,10 @@ CASES = {
     "kummer-one-point": "kummer 2 1 1 1 --half-dim 1",
     "beauville-demo": "beauville-demo",
     "natural-check": "natural-check --lattice {rank3} --isometry {m1m2} --half-dim 2",
+    "natural-check-identity3": "natural-check --lattice {rank3} --isometry {identity3} --half-dim 2",
+    "natural-check-rank4": (
+        "natural-check --lattice {rank3_plus_minus4} --isometry {identity4} --half-dim 2"
+    ),
     "search": "search --lattice {rank3} --bound 3",
 }
 HEADER = re.compile(r"^\$ hkdd (.*) \[exit (\d+)\]\n", re.MULTILINE)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -141,7 +142,7 @@ def test_beauville_extra_class_always_resolves():
 
 
 def test_integer_quadratic_roots_helper():
-    from hkdd.hyperkahler import _integer_quadratic_roots
+    from hkdd.lattice import _integer_quadratic_roots
 
     assert _integer_quadratic_roots(1, -3, 2, 64) == [1, 2]
     assert _integer_quadratic_roots(1, 0, -2, 64) == []  # disc 8 not a square
@@ -150,6 +151,50 @@ def test_integer_quadratic_roots_helper():
     assert _integer_quadratic_roots(0, 3, -7, 64) == []
     assert _integer_quadratic_roots(0, 0, 0, 2) == [-2, -1, 0, 1, 2]
     assert _integer_quadratic_roots(0, 0, 5, 2) == []
+
+
+def product_beauville_candidates(lat, h, e, x, iota_h, iota_e, bound):
+    """Every kernel coordinate run over [-bound, bound], none solved for."""
+    g = lat.gram_rows()
+    r = lat.rank
+    unit = [[int(i == j) for i in range(r)] for j in range(r)]
+    rows = [linalg.mat_vec(g, iota_h), linalg.mat_vec(g, iota_e)]
+    rhs = [linalg.bilinear(g, unit[x], unit[h]), linalg.bilinear(g, unit[x], unit[e])]
+    u0, kernel = linalg.solve_integer_system(rows, rhs)
+    found = []
+    for ts in itertools.product(range(-bound, bound + 1), repeat=len(kernel)):
+        v = [u + sum(t * k[i] for t, k in zip(ts, kernel)) for i, u in enumerate(u0)]
+        if linalg.bilinear(g, v, v) == g[x][x]:
+            found.append(tuple(v))
+    return sorted(found), len(kernel)
+
+
+@pytest.mark.parametrize(
+    "base, kernel_dim",
+    [
+        ([[4, 0, 0], [0, -2, 0], [0, 0, -2]], 2),
+        ([[4, 2, 0], [2, 0, 1], [0, 1, -2]], 2),
+        ([[4, 0, 0, 0], [0, -2, 0, 0], [0, 0, -2, 0], [0, 0, 0, 2]], 3),
+        # <4> + U + <-2>: some norm equations vanish identically (a = b = c = 0)
+        ([[4, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -2]], 3),
+    ],
+)
+def test_beauville_candidates_match_full_product(base, kernel_dim):
+    hilb = hilbert_lattice(make_lattice(base), 2)
+    lat, e = hilb.extended, hilb.e_index
+    iota_h = [0] * lat.rank
+    iota_h[0], iota_h[e] = 3, -4
+    iota_e = [0] * lat.rank
+    iota_e[0], iota_e[e] = 2, -3
+    total = 0
+    for x in range(1, lat.rank - 1):
+        for bound in (2, 3):
+            expected, dim = product_beauville_candidates(lat, 0, e, x, iota_h, iota_e, bound)
+            assert dim == kernel_dim
+            got = hyperkahler._beauville_candidates(lat, 0, e, x, iota_h, iota_e, bound)
+            assert got == expected
+            total += len(expected)
+    assert total > 0
 
 
 def test_compose_convention_and_power(rank3, m1, m2, m1m2):

@@ -3,8 +3,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hkdd import linalg
+from hkdd import lattice, linalg
 from hkdd.errors import (
     DimensionMismatchError,
     NonSquareError,
@@ -31,6 +33,36 @@ def brute_force_represents(gram, value, bound):
     for v in itertools.product(range(-bound, bound + 1), repeat=rank):
         if any(v) and linalg.bilinear(gram, list(v), list(v)) == value:
             return v
+    return None
+
+
+def shell_order_reference(gram, value, bound):
+    """First v with v^T G v = value over shells of sup-norm 1..bound, each
+    scanned in full in lexicographic order, sign-normalized."""
+    rank = len(gram)
+    for s in range(1, bound + 1):
+        for v in itertools.product(range(-s, s + 1), repeat=rank):
+            if max(map(abs, v)) == s and linalg.bilinear(gram, list(v), list(v)) == value:
+                first = next(x for x in v if x)
+                return v if first > 0 else tuple(-x for x in v)
+    return None
+
+
+def full_residue_certificate(gram, value):
+    """The congruence certificate with every residue set built in full."""
+    rank = len(gram)
+    for m in (2, 3, 4, 5, 7, 8, 9, 16):
+        if m**rank > 70000:
+            break
+        residues = {
+            linalg.bilinear(gram, list(v), list(v)) % m
+            for v in itertools.product(range(m), repeat=rank)
+        }
+        if value % m not in residues:
+            return (
+                f"all form values lie in {sorted(residues)} mod {m}; "
+                f"{value} = {value % m} mod {m} is excluded"
+            )
     return None
 
 
@@ -195,6 +227,83 @@ def test_represents_never_certifies_wrongly():
         if witness is not None:
             assert isinstance(res, FoundVector)
             assert linalg.bilinear(gram, list(res.vector), list(res.vector)) == value
+
+
+@st.composite
+def symmetric_forms(draw):
+    rank = draw(st.integers(2, 4))
+    upper = {(i, j): draw(st.integers(-4, 4)) for i in range(rank) for j in range(i, rank)}
+    return [[upper[min(i, j), max(i, j)] for j in range(rank)] for i in range(rank)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(symmetric_forms(), st.integers(-12, 12), st.integers(1, 4))
+def test_represents_matches_shell_order_reference(gram, value, bound):
+    res = represents(make_lattice(gram), value, bound)
+    witness = shell_order_reference(gram, value, bound)
+    if isinstance(res, FoundVector):
+        assert res == FoundVector(witness, value)
+        assert linalg.bilinear(gram, list(res.vector), list(res.vector)) == value
+    elif isinstance(res, CertifiedNo):
+        assert witness is None, res.reason
+    else:
+        assert 0 <= res.bound <= bound
+        assert shell_order_reference(gram, value, res.bound) is None
+        assert res.bound == bound  # the budget never binds at these sizes
+
+
+def test_congruence_reasons_match_full_residue_sets():
+    rng = random.Random(61)
+    cases = []
+    for _ in range(150):
+        rank = rng.choice((1, 2, 3))
+        scale = rng.choice((1, 2, 3, 4))
+        upper = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(rank)]
+        gram = [[scale * upper[min(i, j)][max(i, j)] for j in range(rank)] for i in range(rank)]
+        cases.append((gram, rng.randint(-20, 20)))
+    rank4 = [[4, 0, 8, 0], [0, -2, 0, 0], [8, 0, 4, 0], [0, 0, 0, -4]]
+    cases += [(rank4, value) for value in (-2, 1, 3, 6)]
+    certified = 0
+    for gram, value in cases:
+        expected = full_residue_certificate(gram, value)
+        assert lattice._congruence_certificate(make_lattice(gram), value) == expected
+        certified += expected is not None
+    assert certified > 30
+
+
+def test_represents_rank_one_shells():
+    assert represents(make_lattice([[2]]), 8, 3) == FoundVector((2,), 8)
+    assert represents(make_lattice([[0]]), 0, 1) == FoundVector((1,), 0)
+    assert represents(make_lattice([[3]]), 75, 4) == NotFoundWithinBound(4)
+
+
+def test_represents_definite_certificate():
+    res = represents(make_lattice([[2 * (i == j) for j in range(5)] for i in range(5)]), -2, 16)
+    assert res == CertifiedNo(
+        "the form has signature (p, n, z) = (5, 0, 0), so it takes no negative value"
+    )
+    res = represents(make_lattice([[-(i == j) for j in range(3)] for i in range(3)]), 2, 3)
+    assert res == CertifiedNo(
+        "the form has signature (p, n, z) = (0, 3, 0), so it takes no positive value"
+    )
+    semidefinite = [[int(i == j < 4) for j in range(5)] for i in range(5)]
+    res = represents(make_lattice(semidefinite), -2, 2)
+    assert isinstance(res, CertifiedNo) and "(4, 0, 1)" in res.reason
+    assert brute_force_represents(semidefinite, -2, 2) is None
+    # a definite form still finds values of its own sign
+    assert represents(make_lattice([[2, 1], [1, 2]]), 2, 2) == FoundVector((1, 0), 2)
+
+
+def test_represents_budget_stops_before_a_shell_that_does_not_fit(monkeypatch):
+    cube = make_lattice([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    # 27 = 3^2 + 3^2 + 3^2 needs sup-norm 3; shells 1 and 2 cost 9 + 25 prefixes
+    assert represents(cube, 27, 5) == FoundVector((3, 3, 3), 27)
+    monkeypatch.setattr(lattice, "REPRESENTS_BUDGET", 9 + 25 + 48)
+    assert represents(cube, 27, 5) == NotFoundWithinBound(2)
+    monkeypatch.setattr(lattice, "REPRESENTS_BUDGET", 9 + 25 + 49)
+    assert represents(cube, 27, 5) == FoundVector((3, 3, 3), 27)
+    monkeypatch.setattr(lattice, "REPRESENTS_BUDGET", 8)
+    assert represents(cube, 27, 5) == NotFoundWithinBound(0)
 
 
 def test_permute_basis(rank3):
