@@ -19,17 +19,21 @@ from dataclasses import dataclass
 from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 from functools import cmp_to_key
+from operator import mul
 from typing import NamedTuple
 
 from . import linalg
 from .errors import SpectralStructureViolatedError
-from .lattice import GramLattice, LatticeIsometry
+from .lattice import GramLattice, LatticeIsometry, _integer_quadratic_roots, _prefixes
 from .polynomial import (
     AlgebraicReal,
+    IntPolynomial,
     char_poly,
     format_fraction,
+    power_traces,
     quadratic_surd_parts,
     quadratic_surd_str,
+    reciprocal_char_poly,
 )
 from .salem import (
     ALL_CYCLOTOMIC,
@@ -381,52 +385,84 @@ def enumerate_isometries(lat: GramLattice, entry_bound: int) -> list[list[list[i
     """All integer matrices with entries in [-bound, bound] and M^T G M = G.
 
     Column-by-column backtracking: column j must have norm G[j][j] and the
-    right pairings with all earlier columns. Candidate columns are tried in
-    lexicographic order, so the output order is deterministic.
+    right pairings with all earlier columns. Candidate columns come from
+    norm buckets, built from one lattice._prefixes walk of the box with the
+    last coordinate solved from its quadratic for each needed norm, so each
+    bucket is in lexicographic order and the output order is deterministic.
+    G*v is computed once per bucket vector for the pairing checks.
+
+    The last column (j = r-1 >= 1) is solved: its r-1 pairing equations
+    leave u0 + t*k when their integer kernel is one-dimensional, and the
+    norm is then a quadratic in t whose nonzero solutions inside the box
+    are the candidates, sorted. Another kernel dimension, or a quadratic
+    that vanishes identically, falls back to filtering the bucket.
     """
     if entry_bound < 1:
         raise ValueError("entry bound must be >= 1")
     g = lat.gram_rows()
     r = lat.rank
-    needed = set(g[j][j] for j in range(r))
-    buckets: dict[int, list[tuple[int, ...]]] = {norm: [] for norm in needed}
-    for v in itertools.product(range(-entry_bound, entry_bound + 1), repeat=r):
-        if not any(v):
-            continue
-        norm = linalg.bilinear(g, list(v), list(v))
-        if norm in buckets:
-            buckets[norm].append(v)
-    # cache G * column for the pairing checks
-    gv_cache: dict[tuple[int, ...], list[int]] = {}
+    buckets = _norm_buckets(g, entry_bound, {g[j][j] for j in range(r)})
+    gv = {v: linalg.mat_vec(g, v) for bucket in buckets.values() for v in bucket}
 
-    def g_times(v: tuple[int, ...]) -> list[int]:
-        got = gv_cache.get(v)
-        if got is None:
-            got = linalg.mat_vec(g, list(v))
-            gv_cache[v] = got
-        return got
+    def filtered(j: int) -> list[tuple[int, ...]]:
+        vs = buckets[g[j][j]]
+        for i, c in enumerate(cols):
+            w, t = gv[c], g[i][j]
+            vs = [v for v in vs if sum(map(mul, v, w)) == t]
+        return vs
+
+    def last_column() -> list[tuple[int, ...]]:
+        j = r - 1
+        solution = linalg.solve_integer_system([gv[c] for c in cols], g[j][:j])
+        if solution is None:
+            return []
+        u0, kernel = solution
+        if len(kernel) == 1:
+            k = kernel[0]
+            gk = linalg.mat_vec(g, k)
+            a = sum(map(mul, k, gk))
+            b = 2 * sum(map(mul, u0, gk))
+            c = linalg.bilinear(g, u0, u0) - g[j][j]
+            if a or b or c:
+                found = []
+                for t in _integer_quadratic_roots(a, b, c, entry_bound):
+                    v = tuple(u + t * x for u, x in zip(u0, k))
+                    if any(v) and all(-entry_bound <= x <= entry_bound for x in v):
+                        found.append(v)
+                return sorted(found)
+        return filtered(j)
 
     results: list[list[list[int]]] = []
     cols: list[tuple[int, ...]] = []
 
     def backtrack(j: int):
         if j == r:
-            results.append([[cols[c][i] for c in range(r)] for i in range(r)])
+            results.append([list(row) for row in zip(*cols)])
             return
-        for v in buckets[g[j][j]]:
-            ok = True
-            for i in range(j):
-                gi = g_times(cols[i])
-                if sum(x * y for x, y in zip(v, gi)) != g[i][j]:
-                    ok = False
-                    break
-            if ok:
-                cols.append(v)
-                backtrack(j + 1)
-                cols.pop()
+        for v in last_column() if j and j == r - 1 else filtered(j):
+            cols.append(v)
+            backtrack(j + 1)
+            cols.pop()
 
     backtrack(0)
     return results
+
+
+def _norm_buckets(g: list[list[int]], bound: int, norms: set[int]) -> dict[int, list[tuple[int, ...]]]:
+    """The nonzero v in [-bound, bound]^r with v^T G v = norm, for each norm,
+    in lexicographic order: one walk of the prefixes of length r-1, the last
+    coordinate solved from its quadratic (all of the range when that
+    quadratic vanishes identically)."""
+    a = g[-1][-1]
+    buckets: dict[int, list[tuple[int, ...]]] = {norm: [] for norm in norms}
+    for prefix, q, b in _prefixes(g, range(-bound, bound + 1)):
+        for norm, bucket in buckets.items():
+            for x in _integer_quadratic_roots(a, b, q - norm, bound):
+                if -bound <= x <= bound:
+                    bucket.append(prefix + (x,))
+    if 0 in buckets:
+        buckets[0].remove((0,) * len(g))
+    return buckets
 
 
 def search_salem_isometries(
@@ -439,18 +475,23 @@ def search_salem_isometries(
     Besides the directly enumerated matrices, products of pairs of found
     involutions are classified too: positive-entropy elements often arise as
     such compositions while their own entries exceed the bound. As
-    char(ab) = char(ba), each unordered pair {a, b} costs one product and
-    one characteristic polynomial; ba is formed only when ab has the Salem
-    structure, to compete as a representative. A dict local to the call
-    maps characteristic polynomials to their classification, so each
-    distinct polynomial is classified once per search.
+    char(ab) = char(ba), each unordered pair {a, b} is classified once. On a
+    nondegenerate form (det G != 0), char(ab) is reciprocal up to the sign
+    (-1)^n det a det b, with each involution's determinant computed once, so
+    it follows from tr((ab)^k) for k <= n/2 (reciprocal_char_poly): at rank
+    3 that is tr(ab) alone, formed without the product, and at rank 4 one
+    product and one trace-only product. A degenerate form takes char_poly of
+    the product. ab (at rank 3) and ba are formed, to compete as
+    representatives, only when the pair has the Salem structure. A dict local
+    to the call maps characteristic polynomials to their classification, so
+    each distinct polynomial is classified once per search.
     """
     isometries = enumerate_isometries(lat, entry_bound)
+    n = lat.rank
     classes: dict[tuple[int, ...], SalemClassification] = {}
     hits: dict[tuple[int, ...], tuple[tuple[int, ...], list[list[int]], AlgebraicReal]] = {}
 
-    def classify(m: list[list[int]]) -> SalemClassification:
-        p = char_poly(m)
+    def classify(p: IntPolynomial) -> SalemClassification:
         cls = classes.get(p.coeffs)
         if cls is None:
             cls = classes[p.coeffs] = classify_charpoly(p)
@@ -466,14 +507,27 @@ def search_salem_isometries(
             hits[key] = (flat, m, cls.salem_root)
 
     for m in isometries:
-        consider(m, classify(m))
-    ident = linalg.identity(lat.rank)
+        consider(m, classify(char_poly(m)))
+    ident = linalg.identity(n)
     involutions = [m for m in isometries if linalg.mat_mul(m, m) == ident]
-    for a, b in itertools.combinations(involutions, 2):
-        ab = linalg.mat_mul(a, b)
-        cls = classify(ab)
+    nondegenerate = linalg.det_bareiss(lat.gram_rows()) != 0
+    dets = [linalg.det_bareiss(m) for m in involutions] if nondegenerate else []
+    # (sign, t_1, ..., t_(n//2)) -> classification of the polynomial they give
+    by_traces: dict[tuple[int, ...], SalemClassification] = {}
+    for (i, a), (j, b) in itertools.combinations(enumerate(involutions), 2):
+        # at rank 3 the one trace needed is tr(ab), which takes no product
+        ab = None if nondegenerate and n < 4 else linalg.mat_mul(a, b)
+        if not nondegenerate:
+            cls = classify(char_poly(ab))
+        else:
+            sign = (-1) ** n * dets[i] * dets[j]
+            traces = [linalg.trace_of_product(a, b)] if ab is None else power_traces(ab, n // 2)
+            key = (sign, *traces)
+            cls = by_traces.get(key)
+            if cls is None:
+                cls = by_traces[key] = classify(reciprocal_char_poly(n, traces, sign))
         if cls.kind == SALEM_STRUCTURE:
-            consider(ab, cls)
+            consider(ab or linalg.mat_mul(a, b), cls)
             consider(linalg.mat_mul(b, a), cls)
     found = [(m, root) for _, m, root in hits.values()]
     found.sort(key=cmp_to_key(lambda x, y: x[1].compare_to(y[1])))

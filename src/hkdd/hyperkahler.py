@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
 from .errors import (
@@ -32,6 +33,7 @@ from .lattice import (
     GramLattice,
     LatticeIsometry,
     _integer_quadratic_roots,
+    _prefixes,
     invariant_sublattice,
     make_lattice,
     norm_of,
@@ -219,7 +221,9 @@ def _beauville_candidates(
     integer solution u0 + sum t_i k_i into the norm constraint leaves an
     integer quadratic in the last t. At rank 3 that is the only variable;
     at higher rank the other t run over [-coordinate_bound, coordinate_bound]
-    and only roots in that range are kept.
+    and only roots in that range are kept. The other t are walked with
+    lattice._prefixes on the restricted form, so each costs one quadratic
+    and no product.
     """
     g = lat.gram_rows()
     r = lat.rank
@@ -237,23 +241,20 @@ def _beauville_candidates(
         return []
     u0, kernel = solution
     target = g[x][x]
+    q0 = linalg.bilinear(g, u0, u0)
     if not kernel:
-        return [tuple(u0)] if linalg.bilinear(g, u0, u0) == target else []
-    *free, last = kernel
-    a = linalg.bilinear(g, last, last)
+        return [tuple(u0)] if q0 == target else []
+    # the norm of u0 + sum t_i k_i is q0 + lin0 . t + t^T (K^T G K) t
+    restricted = [[linalg.bilinear(g, k, l) for l in kernel] for k in kernel]
+    lin0 = [2 * linalg.bilinear(g, k, u0) for k in kernel]
+    rows_of_k = list(zip(*kernel))
+    bound = coordinate_bound
     candidates: list[tuple[int, ...]] = []
-    for ts in itertools.product(
-        range(-coordinate_bound, coordinate_bound + 1), repeat=len(free)
-    ):
-        w = list(u0)
-        for t, k in zip(ts, free):
-            for i in range(r):
-                w[i] += t * k[i]
-        b = 2 * linalg.bilinear(g, w, last)
-        c = linalg.bilinear(g, w, w) - target
-        for t in _integer_quadratic_roots(a, b, c, coordinate_bound):
-            if not free or -coordinate_bound <= t <= coordinate_bound:
-                candidates.append(tuple(wi + t * ki for wi, ki in zip(w, last)))
+    for ts, q, b in _prefixes(restricted, range(-bound, bound + 1), q0, lin0):
+        for t in _integer_quadratic_roots(restricted[-1][-1], b, q - target, bound):
+            if not ts or -bound <= t <= bound:
+                coeffs = ts + (t,)
+                candidates.append(tuple(u + sum(map(mul, coeffs, k)) for u, k in zip(u0, rows_of_k)))
     return sorted(candidates)
 
 

@@ -254,22 +254,32 @@ def norm_of(lat: GramLattice, v: list[int]) -> int:
     return linalg.bilinear(lat.gram_rows(), list(v), list(v))
 
 
-def _prefixes(gram, xs):
+def _prefixes(gram, xs, q0: int = 0, lin0=None):
     """Every prefix (v_1, ..., v_(n-1)) with entries in xs, in lexicographic
-    order, as (prefix, q, b): q is the form on the prefix and b the linear
-    coefficient it gives v_n, so that the form on (prefix, x) is
+    order, as (prefix, q, b): q is the value on the prefix and b the linear
+    coefficient it gives v_n, so that the value on (prefix, x) is
     q + b*x + g_nn*x^2.
 
-    Each level adds its coordinate to the value and to the linear terms of
-    the coordinates after it, so no vector costs an n x n product.
+    The value is that of the affine form q0 + lin0 . v + v^T G v; the
+    defaults q0 = 0 and lin0 = 0 give the quadratic form itself, and the
+    norm (u0 + K t)^T G (u0 + K t) on an affine lattice is walked in t with
+    gram K^T G K, q0 = u0^T G u0 and lin0 = 2 K^T G u0. Each level adds its
+    coordinate to the value and to the linear terms of the coordinates after
+    it, so no vector costs an n x n product.
+
+    It is the one point walk of the package: represents (shells and
+    congruence residues), hyperkahler._beauville_candidates (the affine
+    form) and dynamics.enumerate_isometries (norm buckets) each solve the
+    last coordinate from q + b*x + g_nn*x^2 themselves.
     """
     n = len(gram)
+    lin0 = [0] * n if lin0 is None else list(lin0)
     if n == 1:
-        yield (), 0, 0
+        yield (), q0, lin0[0]
         return
     xs = tuple(xs)
     # depth-first; lin[j] is the coefficient the prefix gives v_(k+j)
-    stack = [((), 0, [0] * n)]
+    stack = [((), q0, lin0)]
     while stack:
         prefix, q, lin = stack.pop()
         k = len(prefix)
@@ -401,10 +411,13 @@ def represents(lat: GramLattice, value: int, bound: int) -> RepresentsResult:
 
     Shell s costs (2s+1)^(rank-1) prefixes of length rank-1, one quadratic
     each, and one call evaluates at most REPRESENTS_BUDGET of them: a shell
-    that no longer fits is not started.
+    that no longer fits is not started. When not even shell 1 fits (above
+    rank 14), the basis vectors are tried first: the first e_i with
+    g_ii = value is returned as the witness.
     NotFoundWithinBound(b) promises that no v of sup-norm at most b takes
     the value; b is bound, or the last shell searched in full when the
-    budget ran out first (0 if not even shell 1 fits).
+    budget ran out first (0 if not even shell 1 fits and no basis vector
+    is a witness).
     """
     if bound < 1:
         raise ValueError("bound must be a positive integer")
@@ -417,6 +430,10 @@ def represents(lat: GramLattice, value: int, bound: int) -> RepresentsResult:
     for s in range(1, bound + 1):
         budget -= (2 * s + 1) ** (lat.rank - 1)
         if budget < 0:
+            if s == 1:
+                for i, row in enumerate(lat.gram):
+                    if row[i] == value:
+                        return FoundVector(tuple(int(j == i) for j in range(lat.rank)), value)
             return NotFoundWithinBound(s - 1)
         v = _shell_witness(lat.gram, value, s)
         if v is not None:

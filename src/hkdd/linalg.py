@@ -42,7 +42,7 @@ def trace_of_product(a: Matrix, b: Matrix) -> int:
 def mat_vec(m: Matrix, v: Vector) -> Vector:
     if len(m[0]) != len(v):
         raise ValueError("matrix/vector dimensions do not match")
-    return [sum(x * y for x, y in zip(row, v)) for row in m]
+    return [sum(map(mul, row, v)) for row in m]
 
 
 def mat_pow(m: Matrix, k: int) -> Matrix:
@@ -64,7 +64,7 @@ def copy_matrix(m: Matrix) -> Matrix:
 
 def bilinear(g: Matrix, u: Vector, v: Vector) -> int:
     """u^T G v for integer vectors."""
-    return sum(ui * s for ui, s in zip(u, mat_vec(g, v)))
+    return sum(map(mul, u, mat_vec(g, v)))
 
 
 def det_bareiss(m: Matrix) -> int:

@@ -127,29 +127,57 @@ ONE_POLY = poly(1)
 def char_poly(m: list[list[int]]) -> IntPolynomial:
     """det(xI - m) from the power traces t_k = tr(m^k) by Newton's identities.
 
-    The powers m^1..m^h, h = ceil(n/2), are full products; every t_k with
-    k > h is a trace-only product tr(m^a m^b), a + b = k, which costs n^2
-    multiplications. With c_0 = 1 for the leading coefficient and c_k for
-    that of x^(n-k), Newton's identities give k*c_k = -(t_k c_0 + ... +
-    t_1 c_(k-1)), exactly divisible over Z.
+    With c_0 = 1 for the leading coefficient and c_k for that of x^(n-k),
+    Newton's identities give k*c_k = -(t_k c_0 + ... + t_1 c_(k-1)), exactly
+    divisible over Z.
     """
     if not m or not linalg.is_square(m):
         raise NonSquareError("characteristic polynomial needs a square matrix")
-    n = len(m)
-    half = (n + 1) // 2
+    return IntPolynomial(tuple(reversed(_newton(power_traces(m, len(m))))))
+
+
+def power_traces(m: list[list[int]], count: int) -> list[int]:
+    """t_k = tr(m^k) for k = 1..count.
+
+    The powers m^1..m^h, h = ceil(count/2), are full products; every t_k
+    with k > h is a trace-only product tr(m^a m^b), a + b = k, which costs
+    n^2 multiplications.
+    """
+    half = (count + 1) // 2
     powers = [m]
     for _ in range(1, half):
         powers.append(linalg.mat_mul(powers[-1], m))
-    traces = [sum(p[i][i] for i in range(n)) for p in powers]
-    for k in range(half + 1, n + 1):
+    traces = [sum(p[i][i] for i in range(len(m))) for p in powers]
+    for k in range(half + 1, count + 1):
         traces.append(linalg.trace_of_product(powers[half - 1], powers[k - half - 1]))
+    return traces
+
+
+def reciprocal_char_poly(n: int, traces: list[int], sign: int) -> IntPolynomial:
+    """The characteristic polynomial p of an n x n matrix with
+    x^n p(1/x) = sign * p(x), from t_1..t_(n//2) alone.
+
+    An isometry M of a nondegenerate form G has M^-1 = G^-1 M^T G, whose
+    characteristic polynomial is that of M, so its p satisfies this with
+    sign = (-1)^n det M. Newton's
+    identities give c_0..c_(n//2) as in char_poly, and c_k = sign*c_(n-k)
+    gives the rest.
+    """
+    half = n // 2
+    c = _newton(traces[:half])
+    c += [sign * c[n - k] for k in range(half + 1, n + 1)]
+    return IntPolynomial(tuple(reversed(c)))
+
+
+def _newton(traces: list[int]) -> list[int]:
+    """c_0 = 1, c_1, ..., c_len(traces) from the power traces t_1, t_2, ..."""
     c = [1]
-    for k in range(1, n + 1):
+    for k in range(1, len(traces) + 1):
         total = sum(traces[i] * c[k - 1 - i] for i in range(k))
         if total % k != 0:
             raise ArithmeticError("Newton identity division failed")
         c.append(-total // k)
-    return IntPolynomial(tuple(reversed(c)))
+    return c
 
 
 def is_reciprocal(p: IntPolynomial) -> bool:

@@ -1,7 +1,7 @@
-"""natural-check on lattices of rank 6 to 10 and on degenerate Grams ends
-within a stated time with a documented exit code (0, 2, 3 or 4). Each case
-runs `python -m hkdd.cli` in a fresh process with a timeout, so a hang fails
-the test instead of stalling the suite.
+"""natural-check on lattices of rank 6 to 15 and on degenerate Grams, and
+search at ranks 4 and 5, end within a stated time with a documented exit
+code (0, 2, 3 or 4). Each case runs `python -m hkdd.cli` in a fresh process
+with a timeout, so a hang fails the test instead of stalling the suite.
 """
 
 import json
@@ -68,6 +68,12 @@ CASES = {
         block_sum(U, [[-2]], a_negative(7)), 2, identity(10), 10, 0,
         "PossiblyNatural: fixed class of norm -2 exists",
     ),
+    # shell 1 alone exceeds the represents budget at rank 15; the basis
+    # vector e is the witness
+    "rank15-identity": (
+        block_sum(U, [[-2]], a_negative(12)), 2, identity(15), 10, 0,
+        "PossiblyNatural: fixed class of norm -2 exists",
+    ),
     "degenerate-gram-identity": (
         diagonal([0, -2, 0]), 1, identity(3), 10, 0,
         "PossiblyNatural: fixed class of norm -2 exists",
@@ -97,3 +103,31 @@ def test_natural_check_ends_in_time(case, tmp_path):
     )
     assert proc.returncode == code, proc.stderr
     assert line in (proc.stdout if code == 0 else proc.stderr).splitlines()
+
+
+# each case: lattice Gram, entry bound, seconds, and the catalogue's header line
+SEARCH_CASES = {
+    "rank4-bound4": (
+        block_sum(U, [[-2]], [[-2]]), 4, 10,
+        "salem isometries of <b0, b1, b2, b3> within entry bound 4: 52",
+    ),
+    "rank5-bound1": (
+        block_sum(U, [[-2]], [[-2]], [[-2]]), 1, 10,
+        "salem isometries of <b0, b1, b2, b3, b4> within entry bound 1: 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEARCH_CASES))
+def test_search_ends_in_time(case, tmp_path):
+    gram, bound, seconds, line = SEARCH_CASES[case]
+    lattice = tmp_path / "lattice.json"
+    lattice.write_text(json.dumps({"labels": [f"b{i}" for i in range(len(gram))], "gram": gram}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hkdd.cli", "search", "--lattice", str(lattice), "--bound", str(bound)],
+        capture_output=True,
+        text=True,
+        timeout=seconds,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert line in proc.stdout.splitlines()

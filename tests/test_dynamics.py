@@ -8,6 +8,8 @@ from functools import cmp_to_key
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hkdd import dynamics, linalg
 from hkdd.dynamics import (
@@ -26,7 +28,14 @@ from hkdd.dynamics import (
 )
 from hkdd.errors import SpectralStructureViolatedError
 from hkdd.lattice import make_lattice, verify_isometry
-from hkdd.polynomial import AlgebraicReal, char_poly, isolate_real_roots, poly
+from hkdd.polynomial import (
+    AlgebraicReal,
+    char_poly,
+    isolate_real_roots,
+    poly,
+    power_traces,
+    reciprocal_char_poly,
+)
 from hkdd.salem import SALEM_STRUCTURE, classify_charpoly, is_salem_polynomial
 
 
@@ -364,7 +373,9 @@ TWO_MINUS_TWO_CUBED = [[2, 0, 0, 0], [0, -2, 0, 0], [0, 0, -2, 0], [0, 0, 0, -2]
 @pytest.mark.parametrize(
     "gram, bound",
     [("rank3", b) for b in range(1, 9)]
-    + [(U_2_4, 1), (U_2_4, 2), (TWO_MINUS_TWO_CUBED, 1), ([[4, 8], [8, 4]], 5)],
+    + [(U_2_4, 1), (U_2_4, 2), (TWO_MINUS_TWO_CUBED, 1), ([[4, 8], [8, 4]], 5)]
+    # pairs with equal tr(ab) and opposite det(ab) give different polynomials
+    + [([[0, 1, 0], [1, 0, 0], [0, 0, -4]], 4)],
 )
 def test_search_matches_ordered_pair_reference(rank3, gram, bound):
     lat = rank3 if gram == "rank3" else make_lattice(gram)
@@ -389,3 +400,114 @@ def test_search_classifies_each_char_poly_once(rank3, monkeypatch):
     distinct = {char_poly(m).coeffs for m in isometries + products}
     assert set(calls) == distinct
     assert set(calls.values()) == {1}
+
+
+def box_product_isometries(lat, bound):
+    """The enumerator as a plain box scan: every nonzero vector of the box
+    sorted into norm buckets by a full product, and every column, the last
+    one included, filtered from its bucket by its pairings."""
+    g = lat.gram_rows()
+    r = lat.rank
+    buckets = {g[j][j]: [] for j in range(r)}
+    for v in itertools.product(range(-bound, bound + 1), repeat=r):
+        if not any(v):
+            continue
+        norm = linalg.bilinear(g, list(v), list(v))
+        if norm in buckets:
+            buckets[norm].append(v)
+    results = []
+    cols = []
+
+    def backtrack(j):
+        if j == r:
+            results.append([[cols[c][i] for c in range(r)] for i in range(r)])
+            return
+        for v in buckets[g[j][j]]:
+            if all(linalg.bilinear(g, list(cols[i]), list(v)) == g[i][j] for i in range(j)):
+                cols.append(v)
+                backtrack(j + 1)
+                cols.pop()
+
+    backtrack(0)
+    return results
+
+
+U = [[0, 1], [1, 0]]
+ENUMERATION_CASES = [
+    ([[2]], 3),
+    ([[-1]], 2),
+    ([[0]], 2),
+    (U, 1),
+    (U, 3),
+    ([[2, 2], [2, 2]], 3),
+    ([[0, 0], [0, 0]], 2),
+    ([[0, 0], [0, -2]], 3),
+    ([[2, 1], [1, 2]], 3),
+    ([[0, 0, 0], [0, 0, 0], [0, 0, 0]], 1),
+    ([[0, 0, 0], [0, -2, 0], [0, 0, 0]], 2),
+    ([[0, 1, 0], [1, 0, 0], [0, 0, 0]], 2),
+    # the last column's quadratic vanishes identically; its solutions
+    # (6, 0, 3) + t (-3, 0, -2) meet the box at t = 2, outside [-1, 1]
+    ([[0, -2, 0], [-2, 3, 3], [0, 3, 0]], 1),
+    ([[4, 0, 8], [0, -2, 0], [8, 0, 4]], 3),
+    ([[0, 1, 0], [1, 0, 0], [0, 0, -2]], 3),
+    (U_2_4, 2),
+    (TWO_MINUS_TWO_CUBED, 1),
+    ([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -2, 0], [0, 0, 0, -2]], 2),
+    ([[2, 2, 0, 0], [2, 2, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], 1),
+]
+
+
+@pytest.mark.parametrize("gram, bound", ENUMERATION_CASES)
+def test_enumerate_isometries_matches_box_product(gram, bound):
+    lat = make_lattice(gram)
+    assert enumerate_isometries(lat, bound) == box_product_isometries(lat, bound)
+
+
+@st.composite
+def small_grams_and_bounds(draw):
+    rank = draw(st.integers(1, 4))
+    upper = {(i, j): draw(st.integers(-3, 3)) for i in range(rank) for j in range(i, rank)}
+    gram = [[upper[min(i, j), max(i, j)] for j in range(rank)] for i in range(rank)]
+    return gram, draw(st.integers(1, 2 if rank == 4 else 3))
+
+
+def box_norm_counts(gram, bound):
+    counts = Counter()
+    for v in itertools.product(range(-bound, bound + 1), repeat=len(gram)):
+        counts[linalg.bilinear(gram, list(v), list(v))] += any(v)
+    return counts
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(small_grams_and_bounds())
+def test_enumerate_isometries_matches_box_product_sweep(case):
+    gram, bound = case
+    counts = box_norm_counts(gram, bound)
+    # keeps the box-product reference fast: nearly null forms have huge trees
+    assume(math.prod(counts[row[i]] for i, row in enumerate(gram)) <= 20_000)
+    lat = make_lattice(gram)
+    assert enumerate_isometries(lat, bound) == box_product_isometries(lat, bound)
+
+
+@pytest.mark.parametrize("gram, bound", [("rank3", 8), (U_2_4, 2)])
+def test_half_trace_polynomial_of_involution_pairs(rank3, gram, bound):
+    lat = rank3 if gram == "rank3" else make_lattice(gram)
+    n = lat.rank
+    ident = linalg.identity(n)
+    involutions = [m for m in enumerate_isometries(lat, bound) if linalg.mat_mul(m, m) == ident]
+    assert len(involutions) > 10
+    for a, b in itertools.combinations(involutions, 2):
+        ab = linalg.mat_mul(a, b)
+        sign = (-1) ** n * linalg.det_bareiss(a) * linalg.det_bareiss(b)
+        traces = [linalg.trace_of_product(a, b)] if n < 4 else power_traces(ab, n // 2)
+        assert reciprocal_char_poly(n, traces, sign) == char_poly(ab)
+
+
+def test_degenerate_search_matches_reference():
+    # det 0, so involution pairs take char_poly of the product
+    lat = make_lattice([[-2, 2, 0], [2, 4, 0], [0, 0, 0]])
+    got = search_salem_isometries(lat, 2)
+    want = reference_search(lat, 2)
+    assert [r.poly.coeffs for _, r in got] == [(1, -4, 1)]
+    assert [(m, r.poly, r.lo, r.hi) for m, r in got] == [(m, r.poly, r.lo, r.hi) for m, r in want]

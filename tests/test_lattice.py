@@ -304,6 +304,10 @@ def test_represents_budget_stops_before_a_shell_that_does_not_fit(monkeypatch):
     assert represents(cube, 27, 5) == FoundVector((3, 3, 3), 27)
     monkeypatch.setattr(lattice, "REPRESENTS_BUDGET", 8)
     assert represents(cube, 27, 5) == NotFoundWithinBound(0)
+    # with shell 1 out of budget, a basis vector of the right norm still answers
+    assert represents(cube, 1, 5) == FoundVector((1, 0, 0), 1)
+    diag = make_lattice([[2, 0, 0], [0, -2, 0], [0, 0, -2]])
+    assert represents(diag, -2, 5) == FoundVector((0, 1, 0), -2)
 
 
 def test_permute_basis(rank3):
