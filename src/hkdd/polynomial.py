@@ -1,9 +1,13 @@
 """Exact integer polynomials, Sturm sequences, and certified real roots.
 
-Coefficients are arbitrary-precision ints, constant term first. Root
-counting and isolation use rational (Fraction) Sturm sequences; refinement
-of an isolating interval is integer-only sign bisection. Decimal output is
-produced from certified isolating intervals, never from floats.
+Coefficients are arbitrary-precision ints, constant term first. Sturm
+sequences, square-free parts and gcds are integer pseudo-remainder
+sequences with the content divided out; each term is a positive multiple
+of its rational counterpart, so every sign and root count is the rational
+one. Signs at rational points come from homogeneous Horner over int, and
+isolation and refinement bisect at the same midpoints as over Q. Only the
+interval endpoints are Fractions. Decimal output is produced from
+certified isolating intervals, never from floats.
 """
 
 from __future__ import annotations
@@ -200,24 +204,10 @@ def divide_exact(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
         raise ZeroPolynomialError("division by the zero polynomial")
     if p.is_zero:
         return IntPolynomial(())
-    dq = q.degree
-    if p.degree < dq:
-        raise NotDivisibleError("dividend degree is below divisor degree")
-    rem = list(p.coeffs)
-    qc = q.coeffs
-    lead = qc[-1]
-    quot = [0] * (p.degree - dq + 1)
-    for i in range(len(quot) - 1, -1, -1):
-        f, r = divmod(rem[i + dq], lead)
-        if r:
-            raise NotDivisibleError("quotient has a non-integer coefficient")
-        quot[i] = f
-        if f:
-            for j in range(dq):
-                rem[i + j] -= f * qc[j]
-    if any(rem[:dq]):
-        raise NotDivisibleError("nonzero remainder")
-    return IntPolynomial(tuple(quot))
+    quot = _quotient(p.coeffs, q.coeffs)
+    if quot is None:
+        raise NotDivisibleError("no quotient over Z")
+    return IntPolynomial(quot)
 
 
 @functools.lru_cache(maxsize=None)
@@ -246,65 +236,101 @@ def trace_polynomial(p: IntPolynomial) -> IntPolynomial:
     if not is_palindromic(p):
         raise NotPalindromicError(f"({p}) is not palindromic")
     d = p.degree // 2
-    t_prev, t_cur = poly(2), poly(0, 1)  # x^0 + x^0 = 2, x + 1/x = y
-    q = p.coeffs[d] * ONE_POLY
+    q = [p.coeffs[d]] + [0] * d
+    t_prev, t_cur = [2], [0, 1]  # x^0 + x^0 = 2, x + 1/x = y
     for k in range(1, d + 1):
-        q = q + p.coeffs[d + k] * t_cur
-        t_prev, t_cur = t_cur, poly(0, 1) * t_cur - t_prev
-    return q
+        c = p.coeffs[d + k]
+        for i, t in enumerate(t_cur):
+            q[i] += c * t
+        t_next = [0] + t_cur
+        for i, t in enumerate(t_prev):
+            t_next[i] -= t
+        t_prev, t_cur = t_cur, t_next
+    return IntPolynomial(tuple(q))
 
 
 # ---------------------------------------------------------------------------
-# rational-coefficient helpers (Sturm machinery)
+# integer remainder sequences (Sturm machinery)
 # ---------------------------------------------------------------------------
 
-FPoly = tuple[Fraction, ...]
+Coeffs = tuple[int, ...]
 
 
-def _fp_normalize(c: list[Fraction]) -> FPoly:
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
+def _primitive(c: list[int] | Coeffs) -> Coeffs:
+    """c divided by its (positive) content."""
+    g = gcd(*c)
+    return tuple(x // g for x in c) if g > 1 else tuple(c)
 
 
-def _fp_from_int(p: IntPolynomial) -> FPoly:
-    return tuple(Fraction(c) for c in p.coeffs)
+def _pseudo_remainder(a: Coeffs, b: Coeffs) -> list[int]:
+    """A positive multiple of the remainder of a by b over Q.
 
-
-def _fp_eval(c: FPoly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for a in reversed(c):
-        acc = acc * x + a
-    return acc
-
-
-def _fp_deriv(c: FPoly) -> FPoly:
-    return tuple(i * a for i, a in enumerate(c) if i > 0)
-
-
-def _fp_rem(a: FPoly, b: FPoly) -> FPoly:
+    Each step scales the running remainder by |lc(b)| / gcd(lead, lc(b))
+    before cancelling its leading term, so the result is the rational
+    remainder times a positive integer and has its sign at every point.
+    """
     r = list(a)
     db, lead = len(b) - 1, b[-1]
-    while len(r) - 1 >= db and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < db:
-            break
-        f = r[-1] / lead
-        shift = len(r) - 1 - db
-        for j, bc in enumerate(b):
-            r[shift + j] -= f * bc
+    mag, sgn = abs(lead), (lead > 0) - (lead < 0)
+    body = b[:-1]
+    while len(r) > db:
+        top = r.pop()
+        if top:
+            g = gcd(top, mag)
+            if g != mag:
+                scale = mag // g
+                r = [scale * x for x in r]
+            f = sgn * (top // g)
+            shift = len(r) - db
+            r[shift:] = [x - f * c for x, c in zip(r[shift:], body)]
+    while r and r[-1] == 0:
         r.pop()
-    return _fp_normalize(r)
+    return r
 
 
-def _fp_gcd(a: FPoly, b: FPoly) -> FPoly:
-    while b:
-        a, b = b, _fp_rem(a, b)
-    if a:
-        lead = a[-1]
-        a = tuple(x / lead for x in a)
-    return a
+def _remainder_sequence(a: Coeffs, b: Coeffs) -> list[Coeffs]:
+    """a, b, -rem(a, b), ... over Z, for deg a >= deg b and b nonzero.
+
+    Each term after a is the rational term divided by a positive number,
+    so every sign, and every sign variation count, is that of the rational
+    sequence. The last term is a primitive gcd(a, b).
+    """
+    seq = [a, _primitive(b)]
+    while len(seq[-1]) > 1:
+        r = _pseudo_remainder(seq[-2], seq[-1])
+        if not r:
+            break
+        seq.append(_primitive([-x for x in r]))
+    return seq
+
+
+@functools.lru_cache(maxsize=None)
+def _sturm_chain(coeffs: Coeffs) -> tuple[Coeffs, ...]:
+    """Sturm sequence p, p', -rem(p, p'), ... of the polynomial with these
+    coeffs (see _remainder_sequence); the last term is gcd(p, p')."""
+    derivative = tuple(i * c for i, c in enumerate(coeffs) if i > 0)
+    return tuple(_remainder_sequence(coeffs, derivative)) if derivative else (coeffs,)
+
+
+def _quotient(p: Coeffs, q: Coeffs) -> Coeffs | None:
+    """The r with p = q * r over Z, or None when there is none."""
+    dq = len(q) - 1
+    if len(p) <= dq:
+        return None
+    rem = list(p)
+    lead = q[-1]
+    quot = [0] * (len(p) - dq)
+    for i in range(len(quot) - 1, -1, -1):
+        f, r = divmod(rem[i + dq], lead)
+        if r:
+            return None
+        quot[i] = f
+        if f:
+            for j in range(dq):
+                rem[i + j] -= f * q[j]
+    if any(rem[:dq]):
+        return None
+    return tuple(quot)
 
 
 def square_free_part(p: IntPolynomial) -> IntPolynomial:
@@ -313,45 +339,19 @@ def square_free_part(p: IntPolynomial) -> IntPolynomial:
         raise ZeroPolynomialError("square-free part of the zero polynomial")
     if p.degree == 0:
         return ONE_POLY
-    g = _fp_gcd(_fp_from_int(p), _fp_deriv(_fp_from_int(p)))
-    if len(g) == 1:
-        q = [Fraction(c) for c in p.coeffs]
-    else:
-        q = list(_fp_from_int(p))
-        # exact long division by the monic gcd
-        out = [Fraction(0)] * (len(q) - len(g) + 1)
-        for i in range(len(out) - 1, -1, -1):
-            f = q[i + len(g) - 1]
-            out[i] = f
-            if f:
-                for j, bc in enumerate(g):
-                    q[i + j] -= f * bc
-        q = out
-    denom_lcm = 1
-    for c in q:
-        denom_lcm = lcm(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in q]
-    content = 0
-    for c in ints:
-        content = gcd(content, abs(c))
-    if content > 1:
-        ints = [c // content for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return IntPolynomial(tuple(ints))
+    g = _sturm_chain(p.coeffs)[-1]
+    q = _primitive(p.coeffs if len(g) == 1 else _quotient(p.coeffs, g))
+    return IntPolynomial(q if q[-1] > 0 else tuple(-c for c in q))
 
 
-@functools.lru_cache(maxsize=None)
-def _sturm_chain(coeffs: tuple[int, ...]) -> tuple[FPoly, ...]:
-    """Sturm sequence of the (already square-free) polynomial with these coeffs."""
-    f = tuple(Fraction(c) for c in coeffs)
-    chain = [f, _fp_deriv(f)]
-    while chain[-1]:
-        nxt = tuple(-c for c in _fp_rem(chain[-2], chain[-1]))
-        if not nxt:
-            break
-        chain.append(nxt)
-    return tuple(c for c in chain if c)
+def _weights(coeffs: Coeffs, den: int) -> list[int]:
+    """w_i = c_i * den^(d-i), the input of _sign_at."""
+    out, scale = [], 1
+    for c in reversed(coeffs):
+        out.append(c * scale)
+        scale *= den
+    out.reverse()
+    return out
 
 
 def _sign_at(weights: list[int], n: int, k: int) -> int:
@@ -364,23 +364,27 @@ def _sign_at(weights: list[int], n: int, k: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
+def _sign_of(coeffs: Coeffs, x: Rational) -> int:
+    """Sign of the polynomial with these coeffs at the rational x."""
+    return _sign_at(_weights(coeffs, x.denominator), x.numerator, 0)
+
+
 def _variations(signs: list[int]) -> int:
     nz = [s for s in signs if s != 0]
     return sum(1 for a, b in zip(nz, nz[1:]) if a * b < 0)
 
 
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
+def _chain_variations(weighted: list[list[int]], n: int, k: int) -> int:
+    """Sign variations of a chain at n / (D * 2^k), given each term's weights for D."""
+    return _variations([_sign_at(w, n, k) for w in weighted])
 
 
-def _variations_at(chain: tuple[FPoly, ...], x: Fraction | None, side: int) -> int:
+def _variations_at(chain: tuple[Coeffs, ...], x: Rational | None, side: int) -> int:
     """Sign variations at x; x=None means -infinity (side<0) or +infinity."""
     if x is None:
-        signs = [
-            _sign(c[-1]) * ((-1) ** (len(c) - 1) if side < 0 else 1) for c in chain
-        ]
+        signs = [(1 if c[-1] > 0 else -1) * (-1 if side < 0 and len(c) % 2 == 0 else 1) for c in chain]
     else:
-        signs = [_sign(_fp_eval(c, x)) for c in chain]
+        signs = [_sign_of(c, x) for c in chain]
     return _variations(signs)
 
 
@@ -406,11 +410,11 @@ def sturm_count(
 
 
 def cauchy_bound(p: IntPolynomial) -> Fraction:
-    """All real roots of p lie in (-B, B] for this B."""
+    """All real roots of p lie in (-B, B] for this B = 1 + max |c_i / c_d|."""
     if p.is_zero or p.degree < 1:
         return Fraction(1)
     lead = abs(p.coeffs[-1])
-    return 1 + max(Fraction(abs(c), lead) for c in p.coeffs[:-1])
+    return Fraction(lead + max(abs(c) for c in p.coeffs[:-1]), lead)
 
 
 # ---------------------------------------------------------------------------
@@ -438,13 +442,6 @@ class AlgebraicReal:
         if not self.lo < self.hi:
             raise ValueError("isolating interval must satisfy lo < hi")
 
-    def _chain(self):
-        return _sturm_chain(self.poly.coeffs)
-
-    def _count(self, lo: Fraction, hi: Fraction) -> int:
-        chain = self._chain()
-        return _variations_at(chain, lo, -1) - _variations_at(chain, hi, +1)
-
     def bisection_path(self):
         """Yield the isolating interval as integers (a, b, den), lo = a/den
         and hi = b/den, first as it is and then after each bisection step.
@@ -462,10 +459,11 @@ class AlgebraicReal:
         b = hi.numerator * (den // hi.denominator)
         yield a, b, den
         coeffs = self.poly.coeffs
-        d = len(coeffs) - 1
         # after k steps the endpoints are over den * 2^k
-        weights = [c * den ** (d - i) for i, c in enumerate(coeffs)]
-        square_free = len(self._chain()[-1]) == 1
+        chain = _sturm_chain(coeffs)
+        weights = _weights(coeffs, den)
+        weighted = None  # the whole chain's weights, made when first needed
+        square_free = len(chain[-1]) == 1
         s_lo = _sign_at(weights, a, 0)
         k = 0
         while True:
@@ -473,7 +471,8 @@ class AlgebraicReal:
             if square_free and s_lo:
                 left = _sign_at(weights, m, k) != s_lo
             else:
-                left = self._count(Fraction(a, den << k), Fraction(m, den << k)) == 1
+                weighted = weighted or [_weights(c, den) for c in chain]
+                left = _chain_variations(weighted, a, k) - _chain_variations(weighted, m, k) == 1
             if left:
                 b = m
             else:
@@ -526,22 +525,26 @@ class AlgebraicReal:
         return float((a.lo + a.hi) / 2)
 
     def compare_to(self, other: AlgebraicReal) -> int:
-        """Exact three-way comparison: -1, 0, or 1."""
-        a, b = self, other
-        while True:
-            if a.hi <= b.lo:
+        """Exact three-way comparison: -1, 0, or 1.
+
+        Both intervals are bisected in step until they are disjoint, or
+        until their overlap holds a root of gcd(p, q), which is then the
+        one root of p in the first interval and of q in the second.
+        """
+        common = None
+        for (a, b, da), (c, d, dc) in zip(self.bisection_path(), other.bisection_path()):
+            if b * dc <= c * da:
                 return -1
-            if b.hi <= a.lo:
+            if d * da <= a * dc:
                 return 1
-            g = _fp_gcd(_fp_from_int(a.poly), _fp_from_int(b.poly))
-            if len(g) > 1:
-                ilo, ihi = max(a.lo, b.lo), min(a.hi, b.hi)
-                if ilo < ihi:
-                    gint = _clear_denominators(g)
-                    if sturm_count(gint, ilo, ihi) >= 1:
-                        return 0
-            a = a.refined((a.hi - a.lo) / 2)
-            b = b.refined((b.hi - b.lo) / 2)
+            if common is None:
+                pair = sorted((self.poly.coeffs, other.poly.coeffs), key=len, reverse=True)
+                common = IntPolynomial(_remainder_sequence(*pair)[-1])
+            if common.degree >= 1:
+                ilo = max(Fraction(a, da), Fraction(c, dc))
+                ihi = min(Fraction(b, da), Fraction(d, dc))
+                if ilo < ihi and sturm_count(common, ilo, ihi) >= 1:
+                    return 0
 
     def equals(self, other: AlgebraicReal) -> bool:
         return self.compare_to(other) == 0
@@ -564,12 +567,12 @@ class AlgebraicReal:
         a = self
         while True:
             if x >= a.hi:
-                if x == a.hi and a.poly(x) == 0:
+                if x == a.hi and _sign_of(a.poly.coeffs, x) == 0:
                     return 0
                 return -1
             if x <= a.lo:
                 return 1
-            if a.poly(x) == 0:
+            if _sign_of(a.poly.coeffs, x) == 0:
                 # lo < x < hi and x is a root: the unique root here is x
                 return 0
             a = a.refined((a.hi - a.lo) / 2)
@@ -598,13 +601,6 @@ class AlgebraicReal:
         return f"AlgebraicReal({self.exact_str()})"
 
 
-def _clear_denominators(c: FPoly) -> IntPolynomial:
-    denom_lcm = 1
-    for x in c:
-        denom_lcm = lcm(denom_lcm, x.denominator)
-    return IntPolynomial(tuple(int(x * denom_lcm) for x in c))
-
-
 def format_fraction(fr: Fraction, sig_digits: int) -> str:
     with localcontext() as ctx:
         ctx.prec = sig_digits
@@ -613,45 +609,59 @@ def format_fraction(fr: Fraction, sig_digits: int) -> str:
 
 
 def isolate_real_roots(p: IntPolynomial) -> list[AlgebraicReal]:
-    """Disjoint isolating intervals for every distinct real root, ascending."""
+    """Disjoint isolating intervals for every distinct real root, ascending.
+
+    (-B, B], B = N/D the Cauchy bound, is bisected at midpoints until each
+    interval holds one root. At depth k every endpoint is n / (D * 2^k) for
+    an integer n, so the Sturm signs come from _sign_at on the chain's
+    weights for D.
+    """
     if p.is_zero:
         raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
     q = square_free_part(p)
     if q.degree < 1:
         return []
-    chain = _sturm_chain(q.coeffs)
     bound = cauchy_bound(q)
-    lo, hi = -bound, bound
-
-    def var(x: Fraction) -> int:
-        return _variations_at(chain, x, 0)
-
+    den = bound.denominator
+    weighted = [_weights(c, den) for c in _sturm_chain(q.coeffs)]
+    lo, hi = -bound.numerator, bound.numerator
     roots: list[tuple[Fraction, Fraction]] = []
-    work = [(lo, hi, var(lo), var(hi))]
+    work = [(lo, hi, 0, _chain_variations(weighted, lo, 0), _chain_variations(weighted, hi, 0))]
     while work:
-        a, b, va, vb = work.pop()
+        a, b, k, va, vb = work.pop()
         n = va - vb
         if n <= 0:
             continue
         if n == 1:
-            roots.append((a, b))
+            roots.append((Fraction(a, den << k), Fraction(b, den << k)))
             continue
-        mid = (a + b) / 2
-        vm = var(mid)
-        work.append((a, mid, va, vm))
-        work.append((mid, b, vm, vb))
+        m, a, b, k = a + b, 2 * a, 2 * b, k + 1
+        vm = _chain_variations(weighted, m, k)
+        work.append((a, m, k, va, vm))
+        work.append((m, b, k, vm, vb))
     roots.sort()
     return [AlgebraicReal(q, a, b) for a, b in roots]
 
 
+# square_part trial-divides by the integers below this bound only
+SQUARE_PART_LIMIT = 10**4
+
+
 def square_part(n: int) -> tuple[int, int]:
-    """Decompose n > 0 as s^2 * d with d square-free; returns (s, d)."""
+    """Decompose n > 0 as s^2 * d; returns (s, d).
+
+    Trial division by f < SQUARE_PART_LIMIT finds the small primes; a
+    cofactor left over moves into s when it is a perfect square and into d
+    otherwise. So n = s^2 * d always holds, and d is square-free up to the
+    limit: a prime above it can divide d twice only if the cofactor is not
+    itself a square. A cofactor below the limit squared is 1 or a prime.
+    """
     if n <= 0:
         raise ValueError("square_part needs a positive integer")
     s, d = 1, 1
     m = n
     f = 2
-    while f * f <= m:
+    while f * f <= m and f < SQUARE_PART_LIMIT:
         if m % f == 0:
             e = 0
             while m % f == 0:
@@ -661,8 +671,10 @@ def square_part(n: int) -> tuple[int, int]:
             if e % 2:
                 d *= f
         f += 1 if f == 2 else 2
-    d *= m
-    return s, d
+    root = isqrt(m)
+    if root * root == m:
+        return s * root, d
+    return s, d * m
 
 
 def is_perfect_square(n: int) -> bool:
@@ -687,7 +699,8 @@ def quadratic_surd_str(a: Fraction, b: Fraction, d: int) -> str:
 
 
 def quadratic_surd_parts(a: AlgebraicReal) -> tuple[Fraction, Fraction, int] | None:
-    """Write a degree-2 algebraic real as A + B*sqrt(D) with D > 1 square-free.
+    """Write a degree-2 algebraic real as A + B*sqrt(D), D > 1 square-free
+    up to SQUARE_PART_LIMIT (see square_part); the form is exact either way.
 
     Returns None when the defining polynomial is not an irrational quadratic.
     """

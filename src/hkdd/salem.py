@@ -17,16 +17,19 @@ classification reports the spectral structure and nothing more.
 
 from __future__ import annotations
 
+import functools
+import struct
 from dataclasses import dataclass
+from itertools import zip_longest
+from math import isqrt
 
 from .errors import DegreeTooSmallError, NotMonicError
 from .polynomial import (
     AlgebraicReal,
     IntPolynomial,
-    NotDivisibleError,
     ONE_POLY,
+    _quotient,
     cyclotomic,
-    divide_exact,
     is_palindromic,
     isolate_real_roots,
     sturm_count,
@@ -71,13 +74,91 @@ class SalemClassification:
         }
 
 
-def _totients_up_to(bound: int) -> list[int]:
-    phi = list(range(bound + 1))
-    for p in range(2, bound + 1):
-        if phi[p] == p:  # p prime
-            for k in range(p, bound + 1, p):
-                phi[k] -= phi[k] // p
-    return phi
+# any prime keeps the test sound; this one keeps each product in one
+# machine word and makes a false alarm, which only costs the exact peel,
+# rare (a chance of about 1/TEST_PRIME on a polynomial free of them)
+TEST_PRIME = 32749
+# below this degree, trying the few Phi_n left costs less than the test
+GRAEFFE_MIN_DEGREE = 8
+
+
+def _square(a: list[int]) -> list[int]:
+    """Coefficients of a(x)^2 for 0 <= a_i < TEST_PRIME, unreduced.
+
+    Kronecker substitution: a(2^64) is squared as one integer, and as each
+    coefficient of the square is below TEST_PRIME^2 * len(a) < 2^64, its
+    64-bit words are those coefficients.
+    """
+    n = int.from_bytes(struct.pack(f"<{len(a)}Q", *a), "little")
+    return list(struct.unpack(f"<{2 * len(a) - 1}Q", (n * n).to_bytes(16 * len(a) - 8, "little")))
+
+
+def _trim(c: list[int]) -> list[int]:
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _graeffe_mod(f: list[int]) -> list[int]:
+    """g with g(x^2) = +-f(x) f(-x), mod TEST_PRIME: even(y)^2 - y odd(y)^2."""
+    odd = [0] + _square(f[1::2]) if len(f) > 1 else []
+    return _trim([(e - o) % TEST_PRIME for e, o in zip_longest(_square(f[0::2]), odd, fillvalue=0)])
+
+
+def _coprime_mod(a: list[int], b: list[int]) -> bool:
+    """Is the gcd of a and b, reduced mod TEST_PRIME and trimmed, a constant?"""
+    while len(b) > 1:
+        inv = pow(b[-1], -1, TEST_PRIME)
+        db = len(b) - 1
+        while len(a) > db:
+            f = a.pop() * inv % TEST_PRIME
+            if f:
+                s = len(a) - db
+                a[s:] = [(x - f * y) % TEST_PRIME for x, y in zip(a[s:], b)]
+        a, b = b, _trim(a)
+    return bool(b) or len(a) == 1
+
+
+def _may_have_cyclotomic_factor(coeffs: tuple[int, ...]) -> bool:
+    """False only when the polynomial has no cyclotomic factor.
+
+    The Graeffe iterate f_(k+1)(x^2) = +-f_k(x) f_k(-x), f_0 = f, has the
+    squares of the roots of f_k as its roots. Squaring takes a root of
+    unity of order 2^a m, m odd, to one of order m in a steps, and keeps
+    it of order m after that (Bradford and Davenport, ISSAC '88). So a
+    factor Phi_n of f, 2^a exactly dividing n, puts Phi_m into every f_k
+    with k >= a. As 2^(a-1) <= phi(n) <= deg f, a <= A = bit length of
+    deg f, and f_A and f_(A+1) share every such Phi_m. The iterates are
+    taken mod a prime, which keeps the monic Phi_m a common factor, so a
+    constant gcd there rules out every cyclotomic factor.
+    """
+    low = next(i for i, c in enumerate(coeffs) if c)  # roots at 0 are no roots of unity
+    f = _trim([c % TEST_PRIME for c in coeffs[low:]])
+    for _ in range((len(f) - 1).bit_length()):
+        f = _graeffe_mod(f)
+    return not _coprime_mod(f, _graeffe_mod(f))
+
+
+@functools.lru_cache(maxsize=None)
+def _cyclotomic_indices(bound: int) -> tuple[tuple[int, int], ...]:
+    """(n, phi(n)) for every n with phi(n) <= bound, ascending in n.
+
+    n = prod q^e has phi(n) = prod q^(e-1) (q - 1), so only primes
+    q <= bound + 1 occur; each prime power joins every index built from
+    smaller primes while phi stays within the bound.
+    """
+    out = [(1, 1)]
+    for q in range(2, bound + 2):
+        if any(q % r == 0 for r in range(2, isqrt(q) + 1)):
+            continue
+        grown = []
+        for n, phi in out:
+            n, phi = n * q, phi * (q - 1)
+            while phi <= bound:
+                grown.append((n, phi))
+                n, phi = n * q, phi * q
+        out += grown
+    return tuple(sorted(out))
 
 
 def peel_cyclotomic(
@@ -85,34 +166,33 @@ def peel_cyclotomic(
 ) -> tuple[list[tuple[int, int]], IntPolynomial]:
     """Divide out every cyclotomic factor Phi_n with multiplicity.
 
-    Candidates run over n <= 2*deg(p)^2, which covers all n with
-    phi(n) <= deg(p) since phi(n) >= sqrt(n/2). The remainder has no
+    The Phi_n with phi(n) <= the degree still left are tried in ascending
+    n. From Phi_3 on, a remainder of degree GRAEFFE_MIN_DEGREE or more
+    first meets a modular Graeffe test (_may_have_cyclotomic_factor),
+    again after each factor found, which ends the scan once it shows that
+    the remainder has no cyclotomic factor. So such an input with none
+    costs two trial divisions and one test. The remainder has no
     cyclotomic factor left.
     """
     if not p.is_monic:
         raise NotMonicError(f"({p}) is not monic")
     factors: list[tuple[int, int]] = []
-    rem = p
-    deg = p.degree
-    if deg == 0:
-        return factors, rem
-    bound = 2 * deg * deg
-    phi = _totients_up_to(bound)
-    for n in range(1, bound + 1):
-        if rem.degree == 0:
-            break
-        if phi[n] > rem.degree:
+    rem = p.coeffs
+    test_due = True
+    for n, phi in _cyclotomic_indices(p.degree):
+        if phi >= len(rem):
             continue
-        mult = 0
-        while True:
-            try:
-                rem = divide_exact(rem, cyclotomic(n))
-                mult += 1
-            except NotDivisibleError:
+        if n > 2 and test_due and len(rem) > GRAEFFE_MIN_DEGREE:
+            if not _may_have_cyclotomic_factor(rem):
                 break
+            test_due = False
+        mult = 0
+        while phi < len(rem) and (quot := _quotient(rem, cyclotomic(n).coeffs)) is not None:
+            rem, mult = quot, mult + 1
         if mult:
             factors.append((n, mult))
-    return factors, rem
+            test_due = True
+    return factors, IntPolynomial(rem)
 
 
 def is_salem_polynomial(p: IntPolynomial) -> SalemCheck:
@@ -132,10 +212,16 @@ def is_salem_polynomial(p: IntPolynomial) -> SalemCheck:
         return SalemCheck(False, f"odd degree {p.degree}")
     if not is_palindromic(p):
         return SalemCheck(False, "coefficient vector is not palindromic")
-    factors, rem = peel_cyclotomic(p)
+    factors, _ = peel_cyclotomic(p)
     if factors:
         names = ", ".join(f"Phi_{n}" for n, _ in factors)
         return SalemCheck(False, f"has cyclotomic factor(s) {names}")
+    return _trace_certificate(p)
+
+
+def _trace_certificate(p: IntPolynomial) -> SalemCheck:
+    """The trace-root test of is_salem_polynomial for a monic palindromic p
+    of even degree with no cyclotomic factor."""
     d = p.degree // 2
     q = trace_polynomial(p)
     if q(2) == 0 or q(-2) == 0:
@@ -190,8 +276,8 @@ def classify_charpoly(p: IntPolynomial) -> SalemClassification:
     cyc = tuple(factors)
     if rem.degree == 0:
         return SalemClassification(ALL_CYCLOTOMIC, cyc, None, None)
-    if rem.degree >= 2:
-        check = is_salem_polynomial(rem)
+    if rem.degree >= 2 and rem.degree % 2 == 0 and is_palindromic(rem):
+        check = _trace_certificate(rem)
         if check:
             return SalemClassification(SALEM_STRUCTURE, cyc, rem, check.root)
     return SalemClassification(NOT_SPECTRALLY_VALID, cyc, None, None)

@@ -1,10 +1,11 @@
-"""natural-check on lattices of rank 6 to 15 and on degenerate Grams, and
-search at ranks 4 and 5, end within a stated time with a documented exit
-code (0, 2, 3 or 4). Each case runs `python -m hkdd.cli` in a fresh process
+"""natural-check on lattices of rank 6 to 15 and on degenerate Grams,
+search at ranks 4 and 5, and polynomial work on huge traces and degree 160
+end within a stated time with a documented exit code (0, 2, 3 or 4). Each case runs `python -m hkdd.cli` in a fresh process
 with a timeout, so a hang fails the test instead of stalling the suite.
 """
 
 import json
+import random
 import subprocess
 import sys
 
@@ -131,3 +132,42 @@ def test_search_ends_in_time(case, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert line in proc.stdout.splitlines()
+
+
+def random_palindrome(degree, seed):
+    """A monic palindrome of this even degree with entries in [-3, 3]."""
+    rng = random.Random(seed)
+    half = [rng.randint(-3, 3) for _ in range(degree // 2 - 1)]
+    return [1, *half, rng.randint(-3, 3), *reversed(half), 1]
+
+
+# each case: argv after `hkdd.cli`, seconds, and a line of stdout (or None)
+CLI_CASES = {
+    # the discriminant t^2 (t^2 - 4) of d1 has prime factors far beyond
+    # the trial-division limit of square_part
+    "kummer-trace-1e12": (
+        ["kummer", str(10**12), "1", "-1", "0", "--half-dim", "2"], 10,
+        "case: t > 2 (degree is the square of the large eigenvalue)",
+    ),
+    "salem-check-trace-1e30": (
+        ["salem-check", "--", "1", str(-(10**30 + 1)), "1"], 10,
+        f"SalemStructure: Salem(x^2 - {10**30 + 1}*x + 1)",
+    ),
+    "salem-check-degree-160": (
+        ["salem-check", "--", *map(str, random_palindrome(160, 160))], 10, None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_CASES))
+def test_cli_ends_in_time(case):
+    argv, seconds, line = CLI_CASES[case]
+    proc = subprocess.run(
+        [sys.executable, "-m", "hkdd.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=seconds,
+    )
+    assert proc.returncode in (0, 2, 3, 4), proc.stderr
+    if line is not None:
+        assert line in proc.stdout.splitlines()

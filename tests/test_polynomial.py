@@ -475,3 +475,15 @@ def test_square_part():
     assert square_part(45) == (3, 5)
     assert square_part(49) == (7, 1)
     assert square_part(1) == (1, 1)
+
+
+def test_square_part_beyond_the_trial_limit():
+    big = 1000003  # a prime above SQUARE_PART_LIMIT
+    other = 1000033  # another one
+    assert square_part(12 * big**2) == (2 * big, 3)  # a square cofactor is pulled out
+    assert square_part(big * other) == (1, big * other)
+    # d is square-free only up to the limit: big^2 stays inside d here
+    assert square_part(5 * big**2 * other) == (1, 5 * big**2 * other)
+    n = (10**30 - 1) * (10**30 + 3)  # discriminant of x^2 - (10^30 + 1) x + 1
+    s, d = square_part(n)
+    assert s * s * d == n and s == 3
