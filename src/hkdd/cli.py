@@ -7,14 +7,17 @@ input, 3 isometry/determinant failures, 4 spectral structure violations,
 and 1 for an unexpected internal error, reported as the single stderr line
 `internal error: <Type>: <message>`. Each HkddError carries its code and
 stderr label (see errors), so main has one handler for them all. Every
-decimal of a spectrum report, the entropy included, comes from one
-certified walk (dynamics.spectrum_decimals) at --precision. File inputs
-use the JSON formats documented in jsonio.
+printed decimal is correctly rounded (half-even) to --precision digits by
+polynomial.rounded_decimal; those of a spectrum report, the entropy and the
+JSON d1 included, come from one certified walk (dynamics.spectrum_decimals).
+The argument parser is built once per process. File inputs use the JSON
+formats documented in jsonio.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -53,15 +56,9 @@ EXIT_PARSE = 2
 SMALL_SALEM_THRESHOLD = Fraction(13, 10)
 
 
-def _spectrum_json(spec: DegreeSpectrum, dec: SpectrumDecimals, precision: int) -> dict:
-    if isinstance(spec.d1, int):
-        d1 = {"exact": "1", "decimal": "1", "poly": None}
-    else:
-        d1 = {
-            "exact": spec.entries[1].exact,  # d_1, whose exact string is built once
-            "decimal": spec.d1.decimal_str(precision),
-            "poly": list(spec.d1.poly.coeffs),
-        }
+def _spectrum_json(spec: DegreeSpectrum, dec: SpectrumDecimals) -> dict:
+    poly = None if isinstance(spec.d1, int) else list(spec.d1.poly.coeffs)
+    d1 = {"exact": spec.entries[1].exact, "decimal": dec.entries[1], "poly": poly}  # the table's d_1
     return {
         "half_dim": spec.half_dim,
         "d1": d1,
@@ -138,8 +135,9 @@ def cmd_degrees(args) -> int:
                     "lattice": {"labels": list(lat.labels), "gram": encode_matrix(lat.gram_rows())},
                     "isometry": encode_matrix(iso.rows()),
                     "char_poly": list(cp.coeffs),
-                    "classification": cls.to_json(args.precision),
-                    "spectrum": _spectrum_json(spec, dec, args.precision),
+                    # a Salem root is d1, whose decimal the table has
+                    "classification": cls.to_json(args.precision, dec.entries[1]),
+                    "spectrum": _spectrum_json(spec, dec),
                 }
             )
         )
@@ -195,7 +193,7 @@ def cmd_kummer(args) -> int:
                     "matrix": m.rows(),
                     "trace": t,
                     "branch": branch,
-                    "spectrum": _spectrum_json(spec, dec, args.precision),
+                    "spectrum": _spectrum_json(spec, dec),
                 }
             )
         )
@@ -298,6 +296,7 @@ def cmd_beauville_demo(args) -> int:
         d1_l = degree_from_classification(cls_l, iso_l.rows())
         spec_l = degree_spectrum(2, d1_l)
         spectra.append((ell, spec_l, spectrum_decimals(spec_l, args.precision)))
+    root_decimal = spectra[0][2].entries[1]  # l = 1: d_1 is the Salem root of cp
 
     if args.format == "json":
         payload = {
@@ -309,10 +308,10 @@ def cmd_beauville_demo(args) -> int:
             "composition": {
                 "matrix": encode_matrix(comp.rows()),
                 "char_poly": list(cp.coeffs),
-                "classification": cls.to_json(args.precision),
+                "classification": cls.to_json(args.precision, root_decimal),
             },
             "spectra": [
-                {"power": ell, "spectrum": _spectrum_json(s, dec, args.precision)}
+                {"power": ell, "spectrum": _spectrum_json(s, dec)}
                 for ell, s, dec in spectra
             ],
             "naturality": {
@@ -345,9 +344,8 @@ def cmd_beauville_demo(args) -> int:
     print(f"\ncomposition M1*M2 = {comp.rows()}")
     print(f"char poly: {cp}")
     print(_classification_summary(cls))
-    root = cls.salem_root
-    print(f"salem root: {root.exact_str()} = {root.decimal_str(args.precision)}")
-    # the printed decimals are within about one unit in their last digit
+    print(f"salem root: {cls.salem_root.exact_str()} = {root_decimal}")
+    # the printed decimals are correctly rounded, within half a unit in their last digit
     tolerance = Decimal(10) ** (2 - args.precision)
     for ell, s, dec in spectra:
         print(f"\ndegree spectrum of (iota2 iota1)^l for l = {ell} (n = 2):")
@@ -387,7 +385,10 @@ def _solution_json(sol, lat) -> dict:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every main call in this process; subcommand <name> runs
+    cmd_<name>, looked up when it runs."""
     parser = argparse.ArgumentParser(
         prog="hkdd",
         description=(
@@ -416,17 +417,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lattice-info", help="rank, parity, signature, determinant")
     p.add_argument("lattice", help="lattice JSON file")
-    p.set_defaults(func=cmd_lattice_info)
 
     p = sub.add_parser("degrees", help="full dynamical degree spectrum and entropy")
     p.add_argument("--lattice", required=True, help="lattice JSON file")
     p.add_argument("--isometry", required=True, help="isometry JSON file")
     p.add_argument("--half-dim", type=int, default=2, help="n with dim = 2n (default 2)")
-    p.set_defaults(func=cmd_degrees)
 
     p = sub.add_parser("salem-check", help="classify a monic integer polynomial")
     p.add_argument("coeffs", type=int, nargs="+", help="coefficients, constant first")
-    p.set_defaults(func=cmd_salem_check)
 
     p = sub.add_parser("kummer", help="spectrum of an SL(2,Z) torus automorphism")
     p.add_argument("a", type=int)
@@ -434,13 +432,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("c", type=int)
     p.add_argument("d", type=int)
     p.add_argument("--half-dim", type=int, default=2, help="points on the Kummer surface (default 2)")
-    p.set_defaults(func=cmd_kummer)
 
-    p = sub.add_parser(
+    sub.add_parser(
         "beauville-demo",
         help="reproduce the quartic-pair example end to end (no inputs needed)",
     )
-    p.set_defaults(func=cmd_beauville_demo)
 
     p = sub.add_parser(
         "natural-check",
@@ -455,12 +451,10 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help='index of the exceptional class (default: the basis labelled "e")',
     )
-    p.set_defaults(func=cmd_natural_check)
 
     p = sub.add_parser("search", help="catalogue Salem isometries within an entry bound")
     p.add_argument("--lattice", required=True, help="lattice JSON file")
     p.add_argument("--bound", type=int, default=8, help="entry bound (default 8)")
-    p.set_defaults(func=cmd_search)
 
     return parser
 
@@ -478,7 +472,7 @@ def main(argv: list[str] | None = None) -> int:
         print("--bound must be at least 1", file=sys.stderr)
         return EXIT_PARSE
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except HkddError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code

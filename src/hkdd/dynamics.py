@@ -5,22 +5,20 @@ across k = 0..2n, with entropy n*ln(d_1). The first degree is the Salem root
 of the characteristic polynomial on the lattice (or exactly 1 when every
 factor is cyclotomic). A DegreeSpectrum is d_1 and the exponents, with
 exact symbolic entries; spectrum_decimals renders it at a precision from one
-walk of d_1's certified isolating interval, the entropy included. Floating
-point appears only in the cross-checking oracles (power iteration,
-eigenvalue moduli), never in the exact path.
+walk of d_1's certified isolating interval, the entropy included, each
+decimal correctly rounded (polynomial.rounded_decimal). Floating point
+appears only in the eigenvalue-modulus diagnostic of a structure violation,
+never in the exact path.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from decimal import ROUND_FLOOR, Decimal, localcontext
-from fractions import Fraction
 from functools import cmp_to_key
 from operator import mul
-from typing import NamedTuple
 
 from . import linalg
 from .errors import SpectralStructureViolatedError
@@ -28,12 +26,13 @@ from .lattice import GramLattice, LatticeIsometry, _integer_quadratic_roots, _pr
 from .polynomial import (
     AlgebraicReal,
     IntPolynomial,
+    LOG10_2_Q31,
     char_poly,
-    format_fraction,
     power_traces,
     quadratic_surd_parts,
     quadratic_surd_str,
     reciprocal_char_poly,
+    rounded_decimal,
 )
 from .salem import (
     ALL_CYCLOTOMIC,
@@ -45,8 +44,8 @@ from .salem import (
 # d_1 is either an exact AlgebraicReal larger than 1 or the exact integer 1.
 FirstDegree = AlgebraicReal | int
 
-# below ln(10) = 2.302585..., so log10 rises at most (rise of ln) / LN10_LOWER
-LN10_LOWER = Fraction(23025, 10000)
+# 1/ln(10) < 10000/23025, as ln(10) = 2.302585...
+INV_LN10_UPPER = (10000, 23025)
 
 
 @dataclass(frozen=True)
@@ -70,23 +69,13 @@ class DegreeSpectrum:
 
 @dataclass(frozen=True)
 class SpectrumDecimals:
-    """Certified decimals of a degree table at one precision: d_k for
-    k = 0..2n, and the entropy n*ln(d_1) in nats and n*log10(d_1)."""
+    """Correctly rounded decimals at one precision: the d_k of a degree table,
+    k = 0..2n (or d_1^e in the order power_decimal was asked), and the
+    entropy n*ln(d_1) in nats and n*log10(d_1)."""
 
     entries: tuple[str, ...]
     nats: str
     log10: str
-
-
-class PowerDecimals(NamedTuple):
-    """What one walk of d_1's isolating interval certifies: the decimals of
-    d_1^e for the requested exponents, and the midpoints of intervals around
-    ln(d_1) and log10(d_1) whose width is below 10^-(sig_digits+2) of their
-    value."""
-
-    decimals: list[str]
-    ln: Fraction
-    log10: Fraction
 
 
 @dataclass(frozen=True)
@@ -106,26 +95,6 @@ def float_spectral_radius(m: list[list[int]]) -> float:
     import numpy as np
 
     return float(np.abs(np.linalg.eigvals(np.array(m, dtype=float))).max())
-
-
-def power_iteration_radius(m: list[list[int]], iters: int = 500, tol: float = 1e-12) -> float:
-    """Spectral radius by plain power iteration with a deterministic start."""
-    import numpy as np
-
-    a = np.array(m, dtype=float)
-    n = a.shape[0]
-    x = np.ones(n) / math.sqrt(n)
-    estimate = 0.0
-    for _ in range(iters):
-        y = a @ x
-        norm = float(np.linalg.norm(y))
-        if norm == 0.0:
-            return 0.0
-        if abs(norm - estimate) <= tol * max(1.0, norm):
-            return norm
-        estimate = norm
-        x = y / norm
-    return estimate
 
 
 def first_dynamical_degree(iso: LatticeIsometry) -> FirstDegree:
@@ -181,70 +150,90 @@ def exact_power_str(d1: FirstDegree, exponents: list[int]) -> list[str]:
     return [closed[e] for e in exponents]
 
 
-def power_decimal(d1: AlgebraicReal, exponents: list[int], sig_digits: int) -> PowerDecimals:
-    """Certified decimals of d1^e for every e in exponents, in their order,
-    and of ln(d1) and log10(d1), all from one walk of d1's interval.
+def power_decimal(
+    d1: AlgebraicReal, exponents: list[int], sig_digits: int, scale: int = 1
+) -> SpectrumDecimals:
+    """Correctly rounded decimals of d1^e for every e in exponents, in their
+    order, and of scale*ln(d1) and scale*log10(d1), from one walk of d1's
+    interval.
 
-    d1's interval (lo, hi] is halved twice between checks. Exponent e is
-    done at the first check where (hi^e - lo^e) * 10^(sig_digits + 2) < lo^e,
-    and d1^e is then the midpoint of (lo^e, hi^e]. As (hi/lo)^e grows with e,
-    a larger exponent never finishes earlier, so one walk serves all
-    exponents in ascending order and each stops at the interval a walk of
-    its own would stop at. The logarithms are done at the first check where
-    (hi - lo) * 10^(sig_digits + 2) < lo - 1, since ln(hi/lo) <= (hi-lo)/lo
-    and ln(lo) >= (lo-1)/lo, and where the Decimal bounds of _log_intervals
-    pass the same width test.
+    d1's interval (lo, hi] is halved twice between checks. At a check each
+    pending exponent, in ascending order, first meets the width gate
+    (hi^e - lo^e) * 10^(sig_digits + 2) < lo^e and then rounded_decimal on
+    [lo^e, hi^e]; the first it cannot yet decide waits for the next check,
+    and so do the larger ones. The logarithms are tried, on the bounds of
+    _log_bounds, at each check with (hi - lo) * 10^(sig_digits + 2) < lo - 1
+    until both are decided.
+
+    d1 must be an algebraic unit larger than 1 (leading coefficient and
+    constant term +-1), as every first dynamical degree is: it is an
+    eigenvalue of an integer matrix of determinant +-1. Then no value sits on
+    a rounding boundary, which is rational, so the walk ends: d1^e for
+    e >= 1 is a unit larger than 1, so irrational; ln(d1) is transcendental
+    (Lindemann); and scale*log10(d1) = a/b would make the unit d1^b equal
+    10^a.
     """
     if any(e < 0 for e in exponents):
         raise ValueError("power decimals need nonnegative exponents")
+    coeffs = d1.poly.coeffs
+    if abs(coeffs[0]) != 1 or abs(coeffs[-1]) != 1:
+        raise ValueError("power decimals need an algebraic unit")
     if d1.compare_rational(1) <= 0:
         raise ValueError("power decimals need a base larger than 1")
     done = {0: "1"}
     pending = sorted(set(exponents) - {0})
     logs = None
-    scale = 10 ** (sig_digits + 2)
+    gate = 10 ** (sig_digits + 2)
     for step, (a, b, den) in enumerate(d1.bisection_path()):
         if step % 2:
             continue
         while pending and a > 0:
             e = pending[0]
             lo_e, hi_e = a**e, b**e
-            if (hi_e - lo_e) * scale >= lo_e:
+            if (hi_e - lo_e) * gate >= lo_e:
                 break
-            done[e] = format_fraction(Fraction(lo_e + hi_e, 2 * den**e), sig_digits)
+            text = rounded_decimal(lo_e, hi_e, den**e, sig_digits)
+            if text is None:
+                break
+            done[e] = text
             pending.pop(0)
-        if logs is None and (b - a) * scale < a - den:
-            logs = _log_intervals(a, b, den, sig_digits)
+        if logs is None and (b - a) * gate < a - den:
+            bounds = _log_bounds(a, b, den)
+            logs = [rounded_decimal(scale * lo, scale * hi, d, sig_digits) for lo, hi, d in bounds]
+            if None in logs:
+                logs = None
         if not pending and logs is not None:
-            return PowerDecimals([done[e] for e in exponents], *logs)
+            return SpectrumDecimals(tuple(done[e] for e in exponents), *logs)
 
 
-def _log_intervals(a: int, b: int, den: int, sig_digits: int) -> tuple[Fraction, Fraction] | None:
-    """Midpoints of certified intervals around ln(x) and log10(x) for the x
-    in (a/den, b/den], 1 < a/den; None while an interval is not narrower
-    than 10^-(sig_digits+2) of its lower end.
+def _log_bounds(a: int, b: int, den: int) -> list[tuple[int, int, int]]:
+    """Bounds (low, high, d) with low/d <= log(x) <= high/d for every x in
+    [a/den, b/den], 1 < a/den, for ln and then log10.
 
     lo = a/den is rounded down to a Decimal; Decimal.ln and .log10 round
     correctly, so one step down from each is a lower bound, and as
-    ln(hi) - ln(lo) <= (hi - lo)/lo one call per logarithm bounds it from
-    above too. The working precision is sig_digits + 12 digits plus the
-    leading zeros of x - 1: ln(x) is about x - 1, so those digits of x
-    carry none of it.
+    log(hi) - log(lo) <= (hi/lo - 1) / ln(e or 10), one call per logarithm
+    bounds it from above too. The working precision is the digits of
+    b/(b - a) plus a guard, so it grows as the interval narrows; for x near 1
+    that counts the leading zeros of x - 1, which carry none of ln(x).
     """
     out = []
     with localcontext() as ctx:
-        ctx.prec = sig_digits + 12 + len(str(den // (a - den)))
+        ctx.prec = ((b.bit_length() - (b - a).bit_length()) * LOG10_2_Q31 >> 31) + 6
         ctx.rounding = ROUND_FLOOR
         lo = Decimal(a) / den
-        rise = Fraction(b, den) / Fraction(lo) - 1
-        for log, per_nat in ((Decimal.ln, 1), (Decimal.log10, 1 / LN10_LOWER)):
+        num, dn = lo.as_integer_ratio()
+        # x / lo - 1 <= rise / rise_den
+        rise, rise_den = b * dn - den * num, den * num
+        for log, (per, per_den) in ((Decimal.ln, (1, 1)), (Decimal.log10, INV_LN10_UPPER)):
             at_lo = log(lo)
-            low = Fraction(at_lo.next_minus())
-            high = Fraction(at_lo.next_plus()) + rise * per_nat
-            if low <= 0 or (high - low) * 10 ** (sig_digits + 2) >= low:
-                return None
-            out.append((low + high) / 2)
-    return out[0], out[1]
+            low, low_den = at_lo.next_minus().as_integer_ratio()
+            high, high_den = at_lo.next_plus().as_integer_ratio()
+            # high/high_den + rise/rise_den * per/per_den, over one denominator
+            high = high * rise_den * per_den + rise * per * high_den
+            high_den *= rise_den * per_den
+            out.append((low * high_den, high * low_den, low_den * high_den))
+    return out
 
 
 def degree_spectrum(n: int, d1: FirstDegree) -> DegreeSpectrum:
@@ -269,17 +258,10 @@ def degree_spectrum(n: int, d1: FirstDegree) -> DegreeSpectrum:
 
 def spectrum_decimals(spec: DegreeSpectrum, sig_digits: int) -> SpectrumDecimals:
     """The decimals a report prints for spec, from one power_decimal walk:
-    each d_k, and n*ln(d_1) and n*log10(d_1) as the midpoints of certified
-    intervals (scaling by n keeps an interval's relative width)."""
+    each d_k, and n*ln(d_1) and n*log10(d_1), all correctly rounded."""
     if isinstance(spec.d1, int):
         return SpectrumDecimals(("1",) * len(spec.entries), "0", "0")
-    walk = power_decimal(spec.d1, [e.exponent for e in spec.entries], sig_digits)
-    n = spec.half_dim
-    return SpectrumDecimals(
-        tuple(walk.decimals),
-        format_fraction(n * walk.ln, sig_digits),
-        format_fraction(n * walk.log10, sig_digits),
-    )
+    return power_decimal(spec.d1, [e.exponent for e in spec.entries], sig_digits, spec.half_dim)
 
 
 def validate_spectrum_shape(
@@ -339,10 +321,6 @@ def validate_spectrum_shape(
 # ---------------------------------------------------------------------------
 # symmetric powers
 # ---------------------------------------------------------------------------
-
-
-def sym_power_dim(rank: int, k: int) -> int:
-    return math.comb(rank + k - 1, k)
 
 
 def sym_power_matrix(m: list[list[int]], k: int) -> list[list[int]]:

@@ -1,4 +1,4 @@
-"""JSON wire formats for lattices, isometries, and polynomials.
+"""JSON wire formats for lattices and isometries.
 
 Matrices are row-major lists of lists. Integers within the 53-bit range are
 plain JSON numbers; anything larger is serialized as a decimal string so that
@@ -48,12 +48,6 @@ def decode_matrix(obj) -> list[list[int]]:
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise InputParseError("matrix must be a non-empty list of rows")
     return [[decode_int(x) for x in row] for row in obj]
-
-
-def decode_coeffs(obj) -> list[int]:
-    if not isinstance(obj, list):
-        raise InputParseError("polynomial must be a list of coefficients")
-    return [decode_int(x) for x in obj]
 
 
 def dump_json(obj) -> str:

@@ -6,7 +6,6 @@ acting on column vectors. Nothing here ever touches floating point.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 from math import gcd
 from operator import mul
@@ -255,27 +254,3 @@ def solve_integer_system(a: Matrix, b: Vector) -> tuple[Vector, list[Vector]] | 
     particular = mat_vec(v, y)
     kernel = [[v[i][j] for i in range(cols)] for j in free]
     return particular, kernel
-
-
-def rational_rank(a: Matrix) -> int:
-    """Rank over the rationals by fraction-free elimination."""
-    if not a or not a[0]:
-        return 0
-    m = [[Fraction(x) for x in row] for row in a]
-    rows, cols = len(m), len(m[0])
-    rank = 0
-    for c in range(cols):
-        pivot = next((i for i in range(rank, rows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][c]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(rows):
-            if i != rank and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank

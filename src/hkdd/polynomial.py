@@ -7,7 +7,10 @@ of its rational counterpart, so every sign and root count is the rational
 one. Signs at rational points come from homogeneous Horner over int, and
 isolation and refinement bisect at the same midpoints as over Q. Only the
 interval endpoints are Fractions. Decimal output is produced from
-certified isolating intervals, never from floats.
+certified isolating intervals, never from floats: rounded_decimal gives
+the correctly rounded (half-even) decimal that both ends of an interval
+agree on, and every value printed as a decimal comes from it; format_fraction
+writes only the exact endpoints in a root's positional description.
 """
 
 from __future__ import annotations
@@ -490,39 +493,30 @@ class AlgebraicReal:
             if (b - a) * eps.denominator < eps.numerator * den:
                 return AlgebraicReal(self.poly, Fraction(a, den), Fraction(b, den))
 
-    def approx(self, eps: Rational) -> Fraction:
-        """Rational approximation within eps of the root."""
-        r = self.refined(Fraction(eps) * 2)
-        return (r.lo + r.hi) / 2
-
-    def _nonzero_interval(self) -> AlgebraicReal:
-        """Refine until zero is strictly outside [lo, hi] (requires root != 0)."""
-        a = self
-        while a.lo <= 0 <= a.hi:
-            a = a.refined((a.hi - a.lo) / 2)
-        return a
-
-    def is_zero_root(self) -> bool:
-        return self.poly(0) == 0 and self.lo < 0 <= self.hi
-
     def decimal_str(self, sig_digits: int = 12) -> str:
-        """Decimal rendering with sig_digits significant digits, certified by
-        refining the isolating interval first."""
-        if self.is_zero_root():
+        """The root correctly rounded (half-even) to sig_digits digits.
+
+        The walk of bisection_path asks rounded_decimal once the interval,
+        on the root's side of zero, is narrower than 10^-(sig_digits+2) of
+        its end nearer zero. When the ends round to adjacent strings, the
+        boundary between them is tested: a root of the polynomial there is
+        the value. Any other value lies off the boundary, so the walk ends.
+        """
+        if self.poly(0) == 0 and self.lo < 0 <= self.hi:
             return "0"
-        a = self._nonzero_interval()
-        scale = min(abs(a.lo), abs(a.hi))
-        a = a.refined(scale * Fraction(1, 10 ** (sig_digits + 2)))
-        mid = (a.lo + a.hi) / 2
-        return format_fraction(mid, sig_digits)
+        scale = 10 ** (sig_digits + 2)
+        for a, b, den in self.bisection_path():
+            sign, lo, hi = (1, a, b) if a > 0 else (-1, -b, -a)
+            if (hi - lo) * scale >= lo:
+                continue
+            text = rounded_decimal(lo, hi, den, sig_digits)
+            if text is None:
+                text = _boundary_decimal(self.poly.coeffs, sign, lo, hi, den, sig_digits)
+            if text is not None:
+                return text if sign > 0 else "-" + text
 
     def __float__(self) -> float:
-        if self.is_zero_root():
-            return 0.0
-        a = self._nonzero_interval()
-        scale = min(abs(a.lo), abs(a.hi))
-        a = a.refined(scale * Fraction(1, 10**18))
-        return float((a.lo + a.hi) / 2)
+        return float(self.decimal_str(17))
 
     def compare_to(self, other: AlgebraicReal) -> int:
         """Exact three-way comparison: -1, 0, or 1.
@@ -581,12 +575,13 @@ class AlgebraicReal:
         """Closed form for degree <= 2, positional description otherwise."""
         return _exact_root_str(self)
 
-    def to_json(self, sig_digits: int = 12) -> dict:
+    def to_json(self, sig_digits: int = 12, decimal: str | None = None) -> dict:
+        """decimal, when given, is this root's decimal_str(sig_digits)."""
         return {
             "poly": list(self.poly.coeffs),
             "lo": f"{self.lo.numerator}/{self.lo.denominator}",
             "hi": f"{self.hi.numerator}/{self.hi.denominator}",
-            "decimal": self.decimal_str(sig_digits),
+            "decimal": decimal or self.decimal_str(sig_digits),
         }
 
     @staticmethod
@@ -606,6 +601,68 @@ def format_fraction(fr: Fraction, sig_digits: int) -> str:
         ctx.prec = sig_digits
         d = Decimal(fr.numerator) / Decimal(fr.denominator)
     return str(d)
+
+
+# log10(2) * 2^31, for the decimal exponent of a ratio from bit lengths
+LOG10_2_Q31 = 646456993
+
+
+def _scaled_floor(n: int, den: int, sig_digits: int) -> tuple[int, int, int]:
+    """(q, s, h) for n/den > 0: q = floor(n/den * 10^s) has sig_digits
+    digits, and h is the sign of n/den * 10^s - q - 1/2. The bit-length
+    estimate of s is off by at most one, so this takes one divmod or two."""
+    top = 10**sig_digits
+    s = sig_digits - 1 - ((n.bit_length() - den.bit_length()) * LOG10_2_Q31 >> 31)
+    while True:
+        num, d = (n * 10**s, den) if s >= 0 else (n, den * 10**-s)
+        q, r = divmod(num, d)
+        if q >= top:
+            s -= 1
+        elif 10 * q < top:
+            s += 1
+        else:
+            return q, s, (2 * r > d) - (2 * r < d)
+
+
+def _half_even(n: int, den: int, sig_digits: int) -> tuple[int, int]:
+    """The digits q and scale s of n/den rounded half-even, q * 10^-s."""
+    q, s, h = _scaled_floor(n, den, sig_digits)
+    if h > 0 or (h == 0 and q & 1):
+        q += 1
+        if q == 10**sig_digits:
+            return q // 10, s - 1
+    return q, s
+
+
+def rounded_decimal(a: int, b: int, den: int, sig_digits: int) -> str | None:
+    """The half-even, sig_digits-significant decimal that every x in
+    [a/den, b/den] rounds to, for 0 < a <= b, as str(Decimal) writes it
+    (47.0, 8.20613852651E+504); None when the two ends round differently
+    (Ziv's test). Rounding is monotone, so agreeing ends decide all between.
+    """
+    q, s = _half_even(a, den, sig_digits)
+    if _half_even(b, den, sig_digits) != (q, s):
+        return None
+    return str(Decimal(f"{q}E{-s}"))
+
+
+def _boundary_decimal(
+    coeffs: Coeffs, sign: int, lo: int, hi: int, den: int, sig_digits: int
+) -> str | None:
+    """The rounded value of sign * B when B, the rounding boundary between
+    the differently rounded ends of [lo/den, hi/den], a hundredth of a unit
+    wide, is the root there of the polynomial with these coeffs; else None.
+
+    B = (q + 1/2) * 10^-s from the digits q of lo. The isolating interval
+    leaves out lo (sign > 0) or hi (sign < 0, negated); a root there is
+    another root.
+    """
+    q, s, h = _scaled_floor(lo, den, sig_digits)
+    num, d = (2 * q + 1, 2 * 10**s) if s >= 0 else ((2 * q + 1) * 10**-s, 2)
+    open_end = lo if sign > 0 else hi
+    if h > 0 or num * den == open_end * d or _sign_at(_weights(coeffs, d), sign * num, 0):
+        return None
+    return rounded_decimal(num, num, d, sig_digits)
 
 
 def isolate_real_roots(p: IntPolynomial) -> list[AlgebraicReal]:

@@ -65,12 +65,13 @@ class SalemClassification:
     salem_factor: IntPolynomial | None
     salem_root: AlgebraicReal | None
 
-    def to_json(self, sig_digits: int = 12) -> dict:
+    def to_json(self, sig_digits: int = 12, root_decimal: str | None = None) -> dict:
+        """root_decimal, when given, is the Salem root's decimal at sig_digits."""
         return {
             "kind": self.kind,
             "cyclotomic": [[n, m] for n, m in self.cyclotomic_factors],
             "salem_poly": list(self.salem_factor.coeffs) if self.salem_factor else None,
-            "salem_root": self.salem_root.to_json(sig_digits) if self.salem_root else None,
+            "salem_root": self.salem_root.to_json(sig_digits, root_decimal) if self.salem_root else None,
         }
 
 

@@ -1,7 +1,9 @@
 """natural-check on lattices of rank 6 to 15 and on degenerate Grams,
-search at ranks 4 and 5, and polynomial work on huge traces and degree 160
-end within a stated time with a documented exit code (0, 2, 3 or 4). Each case runs `python -m hkdd.cli` in a fresh process
-with a timeout, so a hang fails the test instead of stalling the suite.
+search at ranks 4 and 5, polynomial work on huge traces and degree 160, and
+a degree table of half-dimension 1000 end within a stated time with a
+documented exit code (0, 2, 3 or 4). Each case runs `python -m hkdd.cli` in
+a fresh process with a timeout, so a hang fails the test instead of
+stalling the suite.
 """
 
 import json
@@ -141,7 +143,8 @@ def random_palindrome(degree, seed):
     return [1, *half, rng.randint(-3, 3), *reversed(half), 1]
 
 
-# each case: argv after `hkdd.cli`, seconds, and a line of stdout (or None)
+# each case: argv after `hkdd.cli`, seconds, and a line of stdout (or None);
+# a case with a line must exit 0
 CLI_CASES = {
     # the discriminant t^2 (t^2 - 4) of d1 has prime factors far beyond
     # the trial-division limit of square_part
@@ -155,6 +158,11 @@ CLI_CASES = {
     ),
     "salem-check-degree-160": (
         ["salem-check", "--", *map(str, random_palindrome(160, 160))], 10, None,
+    ),
+    # 2,001 correctly rounded 12-digit decimals, up to d_1000 ~ 10^836
+    "kummer-half-dim-1000": (
+        ["kummer", "2", "1", "1", "1", "--half-dim", "1000"], 20,
+        "entropy = 1000*log((7+3*sqrt(5))/2) = 1924.84730024 nats (835.950561000 log10)",
     ),
 }
 
@@ -170,4 +178,5 @@ def test_cli_ends_in_time(case):
     )
     assert proc.returncode in (0, 2, 3, 4), proc.stderr
     if line is not None:
+        assert proc.returncode == 0
         assert line in proc.stdout.splitlines()

@@ -9,6 +9,8 @@ import pytest
 from hkdd import cli, dynamics, errors, fixtures, jsonio, linalg
 from hkdd.cli import main
 from hkdd.jsonio import dump_json
+from hkdd.polynomial import AlgebraicReal
+from conftest import assert_correctly_rounded, decimals_of
 
 
 @pytest.fixture()
@@ -164,10 +166,7 @@ def test_kummer_past_double_range(capsys):
     code, out, err = run_cli(["kummer", "2", "1", "1", "1", "--half-dim", "400"], capsys)
     assert code == 0 and err == ""
     row = next(line for line in out.splitlines() if line.startswith("d_400 "))
-    printed = mpmath.mpf(row.split()[-1])
-    with mpmath.workdps(40):
-        true = ((7 + 3 * mpmath.sqrt(5)) / 2) ** 400
-        assert abs(printed - true) <= mpmath.mpf(10) ** (mpmath.floor(mpmath.log10(true)) - 11)
+    assert_correctly_rounded(row.split()[-1], lambda: ((7 + 3 * mpmath.sqrt(5)) / 2) ** 400, 12)
 
 
 def test_import_leaves_numpy_out():
@@ -226,6 +225,17 @@ def test_search_flags_small_candidates(capsys, tmp_path):
     assert "salem isometries" in out
 
 
+@pytest.mark.parametrize("digits", [3, 12, 50, 200])
+def test_search_roots_correctly_rounded(capsys, digits):
+    code, out, _ = run_cli(["--format", "json", "--precision", str(digits), "search",
+                            "--lattice", rank3_path(), "--bound", "5"], capsys)
+    assert code == 0
+    found = decimals_of(json.loads(out))
+    assert len(found) == 2
+    for printed, value in found:
+        assert_correctly_rounded(printed, value, digits)
+
+
 def test_search_deterministic_across_processes_and_threads(tmp_path):
     cmd = [
         sys.executable,
@@ -271,12 +281,6 @@ def count_calls(monkeypatch, fn) -> list:
     return calls
 
 
-def within_one_ulp(printed: str, true, digits: int) -> bool:
-    with mpmath.workdps(digits + 20):
-        ulp = mpmath.mpf(10) ** (mpmath.floor(mpmath.log10(true)) - digits + 1)
-        return abs(mpmath.mpf(printed) - true) <= ulp
-
-
 @pytest.mark.parametrize("digits", [12, 50, 200])
 @pytest.mark.parametrize(
     "argv, n, d1",
@@ -292,10 +296,78 @@ def test_entropy_within_one_ulp_of_mpmath(capsys, argv, n, d1, digits):
     assert code == 0
     report = json.loads(out)
     entropy = (report["spectra"][0]["spectrum"] if "spectra" in report else report["spectrum"])["entropy"]
-    with mpmath.workdps(digits + 20):
-        x = d1()
-        assert within_one_ulp(entropy["nats"], n * mpmath.log(x), digits), entropy["nats"]
-        assert within_one_ulp(entropy["log10"], n * mpmath.log10(x), digits), entropy["log10"]
+    assert_correctly_rounded(entropy["nats"], lambda: n * mpmath.log(d1()), digits)
+    assert_correctly_rounded(entropy["log10"], lambda: n * mpmath.log10(d1()), digits)
+
+
+def kummer_d1(t: int):
+    """d_1 of the Kummer example of trace t > 2: the square of the root
+    (t + sqrt(t^2 - 4))/2, for mpmath at its working precision."""
+    return lambda: ((t + mpmath.sqrt(t * t - 4)) / 2) ** 2
+
+
+def test_kummer_tall_table_correctly_rounded(capsys):
+    # the midpoint rule printed 8.20613852652E+504 for d_604, and missed
+    # d_759 and d_903 likewise, with their mirrors
+    code, out, _ = run_cli(["kummer", "2", "1", "1", "1", "--half-dim", "1000"], capsys)
+    assert code == 0
+    rows = {line.split()[0]: line.split()[-1] for line in out.splitlines() if line.startswith("d_")}
+    assert rows["d_604"] == rows["d_1396"] == "8.20613852651E+504"
+    for k in (604, 759, 903):
+        assert rows[f"d_{k}"] == rows[f"d_{2000 - k}"]
+        assert_correctly_rounded(rows[f"d_{k}"], lambda: kummer_d1(3)() ** k, 12)
+
+
+@pytest.mark.parametrize("digits", [12, 50, 200])
+@pytest.mark.parametrize("n", [2, 17, 100])
+@pytest.mark.parametrize("t", [3, 7, 56])
+def test_kummer_sweep_correctly_rounded(capsys, t, n, digits):
+    # the SL(2,Z) matrix [[t-1, 1], [t-2, 1]] has trace t and determinant 1
+    argv = ["--format", "json", "--precision", str(digits), "kummer", str(t - 1), "1", str(t - 2), "1"]
+    code, out, _ = run_cli(argv + ["--half-dim", str(n)], capsys)
+    assert code == 0
+    spectrum = json.loads(out)["spectrum"]
+    d1 = kummer_d1(t)
+    with mpmath.workdps(3 * digits + 20):
+        powers = [d1() ** e for e in range(n + 1)]
+    for entry in spectrum["entries"]:
+        if entry["exponent"] == 0:
+            assert entry["decimal"] == "1"  # exact
+        else:
+            assert_correctly_rounded(entry["decimal"], lambda: powers[entry["exponent"]], digits)
+    assert spectrum["d1"]["decimal"] == spectrum["entries"][1]["decimal"]
+    assert_correctly_rounded(spectrum["entropy"]["nats"], lambda: n * mpmath.log(d1()), digits)
+    assert_correctly_rounded(spectrum["entropy"]["log10"], lambda: n * mpmath.log10(d1()), digits)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kummer", "2", "1", "1", "1", "--half-dim", "5"],
+        ["--format", "json", "kummer", "2", "1", "1", "1"],
+        ["--format", "json", "degrees", "--isometry"],
+        ["beauville-demo"],
+        ["--format", "json", "beauville-demo"],
+    ],
+)
+def test_spectrum_report_makes_no_decimal_str_call(capsys, monkeypatch, m1m2_file, argv):
+    # d_1 and the Salem root it is are rendered once, by the table's walk
+    def forbidden(self, sig_digits=12):
+        raise AssertionError("decimal_str called")
+
+    if "degrees" in argv:
+        argv = argv + [m1m2_file, "--lattice", rank3_path()]
+    monkeypatch.setattr(AlgebraicReal, "decimal_str", forbidden)
+    assert run_cli(argv, capsys)[0] == 0
+
+
+def test_parser_built_once_per_process(capsys):
+    cli._build_parser.cache_clear()
+    first = run_cli(["kummer", "2", "1", "1", "1"], capsys)
+    second = run_cli(["kummer", "2", "1", "1", "1"], capsys)
+    assert first == second and first[0] == 0
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ the diff of tests/golden/ is then the change in CLI output.
 """
 
 import io
+import json
 import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -20,6 +21,7 @@ import pytest
 
 from hkdd import fixtures
 from hkdd.cli import main
+from conftest import assert_correctly_rounded, decimals_of
 
 GOLDEN = Path(__file__).parent / "golden"
 PRECISIONS = (3, 12, 50, 200)
@@ -97,6 +99,19 @@ def test_cli_matches_snapshot(case):
     assert sorted(snapshot) == sorted(" ".join(a) for a in argvs)
     for argv in argvs:
         assert run(argv) == snapshot[" ".join(argv)], " ".join(argv)
+
+
+def test_snapshot_decimals_correctly_rounded():
+    # the table format prints the same strings as the JSON one
+    checked = 0
+    for case in CASES:
+        for argv, (code, out) in read_snapshot(case).items():
+            if code == 0 and argv.startswith("--format json"):
+                precision = int(argv.split()[3])
+                for printed, value in decimals_of(json.loads(out)):
+                    assert_correctly_rounded(printed, value, precision)
+                    checked += 1
+    assert checked == 268  # so that the walk cannot pass by finding nothing
 
 
 if __name__ == "__main__":

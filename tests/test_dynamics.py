@@ -19,10 +19,8 @@ from hkdd.dynamics import (
     first_dynamical_degree,
     float_spectral_radius,
     power_decimal,
-    power_iteration_radius,
     search_salem_isometries,
     spectrum_decimals,
-    sym_power_dim,
     sym_power_matrix,
     validate_spectrum_shape,
 )
@@ -37,6 +35,8 @@ from hkdd.polynomial import (
     reciprocal_char_poly,
 )
 from hkdd.salem import SALEM_STRUCTURE, classify_charpoly, is_salem_polynomial
+from conftest import assert_correctly_rounded, mp_root
+from oracles import power_iteration_radius, sym_power_dim
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +103,7 @@ def test_exact_power_str_quadratic(root34):
     assert exact_power_str(root34, [2, 0, 1]) == ["577+408*sqrt(2)", "1", "17+12*sqrt(2)"]
     assert exact_power_str(isolate_real_roots(poly(1, -7, 1))[-1], [1, 3]) == ["(7+3*sqrt(5))/2", "161+72*sqrt(5)"]
     assert exact_power_str(1, [0, 1, 2]) == ["1", "1", "1"]
-    [cube] = power_decimal(root34, [3], 17).decimals
+    [cube] = power_decimal(root34, [3], 17).entries
     assert float(cube) == pytest.approx((17 + 12 * math.sqrt(2)) ** 3, rel=1e-12)
     assert float(cube) == pytest.approx(39201.99997449, abs=1e-5)
 
@@ -152,13 +152,21 @@ def test_validate_spectrum_shape_past_double_range():
 
 
 def test_power_decimal_certified(root34):
-    assert power_decimal(root34, [2], 12).decimals == ["1153.99913345"]
-    assert power_decimal(root34, [1], 12).decimals == ["33.9705627485"]
-    assert power_decimal(root34, [2, 0, 1], 12).decimals == ["1153.99913345", "1", "33.9705627485"]
+    assert power_decimal(root34, [2], 12).entries == ("1153.99913345",)
+    assert power_decimal(root34, [1], 12).entries == ("33.9705627485",)
+    assert power_decimal(root34, [2, 0, 1], 12).entries == ("1153.99913345", "1", "33.9705627485")
     with pytest.raises(ValueError):
         power_decimal(root34, [-1], 12)
     with pytest.raises(ValueError):
         power_decimal(isolate_real_roots(poly(1, -34, 1))[0], [1], 12)  # 17-12*sqrt(2) < 1
+
+
+def test_power_decimal_needs_a_unit():
+    # sqrt(27/8) is no unit, and its square 3.375 sits on a 3-digit rounding
+    # boundary, where a walk that only compares rounded ends would never end
+    d1 = AlgebraicReal(poly(-27, 0, 8), 1, 2)
+    with pytest.raises(ValueError, match="unit"):
+        power_decimal(d1, [2], 3)
 
 
 @pytest.mark.parametrize("digits", [12, 50, 200])
@@ -173,23 +181,24 @@ def test_power_decimal_certified(root34):
     ids=["root34", "kummer_t3", "lehmer", "kummer_t56"],
 )
 def test_entropy_within_one_ulp_of_mpmath(defining, n, digits):
-    dec = spectrum_decimals(degree_spectrum(n, isolate_real_roots(defining)[-1]), digits)
-    with mpmath.workdps(digits + 20):
-        d1 = max(mpmath.polyroots(list(reversed(defining.coeffs)), maxsteps=200, extraprec=2 * digits), key=abs)
-        for printed, true in ((dec.nats, n * mpmath.log(d1)), (dec.log10, n * mpmath.log10(d1))):
-            ulp = mpmath.mpf(10) ** (mpmath.floor(mpmath.log10(true)) - digits + 1)
-            assert abs(mpmath.mpf(printed) - true) <= ulp, printed
-            assert len(Decimal(printed).as_tuple().digits) == digits
+    d1 = isolate_real_roots(defining)[-1]
+    dec = spectrum_decimals(degree_spectrum(n, d1), digits)
+    root = mp_root(defining, d1)
+    assert_correctly_rounded(dec.nats, lambda: n * mpmath.log(root()), digits)
+    assert_correctly_rounded(dec.log10, lambda: n * mpmath.log10(root()), digits)
 
 
 def test_power_decimal_logarithm_near_one():
-    # root 1 + 10^-30: ln is about 10^-30 and needs 30 digits past the leading zeros
+    # root 1 + 10^-30: ln is about 10^-30 and needs 30 digits past the leading
+    # zeros, which the working precision of _log_bounds counts
     x = AlgebraicReal(poly(-(10**30 + 1), 10**30), 1, 2)
-    walk = power_decimal(x, [1], 12)
+    a, b, den = next((a, b, den) for a, b, den in x.bisection_path() if (b - a) * 10**14 < a - den)
+    (ln_lo, ln_hi, ln_den), (lg_lo, lg_hi, lg_den) = dynamics._log_bounds(a, b, den)
     with mpmath.workdps(80):
         true = mpmath.log(1 + mpmath.mpf(10) ** -30)
-        assert abs(walk.ln - Fraction(str(true))) < 1e-13 * walk.ln
-        assert abs(walk.log10 - Fraction(str(true / mpmath.log(10)))) < 1e-13 * walk.log10
+        for lo, hi, d, value in ((ln_lo, ln_hi, ln_den, true), (lg_lo, lg_hi, lg_den, true / mpmath.log(10))):
+            assert mpmath.mpf(lo) / d <= value <= mpmath.mpf(hi) / d
+            assert hi - lo < Fraction(1, 10**13) * lo
 
 
 @pytest.mark.parametrize("digits", [3, 12, 50, 200])

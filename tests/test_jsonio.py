@@ -5,7 +5,6 @@ import pytest
 from hkdd import linalg
 from hkdd.jsonio import (
     InputParseError,
-    decode_coeffs,
     decode_int,
     decode_matrix,
     dump_json,
@@ -15,6 +14,7 @@ from hkdd.jsonio import (
     load_matrix,
 )
 from hkdd.polynomial import AlgebraicReal, isolate_real_roots, poly
+from oracles import decode_coeffs
 
 
 def test_int53_rule():

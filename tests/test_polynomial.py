@@ -22,15 +22,16 @@ from hkdd.polynomial import (
     char_poly,
     cyclotomic,
     divide_exact,
-    format_fraction,
     is_reciprocal,
     isolate_real_roots,
     poly,
+    rounded_decimal,
     square_free_part,
     square_part,
     sturm_count,
     trace_polynomial,
 )
+from conftest import assert_correctly_rounded, mp_root
 
 LEHMER = poly(1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
 
@@ -371,21 +372,6 @@ def test_refined_lehmer_matches_reference_at_50_digits():
     assert_refines_like_reference(root, Fraction(1, 10**50))
 
 
-def per_exponent_decimal(d1: AlgebraicReal, e: int, sig_digits: int) -> str:
-    """Reference for power_decimal: a walk per exponent, two halvings per check."""
-    if e == 0:
-        return "1"
-    a = d1
-    while a.lo <= 0:
-        a = a.refined((a.hi - a.lo) / 2)
-    target = Fraction(1, 10 ** (sig_digits + 2))
-    while True:
-        lo_e, hi_e = a.lo**e, a.hi**e
-        if hi_e - lo_e < target * lo_e:
-            return format_fraction((lo_e + hi_e) / 2, sig_digits)
-        a = a.refined((a.hi - a.lo) / 2)
-
-
 @pytest.mark.parametrize(
     "defining",
     [LEHMER, poly(1, -7, 1), poly(1, -3134, 1)],  # Lehmer; Kummer traces 3 and 56
@@ -393,10 +379,15 @@ def per_exponent_decimal(d1: AlgebraicReal, e: int, sig_digits: int) -> str:
 )
 def test_power_decimal_one_walk_matches_per_exponent(defining):
     d1 = isolate_real_roots(defining)[-1]
+    root = mp_root(defining, d1)
     exponents = [0, 1, 2, 3, 2, 1, 0, 7, 12, 5]
     for sig_digits in (12, 17, 50):
-        got = power_decimal(d1, exponents, sig_digits).decimals
-        assert got == [per_exponent_decimal(d1, e, sig_digits) for e in exponents]
+        got = power_decimal(d1, exponents, sig_digits).entries
+        for e, text in zip(exponents, got):
+            if e == 0:
+                assert text == "1"
+            else:
+                assert_correctly_rounded(text, lambda: root() ** e, sig_digits)
 
 
 def test_decimal_str():
@@ -405,6 +396,41 @@ def test_decimal_str():
     assert root.decimal_str(6) == "33.9706"
     neg = isolate_real_roots(poly(-4, 0, 1))[0]
     assert neg.decimal_str(6) == "-2.00000"
+
+
+@pytest.mark.parametrize("digits", [3, 12, 50, 200])
+@pytest.mark.parametrize("defining", [LEHMER, poly(1, -34, 1), poly(-2, 0, 1), poly(1, 3, -5, -1)], ids=str)
+def test_decimal_str_correctly_rounded(defining, digits):
+    for root in isolate_real_roots(defining):
+        assert_correctly_rounded(root.decimal_str(digits), mp_root(defining, root), digits)
+
+
+def test_decimal_str_on_a_rounding_boundary():
+    # 249/2000 = 0.1245 lies on the boundary of 0.124 and 0.125; half-even
+    # keeps the even 0.124, on either side of zero
+    assert AlgebraicReal(poly(-249, 2000), 0, 1).decimal_str(3) == "0.124"
+    assert AlgebraicReal(poly(249, 2000), -1, 0).decimal_str(3) == "-0.124"
+    assert AlgebraicReal(poly(-9995, 1000), 9, 10).decimal_str(3) == "10.0"
+    # a boundary that is the closed end of the interval, and one that is the
+    # open end and another root: 1/8 = 0.125 at 2 digits
+    def two_digits(p, lo, hi):
+        return AlgebraicReal(p, Fraction(*lo), Fraction(*hi)).decimal_str(2)
+
+    assert two_digits(poly(-1, 8) * poly(-13, 100), (1, 16), (1, 8)) == "0.12"
+    assert two_digits(poly(1, 8) * poly(13, 100), (-13, 100), (-1, 8)) == "-0.12"
+    assert two_digits(poly(-1, 8) * poly(-13, 100), (1, 8), (13, 100)) == "0.13"
+    assert two_digits(poly(1, 8) * poly(12, 100), (-1, 8), (-1, 10)) == "-0.12"
+
+
+def test_rounded_decimal():
+    assert rounded_decimal(4700, 4701, 100, 3) == "47.0"
+    assert rounded_decimal(1245, 1245, 10000, 3) == "0.124"  # half-even
+    assert rounded_decimal(1235, 1235, 10000, 3) == "0.124"
+    assert rounded_decimal(1244, 1246, 10000, 3) is None
+    assert rounded_decimal(99951, 99952, 10000, 3) == "10.0"  # carried into 10.0
+    assert rounded_decimal(10**600 + 1, 10**600 + 2, 3, 3) == "3.33E+599"
+    assert rounded_decimal(1, 2, 10**600 * 3, 3) is None
+    assert rounded_decimal(1, 1, 10**600 * 3, 3) == "3.33E-601"
 
 
 def test_exact_str_quadratics():
