@@ -22,7 +22,7 @@ from operator import mul
 
 from . import linalg
 from .errors import SpectralStructureViolatedError
-from .lattice import GramLattice, LatticeIsometry, _integer_quadratic_roots, _prefixes
+from .lattice import GramLattice, LatticeIsometry, affine_points
 from .polynomial import (
     AlgebraicReal,
     IntPolynomial,
@@ -364,22 +364,26 @@ def enumerate_isometries(lat: GramLattice, entry_bound: int) -> list[list[list[i
 
     Column-by-column backtracking: column j must have norm G[j][j] and the
     right pairings with all earlier columns. Candidate columns come from
-    norm buckets, built from one lattice._prefixes walk of the box with the
-    last coordinate solved from its quadratic for each needed norm, so each
-    bucket is in lexicographic order and the output order is deterministic.
-    G*v is computed once per bucket vector for the pairing checks.
+    norm buckets, one lattice.affine_points walk of the box per needed
+    norm, so each bucket is in lexicographic order and the output order is
+    deterministic. G*v is computed once per bucket vector for the pairing
+    checks.
 
     The last column (j = r-1 >= 1) is solved: its r-1 pairing equations
     leave u0 + t*k when their integer kernel is one-dimensional, and the
     norm is then a quadratic in t whose nonzero solutions inside the box
     are the candidates, sorted. Another kernel dimension, or a quadratic
-    that vanishes identically, falls back to filtering the bucket.
+    with a = k^T G k and b = 2 u0^T G k both 0, falls back to filtering
+    the bucket.
     """
     if entry_bound < 1:
         raise ValueError("entry bound must be >= 1")
     g = lat.gram_rows()
     r = lat.rank
-    buckets = _norm_buckets(g, entry_bound, {g[j][j] for j in range(r)})
+    buckets = {
+        norm: [v for v in affine_points(g, norm, entry_bound) if any(v)]
+        for norm in {g[j][j] for j in range(r)}
+    }
     gv = {v: linalg.mat_vec(g, v) for bucket in buckets.values() for v in bucket}
 
     def filtered(j: int) -> list[tuple[int, ...]]:
@@ -396,18 +400,13 @@ def enumerate_isometries(lat: GramLattice, entry_bound: int) -> list[list[list[i
             return []
         u0, kernel = solution
         if len(kernel) == 1:
-            k = kernel[0]
-            gk = linalg.mat_vec(g, k)
-            a = sum(map(mul, k, gk))
-            b = 2 * sum(map(mul, u0, gk))
-            c = linalg.bilinear(g, u0, u0) - g[j][j]
-            if a or b or c:
-                found = []
-                for t in _integer_quadratic_roots(a, b, c, entry_bound):
-                    v = tuple(u + t * x for u, x in zip(u0, k))
-                    if any(v) and all(-entry_bound <= x <= entry_bound for x in v):
-                        found.append(v)
-                return sorted(found)
+            gk = linalg.mat_vec(g, kernel[0])
+            if sum(map(mul, kernel[0], gk)) or sum(map(mul, u0, gk)):
+                return sorted(
+                    v
+                    for v in affine_points(g, g[j][j], entry_bound, u0, kernel)
+                    if any(v) and max(map(abs, v)) <= entry_bound
+                )
         return filtered(j)
 
     results: list[list[list[int]]] = []
@@ -424,23 +423,6 @@ def enumerate_isometries(lat: GramLattice, entry_bound: int) -> list[list[list[i
 
     backtrack(0)
     return results
-
-
-def _norm_buckets(g: list[list[int]], bound: int, norms: set[int]) -> dict[int, list[tuple[int, ...]]]:
-    """The nonzero v in [-bound, bound]^r with v^T G v = norm, for each norm,
-    in lexicographic order: one walk of the prefixes of length r-1, the last
-    coordinate solved from its quadratic (all of the range when that
-    quadratic vanishes identically)."""
-    a = g[-1][-1]
-    buckets: dict[int, list[tuple[int, ...]]] = {norm: [] for norm in norms}
-    for prefix, q, b in _prefixes(g, range(-bound, bound + 1)):
-        for norm, bucket in buckets.items():
-            for x in _integer_quadratic_roots(a, b, q - norm, bound):
-                if -bound <= x <= bound:
-                    bucket.append(prefix + (x,))
-    if 0 in buckets:
-        buckets[0].remove((0,) * len(g))
-    return buckets
 
 
 def search_salem_isometries(

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from operator import mul
 
 from . import linalg
 from .errors import (
@@ -30,17 +28,24 @@ from .errors import (
     NotUnimodularError,
 )
 from .lattice import (
+    CertifiedNo,
+    FoundVector,
     GramLattice,
     LatticeIsometry,
-    _integer_quadratic_roots,
-    _prefixes,
+    affine_points,
     invariant_sublattice,
     make_lattice,
     norm_of,
+    represents,
     verify_isometry,
 )
-from .polynomial import AlgebraicReal, IntPolynomial, isolate_real_roots, square_free_part
+from .polynomial import IntPolynomial, is_perfect_square
 from .dynamics import DegreeSpectrum, FirstDegree, degree_spectrum
+from .salem import salem_root_of
+
+# The kernel coordinates other than the last run over [-64, 64] when
+# _beauville_candidates solves a basis vector's image at rank >= 4.
+BEAUVILLE_COORDINATE_BOUND = 64
 
 
 @dataclass(frozen=True)
@@ -212,57 +217,26 @@ def _beauville_candidates(
     x: int,
     iota_h: list[int],
     iota_e: list[int],
-    coordinate_bound: int = 64,
+    bound: int = BEAUVILLE_COORDINATE_BOUND,
 ) -> list[tuple[int, ...]]:
     """Integer candidates for the image of basis vector x under the involution.
 
     The two pairing constraints (image, iota_h) = (x, h) and
-    (image, iota_e) = (x, e) are solved exactly; substituting the general
-    integer solution u0 + sum t_i k_i into the norm constraint leaves an
-    integer quadratic in the last t. At rank 3 that is the only variable;
-    at higher rank the other t run over [-coordinate_bound, coordinate_bound]
-    and only roots in that range are kept. The other t are walked with
-    lattice._prefixes on the restricted form, so each costs one quadratic
-    and no product.
+    (image, iota_e) = (x, e) are solved exactly; the norm constraint on the
+    general integer solution u0 + sum t_i k_i is then lattice.affine_points,
+    which solves the last t from its quadratic. At rank 3 that is the only
+    variable; at higher rank the other t run over [-bound, bound] and only
+    roots in that range are kept.
     """
     g = lat.gram_rows()
-    r = lat.rank
-    ex = [1 if i == x else 0 for i in range(r)]
-    rows = [
-        linalg.mat_vec(g, iota_h),
-        linalg.mat_vec(g, iota_e),
-    ]
-    rhs = [
-        linalg.bilinear(g, ex, [1 if i == h else 0 for i in range(r)]),
-        linalg.bilinear(g, ex, [1 if i == e else 0 for i in range(r)]),
-    ]
-    solution = linalg.solve_integer_system(rows, rhs)
+    rows = [linalg.mat_vec(g, iota_h), linalg.mat_vec(g, iota_e)]
+    solution = linalg.solve_integer_system(rows, [g[x][h], g[x][e]])
     if solution is None:
         return []
-    u0, kernel = solution
-    target = g[x][x]
-    q0 = linalg.bilinear(g, u0, u0)
-    if not kernel:
-        return [tuple(u0)] if q0 == target else []
-    # the norm of u0 + sum t_i k_i is q0 + lin0 . t + t^T (K^T G K) t
-    restricted = [[linalg.bilinear(g, k, l) for l in kernel] for k in kernel]
-    lin0 = [2 * linalg.bilinear(g, k, u0) for k in kernel]
-    rows_of_k = list(zip(*kernel))
-    bound = coordinate_bound
-    candidates: list[tuple[int, ...]] = []
-    for ts, q, b in _prefixes(restricted, range(-bound, bound + 1), q0, lin0):
-        for t in _integer_quadratic_roots(restricted[-1][-1], b, q - target, bound):
-            if not ts or -bound <= t <= bound:
-                coeffs = ts + (t,)
-                candidates.append(tuple(u + sum(map(mul, coeffs, k)) for u, k in zip(u0, rows_of_k)))
-    return sorted(candidates)
+    return sorted(affine_points(g, g[x][x], bound, *solution))
 
 
-def solve_beauville(
-    hilb: HilbertLattice,
-    quartic_class_index: int,
-    coordinate_bound: int = 64,
-) -> BeauvilleSolution:
+def solve_beauville(hilb: HilbertLattice, quartic_class_index: int) -> BeauvilleSolution:
     """Derive the involution iota with iota(h) = 3h - 4e, iota(e) = 2h - 3e
     and the action on every remaining basis vector pinned down by: pairings
     with iota(h), iota(e); norm preservation; iota^2 = identity; and a fixed
@@ -291,7 +265,7 @@ def solve_beauville(
     others = [i for i in range(r) if i not in (h, e)]
     per_vector: list[list[tuple[int, ...]]] = []
     for x in others:
-        cands = _beauville_candidates(lat, h, e, x, iota_h, iota_e, coordinate_bound)
+        cands = _beauville_candidates(lat, h, e, x, iota_h, iota_e)
         if not cands:
             raise NoSolutionError(
                 f"no integer image for basis vector {lat.labels[x]} satisfies the "
@@ -379,12 +353,7 @@ def kummer_first_degree(m: Sl2Matrix) -> FirstDegree:
     t = m.trace
     if abs(t) <= 2:
         return 1
-    defining = IntPolynomial((1, -(t * t - 2), 1))
-    roots = isolate_real_roots(defining)
-    root = roots[-1]
-    while root.lo <= 1:
-        root = root.refined((root.hi - root.lo) / 2)
-    return root
+    return salem_root_of(IntPolynomial((1, -(t * t - 2), 1)))
 
 
 def kummer_spectrum(m: Sl2Matrix, n: int) -> DegreeSpectrum:
@@ -409,8 +378,6 @@ def naturality_certificate(
     """
     if iso.lattice.gram != hilb.extended.gram:
         raise LatticeMismatchError("isometry does not act on the extended lattice")
-    from .lattice import CertifiedNo, FoundVector, represents
-
     required = hilb.e_norm
     fixed = invariant_sublattice(iso)
     if not fixed:
@@ -477,8 +444,6 @@ def _square_times_equals(norm: int, required: int) -> bool:
     if required % norm != 0:
         return False
     q = required // norm
-    from .polynomial import is_perfect_square
-
     return q > 0 and is_perfect_square(q)
 
 

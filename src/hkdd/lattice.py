@@ -2,15 +2,17 @@
 
 A lattice is a free Z-module with an integer Gram matrix; an isometry is an
 integer matrix M with M^T G M = G, acting on column coordinate vectors.
-Everything is exact; signatures are computed by symmetric Gaussian
-elimination over the rationals, never by floating-point eigenvalues.
+Everything is exact: the signature is read off the integer characteristic
+polynomial, never from floating-point eigenvalues, and every question of the
+form "which points of an affine lattice does the form send to a value?" is
+answered by the one walk affine_points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
+from operator import mul
 
 from . import linalg
 from .errors import (
@@ -19,6 +21,7 @@ from .errors import (
     NonSymmetricError,
     NotIsometryError,
 )
+from .polynomial import char_poly, is_perfect_square
 
 
 @dataclass(frozen=True)
@@ -155,58 +158,18 @@ def is_even(lat: GramLattice) -> bool:
 
 
 def signature(lat: GramLattice) -> Signature:
-    """Exact inertia by symmetric Gaussian elimination over the rationals.
+    """Exact inertia from the integer characteristic polynomial.
 
-    Nonzero diagonal entries are used as 1x1 pivots; when the active diagonal
-    is entirely zero, an off-diagonal entry gives a hyperbolic 2x2 block
-    contributing one positive and one negative direction.
+    A symmetric matrix has only real eigenvalues, so Descartes' rule of
+    signs is exact on det(xI - G): the zero eigenvalues are the zero
+    coefficients below the first nonzero one, the positive ones the sign
+    variations of the rest, and the negative ones what is left.
     """
-    n = lat.rank
-    a = [[Fraction(x) for x in row] for row in lat.gram]
-    active = list(range(n))
-    pos = neg = zero = 0
-    while active:
-        pivot = next((i for i in active if a[i][i] != 0), None)
-        if pivot is not None:
-            d = a[pivot][pivot]
-            if d > 0:
-                pos += 1
-            else:
-                neg += 1
-            rest = [i for i in active if i != pivot]
-            for i in rest:
-                if a[i][pivot] == 0:
-                    continue
-                f = a[i][pivot] / d
-                for j in rest:
-                    a[i][j] -= f * a[pivot][j]
-            for i in rest:
-                a[i][pivot] = a[pivot][i] = Fraction(0)
-            active = rest
-            continue
-        off = next(
-            (
-                (i, j)
-                for i in active
-                for j in active
-                if i < j and a[i][j] != 0
-            ),
-            None,
-        )
-        if off is None:
-            zero += len(active)
-            break
-        i0, j0 = off
-        pos += 1
-        neg += 1
-        d = a[i0][j0]
-        rest = [i for i in active if i not in (i0, j0)]
-        # Schur complement of the hyperbolic block [[0, d], [d, 0]]
-        for k in rest:
-            for l in rest:
-                a[k][l] -= (a[k][i0] * a[j0][l] + a[k][j0] * a[i0][l]) / d
-        active = rest
-    return Signature(pos, neg, zero)
+    coeffs = char_poly(lat.gram_rows()).coeffs
+    zero = next(i for i, c in enumerate(coeffs) if c)
+    signs = [c > 0 for c in coeffs[zero:] if c]
+    pos = sum(x != y for x, y in zip(signs, signs[1:]))
+    return Signature(pos, lat.rank - pos - zero, zero)
 
 
 def verify_isometry(lat: GramLattice, matrix: list[list[int]]) -> LatticeIsometry:
@@ -267,10 +230,9 @@ def _prefixes(gram, xs, q0: int = 0, lin0=None):
     coordinate to the value and to the linear terms of the coordinates after
     it, so no vector costs an n x n product.
 
-    It is the one point walk of the package: represents (shells and
-    congruence residues), hyperkahler._beauville_candidates (the affine
-    form) and dynamics.enumerate_isometries (norm buckets) each solve the
-    last coordinate from q + b*x + g_nn*x^2 themselves.
+    Its two callers are affine_points, which solves the last coordinate
+    from q + b*x + g_nn*x^2, and the congruence certificate of represents,
+    which runs the last coordinate over its residues.
     """
     n = len(gram)
     lin0 = [0] * n if lin0 is None else list(lin0)
@@ -318,6 +280,40 @@ def _integer_quadratic_roots(a: int, b: int, c: int, bound: int) -> list[int]:
     return sorted({num // (2 * a) for num in (-b + s, -b - s) if num % (2 * a) == 0})
 
 
+def affine_points(gram, value: int, bound: int, u0=None, kernel=None):
+    """Every v = u0 + sum t_i k_i with v^T G v = value, in lexicographic
+    order of t. u0 and kernel are given together or not at all; left out,
+    the walk is the box of the form itself (u0 = 0, K = I, m = rank).
+
+    t_1..t_(m-1) run over [-bound, bound], walked by _prefixes on the
+    restricted form K^T G K with q0 = u0^T G u0 and lin0 = 2 K^T G u0, and
+    t_m is solved from its quadratic: every root when m = 1, the roots in
+    [-bound, bound] otherwise, and all of [-bound, bound] when the
+    quadratic vanishes identically. With m = 0 the one point is u0.
+    """
+    if kernel is None:
+        form, q0, lin0, point = gram, 0, None, tuple
+    else:
+        q0 = linalg.bilinear(gram, u0, u0)
+        if not kernel:
+            if q0 == value:
+                yield tuple(u0)
+            return
+        g_k = [linalg.mat_vec(gram, k) for k in kernel]
+        form = [[sum(map(mul, k, g_l)) for g_l in g_k] for k in kernel]
+        lin0 = [2 * sum(map(mul, u0, g_l)) for g_l in g_k]
+        rows = list(zip(*kernel))
+
+        def point(t):
+            return tuple(u + sum(map(mul, t, row)) for u, row in zip(u0, rows))
+
+    a, one = form[-1][-1], len(form) == 1
+    for ts, q, b in _prefixes(form, range(-bound, bound + 1), q0, lin0):
+        for t in _integer_quadratic_roots(a, b, q - value, bound):
+            if one or -bound <= t <= bound:
+                yield point(ts + (t,))
+
+
 def _congruence_certificate(lat: GramLattice, value: int) -> str | None:
     """Search small moduli m such that value mod m is never attained by the
     form on (Z/m)^rank; sound because v^T G v mod m depends only on v mod m.
@@ -361,8 +357,6 @@ def _definite_certificate(lat: GramLattice, value: int) -> str | None:
 def _binary_isotropy_certificate(lat: GramLattice) -> str | None:
     """For a rank-2 form A x^2 + B xy + C y^2: no nontrivial zero exists when
     the discriminant B^2 - 4AC is not a perfect square (anisotropy over Q)."""
-    from .polynomial import is_perfect_square
-
     if lat.rank != 2:
         return None
     a = lat.gram[0][0]
@@ -384,19 +378,6 @@ def _normalize_sign(v: tuple[int, ...]) -> tuple[int, ...]:
         if x != 0:
             return v if x > 0 else tuple(-y for y in v)
     return v
-
-
-def _shell_witness(gram, value: int, s: int) -> tuple[int, ...] | None:
-    """The lexicographically first v of sup-norm exactly s with
-    v^T G v = value, or None. The last coordinate is solved from its
-    quadratic, not scanned."""
-    a = gram[-1][-1]
-    for prefix, q, b in _prefixes(gram, range(-s, s + 1)):
-        on_shell = s in prefix or -s in prefix
-        for x in _integer_quadratic_roots(a, b, q - value, s):
-            if -s <= x <= s and (on_shell or x in (-s, s)):
-                return prefix + (x,)
-    return None
 
 
 def represents(lat: GramLattice, value: int, bound: int) -> RepresentsResult:
@@ -435,7 +416,7 @@ def represents(lat: GramLattice, value: int, bound: int) -> RepresentsResult:
                     if row[i] == value:
                         return FoundVector(tuple(int(j == i) for j in range(lat.rank)), value)
             return NotFoundWithinBound(s - 1)
-        v = _shell_witness(lat.gram, value, s)
+        v = next((v for v in affine_points(lat.gram, value, s) if max(map(abs, v)) == s), None)
         if v is not None:
             return FoundVector(_normalize_sign(v), value)
     return NotFoundWithinBound(bound)

@@ -556,20 +556,18 @@ class AlgebraicReal:
         return self.compare_to(other) >= 0
 
     def compare_rational(self, x: Rational) -> int:
-        """Sign of (root - x), exactly."""
+        """Sign of (root - x), exactly: 0 when lo < x <= hi and p(x) = 0, as
+        the one root in (lo, hi] is then x; otherwise one walk of
+        bisection_path until x leaves the interval."""
         x = Fraction(x)
-        a = self
-        while True:
-            if x >= a.hi:
-                if x == a.hi and _sign_of(a.poly.coeffs, x) == 0:
-                    return 0
+        if self.lo < x <= self.hi and _sign_of(self.poly.coeffs, x) == 0:
+            return 0
+        n, d = x.numerator, x.denominator
+        for a, b, den in self.bisection_path():
+            if n * den >= b * d:
                 return -1
-            if x <= a.lo:
+            if n * den <= a * d:
                 return 1
-            if _sign_of(a.poly.coeffs, x) == 0:
-                # lo < x < hi and x is a root: the unique root here is x
-                return 0
-            a = a.refined((a.hi - a.lo) / 2)
 
     def exact_str(self) -> str:
         """Closed form for degree <= 2, positional description otherwise."""
@@ -770,10 +768,8 @@ def quadratic_surd_parts(a: AlgebraicReal) -> tuple[Fraction, Fraction, int] | N
         return None
     s, d = square_part(disc)
     vertex = Fraction(-c1, 2 * c2)
-    r = a
-    while r.lo < vertex < r.hi:
-        r = r.refined((r.hi - r.lo) / 2)
-    plus_branch = r.lo >= vertex
+    # the vertex is no root, as the discriminant is positive
+    plus_branch = a.compare_rational(vertex) > 0
     if c2 < 0:
         plus_branch = not plus_branch
     coef = Fraction(s, 2 * c2) if plus_branch else Fraction(-s, 2 * c2)

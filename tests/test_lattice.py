@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hkdd import lattice, linalg
@@ -17,6 +17,7 @@ from hkdd.lattice import (
     CertifiedNo,
     FoundVector,
     NotFoundWithinBound,
+    affine_points,
     invariant_sublattice,
     is_even,
     make_lattice,
@@ -114,10 +115,23 @@ def test_signature_examples(rank3):
 
 def test_signature_matches_float_eigenvalues():
     rng = random.Random(43)
+    grams = []
     for _ in range(50):
         n = rng.randint(1, 5)
         half = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-        gram = [[half[i][j] + half[j][i] for j in range(n)] for i in range(n)]
+        grams.append([[half[i][j] + half[j][i] for j in range(n)] for i in range(n)])
+    # ranks up to 8, and degenerate forms B^T D B with B of k < n rows
+    rng = random.Random(44)
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        half = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        grams.append([[half[i][j] + half[j][i] for j in range(n)] for i in range(n)])
+        k = rng.randint(0, n - 1)
+        b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        d = [rng.choice((-2, -1, 1, 3)) for _ in range(k)]
+        grams.append([[sum(d[r] * b[r][i] * b[r][j] for r in range(k)) for j in range(n)] for i in range(n)])
+    assert sum(signature(make_lattice(g)).zero > 0 for g in grams) >= 40
+    for gram in grams:
         sig = signature(make_lattice(gram)).as_tuple()
         eig = np.linalg.eigvalsh(np.array(gram, dtype=float))
         expected = (
@@ -250,6 +264,64 @@ def test_represents_matches_shell_order_reference(gram, value, bound):
         assert 0 <= res.bound <= bound
         assert shell_order_reference(gram, value, res.bound) is None
         assert res.bound == bound  # the budget never binds at these sizes
+
+
+def brute_force_affine_points(gram, value, bound, u0, kernel):
+    """Scan t over [-bound, bound]^m for u0 + sum t_i k_i of norm value. At
+    m = 1 the line is scanned far enough to hold every root; more than two
+    hits mean the quadratic vanishes, and then t runs over [-bound, bound]."""
+    m = len(kernel)
+
+    def point(t):
+        return tuple(u + sum(ti * k[i] for ti, k in zip(t, kernel)) for i, u in enumerate(u0))
+
+    def hits(reach):
+        vs = map(point, itertools.product(range(-reach, reach + 1), repeat=m))
+        return [v for v in vs if linalg.bilinear(gram, v, v) == value]
+
+    if m != 1:
+        return hits(bound)
+    # at the sizes drawn below every root has |t| < 1100
+    found = hits(1100)
+    return found if len(found) <= 2 else [point((t,)) for t in range(-bound, bound + 1)]
+
+
+@st.composite
+def affine_lattices(draw):
+    rank = draw(st.integers(1, 4))
+    upper = {(i, j): draw(st.integers(-3, 3)) for i in range(rank) for j in range(i, rank)}
+    gram = [[upper[min(i, j), max(i, j)] for j in range(rank)] for i in range(rank)]
+    if draw(st.booleans()):
+        m, u0, kernel = rank, [0] * rank, [[int(i == j) for j in range(rank)] for i in range(rank)]
+    else:
+        m = draw(st.integers(0, min(rank, 3)))
+        vec = st.lists(st.integers(-3, 3), min_size=rank, max_size=rank)
+        u0, kernel = draw(vec), draw(st.lists(vec, min_size=m, max_size=m))
+    bound = draw(st.integers(1, 3))
+    # the value of a point, sometimes one outside the box
+    t = draw(st.lists(st.integers(-bound - 3, bound + 3), min_size=m, max_size=m))
+    v = [u + sum(ti * k[i] for ti, k in zip(t, kernel)) for i, u in enumerate(u0)]
+    value = linalg.bilinear(gram, v, v) + draw(st.sampled_from((0, 0, 0, 1, -2)))
+    return gram, value, bound, u0, kernel
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(affine_lattices())
+# m = 0: the one point u0
+@example(([[2, 1], [1, -2]], -2, 2, [1, 2], []))
+# m = 1: the roots t = 4 and t = -6 lie outside [-2, 2], and both are kept
+@example(([[1, 0], [0, -1]], 25, 2, [1, 0], [[1, 0]]))
+# on the hyperbolic plane U the norm of (t, 0) vanishes identically
+@example(([[0, 1], [1, 0]], 0, 2, [0, 0], [[1, 0]]))
+@example(([[0, 1], [1, 0]], 0, 2, [0, 0], [[1, 0], [0, 1]]))
+# m = 2: 3^2 + 4^2 = 25 has no point in [-3, 3]^2
+@example(([[1, 0], [0, 1]], 25, 3, [0, 0], [[1, 0], [0, 1]]))
+def test_affine_points_match_brute_force(case):
+    gram, value, bound, u0, kernel = case
+    expected = brute_force_affine_points(gram, value, bound, u0, kernel)
+    assert list(affine_points(gram, value, bound, u0, kernel)) == expected
+    if not any(u0) and kernel == [[int(i == j) for j in range(len(gram))] for i in range(len(gram))]:
+        assert list(affine_points(gram, value, bound)) == expected
 
 
 def test_congruence_reasons_match_full_residue_sets():
