@@ -10,6 +10,7 @@ reproduces the classical Kummer-surface and quartic-involution examples.
 from .errors import (
     AmbiguousSolutionError,
     BadNError,
+    CombinationBudgetError,
     DegreeTooSmallError,
     DimensionMismatchError,
     HkddError,

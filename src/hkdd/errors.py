@@ -91,6 +91,10 @@ class NoSolutionError(HkddError):
     """Involution constraints are unsatisfiable over the integers."""
 
 
+class CombinationBudgetError(HkddError):
+    """Too many candidate involutions to verify within the work budget."""
+
+
 class AmbiguousSolutionError(HkddError):
     """Several candidate involutions survive every filter."""
 

@@ -1,12 +1,11 @@
-"""Bundled demo fixtures: the rank-3 quartic-pair lattice, the two involution
-matrices acting on it, and a handful of SL(2, Z) matrices keyed by trace."""
+"""Bundled demo fixtures: the rank-3 quartic-pair lattice and the two
+involution matrices acting on it. Every bundled file, the SL(2, Z) matrices
+keyed by trace in sl2_by_trace.json included, is reachable by fixture_path."""
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
-from .hyperkahler import Sl2Matrix
 from .jsonio import load_lattice, load_matrix
 from .lattice import GramLattice
 
@@ -36,12 +35,3 @@ def m1_matrix() -> list[list[int]]:
 
 def m2_matrix() -> list[list[int]]:
     return load_matrix(fixture_path("m2.json"))
-
-
-def sl2_by_trace() -> dict[int, Sl2Matrix]:
-    raw = json.loads(fixture_path("sl2_by_trace.json").read_text())
-    out = {}
-    for key, rows in raw.items():
-        (a, b), (c, d) = rows
-        out[int(key)] = Sl2Matrix(a, b, c, d)
-    return out

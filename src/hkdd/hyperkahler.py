@@ -15,12 +15,14 @@ no line on the surface) are carried as assumption strings on solver results.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from . import linalg
 from .errors import (
     AmbiguousSolutionError,
     BadNError,
+    CombinationBudgetError,
     DimensionMismatchError,
     LatticeMismatchError,
     NoSolutionError,
@@ -36,6 +38,7 @@ from .lattice import (
     invariant_sublattice,
     make_lattice,
     norm_of,
+    permute_basis,
     represents,
     verify_isometry,
 )
@@ -46,6 +49,12 @@ from .salem import salem_root_of
 # The kernel coordinates other than the last run over [-64, 64] when
 # _beauville_candidates solves a basis vector's image at rank >= 4.
 BEAUVILLE_COORDINATE_BOUND = 64
+
+# Candidate combinations one solve_beauville call may verify. It counts
+# work, not time, so an answer never depends on the host. A call that uses
+# it all took about 2.3 s on the rank-5 Hilbert lattice of
+# <4> + <-2> + <-2> + <2> on a 2-core x86-64 host under CPython 3.11.
+BEAUVILLE_COMBINATION_BUDGET = 40_000
 
 
 @dataclass(frozen=True)
@@ -91,10 +100,6 @@ class NaturalityCertificate:
     witness: tuple[tuple[int, ...], int] | None  # (fixed generator, its norm)
     detail: str
 
-    @property
-    def is_natural_possible(self) -> bool:
-        return self.verdict == "PossiblyNatural"
-
 
 NOT_NATURAL = "NotNatural"
 POSSIBLY_NATURAL = "PossiblyNatural"
@@ -133,21 +138,8 @@ def hilbert_lattice(base: GramLattice, n: int, e_index: int | None = None) -> Hi
         e_index = r
     if not 0 <= e_index <= r:
         raise DimensionMismatchError(f"e_index {e_index} out of range 0..{r}")
-    e_norm = -2 * n + 2
-    old_positions = list(range(r))
-    order = old_positions[:e_index] + [r] + old_positions[e_index:]
-    gram = [[0] * (r + 1) for _ in range(r + 1)]
-    labels = []
-    for i_new, i_old in enumerate(order):
-        labels.append("e" if i_old == r else base.labels[i_old])
-        for j_new, j_old in enumerate(order):
-            if i_old == r and j_old == r:
-                gram[i_new][j_new] = e_norm
-            elif i_old == r or j_old == r:
-                gram[i_new][j_new] = 0
-            else:
-                gram[i_new][j_new] = base.gram[i_old][j_old]
-    extended = make_lattice(gram, labels)
+    gram = [[*row, 0] for row in base.gram] + [[0] * r + [-2 * n + 2]]
+    extended = permute_basis(make_lattice(gram, [*base.labels, "e"]), _e_slot_order(r, e_index))
     return HilbertLattice(base=base, n=n, extended=extended, e_index=e_index)
 
 
@@ -195,19 +187,14 @@ def natural_isometry(g: LatticeIsometry, hilb: HilbertLattice) -> LatticeIsometr
     if g.lattice.gram != hilb.base.gram:
         raise LatticeMismatchError("isometry does not act on the base lattice")
     r = hilb.base.rank
-    e = hilb.e_index
-    idx = [None] * (r + 1)  # new position -> base position (None at e)
-    base_positions = [p for p in range(r + 1) if p != e]
-    for base_i, new_i in enumerate(base_positions):
-        idx[new_i] = base_i
-    m = [[0] * (r + 1) for _ in range(r + 1)]
-    for i in range(r + 1):
-        for j in range(r + 1):
-            if i == e or j == e:
-                m[i][j] = 1 if i == j else 0
-            else:
-                m[i][j] = g.matrix[idx[i]][idx[j]]
-    return verify_isometry(hilb.extended, m)
+    order = _e_slot_order(r, hilb.e_index)
+    m = [[*row, 0] for row in g.matrix] + [[0] * r + [1]]
+    return verify_isometry(hilb.extended, [[m[i][j] for j in order] for i in order])
+
+
+def _e_slot_order(r: int, e_index: int) -> list[int]:
+    """The basis order that moves e, appended last as slot r, to e_index."""
+    return [*range(e_index), r, *range(e_index, r)]
 
 
 def _beauville_candidates(
@@ -244,7 +231,8 @@ def solve_beauville(hilb: HilbertLattice, quartic_class_index: int) -> Beauville
 
     Keeps the full candidate trace so callers can report what was rejected
     and why. Raises NoSolutionError / AmbiguousSolutionError when the filters
-    leave zero or several involutions.
+    leave zero or several involutions, and CombinationBudgetError before
+    verifying more than BEAUVILLE_COMBINATION_BUDGET combinations of images.
     """
     lat = hilb.extended
     if hilb.n != 2:
@@ -272,10 +260,16 @@ def solve_beauville(hilb: HilbertLattice, quartic_class_index: int) -> Beauville
                 "pairing and norm constraints"
             )
         per_vector.append(cands)
+    combinations = math.prod(map(len, per_vector))
+    if combinations > BEAUVILLE_COMBINATION_BUDGET:
+        raise CombinationBudgetError(
+            f"{combinations} combinations of candidate images exceed the cap of "
+            f"{BEAUVILLE_COMBINATION_BUDGET}"
+        )
 
     survivors: list[tuple[dict[int, tuple[int, ...]], LatticeIsometry]] = []
     rejection_by_vector: dict[int, dict[tuple[int, ...], str]] = {x: {} for x in others}
-    for combo in itertools.product(*per_vector) if others else [()]:
+    for combo in itertools.product(*per_vector):
         m = [[0] * r for _ in range(r)]
         for i in range(r):
             m[i][h] = iota_h[i]

@@ -8,12 +8,15 @@ consumers without big integers still read the exact value.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 from .errors import HkddError
 from .lattice import GramLattice, make_lattice
 
 _INT53 = 1 << 53
+# the strings encode_int writes: an optional minus sign and ASCII digits
+_DECIMAL = re.compile(r"-?[0-9]+")
 
 
 class InputParseError(HkddError):
@@ -33,10 +36,12 @@ def decode_int(v) -> int:
     if isinstance(v, int):
         return v
     if isinstance(v, str):
-        try:
-            return int(v, 10)
-        except ValueError as exc:
-            raise InputParseError(f"bad integer string {v!r}") from exc
+        if _DECIMAL.fullmatch(v):
+            try:
+                return int(v)
+            except ValueError:  # past the interpreter's digit limit
+                pass
+        raise InputParseError(f"bad integer string {v!r}")
     raise InputParseError(f"expected an integer, got {type(v).__name__}")
 
 

@@ -38,9 +38,6 @@ class GramLattice:
     def gram_rows(self) -> list[list[int]]:
         return [list(row) for row in self.gram]
 
-    def to_json(self) -> dict:
-        return {"labels": list(self.labels), "gram": self.gram_rows()}
-
     def vector_str(self, v: list[int]) -> str:
         """Pretty-print an integer coordinate vector against the basis labels,
         e.g. (1, -6, 1) on <H1, e, H2> -> 'H1 - 6e + H2'."""
@@ -76,9 +73,6 @@ class LatticeIsometry:
 
     def apply(self, v: list[int]) -> list[int]:
         return linalg.mat_vec(self.rows(), v)
-
-    def to_json(self) -> dict:
-        return {"matrix": self.rows()}
 
     def __repr__(self) -> str:
         return f"LatticeIsometry({self.rows()})"

@@ -1,4 +1,6 @@
-"""Exact integer matrix plumbing: products, determinants, HNF/Smith kernels.
+"""Exact integer matrix plumbing: products, determinants, and one integer
+elimination, the row Hermite transform, behind both the saturated kernels
+and the solutions of linear systems.
 
 Matrices are row-major lists of lists of Python ints (arbitrary precision)
 acting on column vectors. Nothing here ever touches floating point.
@@ -7,7 +9,6 @@ acting on column vectors. Nothing here ever touches floating point.
 from __future__ import annotations
 
 from itertools import chain
-from math import gcd
 from operator import mul
 
 Matrix = list[list[int]]
@@ -93,18 +94,6 @@ def det_bareiss(m: Matrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _normalize_kernel_vector(v: Vector) -> Vector:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    if g > 1:
-        v = [x // g for x in v]
-    for x in v:
-        if x != 0:
-            return v if x > 0 else [-y for y in v]
-    return v
-
-
 def row_hnf_transform(a: Matrix) -> tuple[Matrix, Matrix]:
     """Row Hermite form H of `a` with unimodular U such that U a = H."""
     rows = len(a)
@@ -148,109 +137,47 @@ def row_hnf_transform(a: Matrix) -> tuple[Matrix, Matrix]:
 
 
 def integer_kernel(a: Matrix) -> list[Vector]:
-    """Primitive basis of {v : a v = 0} over the integers.
+    """Primitive basis of {v : a v = 0} over the integers, sorted, each
+    vector with its first nonzero entry positive.
 
     Rows of the unimodular transform aligned with zero rows of the row
-    Hermite form of a^T give a basis of the saturated kernel lattice.
+    Hermite form of a^T give a basis of the saturated kernel lattice; as
+    rows of a unimodular matrix they are primitive already.
     """
     if not a or not a[0]:
         return []
     h, u = row_hnf_transform(transpose(a))
-    basis = [
-        _normalize_kernel_vector(u[i])
-        for i in range(len(h))
-        if all(x == 0 for x in h[i])
-    ]
-    return sorted(basis)
-
-
-def integer_diagonalize(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """Diagonalize over the integers: (u, d, v) with u a v = d, u, v unimodular.
-
-    Smith-style euclidean reduction; the divisibility chain d1 | d2 | ... is
-    not enforced since linear solving only needs diagonality.
-    """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    d = copy_matrix(a)
-    u = identity(rows)
-    v = identity(cols)
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def addmul_row(dst, src, q):
-        d[dst] = [x - q * y for x, y in zip(d[dst], d[src])]
-        u[dst] = [x - q * y for x, y in zip(u[dst], u[src])]
-
-    def addmul_col(dst, src, q):
-        for row in d:
-            row[dst] -= q * row[src]
-        for row in v:
-            row[dst] -= q * row[src]
-
-    t = 0
-    while t < min(rows, cols):
-        # find a nonzero pivot in the remaining block
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if d[i][j] != 0:
-                    if pivot is None or abs(d[i][j]) < abs(d[pivot[0]][pivot[1]]):
-                        pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        while True:
-            for i in range(t + 1, rows):
-                if d[i][t] != 0:
-                    addmul_row(i, t, d[i][t] // d[t][t])
-            for j in range(t + 1, cols):
-                if d[t][j] != 0:
-                    addmul_col(j, t, d[t][j] // d[t][t])
-            residue = [(abs(d[i][t]), i, t) for i in range(t + 1, rows) if d[i][t] != 0]
-            residue += [(abs(d[t][j]), t, j) for j in range(t + 1, cols) if d[t][j] != 0]
-            if not residue:
-                break
-            _, i, j = min(residue)
-            if i > t:
-                swap_rows(t, i)
-            else:
-                swap_cols(t, j)
-        if d[t][t] < 0:
-            d[t] = [-x for x in d[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    return u, d, v
+    return sorted(
+        u_i if next(x for x in u_i if x) > 0 else [-x for x in u_i]
+        for h_i, u_i in zip(h, u)
+        if not any(h_i)
+    )
 
 
 def solve_integer_system(a: Matrix, b: Vector) -> tuple[Vector, list[Vector]] | None:
-    """All integer solutions of a x = b as (particular, kernel basis), or None."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    u, d, v = integer_diagonalize(a)
-    ub = mat_vec(u, b)
-    y = [0] * cols
-    for i in range(min(rows, cols)):
-        di = d[i][i]
-        if di != 0:
-            if ub[i] % di != 0:
-                return None
-            y[i] = ub[i] // di
-        elif ub[i] != 0:
+    """All integer solutions of a x = b as (particular, kernel basis), or None.
+
+    With U a^T = H from row_hnf_transform, x = U^T y turns a x = b into
+    sum_i y_i H_i = b, solved down the echelon: each nonzero row fixes y_i
+    from its pivot (exactly, or there is no solution) and leaves a residual
+    that must end at 0. The particular solution is sum_i y_i U_i, and the
+    rows of U at the zero rows of H are the kernel basis: the vectors of
+    integer_kernel before it fixes their signs and sorts them.
+    """
+    h, u = row_hnf_transform(transpose(a))
+    rest = list(b)
+    particular = [0] * len(u)
+    kernel = []
+    for h_i, u_i in zip(h, u):
+        pivot = next((c for c, x in enumerate(h_i) if x), None)
+        if pivot is None:
+            kernel.append(u_i)
+            continue
+        y, r = divmod(rest[pivot], h_i[pivot])
+        if r:
             return None
-    for i in range(cols, rows):
-        if ub[i] != 0:
-            return None
-    free = [j for j in range(cols) if j >= min(rows, cols) or d[j][j] == 0]
-    particular = mat_vec(v, y)
-    kernel = [[v[i][j] for i in range(cols)] for j in free]
+        rest = [x - y * z for x, z in zip(rest, h_i)]
+        particular = [p + y * w for p, w in zip(particular, u_i)]
+    if any(rest):
+        return None
     return particular, kernel

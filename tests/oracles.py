@@ -1,8 +1,10 @@
 """Independent references that only the tests use: a float power
-iteration, the dimension of a symmetric power, a Fraction rank, and the
-coefficient-list decoder of the JSON polynomial format.
+iteration, the dimension of a symmetric power, a Fraction rank, integer
+solvability by determinantal divisors, and the coefficient-list decoder of
+the JSON polynomial format.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -55,6 +57,34 @@ def rational_rank(a: list[list[int]]) -> int:
         if rank == rows:
             break
     return rank
+
+
+def leibniz_det(m: list[list[int]]) -> int:
+    """Determinant as the signed sum over permutations (1 for 0 x 0)."""
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(p > q for i, p in enumerate(perm) for q in perm[i + 1 :])
+        total += (-1) ** inversions * math.prod(m[i][p] for i, p in enumerate(perm))
+    return total
+
+
+def minors_gcd(a: list[list[int]], k: int) -> int:
+    """gcd of the k x k minors of a (the k-th determinantal divisor)."""
+    return math.gcd(
+        *(
+            leibniz_det([[a[i][j] for j in cs] for i in rs])
+            for rs in itertools.combinations(range(len(a)), k)
+            for cs in itertools.combinations(range(len(a[0])), k)
+        )
+    )
+
+
+def integer_solvable(a: list[list[int]], b: list[int]) -> bool:
+    """Does a x = b have an integer solution? Yes exactly when a and [a | b]
+    share their rank r and the gcd of their r x r minors."""
+    augmented = [[*row, x] for row, x in zip(a, b)]
+    r = rational_rank(a)
+    return r == rational_rank(augmented) and minors_gcd(a, r) == minors_gcd(augmented, r)
 
 
 def decode_coeffs(obj) -> list[int]:

@@ -26,8 +26,9 @@ def test_int53_rule():
     assert decode_int(encode_int(big)) == big
     assert decode_int(7) == 7
     assert decode_int("-12") == -12
-    with pytest.raises(InputParseError):
-        decode_int("x")
+    for bad in ("x", "1_000", " 7 ", "+7", "\u0661\u0662", "7\n", "-", ""):
+        with pytest.raises(InputParseError):
+            decode_int(bad)
     with pytest.raises(InputParseError):
         decode_int(True)
     with pytest.raises(InputParseError):

@@ -3,9 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hkdd import linalg
-from oracles import rational_rank
+from oracles import integer_solvable, minors_gcd, rational_rank
 
 
 def random_matrix(rng, rows, cols, lo=-6, hi=6):
@@ -105,19 +107,39 @@ def test_integer_kernel_membership_random():
         assert len(kernel) == n - rational_rank(a)
 
 
-def test_integer_diagonalize_random():
-    rng = random.Random(17)
-    for _ in range(50):
-        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
-        a = random_matrix(rng, rows, cols)
-        u, d, v = linalg.integer_diagonalize(a)
-        assert linalg.mat_mul(linalg.mat_mul(u, a), v) == d
-        assert linalg.det_bareiss(u) in (1, -1)
-        assert linalg.det_bareiss(v) in (1, -1)
-        for i in range(rows):
-            for j in range(cols):
-                if i != j:
-                    assert d[i][j] == 0
+@st.composite
+def systems(draw):
+    """a (1-4 x 1-5), a right-hand side b and a point x0, entries in [-6, 6]."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    entries = st.integers(-6, 6)
+    a = [draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(rows)]
+    b = draw(st.lists(entries, min_size=rows, max_size=rows))
+    x0 = draw(st.lists(entries, min_size=cols, max_size=cols))
+    return a, b, x0
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(systems())
+def test_solve_integer_system_matches_determinantal_divisors(system):
+    a, b, x0 = system
+    cols = len(a[0])
+    sol = linalg.solve_integer_system(a, b)
+    assert (sol is not None) == integer_solvable(a, b)
+    if sol is not None:
+        assert linalg.mat_vec(a, sol[0]) == b
+    ax0 = linalg.mat_vec(a, x0)
+    u0, kernel = linalg.solve_integer_system(a, ax0)
+    assert linalg.mat_vec(a, u0) == ax0
+    assert len(kernel) == cols - rational_rank(a)
+    for k in kernel:
+        assert not any(linalg.mat_vec(a, k))
+    diff = [x - u for x, u in zip(x0, u0)]
+    if kernel:
+        # saturated: the maximal minors of the kernel basis are coprime
+        assert minors_gcd(linalg.transpose(kernel), len(kernel)) == 1
+        assert integer_solvable(linalg.transpose(kernel), diff)
+    else:
+        assert not any(diff)
 
 
 def test_solve_integer_system():
