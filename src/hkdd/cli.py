@@ -10,17 +10,17 @@ stderr label (see errors), so main has one handler for them all. Every
 printed decimal is correctly rounded (half-even) to --precision digits by
 polynomial.rounded_decimal; those of a spectrum report, the entropy and the
 JSON d1 included, come from one certified walk (dynamics.spectrum_decimals).
-The argument parser is built once per process. File inputs use the JSON
-formats documented in jsonio.
+_parse reads every command line from one table, COMMANDS, without argparse.
+File inputs use the JSON formats documented in jsonio.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import sys
+from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import fixtures, linalg
 from .dynamics import (
@@ -32,7 +32,7 @@ from .dynamics import (
     spectrum_decimals,
     validate_spectrum_shape,
 )
-from .errors import HkddError, NotMonicError
+from .errors import HkddError, NotMonicError, UsageError
 from .hyperkahler import (
     Sl2Matrix,
     compose,
@@ -50,7 +50,6 @@ from .salem import SALEM_STRUCTURE, classify_charpoly
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
-EXIT_PARSE = 2
 
 # roots below this are flagged as small Salem candidates in search reports
 SMALL_SALEM_THRESHOLD = Fraction(13, 10)
@@ -381,98 +380,113 @@ def _solution_json(sol, lat) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# the command table and its parser
 # ---------------------------------------------------------------------------
 
+# a long option; its type is int, str, or the tuple of the strings it allows
+Option = namedtuple("Option", "type default minimum required help", defaults=(str, None, None, False, ""))
+# <name> runs cmd_<name>, looked up when it runs; a last positional "x..." takes one or more
+Command = namedtuple("Command", "help positionals type options", defaults=((), str, {}))
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser of every main call in this process; subcommand <name> runs
-    cmd_<name>, looked up when it runs."""
-    parser = argparse.ArgumentParser(
-        prog="hkdd",
-        description=(
-            "Exact dynamical degree spectra and entropy of hyperkahler lattice "
-            "automorphisms, with Salem classification of characteristic "
-            "polynomials."
-        ),
-        epilog=(
-            "Polynomial coefficients are given constant term FIRST: x^2 - 34x + 1 "
-            "is '1 -34 1'."
-        ),
-    )
-    parser.add_argument(
-        "--format",
-        choices=("table", "json"),
-        default="table",
-        help="report format (default: table)",
-    )
-    parser.add_argument(
-        "--precision",
-        type=int,
-        default=12,
-        help="significant digits for decimals (default: 12, minimum 3)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+GLOBAL_OPTIONS = {
+    "--format": Option(("table", "json"), "table", help="report format, table or json (default: table)"),
+    "--precision": Option(int, 12, 3, help="significant digits for decimals (default: 12, minimum 3)"),
+}
+_LATTICE = Option(required=True, help="lattice JSON file (required)")
+_HALF_DIM = Option(int, 2, 1, help="n, the number of points; the variety has dimension 2n (default 2)")
+_ISOMETRY = Option(required=True, help="isometry JSON file (required)")
+_ISOMETRY_OPTIONS = {"--lattice": _LATTICE, "--isometry": _ISOMETRY, "--half-dim": _HALF_DIM}
+COMMANDS = {
+    "lattice-info": Command("rank, parity, signature, determinant", ("lattice",)),
+    "degrees": Command("full dynamical degree spectrum and entropy", options=_ISOMETRY_OPTIONS),
+    "salem-check": Command("classify a monic integer polynomial, coefficients constant term first "
+                           "(x^2 - 34x + 1 is 1 -34 1)", ("coeffs...",), int),
+    "kummer": Command("spectrum of the SL(2,Z) torus automorphism [[a, b], [c, d]]",
+                      ("a", "b", "c", "d"), int, {"--half-dim": _HALF_DIM}),
+    "beauville-demo": Command("reproduce the quartic-pair example end to end (no inputs needed)"),
+    "natural-check": Command("necessary condition for being induced from a surface automorphism", options={
+        **_ISOMETRY_OPTIONS, "--lattice": _LATTICE._replace(help="extended lattice JSON file (required)"),
+        "--e-index": Option(int, help='index of the exceptional class (default: the one labelled "e")')}),
+    "search": Command("catalogue Salem isometries within an entry bound", options={
+        "--lattice": _LATTICE, "--bound": Option(int, 8, 1, help="entry bound (default 8)")}),
+}
 
-    p = sub.add_parser("lattice-info", help="rank, parity, signature, determinant")
-    p.add_argument("lattice", help="lattice JSON file")
 
-    p = sub.add_parser("degrees", help="full dynamical degree spectrum and entropy")
-    p.add_argument("--lattice", required=True, help="lattice JSON file")
-    p.add_argument("--isometry", required=True, help="isometry JSON file")
-    p.add_argument("--half-dim", type=int, default=2, help="n with dim = 2n (default 2)")
+def _is_option(arg: str) -> bool:
+    """Is arg an option? A lone - and a negative number are values."""
+    return arg[:1] == "-" and arg != "-" and not arg[1:].replace(".", "", 1).isdecimal()
 
-    p = sub.add_parser("salem-check", help="classify a monic integer polynomial")
-    p.add_argument("coeffs", type=int, nargs="+", help="coefficients, constant first")
 
-    p = sub.add_parser("kummer", help="spectrum of an SL(2,Z) torus automorphism")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("c", type=int)
-    p.add_argument("d", type=int)
-    p.add_argument("--half-dim", type=int, default=2, help="points on the Kummer surface (default 2)")
+def _convert(kind, text: str, what: str):
+    try:
+        return kind[kind.index(text)] if isinstance(kind, tuple) else kind(text)
+    except ValueError:
+        raise UsageError(f"{what}: invalid value {text!r}") from None
 
-    sub.add_parser(
-        "beauville-demo",
-        help="reproduce the quartic-pair example end to end (no inputs needed)",
-    )
 
-    p = sub.add_parser(
-        "natural-check",
-        help="necessary condition for being induced from a surface automorphism",
-    )
-    p.add_argument("--lattice", required=True, help="extended lattice JSON file")
-    p.add_argument("--isometry", required=True, help="isometry JSON file")
-    p.add_argument("--half-dim", type=int, default=2, help="points n (default 2)")
-    p.add_argument(
-        "--e-index",
-        type=int,
-        default=None,
-        help='index of the exceptional class (default: the basis labelled "e")',
-    )
+def _usage(command: str | None) -> str:
+    """What -h prints: a synopsis, then a line per command or option, from the table."""
+    spec = COMMANDS.get(command) or Command("Exact dynamical degree spectra and entropy of hyperkahler "
+                                            "lattice automorphisms.", ("<command>", "..."))
+    rows = [(name, c.help) for name, c in COMMANDS.items() if command is None]
+    rows += [(f, o.help) for f, o in {**spec.options, **GLOBAL_OPTIONS}.items()]
+    rows.append(("-h, --help", "show this help; global options stand before or after the command"))
+    synopsis = " ".join(filter(None, ("usage: hkdd [options]", command, *spec.positionals)))
+    return f"{synopsis}\n\n{spec.help}\n\n" + "\n".join(f"  {a:<16} {b}" for a, b in rows)
 
-    p = sub.add_parser("search", help="catalogue Salem isometries within an entry bound")
-    p.add_argument("--lattice", required=True, help="lattice JSON file")
-    p.add_argument("--bound", type=int, default=8, help="entry bound (default 8)")
 
-    return parser
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """Walk argv once into the namespace the cmd_* functions read, or print the help -h
+    asks for and return None; raise UsageError on a malformed command line. Options take
+    --name value, --name=value or a unique prefix of the name, global ones on either side."""
+    options, command, positionals, values, unknown = dict(GLOBAL_OPTIONS), None, [], {}, None
+    for arg in (rest := iter(argv)):
+        if arg == "--" and command is not None and COMMANDS[command].positionals:
+            positionals += [_convert(COMMANDS[command].type, a, command) for a in rest]
+        elif not _is_option(arg):
+            if command is not None:
+                positionals.append(_convert(COMMANDS[command].type, arg, command))
+            elif arg not in COMMANDS:
+                raise UsageError(f"unknown command {arg!r} (choose from {', '.join(COMMANDS)})")
+            else:
+                command = arg
+                options.update(COMMANDS[arg].options)
+        else:
+            name, eq, text = ("--help" if arg == "-h" else arg).partition("=")
+            found = [f for f in (*options, "--help") if name[:2] == "--" and f.startswith(name)]
+            if len(found) > 1 or found == ["--help"] and eq:
+                raise UsageError(f"ambiguous or misused option {arg}")
+            if not found:  # reported after the walk, as a later -h still prints the help
+                unknown = unknown or arg
+            elif found == ["--help"]:
+                print(_usage(command))
+                return None
+            elif not eq and ((text := next(rest, None)) is None or _is_option(text)):
+                raise UsageError(f"{found[0]} expects a value")
+            else:
+                values[found[0]] = _convert(options[found[0]].type, text, found[0])
+    if command is None or unknown:
+        raise UsageError(f"unrecognized option {unknown}" if unknown else "a command is required")
+    spec = COMMANDS[command]
+    names = [p.rstrip(".") for p in spec.positionals]
+    if names != list(spec.positionals) and len(positionals) >= len(names):  # the last takes the rest
+        positionals[len(names) - 1 :] = [positionals[len(names) - 1 :]]
+    if len(positionals) != len(names):
+        raise UsageError(f"{command} takes {' '.join(spec.positionals) or 'no positional arguments'}")
+    args = {"command": command, **dict(zip(names, positionals))}
+    for flag, o in options.items():
+        value = args[flag[2:].replace("-", "_")] = values.get(flag, o.default)
+        if o.required and value is None:
+            raise UsageError(f"{command} requires {flag}")
+        if o.minimum is not None and value < o.minimum:
+            raise UsageError(f"{flag} must be at least {o.minimum}")
+    return SimpleNamespace(**args)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.precision < 3:
-        print("--precision must be at least 3", file=sys.stderr)
-        return EXIT_PARSE
-    if getattr(args, "half_dim", 1) < 1:
-        print("--half-dim must be at least 1", file=sys.stderr)
-        return EXIT_PARSE
-    if getattr(args, "bound", 1) < 1:
-        print("--bound must be at least 1", file=sys.stderr)
-        return EXIT_PARSE
     try:
-        return globals()["cmd_" + args.command.replace("-", "_")](args)
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        return EXIT_OK if args is None else globals()["cmd_" + args.command.replace("-", "_")](args)
     except HkddError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code

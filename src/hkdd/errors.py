@@ -111,3 +111,9 @@ class NotUnimodularError(HkddError):
 
     exit_code = 3
     label = "not unimodular"
+
+
+class UsageError(HkddError):
+    """Malformed command line: unknown name, missing or extra argument, bad value."""
+
+    label = "usage error"

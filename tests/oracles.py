@@ -1,9 +1,11 @@
 """Independent references that only the tests use: a float power
 iteration, the dimension of a symmetric power, a Fraction rank, integer
-solvability by determinantal divisors, and the coefficient-list decoder of
-the JSON polynomial format.
+solvability by determinantal divisors, the coefficient-list decoder of the
+JSON polynomial format, and the argparse parser of the command line.
 """
 
+import argparse
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -91,3 +93,78 @@ def decode_coeffs(obj) -> list[int]:
     if not isinstance(obj, list):
         raise InputParseError("polynomial must be a list of coefficients")
     return [decode_int(x) for x in obj]
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser the CLI used before its command table: the
+    reference that the table's parser must agree with on every command line
+    it accepts, apart from global options after the command."""
+    parser = argparse.ArgumentParser(
+        prog="hkdd",
+        description=(
+            "Exact dynamical degree spectra and entropy of hyperkahler lattice "
+            "automorphisms, with Salem classification of characteristic "
+            "polynomials."
+        ),
+        epilog=(
+            "Polynomial coefficients are given constant term FIRST: x^2 - 34x + 1 "
+            "is '1 -34 1'."
+        ),
+    )
+    parser.add_argument(
+        "--format",
+        choices=("table", "json"),
+        default="table",
+        help="report format (default: table)",
+    )
+    parser.add_argument(
+        "--precision",
+        type=int,
+        default=12,
+        help="significant digits for decimals (default: 12, minimum 3)",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("lattice-info", help="rank, parity, signature, determinant")
+    p.add_argument("lattice", help="lattice JSON file")
+
+    p = sub.add_parser("degrees", help="full dynamical degree spectrum and entropy")
+    p.add_argument("--lattice", required=True, help="lattice JSON file")
+    p.add_argument("--isometry", required=True, help="isometry JSON file")
+    p.add_argument("--half-dim", type=int, default=2, help="n with dim = 2n (default 2)")
+
+    p = sub.add_parser("salem-check", help="classify a monic integer polynomial")
+    p.add_argument("coeffs", type=int, nargs="+", help="coefficients, constant first")
+
+    p = sub.add_parser("kummer", help="spectrum of an SL(2,Z) torus automorphism")
+    p.add_argument("a", type=int)
+    p.add_argument("b", type=int)
+    p.add_argument("c", type=int)
+    p.add_argument("d", type=int)
+    p.add_argument("--half-dim", type=int, default=2, help="points on the Kummer surface (default 2)")
+
+    sub.add_parser(
+        "beauville-demo",
+        help="reproduce the quartic-pair example end to end (no inputs needed)",
+    )
+
+    p = sub.add_parser(
+        "natural-check",
+        help="necessary condition for being induced from a surface automorphism",
+    )
+    p.add_argument("--lattice", required=True, help="extended lattice JSON file")
+    p.add_argument("--isometry", required=True, help="isometry JSON file")
+    p.add_argument("--half-dim", type=int, default=2, help="points n (default 2)")
+    p.add_argument(
+        "--e-index",
+        type=int,
+        default=None,
+        help='index of the exceptional class (default: the basis labelled "e")',
+    )
+
+    p = sub.add_parser("search", help="catalogue Salem isometries within an entry bound")
+    p.add_argument("--lattice", required=True, help="lattice JSON file")
+    p.add_argument("--bound", type=int, default=8, help="entry bound (default 8)")
+
+    return parser

@@ -1,7 +1,9 @@
 import inspect
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import mpmath
 import pytest
@@ -11,6 +13,8 @@ from hkdd.cli import main
 from hkdd.jsonio import dump_json
 from hkdd.polynomial import AlgebraicReal
 from conftest import assert_correctly_rounded, decimals_of
+from oracles import build_parser
+from test_cli_golden import CASES
 
 
 @pytest.fixture()
@@ -361,13 +365,120 @@ def test_spectrum_report_makes_no_decimal_str_call(capsys, monkeypatch, m1m2_fil
     assert run_cli(argv, capsys)[0] == 0
 
 
-def test_parser_built_once_per_process(capsys):
-    cli._build_parser.cache_clear()
-    first = run_cli(["kummer", "2", "1", "1", "1"], capsys)
-    second = run_cli(["kummer", "2", "1", "1", "1"], capsys)
-    assert first == second and first[0] == 0
-    info = cli._build_parser.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+def test_import_leaves_argparse_out():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, hkdd.cli; print('argparse' in sys.modules, 'gettext' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "False False"
+
+
+@pytest.mark.parametrize("argv, first_line", [
+    (["-h"], "usage: hkdd [options] <command> ..."),
+    (["kummer", "-h"], "usage: hkdd [options] kummer a b c d"),
+    (["--format", "json", "degrees", "--he"], "usage: hkdd [options] degrees"),
+    (["salem-check", "--help", "x"], "usage: hkdd [options] salem-check coeffs..."),
+])
+def test_help_prints_usage_and_exits_0(capsys, argv, first_line):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == first_line
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bogus"], "unknown command 'bogus'"),
+    (["--precision", "2", "beauville-demo"], "--precision must be at least 3"),
+    (["kummer", "2", "1", "1", "1", "--half-dim", "0"], "--half-dim must be at least 1"),
+    (["search", "--lattice", "lattice.json", "--bound", "0"], "--bound must be at least 1"),
+    (["kummer", "2", "1", "1", "1", "--half-dim"], "--half-dim expects a value"),
+])
+def test_usage_error_returns_2_without_system_exit(capsys, argv, message):
+    code, out, err = run_cli(argv, capsys)  # a SystemExit would fail the test
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("options", [["--format", "json"], ["--precision", "50"], ["--format=json", "--prec", "50"]])
+def test_global_options_on_either_side_of_the_command(capsys, options):
+    before = run_cli(options + ["kummer", "2", "1", "1", "1"], capsys)
+    after = run_cli(["kummer", "2", "1", "1", "1"] + options, capsys)
+    assert before == after and before[0] == 0
+    assert before != run_cli(["kummer", "2", "1", "1", "1"], capsys)
+
+
+def reference_args(argv: list[str]) -> dict | str | None:
+    """What the argparse reference and the range checks main made after it
+    give for argv: the attribute dict, "help" where -h exits 0, or None where
+    they exit 2."""
+    try:
+        with redirect_stderr(io.StringIO()), redirect_stdout(io.StringIO()):
+            args = vars(build_parser().parse_args(argv))
+    except SystemExit as exc:
+        assert exc.code in (0, 2)
+        return "help" if exc.code == 0 else None
+    in_range = args["precision"] >= 3 and args.get("half_dim", 1) >= 1 and args.get("bound", 1) >= 1
+    return args if in_range else None
+
+
+R, I = "lattice.json", "iso.json"
+# every command line of the tests, then the corners of the grammar
+PARSE_CASES = [
+    ["--format", fmt, "--precision", "12"] + case.split() for case in CASES.values() for fmt in ("table", "json")
+] + [
+    ["lattice-info", R], ["--format", "json", "lattice-info", R],
+    ["degrees", "--lattice", R, "--isometry", I, "--half-dim", "2"], ["degrees", "--lattice", R, "--isometry", I],
+    ["--format", "json", "degrees", "--isometry", I, "--lattice", R],
+    ["--precision", "6", "degrees", "--lattice", R, "--isometry", I],
+    ["--precision", "2", "degrees", "--lattice", R, "--isometry", I],
+    ["salem-check", "--", "1", "-34", "1"], ["salem-check", "--", "-1", "0", "1"], ["salem-check", "--", "1", "-3", "2"],
+    ["salem-check", "--", "1", str(-(10**30 + 1)), "1"],
+    ["kummer", "2", "1", "1", "1", "--half-dim", "2"], ["kummer", "1", "1", "0", "1", "--half-dim", "5"],
+    ["kummer", "2", "0", "0", "1"], ["kummer", str(10**12), "1", "-1", "0", "--half-dim", "2"],
+    ["--format", "json", "--precision", "200", "kummer", "31", "2", "15", "1", "--half-dim", "100"],
+    ["natural-check", "--lattice", R, "--isometry", I], ["beauville-demo"], ["--format", "json", "beauville-demo"],
+    ["--precision", "3", "beauville-demo"], ["search", "--lattice", R, "--bound", "3"],
+    ["--format", "json", "--precision", "50", "search", "--lattice", R, "--bound", "5"],
+    ["search", "--lattice", R, "--bound", "8"], ["--format", "json", "salem-check", "1", "-1", "0", "-1", "1"],
+    # abbreviations and = forms
+    ["--form", "json", "--prec", "50", "kummer", "2", "1", "1", "1", "--half", "3"], ["--f=json", "beauville-demo"],
+    ["degrees", "--lat", R, "--iso", I, "--half-d", "3"], ["natural-check", "--lattice", R, "--isometry", I, "--e", "1"],
+    ["search", "--lattice", R, "--b", "2"], ["degrees", "--h", "2", "--lattice", R, "--isometry", I],
+    ["--format=json", "kummer", "2", "1", "1", "1", "--half-dim=3"], ["--prec=50", "degrees", f"--lattice={R}", "--isometry=" + I],
+    ["lattice-info", "--lattice=x"], ["degrees", "--lattice=", "--isometry", I], ["--help=x"], ["-h=x"],
+    # negatives, -- and interleaving
+    ["kummer", "-2", "-1", "-1", "-1"], ["salem-check", "-1", "0", "1"], ["salem-check", "1", "-34", "1"],
+    ["kummer", "--", "-2", "-1", "-1", "-1"], ["kummer", "-2", "--", "-1", "-1", "-1"], ["--", "beauville-demo"],
+    ["--format", "json", "--", "kummer", "2", "1", "1", "1"], ["salem-check", "--", "1", "--", "1"],
+    ["kummer", "2", "1", "--half-dim", "3", "1", "1"], ["kummer", "--half-dim", "-3", "2", "1", "1", "1"],
+    ["kummer", "2", "1", "1", "1", "--half-dim", "0"], ["search", "--lattice", R, "--bound", "0"],
+    ["--precision", "-5", "beauville-demo"], ["lattice-info", "-"], ["kummer", "+2", "1", "1", "1"],
+    ["salem-check", "1", "1_000", "1"], ["--format", "json", "--format", "table", "beauville-demo"],
+    ["kummer", "2", "1", "1", "1", "--half-dim", "2", "--half-dim", "4"],
+    # malformed
+    ["kummer", "2", "1", "1"], ["kummer", "2", "1", "1", "1", "5"], ["salem-check"], ["lattice-info"],
+    ["lattice-info", R, R], ["beauville-demo", "x"], ["kummer", "2", "x", "1", "1"], ["salem-check", "1", "-3.5"],
+    ["--precision", "twelve", "beauville-demo"], ["kummer", "2", "1", "1", "1", "--half-dim", "2.5"],
+    ["--format", "xml", "beauville-demo"], ["bogus"], ["bogus", "-h"], [], ["--format", "json"],
+    ["degrees", "--lattice", R], ["search"], ["natural-check", "--isometry", I], ["degrees", "--lattice"],
+    ["degrees", "--lattice", "--isometry", I], ["--precision"], ["beauville-demo", "--bogus"],
+    ["-x", "beauville-demo"], ["beauville-demo", "-x"], ["--bogus", "beauville-demo"], ["-", "beauville-demo"],
+    ["beauville-demo", "--"], ["search", "--lattice", R, "--"], ["kummer", "-2", "1", "1", "-1.5"],
+    ["beauville-demo", "--bogus", "-h"], ["kummer", "2", "1", "1", "1", "--half-dim", "--help"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=lambda argv: " ".join(argv) or "(empty)")
+def test_parser_agrees_with_argparse(capsys, argv):
+    expected = reference_args(argv)
+    if expected is None:
+        assert run_cli(argv, capsys)[:2] == (2, "")
+    elif expected == "help":
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and out.startswith("usage: hkdd")
+    else:
+        assert vars(cli._parse(argv)) == expected
 
 
 @pytest.mark.parametrize(
