@@ -1,4 +1,4 @@
-"""Dynamical degree spectra, entropy, symmetric powers, and the Salem search.
+"""Dynamical degree spectra, entropy, and the Salem search.
 
 The degree law for hyperkahler-type isometries says d_k = d_1^min(k, 2n-k)
 across k = 0..2n, with entropy n*ln(d_1). The first degree is the Salem root
@@ -6,9 +6,9 @@ of the characteristic polynomial on the lattice (or exactly 1 when every
 factor is cyclotomic). A DegreeSpectrum is d_1 and the exponents, with
 exact symbolic entries; spectrum_decimals renders it at a precision from one
 walk of d_1's certified isolating interval, the entropy included, each
-decimal correctly rounded (polynomial.rounded_decimal). Floating point
-appears only in the eigenvalue-modulus diagnostic of a structure violation,
-never in the exact path.
+decimal correctly rounded (polynomial.rounded_decimal). No floating point
+is used: a structure violation is reported with the exact reason the Salem
+test gave.
 """
 
 from __future__ import annotations
@@ -90,34 +90,24 @@ class ShapeReport:
         return self.ok
 
 
-def float_spectral_radius(m: list[list[int]]) -> float:
-    """Eigenvalue-based spectral radius estimate (diagnostic only)."""
-    import numpy as np
-
-    return float(np.abs(np.linalg.eigvals(np.array(m, dtype=float))).max())
-
-
 def first_dynamical_degree(iso: LatticeIsometry) -> FirstDegree:
     """Salem root of char(M) when the spectral structure holds, else exact 1.
 
-    Raises SpectralStructureViolatedError (with a float spectral radius
-    diagnostic) when the characteristic polynomial is not cyclotomic x Salem;
-    such a matrix cannot come from a hyperkahler automorphism.
+    Raises SpectralStructureViolatedError when the characteristic polynomial
+    is not cyclotomic x Salem; such a matrix cannot come from a hyperkahler
+    automorphism.
     """
-    cls = classify_charpoly(char_poly(iso.rows()))
-    return degree_from_classification(cls, iso.rows())
+    return degree_from_classification(classify_charpoly(char_poly(iso.rows())))
 
 
-def degree_from_classification(
-    cls: SalemClassification, m: list[list[int]]
-) -> FirstDegree:
+def degree_from_classification(cls: SalemClassification) -> FirstDegree:
     if cls.kind == ALL_CYCLOTOMIC:
         return 1
     if cls.kind == SALEM_STRUCTURE:
         return cls.salem_root
     raise SpectralStructureViolatedError(
-        "characteristic polynomial is not cyclotomic x Salem",
-        float_spectral_radius(m),
+        f"characteristic polynomial is not cyclotomic x Salem; its remainder "
+        f"({cls.remainder}) fails the Salem test: {cls.reason}"
     )
 
 
@@ -277,6 +267,11 @@ def validate_spectrum_shape(
     in Decimal arithmetic with twice the digits of the longest value, so no
     table is too large to judge. Equalities hold up to the relative
     tolerance; a table printed to p significant digits needs about 10^(2-p).
+
+    No command calls it: a table built by the power law meets it whatever
+    d_1 is, so it cannot catch a wrong d_1 (beauville-demo checks
+    d_1(M^l) = d_1(M)^l exactly instead). It stays here, with ShapeReport,
+    because perfbench/tracing.py wraps it by name.
     """
     values = [Decimal(v) for v in values]
     tol = Decimal(tolerance)
@@ -316,42 +311,6 @@ def validate_spectrum_shape(
                 if abs(v - 1) > tol:
                     violations.append(f"d1 = 1 but d_{k} = {v} != 1")
     return ShapeReport(tuple(violations))
-
-
-# ---------------------------------------------------------------------------
-# symmetric powers
-# ---------------------------------------------------------------------------
-
-
-def sym_power_matrix(m: list[list[int]], k: int) -> list[list[int]]:
-    """Induced action on Sym^k in the basis of sorted degree-k monomials.
-
-    Column J (a multiset of basis indices) is the expansion of the product
-    of the images of its factors; eigenvalues of the result are the k-fold
-    products of eigenvalues of m.
-    """
-    if k < 1:
-        raise ValueError("symmetric power k must be >= 1")
-    r = len(m)
-    basis = list(itertools.combinations_with_replacement(range(r), k))
-    index = {mono: i for i, mono in enumerate(basis)}
-    out = [[0] * len(basis) for _ in range(len(basis))]
-    for col, mono in enumerate(basis):
-        acc: dict[tuple[int, ...], int] = {(): 1}
-        for j in mono:
-            nxt: dict[tuple[int, ...], int] = {}
-            for part, coef in acc.items():
-                for i in range(r):
-                    mij = m[i][j]
-                    if mij == 0:
-                        continue
-                    key = tuple(sorted(part + (i,)))
-                    nxt[key] = nxt.get(key, 0) + coef * mij
-            acc = nxt
-        for part, coef in acc.items():
-            if coef:
-                out[index[part]][col] = coef
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -66,17 +66,12 @@ class DegreeTooSmallError(HkddError):
 class SpectralStructureViolatedError(HkddError):
     """Characteristic polynomial is not cyclotomic x (at most one Salem).
 
-    Carries a floating-point spectral radius estimate for diagnostics.
+    The message names the remainder left by the cyclotomic factors and why
+    it failed the exact Salem test, such as its trace-root layout.
     """
 
     exit_code = 4
     label = "spectral structure violated"
-
-    def __init__(self, message: str, float_spectral_radius: float | None = None):
-        self.float_spectral_radius = float_spectral_radius
-        if float_spectral_radius is not None:
-            message += f" (float spectral radius ~ {float_spectral_radius:.6f})"
-        super().__init__(message)
 
 
 class LatticeMismatchError(HkddError):

@@ -71,9 +71,6 @@ class LatticeIsometry:
     def rows(self) -> list[list[int]]:
         return [list(row) for row in self.matrix]
 
-    def apply(self, v: list[int]) -> list[int]:
-        return linalg.mat_vec(self.rows(), v)
-
     def __repr__(self) -> str:
         return f"LatticeIsometry({self.rows()})"
 

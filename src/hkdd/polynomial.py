@@ -582,14 +582,6 @@ class AlgebraicReal:
             "decimal": decimal or self.decimal_str(sig_digits),
         }
 
-    @staticmethod
-    def from_json(obj: dict) -> AlgebraicReal:
-        return AlgebraicReal(
-            IntPolynomial(tuple(obj["poly"])),
-            Fraction(obj["lo"]),
-            Fraction(obj["hi"]),
-        )
-
     def __repr__(self) -> str:
         return f"AlgebraicReal({self.exact_str()})"
 

@@ -27,7 +27,6 @@ from .errors import DegreeTooSmallError, NotMonicError
 from .polynomial import (
     AlgebraicReal,
     IntPolynomial,
-    ONE_POLY,
     _quotient,
     cyclotomic,
     is_palindromic,
@@ -58,12 +57,22 @@ class SalemCheck:
 
 @dataclass(frozen=True)
 class SalemClassification:
-    """kind is one of AllCyclotomic / SalemStructure / NotSpectrallyValid."""
+    """kind is one of AllCyclotomic / SalemStructure / NotSpectrallyValid.
+
+    The input is the product of the cyclotomic factors and the remainder:
+    1 when AllCyclotomic, the Salem factor when SalemStructure. reason says
+    why a NotSpectrallyValid remainder failed the Salem test.
+    """
 
     kind: str
     cyclotomic_factors: tuple[tuple[int, int], ...]
-    salem_factor: IntPolynomial | None
+    remainder: IntPolynomial
     salem_root: AlgebraicReal | None
+    reason: str = ""
+
+    @property
+    def salem_factor(self) -> IntPolynomial | None:
+        return self.remainder if self.kind == SALEM_STRUCTURE else None
 
     def to_json(self, sig_digits: int = 12, root_decimal: str | None = None) -> dict:
         """root_decimal, when given, is the Salem root's decimal at sig_digits."""
@@ -209,20 +218,21 @@ def is_salem_polynomial(p: IntPolynomial) -> SalemCheck:
         raise NotMonicError(f"({p}) is not monic")
     if p.degree < 2:
         raise DegreeTooSmallError(f"degree {p.degree} < 2")
+    if p.degree % 2 == 0 and is_palindromic(p):
+        factors, _ = peel_cyclotomic(p)
+        if factors:
+            names = ", ".join(f"Phi_{n}" for n, _ in factors)
+            return SalemCheck(False, f"has cyclotomic factor(s) {names}")
+    return _certify(p)
+
+
+def _certify(p: IntPolynomial) -> SalemCheck:
+    """The test of is_salem_polynomial for a monic p of degree >= 1 with no
+    cyclotomic factor: even degree, palindromic, and the trace-root layout."""
     if p.degree % 2 != 0:
         return SalemCheck(False, f"odd degree {p.degree}")
     if not is_palindromic(p):
         return SalemCheck(False, "coefficient vector is not palindromic")
-    factors, _ = peel_cyclotomic(p)
-    if factors:
-        names = ", ".join(f"Phi_{n}" for n, _ in factors)
-        return SalemCheck(False, f"has cyclotomic factor(s) {names}")
-    return _trace_certificate(p)
-
-
-def _trace_certificate(p: IntPolynomial) -> SalemCheck:
-    """The trace-root test of is_salem_polynomial for a monic palindromic p
-    of even degree with no cyclotomic factor."""
     d = p.degree // 2
     q = trace_polynomial(p)
     if q(2) == 0 or q(-2) == 0:
@@ -262,7 +272,8 @@ def salem_root_of(p: IntPolynomial) -> AlgebraicReal:
 
 def classify_charpoly(p: IntPolynomial) -> SalemClassification:
     """Peel cyclotomic factors; remainder 1 means AllCyclotomic, a Salem
-    remainder gives SalemStructure, anything else is NotSpectrallyValid.
+    remainder gives SalemStructure, anything else is NotSpectrallyValid with
+    the reason the remainder failed the Salem test.
 
     A SalemStructure certificate also settles multiplicity one: the Salem
     factor is the whole remainder, so it occurs once, it is square-free (its
@@ -276,20 +287,8 @@ def classify_charpoly(p: IntPolynomial) -> SalemClassification:
     factors, rem = peel_cyclotomic(p)
     cyc = tuple(factors)
     if rem.degree == 0:
-        return SalemClassification(ALL_CYCLOTOMIC, cyc, None, None)
-    if rem.degree >= 2 and rem.degree % 2 == 0 and is_palindromic(rem):
-        check = _trace_certificate(rem)
-        if check:
-            return SalemClassification(SALEM_STRUCTURE, cyc, rem, check.root)
-    return SalemClassification(NOT_SPECTRALLY_VALID, cyc, None, None)
-
-
-def rebuild_product(c: SalemClassification) -> IntPolynomial:
-    """Multiply the classified factors back together (exactness invariant)."""
-    out = ONE_POLY
-    for n, mult in c.cyclotomic_factors:
-        for _ in range(mult):
-            out = out * cyclotomic(n)
-    if c.salem_factor is not None:
-        out = out * c.salem_factor
-    return out
+        return SalemClassification(ALL_CYCLOTOMIC, cyc, rem, None)
+    check = _certify(rem)
+    if check:
+        return SalemClassification(SALEM_STRUCTURE, cyc, rem, check.root)
+    return SalemClassification(NOT_SPECTRALLY_VALID, cyc, rem, None, check.reason)

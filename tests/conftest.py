@@ -7,7 +7,8 @@ import pytest
 from hkdd import fixtures, linalg
 from hkdd.hyperkahler import hilbert_lattice
 from hkdd.lattice import make_lattice, verify_isometry
-from hkdd.polynomial import AlgebraicReal, IntPolynomial, isolate_real_roots
+from hkdd.polynomial import IntPolynomial, isolate_real_roots
+from oracles import algebraic_real_from_json
 
 
 @pytest.fixture(scope="session")
@@ -102,7 +103,7 @@ def decimals_of(report) -> list:
             for x in node:
                 walk(x)
         elif isinstance(node, dict) and {"poly", "lo", "hi", "decimal"} <= node.keys():
-            root = AlgebraicReal.from_json(node)
+            root = algebraic_real_from_json(node)
             found.append((node["decimal"], mp_root(root.poly, root)))
         elif isinstance(node, dict) and "entropy" in node and node["d1"]["poly"] is not None:
             poly = IntPolynomial(tuple(node["d1"]["poly"]))

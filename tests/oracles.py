@@ -1,7 +1,9 @@
 """Independent references that only the tests use: a float power
-iteration, the dimension of a symmetric power, a Fraction rank, integer
-solvability by determinantal divisors, the coefficient-list decoder of the
-JSON polynomial format, and the argparse parser of the command line.
+iteration, a symmetric power and its dimension, a Fraction rank, integer
+solvability by determinantal divisors, the product a classification
+multiplies back to, the coefficient-list decoder of the JSON polynomial
+format and the reader of its algebraic reals, and the argparse parser of the
+command line.
 """
 
 import argparse
@@ -13,6 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from hkdd.jsonio import InputParseError, decode_int
+from hkdd.polynomial import AlgebraicReal, IntPolynomial, cyclotomic
+from hkdd.salem import SalemClassification
 
 
 def power_iteration_radius(m: list[list[int]], iters: int = 500, tol: float = 1e-12) -> float:
@@ -35,6 +39,37 @@ def power_iteration_radius(m: list[list[int]], iters: int = 500, tol: float = 1e
 
 def sym_power_dim(rank: int, k: int) -> int:
     return math.comb(rank + k - 1, k)
+
+
+def sym_power_matrix(m: list[list[int]], k: int) -> list[list[int]]:
+    """Induced action on Sym^k in the basis of sorted degree-k monomials.
+
+    Column J (a multiset of basis indices) is the expansion of the product
+    of the images of its factors; eigenvalues of the result are the k-fold
+    products of eigenvalues of m.
+    """
+    if k < 1:
+        raise ValueError("symmetric power k must be >= 1")
+    r = len(m)
+    basis = list(itertools.combinations_with_replacement(range(r), k))
+    index = {mono: i for i, mono in enumerate(basis)}
+    out = [[0] * len(basis) for _ in range(len(basis))]
+    for col, mono in enumerate(basis):
+        acc: dict[tuple[int, ...], int] = {(): 1}
+        for j in mono:
+            nxt: dict[tuple[int, ...], int] = {}
+            for part, coef in acc.items():
+                for i in range(r):
+                    mij = m[i][j]
+                    if mij == 0:
+                        continue
+                    key = tuple(sorted(part + (i,)))
+                    nxt[key] = nxt.get(key, 0) + coef * mij
+            acc = nxt
+        for part, coef in acc.items():
+            if coef:
+                out[index[part]][col] = coef
+    return out
 
 
 def rational_rank(a: list[list[int]]) -> int:
@@ -87,6 +122,20 @@ def integer_solvable(a: list[list[int]], b: list[int]) -> bool:
     augmented = [[*row, x] for row, x in zip(a, b)]
     r = rational_rank(a)
     return r == rational_rank(augmented) and minors_gcd(a, r) == minors_gcd(augmented, r)
+
+
+def rebuild_product(c: SalemClassification) -> IntPolynomial:
+    """Multiply the classified factors, the remainder included, back together."""
+    out = c.remainder
+    for n, mult in c.cyclotomic_factors:
+        for _ in range(mult):
+            out = out * cyclotomic(n)
+    return out
+
+
+def algebraic_real_from_json(obj: dict) -> AlgebraicReal:
+    """The AlgebraicReal of a JSON root: its poly and interval (lo, hi]."""
+    return AlgebraicReal(IntPolynomial(tuple(obj["poly"])), Fraction(obj["lo"]), Fraction(obj["hi"]))
 
 
 def decode_coeffs(obj) -> list[int]:

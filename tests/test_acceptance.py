@@ -25,7 +25,6 @@ from hkdd.dynamics import (
     first_dynamical_degree,
     search_salem_isometries,
     spectrum_decimals,
-    sym_power_matrix,
     validate_spectrum_shape,
 )
 from hkdd.errors import DegreeTooSmallError
@@ -42,7 +41,7 @@ from hkdd.lattice import (
 )
 from hkdd.polynomial import IntPolynomial, char_poly, cyclotomic, poly
 from hkdd.salem import SALEM_STRUCTURE, classify_charpoly, is_salem_polynomial
-from oracles import power_iteration_radius, sym_power_dim
+from oracles import power_iteration_radius, sym_power_dim, sym_power_matrix
 
 D1_ORACLE = 17 + 12 * math.sqrt(2)
 D2_ORACLE = D1_ORACLE**2

@@ -3,12 +3,15 @@ import io
 import json
 import subprocess
 import sys
+import tomllib
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
+from pathlib import Path
 
 import mpmath
 import pytest
 
-from hkdd import cli, dynamics, errors, fixtures, jsonio, linalg
+from hkdd import cli, dynamics, errors, fixtures, hyperkahler, jsonio, linalg
 from hkdd.cli import main
 from hkdd.jsonio import dump_json
 from hkdd.polynomial import AlgebraicReal
@@ -130,8 +133,12 @@ def test_exit_code_spectral_violation(capsys, tmp_path):
     code, out, err = run_cli(
         ["degrees", "--lattice", str(lat), "--isometry", str(iso)], capsys
     )
-    assert code == 4
-    assert "float spectral radius" in err
+    assert code == 4 and out == ""
+    assert err == (
+        "spectral structure violated: characteristic polynomial is not cyclotomic x Salem; "
+        "its remainder (x^4 - 6*x^3 + 11*x^2 - 6*x + 1) fails the Salem test: "
+        "trace root layout 1 real / 1 above 2 / 0 in (-2,2), need 2 / 1 / 1\n"
+    )
 
 
 def test_salem_check(capsys):
@@ -148,6 +155,11 @@ def test_salem_check(capsys):
     code, out, _ = run_cli(["salem-check", "--", "-1", "0", "1"], capsys)
     assert code == 0
     assert "AllCyclotomic" in out
+    # a rejected polynomial: its cyclotomic factors, then the rest in parentheses
+    code, out, _ = run_cli(["salem-check", "--", "5", "0", "1"], capsys)
+    assert (code, out.splitlines()[-1]) == (0, "NotSpectrallyValid: (x^2 + 5)")
+    code, out, _ = run_cli(["salem-check", "--", "-5", "5", "-1", "1"], capsys)
+    assert (code, out.splitlines()[-1]) == (0, "NotSpectrallyValid: Phi_1 x (x^2 + 5)")
     code, _, err = run_cli(["salem-check", "--", "1", "-3", "2"], capsys)
     assert code == 2
     assert "not monic" in err
@@ -174,13 +186,18 @@ def test_kummer_past_double_range(capsys):
 
 
 def test_import_leaves_numpy_out():
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, hkdd.cli; print('numpy' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        check=True,
+    # the demo and an exit-4 report, the one path that used numpy, run too
+    inputs = Path(__file__).parent / "golden" / "inputs"
+    degrees = ["degrees", "--lattice", str(inputs / "g4.json"), "--isometry", str(inputs / "m4_salem_squared.json")]
+    script = (
+        "import sys, hkdd.cli\n"
+        "codes = [hkdd.cli.main(['beauville-demo']), hkdd.cli.main(sys.argv[1:])]\n"
+        "print(codes, 'numpy' in sys.modules, file=sys.stderr)"
     )
-    assert proc.stdout.strip() == "False"
+    proc = subprocess.run([sys.executable, "-c", script, *degrees], capture_output=True, text=True, check=True)
+    assert proc.stderr.splitlines()[-1] == "[0, 4] False"
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as f:
+        assert tomllib.load(f)["project"]["dependencies"] == []
 
 
 def test_unexpected_error_is_one_line_exit_1(capsys, monkeypatch):
@@ -507,10 +524,28 @@ def test_one_walk_for_degrees(capsys, monkeypatch, m1m2_file):
 
 
 @pytest.mark.parametrize("precision", [3, 12, 50, 200])
-def test_beauville_demo_shape_checks_pass(capsys, precision):
+def test_beauville_demo_power_checks_pass(capsys, precision):
     code, out, _ = run_cli(["--precision", str(precision), "beauville-demo"], capsys)
     assert code == 0
-    assert out.count("shape checks: all pass") == 3
+    checks = [line for line in out.splitlines() if line.startswith("power check:")]
+    assert checks == [
+        "power check: d_1 of (iota2 iota1)^2 is d_1^2 (Salem factor x^2 - 1154*x + 1)",
+        "power check: d_1 of (iota2 iota1)^3 is d_1^3 (Salem factor x^2 - 39202*x + 1)",
+    ]
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_power_check_catches_a_wrong_exponent(capsys, monkeypatch, iso_m1m2, fmt):
+    # power(M, l) returning M^(l+1): every table still has the shape of the
+    # degree law, but d_1 of the l = 2 power is d_1^3, not d_1^2
+    monkeypatch.setattr(cli, "power", lambda iso, ell: hyperkahler.power(iso, ell + 1))
+    code, out, err = run_cli(["--format", fmt, "beauville-demo"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("internal error: AssertionError: d_1 of (iota2 iota1)^2 is not d_1^2")
+    for ell in (1, 2, 3):  # the tables the mutant computes pass the shape check
+        d1 = dynamics.first_dynamical_degree(cli.power(iso_m1m2, ell))
+        dec = dynamics.spectrum_decimals(dynamics.degree_spectrum(2, d1), 12)
+        assert dynamics.validate_spectrum_shape(dec.entries, Decimal("1e-10")).ok
 
 
 def test_every_error_has_a_documented_exit_code():

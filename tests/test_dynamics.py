@@ -17,11 +17,9 @@ from hkdd.dynamics import (
     enumerate_isometries,
     exact_power_str,
     first_dynamical_degree,
-    float_spectral_radius,
     power_decimal,
     search_salem_isometries,
     spectrum_decimals,
-    sym_power_matrix,
     validate_spectrum_shape,
 )
 from hkdd.errors import SpectralStructureViolatedError
@@ -36,7 +34,7 @@ from hkdd.polynomial import (
 )
 from hkdd.salem import SALEM_STRUCTURE, classify_charpoly, is_salem_polynomial
 from conftest import assert_correctly_rounded, mp_root
-from oracles import power_iteration_radius, sym_power_dim
+from oracles import power_iteration_radius, sym_power_dim, sym_power_matrix
 
 
 @pytest.fixture(scope="module")
@@ -288,8 +286,10 @@ def test_spectral_structure_violated_carries_diagnostic():
     iso = verify_isometry(make_lattice(g4), m4)
     with pytest.raises(SpectralStructureViolatedError) as err:
         first_dynamical_degree(iso)
-    assert err.value.float_spectral_radius == pytest.approx(
-        float_spectral_radius(m4), rel=1e-12
+    # the remainder (x^2 - 3x + 1)^2 has one trace root, 3, counted once
+    assert str(err.value).endswith(
+        "remainder (x^4 - 6*x^3 + 11*x^2 - 6*x + 1) fails the Salem test: "
+        "trace root layout 1 real / 1 above 2 / 0 in (-2,2), need 2 / 1 / 1"
     )
 
 

@@ -13,8 +13,8 @@ from hkdd.jsonio import (
     load_lattice,
     load_matrix,
 )
-from hkdd.polynomial import AlgebraicReal, isolate_real_roots, poly
-from oracles import decode_coeffs
+from hkdd.polynomial import isolate_real_roots, poly
+from oracles import algebraic_real_from_json, decode_coeffs
 
 
 def test_int53_rule():
@@ -77,6 +77,6 @@ def test_algebraic_real_json_roundtrip():
     payload = root.to_json(12)
     assert payload["poly"] == [1, -34, 1]
     assert payload["decimal"] == "33.9705627485"
-    back = AlgebraicReal.from_json(payload)
+    back = algebraic_real_from_json(payload)
     assert back.equals(root)
     assert back.poly == root.poly

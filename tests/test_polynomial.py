@@ -32,6 +32,7 @@ from hkdd.polynomial import (
     trace_polynomial,
 )
 from conftest import assert_correctly_rounded, mp_root
+from oracles import algebraic_real_from_json
 
 LEHMER = poly(1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
 
@@ -354,9 +355,9 @@ def test_refined_rational_root_hit_by_midpoint():
 
 
 def test_refined_non_dyadic_interval_from_json():
-    a = AlgebraicReal.from_json({"poly": [-2, 0, 1], "lo": "4/3", "hi": "3/2"})
+    a = algebraic_real_from_json({"poly": [-2, 0, 1], "lo": "4/3", "hi": "3/2"})
     r = assert_refines_like_reference(a, Fraction(1, 10**25))
-    back = AlgebraicReal.from_json(r.to_json())
+    back = algebraic_real_from_json(r.to_json())
     assert (back.lo, back.hi) == (r.lo, r.hi)
 
 
