@@ -8,14 +8,11 @@ reproduces the classical Kummer-surface and quartic-involution examples.
 """
 
 from .errors import (
-    AmbiguousSolutionError,
     BadNError,
-    CombinationBudgetError,
     DegreeTooSmallError,
     DimensionMismatchError,
     HkddError,
     LatticeMismatchError,
-    NoSolutionError,
     NonSquareError,
     NonSymmetricError,
     NotDivisibleError,
@@ -75,7 +72,6 @@ from .hyperkahler import (
     HilbertLattice,
     NaturalityCertificate,
     Sl2Matrix,
-    beauville_involution,
     compose,
     hilbert_from_extended,
     hilbert_lattice,

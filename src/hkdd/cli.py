@@ -187,7 +187,7 @@ def cmd_kummer(args) -> int:
         sys.stdout.write(
             dump_json(
                 {
-                    "matrix": m.rows(),
+                    "matrix": encode_matrix(m.rows()),
                     "trace": t,
                     "branch": branch,
                     "spectrum": _spectrum_json(spec, dec),

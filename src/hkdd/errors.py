@@ -82,25 +82,6 @@ class BadNError(HkddError):
     """Hilbert scheme point count must be >= 2."""
 
 
-class NoSolutionError(HkddError):
-    """Involution constraints are unsatisfiable over the integers."""
-
-
-class CombinationBudgetError(HkddError):
-    """Too many candidate involutions to verify within the work budget."""
-
-
-class AmbiguousSolutionError(HkddError):
-    """Several candidate involutions survive every filter."""
-
-    def __init__(self, candidates):
-        self.candidates = list(candidates)
-        super().__init__(
-            f"{len(self.candidates)} candidates survive all filters: "
-            + ", ".join(str(c) for c in self.candidates)
-        )
-
-
 class NotUnimodularError(HkddError):
     """2x2 integer matrix must have determinant exactly 1."""
 

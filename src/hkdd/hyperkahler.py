@@ -14,18 +14,13 @@ no line on the surface) are carried as assumption strings on solver results.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 from . import linalg
 from .errors import (
-    AmbiguousSolutionError,
     BadNError,
-    CombinationBudgetError,
     DimensionMismatchError,
     LatticeMismatchError,
-    NoSolutionError,
     NotIsometryError,
     NotUnimodularError,
 )
@@ -49,12 +44,6 @@ from .salem import salem_root_of
 # The kernel coordinates other than the last run over [-64, 64] when
 # _beauville_candidates solves a basis vector's image at rank >= 4.
 BEAUVILLE_COORDINATE_BOUND = 64
-
-# Candidate combinations one solve_beauville call may verify. It counts
-# work, not time, so an answer never depends on the host. A call that uses
-# it all took about 2.3 s on the rank-5 Hilbert lattice of
-# <4> + <-2> + <-2> + <2> on a 2-core x86-64 host under CPython 3.11.
-BEAUVILLE_COMBINATION_BUDGET = 40_000
 
 
 @dataclass(frozen=True)
@@ -107,8 +96,8 @@ POSSIBLY_NATURAL = "PossiblyNatural"
 
 @dataclass(frozen=True)
 class CandidateRecord:
-    """Solver trace for one basis vector: every integer candidate image and
-    why the rejected ones fail."""
+    """Solver trace for one basis vector: the integer candidate images
+    _beauville_candidates lists and why the rejected ones fail."""
 
     basis_index: int
     candidates: tuple[tuple[int, ...], ...]
@@ -224,15 +213,24 @@ def _beauville_candidates(
 
 
 def solve_beauville(hilb: HilbertLattice, quartic_class_index: int) -> BeauvilleSolution:
-    """Derive the involution iota with iota(h) = 3h - 4e, iota(e) = 2h - 3e
-    and the action on every remaining basis vector pinned down by: pairings
-    with iota(h), iota(e); norm preservation; iota^2 = identity; and a fixed
-    sublattice of rank exactly 1 (generated by h - e).
+    """The involution iota with iota(h) = 3h - 4e and iota(e) = 2h - 3e that
+    preserves the form, squares to the identity and fixes a sublattice of
+    rank exactly 1: iota(x) = -x + (x, v) v with v = h - e, minus the
+    reflection in v. No other map meets these constraints:
+    - iota fixes v, so a fixed sublattice of rank 1 spans Q*v;
+    - an isometric involution acts as -1 on the orthogonal complement of its
+      fixed space ((x, y) = (iota x, iota y) = -(x, y) for x fixed and y
+      negated), which is v-perp since (v, v) != 0;
+    - (v, v) = (h, h) - 2(h, e) + (e, e) = 4 - 0 - 2 = 2, so
+      s_v(x) = x - (x, v) v is integral.
+    The Gram entries (h, h) = 4, (h, e) = 0 and (e, e) = -2 are checked, not
+    assumed.
 
-    Keeps the full candidate trace so callers can report what was rejected
-    and why. Raises NoSolutionError / AmbiguousSolutionError when the filters
-    leave zero or several involutions, and CombinationBudgetError before
-    verifying more than BEAUVILLE_COMBINATION_BUDGET combinations of images.
+    The records keep the candidate trace: for each basis vector x other than
+    h and e, the integer images that meet the pairing and norm constraints
+    (at rank >= 4 only those inside the kernel-coordinate box), iota(x) as
+    the chosen one, and each other candidate with the first filter it fails
+    in place of column x of iota.
     """
     lat = hilb.extended
     if hilb.n != 2:
@@ -245,75 +243,35 @@ def solve_beauville(hilb: HilbertLattice, quartic_class_index: int) -> Beauville
         raise DimensionMismatchError(
             f"class {lat.labels[h]} has norm {lat.gram[h][h]}, need 4"
         )
+    if lat.gram[e][e] != -2:
+        raise DimensionMismatchError(f"(e, e) = {lat.gram[e][e]}, need -2")
+    if lat.gram[h][e] != 0:
+        raise DimensionMismatchError(
+            f"(e, {lat.labels[h]}) = {lat.gram[h][e]}, need 0"
+        )
     r = lat.rank
-    iota_h = [0] * r
-    iota_h[h], iota_h[e] = 3, -4
-    iota_e = [0] * r
-    iota_e[h], iota_e[e] = 2, -3
-    others = [i for i in range(r) if i not in (h, e)]
-    per_vector: list[list[tuple[int, ...]]] = []
-    for x in others:
-        cands = _beauville_candidates(lat, h, e, x, iota_h, iota_e)
-        if not cands:
-            raise NoSolutionError(
-                f"no integer image for basis vector {lat.labels[x]} satisfies the "
-                "pairing and norm constraints"
-            )
-        per_vector.append(cands)
-    combinations = math.prod(map(len, per_vector))
-    if combinations > BEAUVILLE_COMBINATION_BUDGET:
-        raise CombinationBudgetError(
-            f"{combinations} combinations of candidate images exceed the cap of "
-            f"{BEAUVILLE_COMBINATION_BUDGET}"
-        )
-
-    survivors: list[tuple[dict[int, tuple[int, ...]], LatticeIsometry]] = []
-    rejection_by_vector: dict[int, dict[tuple[int, ...], str]] = {x: {} for x in others}
-    for combo in itertools.product(*per_vector):
-        m = [[0] * r for _ in range(r)]
-        for i in range(r):
-            m[i][h] = iota_h[i]
-            m[i][e] = iota_e[i]
-        for x, img in zip(others, combo):
-            for i in range(r):
-                m[i][x] = img[i]
-        try:
-            iso = verify_isometry(lat, m)
-        except NotIsometryError:
-            _note_rejections(rejection_by_vector, others, combo, "not an isometry")
-            continue
-        if linalg.mat_mul(m, m) != linalg.identity(r):
-            _note_rejections(rejection_by_vector, others, combo, "square is not the identity")
-            continue
-        fixed = invariant_sublattice(iso)
-        if len(fixed) != 1:
-            _note_rejections(
-                rejection_by_vector,
-                others,
-                combo,
-                f"invariant sublattice has rank {len(fixed)}, need 1",
-            )
-            continue
-        survivors.append(({x: img for x, img in zip(others, combo)}, iso))
-
-    if not survivors:
-        raise NoSolutionError("every candidate image fails the involution filters")
-    if len(survivors) > 1:
-        raise AmbiguousSolutionError([s[0] for s in survivors])
-    chosen_map, iso = survivors[0]
+    v = [0] * r
+    v[h], v[e] = 1, -1
+    pairings = linalg.mat_vec(lat.gram_rows(), v)
+    m = [[pairings[j] * v[i] - (i == j) for j in range(r)] for i in range(r)]
+    iso = verify_isometry(lat, m)
+    iota_h, iota_e = ([row[j] for row in m] for j in (h, e))
     records = []
-    for x, cands in zip(others, per_vector):
-        rejects = tuple(
-            (cand, rejection_by_vector[x].get(cand, "rejected in combination"))
-            for cand in cands
-            if cand != chosen_map[x]
-        )
+    for x in range(r):
+        if x in (h, e):
+            continue
+        cands = _beauville_candidates(lat, h, e, x, iota_h, iota_e)
+        chosen = tuple(row[x] for row in m)
         records.append(
             CandidateRecord(
                 basis_index=x,
                 candidates=tuple(cands),
-                chosen=chosen_map[x],
-                rejections=rejects,
+                chosen=chosen,
+                rejections=tuple(
+                    (cand, _first_failed_filter(lat, m, x, cand))
+                    for cand in cands
+                    if cand != chosen
+                ),
             )
         )
     return BeauvilleSolution(
@@ -328,16 +286,18 @@ def solve_beauville(hilb: HilbertLattice, quartic_class_index: int) -> Beauville
     )
 
 
-def _note_rejections(table, others, combo, reason):
-    for x, img in zip(others, combo):
-        table[x].setdefault(img, reason)
-
-
-def beauville_involution(
-    hilb: HilbertLattice, quartic_class_index: int
-) -> LatticeIsometry:
-    """The unique involution selected by solve_beauville (see its docstring)."""
-    return solve_beauville(hilb, quartic_class_index).isometry
+def _first_failed_filter(lat: GramLattice, m: list[list[int]], x: int, image) -> str:
+    """The first filter that m fails with image in place of its column x."""
+    trial = [[*row[:x], y, *row[x + 1 :]] for row, y in zip(m, image)]
+    try:
+        iso = verify_isometry(lat, trial)
+    except NotIsometryError:
+        return "not an isometry"
+    if linalg.mat_mul(trial, trial) != linalg.identity(len(trial)):
+        return "square is not the identity"
+    # m is the only involution with these h and e columns and a fixed
+    # sublattice of rank 1, so this one's rank differs
+    return f"invariant sublattice has rank {len(invariant_sublattice(iso))}, need 1"
 
 
 def kummer_first_degree(m: Sl2Matrix) -> FirstDegree:

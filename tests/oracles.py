@@ -2,8 +2,8 @@
 iteration, a symmetric power and its dimension, a Fraction rank, integer
 solvability by determinantal divisors, the product a classification
 multiplies back to, the coefficient-list decoder of the JSON polynomial
-format and the reader of its algebraic reals, and the argparse parser of the
-command line.
+format and the reader of its algebraic reals, the argparse parser of the
+command line, and the combination search for the Beauville involution.
 """
 
 import argparse
@@ -14,7 +14,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from hkdd import linalg
+from hkdd.errors import NotIsometryError
+from hkdd.hyperkahler import BeauvilleSolution, CandidateRecord, _beauville_candidates
 from hkdd.jsonio import InputParseError, decode_int
+from hkdd.lattice import invariant_sublattice, verify_isometry
 from hkdd.polynomial import AlgebraicReal, IntPolynomial, cyclotomic
 from hkdd.salem import SalemClassification
 
@@ -217,3 +221,84 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, default=8, help="entry bound (default 8)")
 
     return parser
+
+
+def product_beauville(hilb, quartic_class_index: int, budget: int) -> BeauvilleSolution | None:
+    """solve_beauville as a search: verify every combination of the candidate
+    images of the basis vectors other than h and e, and keep the one that is
+    an isometric involution with a fixed sublattice of rank 1. A candidate's
+    reason is the first filter failed by the first combination holding it.
+
+    Returns None when the combinations number more than budget, and raises
+    ValueError when none or several survive.
+    """
+    lat = hilb.extended
+    h = quartic_class_index
+    e = hilb.e_index
+    r = lat.rank
+    iota_h = [0] * r
+    iota_h[h], iota_h[e] = 3, -4
+    iota_e = [0] * r
+    iota_e[h], iota_e[e] = 2, -3
+    others = [i for i in range(r) if i not in (h, e)]
+    per_vector: list[list[tuple[int, ...]]] = []
+    for x in others:
+        cands = _beauville_candidates(lat, h, e, x, iota_h, iota_e)
+        if not cands:
+            raise ValueError(f"no integer image for basis vector {lat.labels[x]}")
+        per_vector.append(cands)
+    if math.prod(map(len, per_vector)) > budget:
+        return None
+
+    survivors = []
+    rejection_by_vector: dict[int, dict[tuple[int, ...], str]] = {x: {} for x in others}
+
+    def note(combo, reason):
+        for x, img in zip(others, combo):
+            rejection_by_vector[x].setdefault(img, reason)
+
+    for combo in itertools.product(*per_vector):
+        m = [[0] * r for _ in range(r)]
+        for i in range(r):
+            m[i][h] = iota_h[i]
+            m[i][e] = iota_e[i]
+        for x, img in zip(others, combo):
+            for i in range(r):
+                m[i][x] = img[i]
+        try:
+            iso = verify_isometry(lat, m)
+        except NotIsometryError:
+            note(combo, "not an isometry")
+            continue
+        if linalg.mat_mul(m, m) != linalg.identity(r):
+            note(combo, "square is not the identity")
+            continue
+        fixed = invariant_sublattice(iso)
+        if len(fixed) != 1:
+            note(combo, f"invariant sublattice has rank {len(fixed)}, need 1")
+            continue
+        survivors.append(({x: img for x, img in zip(others, combo)}, iso))
+
+    if len(survivors) != 1:
+        raise ValueError(f"{len(survivors)} combinations survive the involution filters")
+    chosen_map, iso = survivors[0]
+    records = tuple(
+        CandidateRecord(
+            basis_index=x,
+            candidates=tuple(cands),
+            chosen=chosen_map[x],
+            rejections=tuple(
+                (cand, rejection_by_vector[x].get(cand, "rejected in combination"))
+                for cand in cands
+                if cand != chosen_map[x]
+            ),
+        )
+        for x, cands in zip(others, per_vector)
+    )
+    return BeauvilleSolution(
+        isometry=iso,
+        h_index=h,
+        e_index=e,
+        records=records,
+        assumed_hypotheses=("quartic class is very ample", "the surface contains no line"),
+    )

@@ -183,30 +183,24 @@ def test_cli_ends_in_time(case):
 
 
 # the candidate images of the three other basis vectors number 1,692,
-# 1,692 and 130: 372,172,320 combinations, far past the cap
+# 1,692 and 130; the records reject all but one of each without trying
+# their 372,172,320 combinations
 BEAUVILLE_RANK5 = """
-import sys
-from hkdd.errors import HkddError
 from hkdd.hyperkahler import hilbert_lattice, solve_beauville
 from hkdd.lattice import make_lattice
 base = make_lattice([[4, 0, 0, 0], [0, -2, 0, 0], [0, 0, -2, 0], [0, 0, 0, 2]])
-try:
-    solve_beauville(hilbert_lattice(base, 2), 0)
-except HkddError as exc:
-    print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-    sys.exit(exc.exit_code)
+print(solve_beauville(hilbert_lattice(base, 2), 0).isometry.rows())
 """
 
 
-def test_beauville_rank5_ends_at_the_combination_cap():
+def test_beauville_rank5_ends_with_the_involution():
     proc = subprocess.run(
         [sys.executable, "-c", BEAUVILLE_RANK5],
         capture_output=True,
         text=True,
         timeout=5,
     )
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.splitlines() == [
-        "CombinationBudgetError: 372172320 combinations of candidate images "
-        "exceed the cap of 40000"
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "[[3, 0, 0, 0, 2], [0, -1, 0, 0, 0], [0, 0, -1, 0, 0], [0, 0, 0, -1, 0], [-4, 0, 0, 0, -3]]"
     ]

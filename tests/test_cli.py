@@ -185,6 +185,12 @@ def test_kummer_past_double_range(capsys):
     assert_correctly_rounded(row.split()[-1], lambda: ((7 + 3 * mpmath.sqrt(5)) / 2) ** 400, 12)
 
 
+def test_kummer_json_matrix_past_53_bits(capsys):
+    code, out, _ = run_cli(["kummer", str(10**20), "1", str(10**20 - 1), "1", "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["matrix"] == [[str(10**20), 1], [str(10**20 - 1), 1]]
+
+
 def test_import_leaves_numpy_out():
     # the demo and an exit-4 report, the one path that used numpy, run too
     inputs = Path(__file__).parent / "golden" / "inputs"
@@ -555,16 +561,16 @@ def test_every_error_has_a_documented_exit_code():
         for _, cls in inspect.getmembers(module, inspect.isclass)
         if issubclass(cls, errors.HkddError)
     }
-    assert jsonio.InputParseError in classes and len(classes) >= 18
+    assert jsonio.InputParseError in classes and len(classes) == 17
     for cls in classes:
         assert cls.exit_code in {2, 3, 4}, cls
         assert isinstance(cls.label, str) and cls.label, cls
 
 
 def test_error_without_own_entry_exits_with_base_code(capsys, monkeypatch):
-    def unsolvable(hilb, index):
-        raise errors.NoSolutionError("no integer solution")
+    def mismatched(hilb, index):
+        raise errors.LatticeMismatchError("operands act on different lattices")
 
-    monkeypatch.setattr(cli, "solve_beauville", unsolvable)
+    monkeypatch.setattr(cli, "solve_beauville", mismatched)
     code, out, err = run_cli(["beauville-demo"], capsys)
-    assert (code, out, err) == (2, "", "input error: no integer solution\n")
+    assert (code, out, err) == (2, "", "input error: operands act on different lattices\n")

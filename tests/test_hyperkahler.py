@@ -15,8 +15,8 @@ from hkdd.errors import (
 from hkdd.hyperkahler import (
     NOT_NATURAL,
     POSSIBLY_NATURAL,
+    HilbertLattice,
     Sl2Matrix,
-    beauville_involution,
     compose,
     hilbert_from_extended,
     hilbert_lattice,
@@ -30,6 +30,7 @@ from hkdd.hyperkahler import (
 from hkdd.lattice import invariant_sublattice, make_lattice, norm_of, verify_isometry
 from hkdd.salem import is_salem_polynomial
 from hkdd.polynomial import IntPolynomial
+from oracles import product_beauville
 
 
 def test_hilbert_lattice_examples(quartic_pair):
@@ -78,7 +79,7 @@ def test_natural_isometry_preserves_first_degree(hilb2):
 
 def test_beauville_rank2():
     h = hilbert_lattice(make_lattice([[4]], ["H"]), 2)
-    iso = beauville_involution(h, 0)
+    iso = solve_beauville(h, 0).isometry
     assert iso.rows() == [[3, 2], [-4, -3]]
 
 
@@ -98,7 +99,7 @@ def test_beauville_reproduces_m1_m2(hilb2, m1, m2):
 
 def test_beauville_involution_invariants(hilb2):
     for idx in (0, 2):
-        iso = beauville_involution(hilb2, idx)
+        iso = solve_beauville(hilb2, idx).isometry
         assert linalg.mat_mul(iso.rows(), iso.rows()) == linalg.identity(3)
         fixed = invariant_sublattice(iso)
         assert len(fixed) == 1
@@ -118,6 +119,22 @@ def test_beauville_error_paths(quartic_pair):
         solve_beauville(h3, 0)  # norm 2, not a quartic class
 
 
+@pytest.mark.parametrize(
+    "gram, message",
+    [
+        ([[4, 1], [1, -2]], r"\(e, H\) = 1, need 0"),
+        ([[4, 0], [0, -4]], r"\(e, e\) = -4, need -2"),
+    ],
+)
+def test_beauville_checks_the_gram_hypotheses(gram, message):
+    # a hand-built HilbertLattice can break what -s_(h-e) needs
+    hilb = HilbertLattice(
+        base=make_lattice([[4]], ["H"]), n=2, extended=make_lattice(gram, ["H", "e"]), e_index=1
+    )
+    with pytest.raises(DimensionMismatchError, match=message):
+        solve_beauville(hilb, 0)
+
+
 def test_beauville_lets_unexpected_errors_through(hilb2, monkeypatch):
     # only NotIsometryError means "not an isometry"; a fault inside the
     # check must surface, not be recorded as a rejected candidate
@@ -130,8 +147,8 @@ def test_beauville_lets_unexpected_errors_through(hilb2, monkeypatch):
 
 
 def test_beauville_extra_class_always_resolves():
-    # the involution extends uniquely across a range of extra classes; every
-    # run must pass the full filter stack, never Ambiguous
+    # the involution extends across a range of extra classes; every run
+    # passes the full filter stack
     for p in range(-3, 4):
         for q in (-4, -2, 0, 2, 6):
             base = make_lattice([[4, p], [p, q]], ["H", "x"])
@@ -139,6 +156,39 @@ def test_beauville_extra_class_always_resolves():
             m = sol.isometry.rows()
             assert linalg.mat_mul(m, m) == linalg.identity(3)
             assert len(invariant_sublattice(sol.isometry)) == 1
+
+
+def test_beauville_rank3_matches_the_product_search():
+    # at rank 3 each candidate list is complete and each combination holds
+    # one candidate, so the closed form must give the search's records too
+    for b in range(-6, 7):
+        for c in range(-6, 7):
+            for slot in range(3):
+                hilb = hilbert_lattice(make_lattice([[4, b], [b, c]]), 2, e_index=slot)
+                h = 1 if slot == 0 else 0
+                expected = product_beauville(hilb, h, budget=40_000)
+                got = solve_beauville(hilb, h)
+                assert (got.isometry, got.records) == (expected.isometry, expected.records)
+
+
+def test_beauville_rank4_isometry_matches_the_product_search():
+    # a rejection reason may differ: the search gives the first failing
+    # combination's reason, the closed form the reason in place in iota
+    rng = random.Random(4)
+    compared = 0
+    for _ in range(120):
+        a, b, d = (rng.randint(-3, 3) for _ in range(3))
+        c, f = rng.randint(-6, 6), rng.randint(-6, 6)
+        slot = rng.randint(0, 3)
+        base = make_lattice([[4, a, b], [a, c, d], [b, d, f]])
+        hilb = hilbert_lattice(base, 2, e_index=slot)
+        h = 1 if slot == 0 else 0
+        expected = product_beauville(hilb, h, budget=40_000)
+        if expected is None:
+            continue
+        assert solve_beauville(hilb, h).isometry == expected.isometry
+        compared += 1
+    assert compared > 100
 
 
 def test_integer_quadratic_roots_helper():
@@ -291,7 +341,7 @@ def test_naturality_rank1_square_scaling():
     # but a generator of norm -2 works with k = 1
     base = make_lattice([[4]], ["H"])
     h = hilbert_lattice(base, 2)
-    iota = beauville_involution(h, 0)
+    iota = solve_beauville(h, 0).isometry
     cert = naturality_certificate(iota, h)
     # fixed lattice is Z<H - e> of norm 4 - 2 = 2: k^2 * 2 = -2 impossible
     assert cert.verdict == NOT_NATURAL
