@@ -5,17 +5,20 @@ Reports go to stdout (aligned text by default, --format json for machines);
 diagnostics go to stderr. Exit codes are stable: 0 success, 2 malformed
 input, 3 isometry/determinant failures, 4 spectral structure violations,
 and 1 for an unexpected internal error, reported as the single stderr line
-`internal error: <Type>: <message>`. Each HkddError carries its code and
-stderr label (see errors), so main has one handler for them all. Every
-printed decimal is correctly rounded (half-even) to --precision digits by
-polynomial.rounded_decimal; those of a spectrum report, the entropy and the
-JSON d1 included, come from one certified walk (dynamics.spectrum_decimals).
+`internal error: <Type>: <message>`. A reader that closes stdout early ends
+the output: main prints nothing more and returns 0. Each HkddError carries
+its code and stderr label (see errors), so main has one handler for them
+all. Every printed decimal is correctly rounded (half-even) to --precision
+digits by polynomial.rounded_decimal; those of a spectrum report, the
+entropy and the JSON d1 included, come from one certified walk
+(dynamics.spectrum_decimals).
 _parse reads every command line from one table, COMMANDS, without argparse.
 File inputs use the JSON formats documented in jsonio.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from collections import namedtuple
 from fractions import Fraction
@@ -41,7 +44,7 @@ from .hyperkahler import (
     power,
     solve_beauville,
 )
-from .jsonio import dump_json, encode_matrix, load_lattice, load_matrix
+from .jsonio import dump_json, encode_int, encode_matrix, encode_vector, load_lattice, load_matrix
 from .lattice import is_even, signature, verify_isometry
 from .polynomial import IntPolynomial, char_poly
 from .salem import SALEM_STRUCTURE, classify_charpoly
@@ -54,7 +57,7 @@ SMALL_SALEM_THRESHOLD = Fraction(13, 10)
 
 
 def _spectrum_json(spec: DegreeSpectrum, dec: SpectrumDecimals) -> dict:
-    poly = None if isinstance(spec.d1, int) else list(spec.d1.poly.coeffs)
+    poly = None if isinstance(spec.d1, int) else encode_vector(spec.d1.poly.coeffs)
     d1 = {"exact": spec.entries[1].exact, "decimal": dec.entries[1], "poly": poly}  # the table's d_1
     return {
         "half_dim": spec.half_dim,
@@ -102,7 +105,7 @@ def cmd_lattice_info(args) -> int:
                     "gram": encode_matrix(lat.gram_rows()),
                     "even": is_even(lat),
                     "signature": list(sig.as_tuple()),
-                    "determinant": det,
+                    "determinant": encode_int(det),
                 }
             )
         )
@@ -131,7 +134,7 @@ def cmd_degrees(args) -> int:
                 {
                     "lattice": {"labels": list(lat.labels), "gram": encode_matrix(lat.gram_rows())},
                     "isometry": encode_matrix(iso.rows()),
-                    "char_poly": list(cp.coeffs),
+                    "char_poly": encode_vector(cp.coeffs),
                     # a Salem root is d1, whose decimal the table has
                     "classification": cls.to_json(args.precision, dec.entries[1]),
                     "spectrum": _spectrum_json(spec, dec),
@@ -156,7 +159,7 @@ def cmd_salem_check(args) -> int:
         sys.stdout.write(
             dump_json(
                 {
-                    "input": list(p.coeffs),
+                    "input": encode_vector(p.coeffs),
                     "classification": cls.to_json(args.precision),
                 }
             )
@@ -188,7 +191,7 @@ def cmd_kummer(args) -> int:
             dump_json(
                 {
                     "matrix": encode_matrix(m.rows()),
-                    "trace": t,
+                    "trace": encode_int(t),
                     "branch": branch,
                     "spectrum": _spectrum_json(spec, dec),
                 }
@@ -213,11 +216,11 @@ def cmd_natural_check(args) -> int:
             dump_json(
                 {
                     "verdict": cert.verdict,
-                    "required_norm": cert.required_norm,
-                    "fixed_basis": [list(v) for v in cert.fixed_basis],
+                    "required_norm": encode_int(cert.required_norm),
+                    "fixed_basis": [encode_vector(v) for v in cert.fixed_basis],
                     "witness": None
                     if cert.witness is None
-                    else {"vector": list(cert.witness[0]), "norm": cert.witness[1]},
+                    else {"vector": encode_vector(cert.witness[0]), "norm": encode_int(cert.witness[1])},
                     "detail": cert.detail,
                 }
             )
@@ -251,7 +254,7 @@ def cmd_search(args) -> int:
             entries.append(
                 {
                     "matrix": encode_matrix(m),
-                    "salem_poly": list(root.poly.coeffs),
+                    "salem_poly": encode_vector(root.poly.coeffs),
                     "root": root.to_json(args.precision),
                     "small_salem_candidate": bool(root.compare_rational(SMALL_SALEM_THRESHOLD) < 0),
                 }
@@ -315,7 +318,7 @@ def cmd_beauville_demo(args) -> int:
             ],
             "composition": {
                 "matrix": encode_matrix(comp.rows()),
-                "char_poly": list(cp.coeffs),
+                "char_poly": encode_vector(cp.coeffs),
                 "classification": cls.to_json(args.precision, root_decimal),
             },
             "spectra": [
@@ -324,10 +327,10 @@ def cmd_beauville_demo(args) -> int:
             ],
             "naturality": {
                 "verdict": cert.verdict,
-                "required_norm": cert.required_norm,
+                "required_norm": encode_int(cert.required_norm),
                 "witness": None
                 if cert.witness is None
-                else {"vector": list(cert.witness[0]), "norm": cert.witness[1]},
+                else {"vector": encode_vector(cert.witness[0]), "norm": encode_int(cert.witness[1])},
             },
         }
         sys.stdout.write(dump_json(payload))
@@ -374,10 +377,10 @@ def _solution_json(sol, lat) -> dict:
         "candidates": [
             {
                 "for": lat.labels[rec.basis_index],
-                "candidates": [list(c) for c in rec.candidates],
-                "chosen": list(rec.chosen),
+                "candidates": [encode_vector(c) for c in rec.candidates],
+                "chosen": encode_vector(rec.chosen),
                 "rejected": [
-                    {"candidate": list(c), "reason": why} for c, why in rec.rejections
+                    {"candidate": encode_vector(c), "reason": why} for c, why in rec.rejections
                 ],
             }
             for rec in sol.records
@@ -493,7 +496,14 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
-        return EXIT_OK if args is None else globals()["cmd_" + args.command.replace("-", "_")](args)
+        code = EXIT_OK if args is None else globals()["cmd_" + args.command.replace("-", "_")](args)
+        sys.stdout.flush()  # so that a reader gone before the last write is seen here
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`| head -1`): the end of output, not an
+        # error; stdout goes to devnull so the interpreter's final flush is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except HkddError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -319,21 +319,34 @@ def validate_spectrum_shape(
 
 
 def enumerate_isometries(lat: GramLattice, entry_bound: int) -> list[list[list[int]]]:
-    """All integer matrices with entries in [-bound, bound] and M^T G M = G.
+    """All integer matrices with entries in [-bound, bound] and M^T G M = G,
+    in lexicographic order of their columns.
 
     Column-by-column backtracking: column j must have norm G[j][j] and the
     right pairings with all earlier columns. Candidate columns come from
     norm buckets, one lattice.affine_points walk of the box per needed
-    norm, so each bucket is in lexicographic order and the output order is
-    deterministic. G*v is computed once per bucket vector for the pairing
-    checks.
+    norm, so each bucket is in lexicographic order. G*v is computed once
+    per bucket vector for the pairing checks.
 
-    The last column (j = r-1 >= 1) is solved: its r-1 pairing equations
-    leave u0 + t*k when their integer kernel is one-dimensional, and the
-    norm is then a quadratic in t whose nonzero solutions inside the box
-    are the candidates, sorted. Another kernel dimension, or a quadratic
-    with a = k^T G k and b = 2 u0^T G k both 0, falls back to filtering
-    the bucket.
+    Half the tree is walked. With M, -M is an isometry in the box, and a
+    bucket is closed under negation, so the candidates under the negated
+    columns are the negated candidates in reverse order. The walk takes
+    only first columns whose first nonzero entry is positive, the upper
+    half of their bucket; the matrices under the lower half are the walked
+    ones negated, in reverse order, and come first.
+
+    The last column x (j = r-1 >= 1) is solved in closed form on a
+    nondegenerate G. As M^T G M = G, det M = d = +-1 and
+    adj(M) = d M^-1 = d G^-1 M^T G, so M adj(G) = d adj(G) adj(M)^T. The
+    last row k of adj(M) is the signed (r-1)-minors of the first r-1
+    columns, free of x. Applied to y = adj(G) e_(r-1), whose last entry is
+    the leading (r-1)-minor of G:
+
+        y_(r-1) x = d adj(G) k - sum_(i < r-1) y_i c_i.
+
+    Each d gives at most one candidate; one that divides exactly, lies in
+    the box with norm G[r-1][r-1] and meets the pairings is kept. When
+    det G = 0 or y_(r-1) = 0, the last column is filtered from its bucket.
     """
     if entry_bound < 1:
         raise ValueError("entry bound must be >= 1")
@@ -344,6 +357,10 @@ def enumerate_isometries(lat: GramLattice, entry_bound: int) -> list[list[list[i
         for norm in {g[j][j] for j in range(r)}
     }
     gv = {v: linalg.mat_vec(g, v) for bucket in buckets.values() for v in bucket}
+    adj_g = linalg.adjugate(g)
+    *y_head, y_last = adj_g[-1]  # adj(G) e_(r-1), as adj(G) is symmetric
+    closed_form = r > 1 and y_last != 0 and linalg.det_bareiss(g) != 0
+    last_bucket = set(buckets[g[-1][-1]])
 
     def filtered(j: int) -> list[tuple[int, ...]]:
         vs = buckets[g[j][j]]
@@ -353,20 +370,21 @@ def enumerate_isometries(lat: GramLattice, entry_bound: int) -> list[list[list[i
         return vs
 
     def last_column() -> list[tuple[int, ...]]:
-        j = r - 1
-        solution = linalg.solve_integer_system([gv[c] for c in cols], g[j][:j])
-        if solution is None:
-            return []
-        u0, kernel = solution
-        if len(kernel) == 1:
-            gk = linalg.mat_vec(g, kernel[0])
-            if sum(map(mul, kernel[0], gk)) or sum(map(mul, u0, gk)):
-                return sorted(
-                    v
-                    for v in affine_points(g, g[j][j], entry_bound, u0, kernel)
-                    if any(v) and max(map(abs, v)) <= entry_bound
-                )
-        return filtered(j)
+        rows = list(zip(*cols))
+        kappa = [
+            (-1) ** (r - 1 + i) * linalg.det_bareiss([list(row) for row in rows[:i] + rows[i + 1 :]])
+            for i in range(r)
+        ]
+        adj_kappa = linalg.mat_vec(adj_g, kappa)
+        y_cols = [sum(map(mul, row, y_head)) for row in rows]
+        found = set()
+        for d in (1, -1):
+            num = [d * a - s for a, s in zip(adj_kappa, y_cols)]
+            if all(x % y_last == 0 for x in num):
+                v = tuple(x // y_last for x in num)
+                if v in last_bucket and all(sum(map(mul, v, gv[c])) == g[i][-1] for i, c in enumerate(cols)):
+                    found.add(v)
+        return sorted(found)
 
     results: list[list[list[int]]] = []
     cols: list[tuple[int, ...]] = []
@@ -375,13 +393,24 @@ def enumerate_isometries(lat: GramLattice, entry_bound: int) -> list[list[list[i
         if j == r:
             results.append([list(row) for row in zip(*cols)])
             return
-        for v in last_column() if j and j == r - 1 else filtered(j):
+        vs = last_column() if closed_form and j == r - 1 else filtered(j)
+        for v in vs[len(vs) // 2 :] if j == 0 else vs:
             cols.append(v)
             backtrack(j + 1)
             cols.pop()
 
     backtrack(0)
-    return results
+    return [_negated(m) for m in reversed(results)] + results
+
+
+def _negated(m: list[list[int]]) -> list[list[int]]:
+    return [[-x for x in row] for row in m]
+
+
+def _negated_char_poly(p: IntPolynomial) -> IntPolynomial:
+    """char(-M) from p = char(M): (-1)^n p(-x), a flip of every other sign."""
+    n = p.degree
+    return IntPolynomial(tuple(-c if (n - k) % 2 else c for k, c in enumerate(p.coeffs)))
 
 
 def search_salem_isometries(
@@ -393,19 +422,33 @@ def search_salem_isometries(
 
     Besides the directly enumerated matrices, products of pairs of found
     involutions are classified too: positive-entropy elements often arise as
-    such compositions while their own entries exceed the bound. As
-    char(ab) = char(ba), each unordered pair {a, b} is classified once. On a
-    nondegenerate form (det G != 0), char(ab) is reciprocal up to the sign
-    (-1)^n det a det b, with each involution's determinant computed once, so
-    it follows from tr((ab)^k) for k <= n/2 (reciprocal_char_poly): at rank
-    3 that is tr(ab) alone, formed without the product, and at rank 4 one
-    product and one trace-only product. A degenerate form takes char_poly of
-    the product. ab (at rank 3) and ba are formed, to compete as
-    representatives, only when the pair has the Salem structure. A dict local
-    to the call maps characteristic polynomials to their classification, so
-    each distinct polynomial is classified once per search.
+    such compositions while their own entries exceed the bound.
+
+    Both run on sign representatives: the second half of
+    enumerate_isometries, whose negations are the first half. An M with
+    the Salem structure has its Salem root l > 1 as an eigenvalue, so -M
+    has -l < -1 and no Salem structure: at most one of +-M is Salem. So
+    each representative M is classified, and -M, whose char poly is
+    (-1)^n char(M)(-x), only when M is not Salem.
+
+    Involution pairs run over representatives a, b alone: {a, b} and
+    {-a, -b} give ab, {a, -b} and {-a, b} give -ab, and {a, -a} gives -I,
+    which is not Salem. As char(ab) = char(ba), each pair is classified
+    once, and -ab only when ab is not Salem. On a nondegenerate form
+    (det G != 0), char(ab) is reciprocal up to the sign
+    (-1)^n det a det b, with each involution's determinant computed once,
+    so it follows from t_k = tr((ab)^k) for k <= n/2
+    (reciprocal_char_poly): at rank 3 that is tr(ab) alone, formed without
+    the product, and at rank 4 one product and one trace-only product.
+    -ab has sign (-1)^n times that and traces (-1)^k t_k. A degenerate form
+    takes char_poly of the product. ab (at rank 3) and ba are formed, to
+    compete as representatives with their negations, only when the pair has
+    the Salem structure. A dict local to the call maps characteristic
+    polynomials to their classification, so each distinct polynomial is
+    classified at most once per search.
     """
     isometries = enumerate_isometries(lat, entry_bound)
+    reps = isometries[len(isometries) // 2 :]
     n = lat.rank
     classes: dict[tuple[int, ...], SalemClassification] = {}
     hits: dict[tuple[int, ...], tuple[tuple[int, ...], list[list[int]], AlgebraicReal]] = {}
@@ -416,38 +459,50 @@ def search_salem_isometries(
             cls = classes[p.coeffs] = classify_charpoly(p)
         return cls
 
-    def consider(m: list[list[int]], cls: SalemClassification):
+    def consider(m: list[list[int]], cls: SalemClassification) -> bool:
         if cls.kind != SALEM_STRUCTURE:
-            return
+            return False
         key = cls.salem_factor.coeffs
         flat = tuple(itertools.chain.from_iterable(m))
         cur = hits.get(key)
         if cur is None or flat < cur[0]:
             hits[key] = (flat, m, cls.salem_root)
+        return True
 
-    for m in isometries:
-        consider(m, classify(char_poly(m)))
+    for m in reps:
+        p = char_poly(m)
+        if not consider(m, classify(p)):
+            consider(_negated(m), classify(_negated_char_poly(p)))
     ident = linalg.identity(n)
-    involutions = [m for m in isometries if linalg.mat_mul(m, m) == ident]
+    involutions = [m for m in reps if linalg.mat_mul(m, m) == ident]
     nondegenerate = linalg.det_bareiss(lat.gram_rows()) != 0
     dets = [linalg.det_bareiss(m) for m in involutions] if nondegenerate else []
     # (sign, t_1, ..., t_(n//2)) -> classification of the polynomial they give
     by_traces: dict[tuple[int, ...], SalemClassification] = {}
+
+    def classify_traces(key: tuple[int, ...]) -> SalemClassification:
+        cls = by_traces.get(key)
+        if cls is None:
+            cls = by_traces[key] = classify(reciprocal_char_poly(n, list(key[1:]), key[0]))
+        return cls
+
     for (i, a), (j, b) in itertools.combinations(enumerate(involutions), 2):
         # at rank 3 the one trace needed is tr(ab), which takes no product
         ab = None if nondegenerate and n < 4 else linalg.mat_mul(a, b)
-        if not nondegenerate:
-            cls = classify(char_poly(ab))
-        else:
+        if nondegenerate:
             sign = (-1) ** n * dets[i] * dets[j]
             traces = [linalg.trace_of_product(a, b)] if ab is None else power_traces(ab, n // 2)
-            key = (sign, *traces)
-            cls = by_traces.get(key)
-            if cls is None:
-                cls = by_traces[key] = classify(reciprocal_char_poly(n, traces, sign))
-        if cls.kind == SALEM_STRUCTURE:
-            consider(ab or linalg.mat_mul(a, b), cls)
-            consider(linalg.mat_mul(b, a), cls)
+            negated = ((-1) ** n * sign, *(-t if k % 2 else t for k, t in enumerate(traces, 1)))
+            pair_classes = map(classify_traces, ((sign, *traces), negated))
+        else:
+            p = char_poly(ab)
+            pair_classes = (classify(q) for q in (p, _negated_char_poly(p)))
+        for s, cls in zip((1, -1), pair_classes):
+            if cls.kind == SALEM_STRUCTURE:
+                ab, ba = ab or linalg.mat_mul(a, b), linalg.mat_mul(b, a)
+                consider(ab if s == 1 else _negated(ab), cls)
+                consider(ba if s == 1 else _negated(ba), cls)
+                break
     found = [(m, root) for _, m, root in hits.values()]
     found.sort(key=cmp_to_key(lambda x, y: x[1].compare_to(y[1])))
     return found

@@ -2,7 +2,8 @@
 
 Matrices are row-major lists of lists. Integers within the 53-bit range are
 plain JSON numbers; anything larger is serialized as a decimal string so that
-consumers without big integers still read the exact value.
+consumers without big integers still read the exact value. Reports write
+their matrices, vectors and polynomial coefficients this way.
 """
 
 from __future__ import annotations
@@ -45,8 +46,12 @@ def decode_int(v) -> int:
     raise InputParseError(f"expected an integer, got {type(v).__name__}")
 
 
+def encode_vector(v) -> list[int | str]:
+    return [encode_int(x) for x in v]
+
+
 def encode_matrix(m: list[list[int]]) -> list[list[int | str]]:
-    return [[encode_int(x) for x in row] for row in m]
+    return [encode_vector(row) for row in m]
 
 
 def decode_matrix(obj) -> list[list[int]]:

@@ -575,8 +575,10 @@ class AlgebraicReal:
 
     def to_json(self, sig_digits: int = 12, decimal: str | None = None) -> dict:
         """decimal, when given, is this root's decimal_str(sig_digits)."""
+        from .jsonio import encode_vector  # jsonio imports lattice, which imports this module
+
         return {
-            "poly": list(self.poly.coeffs),
+            "poly": encode_vector(self.poly.coeffs),
             "lo": f"{self.lo.numerator}/{self.lo.denominator}",
             "hi": f"{self.hi.numerator}/{self.hi.denominator}",
             "decimal": decimal or self.decimal_str(sig_digits),

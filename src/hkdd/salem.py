@@ -24,6 +24,7 @@ from itertools import zip_longest
 from math import isqrt
 
 from .errors import DegreeTooSmallError, NotMonicError
+from .jsonio import encode_vector
 from .polynomial import (
     AlgebraicReal,
     IntPolynomial,
@@ -79,7 +80,7 @@ class SalemClassification:
         return {
             "kind": self.kind,
             "cyclotomic": [[n, m] for n, m in self.cyclotomic_factors],
-            "salem_poly": list(self.salem_factor.coeffs) if self.salem_factor else None,
+            "salem_poly": encode_vector(self.salem_factor.coeffs) if self.salem_factor else None,
             "salem_root": self.salem_root.to_json(sig_digits, root_decimal) if self.salem_root else None,
         }
 

@@ -8,7 +8,7 @@ from hkdd import fixtures, linalg
 from hkdd.hyperkahler import hilbert_lattice
 from hkdd.lattice import make_lattice, verify_isometry
 from hkdd.polynomial import IntPolynomial, isolate_real_roots
-from oracles import algebraic_real_from_json
+from oracles import algebraic_real_from_json, decode_coeffs
 
 
 @pytest.fixture(scope="session")
@@ -106,7 +106,7 @@ def decimals_of(report) -> list:
             root = algebraic_real_from_json(node)
             found.append((node["decimal"], mp_root(root.poly, root)))
         elif isinstance(node, dict) and "entropy" in node and node["d1"]["poly"] is not None:
-            poly = IntPolynomial(tuple(node["d1"]["poly"]))
+            poly = IntPolynomial(tuple(decode_coeffs(node["d1"]["poly"])))
             d1, n = mp_root(poly, isolate_real_roots(poly)[-1]), node["half_dim"]
             found.append((node["d1"]["decimal"], d1))
             for e in node["entries"]:

@@ -3,7 +3,8 @@ iteration, a symmetric power and its dimension, a Fraction rank, integer
 solvability by determinantal divisors, the product a classification
 multiplies back to, the coefficient-list decoder of the JSON polynomial
 format and the reader of its algebraic reals, the argparse parser of the
-command line, and the combination search for the Beauville involution.
+command line, the combination search for the Beauville involution, and
+the Salem search over every pair of involutions.
 """
 
 import argparse
@@ -15,12 +16,20 @@ from fractions import Fraction
 import numpy as np
 
 from hkdd import linalg
+from hkdd.dynamics import enumerate_isometries
 from hkdd.errors import NotIsometryError
 from hkdd.hyperkahler import BeauvilleSolution, CandidateRecord, _beauville_candidates
 from hkdd.jsonio import InputParseError, decode_int
 from hkdd.lattice import invariant_sublattice, verify_isometry
-from hkdd.polynomial import AlgebraicReal, IntPolynomial, cyclotomic
-from hkdd.salem import SalemClassification
+from hkdd.polynomial import (
+    AlgebraicReal,
+    IntPolynomial,
+    char_poly,
+    cyclotomic,
+    power_traces,
+    reciprocal_char_poly,
+)
+from hkdd.salem import SALEM_STRUCTURE, SalemClassification, classify_charpoly
 
 
 def power_iteration_radius(m: list[list[int]], iters: int = 500, tol: float = 1e-12) -> float:
@@ -138,8 +147,10 @@ def rebuild_product(c: SalemClassification) -> IntPolynomial:
 
 
 def algebraic_real_from_json(obj: dict) -> AlgebraicReal:
-    """The AlgebraicReal of a JSON root: its poly and interval (lo, hi]."""
-    return AlgebraicReal(IntPolynomial(tuple(obj["poly"])), Fraction(obj["lo"]), Fraction(obj["hi"]))
+    """The AlgebraicReal of a JSON root: its poly, whose coefficients past
+    53 bits are decimal strings, and interval (lo, hi]."""
+    poly = IntPolynomial(tuple(decode_coeffs(obj["poly"])))
+    return AlgebraicReal(poly, Fraction(obj["lo"]), Fraction(obj["hi"]))
 
 
 def decode_coeffs(obj) -> list[int]:
@@ -302,3 +313,55 @@ def product_beauville(hilb, quartic_class_index: int, budget: int) -> BeauvilleS
         records=records,
         assumed_hypotheses=("quartic class is very ample", "the surface contains no line"),
     )
+
+
+def all_pairs_search(lat, entry_bound: int) -> list[tuple[list[list[int]], AlgebraicReal]]:
+    """search_salem_isometries without sign representatives: every
+    enumerated isometry is classified, and every unordered pair of distinct
+    involutions, -a and -b included, is classified once, by its half power
+    traces on a nondegenerate form and by char_poly of the product on a
+    degenerate one. ab and ba compete for a Salem pair."""
+    isometries = enumerate_isometries(lat, entry_bound)
+    n = lat.rank
+    classes: dict[tuple[int, ...], SalemClassification] = {}
+    hits: dict[tuple[int, ...], tuple[tuple[int, ...], list[list[int]], AlgebraicReal]] = {}
+
+    def classify(p: IntPolynomial) -> SalemClassification:
+        cls = classes.get(p.coeffs)
+        if cls is None:
+            cls = classes[p.coeffs] = classify_charpoly(p)
+        return cls
+
+    def consider(m: list[list[int]], cls: SalemClassification):
+        if cls.kind != SALEM_STRUCTURE:
+            return
+        key = cls.salem_factor.coeffs
+        flat = tuple(itertools.chain.from_iterable(m))
+        cur = hits.get(key)
+        if cur is None or flat < cur[0]:
+            hits[key] = (flat, m, cls.salem_root)
+
+    for m in isometries:
+        consider(m, classify(char_poly(m)))
+    ident = linalg.identity(n)
+    involutions = [m for m in isometries if linalg.mat_mul(m, m) == ident]
+    nondegenerate = linalg.det_bareiss(lat.gram_rows()) != 0
+    dets = [linalg.det_bareiss(m) for m in involutions] if nondegenerate else []
+    by_traces: dict[tuple[int, ...], SalemClassification] = {}
+    for (i, a), (j, b) in itertools.combinations(enumerate(involutions), 2):
+        ab = None if nondegenerate and n < 4 else linalg.mat_mul(a, b)
+        if not nondegenerate:
+            cls = classify(char_poly(ab))
+        else:
+            sign = (-1) ** n * dets[i] * dets[j]
+            traces = [linalg.trace_of_product(a, b)] if ab is None else power_traces(ab, n // 2)
+            key = (sign, *traces)
+            cls = by_traces.get(key)
+            if cls is None:
+                cls = by_traces[key] = classify(reciprocal_char_poly(n, traces, sign))
+        if cls.kind == SALEM_STRUCTURE:
+            consider(ab or linalg.mat_mul(a, b), cls)
+            consider(linalg.mat_mul(b, a), cls)
+    found = [(m, root) for _, m, root in hits.values()]
+    found.sort(key=functools.cmp_to_key(lambda x, y: x[1].compare_to(y[1])))
+    return found

@@ -1,9 +1,9 @@
 """natural-check on lattices of rank 6 to 15 and on degenerate Grams,
-search at ranks 4 and 5, polynomial work on huge traces and degree 160, and
-a degree table of half-dimension 1000 end within a stated time with a
-documented exit code (0, 2, 3 or 4). Each case runs `python -m hkdd.cli` in
-a fresh process with a timeout, so a hang fails the test instead of
-stalling the suite.
+search at rank 4 and at rank 5 up to bound 2, polynomial work on huge
+traces and degree 160, and a degree table of half-dimension 1000 end
+within a stated time with a documented exit code (0, 2, 3 or 4). Each case
+runs `python -m hkdd.cli` in a fresh process with a timeout, so a hang
+fails the test instead of stalling the suite.
 """
 
 import json
@@ -117,6 +117,10 @@ SEARCH_CASES = {
     "rank5-bound1": (
         block_sum(U, [[-2]], [[-2]], [[-2]]), 1, 10,
         "salem isometries of <b0, b1, b2, b3, b4> within entry bound 1: 0",
+    ),
+    "rank5-bound2": (
+        block_sum(U, [[-2]], [[-2]], [[-2]]), 2, 10,
+        "salem isometries of <b0, b1, b2, b3, b4> within entry bound 2: 117",
     ),
 }
 

@@ -14,9 +14,9 @@ import pytest
 from hkdd import cli, dynamics, errors, fixtures, hyperkahler, jsonio, linalg
 from hkdd.cli import main
 from hkdd.jsonio import dump_json
-from hkdd.polynomial import AlgebraicReal
+from hkdd.polynomial import AlgebraicReal, IntPolynomial
 from conftest import assert_correctly_rounded, decimals_of
-from oracles import build_parser
+from oracles import algebraic_real_from_json, build_parser, decode_coeffs
 from test_cli_golden import CASES
 
 
@@ -52,6 +52,14 @@ def test_lattice_info_json_roundtrip(capsys):
     assert dump_json(parsed) == out
     assert parsed["signature"] == [1, 2, 0]
     assert parsed["determinant"] == 96
+
+
+def test_lattice_info_json_determinant_past_53_bits(capsys, tmp_path):
+    lattice = tmp_path / "big.json"
+    lattice.write_text(json.dumps({"gram": [[10**10, 0], [0, -(10**10)]]}))
+    code, out, _ = run_cli(["--format", "json", "lattice-info", str(lattice)], capsys)
+    assert code == 0
+    assert json.loads(out)["determinant"] == str(-(10**20))
 
 
 def test_degrees_table(capsys, m1m2_file):
@@ -188,7 +196,23 @@ def test_kummer_past_double_range(capsys):
 def test_kummer_json_matrix_past_53_bits(capsys):
     code, out, _ = run_cli(["kummer", str(10**20), "1", str(10**20 - 1), "1", "--format", "json"], capsys)
     assert code == 0
-    assert json.loads(out)["matrix"] == [[str(10**20), 1], [str(10**20 - 1), 1]]
+    report = json.loads(out)
+    assert report["matrix"] == [[str(10**20), 1], [str(10**20 - 1), 1]]
+    assert report["trace"] == str(10**20 + 1)
+    # d_1 is the root of x^2 - (t^2 - 2) x + 1
+    assert report["spectrum"]["d1"]["poly"] == [1, str(-(10**40 + 2 * 10**20 - 1)), 1]
+    assert decode_coeffs(report["spectrum"]["d1"]["poly"]) == [1, -((10**20 + 1) ** 2 - 2), 1]
+
+
+def test_salem_check_json_coefficients_past_53_bits(capsys):
+    t = 10**30 + 1
+    code, out, _ = run_cli(["--format", "json", "salem-check", "1", str(-t), "1"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["input"] == report["classification"]["salem_poly"] == [1, str(-t), 1]
+    root = report["classification"]["salem_root"]
+    assert root["poly"] == [1, str(-t), 1]
+    assert algebraic_real_from_json(root).poly == IntPolynomial((1, -t, 1))
 
 
 def test_import_leaves_numpy_out():
@@ -278,6 +302,22 @@ def test_search_deterministic_across_processes_and_threads(tmp_path):
     second = subprocess.run(cmd, capture_output=True)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+def test_closed_stdout_ends_the_output():
+    # about 430 kB, far past the pipe buffer, so the writer meets the closed pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hkdd.cli", "kummer", "3", "1", "2", "1", "--half-dim", "300"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    code = proc.wait(timeout=30)
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert first == b"SL(2,Z) matrix [[3, 1], [2, 1]], trace 4\n"
+    assert (code, err) == (0, b"")
 
 
 def test_precision_flag(capsys, m1m2_file):
