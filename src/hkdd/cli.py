@@ -9,9 +9,11 @@ and 1 for an unexpected internal error, reported as the single stderr line
 the output: main prints nothing more and returns 0. Each HkddError carries
 its code and stderr label (see errors), so main has one handler for them
 all. Every printed decimal is correctly rounded (half-even) to --precision
-digits by polynomial.rounded_decimal; those of a spectrum report, the
-entropy and the JSON d1 included, come from one certified walk
-(dynamics.spectrum_decimals).
+digits by polynomial.rounded_decimal, from a certified interval narrowed
+by quadratic interval refinement (AlgebraicReal.quadratic_path); those of
+a spectrum report, the entropy and the JSON d1 included, come from one
+walk (dynamics.spectrum_decimals), with the table's powers bounded in
+fixed point.
 _parse reads every command line from one table, COMMANDS, without argparse.
 File inputs use the JSON formats documented in jsonio.
 """

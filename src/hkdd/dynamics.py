@@ -145,15 +145,20 @@ def power_decimal(
 ) -> SpectrumDecimals:
     """Correctly rounded decimals of d1^e for every e in exponents, in their
     order, and of scale*ln(d1) and scale*log10(d1), from one walk of d1's
-    interval.
+    interval (AlgebraicReal.quadratic_path).
 
-    d1's interval (lo, hi] is halved twice between checks. At a check each
+    Every interval (lo, hi] of the walk is checked. Once
+    (hi - lo) * 10^(sig_digits + 2) * e_max < lo, e_max the largest pending
+    exponent, _power_bounds gives bounds [L_e, H_e] / 2^W of every
+    [lo^e, hi^e] from fixed-point products with W fraction bits,
+    W = ceil(3.33 (sig_digits + 2)) + bitlen(e_max) + 16 to start with. Each
     pending exponent, in ascending order, first meets the width gate
-    (hi^e - lo^e) * 10^(sig_digits + 2) < lo^e and then rounded_decimal on
-    [lo^e, hi^e]; the first it cannot yet decide waits for the next check,
-    and so do the larger ones. The logarithms are tried, on the bounds of
-    _log_bounds, at each check with (hi - lo) * 10^(sig_digits + 2) < lo - 1
-    until both are decided.
+    (H_e - L_e) * 10^(sig_digits + 2) < L_e and then rounded_decimal on
+    [L_e, H_e] / 2^W; the first it cannot yet decide waits for a later
+    interval, and so do the larger ones, with W grown by half. The
+    logarithms are tried, on the bounds of _log_bounds, at each interval
+    with (hi - lo) * 10^(sig_digits + 2) < lo - 1 until both are decided,
+    with its digit budget grown by half after each failure.
 
     d1 must be an algebraic unit larger than 1 (leading coefficient and
     constant term +-1), as every first dynamical degree is: it is an
@@ -174,29 +179,47 @@ def power_decimal(
     pending = sorted(set(exponents) - {0})
     logs = None
     gate = 10 ** (sig_digits + 2)
-    for step, (a, b, den) in enumerate(d1.bisection_path()):
-        if step % 2:
-            continue
-        while pending and a > 0:
-            e = pending[0]
-            lo_e, hi_e = a**e, b**e
-            if (hi_e - lo_e) * gate >= lo_e:
-                break
-            text = rounded_decimal(lo_e, hi_e, den**e, sig_digits)
-            if text is None:
-                break
-            done[e] = text
-            pending.pop(0)
+    bits = -(-333 * (sig_digits + 2) // 100) + max(exponents, default=0).bit_length() + 16
+    log_digits = sig_digits + 10
+    for a, b, den in d1.quadratic_path():
+        if pending and (b - a) * gate * pending[-1] < a:
+            bounds = _power_bounds(a, b, den, bits, pending[-1])
+            while pending:
+                lo_e, hi_e = bounds[pending[0] - 1]
+                if (hi_e - lo_e) * gate >= lo_e:
+                    break
+                text = rounded_decimal(lo_e, hi_e, 1 << bits, sig_digits)
+                if text is None:
+                    break
+                done[pending.pop(0)] = text
+            if pending:
+                bits += bits // 2
         if logs is None and (b - a) * gate < a - den:
-            bounds = _log_bounds(a, b, den)
+            bounds = _log_bounds(a, b, den, log_digits)
             logs = [rounded_decimal(scale * lo, scale * hi, d, sig_digits) for lo, hi, d in bounds]
             if None in logs:
                 logs = None
+                log_digits += log_digits // 2
         if not pending and logs is not None:
             return SpectrumDecimals(tuple(done[e] for e in exponents), *logs)
 
 
-def _log_bounds(a: int, b: int, den: int) -> list[tuple[int, int, int]]:
+def _power_bounds(a: int, b: int, den: int, bits: int, count: int) -> list[tuple[int, int]]:
+    """[(L_e, H_e) for e = 1..count] with L_e / 2^bits <= (a/den)^e and
+    (b/den)^e <= H_e / 2^bits, for 0 <= a <= b: L_1 and H_1 are a/den and
+    b/den on the grid 2^-bits rounded outward, and each later pair is the
+    one before times (L_1, H_1), shifted right by bits and rounded outward.
+    So the e-th pair has bits + e * log2(b/den) bits, however long a, b and
+    den are."""
+    low, high = (a << bits) // den, -((-b << bits) // den)
+    out = [(low, high)]
+    for _ in range(count - 1):
+        lo_e, hi_e = out[-1]
+        out.append((lo_e * low >> bits, -(-hi_e * high >> bits)))
+    return out
+
+
+def _log_bounds(a: int, b: int, den: int, digits: int) -> list[tuple[int, int, int]]:
     """Bounds (low, high, d) with low/d <= log(x) <= high/d for every x in
     [a/den, b/den], 1 < a/den, for ln and then log10.
 
@@ -204,12 +227,15 @@ def _log_bounds(a: int, b: int, den: int) -> list[tuple[int, int, int]]:
     correctly, so one step down from each is a lower bound, and as
     log(hi) - log(lo) <= (hi/lo - 1) / ln(e or 10), one call per logarithm
     bounds it from above too. The working precision is the digits of
-    b/(b - a) plus a guard, so it grows as the interval narrows; for x near 1
-    that counts the leading zeros of x - 1, which carry none of ln(x).
+    b/(b - a) plus a guard, so it follows the interval's width, but at most
+    digits plus the digits of a/(a - den): the caller rounds to fewer than
+    digits, and for x near 1 the leading zeros of x - 1 carry none of ln(x).
     """
     out = []
     with localcontext() as ctx:
-        ctx.prec = ((b.bit_length() - (b - a).bit_length()) * LOG10_2_Q31 >> 31) + 6
+        width_digits = (b.bit_length() - (b - a).bit_length()) * LOG10_2_Q31 >> 31
+        near_one = (a.bit_length() - (a - den).bit_length()) * LOG10_2_Q31 >> 31
+        ctx.prec = min(width_digits + 6, digits + near_one)
         ctx.rounding = ROUND_FLOOR
         lo = Decimal(a) / den
         num, dn = lo.as_integer_ratio()

@@ -5,12 +5,14 @@ sequences, square-free parts and gcds are integer pseudo-remainder
 sequences with the content divided out; each term is a positive multiple
 of its rational counterpart, so every sign and root count is the rational
 one. Signs at rational points come from homogeneous Horner over int, and
-isolation and refinement bisect at the same midpoints as over Q. Only the
-interval endpoints are Fractions. Decimal output is produced from
-certified isolating intervals, never from floats: rounded_decimal gives
-the correctly rounded (half-even) decimal that both ends of an interval
-agree on, and every value printed as a decimal comes from it; format_fraction
-writes only the exact endpoints in a root's positional description.
+isolation and refinement bisect at the same midpoints as over Q; decimals
+and comparisons walk a root by quadratic interval refinement on the same
+dyadic grid. Only the interval endpoints are Fractions. Decimal output is
+produced from certified isolating intervals, never from floats:
+rounded_decimal gives the correctly rounded (half-even) decimal that both
+ends of an interval agree on, and every value printed as a decimal comes
+from it; format_fraction writes only the exact endpoints in a root's
+positional description.
 """
 
 from __future__ import annotations
@@ -357,13 +359,19 @@ def _weights(coeffs: Coeffs, den: int) -> list[int]:
     return out
 
 
-def _sign_at(weights: list[int], n: int, k: int) -> int:
-    """Sign of p(n / (D * 2^k)) for D > 0, given w_i = c_i * D^(d-i): the
-    sign of sum w_i n^i 2^(k(d-i)), by homogeneous Horner over int."""
+def _value_at(weights: list[int], n: int, k: int) -> int:
+    """p(n / (D * 2^k)) * (D * 2^k)^d for D > 0, given w_i = c_i * D^(d-i):
+    sum w_i n^i 2^(k(d-i)), by homogeneous Horner over int."""
     acc, shift = 0, 0
     for w in reversed(weights):
         acc = acc * n + (w << shift)
         shift += k
+    return acc
+
+
+def _sign_at(weights: list[int], n: int, k: int) -> int:
+    """Sign of p(n / (D * 2^k)), the sign of _value_at."""
+    acc = _value_at(weights, n, k)
     return (acc > 0) - (acc < 0)
 
 
@@ -455,6 +463,10 @@ class AlgebraicReal:
         While p(lo) = 0 (a neighbouring root sits on the open end) or p is
         not square-free, the sign says nothing and the step counts Sturm
         sign variations instead.
+
+        refined walks this path, so its interval is a function of the
+        isolating interval and eps alone. Decimals and comparisons, which
+        promise only a value, walk quadratic_path, which narrows faster.
         """
         lo, hi = self.lo, self.hi
         den = lcm(lo.denominator, hi.denominator)
@@ -484,6 +496,47 @@ class AlgebraicReal:
                     s_lo = _sign_at(weights, a, k)
             yield a, b, den << k
 
+    def quadratic_path(self):
+        """Yield intervals (a, b, den * 2^k) on the grid of bisection_path,
+        each nested in the one before and holding the root, narrowed by
+        quadratic interval refinement (Abbott, arXiv:1203.1227).
+
+        The interval is cut into N = 2^m cells. The secant through p's values
+        at both ends picks one, and the exact signs at the cell's two ends
+        confirm it: a hit keeps that half-open cell, so a root on its right
+        end is in it, and doubles m; a miss takes one bisection step and
+        halves m, down to 2. Near a simple root the secant hits, so the bits
+        gained double with each step. While the sign at lo cannot steer
+        (p(lo) = 0, or p is not square-free) the steps are bisection_path's.
+        """
+        path = self.bisection_path()
+        a, b, den = next(path)
+        yield a, b, den
+        coeffs = self.poly.coeffs
+        weights = _weights(coeffs, den)
+        square_free = len(_sturm_chain(coeffs)[-1]) == 1
+        k = 0
+        while not (square_free and _value_at(weights, a, k)):
+            a, b, _ = next(path)
+            k += 1
+            yield a, b, den << k
+        degree = len(coeffs) - 1  # a value scales by 2^degree per step of k
+        f_lo, f_hi, m = _value_at(weights, a, k), _value_at(weights, b, k), 2
+        while True:
+            cells, w = 1 << m, b - a
+            c = (a << m) + min(cells * f_lo // (f_lo - f_hi), cells - 1) * w
+            f_c, f_d = _value_at(weights, c, k + m), _value_at(weights, c + w, k + m)
+            if f_c * f_lo > 0 >= f_d * f_lo:
+                a, b, k, m, f_lo, f_hi = c, c + w, k + m, 2 * m, f_c, f_d
+            else:
+                mid, a, b, k, m = a + b, 2 * a, 2 * b, k + 1, max(2, m // 2)
+                f_mid = _value_at(weights, mid, k)
+                if f_mid * f_lo > 0:
+                    a, f_lo, f_hi = mid, f_mid, f_hi << degree
+                else:
+                    b, f_lo, f_hi = mid, f_lo << degree, f_mid
+            yield a, b, den << k
+
     def refined(self, eps: Rational) -> AlgebraicReal:
         """Shrink the isolating interval to width < eps by bisection."""
         eps = Fraction(eps)
@@ -496,7 +549,7 @@ class AlgebraicReal:
     def decimal_str(self, sig_digits: int = 12) -> str:
         """The root correctly rounded (half-even) to sig_digits digits.
 
-        The walk of bisection_path asks rounded_decimal once the interval,
+        The walk of quadratic_path asks rounded_decimal once the interval,
         on the root's side of zero, is narrower than 10^-(sig_digits+2) of
         its end nearer zero. When the ends round to adjacent strings, the
         boundary between them is tested: a root of the polynomial there is
@@ -505,7 +558,7 @@ class AlgebraicReal:
         if self.poly(0) == 0 and self.lo < 0 <= self.hi:
             return "0"
         scale = 10 ** (sig_digits + 2)
-        for a, b, den in self.bisection_path():
+        for a, b, den in self.quadratic_path():
             sign, lo, hi = (1, a, b) if a > 0 else (-1, -b, -a)
             if (hi - lo) * scale >= lo:
                 continue
@@ -521,12 +574,12 @@ class AlgebraicReal:
     def compare_to(self, other: AlgebraicReal) -> int:
         """Exact three-way comparison: -1, 0, or 1.
 
-        Both intervals are bisected in step until they are disjoint, or
-        until their overlap holds a root of gcd(p, q), which is then the
-        one root of p in the first interval and of q in the second.
+        Both intervals are walked in step by quadratic_path until they are
+        disjoint, or until their overlap holds a root of gcd(p, q), which is
+        then the one root of p in the first interval and of q in the second.
         """
         common = None
-        for (a, b, da), (c, d, dc) in zip(self.bisection_path(), other.bisection_path()):
+        for (a, b, da), (c, d, dc) in zip(self.quadratic_path(), other.quadratic_path()):
             if b * dc <= c * da:
                 return -1
             if d * da <= a * dc:
@@ -558,12 +611,12 @@ class AlgebraicReal:
     def compare_rational(self, x: Rational) -> int:
         """Sign of (root - x), exactly: 0 when lo < x <= hi and p(x) = 0, as
         the one root in (lo, hi] is then x; otherwise one walk of
-        bisection_path until x leaves the interval."""
+        quadratic_path until x leaves the interval."""
         x = Fraction(x)
         if self.lo < x <= self.hi and _sign_of(self.poly.coeffs, x) == 0:
             return 0
         n, d = x.numerator, x.denominator
-        for a, b, den in self.bisection_path():
+        for a, b, den in self.quadratic_path():
             if n * den >= b * d:
                 return -1
             if n * den <= a * d:

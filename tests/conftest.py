@@ -1,3 +1,4 @@
+import math
 from decimal import Decimal
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hkdd import fixtures, linalg
 from hkdd.hyperkahler import hilbert_lattice
 from hkdd.lattice import make_lattice, verify_isometry
-from hkdd.polynomial import IntPolynomial, isolate_real_roots
+from hkdd.polynomial import AlgebraicReal, IntPolynomial, isolate_real_roots, sturm_count
 from oracles import algebraic_real_from_json, decode_coeffs
 
 
@@ -120,3 +121,20 @@ def decimals_of(report) -> list:
 
     walk(report)
     return found
+
+
+def assert_walk_nests(a: AlgebraicReal, eps) -> None:
+    """Walk quadratic_path until its width is below eps; every interval must
+    nest in the one before, lie on the grid D * 2^k (D the lcm of the
+    isolating interval's denominators) and hold one root."""
+    base = math.lcm(a.lo.denominator, a.hi.denominator)
+    prev = (a.lo, a.hi)
+    for lo, hi, den in a.quadratic_path():
+        scale = den // base
+        assert den % base == 0 and scale & (scale - 1) == 0
+        x, y = Fraction(lo, den), Fraction(hi, den)
+        assert prev[0] <= x < y <= prev[1]
+        assert sturm_count(a.poly, x, y) == 1
+        if y - x < eps:
+            return
+        prev = (x, y)

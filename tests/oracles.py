@@ -4,30 +4,35 @@ solvability by determinantal divisors, the product a classification
 multiplies back to, the coefficient-list decoder of the JSON polynomial
 format and the reader of its algebraic reals, the argparse parser of the
 command line, the combination search for the Beauville involution, and
-the Salem search over every pair of involutions.
+the Salem search over every pair of involutions, and the decimals of a
+root and of its powers and logarithms by bisection with exact powers.
 """
 
 import argparse
 import functools
 import itertools
 import math
+from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 
 from hkdd import linalg
-from hkdd.dynamics import enumerate_isometries
+from hkdd.dynamics import INV_LN10_UPPER, SpectrumDecimals, enumerate_isometries
 from hkdd.errors import NotIsometryError
 from hkdd.hyperkahler import BeauvilleSolution, CandidateRecord, _beauville_candidates
 from hkdd.jsonio import InputParseError, decode_int
 from hkdd.lattice import invariant_sublattice, verify_isometry
 from hkdd.polynomial import (
+    LOG10_2_Q31,
     AlgebraicReal,
     IntPolynomial,
+    _boundary_decimal,
     char_poly,
     cyclotomic,
     power_traces,
     reciprocal_char_poly,
+    rounded_decimal,
 )
 from hkdd.salem import SALEM_STRUCTURE, SalemClassification, classify_charpoly
 
@@ -365,3 +370,76 @@ def all_pairs_search(lat, entry_bound: int) -> list[tuple[list[list[int]], Algeb
     found = [(m, root) for _, m, root in hits.values()]
     found.sort(key=functools.cmp_to_key(lambda x, y: x[1].compare_to(y[1])))
     return found
+
+
+def bisection_decimal_str(root: AlgebraicReal, sig_digits: int) -> str:
+    """AlgebraicReal.decimal_str on bisection_path: the walk asks
+    rounded_decimal once the interval, on the root's side of zero, is
+    narrower than 10^-(sig_digits+2) of its end nearer zero, and tests the
+    rounding boundary when the ends round to adjacent strings."""
+    if root.poly(0) == 0 and root.lo < 0 <= root.hi:
+        return "0"
+    scale = 10 ** (sig_digits + 2)
+    for a, b, den in root.bisection_path():
+        sign, lo, hi = (1, a, b) if a > 0 else (-1, -b, -a)
+        if (hi - lo) * scale >= lo:
+            continue
+        text = rounded_decimal(lo, hi, den, sig_digits)
+        if text is None:
+            text = _boundary_decimal(root.poly.coeffs, sign, lo, hi, den, sig_digits)
+        if text is not None:
+            return text if sign > 0 else "-" + text
+
+
+def bisection_power_decimal(
+    d1: AlgebraicReal, exponents: list[int], sig_digits: int, scale: int = 1
+) -> SpectrumDecimals:
+    """dynamics.power_decimal on bisection_path with exact powers: d1's
+    interval (lo, hi] is halved twice between checks, and at a check each
+    pending exponent, ascending, meets the width gate and rounded_decimal on
+    the exact [lo^e, hi^e]; the logarithms come from width_log_bounds."""
+    done = {0: "1"}
+    pending = sorted(set(exponents) - {0})
+    logs = None
+    gate = 10 ** (sig_digits + 2)
+    for step, (a, b, den) in enumerate(d1.bisection_path()):
+        if step % 2:
+            continue
+        while pending and a > 0:
+            e = pending[0]
+            lo_e, hi_e = a**e, b**e
+            if (hi_e - lo_e) * gate >= lo_e:
+                break
+            text = rounded_decimal(lo_e, hi_e, den**e, sig_digits)
+            if text is None:
+                break
+            done[e] = text
+            pending.pop(0)
+        if logs is None and (b - a) * gate < a - den:
+            bounds = width_log_bounds(a, b, den)
+            logs = [rounded_decimal(scale * lo, scale * hi, d, sig_digits) for lo, hi, d in bounds]
+            if None in logs:
+                logs = None
+        if not pending and logs is not None:
+            return SpectrumDecimals(tuple(done[e] for e in exponents), *logs)
+
+
+def width_log_bounds(a: int, b: int, den: int) -> list[tuple[int, int, int]]:
+    """Bounds (low, high, d) on ln and then log10 of every x in
+    [a/den, b/den], 1 < a/den, as dynamics._log_bounds makes them, but at a
+    working precision of the digits of b/(b - a) plus a guard alone."""
+    out = []
+    with localcontext() as ctx:
+        ctx.prec = ((b.bit_length() - (b - a).bit_length()) * LOG10_2_Q31 >> 31) + 6
+        ctx.rounding = ROUND_FLOOR
+        lo = Decimal(a) / den
+        num, dn = lo.as_integer_ratio()
+        rise, rise_den = b * dn - den * num, den * num
+        for log, (per, per_den) in ((Decimal.ln, (1, 1)), (Decimal.log10, INV_LN10_UPPER)):
+            at_lo = log(lo)
+            low, low_den = at_lo.next_minus().as_integer_ratio()
+            high, high_den = at_lo.next_plus().as_integer_ratio()
+            high = high * rise_den * per_den + rise * per * high_den
+            high_den *= rise_den * per_den
+            out.append((low * high_den, high * low_den, low_den * high_den))
+    return out

@@ -1,9 +1,10 @@
 """natural-check on lattices of rank 6 to 15 and on degenerate Grams,
 search at rank 4 and at rank 5 up to bound 2, polynomial work on huge
-traces and degree 160, and a degree table of half-dimension 1000 end
-within a stated time with a documented exit code (0, 2, 3 or 4). Each case
-runs `python -m hkdd.cli` in a fresh process with a timeout, so a hang
-fails the test instead of stalling the suite.
+traces and degree 160, degree tables of half-dimension 1000 at 12, 50 and
+200 digits and of trace 56 at half-dimension 300 and 200 digits end within
+a stated time with a documented exit code (0, 2, 3 or 4). Each case runs
+`python -m hkdd.cli` in a fresh process with a timeout, so a hang fails
+the test instead of stalling the suite.
 """
 
 import json
@@ -167,6 +168,37 @@ CLI_CASES = {
     "kummer-half-dim-1000": (
         ["kummer", "2", "1", "1", "1", "--half-dim", "1000"], 20,
         "entropy = 1000*log((7+3*sqrt(5))/2) = 1924.84730024 nats (835.950561000 log10)",
+    ),
+    # the same table and one of trace 56 at 50 and 200 digits: the walk of
+    # d_1 gains bits quadratically and every power is a fixed-point product
+    "kummer-half-dim-1000-50-digits": (
+        ["--precision", "50", "kummer", "2", "1", "1", "1", "--half-dim", "1000"], 5,
+        (
+            "entropy = 1000*log((7+3*sqrt(5))/2) = 1924.8473002384137899910356536974736925407"
+            "373375426 nats (835.95056099991493507708835695022166728983695967284 log10)"
+        ),
+    ),
+    "kummer-half-dim-1000-200-digits": (
+        ["--precision", "200", "kummer", "2", "1", "1", "1", "--half-dim", "1000"], 5,
+        (
+            "entropy = 1000*log((7+3*sqrt(5))/2) = 1924.8473002384137899910356536974736925407"
+            "37337542642078644072675360655470432887097648037716490893899988927359833174625645"
+            "0902732949069504910122369674576390167296680288473486008952957498767491009731168 "
+            "nats (835.9505609999149350770883569502216672898369596728438141571502455896419413"
+            "98698385311063422494041414058006731175746135375087248863543002150714295860781240"
+            "89968646287286600306176179022810841720640675894 log10)"
+        ),
+    ),
+    "kummer-trace-56-half-dim-300-200-digits": (
+        ["--precision", "200", "kummer", "55", "1", "54", "1", "--half-dim", "300"], 5,
+        (
+            "entropy = 300*log(1567+168*sqrt(87)) = 2415.019596330970889504671481492826030227"
+            "74662218186748337841944240459782712638199131986070039868332297152965245029783303"
+            "33560070524005835700249296605420380930199633500839277880128230378113750263871028"
+            " nats (1048.82968437475937088278069968073870772444663739728709407946548759530064"
+            "33608909070140612093562495281192150313463110728431162020326119148859289592589504"
+            "595416538606922235561752599791088858478625403056 log10)"
+        ),
     ),
 }
 

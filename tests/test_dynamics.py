@@ -23,6 +23,7 @@ from hkdd.dynamics import (
     validate_spectrum_shape,
 )
 from hkdd.errors import SpectralStructureViolatedError
+from hkdd.hyperkahler import Sl2Matrix, kummer_first_degree
 from hkdd.lattice import make_lattice, verify_isometry
 from hkdd.polynomial import (
     AlgebraicReal,
@@ -33,9 +34,15 @@ from hkdd.polynomial import (
     power_traces,
     reciprocal_char_poly,
 )
-from hkdd.salem import SALEM_STRUCTURE, classify_charpoly, is_salem_polynomial
-from conftest import assert_correctly_rounded, mp_root
-from oracles import all_pairs_search, power_iteration_radius, sym_power_dim, sym_power_matrix
+from hkdd.salem import SALEM_STRUCTURE, classify_charpoly, is_salem_polynomial, salem_root_of
+from conftest import assert_correctly_rounded, assert_walk_nests, mp_root
+from oracles import (
+    all_pairs_search,
+    bisection_power_decimal,
+    power_iteration_radius,
+    sym_power_dim,
+    sym_power_matrix,
+)
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +157,43 @@ def test_validate_spectrum_shape_past_double_range():
     assert validate_spectrum_shape(["1", "1E+200", "1E+400", "1E+200", "1"]).ok
 
 
+# the Salem factors of the T_{p,q,r} Coxeter elements in perfbench/inputs.py
+TPQR_SALEM_FACTORS = [
+    (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1),  # (2, 3, 7): Lehmer
+    (1, 0, 0, -1, 0, -1, 0, -1, 0, 0, 1),  # (2, 3, 8)
+    (1, 0, 0, -1, -1, -1, 0, 0, 1),  # (2, 4, 5)
+    (1, 0, -1, -1, -1, 0, 1),  # (3, 3, 4)
+    (1, 0, 0, -1, -1, -1, 0, 0, 1),  # (2, 3, 10)
+    (1, -1, 0, 0, 0, -1, 1, -1, 0, 0, 0, -1, 1),  # (2, 3, 12)
+]
+
+
+def assert_power_decimal_matches_oracle(d1: AlgebraicReal, n: int, digits: int):
+    """d1's walk nests; the degree table of d1 at half-dimension n and its
+    entropy match the bisection walk with exact powers; and the fixed-point
+    bounds contain the exact powers of the interval they are made from."""
+    assert_walk_nests(d1, Fraction(1, 10**40))
+    exponents = [min(k, 2 * n - k) for k in range(2 * n + 1)]
+    got = spectrum_decimals(degree_spectrum(n, d1), digits)
+    assert got == bisection_power_decimal(d1, exponents, digits, n)
+    a, b, den = next(x for x in d1.quadratic_path() if (x[1] - x[0]) * 10 ** (digits + 2) * n < x[0])
+    bits = -(-333 * (digits + 2) // 100) + n.bit_length() + 16
+    for e, (lo_e, hi_e) in enumerate(dynamics._power_bounds(a, b, den, bits, n), 1):
+        assert lo_e * den**e <= a**e << bits and b**e << bits <= hi_e * den**e
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(3, 60), st.sampled_from((1, -1)), st.integers(1, 100), st.sampled_from((3, 12, 50, 200)))
+def test_power_decimal_matches_bisection_oracle_on_kummer(t, sign, n, digits):
+    assert_power_decimal_matches_oracle(kummer_first_degree(Sl2Matrix(sign * t, 1, -1, 0)), n, digits)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(TPQR_SALEM_FACTORS), st.integers(1, 100), st.sampled_from((3, 12, 50, 200)))
+def test_power_decimal_matches_bisection_oracle_on_salem_factors(coeffs, n, digits):
+    assert_power_decimal_matches_oracle(salem_root_of(IntPolynomial(coeffs)), n, digits)
+
+
 def test_power_decimal_certified(root34):
     assert power_decimal(root34, [2], 12).entries == ("1153.99913345",)
     assert power_decimal(root34, [1], 12).entries == ("33.9705627485",)
@@ -192,7 +236,8 @@ def test_power_decimal_logarithm_near_one():
     # zeros, which the working precision of _log_bounds counts
     x = AlgebraicReal(poly(-(10**30 + 1), 10**30), 1, 2)
     a, b, den = next((a, b, den) for a, b, den in x.bisection_path() if (b - a) * 10**14 < a - den)
-    (ln_lo, ln_hi, ln_den), (lg_lo, lg_hi, lg_den) = dynamics._log_bounds(a, b, den)
+    # the digit budget power_decimal starts from at 12 digits
+    (ln_lo, ln_hi, ln_den), (lg_lo, lg_hi, lg_den) = dynamics._log_bounds(a, b, den, 12 + 10)
     with mpmath.workdps(80):
         true = mpmath.log(1 + mpmath.mpf(10) ** -30)
         for lo, hi, d, value in ((ln_lo, ln_hi, ln_den, true), (lg_lo, lg_hi, lg_den, true / mpmath.log(10))):

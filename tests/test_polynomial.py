@@ -31,8 +31,8 @@ from hkdd.polynomial import (
     sturm_count,
     trace_polynomial,
 )
-from conftest import assert_correctly_rounded, mp_root
-from oracles import algebraic_real_from_json
+from conftest import assert_correctly_rounded, assert_walk_nests, mp_root
+from oracles import algebraic_real_from_json, bisection_decimal_str
 
 LEHMER = poly(1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
 
@@ -371,6 +371,42 @@ def test_refined_non_square_free_poly_uses_sturm_counts():
 def test_refined_lehmer_matches_reference_at_50_digits():
     root = isolate_real_roots(LEHMER)[-1]
     assert_refines_like_reference(root, Fraction(1, 10**50))
+
+
+@pytest.mark.parametrize(
+    "root",
+    [
+        AlgebraicReal(poly(2, -3, 1), 1, 3),  # roots 1 and 2: p(lo) = 0
+        AlgebraicReal(poly(-2, 0, 1) * poly(-2, 0, 1), 1, 2),  # (x^2 - 2)^2
+        AlgebraicReal(poly(-3, 4), 0, 1),  # 3/4, the right end of cell 3 of 4
+        AlgebraicReal(poly(-3, 4) * poly(-3, 0, 1), 0, 1),  # 3/4 beside sqrt(3)
+        AlgebraicReal(poly(-5, 8) * poly(1, 1, -1), 0, 1),  # 5/8 beside the golden ratio
+        isolate_real_roots(poly(-2, 0, 1))[0],  # negative roots: -sqrt(2)
+        isolate_real_roots(poly(1, 3, -5, -1))[0],  # -5.51140 in (-6, -3]
+        AlgebraicReal(poly(1, 3, -5, -1), -1, 0),  # -0.241113, an end at 0
+        algebraic_real_from_json({"poly": [-2, 0, 1], "lo": "4/3", "hi": "3/2"}),
+    ],
+    ids=["open-end-root", "square", "dyadic-linear", "dyadic-cubic", "dyadic-5/8",
+         "minus-sqrt2", "cubic-negative", "cubic-negative-to-0", "non-dyadic"],
+)
+def test_quadratic_path_nests_on_the_grid(root):
+    assert_walk_nests(root, Fraction(1, 10**60))
+
+
+def test_quadratic_path_reaches_200_digits_in_few_steps():
+    # bisection takes 667 halvings from (9/8, 19/16] to the 200-digit gate
+    root = isolate_real_roots(LEHMER)[-1]
+    gate = 10**202
+    steps = next(i for i, (a, b, den) in enumerate(root.quadratic_path()) if (b - a) * gate < a)
+    assert steps < 20
+    assert next(i for i, (a, b, den) in enumerate(root.bisection_path()) if (b - a) * gate < a) > 600
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.one_of(isolated_roots(), roots_after_a_rational_root()), st.sampled_from((3, 12, 50, 200)))
+def test_decimal_str_matches_bisection_oracle(root, digits):
+    assert_walk_nests(root, Fraction(1, 10**40))
+    assert root.decimal_str(digits) == bisection_decimal_str(root, digits)
 
 
 @pytest.mark.parametrize(
