@@ -46,7 +46,6 @@ from .polynomial import (
     char_poly,
     cyclotomic,
     divide_exact,
-    is_reciprocal,
     isolate_real_roots,
     poly,
     sturm_count,

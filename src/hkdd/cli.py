@@ -396,13 +396,15 @@ def _solution_json(sol, lat) -> dict:
 # ---------------------------------------------------------------------------
 
 # a long option; its type is int, str, or the tuple of the strings it allows
-Option = namedtuple("Option", "type default minimum required help", defaults=(str, None, None, False, ""))
+Option = namedtuple("Option", "type default minimum maximum required help", defaults=(str, None, None, None, False, ""))
 # <name> runs cmd_<name>, looked up when it runs; a last positional "x..." takes one or more
 Command = namedtuple("Command", "help positionals type options", defaults=((), str, {}))
 
 GLOBAL_OPTIONS = {
     "--format": Option(("table", "json"), "table", help="report format, table or json (default: table)"),
-    "--precision": Option(int, 12, 3, help="significant digits for decimals (default: 12, minimum 3)"),
+    # above 4300 digits CPython's default limit refuses to write an int as a string
+    "--precision": Option(int, 12, 3, 4300,
+                          help="significant digits for decimals (default: 12, minimum 3, maximum 4300)"),
 }
 _LATTICE = Option(required=True, help="lattice JSON file (required)")
 _HALF_DIM = Option(int, 2, 1, help="n, the number of points; the variety has dimension 2n (default 2)")
@@ -492,6 +494,8 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
             raise UsageError(f"{command} requires {flag}")
         if o.minimum is not None and value < o.minimum:
             raise UsageError(f"{flag} must be at least {o.minimum}")
+        if o.maximum is not None and value > o.maximum:
+            raise UsageError(f"{flag} must be at most {o.maximum}")
     return SimpleNamespace(**args)
 
 

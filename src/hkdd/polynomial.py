@@ -7,12 +7,12 @@ of its rational counterpart, so every sign and root count is the rational
 one. Signs at rational points come from homogeneous Horner over int, and
 isolation and refinement bisect at the same midpoints as over Q; decimals
 and comparisons walk a root by quadratic interval refinement on the same
-dyadic grid. Only the interval endpoints are Fractions. Decimal output is
-produced from certified isolating intervals, never from floats:
-rounded_decimal gives the correctly rounded (half-even) decimal that both
-ends of an interval agree on, and every value printed as a decimal comes
-from it; format_fraction writes only the exact endpoints in a root's
-positional description.
+dyadic grid, from an isolating interval held as integers (a, b, den).
+Decimal output comes from certified isolating intervals, never from
+floats: rounded_decimal gives the correctly rounded (half-even) decimal
+that both ends of an interval agree on, and every value printed as a
+decimal comes from it; format_fraction writes only the exact endpoints in
+a root's positional description.
 """
 
 from __future__ import annotations
@@ -187,14 +187,6 @@ def _newton(traces: list[int]) -> list[int]:
             raise ArithmeticError("Newton identity division failed")
         c.append(-total // k)
     return c
-
-
-def is_reciprocal(p: IntPolynomial) -> bool:
-    """True iff x^deg * p(1/x) equals p or -p."""
-    if p.is_zero:
-        raise ZeroPolynomialError("reciprocality undefined for the zero polynomial")
-    rev = tuple(reversed(p.coeffs))
-    return rev == p.coeffs or rev == tuple(-c for c in p.coeffs)
 
 
 def is_palindromic(p: IntPolynomial) -> bool:
@@ -415,17 +407,13 @@ def sturm_count(
     if q.degree < 1:
         return 0
     chain = _sturm_chain(q.coeffs)
-    vlo = _variations_at(chain, None if lo is None else Fraction(lo), -1)
-    vhi = _variations_at(chain, None if hi is None else Fraction(hi), +1)
-    return max(0, vlo - vhi)
+    return max(0, _variations_at(chain, lo, -1) - _variations_at(chain, hi, +1))
 
 
-def cauchy_bound(p: IntPolynomial) -> Fraction:
-    """All real roots of p lie in (-B, B] for this B = 1 + max |c_i / c_d|."""
-    if p.is_zero or p.degree < 1:
-        return Fraction(1)
+def cauchy_bound(p: IntPolynomial) -> tuple[int, int]:
+    """(N, D) with N/D = 1 + max |c_i / c_d|: the real roots lie in (-N/D, N/D]."""
     lead = abs(p.coeffs[-1])
-    return Fraction(lead + max(abs(c) for c in p.coeffs[:-1]), lead)
+    return lead + max(abs(c) for c in p.coeffs[:-1]), lead
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +423,9 @@ def cauchy_bound(p: IntPolynomial) -> Fraction:
 
 @dataclass(frozen=True, eq=False)
 class AlgebraicReal:
-    """A real algebraic number: square-free defining polynomial plus an
-    isolating half-open interval (lo, hi] containing exactly one of its roots.
+    """A real algebraic number: defining polynomial plus an isolating half-open
+    interval (a/den, b/den] containing exactly one of its roots, in lowest
+    terms; the Fractions lo and hi are derived, for printing and callers.
 
     Instances are immutable; refinement returns a new value with a nested
     interval. Ordering comparisons are exact (interval refinement plus a gcd
@@ -444,14 +433,25 @@ class AlgebraicReal:
     """
 
     poly: IntPolynomial
-    lo: Fraction
-    hi: Fraction
+    a: int
+    b: int
+    den: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
-        if not self.lo < self.hi:
-            raise ValueError("isolating interval must satisfy lo < hi")
+        if self.den <= 0 or self.a >= self.b:
+            raise ValueError("isolating interval must satisfy den > 0 and lo < hi")
+        g = gcd(self.a, self.b, self.den)
+        object.__setattr__(self, "a", self.a // g)
+        object.__setattr__(self, "b", self.b // g)
+        object.__setattr__(self, "den", self.den // g)
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self.a, self.den)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self.b, self.den)
 
     def bisection_path(self):
         """Yield the isolating interval as integers (a, b, den), lo = a/den
@@ -468,10 +468,7 @@ class AlgebraicReal:
         isolating interval and eps alone. Decimals and comparisons, which
         promise only a value, walk quadratic_path, which narrows faster.
         """
-        lo, hi = self.lo, self.hi
-        den = lcm(lo.denominator, hi.denominator)
-        a = lo.numerator * (den // lo.denominator)
-        b = hi.numerator * (den // hi.denominator)
+        a, b, den = self.a, self.b, self.den
         yield a, b, den
         coeffs = self.poly.coeffs
         # after k steps the endpoints are over den * 2^k
@@ -539,12 +536,11 @@ class AlgebraicReal:
 
     def refined(self, eps: Rational) -> AlgebraicReal:
         """Shrink the isolating interval to width < eps by bisection."""
-        eps = Fraction(eps)
         if eps <= 0:
             raise ValueError("eps must be positive")
         for a, b, den in self.bisection_path():
             if (b - a) * eps.denominator < eps.numerator * den:
-                return AlgebraicReal(self.poly, Fraction(a, den), Fraction(b, den))
+                return AlgebraicReal(self.poly, a, b, den)
 
     def decimal_str(self, sig_digits: int = 12) -> str:
         """The root correctly rounded (half-even) to sig_digits digits.
@@ -555,7 +551,7 @@ class AlgebraicReal:
         boundary between them is tested: a root of the polynomial there is
         the value. Any other value lies off the boundary, so the walk ends.
         """
-        if self.poly(0) == 0 and self.lo < 0 <= self.hi:
+        if self.poly(0) == 0 and self.a < 0 <= self.b:
             return "0"
         scale = 10 ** (sig_digits + 2)
         for a, b, den in self.quadratic_path():
@@ -567,9 +563,6 @@ class AlgebraicReal:
                 text = _boundary_decimal(self.poly.coeffs, sign, lo, hi, den, sig_digits)
             if text is not None:
                 return text if sign > 0 else "-" + text
-
-    def __float__(self) -> float:
-        return float(self.decimal_str(17))
 
     def compare_to(self, other: AlgebraicReal) -> int:
         """Exact three-way comparison: -1, 0, or 1.
@@ -593,9 +586,6 @@ class AlgebraicReal:
                 if ilo < ihi and sturm_count(common, ilo, ihi) >= 1:
                     return 0
 
-    def equals(self, other: AlgebraicReal) -> bool:
-        return self.compare_to(other) == 0
-
     def __lt__(self, other):
         return self.compare_to(other) < 0
 
@@ -612,10 +602,9 @@ class AlgebraicReal:
         """Sign of (root - x), exactly: 0 when lo < x <= hi and p(x) = 0, as
         the one root in (lo, hi] is then x; otherwise one walk of
         quadratic_path until x leaves the interval."""
-        x = Fraction(x)
-        if self.lo < x <= self.hi and _sign_of(self.poly.coeffs, x) == 0:
-            return 0
         n, d = x.numerator, x.denominator
+        if self.a * d < n * self.den <= self.b * d and _sign_of(self.poly.coeffs, x) == 0:
+            return 0
         for a, b, den in self.quadratic_path():
             if n * den >= b * d:
                 return -1
@@ -713,21 +702,20 @@ def _boundary_decimal(
 def isolate_real_roots(p: IntPolynomial) -> list[AlgebraicReal]:
     """Disjoint isolating intervals for every distinct real root, ascending.
 
-    (-B, B], B = N/D the Cauchy bound, is bisected at midpoints until each
+    (-N/D, N/D], the Cauchy bound, is bisected at midpoints until each
     interval holds one root. At depth k every endpoint is n / (D * 2^k) for
     an integer n, so the Sturm signs come from _sign_at on the chain's
-    weights for D.
+    weights for D. Left halves go first, so the roots come out ascending.
     """
     if p.is_zero:
         raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
     q = square_free_part(p)
     if q.degree < 1:
         return []
-    bound = cauchy_bound(q)
-    den = bound.denominator
+    bound, den = cauchy_bound(q)
     weighted = [_weights(c, den) for c in _sturm_chain(q.coeffs)]
-    lo, hi = -bound.numerator, bound.numerator
-    roots: list[tuple[Fraction, Fraction]] = []
+    lo, hi = -bound, bound
+    roots = []
     work = [(lo, hi, 0, _chain_variations(weighted, lo, 0), _chain_variations(weighted, hi, 0))]
     while work:
         a, b, k, va, vb = work.pop()
@@ -735,14 +723,13 @@ def isolate_real_roots(p: IntPolynomial) -> list[AlgebraicReal]:
         if n <= 0:
             continue
         if n == 1:
-            roots.append((Fraction(a, den << k), Fraction(b, den << k)))
+            roots.append(AlgebraicReal(q, a, b, den << k))
             continue
         m, a, b, k = a + b, 2 * a, 2 * b, k + 1
         vm = _chain_variations(weighted, m, k)
-        work.append((a, m, k, va, vm))
         work.append((m, b, k, vm, vb))
-    roots.sort()
-    return [AlgebraicReal(q, a, b) for a, b in roots]
+        work.append((a, m, k, va, vm))
+    return roots
 
 
 # square_part trial-divides by the integers below this bound only

@@ -29,9 +29,11 @@ from .polynomial import (
     AlgebraicReal,
     IntPolynomial,
     _quotient,
+    _sign_at,
+    _weights,
+    cauchy_bound,
     cyclotomic,
     is_palindromic,
-    isolate_real_roots,
     sturm_count,
     trace_polynomial,
 )
@@ -262,13 +264,24 @@ def _certify(p: IntPolynomial) -> SalemCheck:
 
 
 def salem_root_of(p: IntPolynomial) -> AlgebraicReal:
-    """The unique real root > 1 of a (certified) Salem polynomial, with its
-    isolating interval refined until it lies strictly right of 1."""
-    roots = isolate_real_roots(p)
-    root = roots[-1]
-    while root.lo <= 1:
-        root = root.refined((root.hi - root.lo) / 2)
-    return root
+    """The root lambda > 1 of a certified Salem polynomial S, isolated right of 1.
+
+    The certificate puts the real roots at 1/lambda and lambda, neither
+    rational, with S < 0 between them: m < lambda iff S(m) < 0 or m < 1.
+    Bisecting the Cauchy bound's (-N/D, N/D] toward lambda with one sign per
+    step first drops 1/lambda where S(lo) < 0, on the interval that
+    isolate_real_roots returns; from there the steps go in pairs, as
+    refined((hi - lo) / 2) takes them, until lo > 1.
+    """
+    n, den = cauchy_bound(p)
+    weights = _weights(p.coeffs, den)
+    a, b, k, s_lo = -n, n, 0, 1
+    while s_lo > 0 or a <= den << k:
+        for _ in range(1 if s_lo > 0 else 2):
+            m, k = a + b, k + 1
+            s = _sign_at(weights, m, k)
+            a, b, s_lo = (m, 2 * b, s) if s < 0 or m < den << k else (2 * a, m, s_lo)
+    return AlgebraicReal(p, a, b, den << k)
 
 
 def classify_charpoly(p: IntPolynomial) -> SalemClassification:

@@ -11,6 +11,16 @@ from hkdd.lattice import make_lattice, verify_isometry
 from hkdd.polynomial import AlgebraicReal, IntPolynomial, isolate_real_roots, sturm_count
 from oracles import algebraic_real_from_json, decode_coeffs
 
+# the Salem factors of the T_{p,q,r} Coxeter elements in perfbench/inputs.py
+TPQR_SALEM_FACTORS = [
+    (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1),  # (2, 3, 7): Lehmer
+    (1, 0, 0, -1, 0, -1, 0, -1, 0, 0, 1),  # (2, 3, 8)
+    (1, 0, 0, -1, -1, -1, 0, 0, 1),  # (2, 4, 5)
+    (1, 0, -1, -1, -1, 0, 1),  # (3, 3, 4)
+    (1, 0, 0, -1, -1, -1, 0, 0, 1),  # (2, 3, 10)
+    (1, -1, 0, 0, 0, -1, 1, -1, 0, 0, 0, -1, 1),  # (2, 3, 12)
+]
+
 
 @pytest.fixture(scope="session")
 def rank3():

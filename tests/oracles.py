@@ -4,8 +4,10 @@ solvability by determinantal divisors, the product a classification
 multiplies back to, the coefficient-list decoder of the JSON polynomial
 format and the reader of its algebraic reals, the argparse parser of the
 command line, the combination search for the Beauville involution, and
-the Salem search over every pair of involutions, and the decimals of a
-root and of its powers and logarithms by bisection with exact powers.
+the Salem search over every pair of involutions, the decimals of a
+root and of its powers and logarithms by bisection with exact powers, the
+Salem root by isolation, a reciprocality test, and the constructor of an
+algebraic real from Fraction ends and its float.
 """
 
 import argparse
@@ -19,7 +21,7 @@ import numpy as np
 
 from hkdd import linalg
 from hkdd.dynamics import INV_LN10_UPPER, SpectrumDecimals, enumerate_isometries
-from hkdd.errors import NotIsometryError
+from hkdd.errors import NotIsometryError, ZeroPolynomialError
 from hkdd.hyperkahler import BeauvilleSolution, CandidateRecord, _beauville_candidates
 from hkdd.jsonio import InputParseError, decode_int
 from hkdd.lattice import invariant_sublattice, verify_isometry
@@ -30,6 +32,7 @@ from hkdd.polynomial import (
     _boundary_decimal,
     char_poly,
     cyclotomic,
+    isolate_real_roots,
     power_traces,
     reciprocal_char_poly,
     rounded_decimal,
@@ -155,7 +158,36 @@ def algebraic_real_from_json(obj: dict) -> AlgebraicReal:
     """The AlgebraicReal of a JSON root: its poly, whose coefficients past
     53 bits are decimal strings, and interval (lo, hi]."""
     poly = IntPolynomial(tuple(decode_coeffs(obj["poly"])))
-    return AlgebraicReal(poly, Fraction(obj["lo"]), Fraction(obj["hi"]))
+    return algebraic_real(poly, Fraction(obj["lo"]), Fraction(obj["hi"]))
+
+
+def algebraic_real(p: IntPolynomial, lo: Fraction, hi: Fraction) -> AlgebraicReal:
+    """The AlgebraicReal of p on (lo, hi], rational ends put on their
+    common denominator."""
+    den = math.lcm(lo.denominator, hi.denominator)
+    return AlgebraicReal(p, lo.numerator * den // lo.denominator, hi.numerator * den // hi.denominator, den)
+
+
+def as_float(x: AlgebraicReal) -> float:
+    """A float near x, its 17-digit decimal, to compare with float oracles."""
+    return float(x.decimal_str(17))
+
+
+def is_reciprocal(p: IntPolynomial) -> bool:
+    """True iff x^deg * p(1/x) equals p or -p."""
+    if p.is_zero:
+        raise ZeroPolynomialError("reciprocality undefined for the zero polynomial")
+    rev = tuple(reversed(p.coeffs))
+    return rev == p.coeffs or rev == tuple(-c for c in p.coeffs)
+
+
+def isolation_salem_root(p: IntPolynomial) -> AlgebraicReal:
+    """salem_root_of by isolation: the last root isolate_real_roots finds,
+    refined two bisection steps at a time until its interval lies right of 1."""
+    root = isolate_real_roots(p)[-1]
+    while root.lo <= 1:
+        root = root.refined((root.hi - root.lo) / 2)
+    return root
 
 
 def decode_coeffs(obj) -> list[int]:
@@ -191,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--precision",
         type=int,
         default=12,
-        help="significant digits for decimals (default: 12, minimum 3)",
+        help="significant digits for decimals (default: 12, minimum 3, maximum 4300)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

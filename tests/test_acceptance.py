@@ -41,7 +41,7 @@ from hkdd.lattice import (
 )
 from hkdd.polynomial import IntPolynomial, char_poly, cyclotomic, poly
 from hkdd.salem import SALEM_STRUCTURE, classify_charpoly, is_salem_polynomial
-from oracles import power_iteration_radius, sym_power_dim, sym_power_matrix
+from oracles import as_float, power_iteration_radius, sym_power_dim, sym_power_matrix
 
 D1_ORACLE = 17 + 12 * math.sqrt(2)
 D2_ORACLE = D1_ORACLE**2
@@ -149,7 +149,7 @@ def test_criterion_4_kummer_example():
         assert abs(float(dec.nats) - 2 * math.log(Q_ORACLE)) <= 1e-6
 
         neg = kummer_spectrum(Sl2Matrix(-2, -1, -1, -1), 2)
-        assert neg.d1.equals(spec.d1)
+        assert neg.d1.compare_to(spec.d1) == 0
 
 
 def test_criterion_5_salem_recognizer(catalogue8):
@@ -158,7 +158,7 @@ def test_criterion_5_salem_recognizer(catalogue8):
         assert check34
         lehmer_check = is_salem_polynomial(LEHMER)
         assert lehmer_check
-        assert abs(float(lehmer_check.root) - 1.17628) < 5e-6  # 5 decimal places
+        assert abs(as_float(lehmer_check.root) - 1.17628) < 5e-6  # 5 decimal places
 
         with pytest.raises(DegreeTooSmallError):
             is_salem_polynomial(poly(-1, 1))  # x - 1
@@ -198,7 +198,7 @@ def test_criterion_6_theorem_property_suite(catalogue8):
             for k in range(2 * n + 1):
                 assert values[k] == pytest.approx(values[2 * n - k], rel=1e-9)
                 assert values[k] == pytest.approx(
-                    float(d1) ** min(k, 2 * n - k), rel=1e-9
+                    as_float(d1) ** min(k, 2 * n - k), rel=1e-9
                 )
             for k in range(n):
                 assert values[k] < values[k + 1]
@@ -208,7 +208,7 @@ def test_criterion_7_sym_power_oracle(iso_m1m2):
     with criterion(7, "Sym^2 dimension 276; Sym^2 radius = d1^2; multiplicity one"):
         assert sym_power_dim(23, 2) == 276
         assert len(sym_power_matrix(linalg.identity(23), 2)) == 276
-        d1 = float(first_dynamical_degree(iso_m1m2))
+        d1 = as_float(first_dynamical_degree(iso_m1m2))
         rho = power_iteration_radius(sym_power_matrix(iso_m1m2.rows(), 2))
         assert abs(rho - d1 * d1) / (d1 * d1) <= 1e-6
         # multiplicity one follows from the Salem certificate; numpy confirms
@@ -259,4 +259,4 @@ def test_criterion_9_search_determinism_and_soundness(rank3, catalogue8):
         polys = {root.poly.coeffs for _, root in catalogue8}
         assert (1, -34, 1) in polys
         the_root = next(r for _, r in catalogue8 if r.poly.coeffs == (1, -34, 1))
-        assert abs(float(the_root) - D1_ORACLE) <= 1e-9
+        assert abs(as_float(the_root) - D1_ORACLE) <= 1e-9

@@ -453,6 +453,7 @@ def test_help_prints_usage_and_exits_0(capsys, argv, first_line):
 @pytest.mark.parametrize("argv, message", [
     (["bogus"], "unknown command 'bogus'"),
     (["--precision", "2", "beauville-demo"], "--precision must be at least 3"),
+    (["--precision", "4301", "beauville-demo"], "--precision must be at most 4300"),
     (["kummer", "2", "1", "1", "1", "--half-dim", "0"], "--half-dim must be at least 1"),
     (["search", "--lattice", "lattice.json", "--bound", "0"], "--bound must be at least 1"),
     (["kummer", "2", "1", "1", "1", "--half-dim"], "--half-dim expects a value"),
@@ -481,7 +482,7 @@ def reference_args(argv: list[str]) -> dict | str | None:
     except SystemExit as exc:
         assert exc.code in (0, 2)
         return "help" if exc.code == 0 else None
-    in_range = args["precision"] >= 3 and args.get("half_dim", 1) >= 1 and args.get("bound", 1) >= 1
+    in_range = 3 <= args["precision"] <= 4300 and args.get("half_dim", 1) >= 1 and args.get("bound", 1) >= 1
     return args if in_range else None
 
 
@@ -516,7 +517,8 @@ PARSE_CASES = [
     ["--format", "json", "--", "kummer", "2", "1", "1", "1"], ["salem-check", "--", "1", "--", "1"],
     ["kummer", "2", "1", "--half-dim", "3", "1", "1"], ["kummer", "--half-dim", "-3", "2", "1", "1", "1"],
     ["kummer", "2", "1", "1", "1", "--half-dim", "0"], ["search", "--lattice", R, "--bound", "0"],
-    ["--precision", "-5", "beauville-demo"], ["lattice-info", "-"], ["kummer", "+2", "1", "1", "1"],
+    ["--precision", "-5", "beauville-demo"], ["--precision", "4300", "beauville-demo"],
+    ["--precision", "4301", "salem-check", "1", "-3", "1"], ["lattice-info", "-"], ["kummer", "+2", "1", "1", "1"],
     ["salem-check", "1", "1_000", "1"], ["--format", "json", "--format", "table", "beauville-demo"],
     ["kummer", "2", "1", "1", "1", "--half-dim", "2", "--half-dim", "4"],
     # malformed

@@ -35,9 +35,10 @@ from hkdd.polynomial import (
     reciprocal_char_poly,
 )
 from hkdd.salem import SALEM_STRUCTURE, classify_charpoly, is_salem_polynomial, salem_root_of
-from conftest import assert_correctly_rounded, assert_walk_nests, mp_root
+from conftest import TPQR_SALEM_FACTORS, assert_correctly_rounded, assert_walk_nests, mp_root
 from oracles import (
     all_pairs_search,
+    as_float,
     bisection_power_decimal,
     power_iteration_radius,
     sym_power_dim,
@@ -58,7 +59,7 @@ def catalogue(rank3):
 def test_first_dynamical_degree(rank3, m1, iso_m1m2):
     d1 = first_dynamical_degree(iso_m1m2)
     assert d1.exact_str() == "17+12*sqrt(2)"
-    assert float(d1) == pytest.approx(33.970562748477, abs=1e-9)
+    assert as_float(d1) == pytest.approx(33.970562748477, abs=1e-9)
     assert first_dynamical_degree(verify_isometry(rank3, m1)) == 1
     assert first_dynamical_degree(verify_isometry(rank3, linalg.identity(3))) == 1
 
@@ -66,7 +67,7 @@ def test_first_dynamical_degree(rank3, m1, iso_m1m2):
 def test_first_degree_matches_power_iteration(iso_m1m2):
     d1 = first_dynamical_degree(iso_m1m2)
     rho = power_iteration_radius(iso_m1m2.rows())
-    assert abs(float(d1) - rho) / rho < 1e-6
+    assert abs(as_float(d1) - rho) / rho < 1e-6
 
 
 def test_degree_spectrum_exact_table(root34):
@@ -132,7 +133,6 @@ def test_degree_spectrum_makes_no_walk_and_no_float(root34, monkeypatch):
         raise AssertionError("degree_spectrum must stay exact")
 
     monkeypatch.setattr(dynamics, "power_decimal", forbidden)
-    monkeypatch.setattr(type(root34), "__float__", forbidden)
     spec = degree_spectrum(5, root34)
     assert spec.entries[5].exact == exact_power_str(root34, [5])[0]
 
@@ -155,17 +155,6 @@ def test_validate_spectrum_shape_past_double_range():
     report = validate_spectrum_shape([1.0, 1e200, 1e300, 1e200, 1.0])
     assert any("power-law violation at k=2" in v for v in report.violations)
     assert validate_spectrum_shape(["1", "1E+200", "1E+400", "1E+200", "1"]).ok
-
-
-# the Salem factors of the T_{p,q,r} Coxeter elements in perfbench/inputs.py
-TPQR_SALEM_FACTORS = [
-    (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1),  # (2, 3, 7): Lehmer
-    (1, 0, 0, -1, 0, -1, 0, -1, 0, 0, 1),  # (2, 3, 8)
-    (1, 0, 0, -1, -1, -1, 0, 0, 1),  # (2, 4, 5)
-    (1, 0, -1, -1, -1, 0, 1),  # (3, 3, 4)
-    (1, 0, 0, -1, -1, -1, 0, 0, 1),  # (2, 3, 10)
-    (1, -1, 0, 0, 0, -1, 1, -1, 0, 0, 0, -1, 1),  # (2, 3, 12)
-]
 
 
 def assert_power_decimal_matches_oracle(d1: AlgebraicReal, n: int, digits: int):
@@ -293,7 +282,7 @@ def test_sym_power_matrix_identity_and_dims():
 
 
 def test_sym_power_eigenvalue_law(iso_m1m2):
-    d1 = float(first_dynamical_degree(iso_m1m2))
+    d1 = as_float(first_dynamical_degree(iso_m1m2))
     s2 = sym_power_matrix(iso_m1m2.rows(), 2)
     rho = power_iteration_radius(s2)
     assert abs(rho - d1 * d1) / (d1 * d1) < 1e-6
@@ -305,7 +294,7 @@ def test_sym_power_eigenvalue_law(iso_m1m2):
 def test_sym_power_multiplicativity_on_search_results(rank3, catalogue):
     for m, root in catalogue[:4]:
         rho = power_iteration_radius(sym_power_matrix(m, 2))
-        expected = float(root) ** 2
+        expected = as_float(root) ** 2
         assert abs(rho - expected) / expected < 1e-6
 
 
@@ -316,7 +305,7 @@ def test_multiplicity_one(iso_m1m2):
 
     m = iso_m1m2.rows()
     assert classify_charpoly(char_poly(m)).kind == SALEM_STRUCTURE
-    d1 = float(first_dynamical_degree(iso_m1m2))
+    d1 = as_float(first_dynamical_degree(iso_m1m2))
     for k in (1, 2, 3):
         moduli = np.abs(np.linalg.eigvals(np.array(sym_power_matrix(m, k), dtype=float)))
         assert np.sum(np.abs(moduli - d1**k) <= 1e-6 * d1**k) == 1
@@ -352,15 +341,15 @@ def test_enumerate_isometries_all_verify(rank3):
 def test_catalogue_degrees_match_float_radius(rank3, catalogue):
     for m, root in catalogue:
         iso = verify_isometry(rank3, m)
-        d1 = float(first_dynamical_degree(iso))
+        d1 = as_float(first_dynamical_degree(iso))
         rho = power_iteration_radius(m)
         assert abs(d1 - rho) / rho < 1e-6
-        assert d1 == pytest.approx(float(root), rel=1e-12)
+        assert d1 == pytest.approx(as_float(root), rel=1e-12)
 
 
 def test_search_catalogue_sound(rank3, catalogue):
     assert catalogue
-    roots = [float(root) for _, root in catalogue]
+    roots = [as_float(root) for _, root in catalogue]
     assert roots == sorted(roots)
     seen_polys = set()
     for m, root in catalogue:

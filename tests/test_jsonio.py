@@ -78,5 +78,5 @@ def test_algebraic_real_json_roundtrip():
     assert payload["poly"] == [1, -34, 1]
     assert payload["decimal"] == "33.9705627485"
     back = algebraic_real_from_json(payload)
-    assert back.equals(root)
+    assert back.compare_to(root) == 0
     assert back.poly == root.poly

@@ -1,5 +1,9 @@
+import importlib
 import math
+import pathlib
+import pkgutil
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import hkdd
 from hkdd import linalg
 from hkdd.dynamics import power_decimal
 from hkdd.errors import (
@@ -22,7 +27,6 @@ from hkdd.polynomial import (
     char_poly,
     cyclotomic,
     divide_exact,
-    is_reciprocal,
     isolate_real_roots,
     poly,
     rounded_decimal,
@@ -32,7 +36,7 @@ from hkdd.polynomial import (
     trace_polynomial,
 )
 from conftest import assert_correctly_rounded, assert_walk_nests, mp_root
-from oracles import algebraic_real_from_json, bisection_decimal_str
+from oracles import algebraic_real, algebraic_real_from_json, as_float, bisection_decimal_str, is_reciprocal
 
 LEHMER = poly(1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
 
@@ -203,7 +207,7 @@ def test_sturm_count_examples():
 def test_isolate_real_roots_quadratic():
     roots = isolate_real_roots(poly(1, -34, 1))
     assert len(roots) == 2
-    small, large = [float(r) for r in roots]
+    small, large = [as_float(r) for r in roots]
     assert small == pytest.approx(17 - 12 * math.sqrt(2), abs=1e-12)
     assert large == pytest.approx(17 + 12 * math.sqrt(2), abs=1e-12)
 
@@ -213,13 +217,13 @@ def test_isolate_multiplicity_collapsed():
     roots = isolate_real_roots(cube)
     assert len(roots) == 1
     assert roots[0].poly == poly(-1, 1)
-    assert float(roots[0]) == 1.0
+    assert as_float(roots[0]) == 1.0
 
 
 def test_isolate_lehmer():
     roots = isolate_real_roots(LEHMER)
     assert len(roots) == 2
-    assert float(roots[-1]) == pytest.approx(1.17628081825992, abs=1e-10)
+    assert as_float(roots[-1]) == pytest.approx(1.17628081825992, abs=1e-10)
 
 
 def test_isolation_count_matches_sturm_random():
@@ -235,7 +239,7 @@ def test_isolation_count_matches_sturm_random():
         isolated = isolate_real_roots(p)
         assert len(isolated) == len(set(roots))
         assert len(isolated) == sturm_count(p, None, None)
-        values = sorted(float(r) for r in isolated)
+        values = sorted(as_float(r) for r in isolated)
         assert values == pytest.approx(sorted(roots), abs=1e-9)
         # intervals are disjoint and each isolates exactly one root
         for r, s in zip(isolated, isolated[1:]):
@@ -250,7 +254,7 @@ def test_isolation_against_numpy_oracle():
         deg = rng.randint(2, 6)
         coeffs = [rng.randint(-9, 9) for _ in range(deg)] + [rng.randint(1, 9)]
         p = IntPolynomial(tuple(coeffs))
-        got = [float(r) for r in isolate_real_roots(p)]
+        got = [as_float(r) for r in isolate_real_roots(p)]
         np_roots = np.roots(list(reversed(square_free_part(p).coeffs)))
         expected = sorted(
             float(z.real) for z in np_roots if abs(z.imag) < 1e-9
@@ -259,16 +263,36 @@ def test_isolation_against_numpy_oracle():
         assert got == pytest.approx(expected, abs=1e-6)
 
 
+def test_algebraic_real_ends_in_lowest_terms():
+    a = AlgebraicReal(poly(-2, 0, 1), 2, 6, 4)
+    assert (a.a, a.b, a.den) == (1, 3, 2)
+    assert (a.lo, a.hi) == (Fraction(1, 2), Fraction(3, 2))
+    assert AlgebraicReal(poly(-2, 0, 1), 1, 2).den == 1
+    for a, b, den in [(1, 2, 0), (1, 2, -1), (2, 2, 1), (3, 2, 1)]:
+        with pytest.raises(ValueError):
+            AlgebraicReal(poly(-2, 0, 1), a, b, den)
+
+
+def test_no_float_in_the_package():
+    source = pathlib.Path(hkdd.__file__).parent
+    for path in source.glob("*.py"):
+        assert not re.search(r"\bfloat\(", path.read_text()), path.name
+    for info in pkgutil.iter_modules([str(source)]):
+        module = importlib.import_module(f"hkdd.{info.name}")
+        for obj in vars(module).values():
+            assert not (isinstance(obj, type) and hasattr(obj, "__float__") and obj.__module__.startswith("hkdd")), obj
+
+
 def test_refine_nests_and_shrinks():
     root = isolate_real_roots(poly(-2, 0, 1))[-1]
     fine = root.refined(Fraction(1, 10**6))
     assert root.lo <= fine.lo < fine.hi <= root.hi
     assert fine.hi - fine.lo < Fraction(1, 10**6)
-    assert float(fine) == pytest.approx(math.sqrt(2), abs=1e-6)
+    assert as_float(fine) == pytest.approx(math.sqrt(2), abs=1e-6)
     finer = fine.refined(Fraction(1, 10**9))
     assert fine.lo <= finer.lo < finer.hi <= fine.hi
     big_root = isolate_real_roots(poly(1, -34, 1))[-1].refined(Fraction(1, 10**9))
-    assert float(big_root) == pytest.approx(33.970562748477, abs=1e-9)
+    assert as_float(big_root) == pytest.approx(33.970562748477, abs=1e-9)
 
 
 def sturm_refined(a: AlgebraicReal, eps) -> tuple[Fraction, Fraction]:
@@ -321,7 +345,7 @@ def roots_after_a_rational_root(draw):
     p = poly(-x0.numerator, x0.denominator) * draw(polys())
     later = [r for r in isolate_real_roots(p) if r.compare_rational(x0) > 0]
     assume(later)
-    return AlgebraicReal(later[0].poly, x0, later[0].hi)
+    return algebraic_real(later[0].poly, x0, later[0].hi)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -350,7 +374,7 @@ def test_refined_rational_root_hit_by_midpoint():
     a = AlgebraicReal(poly(3, -7, 2), 0, 1)
     r = assert_refines_like_reference(a, Fraction(1, 10**20))
     assert r.hi == Fraction(1, 2)
-    b = AlgebraicReal(poly(-3, 4), Fraction(1, 2), 1)  # root 3/4, hit at step 1
+    b = algebraic_real(poly(-3, 4), Fraction(1, 2), Fraction(1))  # root 3/4, hit at step 1
     assert assert_refines_like_reference(b, Fraction(1, 10**15)).hi == Fraction(3, 4)
 
 
@@ -451,7 +475,7 @@ def test_decimal_str_on_a_rounding_boundary():
     # a boundary that is the closed end of the interval, and one that is the
     # open end and another root: 1/8 = 0.125 at 2 digits
     def two_digits(p, lo, hi):
-        return AlgebraicReal(p, Fraction(*lo), Fraction(*hi)).decimal_str(2)
+        return algebraic_real(p, Fraction(*lo), Fraction(*hi)).decimal_str(2)
 
     assert two_digits(poly(-1, 8) * poly(-13, 100), (1, 16), (1, 8)) == "0.12"
     assert two_digits(poly(1, 8) * poly(13, 100), (-13, 100), (-1, 8)) == "-0.12"
@@ -481,7 +505,7 @@ def test_exact_str_quadratics():
 def test_algebraic_comparisons():
     r2 = isolate_real_roots(poly(-2, 0, 1))[-1]
     r2_again = isolate_real_roots(poly(-2, 0, 1) * poly(-5, 1))[1]
-    assert r2.equals(r2_again)
+    assert r2.compare_to(r2_again) == 0
     r3 = isolate_real_roots(poly(-3, 0, 1))[-1]
     assert r2 < r3
     assert r3 > r2

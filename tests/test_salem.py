@@ -6,7 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hkdd import salem
+from hkdd import polynomial, salem
 from hkdd.errors import DegreeTooSmallError, NotMonicError
 from hkdd.polynomial import ONE_POLY, IntPolynomial, char_poly, cyclotomic, isolate_real_roots, poly
 from hkdd.salem import (
@@ -16,8 +16,10 @@ from hkdd.salem import (
     classify_charpoly,
     is_salem_polynomial,
     peel_cyclotomic,
+    salem_root_of,
 )
-from oracles import rebuild_product
+from conftest import TPQR_SALEM_FACTORS
+from oracles import as_float, isolation_salem_root, rebuild_product
 
 LEHMER = poly(1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
 X2_34 = poly(1, -34, 1)
@@ -81,7 +83,7 @@ def test_salem_certificate_float_moduli():
         assert moduli[0] < 1 - 1e-6
         for m in moduli[1:-1]:
             assert abs(m - 1.0) <= 1e-6
-        assert float(check.root) == pytest.approx(moduli[-1], rel=1e-9)
+        assert as_float(check.root) == pytest.approx(moduli[-1], rel=1e-9)
 
 
 def test_salem_reciprocity():
@@ -293,7 +295,7 @@ def pooled_roots():
 
 def test_compare_to_is_antisymmetric_and_transitive():
     roots = pooled_roots()
-    values = [float(r) for r in roots]
+    values = [as_float(r) for r in roots]
     cmp = {(i, j): roots[i].compare_to(roots[j]) for i in range(len(roots)) for j in range(len(roots))}
     for (i, j), c in cmp.items():
         assert c == -cmp[j, i]
@@ -310,3 +312,33 @@ def test_compare_to_is_antisymmetric_and_transitive():
                     assert cmp[i, k] <= 0
                 if cmp[i, j] == 0 and cmp[j, k] == 0:
                     assert cmp[i, k] == 0
+
+
+def assert_descent_matches_isolation(p: IntPolynomial):
+    got, want = salem_root_of(p), isolation_salem_root(p)
+    assert (got.lo, got.hi) == (want.lo, want.hi)
+    assert 1 < got.lo
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(3, 10**6))
+def test_salem_root_descent_matches_isolation_on_quadratics(s):
+    assert_descent_matches_isolation(poly(1, -s, 1))
+
+
+@pytest.mark.parametrize("coeffs", TPQR_SALEM_FACTORS)
+def test_salem_root_descent_matches_isolation_on_tpqr_factors(coeffs):
+    assert_descent_matches_isolation(IntPolynomial(coeffs))
+
+
+def test_salem_root_of_builds_no_sturm_chain(monkeypatch):
+    want = isolation_salem_root(LEHMER)
+
+    def forbidden(*args):
+        raise AssertionError("salem_root_of must read the certified root layout")
+
+    monkeypatch.setattr(polynomial, "_sturm_chain", forbidden)
+    monkeypatch.setattr(polynomial, "square_free_part", forbidden)
+    got = salem_root_of(LEHMER)
+    assert (got.a, got.b, got.den) == (want.a, want.b, want.den)
+
