@@ -1,19 +1,24 @@
 """Command-line interface: degree spectra, Salem checks, Kummer examples, the
 quartic-involution demo, naturality certificates, and the bounded search.
 
-Reports go to stdout (aligned text by default, --format json for machines);
-diagnostics go to stderr. Exit codes are stable: 0 success, 2 malformed
-input, 3 isometry/determinant failures, 4 spectral structure violations,
-and 1 for an unexpected internal error, reported as the single stderr line
-`internal error: <Type>: <message>`. A reader that closes stdout early ends
-the output: main prints nothing more and returns 0. Each HkddError carries
-its code and stderr label (see errors), so main has one handler for them
-all. Every printed decimal is correctly rounded (half-even) to --precision
-digits by polynomial.rounded_decimal, from a certified interval narrowed
-by quadratic interval refinement (AlgebraicReal.quadratic_path); those of
-a spectrum report, the entropy and the JSON d1 included, come from one
-walk (dynamics.spectrum_decimals), with the table's powers bounded in
-fixed point.
+Each cmd_<name> builds its report once and returns (report, table): the
+report is the JSON-ready dict, and the table a generator of the aligned text
+lines, read from the same values. main alone reads --format and writes the
+one or the other to stdout in one write; diagnostics go to stderr. Exit
+codes are stable: 0 success, 2 malformed input, 3 isometry/determinant
+failures, 4 spectral structure violations, and 1 for an unexpected internal
+error, reported as the single stderr line `internal error: <Type>:
+<message>`. A reader that closes stdout early ends the output: main prints
+nothing more and returns 0. Each HkddError carries its code and stderr label
+(see errors), so main has one handler for them all. Every printed decimal is
+correctly rounded (half-even) to --precision digits by
+polynomial.rounded_decimal, from a certified interval narrowed by quadratic
+interval refinement (AlgebraicReal.quadratic_path); those of a spectrum
+report, the entropy and the JSON d1 included, come from one walk
+(dynamics.spectrum_decimals), with the table's powers bounded in fixed
+point. Integers in reports past the 53-bit range are written as strings
+(jsonio.encode_int), where each report is built. An integer argument or an
+exact form past polynomial.MAX_DIGITS digits ends in exit 2.
 _parse reads every command line from one table, COMMANDS, without argparse.
 File inputs use the JSON formats documented in jsonio.
 """
@@ -21,6 +26,7 @@ File inputs use the JSON formats documented in jsonio.
 from __future__ import annotations
 
 import os
+import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
@@ -35,7 +41,7 @@ from .dynamics import (
     search_salem_isometries,
     spectrum_decimals,
 )
-from .errors import HkddError, NotMonicError, UsageError
+from .errors import HkddError, UsageError
 from .hyperkahler import (
     Sl2Matrix,
     compose,
@@ -48,14 +54,35 @@ from .hyperkahler import (
 )
 from .jsonio import dump_json, encode_int, encode_matrix, encode_vector, load_lattice, load_matrix
 from .lattice import is_even, signature, verify_isometry
-from .polynomial import IntPolynomial, char_poly
-from .salem import SALEM_STRUCTURE, classify_charpoly
+from .polynomial import MAX_DIGITS, AlgebraicReal, IntPolynomial, char_poly
+from .salem import SALEM_STRUCTURE, SalemClassification, classify_charpoly
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 
 # roots below this are flagged as small Salem candidates in search reports
 SMALL_SALEM_THRESHOLD = Fraction(13, 10)
+
+
+def _root_json(root: AlgebraicReal, decimal: str) -> dict:
+    """A root as reports write it; decimal is its decimal_str at the report's precision."""
+    lo, hi = root.lo, root.hi
+    return {
+        "poly": encode_vector(root.poly.coeffs),
+        "lo": f"{lo.numerator}/{lo.denominator}",
+        "hi": f"{hi.numerator}/{hi.denominator}",
+        "decimal": decimal,
+    }
+
+
+def _classification_json(cls: SalemClassification, root_decimal: str | None) -> dict:
+    """root_decimal is the decimal of the Salem root, when there is one."""
+    return {
+        "kind": cls.kind,
+        "cyclotomic": [[n, m] for n, m in cls.cyclotomic_factors],
+        "salem_poly": encode_vector(cls.salem_factor.coeffs) if cls.salem_factor else None,
+        "salem_root": _root_json(cls.salem_root, root_decimal) if cls.salem_root else None,
+    }
 
 
 def _spectrum_json(spec: DegreeSpectrum, dec: SpectrumDecimals) -> dict:
@@ -89,39 +116,49 @@ def _classification_summary(cls) -> str:
     return f"{cls.kind}: {product}"
 
 
+def _naturality_json(cert) -> dict:
+    witness = cert.witness and {"vector": encode_vector(cert.witness[0]), "norm": encode_int(cert.witness[1])}
+    return {"verdict": cert.verdict, "required_norm": encode_int(cert.required_norm), "witness": witness}
+
+
+def _verdict_line(cert, lat) -> str:
+    """The certificate's verdict with its witness, or with its detail when it has none."""
+    if cert.witness is None:
+        return f"{cert.verdict}: {cert.detail}"
+    vector, norm = cert.witness
+    fixed = lat.vector_str(list(vector))
+    return f"{cert.verdict}: fixed class {fixed} has norm {norm}, required {cert.required_norm}"
+
+
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (report, table)
 # ---------------------------------------------------------------------------
 
 
-def cmd_lattice_info(args) -> int:
+def cmd_lattice_info(args):
     lat = load_lattice(args.lattice)
     sig = signature(lat)
     det = linalg.det_bareiss(lat.gram_rows())
-    if args.format == "json":
-        sys.stdout.write(
-            dump_json(
-                {
-                    "rank": lat.rank,
-                    "labels": list(lat.labels),
-                    "gram": encode_matrix(lat.gram_rows()),
-                    "even": is_even(lat),
-                    "signature": list(sig.as_tuple()),
-                    "determinant": encode_int(det),
-                }
-            )
-        )
-        return EXIT_OK
-    print(f"rank {lat.rank} lattice <{', '.join(lat.labels)}>")
-    for row in lat.gram_rows():
-        print(f"  {row}")
-    print(f"even: {'yes' if is_even(lat) else 'no'}")
-    print(f"signature (p, n, z): {sig}")
-    print(f"determinant: {det}")
-    return EXIT_OK
+    report = {
+        "rank": lat.rank,
+        "labels": list(lat.labels),
+        "gram": encode_matrix(lat.gram_rows()),
+        "even": is_even(lat),
+        "signature": list(sig.as_tuple()),
+        "determinant": encode_int(det),
+    }
+
+    def table():
+        yield f"rank {lat.rank} lattice <{', '.join(lat.labels)}>"
+        yield from (f"  {row}" for row in lat.gram_rows())
+        yield f"even: {'yes' if report['even'] else 'no'}"
+        yield f"signature (p, n, z): {sig}"
+        yield f"determinant: {det}"
+
+    return report, table()
 
 
-def cmd_degrees(args) -> int:
+def cmd_degrees(args):
     lat = load_lattice(args.lattice)
     matrix = load_matrix(args.isometry)
     iso = verify_isometry(lat, matrix)
@@ -130,54 +167,41 @@ def cmd_degrees(args) -> int:
     d1 = degree_from_classification(cls)
     spec = degree_spectrum(args.half_dim, d1)
     dec = spectrum_decimals(spec, args.precision)
-    if args.format == "json":
-        sys.stdout.write(
-            dump_json(
-                {
-                    "lattice": {"labels": list(lat.labels), "gram": encode_matrix(lat.gram_rows())},
-                    "isometry": encode_matrix(iso.rows()),
-                    "char_poly": encode_vector(cp.coeffs),
-                    # a Salem root is d1, whose decimal the table has
-                    "classification": cls.to_json(args.precision, dec.entries[1]),
-                    "spectrum": _spectrum_json(spec, dec),
-                }
-            )
-        )
-        return EXIT_OK
-    print(f"lattice <{', '.join(lat.labels)}>, isometry verified (M^T G M = G)")
-    print(f"char poly: {cp}")
-    print(_classification_summary(cls))
-    print(f"degree spectrum for half-dimension n = {spec.half_dim}:")
-    print(_spectrum_table(spec, dec))
-    return EXIT_OK
+    report = {
+        "lattice": {"labels": list(lat.labels), "gram": encode_matrix(lat.gram_rows())},
+        "isometry": encode_matrix(iso.rows()),
+        "char_poly": encode_vector(cp.coeffs),
+        "classification": _classification_json(cls, dec.entries[1]),  # a Salem root is d1
+        "spectrum": _spectrum_json(spec, dec),
+    }
+
+    def table():
+        yield f"lattice <{', '.join(lat.labels)}>, isometry verified (M^T G M = G)"
+        yield f"char poly: {cp}"
+        yield _classification_summary(cls)
+        yield f"degree spectrum for half-dimension n = {spec.half_dim}:"
+        yield _spectrum_table(spec, dec)
+
+    return report, table()
 
 
-def cmd_salem_check(args) -> int:
+def cmd_salem_check(args):
     p = IntPolynomial(tuple(args.coeffs))
-    if not p.is_monic:
-        raise NotMonicError(f"({p}) is not monic")
     cls = classify_charpoly(p)
-    if args.format == "json":
-        sys.stdout.write(
-            dump_json(
-                {
-                    "input": encode_vector(p.coeffs),
-                    "classification": cls.to_json(args.precision),
-                }
-            )
-        )
-        return EXIT_OK
-    print(f"p = {p}")
-    print(_classification_summary(cls))
-    if cls.salem_root is not None:
-        print(
-            f"salem root: {cls.salem_root.exact_str()} = "
-            f"{cls.salem_root.decimal_str(args.precision)}"
-        )
-    return EXIT_OK
+    root = cls.salem_root
+    decimal = root and root.decimal_str(args.precision)
+    report = {"input": encode_vector(p.coeffs), "classification": _classification_json(cls, decimal)}
+
+    def table():
+        yield f"p = {p}"
+        yield _classification_summary(cls)
+        if root is not None:
+            yield f"salem root: {root.exact_str()} = {decimal}"
+
+    return report, table()
 
 
-def cmd_kummer(args) -> int:
+def cmd_kummer(args):
     m = Sl2Matrix(args.a, args.b, args.c, args.d)
     t = m.trace
     if abs(t) <= 2:
@@ -188,89 +212,63 @@ def cmd_kummer(args) -> int:
         branch = "t < -2 (degree is the square of the small eigenvalue)"
     spec = kummer_spectrum(m, args.half_dim)
     dec = spectrum_decimals(spec, args.precision)
-    if args.format == "json":
-        sys.stdout.write(
-            dump_json(
-                {
-                    "matrix": encode_matrix(m.rows()),
-                    "trace": encode_int(t),
-                    "branch": branch,
-                    "spectrum": _spectrum_json(spec, dec),
-                }
-            )
-        )
-        return EXIT_OK
-    print(f"SL(2,Z) matrix {m.rows()}, trace {t}")
-    print(f"case: {branch}")
-    print(f"degree spectrum on the Hilbert scheme of n = {args.half_dim} points:")
-    print(_spectrum_table(spec, dec))
-    return EXIT_OK
+    report = {"matrix": encode_matrix(m.rows()), "trace": encode_int(t), "branch": branch,
+              "spectrum": _spectrum_json(spec, dec)}
+
+    def table():
+        yield f"SL(2,Z) matrix {m.rows()}, trace {t}"
+        yield f"case: {branch}"
+        yield f"degree spectrum on the Hilbert scheme of n = {args.half_dim} points:"
+        yield _spectrum_table(spec, dec)
+
+    return report, table()
 
 
-def cmd_natural_check(args) -> int:
+def cmd_natural_check(args):
     lat = load_lattice(args.lattice)
     matrix = load_matrix(args.isometry)
     hilb = hilbert_from_extended(lat, args.half_dim, args.e_index)
     iso = verify_isometry(lat, matrix)
     cert = naturality_certificate(iso, hilb)
-    if args.format == "json":
-        sys.stdout.write(
-            dump_json(
-                {
-                    "verdict": cert.verdict,
-                    "required_norm": encode_int(cert.required_norm),
-                    "fixed_basis": [encode_vector(v) for v in cert.fixed_basis],
-                    "witness": None
-                    if cert.witness is None
-                    else {"vector": encode_vector(cert.witness[0]), "norm": encode_int(cert.witness[1])},
-                    "detail": cert.detail,
-                }
-            )
-        )
-        return EXIT_OK
-    fixed = ", ".join(lat.vector_str(list(v)) for v in cert.fixed_basis) or "(trivial)"
-    print(f"fixed sublattice basis: {fixed}")
-    if cert.witness is not None:
-        print(
-            f"{cert.verdict}: fixed class {lat.vector_str(list(cert.witness[0]))} "
-            f"has norm {cert.witness[1]}, required {cert.required_norm}"
-        )
-    else:
-        print(f"{cert.verdict}: {cert.detail}")
-    return EXIT_OK
+    report = {**_naturality_json(cert), "fixed_basis": [encode_vector(v) for v in cert.fixed_basis],
+              "detail": cert.detail}
+
+    def table():
+        fixed = ", ".join(lat.vector_str(list(v)) for v in cert.fixed_basis) or "(trivial)"
+        yield f"fixed sublattice basis: {fixed}"
+        yield _verdict_line(cert, lat)
+
+    return report, table()
 
 
-def cmd_search(args) -> int:
+def cmd_search(args):
     lat = load_lattice(args.lattice)
     if lat.rank > 4:
-        print(
-            f"warning: rank {lat.rank} > 4; the bounded search may be very slow",
-            file=sys.stderr,
-        )
+        print(f"warning: rank {lat.rank} > 4; the bounded search may be very slow", file=sys.stderr)
     results = search_salem_isometries(lat, args.bound)
     for m, _ in results:
         verify_isometry(lat, m)
-    if args.format == "json":
-        entries = []
-        for m, root in results:
-            entries.append(
-                {
-                    "matrix": encode_matrix(m),
-                    "salem_poly": encode_vector(root.poly.coeffs),
-                    "root": root.to_json(args.precision),
-                    "small_salem_candidate": bool(root.compare_rational(SMALL_SALEM_THRESHOLD) < 0),
-                }
-            )
-        sys.stdout.write(dump_json({"bound": args.bound, "entries": entries}))
-        return EXIT_OK
-    print(f"salem isometries of <{', '.join(lat.labels)}> within entry bound {args.bound}: {len(results)}")
-    for m, root in results:
-        flag = "  [small Salem candidate]" if root.compare_rational(SMALL_SALEM_THRESHOLD) < 0 else ""
-        print(f"root {root.decimal_str(args.precision)}  poly {list(root.poly.coeffs)}  matrix {m}{flag}")
-    return EXIT_OK
+    entries = [
+        {
+            "matrix": encode_matrix(m),
+            "salem_poly": encode_vector(root.poly.coeffs),
+            "root": _root_json(root, root.decimal_str(args.precision)),
+            "small_salem_candidate": root.compare_rational(SMALL_SALEM_THRESHOLD) < 0,
+        }
+        for m, root in results
+    ]
+    report = {"bound": encode_int(args.bound), "entries": entries}
+
+    def table():
+        yield f"salem isometries of <{', '.join(lat.labels)}> within entry bound {args.bound}: {len(results)}"
+        for (m, root), entry in zip(results, entries):
+            flag = "  [small Salem candidate]" if entry["small_salem_candidate"] else ""
+            yield f"root {entry['root']['decimal']}  poly {list(root.poly.coeffs)}  matrix {m}{flag}"
+
+    return report, table()
 
 
-def cmd_beauville_demo(args) -> int:
+def cmd_beauville_demo(args):
     base = fixtures.quartic_pair_lattice()
     hilb = hilbert_lattice(base, 2, e_index=1)
     lat = hilb.extended
@@ -310,66 +308,45 @@ def cmd_beauville_demo(args) -> int:
         spec_l = degree_spectrum(2, degree_from_classification(cls_l))
         spectra.append((ell, spec_l, spectrum_decimals(spec_l, args.precision), check))
     root_decimal = spectra[0][2].entries[1]  # l = 1: d_1 is the Salem root of cp
+    report = {
+        "lattice": {"labels": list(lat.labels), "gram": encode_matrix(lat.gram_rows())},
+        "involutions": [_solution_json(sol1, lat), _solution_json(sol2, lat)],
+        "composition": {
+            "matrix": encode_matrix(comp.rows()),
+            "char_poly": encode_vector(cp.coeffs),
+            "classification": _classification_json(cls, root_decimal),
+        },
+        "spectra": [{"power": ell, "spectrum": _spectrum_json(s, dec)} for ell, s, dec, _ in spectra],
+        "naturality": _naturality_json(cert),
+    }
 
-    if args.format == "json":
-        payload = {
-            "lattice": {"labels": list(lat.labels), "gram": encode_matrix(lat.gram_rows())},
-            "involutions": [
-                _solution_json(sol1, lat),
-                _solution_json(sol2, lat),
-            ],
-            "composition": {
-                "matrix": encode_matrix(comp.rows()),
-                "char_poly": encode_vector(cp.coeffs),
-                "classification": cls.to_json(args.precision, root_decimal),
-            },
-            "spectra": [
-                {"power": ell, "spectrum": _spectrum_json(s, dec)}
-                for ell, s, dec, _ in spectra
-            ],
-            "naturality": {
-                "verdict": cert.verdict,
-                "required_norm": encode_int(cert.required_norm),
-                "witness": None
-                if cert.witness is None
-                else {"vector": encode_vector(cert.witness[0]), "norm": encode_int(cert.witness[1])},
-            },
-        }
-        sys.stdout.write(dump_json(payload))
-        return EXIT_OK
+    def table():
+        yield f"rank-3 lattice <{', '.join(lat.labels)}>:"
+        yield from (f"  {row}" for row in lat.gram_rows())
+        for sol, name in ((sol1, "M1"), (sol2, "M2")):
+            h_label = lat.labels[sol.h_index]
+            yield f"\ninvolution from the quartic embedding by |{h_label}|:"
+            yield f"  iota*({h_label}) = 3{h_label} - 4e, iota*(e) = 2{h_label} - 3e"
+            for rec in sol.records:
+                cands = ", ".join(map(str, rec.candidates))
+                yield f"  candidates for iota*({lat.labels[rec.basis_index]}): {cands}"
+                yield from (f"    rejected {cand}: {why}" for cand, why in rec.rejections)
+                yield f"    chosen   {rec.chosen}"
+            yield f"  {name} = {sol.isometry.rows()}   (matches the bundled fixture)"
+            yield f"  assumed hypotheses: {', '.join(sol.assumed_hypotheses)}"
+        yield f"\ncomposition M1*M2 = {comp.rows()}"
+        yield f"char poly: {cp}"
+        yield _classification_summary(cls)
+        yield f"salem root: {cls.salem_root.exact_str()} = {root_decimal}"
+        for ell, s, dec, check in spectra:
+            yield f"\ndegree spectrum of (iota2 iota1)^l for l = {ell} (n = 2):"
+            yield _spectrum_table(s, dec)
+            if check:
+                yield check
+        yield "\nnaturality certificate:"
+        yield _verdict_line(cert, lat)
 
-    print(f"rank-3 lattice <{', '.join(lat.labels)}>:")
-    for row in lat.gram_rows():
-        print(f"  {row}")
-    for sol, name in ((sol1, "M1"), (sol2, "M2")):
-        h_label = lat.labels[sol.h_index]
-        print(f"\ninvolution from the quartic embedding by |{h_label}|:")
-        print(f"  iota*({h_label}) = 3{h_label} - 4e, iota*(e) = 2{h_label} - 3e")
-        for rec in sol.records:
-            target = lat.labels[rec.basis_index]
-            cands = ", ".join(str(c) for c in rec.candidates)
-            print(f"  candidates for iota*({target}): {cands}")
-            for cand, why in rec.rejections:
-                print(f"    rejected {cand}: {why}")
-            print(f"    chosen   {rec.chosen}")
-        print(f"  {name} = {sol.isometry.rows()}   (matches the bundled fixture)")
-        print(f"  assumed hypotheses: {', '.join(sol.assumed_hypotheses)}")
-    print(f"\ncomposition M1*M2 = {comp.rows()}")
-    print(f"char poly: {cp}")
-    print(_classification_summary(cls))
-    print(f"salem root: {cls.salem_root.exact_str()} = {root_decimal}")
-    for ell, s, dec, check in spectra:
-        print(f"\ndegree spectrum of (iota2 iota1)^l for l = {ell} (n = 2):")
-        print(_spectrum_table(s, dec))
-        if check:
-            print(check)
-    print("\nnaturality certificate:")
-    witness_vec, witness_norm = cert.witness
-    print(
-        f"{cert.verdict}: fixed class {lat.vector_str(list(witness_vec))} "
-        f"has norm {witness_norm}, required {cert.required_norm}"
-    )
-    return EXIT_OK
+    return report, table()
 
 
 def _solution_json(sol, lat) -> dict:
@@ -402,8 +379,8 @@ Command = namedtuple("Command", "help positionals type options", defaults=((), s
 
 GLOBAL_OPTIONS = {
     "--format": Option(("table", "json"), "table", help="report format, table or json (default: table)"),
-    # above 4300 digits CPython's default limit refuses to write an int as a string
-    "--precision": Option(int, 12, 3, 4300,
+    # past MAX_DIGITS digits CPython's default limit refuses to write an int as a string
+    "--precision": Option(int, 12, 3, MAX_DIGITS,
                           help="significant digits for decimals (default: 12, minimum 3, maximum 4300)"),
 }
 _LATTICE = Option(required=True, help="lattice JSON file (required)")
@@ -431,10 +408,16 @@ def _is_option(arg: str) -> bool:
     return arg[:1] == "-" and arg != "-" and not arg[1:].replace(".", "", 1).isdecimal()
 
 
+# what int() reads as a base-10 integer; past MAX_DIGITS digits it refuses one all the same
+_INT = re.compile(r"\s*[+-]?\d+(_\d+)*\s*")
+
+
 def _convert(kind, text: str, what: str):
     try:
         return kind[kind.index(text)] if isinstance(kind, tuple) else kind(text)
     except ValueError:
+        if kind is int and _INT.fullmatch(text):
+            raise UsageError(f"{what}: integer has more than {MAX_DIGITS} digits") from None
         raise UsageError(f"{what}: invalid value {text!r}") from None
 
 
@@ -502,9 +485,11 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
-        code = EXIT_OK if args is None else globals()["cmd_" + args.command.replace("-", "_")](args)
+        if args is not None:
+            report, table = globals()["cmd_" + args.command.replace("-", "_")](args)
+            sys.stdout.write(dump_json(report) if args.format == "json" else "\n".join(table) + "\n")
         sys.stdout.flush()  # so that a reader gone before the last write is seen here
-        return code
+        return EXIT_OK
     except BrokenPipeError:
         # the reader closed stdout (`| head -1`): the end of output, not an
         # error; stdout goes to devnull so the interpreter's final flush is silent

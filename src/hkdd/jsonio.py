@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .errors import HkddError
 from .lattice import GramLattice, make_lattice
+from .polynomial import MAX_DIGITS
 
 _INT53 = 1 << 53
 # the strings encode_int writes: an optional minus sign and ASCII digits
@@ -41,7 +42,7 @@ def decode_int(v) -> int:
             try:
                 return int(v)
             except ValueError:  # past the interpreter's digit limit
-                pass
+                raise InputParseError(f"integer string has more than {MAX_DIGITS} digits") from None
         raise InputParseError(f"bad integer string {v!r}")
     raise InputParseError(f"expected an integer, got {type(v).__name__}")
 

@@ -81,10 +81,6 @@ class Signature:
     negative: int
     zero: int
 
-    @property
-    def rank(self) -> int:
-        return self.positive + self.negative + self.zero
-
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.positive, self.negative, self.zero)
 

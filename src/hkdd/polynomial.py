@@ -25,6 +25,7 @@ from math import gcd, isqrt, lcm
 
 from . import linalg
 from .errors import (
+    HkddError,
     NonSquareError,
     NotDivisibleError,
     NotPalindromicError,
@@ -59,12 +60,6 @@ class IntPolynomial:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    @property
-    def leading(self) -> int:
-        if self.is_zero:
-            raise ZeroPolynomialError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def __call__(self, x: Rational) -> Rational:
         acc: Rational = 0
         for c in reversed(self.coeffs):
@@ -97,9 +92,6 @@ class IntPolynomial:
         return IntPolynomial(tuple(out))
 
     __rmul__ = __mul__
-
-    def derivative(self) -> IntPolynomial:
-        return IntPolynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -615,17 +607,6 @@ class AlgebraicReal:
         """Closed form for degree <= 2, positional description otherwise."""
         return _exact_root_str(self)
 
-    def to_json(self, sig_digits: int = 12, decimal: str | None = None) -> dict:
-        """decimal, when given, is this root's decimal_str(sig_digits)."""
-        from .jsonio import encode_vector  # jsonio imports lattice, which imports this module
-
-        return {
-            "poly": encode_vector(self.poly.coeffs),
-            "lo": f"{self.lo.numerator}/{self.lo.denominator}",
-            "hi": f"{self.hi.numerator}/{self.hi.denominator}",
-            "decimal": decimal or self.decimal_str(sig_digits),
-        }
-
     def __repr__(self) -> str:
         return f"AlgebraicReal({self.exact_str()})"
 
@@ -770,11 +751,19 @@ def is_perfect_square(n: int) -> bool:
     return n >= 0 and isqrt(n) ** 2 == n
 
 
+# CPython 3.11 converts an int to or from a string of at most this many digits
+MAX_DIGITS = 4300
+_DIGITS_BOUND = 10**MAX_DIGITS
+
+
 def quadratic_surd_str(a: Fraction, b: Fraction, d: int) -> str:
-    """Render a + b*sqrt(d) with a common denominator, e.g. (7+3*sqrt(5))/2."""
+    """Render a + b*sqrt(d) with a common denominator, e.g. (7+3*sqrt(5))/2.
+    An integer of the form past MAX_DIGITS digits ends in an exit-2 HkddError."""
     denom = lcm(a.denominator, b.denominator)
     p = int(a * denom)
     q = int(b * denom)
+    if max(abs(p), abs(q), d, denom) >= _DIGITS_BOUND:
+        raise HkddError(f"exact form has an integer of more than {MAX_DIGITS} digits")
     if q == 0:
         return str(Fraction(p, denom))
     root = f"sqrt({d})" if abs(q) == 1 else f"{abs(q)}*sqrt({d})"

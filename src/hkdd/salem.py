@@ -24,7 +24,6 @@ from itertools import zip_longest
 from math import isqrt
 
 from .errors import DegreeTooSmallError, NotMonicError
-from .jsonio import encode_vector
 from .polynomial import (
     AlgebraicReal,
     IntPolynomial,
@@ -76,15 +75,6 @@ class SalemClassification:
     @property
     def salem_factor(self) -> IntPolynomial | None:
         return self.remainder if self.kind == SALEM_STRUCTURE else None
-
-    def to_json(self, sig_digits: int = 12, root_decimal: str | None = None) -> dict:
-        """root_decimal, when given, is the Salem root's decimal at sig_digits."""
-        return {
-            "kind": self.kind,
-            "cyclotomic": [[n, m] for n, m in self.cyclotomic_factors],
-            "salem_poly": encode_vector(self.salem_factor.coeffs) if self.salem_factor else None,
-            "salem_root": self.salem_root.to_json(sig_digits, root_decimal) if self.salem_root else None,
-        }
 
 
 # any prime keeps the test sound; this one keeps each product in one

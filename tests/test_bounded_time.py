@@ -2,7 +2,8 @@
 search at rank 4 and at rank 5 up to bound 2, polynomial work on huge
 traces and degree 160, degree tables of half-dimension 1000 at 12, 50 and
 200 digits and of trace 56 at half-dimension 300 and 200 digits end within
-a stated time with a documented exit code (0, 2, 3 or 4). Each case runs
+a stated time with a documented exit code (0, 2, 3 or 4), and exact forms
+past 4300 digits end in exit 2 with a message naming the bound. Each case runs
 `python -m hkdd.cli` in a fresh process with a timeout, so a hang fails
 the test instead of stalling the suite.
 """
@@ -216,6 +217,30 @@ def test_cli_ends_in_time(case):
     if line is not None:
         assert proc.returncode == 0
         assert line in proc.stdout.splitlines()
+
+
+# each case: argv after `hkdd.cli` and seconds; its exact forms need an
+# integer past 4300 digits, which CPython 3.11 cannot write as a string
+DIGIT_BOUND_CASES = {
+    "kummer-half-dim-5300": (["kummer", "2", "1", "1", "1", "--half-dim", "5300"], 10),
+    "kummer-json-half-dim-6000": (
+        ["--format", "json", "kummer", "2", "1", "1", "1", "--half-dim", "6000"], 10,
+    ),
+    "salem-check-4000-digit-trace": (["salem-check", "--", "1", "-" + "3" * 4000, "1"], 10),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIGIT_BOUND_CASES))
+def test_exact_form_past_the_digit_bound_exits_2(case):
+    argv, seconds = DIGIT_BOUND_CASES[case]
+    proc = subprocess.run(
+        [sys.executable, "-m", "hkdd.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=seconds,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "input error: exact form has an integer of more than 4300 digits\n"
 
 
 # the candidate images of the three other basis vectors number 1,692,

@@ -1,3 +1,4 @@
+import ast
 import inspect
 import io
 import json
@@ -11,13 +12,13 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from hkdd import cli, dynamics, errors, fixtures, hyperkahler, jsonio, linalg
+from hkdd import cli, dynamics, errors, fixtures, hyperkahler, jsonio, linalg, polynomial, salem
 from hkdd.cli import main
 from hkdd.jsonio import dump_json
 from hkdd.polynomial import AlgebraicReal, IntPolynomial
 from conftest import assert_correctly_rounded, decimals_of
 from oracles import algebraic_real_from_json, build_parser, decode_coeffs
-from test_cli_golden import CASES
+from test_cli_golden import CASES, LEHMER
 
 
 @pytest.fixture()
@@ -334,14 +335,17 @@ def test_precision_flag(capsys, m1m2_file):
     assert code == 2
 
 
-def count_calls(monkeypatch, fn) -> list:
-    """Count the calls of fn through every hkdd module that binds it."""
+def count_calls(monkeypatch, fn, owner=None) -> list:
+    """Count the calls of fn, a method of the class owner when one is given,
+    else a function, through every hkdd module that binds it."""
     calls = []
 
     def counted(*args):
         calls.append(args)
         return fn(*args)
 
+    if owner is not None:
+        monkeypatch.setattr(owner, fn.__name__, counted)
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "hkdd" and getattr(module, fn.__name__, None) is fn:
             monkeypatch.setattr(module, fn.__name__, counted)
@@ -457,6 +461,7 @@ def test_help_prints_usage_and_exits_0(capsys, argv, first_line):
     (["kummer", "2", "1", "1", "1", "--half-dim", "0"], "--half-dim must be at least 1"),
     (["search", "--lattice", "lattice.json", "--bound", "0"], "--bound must be at least 1"),
     (["kummer", "2", "1", "1", "1", "--half-dim"], "--half-dim expects a value"),
+    (["salem-check", "--", "1", "1" * 5001, "1"], "salem-check: integer has more than 4300 digits\n"),
 ])
 def test_usage_error_returns_2_without_system_exit(capsys, argv, message):
     code, out, err = run_cli(argv, capsys)  # a SystemExit would fail the test
@@ -616,3 +621,52 @@ def test_error_without_own_entry_exits_with_base_code(capsys, monkeypatch):
     monkeypatch.setattr(cli, "solve_beauville", mismatched)
     code, out, err = run_cli(["beauville-demo"], capsys)
     assert (code, out, err) == (2, "", "input error: operands act on different lattices\n")
+
+
+def test_search_echoes_a_bound_past_53_bits_as_a_string(capsys, tmp_path):
+    lattice = tmp_path / "rank1.json"
+    lattice.write_text(json.dumps({"gram": [[2]]}))
+    argv = ["--format", "json", "search", "--lattice", str(lattice), "--bound", "100000000000000000000"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert json.loads(out) == {"bound": "100000000000000000000", "entries": []}
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_search_renders_and_flags_each_root_once(capsys, monkeypatch, fmt):
+    # bound 3 finds no Salem isometry of the rank-3 lattice; bound 5 finds two
+    decimals = count_calls(monkeypatch, AlgebraicReal.decimal_str, AlgebraicReal)
+    compares = count_calls(monkeypatch, AlgebraicReal.compare_rational, AlgebraicReal)
+    code, out, _ = run_cli(["--format", fmt, "search", "--lattice", rank3_path(), "--bound", "5"], capsys)
+    assert code == 0 and out.count("13.9282032303") == 1
+    assert len(decimals) == len(compares) == 2
+    assert [args[1] for args in compares] == [cli.SMALL_SALEM_THRESHOLD] * 2
+
+
+def test_salem_check_table_renders_the_root_once(capsys, monkeypatch):
+    calls = count_calls(monkeypatch, AlgebraicReal.decimal_str, AlgebraicReal)
+    code, out, _ = run_cli(["salem-check", "--", *LEHMER.split()], capsys)
+    assert code == 0 and out.splitlines()[-1].endswith(" = 1.17628081826")
+    assert len(calls) <= 1
+
+
+def test_polynomial_and_salem_leave_json_to_the_cli():
+    for module in (polynomial, salem):
+        tree = ast.parse(inspect.getsource(module))
+        imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+        imported = [getattr(n, "module", None) or "" for n in imports]
+        imported += [a.name for n in imports for a in n.names]
+        assert not [name for name in imported if "jsonio" in name], module.__name__
+        assert "to_json" not in {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+
+
+def test_commands_return_a_report_and_main_alone_writes_it():
+    reads = inspect.getsource(cli).count("args.format")
+    assert reads == inspect.getsource(cli.main).count("args.format") == 1
+    commands = [fn for name, fn in vars(cli).items() if name.startswith("cmd_")]
+    assert len(commands) == len(cli.COMMANDS)
+    for fn in commands:
+        source = inspect.getsource(fn)
+        assert "sys.stdout" not in source and source.count("print(") == source.count("file=sys.stderr")
+    report, table = cli.cmd_kummer(cli._parse(["kummer", "2", "1", "1", "1"]))
+    assert isinstance(report, dict) and inspect.isgenerator(table)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hkdd import linalg
+from hkdd import cli, linalg
 from hkdd.jsonio import (
     InputParseError,
     decode_int,
@@ -33,6 +33,16 @@ def test_int53_rule():
         decode_int(True)
     with pytest.raises(InputParseError):
         decode_int(3.5)
+
+
+def test_integer_string_past_the_digit_limit_is_named(tmp_path):
+    # a valid integer that CPython's 4300-digit limit refuses to read
+    f = tmp_path / "lat.json"
+    f.write_text(json.dumps({"gram": [["1" * 5001]]}))
+    with pytest.raises(InputParseError) as exc:
+        load_lattice(f)
+    assert str(exc.value) == "integer string has more than 4300 digits"
+    assert decode_int("1" * 4300) == int("1" * 4300)
 
 
 def test_matrix_roundtrip_with_huge_entries(m1m2):
@@ -74,7 +84,7 @@ def test_dump_json_stable():
 
 def test_algebraic_real_json_roundtrip():
     root = isolate_real_roots(poly(1, -34, 1))[-1]
-    payload = root.to_json(12)
+    payload = cli._root_json(root, root.decimal_str(12))
     assert payload["poly"] == [1, -34, 1]
     assert payload["decimal"] == "33.9705627485"
     back = algebraic_real_from_json(payload)

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hkdd
-from hkdd import linalg
+from hkdd import cli, linalg
 from hkdd.dynamics import power_decimal
 from hkdd.errors import (
     NotDivisibleError,
@@ -381,7 +381,7 @@ def test_refined_rational_root_hit_by_midpoint():
 def test_refined_non_dyadic_interval_from_json():
     a = algebraic_real_from_json({"poly": [-2, 0, 1], "lo": "4/3", "hi": "3/2"})
     r = assert_refines_like_reference(a, Fraction(1, 10**25))
-    back = algebraic_real_from_json(r.to_json())
+    back = algebraic_real_from_json(cli._root_json(r, r.decimal_str(12)))
     assert (back.lo, back.hi) == (r.lo, r.hi)
 
 
