@@ -16,9 +16,10 @@ polynomial.rounded_decimal, from a certified interval narrowed by quadratic
 interval refinement (AlgebraicReal.quadratic_path); those of a spectrum
 report, the entropy and the JSON d1 included, come from one walk
 (dynamics.spectrum_decimals), with the table's powers bounded in fixed
-point. Integers in reports past the 53-bit range are written as strings
-(jsonio.encode_int), where each report is built. An integer argument or an
-exact form past polynomial.MAX_DIGITS digits ends in exit 2.
+point. Every exact form, a Salem root's included, is an entry of
+dynamics.exact_power_str. Integers in reports past the 53-bit range are
+strings (jsonio.encode_int), written where each report is built. An integer
+argument or an exact form past polynomial.MAX_DIGITS digits ends in exit 2.
 _parse reads every command line from one table, COMMANDS, without argparse.
 File inputs use the JSON formats documented in jsonio.
 """
@@ -38,6 +39,7 @@ from .dynamics import (
     SpectrumDecimals,
     degree_from_classification,
     degree_spectrum,
+    exact_power_str,
     search_salem_isometries,
     spectrum_decimals,
 )
@@ -196,7 +198,7 @@ def cmd_salem_check(args):
         yield f"p = {p}"
         yield _classification_summary(cls)
         if root is not None:
-            yield f"salem root: {root.exact_str()} = {decimal}"
+            yield f"salem root: {exact_power_str(root, [1])[0]} = {decimal}"
 
     return report, table()
 
@@ -337,7 +339,7 @@ def cmd_beauville_demo(args):
         yield f"\ncomposition M1*M2 = {comp.rows()}"
         yield f"char poly: {cp}"
         yield _classification_summary(cls)
-        yield f"salem root: {cls.salem_root.exact_str()} = {root_decimal}"
+        yield f"salem root: {spectra[0][1].entries[1].exact} = {root_decimal}"
         for ell, s, dec, check in spectra:
             yield f"\ndegree spectrum of (iota2 iota1)^l for l = {ell} (n = 2):"
             yield _spectrum_table(s, dec)

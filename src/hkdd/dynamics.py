@@ -4,7 +4,9 @@ The degree law for hyperkahler-type isometries says d_k = d_1^min(k, 2n-k)
 across k = 0..2n, with entropy n*ln(d_1). The first degree is the Salem root
 of the characteristic polynomial on the lattice (or exactly 1 when every
 factor is cyclotomic). A DegreeSpectrum is d_1 and the exponents, with
-exact symbolic entries; spectrum_decimals renders it at a precision from one
+exact symbolic entries from exact_power_str, the one exact renderer: closed
+forms from integer Lucas sequences when d_1 is quadratic, its positional
+description otherwise. spectrum_decimals renders it at a precision from one
 walk of d_1's certified isolating interval, the entropy included, each
 decimal correctly rounded (polynomial.rounded_decimal). No floating point
 is used: a structure violation is reported with the exact reason the Salem
@@ -28,11 +30,12 @@ from .polynomial import (
     IntPolynomial,
     LOG10_2_Q31,
     char_poly,
+    format_fraction,
     power_traces,
-    quadratic_surd_parts,
     quadratic_surd_str,
     reciprocal_char_poly,
     rounded_decimal,
+    square_part,
 )
 from .salem import (
     ALL_CYCLOTOMIC,
@@ -117,26 +120,31 @@ def degree_from_classification(cls: SalemClassification) -> FirstDegree:
 
 
 def exact_power_str(d1: FirstDegree, exponents: list[int]) -> list[str]:
-    """Symbolic renderings of d1^e for every e in exponents, in their order.
+    """Exact renderings of d1^e for every e in exponents, in their order.
 
-    A monic quadratic d1 gets closed forms A + B*sqrt(D), from one pass of
-    arithmetic in Z[d1] up to the largest exponent; any other d1 is rendered
-    as powers of its exact string, which is built once.
+    d1 is 1 or the Salem root lambda > 1 of its polynomial S. For
+    S = x^2 - s*x + 1, lambda^e = (V_e + U_e*t*sqrt(D))/2 with
+    s^2 - 4 = t^2*D (square_part) and the integer Lucas sequences V_0 = 2,
+    V_1 = s, U_0 = 0, U_1 = 1, X_(e+1) = s*X_e - X_(e-1). The largest
+    exponent is written first, so a column past the digit bound fails before
+    any string is built. Otherwise lambda is "root #2 of S in [lo, hi]", as
+    the certificate puts the real roots of S at 1/lambda < 1 < lambda.
     """
     if isinstance(d1, int):
         return ["1"] * len(exponents)
-    parts = quadratic_surd_parts(d1) if d1.poly.is_monic else None
-    if parts is None:
-        base = d1.exact_str()
+    if d1.poly.degree > 2:
+        lo, hi = format_fraction(d1.a, d1.den, 8), format_fraction(d1.b, d1.den, 8)
+        base = f"root #2 of {d1.poly} in [{lo}, {hi}]"
         return ["1" if e == 0 else base if e == 1 else f"({base})^{e}" for e in exponents]
-    a0, b0, d = parts
-    c0, c1, _ = d1.poly.coeffs
-    closed = ["1"]
-    # d1^e = u + v*d1 times d1 is -v*c0 + (u - v*c1)*d1, as d1^2 = -c1*d1 - c0
-    u, v = 0, 1
-    for _ in range(max(exponents, default=0)):
-        closed.append(quadratic_surd_str(u + v * a0, v * b0, d))
-        u, v = -v * c0, u - v * c1
+    s = -d1.poly.coeffs[1]
+    t, d = square_part(s * s - 4)
+    v, tu = [2, s], [0, t]  # V_e and t*U_e
+    for _ in range(max(exponents, default=0) - 1):
+        v.append(s * v[-1] - v[-2])
+        tu.append(s * tu[-1] - tu[-2])
+    closed = {0: "1"}
+    for e in sorted(set(exponents) - {0}, reverse=True):
+        closed[e] = quadratic_surd_str(v[e], tu[e], d)
     return [closed[e] for e in exponents]
 
 

@@ -66,14 +66,19 @@ def dump_json(obj) -> str:
 
 
 def _load(path: str | Path) -> dict:
+    """The JSON object in the UTF-8 file path; anything else is an InputParseError."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputParseError(f"cannot read {path}: {exc}") from exc
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputParseError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise InputParseError(f"{path}: JSON nested too deeply") from None
+    except ValueError:  # a number literal past the interpreter's digit limit
+        raise InputParseError(f"{path}: integer has more than {MAX_DIGITS} digits") from None
     if not isinstance(obj, dict):
         raise InputParseError(f"{path}: top-level JSON object expected")
     return obj

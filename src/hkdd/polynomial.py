@@ -12,7 +12,10 @@ Decimal output comes from certified isolating intervals, never from
 floats: rounded_decimal gives the correctly rounded (half-even) decimal
 that both ends of an interval agree on, and every value printed as a
 decimal comes from it; format_fraction writes only the exact endpoints in
-a root's positional description.
+a root's positional description. A root has no exact string of its own:
+dynamics.exact_power_str, the one exact renderer, writes the positional
+form and, through quadratic_surd_str, the closed forms (p + q*sqrt(d))/2
+from plain integers.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import functools
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 from . import linalg
 from .errors import (
@@ -603,18 +606,12 @@ class AlgebraicReal:
             if n * den <= a * d:
                 return 1
 
-    def exact_str(self) -> str:
-        """Closed form for degree <= 2, positional description otherwise."""
-        return _exact_root_str(self)
 
-    def __repr__(self) -> str:
-        return f"AlgebraicReal({self.exact_str()})"
-
-
-def format_fraction(fr: Fraction, sig_digits: int) -> str:
+def format_fraction(n: int, den: int, sig_digits: int) -> str:
+    """n/den rounded to sig_digits significant digits, as Decimal writes it."""
     with localcontext() as ctx:
         ctx.prec = sig_digits
-        d = Decimal(fr.numerator) / Decimal(fr.denominator)
+        d = Decimal(n) / Decimal(den)
     return str(d)
 
 
@@ -756,58 +753,14 @@ MAX_DIGITS = 4300
 _DIGITS_BOUND = 10**MAX_DIGITS
 
 
-def quadratic_surd_str(a: Fraction, b: Fraction, d: int) -> str:
-    """Render a + b*sqrt(d) with a common denominator, e.g. (7+3*sqrt(5))/2.
-    An integer of the form past MAX_DIGITS digits ends in an exit-2 HkddError."""
-    denom = lcm(a.denominator, b.denominator)
-    p = int(a * denom)
-    q = int(b * denom)
-    if max(abs(p), abs(q), d, denom) >= _DIGITS_BOUND:
+def quadratic_surd_str(p: int, q: int, d: int) -> str:
+    """Render (p + q*sqrt(d))/2 for integers p, q > 0, halving both when they
+    are even: (7+3*sqrt(5))/2, 17+12*sqrt(2). An integer of the form past
+    MAX_DIGITS digits ends in an exit-2 HkddError, before any is written."""
+    halved = p % 2 == q % 2 == 0
+    if halved:
+        p, q = p // 2, q // 2
+    if max(p, q, d) >= _DIGITS_BOUND:
         raise HkddError(f"exact form has an integer of more than {MAX_DIGITS} digits")
-    if q == 0:
-        return str(Fraction(p, denom))
-    root = f"sqrt({d})" if abs(q) == 1 else f"{abs(q)}*sqrt({d})"
-    if p == 0:
-        core = root if q > 0 else f"-{root}"
-    else:
-        core = f"{p}+{root}" if q > 0 else f"{p}-{root}"
-    if denom == 1:
-        return core
-    return f"({core})/{denom}"
-
-
-def quadratic_surd_parts(a: AlgebraicReal) -> tuple[Fraction, Fraction, int] | None:
-    """Write a degree-2 algebraic real as A + B*sqrt(D), D > 1 square-free
-    up to SQUARE_PART_LIMIT (see square_part); the form is exact either way.
-
-    Returns None when the defining polynomial is not an irrational quadratic.
-    """
-    p = a.poly
-    if p.degree != 2:
-        return None
-    c0, c1, c2 = p.coeffs
-    disc = c1 * c1 - 4 * c0 * c2
-    if disc <= 0 or is_perfect_square(disc):
-        return None
-    s, d = square_part(disc)
-    vertex = Fraction(-c1, 2 * c2)
-    # the vertex is no root, as the discriminant is positive
-    plus_branch = a.compare_rational(vertex) > 0
-    if c2 < 0:
-        plus_branch = not plus_branch
-    coef = Fraction(s, 2 * c2) if plus_branch else Fraction(-s, 2 * c2)
-    return vertex, coef, d
-
-
-def _exact_root_str(a: AlgebraicReal) -> str:
-    p = a.poly
-    if p.degree == 1:
-        return str(Fraction(-p.coeffs[0], p.coeffs[1]))
-    parts = quadratic_surd_parts(a)
-    if parts is not None:
-        return quadratic_surd_str(*parts)
-    idx = sturm_count(p, None, a.lo) + 1
-    lo_s = format_fraction(a.lo, 8)
-    hi_s = format_fraction(a.hi, 8)
-    return f"root #{idx} of {p} in [{lo_s}, {hi_s}]"
-
+    core = f"{p}+sqrt({d})" if q == 1 else f"{p}+{q}*sqrt({d})"
+    return core if halved else f"({core})/2"

@@ -3,11 +3,12 @@ iteration, a symmetric power and its dimension, a Fraction rank, integer
 solvability by determinantal divisors, the product a classification
 multiplies back to, the coefficient-list decoder of the JSON polynomial
 format and the reader of its algebraic reals, the argparse parser of the
-command line, the combination search for the Beauville involution, and
+command line, the combination search for the Beauville involution,
 the Salem search over every pair of involutions, the decimals of a
 root and of its powers and logarithms by bisection with exact powers, the
-Salem root by isolation, a reciprocality test, and the constructor of an
-algebraic real from Fraction ends and its float.
+Salem root by isolation, a reciprocality test, the constructor of an
+algebraic real from Fraction ends and its float, and the exact powers of a
+root rendered by Fraction arithmetic with a Sturm-indexed positional form.
 """
 
 import argparse
@@ -21,21 +22,25 @@ import numpy as np
 
 from hkdd import linalg
 from hkdd.dynamics import INV_LN10_UPPER, SpectrumDecimals, enumerate_isometries
-from hkdd.errors import NotIsometryError, ZeroPolynomialError
+from hkdd.errors import HkddError, NotIsometryError, ZeroPolynomialError
 from hkdd.hyperkahler import BeauvilleSolution, CandidateRecord, _beauville_candidates
 from hkdd.jsonio import InputParseError, decode_int
 from hkdd.lattice import invariant_sublattice, verify_isometry
 from hkdd.polynomial import (
     LOG10_2_Q31,
+    MAX_DIGITS,
     AlgebraicReal,
     IntPolynomial,
     _boundary_decimal,
     char_poly,
     cyclotomic,
+    is_perfect_square,
     isolate_real_roots,
     power_traces,
     reciprocal_char_poly,
     rounded_decimal,
+    square_part,
+    sturm_count,
 )
 from hkdd.salem import SALEM_STRUCTURE, SalemClassification, classify_charpoly
 
@@ -475,3 +480,88 @@ def width_log_bounds(a: int, b: int, den: int) -> list[tuple[int, int, int]]:
             high_den *= rise_den * per_den
             out.append((low * high_den, high * low_den, low_den * high_den))
     return out
+
+
+def fraction_exact_power_str(d1, exponents: list[int]) -> list[str]:
+    """dynamics.exact_power_str as Fraction arithmetic in Z[d1]: a monic
+    quadratic d1 gets closed forms A + B*sqrt(D), with the branch picked by
+    comparing d1 with the vertex; any other d1 is rendered as powers of its
+    Sturm-indexed positional string."""
+    if isinstance(d1, int):
+        return ["1"] * len(exponents)
+    parts = quadratic_surd_parts(d1) if d1.poly.is_monic else None
+    if parts is None:
+        base = sturm_root_str(d1)
+        return ["1" if e == 0 else base if e == 1 else f"({base})^{e}" for e in exponents]
+    a0, b0, d = parts
+    c0, c1, _ = d1.poly.coeffs
+    closed = ["1"]
+    # d1^e = u + v*d1 times d1 is -v*c0 + (u - v*c1)*d1, as d1^2 = -c1*d1 - c0
+    u, v = 0, 1
+    for _ in range(max(exponents, default=0)):
+        closed.append(fraction_surd_str(u + v * a0, v * b0, d))
+        u, v = -v * c0, u - v * c1
+    return [closed[e] for e in exponents]
+
+
+def fraction_surd_str(a: Fraction, b: Fraction, d: int) -> str:
+    """Render a + b*sqrt(d) with a common denominator, e.g. (7+3*sqrt(5))/2.
+    An integer of the form past MAX_DIGITS digits ends in an exit-2 HkddError."""
+    denom = math.lcm(a.denominator, b.denominator)
+    p = int(a * denom)
+    q = int(b * denom)
+    if max(abs(p), abs(q), d, denom) >= 10**MAX_DIGITS:
+        raise HkddError(f"exact form has an integer of more than {MAX_DIGITS} digits")
+    if q == 0:
+        return str(Fraction(p, denom))
+    root = f"sqrt({d})" if abs(q) == 1 else f"{abs(q)}*sqrt({d})"
+    if p == 0:
+        core = root if q > 0 else f"-{root}"
+    else:
+        core = f"{p}+{root}" if q > 0 else f"{p}-{root}"
+    if denom == 1:
+        return core
+    return f"({core})/{denom}"
+
+
+def quadratic_surd_parts(a: AlgebraicReal) -> tuple[Fraction, Fraction, int] | None:
+    """Write a degree-2 algebraic real as A + B*sqrt(D), D > 1 square-free
+    up to SQUARE_PART_LIMIT (see square_part); the form is exact either way.
+
+    Returns None when the defining polynomial is not an irrational quadratic.
+    """
+    p = a.poly
+    if p.degree != 2:
+        return None
+    c0, c1, c2 = p.coeffs
+    disc = c1 * c1 - 4 * c0 * c2
+    if disc <= 0 or is_perfect_square(disc):
+        return None
+    s, d = square_part(disc)
+    vertex = Fraction(-c1, 2 * c2)
+    # the vertex is no root, as the discriminant is positive
+    plus_branch = a.compare_rational(vertex) > 0
+    if c2 < 0:
+        plus_branch = not plus_branch
+    coef = Fraction(s, 2 * c2) if plus_branch else Fraction(-s, 2 * c2)
+    return vertex, coef, d
+
+
+def sturm_root_str(a: AlgebraicReal) -> str:
+    """Closed form for degree <= 2, else the root's index among the real
+    roots by a Sturm count and its interval to 8 digits."""
+    p = a.poly
+    if p.degree == 1:
+        return str(Fraction(-p.coeffs[0], p.coeffs[1]))
+    parts = quadratic_surd_parts(a)
+    if parts is not None:
+        return fraction_surd_str(*parts)
+    idx = sturm_count(p, None, a.lo) + 1
+    return f"root #{idx} of {p} in [{_fraction_decimal(a.lo, 8)}, {_fraction_decimal(a.hi, 8)}]"
+
+
+def _fraction_decimal(fr: Fraction, sig_digits: int) -> str:
+    with localcontext() as ctx:
+        ctx.prec = sig_digits
+        d = Decimal(fr.numerator) / Decimal(fr.denominator)
+    return str(d)

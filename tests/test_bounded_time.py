@@ -222,9 +222,9 @@ def test_cli_ends_in_time(case):
 # each case: argv after `hkdd.cli` and seconds; its exact forms need an
 # integer past 4300 digits, which CPython 3.11 cannot write as a string
 DIGIT_BOUND_CASES = {
-    "kummer-half-dim-5300": (["kummer", "2", "1", "1", "1", "--half-dim", "5300"], 10),
+    "kummer-half-dim-5300": (["kummer", "2", "1", "1", "1", "--half-dim", "5300"], 1),
     "kummer-json-half-dim-6000": (
-        ["--format", "json", "kummer", "2", "1", "1", "1", "--half-dim", "6000"], 10,
+        ["--format", "json", "kummer", "2", "1", "1", "1", "--half-dim", "6000"], 1,
     ),
     "salem-check-4000-digit-trace": (["salem-check", "--", "1", "-" + "3" * 4000, "1"], 10),
 }

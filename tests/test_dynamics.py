@@ -29,10 +29,12 @@ from hkdd.polynomial import (
     AlgebraicReal,
     IntPolynomial,
     char_poly,
+    format_fraction,
     isolate_real_roots,
     poly,
     power_traces,
     reciprocal_char_poly,
+    sturm_count,
 )
 from hkdd.salem import SALEM_STRUCTURE, classify_charpoly, is_salem_polynomial, salem_root_of
 from conftest import TPQR_SALEM_FACTORS, assert_correctly_rounded, assert_walk_nests, mp_root
@@ -40,6 +42,7 @@ from oracles import (
     all_pairs_search,
     as_float,
     bisection_power_decimal,
+    fraction_exact_power_str,
     power_iteration_radius,
     sym_power_dim,
     sym_power_matrix,
@@ -58,7 +61,7 @@ def catalogue(rank3):
 
 def test_first_dynamical_degree(rank3, m1, iso_m1m2):
     d1 = first_dynamical_degree(iso_m1m2)
-    assert d1.exact_str() == "17+12*sqrt(2)"
+    assert exact_power_str(d1, [1]) == ["17+12*sqrt(2)"]
     assert as_float(d1) == pytest.approx(33.970562748477, abs=1e-9)
     assert first_dynamical_degree(verify_isometry(rank3, m1)) == 1
     assert first_dynamical_degree(verify_isometry(rank3, linalg.identity(3))) == 1
@@ -118,14 +121,43 @@ def test_exact_power_str_quadratic(root34):
 def test_exact_power_str_builds_one_exact_string(monkeypatch):
     lehmer = isolate_real_roots(poly(1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))[-1]
     calls = []
-    exact_str = type(lehmer).exact_str
-    monkeypatch.setattr(type(lehmer), "exact_str", lambda self: calls.append(1) or exact_str(self))
+    monkeypatch.setattr(dynamics, "format_fraction", lambda *a: calls.append(a) or format_fraction(*a))
     spec = degree_spectrum(8, lehmer)
-    assert len(calls) == 1
+    assert len(calls) == 2  # lo and hi, once for the column
     base = spec.entries[1].exact
     assert base.startswith("root #2 of x^10 + x^9")
     assert [e.exact for e in spec.entries[:3]] == ["1", base, f"({base})^2"]
     assert spec.entropy_exact == f"8*log({base})"
+
+
+def spectrum_exponents(n: int) -> list[int]:
+    return [min(k, 2 * n - k) for k in range(2 * n + 1)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(3, 60), st.sampled_from([1, -1]), st.integers(1, 100))
+def test_exact_power_str_matches_fraction_oracle_on_kummer_traces(t, sign, n):
+    d1 = kummer_first_degree(Sl2Matrix(sign * t, 1, -1, 0))
+    exponents = spectrum_exponents(n)
+    assert exact_power_str(d1, exponents) == fraction_exact_power_str(d1, exponents)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(3, 10**6), st.integers(1, 20))
+def test_exact_power_str_matches_fraction_oracle_on_quadratics(s, n):
+    d1 = salem_root_of(poly(1, -s, 1))
+    exponents = spectrum_exponents(n)
+    assert exact_power_str(d1, exponents) == fraction_exact_power_str(d1, exponents)
+
+
+@pytest.mark.parametrize("coeffs", TPQR_SALEM_FACTORS)
+def test_exact_power_str_matches_fraction_oracle_on_tpqr_factors(coeffs):
+    # the first factor is Lehmer's polynomial
+    s = IntPolynomial(coeffs)
+    for d1 in (salem_root_of(s), isolate_real_roots(s)[-1]):
+        assert sturm_count(s, None, d1.lo) + 1 == 2  # the index the form states
+        exponents = spectrum_exponents(3)
+        assert exact_power_str(d1, exponents) == fraction_exact_power_str(d1, exponents)
 
 
 def test_degree_spectrum_makes_no_walk_and_no_float(root34, monkeypatch):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from hkdd import hyperkahler, linalg
-from hkdd.dynamics import degree_spectrum, first_dynamical_degree, spectrum_decimals
+from hkdd.dynamics import degree_spectrum, exact_power_str, first_dynamical_degree, spectrum_decimals
 from hkdd.errors import (
     BadNError,
     DimensionMismatchError,
@@ -270,7 +270,7 @@ def test_kummer_first_degree_branches():
     d = kummer_first_degree(Sl2Matrix(2, 1, 1, 1))  # t = 3
     assert d.poly == IntPolynomial((1, -7, 1))
     assert as_float(d) == pytest.approx((3 + math.sqrt(5)) ** 2 / 4, rel=1e-12)
-    assert d.exact_str() == "(7+3*sqrt(5))/2"
+    assert exact_power_str(d, [1]) == ["(7+3*sqrt(5))/2"]
     dm = kummer_first_degree(Sl2Matrix(-2, -1, -1, -1))  # t = -3
     assert dm.compare_to(d) == 0
     with pytest.raises(NotUnimodularError):

@@ -68,6 +68,15 @@ def test_load_lattice_and_matrix(tmp_path):
     with pytest.raises(InputParseError):
         load_lattice(f)
     assert load_matrix(f) == [[1, 0], [0, 1]]
+    # not UTF-8, nested past the recursion limit, a number literal past the digit limit
+    for raw, message in (
+        (b'\xff\xfe{"gram": [[1]]}', "cannot read"),
+        (b'{"gram": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", "JSON nested too deeply"),
+        (b'{"gram": [[' + b"1" * 5001 + b"]]}", "integer has more than 4300 digits"),
+    ):
+        f.write_bytes(raw)
+        with pytest.raises(InputParseError, match=message):
+            load_lattice(f)
 
 
 def test_decode_coeffs():

@@ -1,0 +1,36 @@
+"""The hkdd names that the benchmark's traced run wraps and its probes
+import still exist, so that `perfbench/run.py --trace 1` keeps working.
+perfbench/ is only read: its modules are imported without writing
+bytecode next to them, and tracing.install() is never called."""
+
+import importlib
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def import_perfbench(name: str, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    return importlib.import_module(name)
+
+
+def test_every_traced_name_resolves(monkeypatch):
+    tracing = import_perfbench("tracing", monkeypatch)
+    missing = [
+        f"{layer}.{fn}"
+        for layer, fns in tracing.TARGETS.items()
+        for fn in fns
+        if not callable(getattr(importlib.import_module(f"hkdd.{layer}"), fn, None))
+    ]
+    assert missing == []
+    from hkdd import linalg
+    from hkdd.polynomial import AlgebraicReal
+
+    assert callable(AlgebraicReal.refined) and callable(linalg.bilinear)
+
+
+def test_probes_import(monkeypatch):
+    probes = import_perfbench("probes", monkeypatch)
+    assert probes.PROBES and all(map(callable, probes.PROBES.values()))

@@ -15,6 +15,7 @@ import hkdd
 from hkdd import cli, linalg
 from hkdd.dynamics import power_decimal
 from hkdd.errors import (
+    HkddError,
     NotDivisibleError,
     NotPalindromicError,
     OddDegreeError,
@@ -29,6 +30,7 @@ from hkdd.polynomial import (
     divide_exact,
     isolate_real_roots,
     poly,
+    quadratic_surd_str,
     rounded_decimal,
     square_free_part,
     square_part,
@@ -494,12 +496,17 @@ def test_rounded_decimal():
     assert rounded_decimal(1, 1, 10**600 * 3, 3) == "3.33E-601"
 
 
-def test_exact_str_quadratics():
-    roots = isolate_real_roots(poly(1, -34, 1))
-    assert roots[0].exact_str() == "17-12*sqrt(2)"
-    assert roots[1].exact_str() == "17+12*sqrt(2)"
-    roots7 = isolate_real_roots(poly(1, -7, 1))
-    assert roots7[1].exact_str() == "(7+3*sqrt(5))/2"
+def test_quadratic_surd_str_halves_even_pairs():
+    assert quadratic_surd_str(34, 24, 2) == "17+12*sqrt(2)"
+    assert quadratic_surd_str(7, 3, 5) == "(7+3*sqrt(5))/2"
+    assert quadratic_surd_str(3, 1, 5) == "(3+sqrt(5))/2"
+    assert quadratic_surd_str(4, 2, 3) == "2+sqrt(3)"
+    assert quadratic_surd_str(6, 4, 2) == "3+2*sqrt(2)"
+    assert quadratic_surd_str(2 * 10**4300 - 2, 2, 5).startswith("9" * 4300 + "+sqrt(5)")
+    with pytest.raises(HkddError, match="more than 4300 digits"):
+        quadratic_surd_str(2 * 10**4300, 2, 5)
+    with pytest.raises(HkddError, match="more than 4300 digits"):
+        quadratic_surd_str(10**4300 + 1, 1, 5)
 
 
 def test_algebraic_comparisons():
