@@ -16,10 +16,10 @@ polynomial.rounded_decimal, from a certified interval narrowed by quadratic
 interval refinement (AlgebraicReal.quadratic_path); those of a spectrum
 report, the entropy and the JSON d1 included, come from one walk
 (dynamics.spectrum_decimals), with the table's powers bounded in fixed
-point. Every exact form, a Salem root's included, is an entry of
-dynamics.exact_power_str. Integers in reports past the 53-bit range are
-strings (jsonio.encode_int), written where each report is built. An integer
-argument or an exact form past polynomial.MAX_DIGITS digits ends in exit 2.
+point. Every exact form, a Salem root's too, comes from
+dynamics.exact_power_str. Report integers past 53 bits are strings
+(jsonio.encode_int). An integer argument or an exact form past
+polynomial.MAX_DIGITS digits ends in exit 2.
 _parse reads every command line from one table, COMMANDS, without argparse.
 File inputs use the JSON formats documented in jsonio.
 """

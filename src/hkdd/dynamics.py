@@ -4,13 +4,11 @@ The degree law for hyperkahler-type isometries says d_k = d_1^min(k, 2n-k)
 across k = 0..2n, with entropy n*ln(d_1). The first degree is the Salem root
 of the characteristic polynomial on the lattice (or exactly 1 when every
 factor is cyclotomic). A DegreeSpectrum is d_1 and the exponents, with
-exact symbolic entries from exact_power_str, the one exact renderer: closed
-forms from integer Lucas sequences when d_1 is quadratic, its positional
-description otherwise. spectrum_decimals renders it at a precision from one
-walk of d_1's certified isolating interval, the entropy included, each
-decimal correctly rounded (polynomial.rounded_decimal). No floating point
-is used: a structure violation is reported with the exact reason the Salem
-test gave.
+exact entries from exact_power_str, the one exact renderer; spectrum_decimals
+renders it from one walk of d_1's certified isolating interval, the entropy
+included, each decimal correctly rounded (polynomial.rounded_decimal). No
+floating point is used: a structure violation is reported with the exact
+reason the Salem test gave.
 """
 
 from __future__ import annotations
@@ -27,6 +25,7 @@ from .errors import SpectralStructureViolatedError
 from .lattice import GramLattice, LatticeIsometry, affine_points
 from .polynomial import (
     AlgebraicReal,
+    DIGITS_BOUND,
     IntPolynomial,
     LOG10_2_Q31,
     char_poly,
@@ -44,7 +43,7 @@ from .salem import (
     classify_charpoly,
 )
 
-# d_1 is either an exact AlgebraicReal larger than 1 or the exact integer 1.
+# d_1 is either the exact integer 1 or a Salem root, an exact AlgebraicReal.
 FirstDegree = AlgebraicReal | int
 
 # 1/ln(10) < 10000/23025, as ln(10) = 2.302585...
@@ -122,30 +121,35 @@ def degree_from_classification(cls: SalemClassification) -> FirstDegree:
 def exact_power_str(d1: FirstDegree, exponents: list[int]) -> list[str]:
     """Exact renderings of d1^e for every e in exponents, in their order.
 
-    d1 is 1 or the Salem root lambda > 1 of its polynomial S. For
-    S = x^2 - s*x + 1, lambda^e = (V_e + U_e*t*sqrt(D))/2 with
-    s^2 - 4 = t^2*D (square_part) and the integer Lucas sequences V_0 = 2,
-    V_1 = s, U_0 = 0, U_1 = 1, X_(e+1) = s*X_e - X_(e-1). The largest
-    exponent is written first, so a column past the digit bound fails before
-    any string is built. Otherwise lambda is "root #2 of S in [lo, hi]", as
-    the certificate puts the real roots of S at 1/lambda < 1 < lambda.
+    d1 is 1 or a Salem root lambda > 1; its polynomial S must be monic and
+    reciprocal. For S = x^2 - s*x + 1, lambda^e = (V_e + U_e*t*sqrt(D))/2,
+    s^2 - 4 = t^2*D (square_part), from the integer Lucas sequences V_0 = 2,
+    V_1 = s, U_0 = 0, U_1 = 1, X_(e+1) = s*X_e - X_(e-1). The walk stops at
+    V_e >= 2*DIGITS_BOUND, past the digit bound even when halved, and forms
+    are written largest first, so a column past the bound fails before any
+    string is built. Otherwise lambda is "root #2 of S in [lo, hi]", as the
+    certificate puts the real roots of S at 1/lambda < 1 < lambda.
     """
     if isinstance(d1, int):
         return ["1"] * len(exponents)
+    coeffs = d1.poly.coeffs
+    if coeffs[-1] != 1 or coeffs != coeffs[::-1]:
+        raise ValueError(f"exact powers need 1 or a Salem root, not a root of {d1.poly}")
     if d1.poly.degree > 2:
         lo, hi = format_fraction(d1.a, d1.den, 8), format_fraction(d1.b, d1.den, 8)
         base = f"root #2 of {d1.poly} in [{lo}, {hi}]"
         return ["1" if e == 0 else base if e == 1 else f"({base})^{e}" for e in exponents]
-    s = -d1.poly.coeffs[1]
+    s = -coeffs[1]
     t, d = square_part(s * s - 4)
+    e_max, bound = max(exponents, default=0), 2 * DIGITS_BOUND
     v, tu = [2, s], [0, t]  # V_e and t*U_e
-    for _ in range(max(exponents, default=0) - 1):
+    while len(v) <= e_max and v[-1] < bound:
         v.append(s * v[-1] - v[-2])
         tu.append(s * tu[-1] - tu[-2])
-    closed = {0: "1"}
-    for e in sorted(set(exponents) - {0}, reverse=True):
-        closed[e] = quadratic_surd_str(v[e], tu[e], d)
-    return [closed[e] for e in exponents]
+    # a walk stopped short ends at a V_e that quadratic_surd_str rejects
+    last = min(e_max, len(v) - 1)
+    forms = [quadratic_surd_str(v[e], tu[e], d) for e in range(last, 0, -1)] + ["1"]
+    return [forms[last - e] for e in exponents]
 
 
 def power_decimal(
@@ -270,7 +274,7 @@ def degree_spectrum(n: int, d1: FirstDegree) -> DegreeSpectrum:
         raise ValueError("half dimension n must be >= 1")
     if isinstance(d1, int) and d1 != 1:
         raise ValueError("integer d1 must be exactly 1")
-    exponents = [min(k, 2 * n - k) for k in range(2 * n + 1)]
+    exponents = [*range(n), *range(n, -1, -1)]  # min(k, 2n - k) for k = 0..2n
     exact = exact_power_str(d1, exponents)
     return DegreeSpectrum(
         half_dim=n,

@@ -750,7 +750,7 @@ def is_perfect_square(n: int) -> bool:
 
 # CPython 3.11 converts an int to or from a string of at most this many digits
 MAX_DIGITS = 4300
-_DIGITS_BOUND = 10**MAX_DIGITS
+DIGITS_BOUND = 10**MAX_DIGITS
 
 
 def quadratic_surd_str(p: int, q: int, d: int) -> str:
@@ -760,7 +760,7 @@ def quadratic_surd_str(p: int, q: int, d: int) -> str:
     halved = p % 2 == q % 2 == 0
     if halved:
         p, q = p // 2, q // 2
-    if max(p, q, d) >= _DIGITS_BOUND:
+    if max(p, q, d) >= DIGITS_BOUND:
         raise HkddError(f"exact form has an integer of more than {MAX_DIGITS} digits")
     core = f"{p}+sqrt({d})" if q == 1 else f"{p}+{q}*sqrt({d})"
     return core if halved else f"({core})/2"

@@ -226,6 +226,8 @@ DIGIT_BOUND_CASES = {
     "kummer-json-half-dim-6000": (
         ["--format", "json", "kummer", "2", "1", "1", "1", "--half-dim", "6000"], 1,
     ),
+    # far past the bound: the Lucas walk stops at 2*10^4300, not at e = 10^6
+    "kummer-half-dim-1000000": (["kummer", "2", "1", "1", "1", "--half-dim", "1000000"], 1),
     "salem-check-4000-digit-trace": (["salem-check", "--", "1", "-" + "3" * 4000, "1"], 10),
 }
 

@@ -118,6 +118,14 @@ def test_exact_power_str_quadratic(root34):
     assert float(cube) == pytest.approx(39201.99997449, abs=1e-5)
 
 
+def test_exact_power_str_rejects_a_root_that_is_not_salem():
+    # the root (3+sqrt(13))/2 of x^2 - 3x - 1 would read as (3+sqrt(5))/2
+    with pytest.raises(ValueError, match="Salem root"):
+        degree_spectrum(2, isolate_real_roots(poly(-1, -3, 1))[-1])
+    with pytest.raises(ValueError, match="Salem root"):
+        exact_power_str(isolate_real_roots(poly(-2, 0, 0, 1))[-1], [1])
+
+
 def test_exact_power_str_builds_one_exact_string(monkeypatch):
     lehmer = isolate_real_roots(poly(1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))[-1]
     calls = []
