@@ -18,8 +18,9 @@ report, the entropy and the JSON d1 included, come from one walk
 (dynamics.spectrum_decimals), with the table's powers bounded in fixed
 point. Every exact form, a Salem root's too, comes from
 dynamics.exact_power_str. Report integers past 53 bits are strings
-(jsonio.encode_int). An integer argument or an exact form past
-polynomial.MAX_DIGITS digits ends in exit 2.
+(jsonio.encode_int). An integer argument, a report integer or an exact
+form past polynomial.MAX_DIGITS digits ends in exit 2, and so does search
+on a degenerate lattice.
 _parse reads every command line from one table, COMMANDS, without argparse.
 File inputs use the JSON formats documented in jsonio.
 """
@@ -155,7 +156,7 @@ def cmd_lattice_info(args):
         yield from (f"  {row}" for row in lat.gram_rows())
         yield f"even: {'yes' if report['even'] else 'no'}"
         yield f"signature (p, n, z): {sig}"
-        yield f"determinant: {det}"
+        yield f"determinant: {report['determinant']}"
 
     return report, table()
 

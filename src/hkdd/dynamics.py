@@ -8,7 +8,10 @@ exact entries from exact_power_str, the one exact renderer; spectrum_decimals
 renders it from one walk of d_1's certified isolating interval, the entropy
 included, each decimal correctly rounded (polynomial.rounded_decimal). No
 floating point is used: a structure violation is reported with the exact
-reason the Salem test gave.
+reason the Salem test gave. The bounded Salem search takes nondegenerate
+lattices only (det G = 0 ends in exit 2) and classifies every candidate,
+a sign representative or an involution pair, by its reciprocity sign and
+half power traces.
 """
 
 from __future__ import annotations
@@ -21,12 +24,11 @@ from functools import cmp_to_key
 from operator import mul
 
 from . import linalg
-from .errors import SpectralStructureViolatedError
+from .errors import HkddError, SpectralStructureViolatedError
 from .lattice import GramLattice, LatticeIsometry, affine_points
 from .polynomial import (
     AlgebraicReal,
     DIGITS_BOUND,
-    IntPolynomial,
     LOG10_2_Q31,
     char_poly,
     format_fraction,
@@ -118,7 +120,7 @@ def degree_from_classification(cls: SalemClassification) -> FirstDegree:
 # ---------------------------------------------------------------------------
 
 
-def exact_power_str(d1: FirstDegree, exponents: list[int]) -> list[str]:
+def exact_power_str(d1: FirstDegree, exponents: Sequence[int]) -> list[str]:
     """Exact renderings of d1^e for every e in exponents, in their order.
 
     d1 is 1 or a Salem root lambda > 1; its polynomial S must be monic and
@@ -274,12 +276,14 @@ def degree_spectrum(n: int, d1: FirstDegree) -> DegreeSpectrum:
         raise ValueError("half dimension n must be >= 1")
     if isinstance(d1, int) and d1 != 1:
         raise ValueError("integer d1 must be exactly 1")
-    exponents = [*range(n), *range(n, -1, -1)]  # min(k, 2n - k) for k = 0..2n
-    exact = exact_power_str(d1, exponents)
+    exponents = (min(k, 2 * n - k) for k in range(2 * n + 1))
+    # the n + 1 distinct powers first, so a column past the digit bound
+    # fails before any row is built
+    exact = exact_power_str(d1, range(n + 1))
     return DegreeSpectrum(
         half_dim=n,
         d1=d1,
-        entries=tuple(SpectrumEntry(k, e, s) for k, (e, s) in enumerate(zip(exponents, exact))),
+        entries=tuple(SpectrumEntry(k, e, exact[e]) for k, e in enumerate(exponents)),
         entropy_exact="0" if isinstance(d1, int) else f"{n}*log({exact[1]})",
     )
 
@@ -445,12 +449,6 @@ def _negated(m: list[list[int]]) -> list[list[int]]:
     return [[-x for x in row] for row in m]
 
 
-def _negated_char_poly(p: IntPolynomial) -> IntPolynomial:
-    """char(-M) from p = char(M): (-1)^n p(-x), a flip of every other sign."""
-    n = p.degree
-    return IntPolynomial(tuple(-c if (n - k) % 2 else c for k, c in enumerate(p.coeffs)))
-
-
 def search_salem_isometries(
     lat: GramLattice, entry_bound: int
 ) -> list[tuple[list[list[int]], AlgebraicReal]]:
@@ -458,89 +456,69 @@ def search_salem_isometries(
     one representative per Salem polynomial (the least in row-major order),
     sorted by increasing root.
 
-    Besides the directly enumerated matrices, products of pairs of found
-    involutions are classified too: positive-entropy elements often arise as
-    such compositions while their own entries exceed the bound.
+    The lattice must be nondegenerate, as H^2 and Neron-Severi lattices
+    are: det G = 0 ends in an exit-2 HkddError before any enumeration.
+    Besides the enumerated matrices, products of pairs of found involutions
+    are classified: positive-entropy elements often arise as such
+    compositions while their own entries exceed the bound.
 
-    Both run on sign representatives: the second half of
-    enumerate_isometries, whose negations are the first half. An M with
-    the Salem structure has its Salem root l > 1 as an eigenvalue, so -M
-    has -l < -1 and no Salem structure: at most one of +-M is Salem. So
-    each representative M is classified, and -M, whose char poly is
-    (-1)^n char(M)(-x), only when M is not Salem.
+    Both run on sign representatives, the second half of
+    enumerate_isometries. An M with the Salem structure has its root l > 1
+    as an eigenvalue, so -M has -l < -1: at most one of +-M is Salem. Pairs
+    run over representatives a, b alone: {+-a, +-b} give +-ab, and {a, -a}
+    gives -I. As char(ab) = char(ba), each pair is classified once.
 
-    Involution pairs run over representatives a, b alone: {a, b} and
-    {-a, -b} give ab, {a, -b} and {-a, b} give -ab, and {a, -a} gives -I,
-    which is not Salem. As char(ab) = char(ba), each pair is classified
-    once, and -ab only when ab is not Salem. On a nondegenerate form
-    (det G != 0), char(ab) is reciprocal up to the sign
-    (-1)^n det a det b, with each involution's determinant computed once,
-    so it follows from t_k = tr((ab)^k) for k <= n/2
-    (reciprocal_char_poly): at rank 3 that is tr(ab) alone, formed without
-    the product, and at rank 4 one product and one trace-only product.
-    -ab has sign (-1)^n times that and traces (-1)^k t_k. A degenerate form
-    takes char_poly of the product. ab (at rank 3) and ba are formed, to
-    compete as representatives with their negations, only when the pair has
-    the Salem structure. A dict local to the call maps characteristic
-    polynomials to their classification, so each distinct polynomial is
-    classified at most once per search.
+    Every candidate X takes one path: as G is nondegenerate, char(X) is
+    reciprocal up to the sign (-1)^n det X, so it follows from that sign
+    and t_k = tr(X^k), k <= n/2 (reciprocal_char_poly). A representative
+    costs one small det and n//2 traces; a pair, dets computed once per
+    involution and, at rank <= 3, tr(ab) without the product. -X, of sign
+    (-1)^n times X's and traces (-1)^k t_k, is tried only when X is not
+    Salem. One dict maps these keys to classifications, so each polynomial
+    is classified at most once per search. ab (at rank <= 3) and ba are
+    formed, to compete as representatives, only for a Salem pair.
     """
+    if linalg.det_bareiss(lat.gram_rows()) == 0:
+        raise HkddError("search needs a nondegenerate lattice (det G = 0)")
     isometries = enumerate_isometries(lat, entry_bound)
     reps = isometries[len(isometries) // 2 :]
     n = lat.rank
-    classes: dict[tuple[int, ...], SalemClassification] = {}
+    by_key: dict[tuple[int, ...], SalemClassification] = {}
     hits: dict[tuple[int, ...], tuple[tuple[int, ...], list[list[int]], AlgebraicReal]] = {}
 
-    def classify(p: IntPolynomial) -> SalemClassification:
-        cls = classes.get(p.coeffs)
-        if cls is None:
-            cls = classes[p.coeffs] = classify_charpoly(p)
-        return cls
-
-    def consider(m: list[list[int]], cls: SalemClassification) -> bool:
-        if cls.kind != SALEM_STRUCTURE:
-            return False
-        key = cls.salem_factor.coeffs
-        flat = tuple(itertools.chain.from_iterable(m))
-        cur = hits.get(key)
-        if cur is None or flat < cur[0]:
-            hits[key] = (flat, m, cls.salem_root)
-        return True
-
-    for m in reps:
-        p = char_poly(m)
-        if not consider(m, classify(p)):
-            consider(_negated(m), classify(_negated_char_poly(p)))
-    ident = linalg.identity(n)
-    involutions = [m for m in reps if linalg.mat_mul(m, m) == ident]
-    nondegenerate = linalg.det_bareiss(lat.gram_rows()) != 0
-    dets = [linalg.det_bareiss(m) for m in involutions] if nondegenerate else []
-    # (sign, t_1, ..., t_(n//2)) -> classification of the polynomial they give
-    by_traces: dict[tuple[int, ...], SalemClassification] = {}
-
-    def classify_traces(key: tuple[int, ...]) -> SalemClassification:
-        cls = by_traces.get(key)
-        if cls is None:
-            cls = by_traces[key] = classify(reciprocal_char_poly(n, list(key[1:]), key[0]))
-        return cls
-
-    for (i, a), (j, b) in itertools.combinations(enumerate(involutions), 2):
-        # at rank 3 the one trace needed is tr(ab), which takes no product
-        ab = None if nondegenerate and n < 4 else linalg.mat_mul(a, b)
-        if nondegenerate:
-            sign = (-1) ** n * dets[i] * dets[j]
-            traces = [linalg.trace_of_product(a, b)] if ab is None else power_traces(ab, n // 2)
-            negated = ((-1) ** n * sign, *(-t if k % 2 else t for k, t in enumerate(traces, 1)))
-            pair_classes = map(classify_traces, ((sign, *traces), negated))
-        else:
-            p = char_poly(ab)
-            pair_classes = (classify(q) for q in (p, _negated_char_poly(p)))
-        for s, cls in zip((1, -1), pair_classes):
+    def salem_sign(sign: int, traces: list[int]) -> tuple[int, SalemClassification | None]:
+        """1 when X, of this sign and these traces, is Salem, -1 when -X is,
+        else 0; with the Salem classification."""
+        negated = ((-1) ** n * sign, *(-t if k % 2 else t for k, t in enumerate(traces, 1)))
+        for s, key in ((1, (sign, *traces)), (-1, negated)):
+            cls = by_key.get(key)
+            if cls is None:
+                cls = by_key[key] = classify_charpoly(reciprocal_char_poly(n, list(key[1:]), key[0]))
             if cls.kind == SALEM_STRUCTURE:
-                ab, ba = ab or linalg.mat_mul(a, b), linalg.mat_mul(b, a)
-                consider(ab if s == 1 else _negated(ab), cls)
-                consider(ba if s == 1 else _negated(ba), cls)
-                break
+                return s, cls
+        return 0, None
+
+    def consider(m: list[list[int]], s: int, cls: SalemClassification):
+        m = m if s == 1 else _negated(m)
+        flat = tuple(itertools.chain.from_iterable(m))
+        cur = hits.get(cls.salem_factor.coeffs)
+        if cur is None or flat < cur[0]:
+            hits[cls.salem_factor.coeffs] = (flat, m, cls.salem_root)
+
+    dets = [linalg.det_bareiss(m) for m in reps]
+    for m, det in zip(reps, dets):
+        s, cls = salem_sign((-1) ** n * det, power_traces(m, n // 2))
+        if s:
+            consider(m, s, cls)
+    ident = linalg.identity(n)
+    involutions = [(m, det) for m, det in zip(reps, dets) if linalg.mat_mul(m, m) == ident]
+    for (a, det_a), (b, det_b) in itertools.combinations(involutions, 2):
+        ab = None if n < 4 else linalg.mat_mul(a, b)
+        traces = [linalg.trace_of_product(a, b)] if ab is None else power_traces(ab, n // 2)
+        s, cls = salem_sign((-1) ** n * det_a * det_b, traces)
+        if s:
+            consider(ab or linalg.mat_mul(a, b), s, cls)
+            consider(linalg.mat_mul(b, a), s, cls)
     found = [(m, root) for _, m, root in hits.values()]
     found.sort(key=cmp_to_key(lambda x, y: x[1].compare_to(y[1])))
     return found

@@ -3,7 +3,9 @@
 Matrices are row-major lists of lists. Integers within the 53-bit range are
 plain JSON numbers; anything larger is serialized as a decimal string so that
 consumers without big integers still read the exact value. Reports write
-their matrices, vectors and polynomial coefficients this way.
+their matrices, vectors and polynomial coefficients this way; an integer
+past MAX_DIGITS digits, which CPython 3.11 will not write as a string,
+ends in exit 2.
 """
 
 from __future__ import annotations
@@ -29,7 +31,10 @@ class InputParseError(HkddError):
 
 
 def encode_int(x: int) -> int | str:
-    return x if -_INT53 < x < _INT53 else str(x)
+    try:
+        return x if -_INT53 < x < _INT53 else str(x)
+    except ValueError:  # past the interpreter's digit limit: exit 2, not 1
+        raise HkddError(f"report has an integer of more than {MAX_DIGITS} digits") from None
 
 
 def decode_int(v) -> int:

@@ -148,7 +148,7 @@ def power_traces(m: list[list[int]], count: int) -> list[int]:
     n^2 multiplications.
     """
     half = (count + 1) // 2
-    powers = [m]
+    powers = [m] if half else []
     for _ in range(1, half):
         powers.append(linalg.mat_mul(powers[-1], m))
     traces = [sum(p[i][i] for i in range(len(m))) for p in powers]

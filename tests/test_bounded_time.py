@@ -1,15 +1,18 @@
 """natural-check on lattices of rank 6 to 15 and on degenerate Grams,
-search at rank 4 and at rank 5 up to bound 2, polynomial work on huge
-traces and degree 160, degree tables of half-dimension 1000 at 12, 50 and
-200 digits and of trace 56 at half-dimension 300 and 200 digits end within
-a stated time with a documented exit code (0, 2, 3 or 4), and exact forms
-past 4300 digits end in exit 2 with a message naming the bound. Each case runs
+search at rank 4 and at rank 5 up to bound 2 and on zero Grams (refused),
+polynomial work on huge traces and degree 160, degree tables of
+half-dimension 1000 at 12, 50 and 200 digits and of trace 56 at
+half-dimension 300 and 200 digits end within a stated time with a
+documented exit code (0, 2, 3 or 4), and exact forms and report integers
+past 4300 digits end in exit 2 with a message naming the bound, within a
+memory cap. Each case runs
 `python -m hkdd.cli` in a fresh process with a timeout, so a hang fails
 the test instead of stalling the suite.
 """
 
 import json
 import random
+import resource
 import subprocess
 import sys
 
@@ -110,26 +113,32 @@ def test_natural_check_ends_in_time(case, tmp_path):
     assert line in (proc.stdout if code == 0 else proc.stderr).splitlines()
 
 
-# each case: lattice Gram, entry bound, seconds, and the catalogue's header line
+DEGENERATE = "input error: search needs a nondegenerate lattice (det G = 0)"
+# each case: lattice Gram, entry bound, seconds, exit code, and the
+# catalogue's header line (or the whole of stderr, for an error)
 SEARCH_CASES = {
     "rank4-bound4": (
-        block_sum(U, [[-2]], [[-2]]), 4, 10,
+        block_sum(U, [[-2]], [[-2]]), 4, 10, 0,
         "salem isometries of <b0, b1, b2, b3> within entry bound 4: 52",
     ),
     "rank5-bound1": (
-        block_sum(U, [[-2]], [[-2]], [[-2]]), 1, 10,
+        block_sum(U, [[-2]], [[-2]], [[-2]]), 1, 10, 0,
         "salem isometries of <b0, b1, b2, b3, b4> within entry bound 1: 0",
     ),
     "rank5-bound2": (
-        block_sum(U, [[-2]], [[-2]], [[-2]]), 2, 10,
+        block_sum(U, [[-2]], [[-2]], [[-2]]), 2, 10, 0,
         "salem isometries of <b0, b1, b2, b3, b4> within entry bound 2: 117",
     ),
+    # every matrix of norm-0 columns is an isometry of the zero form: 124^3
+    # of them at rank 3 and bound 2, so a degenerate Gram is refused
+    "rank3-zero-gram-bound2": (diagonal([0, 0, 0]), 2, 1, 2, DEGENERATE),
+    "rank4-zero-gram-bound1": (diagonal([0, 0, 0, 0]), 1, 1, 2, DEGENERATE),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SEARCH_CASES))
 def test_search_ends_in_time(case, tmp_path):
-    gram, bound, seconds, line = SEARCH_CASES[case]
+    gram, bound, seconds, code, line = SEARCH_CASES[case]
     lattice = tmp_path / "lattice.json"
     lattice.write_text(json.dumps({"labels": [f"b{i}" for i in range(len(gram))], "gram": gram}))
     proc = subprocess.run(
@@ -138,8 +147,11 @@ def test_search_ends_in_time(case, tmp_path):
         text=True,
         timeout=seconds,
     )
-    assert proc.returncode == 0, proc.stderr
-    assert line in proc.stdout.splitlines()
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert line in proc.stdout.splitlines()
+    else:
+        assert (proc.stdout, proc.stderr) == ("", line + "\n")
 
 
 def random_palindrome(degree, seed):
@@ -219,30 +231,50 @@ def test_cli_ends_in_time(case):
         assert line in proc.stdout.splitlines()
 
 
-# each case: argv after `hkdd.cli` and seconds; its exact forms need an
-# integer past 4300 digits, which CPython 3.11 cannot write as a string
+# the determinant, 10^8000, has 8,001 digits
+BIG_DETERMINANT = {"gram": [[str(10**4000), 0], [0, str(10**4000)]]}
+# each case: argv after `hkdd.cli` ("{lattice}" for a file holding
+# BIG_DETERMINANT), seconds, and what needs an integer past 4300 digits,
+# which CPython 3.11 cannot write as a string
 DIGIT_BOUND_CASES = {
-    "kummer-half-dim-5300": (["kummer", "2", "1", "1", "1", "--half-dim", "5300"], 1),
+    "kummer-half-dim-5300": (["kummer", "2", "1", "1", "1", "--half-dim", "5300"], 1, "exact form"),
     "kummer-json-half-dim-6000": (
-        ["--format", "json", "kummer", "2", "1", "1", "1", "--half-dim", "6000"], 1,
+        ["--format", "json", "kummer", "2", "1", "1", "1", "--half-dim", "6000"], 1, "exact form",
     ),
     # far past the bound: the Lucas walk stops at 2*10^4300, not at e = 10^6
-    "kummer-half-dim-1000000": (["kummer", "2", "1", "1", "1", "--half-dim", "1000000"], 1),
-    "salem-check-4000-digit-trace": (["salem-check", "--", "1", "-" + "3" * 4000, "1"], 10),
+    "kummer-half-dim-1000000": (["kummer", "2", "1", "1", "1", "--half-dim", "1000000"], 1, "exact form"),
+    # and no list of size n is built before it fails: the memory cap below
+    # holds, where building the 2n + 1 exponents first peaks at 255 MB
+    "kummer-half-dim-3000000": (["kummer", "2", "1", "1", "1", "--half-dim", "3000000"], 1, "exact form"),
+    "salem-check-4000-digit-trace": (["salem-check", "--", "1", "-" + "3" * 4000, "1"], 10, "exact form"),
+    "lattice-info-8001-digit-determinant": (["lattice-info", "{lattice}"], 1, "report"),
+    "lattice-info-json-8001-digit-determinant": (
+        ["--format", "json", "lattice-info", "{lattice}"], 1, "report",
+    ),
 }
+# address space of each run: far above what these need, far below a
+# table of millions of rows
+MEMORY_CAP = 128 << 20
+
+
+def cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
 
 
 @pytest.mark.parametrize("case", sorted(DIGIT_BOUND_CASES))
-def test_exact_form_past_the_digit_bound_exits_2(case):
-    argv, seconds = DIGIT_BOUND_CASES[case]
+def test_exact_form_past_the_digit_bound_exits_2(case, tmp_path):
+    argv, seconds, what = DIGIT_BOUND_CASES[case]
+    lattice = tmp_path / "lattice.json"
+    lattice.write_text(json.dumps(BIG_DETERMINANT))
     proc = subprocess.run(
-        [sys.executable, "-m", "hkdd.cli", *argv],
+        [sys.executable, "-m", "hkdd.cli", *(str(lattice) if a == "{lattice}" else a for a in argv)],
         capture_output=True,
         text=True,
         timeout=seconds,
+        preexec_fn=cap_memory,
     )
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == "input error: exact form has an integer of more than 4300 digits\n"
+    assert proc.stderr == f"input error: {what} has an integer of more than 4300 digits\n"
 
 
 # the candidate images of the three other basis vectors number 1,692,

@@ -22,7 +22,7 @@ from hkdd.dynamics import (
     spectrum_decimals,
     validate_spectrum_shape,
 )
-from hkdd.errors import SpectralStructureViolatedError
+from hkdd.errors import HkddError, SpectralStructureViolatedError
 from hkdd.hyperkahler import Sl2Matrix, kummer_first_degree
 from hkdd.lattice import make_lattice, verify_isometry
 from hkdd.polynomial import (
@@ -608,39 +608,52 @@ def test_half_trace_polynomial_of_involution_pairs(rank3, gram, bound):
         assert reciprocal_char_poly(n, traces, sign) == char_poly(ab)
 
 
-def test_degenerate_search_matches_reference():
-    # det 0, so involution pairs take char_poly of the product
+def assert_search_refused(lat, bound):
+    with pytest.raises(HkddError) as exc:
+        search_salem_isometries(lat, bound)
+    assert type(exc.value) is HkddError and exc.value.exit_code == 2
+    assert str(exc.value) == "search needs a nondegenerate lattice (det G = 0)"
+
+
+def test_degenerate_search_is_refused():
+    # the reference, which classifies char_poly of each product, finds a
+    # Salem isometry of this det-0 form; search refuses the form instead
     lat = make_lattice(DET_ZERO)
-    got = search_salem_isometries(lat, 2)
-    want = reference_search(lat, 2)
-    assert [r.poly.coeffs for _, r in got] == [(1, -4, 1)]
-    assert [(m, r.poly, r.lo, r.hi) for m, r in got] == [(m, r.poly, r.lo, r.hi) for m, r in want]
+    assert [r.poly.coeffs for _, r in reference_search(lat, 2)] == [(1, -4, 1)]
+    assert_search_refused(lat, 2)
 
 
 def catalogue_digest(found):
     return [(m, root.poly.coeffs, root.decimal_str(30)) for m, root in found]
 
 
+def assert_search_matches_all_pairs(lat, bound):
+    """search equals the all-pairs oracle on a nondegenerate lattice and
+    refuses a degenerate one, whatever the oracle finds there."""
+    if linalg.det_bareiss(lat.gram_rows()) == 0:
+        assert_search_refused(lat, bound)
+    else:
+        assert catalogue_digest(search_salem_isometries(lat, bound)) == catalogue_digest(
+            all_pairs_search(lat, bound)
+        )
+
+
 @pytest.mark.parametrize(
     "gram, bound",
     [("rank3", b) for b in range(1, 17)]
     + [(U_2_4, b) for b in (1, 2, 3)]
-    + [(TWO_MINUS_TWO_CUBED, 2), (DET_ZERO, 2)],
+    + [(TWO_MINUS_TWO_CUBED, 2), (DET_ZERO, 2), ([[2]], 3)],
 )
 def test_search_matches_all_pairs(rank3, gram, bound):
-    lat = rank3 if gram == "rank3" else make_lattice(gram)
-    assert catalogue_digest(search_salem_isometries(lat, bound)) == catalogue_digest(
-        all_pairs_search(lat, bound)
-    )
+    assert_search_matches_all_pairs(rank3 if gram == "rank3" else make_lattice(gram), bound)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(small_grams_and_bounds(min_rank=2, max_bound=2))
 def test_search_matches_all_pairs_sweep(case):
     gram, bound = case
-    counts = box_norm_counts(gram, bound)
-    assume(math.prod(counts[row[i]] for i, row in enumerate(gram)) <= 20_000)
-    lat = make_lattice(gram)
-    assert catalogue_digest(search_salem_isometries(lat, bound)) == catalogue_digest(
-        all_pairs_search(lat, bound)
-    )
+    if linalg.det_bareiss(gram) != 0:
+        # keeps the oracle fast; a degenerate draw is refused at once
+        counts = box_norm_counts(gram, bound)
+        assume(math.prod(counts[row[i]] for i, row in enumerate(gram)) <= 20_000)
+    assert_search_matches_all_pairs(make_lattice(gram), bound)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from hkdd import cli, linalg
+from hkdd.errors import HkddError
 from hkdd.jsonio import (
     InputParseError,
     decode_int,
@@ -24,6 +25,10 @@ def test_int53_rule():
     assert encode_int(big) == str(big)
     assert encode_int(-big) == str(-big)
     assert decode_int(encode_int(big)) == big
+    assert encode_int(-(10**4300 - 1)) == "-" + "9" * 4300
+    for huge in (10**4300, -(10**8000)):
+        with pytest.raises(HkddError, match="^report has an integer of more than 4300 digits$"):
+            encode_int(huge)
     assert decode_int(7) == 7
     assert decode_int("-12") == -12
     for bad in ("x", "1_000", " 7 ", "+7", "\u0661\u0662", "7\n", "-", ""):

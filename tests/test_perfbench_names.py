@@ -34,3 +34,15 @@ def test_every_traced_name_resolves(monkeypatch):
 def test_probes_import(monkeypatch):
     probes = import_perfbench("probes", monkeypatch)
     assert probes.PROBES and all(map(callable, probes.PROBES.values()))
+
+
+def test_catalogue_lattices_are_nondegenerate(monkeypatch):
+    # search refuses det G = 0 with exit 2; no catalogue job may meet that
+    from hkdd import linalg
+
+    inputs = import_perfbench("inputs", monkeypatch)
+    for seed in (1, 2, 3, 29):
+        files, _ = inputs.build("catalogue", seed, 40)
+        grams = [obj["gram"] for obj in files.values() if isinstance(obj, dict) and "gram" in obj]
+        assert grams
+        assert all(linalg.det_bareiss(g) != 0 for g in grams)

@@ -30,6 +30,7 @@ from hkdd.polynomial import (
     divide_exact,
     isolate_real_roots,
     poly,
+    power_traces,
     quadratic_surd_str,
     rounded_decimal,
     square_free_part,
@@ -110,6 +111,14 @@ def test_char_poly_newton_matches_references(m, points):
     for x in points:
         shifted = [[(x if i == j else 0) - m[i][j] for j in range(n)] for i in range(n)]
         assert p(x) == linalg.det_bareiss(shifted)
+
+
+@pytest.mark.parametrize("count", range(6))
+def test_power_traces_returns_count_traces(count):
+    # count = 0 asks for none: a rank-1 search takes n//2 = 0 traces
+    m = [[2, 1, 0], [1, 1, -1], [0, 3, -2]]
+    want = [sum(linalg.mat_pow(m, k)[i][i] for i in range(3)) for k in range(1, count + 1)]
+    assert power_traces(m, count) == want
 
 
 def test_char_poly_is_monic_of_full_degree():
