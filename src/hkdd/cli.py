@@ -192,6 +192,7 @@ def cmd_salem_check(args):
     p = IntPolynomial(tuple(args.coeffs))
     cls = classify_charpoly(p)
     root = cls.salem_root
+    exact = root and exact_power_str(root, [1])[0]  # built in both formats, so both fail alike
     decimal = root and root.decimal_str(args.precision)
     report = {"input": encode_vector(p.coeffs), "classification": _classification_json(cls, decimal)}
 
@@ -199,7 +200,7 @@ def cmd_salem_check(args):
         yield f"p = {p}"
         yield _classification_summary(cls)
         if root is not None:
-            yield f"salem root: {exact_power_str(root, [1])[0]} = {decimal}"
+            yield f"salem root: {exact} = {decimal}"
 
     return report, table()
 
@@ -246,7 +247,7 @@ def cmd_natural_check(args):
 
 def cmd_search(args):
     lat = load_lattice(args.lattice)
-    if lat.rank > 4:
+    if lat.rank > 4 and linalg.det_bareiss(lat.gram_rows()):  # a degenerate lattice is refused first
         print(f"warning: rank {lat.rank} > 4; the bounded search may be very slow", file=sys.stderr)
     results = search_salem_isometries(lat, args.bound)
     for m, _ in results:

@@ -17,8 +17,8 @@ half power traces.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from decimal import ROUND_FLOOR, Decimal, localcontext
 from functools import cmp_to_key
 from operator import mul
@@ -52,39 +52,23 @@ FirstDegree = AlgebraicReal | int
 INV_LN10_UPPER = (10000, 23025)
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
-    k: int
-    exponent: int  # min(k, 2n - k)
-    exact: str
+# row k of a table: d_k = d_1^exponent, exponent = min(k, 2n - k), as an exact string
+SpectrumEntry = namedtuple("SpectrumEntry", "k exponent exact")
+# The table (k, d_k) for k = 0..2n, a tuple of SpectrumEntry, plus entropy,
+# palindromic by the degree law. Entries are exact symbolic powers of d_1;
+# their decimals and the entropy's come from spectrum_decimals at a chosen
+# precision.
+DegreeSpectrum = namedtuple("DegreeSpectrum", "half_dim d1 entries entropy_exact")
+# Correctly rounded decimal strings at one precision: the d_k of a degree
+# table, k = 0..2n (or d_1^e in the order power_decimal was asked), and the
+# entropy n*ln(d_1) in nats and n*log10(d_1).
+SpectrumDecimals = namedtuple("SpectrumDecimals", "entries nats log10")
 
 
-@dataclass(frozen=True)
-class DegreeSpectrum:
-    """The table (k, d_k) for k = 0..2n plus entropy, palindromic by the
-    degree law. Entries are exact symbolic powers of d_1; their decimals and
-    the entropy's come from spectrum_decimals at a chosen precision."""
+class ShapeReport(namedtuple("ShapeReport", "violations")):
+    """The violations, a tuple of str, that validate_spectrum_shape found."""
 
-    half_dim: int
-    d1: FirstDegree
-    entries: tuple[SpectrumEntry, ...]
-    entropy_exact: str
-
-
-@dataclass(frozen=True)
-class SpectrumDecimals:
-    """Correctly rounded decimals at one precision: the d_k of a degree table,
-    k = 0..2n (or d_1^e in the order power_decimal was asked), and the
-    entropy n*ln(d_1) in nats and n*log10(d_1)."""
-
-    entries: tuple[str, ...]
-    nats: str
-    log10: str
-
-
-@dataclass(frozen=True)
-class ShapeReport:
-    violations: tuple[str, ...]
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -14,7 +14,7 @@ no line on the surface) are carried as assumption strings on solver results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import linalg
 from .errors import (
@@ -46,32 +46,24 @@ from .salem import salem_root_of
 BEAUVILLE_COORDINATE_BOUND = 64
 
 
-@dataclass(frozen=True)
-class HilbertLattice:
-    """base lattice extended by the exceptional half-class e, (e,e) = -2n+2."""
+class HilbertLattice(namedtuple("HilbertLattice", "base n extended e_index")):
+    """base lattice extended by the exceptional half-class e, (e,e) = -2n+2,
+    at index e_index of the extended GramLattice."""
 
-    base: GramLattice
-    n: int
-    extended: GramLattice
-    e_index: int
+    __slots__ = ()
 
     @property
     def e_norm(self) -> int:
         return -2 * self.n + 2
 
 
-@dataclass(frozen=True)
-class Sl2Matrix:
-    a: int
-    b: int
-    c: int
-    d: int
+class Sl2Matrix(namedtuple("Sl2Matrix", "a b c d")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a * self.d - self.b * self.c != 1:
-            raise NotUnimodularError(
-                f"determinant {self.a * self.d - self.b * self.c} != 1"
-            )
+    def __new__(cls, a: int, b: int, c: int, d: int):
+        if a * d - b * c != 1:
+            raise NotUnimodularError(f"determinant {a * d - b * c} != 1")
+        return super().__new__(cls, a, b, c, d)
 
     @property
     def trace(self) -> int:
@@ -81,37 +73,22 @@ class Sl2Matrix:
         return [[self.a, self.b], [self.c, self.d]]
 
 
-@dataclass(frozen=True)
-class NaturalityCertificate:
-    verdict: str  # "NotNatural" | "PossiblyNatural"
-    fixed_basis: tuple[tuple[int, ...], ...]
-    required_norm: int
-    witness: tuple[tuple[int, ...], int] | None  # (fixed generator, its norm)
-    detail: str
+# verdict NOT_NATURAL or POSSIBLY_NATURAL; fixed_basis a tuple of int tuples;
+# witness (fixed generator, its norm) or None
+NaturalityCertificate = namedtuple("NaturalityCertificate", "verdict fixed_basis required_norm witness detail")
 
 
 NOT_NATURAL = "NotNatural"
 POSSIBLY_NATURAL = "PossiblyNatural"
 
 
-@dataclass(frozen=True)
-class CandidateRecord:
-    """Solver trace for one basis vector: the integer candidate images
-    _beauville_candidates lists and why the rejected ones fail."""
-
-    basis_index: int
-    candidates: tuple[tuple[int, ...], ...]
-    chosen: tuple[int, ...]
-    rejections: tuple[tuple[tuple[int, ...], str], ...]
-
-
-@dataclass(frozen=True)
-class BeauvilleSolution:
-    isometry: LatticeIsometry
-    h_index: int
-    e_index: int
-    records: tuple[CandidateRecord, ...]
-    assumed_hypotheses: tuple[str, ...]
+# Solver trace for one basis vector: the integer candidate images (int
+# tuples) _beauville_candidates lists, the chosen one, and why the rejected
+# ones fail, as (candidate, reason) pairs.
+CandidateRecord = namedtuple("CandidateRecord", "basis_index candidates chosen rejections")
+# the LatticeIsometry, a CandidateRecord per basis vector, and the hypotheses
+# (strings) that a lattice cannot check
+BeauvilleSolution = namedtuple("BeauvilleSolution", "isometry h_index e_index records assumed_hypotheses")
 
 
 def hilbert_lattice(base: GramLattice, n: int, e_index: int | None = None) -> HilbertLattice:

@@ -10,7 +10,7 @@ answered by the one walk affine_points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import isqrt
 from operator import mul
 
@@ -24,12 +24,11 @@ from .errors import (
 from .polynomial import char_poly, is_perfect_square
 
 
-@dataclass(frozen=True)
-class GramLattice:
-    """Free Z-module of finite rank with an integer symmetric bilinear form."""
+class GramLattice(namedtuple("GramLattice", "gram labels")):
+    """Free Z-module of finite rank with an integer symmetric bilinear form:
+    gram a tuple of int tuples, labels a tuple of str."""
 
-    gram: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...]
+    __slots__ = ()
 
     @property
     def rank(self) -> int:
@@ -57,12 +56,11 @@ class GramLattice:
         return f"GramLattice(rank={self.rank}, labels={list(self.labels)})"
 
 
-@dataclass(frozen=True)
-class LatticeIsometry:
-    """Integer matrix preserving the form of its lattice (checked on build)."""
+class LatticeIsometry(namedtuple("LatticeIsometry", "matrix lattice")):
+    """Integer matrix, a tuple of int tuples, preserving the form of its
+    GramLattice (checked on build)."""
 
-    matrix: tuple[tuple[int, ...], ...]
-    lattice: GramLattice
+    __slots__ = ()
 
     @property
     def rank(self) -> int:
@@ -75,14 +73,11 @@ class LatticeIsometry:
         return f"LatticeIsometry({self.rows()})"
 
 
-@dataclass(frozen=True)
-class Signature:
-    positive: int
-    negative: int
-    zero: int
+class Signature(namedtuple("Signature", "positive negative zero")):
+    __slots__ = ()
 
     def as_tuple(self) -> tuple[int, int, int]:
-        return (self.positive, self.negative, self.zero)
+        return tuple(self)
 
     def __str__(self) -> str:
         return f"({self.positive}, {self.negative}, {self.zero})"
@@ -91,20 +86,9 @@ class Signature:
 # --- three-valued result of represents() -----------------------------------
 
 
-@dataclass(frozen=True)
-class FoundVector:
-    vector: tuple[int, ...]
-    value: int
-
-
-@dataclass(frozen=True)
-class CertifiedNo:
-    reason: str
-
-
-@dataclass(frozen=True)
-class NotFoundWithinBound:
-    bound: int
+FoundVector = namedtuple("FoundVector", "vector value")  # an int tuple and the int the form gives it
+CertifiedNo = namedtuple("CertifiedNo", "reason")
+NotFoundWithinBound = namedtuple("NotFoundWithinBound", "bound")
 
 
 RepresentsResult = FoundVector | CertifiedNo | NotFoundWithinBound

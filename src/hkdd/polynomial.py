@@ -21,7 +21,6 @@ from plain integers.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import gcd, isqrt
@@ -39,17 +38,38 @@ from .errors import (
 Rational = Fraction | int
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
-    """Dense integer polynomial; coeffs[i] is the coefficient of x^i."""
+class _Immutable:
+    """Base of the value classes here: __init__ sets each slot once."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        c = tuple(int(x) for x in self.coeffs)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class IntPolynomial(_Immutable):
+    """Dense integer polynomial; coeffs[i] is the coefficient of x^i, as ints
+    without trailing zeros. Equal and hashed by coeffs."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        c = tuple(int(x) for x in coeffs)
         while c and c[-1] == 0:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"IntPolynomial(coeffs={self.coeffs!r})"
 
     @property
     def degree(self) -> int:
@@ -416,29 +436,28 @@ def cauchy_bound(p: IntPolynomial) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class AlgebraicReal:
+class AlgebraicReal(_Immutable):
     """A real algebraic number: defining polynomial plus an isolating half-open
     interval (a/den, b/den] containing exactly one of its roots, in lowest
     terms; the Fractions lo and hi are derived, for printing and callers.
 
     Instances are immutable; refinement returns a new value with a nested
     interval. Ordering comparisons are exact (interval refinement plus a gcd
-    test for shared roots), so `sorted` never misorders close roots.
+    test for shared roots), so `sorted` never misorders close roots. Two
+    instances are equal only when they are the same object.
     """
 
-    poly: IntPolynomial
-    a: int
-    b: int
-    den: int = 1
+    __slots__ = ("poly", "a", "b", "den")
 
-    def __post_init__(self):
-        if self.den <= 0 or self.a >= self.b:
+    def __init__(self, poly: IntPolynomial, a: int, b: int, den: int = 1):
+        if den <= 0 or a >= b:
             raise ValueError("isolating interval must satisfy den > 0 and lo < hi")
-        g = gcd(self.a, self.b, self.den)
-        object.__setattr__(self, "a", self.a // g)
-        object.__setattr__(self, "b", self.b // g)
-        object.__setattr__(self, "den", self.den // g)
+        g = gcd(a, b, den)
+        for name, value in (("poly", poly), ("a", a // g), ("b", b // g), ("den", den // g)):
+            object.__setattr__(self, name, value)
+
+    def __repr__(self) -> str:
+        return f"AlgebraicReal(poly={self.poly!r}, a={self.a!r}, b={self.b!r}, den={self.den!r})"
 
     @property
     def lo(self) -> Fraction:

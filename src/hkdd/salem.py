@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import zip_longest
 from math import isqrt
 
@@ -42,35 +42,28 @@ SALEM_STRUCTURE = "SalemStructure"
 NOT_SPECTRALLY_VALID = "NotSpectrallyValid"
 
 
-@dataclass(frozen=True)
-class SalemCheck:
-    """Outcome of the Salem test with the Sturm-count certificate."""
+class SalemCheck(namedtuple("SalemCheck", "accepted reason real_roots_total roots_above_2 roots_inside root",
+                            defaults=(0, 0, 0, None))):
+    """Outcome of the Salem test with the Sturm-count certificate; root, an
+    AlgebraicReal, when accepted. True when accepted."""
 
-    accepted: bool
-    reason: str
-    real_roots_total: int = 0
-    roots_above_2: int = 0
-    roots_inside: int = 0
-    root: AlgebraicReal | None = None
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.accepted
 
 
-@dataclass(frozen=True)
-class SalemClassification:
+class SalemClassification(namedtuple("SalemClassification", "kind cyclotomic_factors remainder salem_root reason",
+                                     defaults=("",))):
     """kind is one of AllCyclotomic / SalemStructure / NotSpectrallyValid.
 
-    The input is the product of the cyclotomic factors and the remainder:
-    1 when AllCyclotomic, the Salem factor when SalemStructure. reason says
-    why a NotSpectrallyValid remainder failed the Salem test.
+    The input is the product of the cyclotomic factors, (n, multiplicity)
+    pairs, and the remainder, an IntPolynomial: 1 when AllCyclotomic, the
+    Salem factor when SalemStructure, whose AlgebraicReal root is salem_root.
+    reason says why a NotSpectrallyValid remainder failed the Salem test.
     """
 
-    kind: str
-    cyclotomic_factors: tuple[tuple[int, int], ...]
-    remainder: IntPolynomial
-    salem_root: AlgebraicReal | None
-    reason: str = ""
+    __slots__ = ()
 
     @property
     def salem_factor(self) -> IntPolynomial | None:

@@ -133,6 +133,8 @@ SEARCH_CASES = {
     # of them at rank 3 and bound 2, so a degenerate Gram is refused
     "rank3-zero-gram-bound2": (diagonal([0, 0, 0]), 2, 1, 2, DEGENERATE),
     "rank4-zero-gram-bound1": (diagonal([0, 0, 0, 0]), 1, 1, 2, DEGENERATE),
+    # refused before the warning on slow searches at rank > 4
+    "rank5-zero-gram-bound1": (diagonal([0] * 5), 1, 1, 2, DEGENERATE),
 }
 
 
@@ -247,6 +249,10 @@ DIGIT_BOUND_CASES = {
     # holds, where building the 2n + 1 exponents first peaks at 255 MB
     "kummer-half-dim-3000000": (["kummer", "2", "1", "1", "1", "--half-dim", "3000000"], 1, "exact form"),
     "salem-check-4000-digit-trace": (["salem-check", "--", "1", "-" + "3" * 4000, "1"], 10, "exact form"),
+    # the JSON report holds no exact form, but the run builds it all the same
+    "salem-check-json-4000-digit-trace": (
+        ["--format", "json", "salem-check", "--", "1", "-" + "3" * 4000, "1"], 10, "exact form",
+    ),
     "lattice-info-8001-digit-determinant": (["lattice-info", "{lattice}"], 1, "report"),
     "lattice-info-json-8001-digit-determinant": (
         ["--format", "json", "lattice-info", "{lattice}"], 1, "report",

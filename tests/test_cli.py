@@ -442,6 +442,13 @@ def test_import_leaves_argparse_out():
     assert proc.stdout.strip() == "False False"
 
 
+def test_import_leaves_dataclasses_and_inspect_out():
+    # dataclasses pulls in inspect, ast, dis and tokenize: a third of a cold start
+    code = "import sys, hkdd.cli; print(*sorted({'dataclasses', 'inspect', 'ast', 'dis'} & sys.modules.keys()))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout == "\n"
+
+
 @pytest.mark.parametrize("argv, first_line", [
     (["-h"], "usage: hkdd [options] <command> ..."),
     (["kummer", "-h"], "usage: hkdd [options] kummer a b c d"),

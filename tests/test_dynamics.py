@@ -197,6 +197,13 @@ def test_validate_spectrum_shape_past_double_range():
     assert validate_spectrum_shape(["1", "1E+200", "1E+400", "1E+200", "1"]).ok
 
 
+def test_shape_report_is_true_without_violations():
+    assert dynamics.ShapeReport(()) and dynamics.ShapeReport(()).ok
+    bad = dynamics.ShapeReport(("power-law violation at k=2",))
+    assert not bad and not bad.ok and bool(bad) is False
+    assert not validate_spectrum_shape([1.0, 1e200, 1e300, 1e200, 1.0])
+
+
 def assert_power_decimal_matches_oracle(d1: AlgebraicReal, n: int, digits: int):
     """d1's walk nests; the degree table of d1 at half-dimension n and its
     entropy match the bisection walk with exact powers; and the fixed-point

@@ -33,6 +33,14 @@ from hkdd.polynomial import IntPolynomial
 from oracles import as_float, product_beauville
 
 
+def test_sl2_matrix_needs_determinant_one():
+    m = Sl2Matrix(2, 1, 1, 1)
+    assert (m.trace, m.rows()) == (3, [[2, 1], [1, 1]])
+    for entries in [(2, 1, 1, 2), (1, 0, 0, -1), (0, 0, 0, 0)]:
+        with pytest.raises(NotUnimodularError):
+            Sl2Matrix(*entries)
+
+
 def test_hilbert_lattice_examples(quartic_pair):
     h = hilbert_lattice(make_lattice([[4]], ["H"]), 2)
     assert h.extended.gram == ((4, 0), (0, -2))

@@ -284,6 +284,29 @@ def test_algebraic_real_ends_in_lowest_terms():
             AlgebraicReal(poly(-2, 0, 1), a, b, den)
 
 
+def test_int_polynomial_is_an_immutable_value():
+    p = IntPolynomial((1, True, -3, 0, 0))
+    assert p.coeffs == (1, 1, -3) and all(type(c) is int for c in p.coeffs)
+    assert IntPolynomial((0, 0)).coeffs == () and IntPolynomial(coeffs=[2]).coeffs == (2,)
+    assert p == IntPolynomial([1, 1, -3]) and hash(p) == hash(IntPolynomial((1, 1, -3, 0)))
+    assert p != IntPolynomial((1, 1, 3)) and p != (1, 1, -3)
+    assert {p: 1}[poly(1, 1, -3)] == 1
+    assert repr(p) == "IntPolynomial(coeffs=(1, 1, -3))"
+    with pytest.raises(AttributeError):
+        p.coeffs = (1,)
+
+
+def test_algebraic_real_is_immutable_with_identity_equality():
+    a = AlgebraicReal(poly(-2, 0, 1), 1, 2)
+    b = AlgebraicReal(poly(-2, 0, 1), a=1, b=2, den=1)
+    assert a == a and a != b and len({a, b}) == 2
+    assert repr(a) == "AlgebraicReal(poly=IntPolynomial(coeffs=(-2, 0, 1)), a=1, b=2, den=1)"
+    for name in ("poly", "a", "b", "den"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 0)
+    assert (a.a, a.b, a.den) == (1, 2, 1)
+
+
 def test_no_float_in_the_package():
     source = pathlib.Path(hkdd.__file__).parent
     for path in source.glob("*.py"):

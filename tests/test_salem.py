@@ -26,6 +26,13 @@ LEHMER = poly(1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
 X2_34 = poly(1, -34, 1)
 
 
+def test_salem_check_is_true_when_accepted():
+    accepted, rejected = is_salem_polynomial(X2_34), is_salem_polynomial(poly(2, -3, 1))
+    assert accepted.accepted and accepted and bool(accepted) is True
+    assert not rejected.accepted and not rejected and bool(rejected) is False
+    assert not salem.SalemCheck(False, "why") and salem.SalemCheck(True, "why")
+
+
 def test_peel_cyclotomic_examples(m1):
     factors, rem = peel_cyclotomic(poly(-1, 35, -35, 1))
     assert factors == [(1, 1)]
