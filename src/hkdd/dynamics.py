@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from decimal import ROUND_FLOOR, Decimal, localcontext
 from functools import cmp_to_key
 from operator import mul
@@ -348,11 +348,12 @@ def enumerate_isometries(lat: GramLattice, entry_bound: int) -> list[list[list[i
     """All integer matrices with entries in [-bound, bound] and M^T G M = G,
     in lexicographic order of their columns.
 
-    Column-by-column backtracking: column j must have norm G[j][j] and the
-    right pairings with all earlier columns. Candidate columns come from
-    norm buckets, one lattice.affine_points walk of the box per needed
-    norm, so each bucket is in lexicographic order. G*v is computed once
-    per bucket vector for the pairing checks.
+    Column-by-column backtracking: column j must have norm G[j][j] and
+    pair with each earlier column c_i as G[i][j]. Each walked level starts
+    from its norm bucket, one lattice.affine_points walk of the box per
+    needed norm, so in lexicographic order. Choosing c_j filters the list
+    of every later walked level k once, in order, to the u with
+    u.G c_j = G[j][k] (G*u computed once per u); an empty list prunes.
 
     Half the tree is walked. With M, -M is an isometry in the box, and a
     bucket is closed under negation, so the candidates under the negated
@@ -365,7 +366,9 @@ def enumerate_isometries(lat: GramLattice, entry_bound: int) -> list[list[list[i
     nondegenerate G. As M^T G M = G, det M = d = +-1 and
     adj(M) = d M^-1 = d G^-1 M^T G, so M adj(G) = d adj(G) adj(M)^T. The
     last row k of adj(M) is the signed (r-1)-minors of the first r-1
-    columns, free of x. Applied to y = adj(G) e_(r-1), whose last entry is
+    columns, free of x. These are grown with the columns: the j-minors of
+    c_0..c_(j-1), keyed by row subset, give those of c_0..c_j by Laplace
+    expansion along c_j. Applied to y = adj(G) e_(r-1), whose last entry is
     the leading (r-1)-minor of G:
 
         y_(r-1) x = d adj(G) k - sum_(i < r-1) y_i c_i.
@@ -387,22 +390,27 @@ def enumerate_isometries(lat: GramLattice, entry_bound: int) -> list[list[list[i
     *y_head, y_last = adj_g[-1]  # adj(G) e_(r-1), as adj(G) is symmetric
     closed_form = r > 1 and y_last != 0 and linalg.det_bareiss(g) != 0
     last_bucket = set(buckets[g[-1][-1]])
+    # each (j+1)-minor's Laplace terms along column j: sign, row, j-minor
+    laplace = [
+        [(rows, [((-1) ** (j + t), i, rows[:t] + rows[t + 1 :]) for t, i in enumerate(rows)])
+         for rows in itertools.combinations(range(r), j + 1)]
+        for j in range(r)
+    ]
 
-    def filtered(j: int) -> list[tuple[int, ...]]:
-        vs = buckets[g[j][j]]
-        for i, c in enumerate(cols):
-            w, t = gv[c], g[i][j]
-            vs = [v for v in vs if sum(map(mul, v, w)) == t]
-        return vs
+    def grown(minors: dict[tuple[int, ...], int], c: tuple[int, ...], j: int) -> dict[tuple[int, ...], int]:
+        out = {}
+        for rows, terms in laplace[j]:
+            total = 0
+            for sign, i, sub in terms:
+                total += sign * c[i] * minors[sub]
+            out[rows] = total
+        return out
 
-    def last_column() -> list[tuple[int, ...]]:
-        rows = list(zip(*cols))
-        kappa = [
-            (-1) ** (r - 1 + i) * linalg.det_bareiss([list(row) for row in rows[:i] + rows[i + 1 :]])
-            for i in range(r)
-        ]
+    def last_column(minors: dict[tuple[int, ...], int]) -> list[tuple[int, ...]]:
+        # kappa, the signed (r-1)-minors, are the cofactors of the r-minor's last column
+        kappa = [sign * minors[sub] for sign, _, sub in laplace[r - 1][0][1]]
         adj_kappa = linalg.mat_vec(adj_g, kappa)
-        y_cols = [sum(map(mul, row, y_head)) for row in rows]
+        y_cols = [sum(map(mul, row, y_head)) for row in zip(*cols)]
         found = set()
         for d in (1, -1):
             num = [d * a - s for a, s in zip(adj_kappa, y_cols)]
@@ -415,22 +423,21 @@ def enumerate_isometries(lat: GramLattice, entry_bound: int) -> list[list[list[i
     results: list[list[list[int]]] = []
     cols: list[tuple[int, ...]] = []
 
-    def backtrack(j: int):
+    def backtrack(j: int, lists: list[list[tuple[int, ...]]], minors: dict[tuple[int, ...], int]):
         if j == r:
             results.append([list(row) for row in zip(*cols)])
             return
-        vs = last_column() if closed_form and j == r - 1 else filtered(j)
+        vs = lists[0] if lists else last_column(minors)
         for v in vs[len(vs) // 2 :] if j == 0 else vs:
-            cols.append(v)
-            backtrack(j + 1)
-            cols.pop()
+            w, row = gv[v], g[j]
+            rest = [[u for u in us if sum(map(mul, u, w)) == row[k]] for k, us in enumerate(lists[1:], j + 1)]
+            if all(rest):
+                cols.append(v)
+                backtrack(j + 1, rest, grown(minors, v, j) if closed_form and j < r - 1 else minors)
+                cols.pop()
 
-    backtrack(0)
-    return [_negated(m) for m in reversed(results)] + results
-
-
-def _negated(m: list[list[int]]) -> list[list[int]]:
-    return [[-x for x in row] for row in m]
+    backtrack(0, [buckets[g[j][j]] for j in range(r - 1 if closed_form else r)], {(): 1})
+    return [[[-x for x in row] for row in m] for m in reversed(results)] + results
 
 
 def search_salem_isometries(
@@ -459,8 +466,15 @@ def search_salem_isometries(
     involution and, at rank <= 3, tr(ab) without the product. -X, of sign
     (-1)^n times X's and traces (-1)^k t_k, is tried only when X is not
     Salem. One dict maps these keys to classifications, so each polynomial
-    is classified at most once per search. ab (at rank <= 3) and ba are
-    formed, to compete as representatives, only for a Salem pair.
+    is classified at most once per search.
+
+    A Salem-structure X has tr X > 4 - n. Its eigenvalues are l and 1/l,
+    whose sum exceeds 2 as l > 1, and n - 2 on the unit circle, each of
+    real part >= -1; tr X is the sum of their real parts. So a key with
+    t_1 <= 4 - n is not classified, for X and -X alike, and at rank 1,
+    where there is no t_1, nothing is. For a Salem pair, s*ab and s*ba
+    compete as representatives, each formed row by row from the
+    involutions' columns only until a row differs from the kept matrix.
     """
     if linalg.det_bareiss(lat.gram_rows()) == 0:
         raise HkddError("search needs a nondegenerate lattice (det G = 0)")
@@ -468,13 +482,15 @@ def search_salem_isometries(
     reps = isometries[len(isometries) // 2 :]
     n = lat.rank
     by_key: dict[tuple[int, ...], SalemClassification] = {}
-    hits: dict[tuple[int, ...], tuple[tuple[int, ...], list[list[int]], AlgebraicReal]] = {}
+    hits: dict[tuple[int, ...], tuple[list[list[int]], AlgebraicReal]] = {}
 
     def salem_sign(sign: int, traces: list[int]) -> tuple[int, SalemClassification | None]:
         """1 when X, of this sign and these traces, is Salem, -1 when -X is,
         else 0; with the Salem classification."""
         negated = ((-1) ** n * sign, *(-t if k % 2 else t for k, t in enumerate(traces, 1)))
         for s, key in ((1, (sign, *traces)), (-1, negated)):
+            if n < 2 or key[1] <= 4 - n:
+                continue
             cls = by_key.get(key)
             if cls is None:
                 cls = by_key[key] = classify_charpoly(reciprocal_char_poly(n, list(key[1:]), key[0]))
@@ -482,27 +498,32 @@ def search_salem_isometries(
                 return s, cls
         return 0, None
 
-    def consider(m: list[list[int]], s: int, cls: SalemClassification):
-        m = m if s == 1 else _negated(m)
-        flat = tuple(itertools.chain.from_iterable(m))
-        cur = hits.get(cls.salem_factor.coeffs)
-        if cur is None or flat < cur[0]:
-            hits[cls.salem_factor.coeffs] = (flat, m, cls.salem_root)
+    def consider(rows: Iterator[list[int]], cls: SalemClassification):
+        """Make these rows cls's representative if they strictly precede the
+        kept one in row-major order; rows are formed up to the first that differs."""
+        kept, m = hits.get(cls.salem_factor.coeffs, ([],))[0], []
+        for old, row in zip(kept, rows):  # kept first: no row is drawn past its end
+            m.append(row)
+            if row != old:
+                break
+        if kept and m[-1] >= kept[len(m) - 1]:
+            return
+        m.extend(rows)
+        hits[cls.salem_factor.coeffs] = (m, cls.salem_root)
 
     dets = [linalg.det_bareiss(m) for m in reps]
     for m, det in zip(reps, dets):
         s, cls = salem_sign((-1) ** n * det, power_traces(m, n // 2))
         if s:
-            consider(m, s, cls)
+            consider(([s * x for x in row] for row in m), cls)
     ident = linalg.identity(n)
-    involutions = [(m, det) for m, det in zip(reps, dets) if linalg.mat_mul(m, m) == ident]
-    for (a, det_a), (b, det_b) in itertools.combinations(involutions, 2):
-        ab = None if n < 4 else linalg.mat_mul(a, b)
-        traces = [linalg.trace_of_product(a, b)] if ab is None else power_traces(ab, n // 2)
+    involutions = [(m, det, linalg.transpose(m)) for m, det in zip(reps, dets) if linalg.mat_mul(m, m) == ident]
+    for (a, det_a, a_cols), (b, det_b, b_cols) in itertools.combinations(involutions, 2):
+        traces = [linalg.trace_of_product(a, b)] if n < 4 else power_traces(linalg.mat_mul(a, b), n // 2)
         s, cls = salem_sign((-1) ** n * det_a * det_b, traces)
         if s:
-            consider(ab or linalg.mat_mul(a, b), s, cls)
-            consider(linalg.mat_mul(b, a), s, cls)
-    found = [(m, root) for _, m, root in hits.values()]
+            consider(([s * sum(map(mul, row, col)) for col in b_cols] for row in a), cls)
+            consider(([s * sum(map(mul, row, col)) for col in a_cols] for row in b), cls)
+    found = list(hits.values())
     found.sort(key=cmp_to_key(lambda x, y: x[1].compare_to(y[1])))
     return found

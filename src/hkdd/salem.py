@@ -29,11 +29,12 @@ from .polynomial import (
     IntPolynomial,
     _quotient,
     _sign_at,
+    _sturm_chain,
+    _variations_at,
     _weights,
     cauchy_bound,
     cyclotomic,
     is_palindromic,
-    sturm_count,
     trace_polynomial,
 )
 
@@ -214,7 +215,12 @@ def is_salem_polynomial(p: IntPolynomial) -> SalemCheck:
 
 def _certify(p: IntPolynomial) -> SalemCheck:
     """The test of is_salem_polynomial for a monic p of degree >= 1 with no
-    cyclotomic factor: even degree, palindromic, and the trace-root layout."""
+    cyclotomic factor: even degree, palindromic, and the trace-root layout.
+
+    The counts are differences of the sign variations of the Sturm chain of
+    the trace polynomial q at -oo, -2, 2 and +oo. Divided by its last term
+    gcd(q, q'), the chain is a Sturm sequence of q's square-free part with
+    the same variations wherever that gcd is nonzero: at +-2, as q(+-2) != 0."""
     if p.degree % 2 != 0:
         return SalemCheck(False, f"odd degree {p.degree}")
     if not is_palindromic(p):
@@ -223,9 +229,10 @@ def _certify(p: IntPolynomial) -> SalemCheck:
     q = trace_polynomial(p)
     if q(2) == 0 or q(-2) == 0:
         return SalemCheck(False, "trace polynomial vanishes at +/-2")
-    total = sturm_count(q, None, None)
-    above = sturm_count(q, 2, None)
-    inside = sturm_count(q, -2, 2)
+    chain = _sturm_chain(q.coeffs)
+    ends = ((None, -1), (-2, 1), (2, 1), (None, 1))
+    low, at_minus_2, at_2, high = (_variations_at(chain, x, side) for x, side in ends)
+    total, above, inside = low - high, at_2 - high, at_minus_2 - at_2
     if total != d or above != 1 or inside != d - 1:
         return SalemCheck(
             False,

@@ -7,8 +7,10 @@ command line, the combination search for the Beauville involution,
 the Salem search over every pair of involutions, the decimals of a
 root and of its powers and logarithms by bisection with exact powers, the
 Salem root by isolation, a reciprocality test, the constructor of an
-algebraic real from Fraction ends and its float, and the exact powers of a
-root rendered by Fraction arithmetic with a Sturm-indexed positional form.
+algebraic real from Fraction ends and its float, the exact powers of a
+root rendered by Fraction arithmetic with a Sturm-indexed positional form,
+and the Salem certificate from three root counts on the square-free trace
+polynomial.
 """
 
 import argparse
@@ -34,6 +36,7 @@ from hkdd.polynomial import (
     _boundary_decimal,
     char_poly,
     cyclotomic,
+    is_palindromic,
     is_perfect_square,
     isolate_real_roots,
     power_traces,
@@ -41,8 +44,9 @@ from hkdd.polynomial import (
     rounded_decimal,
     square_part,
     sturm_count,
+    trace_polynomial,
 )
-from hkdd.salem import SALEM_STRUCTURE, SalemClassification, classify_charpoly
+from hkdd.salem import SALEM_STRUCTURE, SalemCheck, SalemClassification, classify_charpoly, salem_root_of
 
 
 def power_iteration_radius(m: list[list[int]], iters: int = 500, tol: float = 1e-12) -> float:
@@ -565,3 +569,37 @@ def _fraction_decimal(fr: Fraction, sig_digits: int) -> str:
         ctx.prec = sig_digits
         d = Decimal(fr.numerator) / Decimal(fr.denominator)
     return str(d)
+
+
+def sturm_count_certify(p: IntPolynomial) -> SalemCheck:
+    """salem._certify with three sturm_count calls, each of which takes the
+    square-free part of the trace polynomial and builds its own chain."""
+    if p.degree % 2 != 0:
+        return SalemCheck(False, f"odd degree {p.degree}")
+    if not is_palindromic(p):
+        return SalemCheck(False, "coefficient vector is not palindromic")
+    d = p.degree // 2
+    q = trace_polynomial(p)
+    if q(2) == 0 or q(-2) == 0:
+        return SalemCheck(False, "trace polynomial vanishes at +/-2")
+    total = sturm_count(q, None, None)
+    above = sturm_count(q, 2, None)
+    inside = sturm_count(q, -2, 2)
+    if total != d or above != 1 or inside != d - 1:
+        return SalemCheck(
+            False,
+            f"trace root layout {total} real / {above} above 2 / {inside} in (-2,2), "
+            f"need {d} / 1 / {d - 1}",
+            real_roots_total=total,
+            roots_above_2=above,
+            roots_inside=inside,
+        )
+    root = salem_root_of(p)
+    return SalemCheck(
+        True,
+        "salem certificate holds",
+        real_roots_total=total,
+        roots_above_2=above,
+        roots_inside=inside,
+        root=root,
+    )

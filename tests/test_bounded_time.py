@@ -1,13 +1,13 @@
 """natural-check on lattices of rank 6 to 15 and on degenerate Grams,
-search at rank 4 and at rank 5 up to bound 2 and on zero Grams (refused),
-polynomial work on huge traces and degree 160, degree tables of
-half-dimension 1000 at 12, 50 and 200 digits and of trace 56 at
-half-dimension 300 and 200 digits end within a stated time with a
-documented exit code (0, 2, 3 or 4), and exact forms and report integers
-past 4300 digits end in exit 2 with a message naming the bound, within a
-memory cap. Each case runs
-`python -m hkdd.cli` in a fresh process with a timeout, so a hang fails
-the test instead of stalling the suite.
+search at rank 4 (up to bound 8, with U first or last) and at rank 5 up to
+bound 2 and on zero Grams (refused), polynomial work on huge traces and
+degree 160, degree tables of half-dimension 1000 at 12, 50 and 200 digits
+and of trace 56 at half-dimension 300 and 200 digits end within a stated
+time with a documented exit code (0, 2, 3 or 4), and exact forms and
+report integers past 4300 digits end in exit 2 with a message naming the
+bound, within a memory cap. Each case runs `python -m hkdd.cli` in a fresh
+process with a timeout, so a hang fails the test instead of stalling the
+suite.
 """
 
 import json
@@ -120,6 +120,12 @@ SEARCH_CASES = {
     "rank4-bound4": (
         block_sum(U, [[-2]], [[-2]]), 4, 10, 0,
         "salem isometries of <b0, b1, b2, b3> within entry bound 4: 52",
+    ),
+    # the same lattice as U + <-2> + <-2>; its leading 3-minor is 0, so the
+    # last column is filtered from the norm-0 bucket instead of solved
+    "rank4-isotropic-last-bound8": (
+        block_sum([[-2]], [[-2]], U), 8, 10, 0,
+        "salem isometries of <b0, b1, b2, b3> within entry bound 8: 159",
     ),
     "rank5-bound1": (
         block_sum(U, [[-2]], [[-2]], [[-2]]), 1, 10, 0,

@@ -491,12 +491,74 @@ def test_search_classifies_each_char_poly_once(rank3, monkeypatch):
     distinct = {char_poly(m).coeffs for m in isometries + products}
     assert set(calls.values()) == {1}
     assert set(calls) <= distinct
-    # only char(-X) of a Salem X goes unclassified: at most one of +-X is Salem
+    # a char poly goes unclassified when it is char(-X) of a Salem X, as at
+    # most one of +-X is Salem, or when its trace is at most 4 - n = 1, below
+    # that of every Salem structure; either way, it is not Salem. At rank 3
+    # the second covers the first: a Salem X has trace >= 2, so -X has <= -2.
     skipped = distinct - set(calls)
     assert skipped
+    salem_negatives = 0
     for coeffs in skipped:
+        assert classify_charpoly(IntPolynomial(coeffs)).kind != SALEM_STRUCTURE
+        assert -coeffs[-2] <= 1
         flipped = [-c if (len(coeffs) - 1 - k) % 2 else c for k, c in enumerate(coeffs)]
-        assert classify_charpoly(IntPolynomial(tuple(flipped))).kind == SALEM_STRUCTURE
+        salem_negatives += classify_charpoly(IntPolynomial(tuple(flipped))).kind == SALEM_STRUCTURE
+    assert 0 < salem_negatives < len(skipped)
+
+
+U_MINUS_TWO_CUBED = [[0, 1, 0, 0, 0], [1, 0, 0, 0, 0], [0, 0, -2, 0, 0], [0, 0, 0, -2, 0], [0, 0, 0, 0, -2]]
+
+
+@pytest.mark.parametrize(
+    "gram, bound",
+    [("rank3", b) for b in range(1, 9)]
+    + [(U_2_4, 2), (TWO_MINUS_TWO_CUBED, 1), (TWO_MINUS_TWO_CUBED, 2), (U_MINUS_TWO_CUBED, 1)],
+)
+def test_salem_isometries_meet_the_trace_bound(rank3, gram, bound):
+    # the bound by which the search skips a candidate: tr X >= 5 - n for
+    # every Salem-structure X, an isometry or a product of two involutions
+    lat = rank3 if gram == "rank3" else make_lattice(gram)
+    n = lat.rank
+    isometries = enumerate_isometries(lat, bound)
+    ident = linalg.identity(n)
+    involutions = [m for m in isometries if linalg.mat_mul(m, m) == ident]
+    products = [linalg.mat_mul(a, b) for a, b in itertools.permutations(involutions, 2)]
+    kinds = {}
+    for m in isometries + products:
+        p = char_poly(m)
+        if p not in kinds:
+            kinds[p] = classify_charpoly(p).kind
+        if kinds[p] == SALEM_STRUCTURE:
+            assert sum(m[i][i] for i in range(n)) >= 5 - n
+
+
+@st.composite
+def reciprocal_keys(draw):
+    """(n, t_1..t_(n//2), sign) for n = 2..6, the traces from drawn
+    coefficients c_1..c_(n//2) by Newton's identities."""
+    n = draw(st.integers(2, 6))
+    c = [1] + draw(st.lists(st.integers(-6, 6), min_size=n // 2, max_size=n // 2))
+    traces = []
+    for k in range(1, n // 2 + 1):
+        traces.append(-k * c[k] - sum(c[i] * traces[k - 1 - i] for i in range(1, k)))
+    return n, traces, draw(st.sampled_from((1, -1)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(reciprocal_keys())
+def test_salem_structure_meets_the_trace_bound(key):
+    n, traces, sign = key
+    if classify_charpoly(reciprocal_char_poly(n, traces, sign)).kind == SALEM_STRUCTURE:
+        assert traces[0] >= 5 - n
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_trace_bound_is_attained(n):
+    # (x^2 - 3x + 1)(x + 1)^(n - 2) is Salem-structure with trace 5 - n
+    p = poly(1, -3, 1)
+    for _ in range(n - 2):
+        p = p * poly(1, 1)
+    assert classify_charpoly(p).kind == SALEM_STRUCTURE and -p.coeffs[-2] == 5 - n
 
 
 def box_product_isometries(lat, bound):

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hkdd import polynomial, salem
@@ -20,7 +20,7 @@ from hkdd.salem import (
     salem_root_of,
 )
 from conftest import TPQR_SALEM_FACTORS
-from oracles import as_float, isolation_salem_root, rebuild_product
+from oracles import as_float, isolation_salem_root, rebuild_product, sturm_count_certify
 
 LEHMER = poly(1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
 X2_34 = poly(1, -34, 1)
@@ -189,6 +189,35 @@ def reciprocal_products(draw):
     if draw(st.booleans()):
         p = p * poly(-1, 0, 1)  # an anti-palindromic factor, (x - 1)(x + 1)
     return p
+
+
+@st.composite
+def certify_inputs(draw):
+    """Monic palindromes and Salem polynomials, some squared, so that the
+    trace polynomial is a square, and some times (x - 1)^2, (x + 1)^2 or
+    x^2 + 1, whose trace polynomials y - 2, y + 2 and y vanish at 2, at -2
+    and inside (-2, 2)."""
+    p = draw(st.one_of(st.sampled_from(SALEM), palindromes()))
+    if draw(st.booleans()):
+        p = p * p
+    return p * draw(st.sampled_from((ONE_POLY, poly(1, -2, 1), poly(1, 2, 1), poly(1, 0, 1))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(certify_inputs())
+@example(LEHMER * LEHMER)
+@example(X2_34 * poly(1, -2, 1))
+@example(X2_34 * poly(1, 2, 1))
+@example(poly(1, 1, 1, 1))
+@example(poly(1, 2, 3, 4, 1))
+def test_one_chain_certificate_matches_three_sturm_counts(p):
+    got, want = salem._certify(p), sturm_count_certify(p)
+    assert got[:-1] == want[:-1]
+    assert (got.root is None) == (want.root is None)
+    if got.root is not None:
+        assert (got.root.poly, got.root.a, got.root.b, got.root.den) == (
+            want.root.poly, want.root.a, want.root.b, want.root.den
+        )
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
