@@ -76,7 +76,6 @@ from .hyperkahler import (
     hilbert_lattice,
     kummer_first_degree,
     kummer_spectrum,
-    natural_isometry,
     naturality_certificate,
     power,
     solve_beauville,

@@ -31,7 +31,7 @@ import os
 import re
 import sys
 from collections import namedtuple
-from fractions import Fraction
+from math import gcd
 from types import SimpleNamespace
 
 from . import fixtures, linalg
@@ -64,16 +64,22 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 
 # roots below this are flagged as small Salem candidates in search reports
-SMALL_SALEM_THRESHOLD = Fraction(13, 10)
+SMALL_SALEM_THRESHOLD = (13, 10)  # 13/10, as (numerator, denominator)
+
+
+def _ratio_str(n: int, d: int) -> str:
+    """n/d in lowest terms, written n/d."""
+    g = gcd(n, d)
+    return f"{n // g}/{d // g}"
 
 
 def _root_json(root: AlgebraicReal, decimal: str) -> dict:
-    """A root as reports write it; decimal is its decimal_str at the report's precision."""
-    lo, hi = root.lo, root.hi
+    """A root as reports write it, each end of its interval in lowest terms;
+    decimal is its decimal_str at the report's precision."""
     return {
         "poly": encode_vector(root.poly.coeffs),
-        "lo": f"{lo.numerator}/{lo.denominator}",
-        "hi": f"{hi.numerator}/{hi.denominator}",
+        "lo": _ratio_str(root.a, root.den),
+        "hi": _ratio_str(root.b, root.den),
         "decimal": decimal,
     }
 
@@ -257,7 +263,7 @@ def cmd_search(args):
             "matrix": encode_matrix(m),
             "salem_poly": encode_vector(root.poly.coeffs),
             "root": _root_json(root, root.decimal_str(args.precision)),
-            "small_salem_candidate": root.compare_rational(SMALL_SALEM_THRESHOLD) < 0,
+            "small_salem_candidate": root.compare_rational(*SMALL_SALEM_THRESHOLD) < 0,
         }
         for m, root in results
     ]

@@ -147,17 +147,6 @@ def hilbert_from_extended(
     return HilbertLattice(base=base, n=n, extended=lat, e_index=e_index)
 
 
-def natural_isometry(g: LatticeIsometry, hilb: HilbertLattice) -> LatticeIsometry:
-    """Block extension of a base isometry fixing e; d_1 is unchanged since the
-    extra eigenvalue is 1."""
-    if g.lattice.gram != hilb.base.gram:
-        raise LatticeMismatchError("isometry does not act on the base lattice")
-    r = hilb.base.rank
-    order = _e_slot_order(r, hilb.e_index)
-    m = [[*row, 0] for row in g.matrix] + [[0] * r + [1]]
-    return verify_isometry(hilb.extended, [[m[i][j] for j in order] for i in order])
-
-
 def _e_slot_order(r: int, e_index: int) -> list[int]:
     """The basis order that moves e, appended last as slot r, to e_index."""
     return [*range(e_index), r, *range(e_index, r)]

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 from decimal import Decimal, localcontext
-from fractions import Fraction
 from math import gcd, isqrt
 
 from . import linalg
@@ -34,8 +33,6 @@ from .errors import (
     OddDegreeError,
     ZeroPolynomialError,
 )
-
-Rational = Fraction | int
 
 
 class _Immutable:
@@ -83,8 +80,9 @@ class IntPolynomial(_Immutable):
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def __call__(self, x: Rational) -> Rational:
-        acc: Rational = 0
+    def __call__(self, x):
+        """p(x) by Horner's rule, exact for an int or any exact rational x."""
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -382,11 +380,6 @@ def _sign_at(weights: list[int], n: int, k: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _sign_of(coeffs: Coeffs, x: Rational) -> int:
-    """Sign of the polynomial with these coeffs at the rational x."""
-    return _sign_at(_weights(coeffs, x.denominator), x.numerator, 0)
-
-
 def _variations(signs: list[int]) -> int:
     nz = [s for s in signs if s != 0]
     return sum(1 for a, b in zip(nz, nz[1:]) if a * b < 0)
@@ -397,24 +390,21 @@ def _chain_variations(weighted: list[list[int]], n: int, k: int) -> int:
     return _variations([_sign_at(w, n, k) for w in weighted])
 
 
-def _variations_at(chain: tuple[Coeffs, ...], x: Rational | None, side: int) -> int:
-    """Sign variations at x; x=None means -infinity (side<0) or +infinity."""
+def _variations_at(chain: tuple[Coeffs, ...], x, side: int) -> int:
+    """Sign variations at the rational x; None means -infinity (side<0) or +infinity."""
     if x is None:
         signs = [(1 if c[-1] > 0 else -1) * (-1 if side < 0 and len(c) % 2 == 0 else 1) for c in chain]
     else:
-        signs = [_sign_of(c, x) for c in chain]
+        signs = [_sign_at(_weights(c, x.denominator), x.numerator, 0) for c in chain]
     return _variations(signs)
 
 
-def sturm_count(
-    p: IntPolynomial,
-    lo: Rational | None,
-    hi: Rational | None,
-) -> int:
+def sturm_count(p: IntPolynomial, lo, hi) -> int:
     """Number of distinct real roots of p in the half-open interval (lo, hi].
 
-    None endpoints mean -infinity / +infinity. The square-free part is taken
-    internally, so multiple roots are counted once.
+    lo and hi are rationals, read through .numerator and .denominator (an
+    int has both); None means -infinity / +infinity. The square-free part
+    is taken internally, so multiple roots are counted once.
     """
     if p.is_zero:
         raise ZeroPolynomialError("root counting needs a nonzero polynomial")
@@ -438,8 +428,9 @@ def cauchy_bound(p: IntPolynomial) -> tuple[int, int]:
 
 class AlgebraicReal(_Immutable):
     """A real algebraic number: defining polynomial plus an isolating half-open
-    interval (a/den, b/den] containing exactly one of its roots, in lowest
-    terms; the Fractions lo and hi are derived, for printing and callers.
+    interval (a/den, b/den] containing exactly one of its roots, held as
+    ints with den > 0 and gcd(a, b, den) = 1; each end on its own, a/den or
+    b/den, need not be in lowest terms.
 
     Instances are immutable; refinement returns a new value with a nested
     interval. Ordering comparisons are exact (interval refinement plus a gcd
@@ -458,14 +449,6 @@ class AlgebraicReal(_Immutable):
 
     def __repr__(self) -> str:
         return f"AlgebraicReal(poly={self.poly!r}, a={self.a!r}, b={self.b!r}, den={self.den!r})"
-
-    @property
-    def lo(self) -> Fraction:
-        return Fraction(self.a, self.den)
-
-    @property
-    def hi(self) -> Fraction:
-        return Fraction(self.b, self.den)
 
     def bisection_path(self):
         """Yield the isolating interval as integers (a, b, den), lo = a/den
@@ -548,8 +531,9 @@ class AlgebraicReal(_Immutable):
                     b, f_lo, f_hi = mid, f_lo << degree, f_mid
             yield a, b, den << k
 
-    def refined(self, eps: Rational) -> AlgebraicReal:
-        """Shrink the isolating interval to width < eps by bisection."""
+    def refined(self, eps) -> AlgebraicReal:
+        """Shrink the isolating interval to width < eps, a positive rational
+        read through .numerator and .denominator, by bisection."""
         if eps <= 0:
             raise ValueError("eps must be positive")
         for a, b, den in self.bisection_path():
@@ -584,21 +568,25 @@ class AlgebraicReal(_Immutable):
         Both intervals are walked in step by quadratic_path until they are
         disjoint, or until their overlap holds a root of gcd(p, q), which is
         then the one root of p in the first interval and of q in the second.
+        The overlap's ends are ints over the product of the two denominators,
+        where the Sturm chain of gcd(p, q) counts its roots.
         """
-        common = None
+        weighted = None
         for (a, b, da), (c, d, dc) in zip(self.quadratic_path(), other.quadratic_path()):
             if b * dc <= c * da:
                 return -1
             if d * da <= a * dc:
                 return 1
-            if common is None:
+            if weighted is None:
                 pair = sorted((self.poly.coeffs, other.poly.coeffs), key=len, reverse=True)
-                common = IntPolynomial(_remainder_sequence(*pair)[-1])
-            if common.degree >= 1:
-                ilo = max(Fraction(a, da), Fraction(c, dc))
-                ihi = min(Fraction(b, da), Fraction(d, dc))
-                if ilo < ihi and sturm_count(common, ilo, ihi) >= 1:
-                    return 0
+                common = square_free_part(IntPolynomial(_remainder_sequence(*pair)[-1]))
+                base = da * dc
+                weighted = [_weights(t, base) for t in _sturm_chain(common.coeffs)]
+            # the overlap (max(a/da, c/dc), min(b/da, d/dc)] over da * dc = base * 2^k
+            k = (da * dc).bit_length() - base.bit_length()
+            lo, hi = max(a * dc, c * da), min(b * dc, d * da)
+            if _chain_variations(weighted, lo, k) - _chain_variations(weighted, hi, k) >= 1:
+                return 0
 
     def __lt__(self, other):
         return self.compare_to(other) < 0
@@ -612,12 +600,11 @@ class AlgebraicReal(_Immutable):
     def __ge__(self, other):
         return self.compare_to(other) >= 0
 
-    def compare_rational(self, x: Rational) -> int:
-        """Sign of (root - x), exactly: 0 when lo < x <= hi and p(x) = 0, as
-        the one root in (lo, hi] is then x; otherwise one walk of
-        quadratic_path until x leaves the interval."""
-        n, d = x.numerator, x.denominator
-        if self.a * d < n * self.den <= self.b * d and _sign_of(self.poly.coeffs, x) == 0:
+    def compare_rational(self, n: int, d: int = 1) -> int:
+        """Sign of (root - n/d) for ints n and d > 0, exactly: 0 when n/d is
+        in (a/den, b/den] and p(n/d) = 0, as the one root there is then n/d;
+        otherwise one walk of quadratic_path until n/d leaves the interval."""
+        if self.a * d < n * self.den <= self.b * d and _sign_at(_weights(self.poly.coeffs, d), n, 0) == 0:
             return 0
         for a, b, den in self.quadratic_path():
             if n * den >= b * d:

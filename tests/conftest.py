@@ -9,7 +9,7 @@ from hkdd import fixtures, linalg
 from hkdd.hyperkahler import hilbert_lattice
 from hkdd.lattice import make_lattice, verify_isometry
 from hkdd.polynomial import AlgebraicReal, IntPolynomial, isolate_real_roots, sturm_count
-from oracles import algebraic_real_from_json, decode_coeffs
+from oracles import algebraic_real_from_json, decode_coeffs, interval
 
 # the Salem factors of the T_{p,q,r} Coxeter elements in perfbench/inputs.py
 TPQR_SALEM_FACTORS = [
@@ -94,7 +94,7 @@ def mp_root(p, near):
     that the AlgebraicReal near isolates, found by mpmath at its working
     precision from the midpoint of near refined to width 10^-15."""
     r = near.refined(Fraction(1, 10**15))
-    coeffs, mid = list(reversed(p.coeffs)), (r.lo + r.hi) / 2
+    coeffs, mid = list(reversed(p.coeffs)), sum(interval(r)) / 2
 
     def value():
         start = mpmath.mpf(mid.numerator) / mid.denominator
@@ -137,8 +137,8 @@ def assert_walk_nests(a: AlgebraicReal, eps) -> None:
     """Walk quadratic_path until its width is below eps; every interval must
     nest in the one before, lie on the grid D * 2^k (D the lcm of the
     isolating interval's denominators) and hold one root."""
-    base = math.lcm(a.lo.denominator, a.hi.denominator)
-    prev = (a.lo, a.hi)
+    prev = interval(a)
+    base = math.lcm(prev[0].denominator, prev[1].denominator)
     for lo, hi, den in a.quadratic_path():
         scale = den // base
         assert den % base == 0 and scale & (scale - 1) == 0

@@ -7,10 +7,11 @@ command line, the combination search for the Beauville involution,
 the Salem search over every pair of involutions, the decimals of a
 root and of its powers and logarithms by bisection with exact powers, the
 Salem root by isolation, a reciprocality test, the constructor of an
-algebraic real from Fraction ends and its float, the exact powers of a
-root rendered by Fraction arithmetic with a Sturm-indexed positional form,
-and the Salem certificate from three root counts on the square-free trace
-polynomial.
+algebraic real from Fraction ends, its interval as Fractions and its
+float, the exact powers of a root rendered by Fraction arithmetic with a
+Sturm-indexed positional form, the Salem certificate from three root
+counts on the square-free trace polynomial, and the block extension of a
+base isometry to a Hilbert lattice.
 """
 
 import argparse
@@ -24,10 +25,16 @@ import numpy as np
 
 from hkdd import linalg
 from hkdd.dynamics import INV_LN10_UPPER, SpectrumDecimals, enumerate_isometries
-from hkdd.errors import HkddError, NotIsometryError, ZeroPolynomialError
-from hkdd.hyperkahler import BeauvilleSolution, CandidateRecord, _beauville_candidates
+from hkdd.errors import HkddError, LatticeMismatchError, NotIsometryError, ZeroPolynomialError
+from hkdd.hyperkahler import (
+    BeauvilleSolution,
+    CandidateRecord,
+    HilbertLattice,
+    _beauville_candidates,
+    _e_slot_order,
+)
 from hkdd.jsonio import InputParseError, decode_int
-from hkdd.lattice import invariant_sublattice, verify_isometry
+from hkdd.lattice import LatticeIsometry, invariant_sublattice, verify_isometry
 from hkdd.polynomial import (
     LOG10_2_Q31,
     MAX_DIGITS,
@@ -177,6 +184,11 @@ def algebraic_real(p: IntPolynomial, lo: Fraction, hi: Fraction) -> AlgebraicRea
     return AlgebraicReal(p, lo.numerator * den // lo.denominator, hi.numerator * den // hi.denominator, den)
 
 
+def interval(root: AlgebraicReal) -> tuple[Fraction, Fraction]:
+    """The isolating interval (lo, hi] of root as Fractions, each in lowest terms."""
+    return Fraction(root.a, root.den), Fraction(root.b, root.den)
+
+
 def as_float(x: AlgebraicReal) -> float:
     """A float near x, its 17-digit decimal, to compare with float oracles."""
     return float(x.decimal_str(17))
@@ -194,8 +206,10 @@ def isolation_salem_root(p: IntPolynomial) -> AlgebraicReal:
     """salem_root_of by isolation: the last root isolate_real_roots finds,
     refined two bisection steps at a time until its interval lies right of 1."""
     root = isolate_real_roots(p)[-1]
-    while root.lo <= 1:
-        root = root.refined((root.hi - root.lo) / 2)
+    lo, hi = interval(root)
+    while lo <= 1:
+        root = root.refined((hi - lo) / 2)
+        lo, hi = interval(root)
     return root
 
 
@@ -418,7 +432,7 @@ def bisection_decimal_str(root: AlgebraicReal, sig_digits: int) -> str:
     rounded_decimal once the interval, on the root's side of zero, is
     narrower than 10^-(sig_digits+2) of its end nearer zero, and tests the
     rounding boundary when the ends round to adjacent strings."""
-    if root.poly(0) == 0 and root.lo < 0 <= root.hi:
+    if root.poly(0) == 0 and root.a < 0 <= root.b:
         return "0"
     scale = 10 ** (sig_digits + 2)
     for a, b, den in root.bisection_path():
@@ -544,7 +558,7 @@ def quadratic_surd_parts(a: AlgebraicReal) -> tuple[Fraction, Fraction, int] | N
     s, d = square_part(disc)
     vertex = Fraction(-c1, 2 * c2)
     # the vertex is no root, as the discriminant is positive
-    plus_branch = a.compare_rational(vertex) > 0
+    plus_branch = a.compare_rational(vertex.numerator, vertex.denominator) > 0
     if c2 < 0:
         plus_branch = not plus_branch
     coef = Fraction(s, 2 * c2) if plus_branch else Fraction(-s, 2 * c2)
@@ -560,8 +574,9 @@ def sturm_root_str(a: AlgebraicReal) -> str:
     parts = quadratic_surd_parts(a)
     if parts is not None:
         return fraction_surd_str(*parts)
-    idx = sturm_count(p, None, a.lo) + 1
-    return f"root #{idx} of {p} in [{_fraction_decimal(a.lo, 8)}, {_fraction_decimal(a.hi, 8)}]"
+    lo, hi = interval(a)
+    idx = sturm_count(p, None, lo) + 1
+    return f"root #{idx} of {p} in [{_fraction_decimal(lo, 8)}, {_fraction_decimal(hi, 8)}]"
 
 
 def _fraction_decimal(fr: Fraction, sig_digits: int) -> str:
@@ -603,3 +618,14 @@ def sturm_count_certify(p: IntPolynomial) -> SalemCheck:
         roots_inside=inside,
         root=root,
     )
+
+
+def natural_isometry(g: LatticeIsometry, hilb: HilbertLattice) -> LatticeIsometry:
+    """Block extension of a base isometry fixing e; d_1 is unchanged since the
+    extra eigenvalue is 1."""
+    if g.lattice.gram != hilb.base.gram:
+        raise LatticeMismatchError("isometry does not act on the base lattice")
+    r = hilb.base.rank
+    order = _e_slot_order(r, hilb.e_index)
+    m = [[*row, 0] for row in g.matrix] + [[0] * r + [1]]
+    return verify_isometry(hilb.extended, [[m[i][j] for j in order] for i in order])

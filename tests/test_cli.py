@@ -443,8 +443,10 @@ def test_import_leaves_argparse_out():
 
 
 def test_import_leaves_dataclasses_and_inspect_out():
-    # dataclasses pulls in inspect, ast, dis and tokenize: a third of a cold start
-    code = "import sys, hkdd.cli; print(*sorted({'dataclasses', 'inspect', 'ast', 'dis'} & sys.modules.keys()))"
+    # dataclasses pulls in inspect, ast, dis and tokenize: a third of a cold
+    # start; every rational in the package is a pair of ints, so no fractions
+    names = "{'dataclasses', 'inspect', 'ast', 'dis', 'fractions'}"
+    code = f"import sys, hkdd.cli; print(*sorted({names} & sys.modules.keys()))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout == "\n"
 
@@ -647,7 +649,7 @@ def test_search_renders_and_flags_each_root_once(capsys, monkeypatch, fmt):
     code, out, _ = run_cli(["--format", fmt, "search", "--lattice", rank3_path(), "--bound", "5"], capsys)
     assert code == 0 and out.count("13.9282032303") == 1
     assert len(decimals) == len(compares) == 2
-    assert [args[1] for args in compares] == [cli.SMALL_SALEM_THRESHOLD] * 2
+    assert [args[1:] for args in compares] == [(13, 10)] * 2
 
 
 def test_salem_check_table_renders_the_root_once(capsys, monkeypatch):

@@ -43,6 +43,7 @@ from oracles import (
     as_float,
     bisection_power_decimal,
     fraction_exact_power_str,
+    interval,
     power_iteration_radius,
     sym_power_dim,
     sym_power_matrix,
@@ -163,7 +164,7 @@ def test_exact_power_str_matches_fraction_oracle_on_tpqr_factors(coeffs):
     # the first factor is Lehmer's polynomial
     s = IntPolynomial(coeffs)
     for d1 in (salem_root_of(s), isolate_real_roots(s)[-1]):
-        assert sturm_count(s, None, d1.lo) + 1 == 2  # the index the form states
+        assert sturm_count(s, None, interval(d1)[0]) + 1 == 2  # the index the form states
         exponents = spectrum_exponents(3)
         assert exact_power_str(d1, exponents) == fraction_exact_power_str(d1, exponents)
 
@@ -472,7 +473,7 @@ def test_search_matches_ordered_pair_reference(rank3, gram, bound):
     lat = rank3 if gram == "rank3" else make_lattice(gram)
     got = search_salem_isometries(lat, bound)
     want = reference_search(lat, bound)
-    assert [(m, r.poly, r.lo, r.hi) for m, r in got] == [(m, r.poly, r.lo, r.hi) for m, r in want]
+    assert [(m, r.poly, interval(r)) for m, r in got] == [(m, r.poly, interval(r)) for m, r in want]
 
 
 def test_search_classifies_each_char_poly_once(rank3, monkeypatch):

@@ -22,7 +22,6 @@ from hkdd.hyperkahler import (
     hilbert_lattice,
     kummer_first_degree,
     kummer_spectrum,
-    natural_isometry,
     naturality_certificate,
     power,
     solve_beauville,
@@ -30,7 +29,7 @@ from hkdd.hyperkahler import (
 from hkdd.lattice import invariant_sublattice, make_lattice, norm_of, verify_isometry
 from hkdd.salem import is_salem_polynomial
 from hkdd.polynomial import IntPolynomial
-from oracles import as_float, product_beauville
+from oracles import as_float, natural_isometry, product_beauville
 
 
 def test_sl2_matrix_needs_determinant_one():

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -14,7 +15,9 @@ from hkdd.jsonio import (
     load_lattice,
     load_matrix,
 )
-from hkdd.polynomial import isolate_real_roots, poly
+from hkdd.polynomial import IntPolynomial, isolate_real_roots, poly
+from hkdd.salem import salem_root_of
+from conftest import TPQR_SALEM_FACTORS
 from oracles import algebraic_real_from_json, decode_coeffs
 
 
@@ -104,3 +107,18 @@ def test_algebraic_real_json_roundtrip():
     back = algebraic_real_from_json(payload)
     assert back.compare_to(root) == 0
     assert back.poly == root.poly
+
+
+def test_root_json_writes_each_end_in_lowest_terms():
+    # AlgebraicReal divides a, b and den by their common gcd only, so one end
+    # alone may not be in lowest terms: (399, 798, 2) at s = 398
+    quadratics = [salem_root_of(poly(1, -s, 1)) for s in range(3, 400)]
+    lehmer = salem_root_of(IntPolynomial(TPQR_SALEM_FACTORS[0]))
+    signed = isolate_real_roots(poly(0, -1, 0, 1))  # ends -2, -1, 0 and 2
+    for root in quadratics + [lehmer] + signed:
+        payload = cli._root_json(root, "")
+        ends = (Fraction(root.a, root.den), Fraction(root.b, root.den))
+        assert (payload["lo"], payload["hi"]) == tuple(f"{e.numerator}/{e.denominator}" for e in ends)
+    s398 = quadratics[398 - 3]
+    assert (s398.a, s398.b, s398.den) == (399, 798, 2) and cli._root_json(s398, "")["hi"] == "399/1"
+    assert (lehmer.a, lehmer.b, lehmer.den) == (18, 19, 16) and cli._root_json(lehmer, "")["lo"] == "9/8"

@@ -39,7 +39,7 @@ from hkdd.polynomial import (
     trace_polynomial,
 )
 from conftest import assert_correctly_rounded, assert_walk_nests, mp_root
-from oracles import algebraic_real, algebraic_real_from_json, as_float, bisection_decimal_str, is_reciprocal
+from oracles import algebraic_real, algebraic_real_from_json, as_float, bisection_decimal_str, interval, is_reciprocal
 
 LEHMER = poly(1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
 
@@ -254,9 +254,9 @@ def test_isolation_count_matches_sturm_random():
         assert values == pytest.approx(sorted(roots), abs=1e-9)
         # intervals are disjoint and each isolates exactly one root
         for r, s in zip(isolated, isolated[1:]):
-            assert r.hi <= s.lo
+            assert interval(r)[1] <= interval(s)[0]
         for r in isolated:
-            assert sturm_count(p, r.lo, r.hi) == 1
+            assert sturm_count(p, *interval(r)) == 1
 
 
 def test_isolation_against_numpy_oracle():
@@ -277,7 +277,7 @@ def test_isolation_against_numpy_oracle():
 def test_algebraic_real_ends_in_lowest_terms():
     a = AlgebraicReal(poly(-2, 0, 1), 2, 6, 4)
     assert (a.a, a.b, a.den) == (1, 3, 2)
-    assert (a.lo, a.hi) == (Fraction(1, 2), Fraction(3, 2))
+    assert interval(a) == (Fraction(1, 2), Fraction(3, 2))
     assert AlgebraicReal(poly(-2, 0, 1), 1, 2).den == 1
     for a, b, den in [(1, 2, 0), (1, 2, -1), (2, 2, 1), (3, 2, 1)]:
         with pytest.raises(ValueError):
@@ -319,19 +319,20 @@ def test_no_float_in_the_package():
 
 def test_refine_nests_and_shrinks():
     root = isolate_real_roots(poly(-2, 0, 1))[-1]
-    fine = root.refined(Fraction(1, 10**6))
-    assert root.lo <= fine.lo < fine.hi <= root.hi
-    assert fine.hi - fine.lo < Fraction(1, 10**6)
+    (lo, hi), fine = interval(root), root.refined(Fraction(1, 10**6))
+    fine_lo, fine_hi = interval(fine)
+    assert lo <= fine_lo < fine_hi <= hi
+    assert fine_hi - fine_lo < Fraction(1, 10**6)
     assert as_float(fine) == pytest.approx(math.sqrt(2), abs=1e-6)
-    finer = fine.refined(Fraction(1, 10**9))
-    assert fine.lo <= finer.lo < finer.hi <= fine.hi
+    finer_lo, finer_hi = interval(fine.refined(Fraction(1, 10**9)))
+    assert fine_lo <= finer_lo < finer_hi <= fine_hi
     big_root = isolate_real_roots(poly(1, -34, 1))[-1].refined(Fraction(1, 10**9))
     assert as_float(big_root) == pytest.approx(33.970562748477, abs=1e-9)
 
 
 def sturm_refined(a: AlgebraicReal, eps) -> tuple[Fraction, Fraction]:
     """Reference refinement: bisect, keeping (lo, mid] when its Sturm count is 1."""
-    lo, hi = a.lo, a.hi
+    lo, hi = interval(a)
     while hi - lo >= eps:
         mid = (lo + hi) / 2
         if sturm_count(a.poly, lo, mid) == 1:
@@ -343,10 +344,11 @@ def sturm_refined(a: AlgebraicReal, eps) -> tuple[Fraction, Fraction]:
 
 def assert_refines_like_reference(a: AlgebraicReal, eps) -> AlgebraicReal:
     r = a.refined(eps)
-    assert (r.lo, r.hi) == sturm_refined(a, eps)
-    assert a.lo <= r.lo < r.hi <= a.hi
-    assert r.hi - r.lo < eps
-    assert sturm_count(a.poly, r.lo, r.hi) == 1
+    (lo, hi), (r_lo, r_hi) = interval(a), interval(r)
+    assert (r_lo, r_hi) == sturm_refined(a, eps)
+    assert lo <= r_lo < r_hi <= hi
+    assert r_hi - r_lo < eps
+    assert sturm_count(a.poly, r_lo, r_hi) == 1
     return r
 
 
@@ -377,9 +379,9 @@ def roots_after_a_rational_root(draw):
     """The next root after a rational root x0, isolated by (x0, hi]: p(lo) = 0."""
     x0 = Fraction(draw(st.integers(-40, 40)), 2 ** draw(st.integers(0, 5)))
     p = poly(-x0.numerator, x0.denominator) * draw(polys())
-    later = [r for r in isolate_real_roots(p) if r.compare_rational(x0) > 0]
+    later = [r for r in isolate_real_roots(p) if r.compare_rational(x0.numerator, x0.denominator) > 0]
     assume(later)
-    return algebraic_real(later[0].poly, x0, later[0].hi)
+    return algebraic_real(later[0].poly, x0, interval(later[0])[1])
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -399,7 +401,7 @@ def test_refined_with_root_on_open_end():
     # roots 1 and 2: p(lo) = 0, so the sign at lo cannot steer the bisection
     a = AlgebraicReal(poly(2, -3, 1), 1, 3)
     r = assert_refines_like_reference(a, Fraction(1, 10**30))
-    assert r.lo < 2 <= r.hi
+    assert interval(r)[0] < 2 <= interval(r)[1]
     assert_refines_like_reference(a, Fraction(1, 3))
 
 
@@ -407,23 +409,24 @@ def test_refined_rational_root_hit_by_midpoint():
     # (2x - 1)(x - 3): the first midpoint of (0, 1] is the root 1/2
     a = AlgebraicReal(poly(3, -7, 2), 0, 1)
     r = assert_refines_like_reference(a, Fraction(1, 10**20))
-    assert r.hi == Fraction(1, 2)
+    assert interval(r)[1] == Fraction(1, 2)
     b = algebraic_real(poly(-3, 4), Fraction(1, 2), Fraction(1))  # root 3/4, hit at step 1
-    assert assert_refines_like_reference(b, Fraction(1, 10**15)).hi == Fraction(3, 4)
+    assert interval(assert_refines_like_reference(b, Fraction(1, 10**15)))[1] == Fraction(3, 4)
 
 
 def test_refined_non_dyadic_interval_from_json():
     a = algebraic_real_from_json({"poly": [-2, 0, 1], "lo": "4/3", "hi": "3/2"})
     r = assert_refines_like_reference(a, Fraction(1, 10**25))
     back = algebraic_real_from_json(cli._root_json(r, r.decimal_str(12)))
-    assert (back.lo, back.hi) == (r.lo, r.hi)
+    assert interval(back) == interval(r)
 
 
 def test_refined_non_square_free_poly_uses_sturm_counts():
     # (x^2 - 2)^2 keeps its sign across sqrt(2); only the Sturm count can steer
     a = AlgebraicReal(poly(-2, 0, 1) * poly(-2, 0, 1), 1, 2)
     r = assert_refines_like_reference(a, Fraction(1, 10**12))
-    assert r.lo < Fraction(14142135623731, 10**13) and r.hi > Fraction(14142135623730, 10**13)
+    lo, hi = interval(r)
+    assert lo < Fraction(14142135623731, 10**13) and hi > Fraction(14142135623730, 10**13)
 
 
 def test_refined_lehmer_matches_reference_at_50_digits():
@@ -548,7 +551,7 @@ def test_algebraic_comparisons():
     r3 = isolate_real_roots(poly(-3, 0, 1))[-1]
     assert r2 < r3
     assert r3 > r2
-    assert r2.compare_rational(Fraction(3, 2)) < 0
+    assert r2.compare_rational(3, 2) < 0
     assert r2.compare_rational(1) > 0
     one = isolate_real_roots(poly(-1, 1))[0]
     assert one.compare_rational(1) == 0
