@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from decimal import ROUND_FLOOR, Decimal, localcontext
-from functools import cmp_to_key
 from operator import mul
 
 from . import linalg
@@ -36,6 +35,7 @@ from .polynomial import (
     quadratic_surd_str,
     reciprocal_char_poly,
     rounded_decimal,
+    sorted_order,
     square_part,
 )
 from .salem import (
@@ -350,10 +350,11 @@ def enumerate_isometries(lat: GramLattice, entry_bound: int) -> list[list[list[i
 
     Column-by-column backtracking: column j must have norm G[j][j] and
     pair with each earlier column c_i as G[i][j]. Each walked level starts
-    from its norm bucket, one lattice.affine_points walk of the box per
-    needed norm, so in lexicographic order. Choosing c_j filters the list
-    of every later walked level k once, in order, to the u with
-    u.G c_j = G[j][k] (G*u computed once per u); an empty list prunes.
+    from its norm bucket, in lexicographic order; one lattice.affine_points
+    walk of the box fills the buckets of every norm on the diagonal.
+    Choosing c_j filters the list of every later walked level k once, in
+    order, to the u with u.G c_j = G[j][k] (G c_j computed once per
+    choice); an empty list prunes.
 
     Half the tree is walked. With M, -M is an isometry in the box, and a
     bucket is closed under negation, so the candidates under the negated
@@ -373,22 +374,25 @@ def enumerate_isometries(lat: GramLattice, entry_bound: int) -> list[list[list[i
 
         y_(r-1) x = d adj(G) k - sum_(i < r-1) y_i c_i.
 
-    Each d gives at most one candidate; one that divides exactly, lies in
-    the box with norm G[r-1][r-1] and meets the pairings is kept. When
-    det G = 0 or y_(r-1) = 0, the last column is filtered from its bucket.
+    Each d gives at most one candidate; one that divides exactly and lies
+    in the box with norm G[r-1][r-1] is kept. It meets the pairings
+    already: k.c_i = 0 for i < r-1, as a determinant with a repeated
+    column, and G y = det(G) e_(r-1), so y_(r-1) c_i^T G x =
+    -sum_(l < r-1) y_l G[i][l] = y_(r-1) G[i][r-1]. When det G = 0 or
+    y_(r-1) = 0, the last column is filtered from its bucket.
     """
     if entry_bound < 1:
         raise ValueError("entry bound must be >= 1")
     g = lat.gram_rows()
     r = lat.rank
-    buckets = {
-        norm: [v for v in affine_points(g, norm, entry_bound) if any(v)]
-        for norm in {g[j][j] for j in range(r)}
-    }
-    gv = {v: linalg.mat_vec(g, v) for bucket in buckets.values() for v in bucket}
+    buckets = {g[j][j]: [] for j in range(r)}
+    for norm, v in affine_points(g, buckets, entry_bound):
+        if any(v):
+            buckets[norm].append(v)
     adj_g = linalg.adjugate(g)
     *y_head, y_last = adj_g[-1]  # adj(G) e_(r-1), as adj(G) is symmetric
-    closed_form = r > 1 and y_last != 0 and linalg.det_bareiss(g) != 0
+    # det G = (G adj(G))_00
+    closed_form = r > 1 and y_last != 0 and sum(map(mul, g[0], adj_g[0])) != 0
     last_bucket = set(buckets[g[-1][-1]])
     # each (j+1)-minor's Laplace terms along column j: sign, row, j-minor
     laplace = [
@@ -416,7 +420,7 @@ def enumerate_isometries(lat: GramLattice, entry_bound: int) -> list[list[list[i
             num = [d * a - s for a, s in zip(adj_kappa, y_cols)]
             if all(x % y_last == 0 for x in num):
                 v = tuple(x // y_last for x in num)
-                if v in last_bucket and all(sum(map(mul, v, gv[c])) == g[i][-1] for i, c in enumerate(cols)):
+                if v in last_bucket:
                     found.add(v)
         return sorted(found)
 
@@ -427,10 +431,12 @@ def enumerate_isometries(lat: GramLattice, entry_bound: int) -> list[list[list[i
         if j == r:
             results.append([list(row) for row in zip(*cols)])
             return
-        vs = lists[0] if lists else last_column(minors)
+        vs, row = lists[0] if lists else last_column(minors), g[j]
         for v in vs[len(vs) // 2 :] if j == 0 else vs:
-            w, row = gv[v], g[j]
-            rest = [[u for u in us if sum(map(mul, u, w)) == row[k]] for k, us in enumerate(lists[1:], j + 1)]
+            rest = lists[1:]
+            if rest:
+                w = linalg.mat_vec(g, v)
+                rest = [[u for u in us if sum(map(mul, u, w)) == row[k]] for k, us in enumerate(rest, j + 1)]
             if all(rest):
                 cols.append(v)
                 backtrack(j + 1, rest, grown(minors, v, j) if closed_form and j < r - 1 else minors)
@@ -445,7 +451,7 @@ def search_salem_isometries(
 ) -> list[tuple[list[list[int]], AlgebraicReal]]:
     """Catalogue of Salem-structure isometries found within the entry bound,
     one representative per Salem polynomial (the least in row-major order),
-    sorted by increasing root.
+    sorted by increasing root (polynomial.sorted_order).
 
     The lattice must be nondegenerate, as H^2 and Neron-Severi lattices
     are: det G = 0 ends in an exit-2 HkddError before any enumeration.
@@ -461,20 +467,20 @@ def search_salem_isometries(
 
     Every candidate X takes one path: as G is nondegenerate, char(X) is
     reciprocal up to the sign (-1)^n det X, so it follows from that sign
-    and t_k = tr(X^k), k <= n/2 (reciprocal_char_poly). A representative
-    costs one small det and n//2 traces; a pair, dets computed once per
-    involution and, at rank <= 3, tr(ab) without the product. -X, of sign
+    and t_k = tr(X^k), k <= n/2 (reciprocal_char_poly). -X, of sign
     (-1)^n times X's and traces (-1)^k t_k, is tried only when X is not
     Salem. One dict maps these keys to classifications, so each polynomial
     is classified at most once per search.
 
     A Salem-structure X has tr X > 4 - n. Its eigenvalues are l and 1/l,
     whose sum exceeds 2 as l > 1, and n - 2 on the unit circle, each of
-    real part >= -1; tr X is the sum of their real parts. So a key with
-    t_1 <= 4 - n is not classified, for X and -X alike, and at rank 1,
-    where there is no t_1, nothing is. For a Salem pair, s*ab and s*ba
-    compete as representatives, each formed row by row from the
-    involutions' columns only until a row differs from the kept matrix.
+    real part >= -1; tr X is the sum of their real parts. So a candidate
+    with |t_1| <= 4 - n is not classified, and at rank 1, where there is no
+    t_1, nothing is. Involutions (_as_involution) are never Salem; other
+    representatives take a det only past that bound, and pairs of
+    involutions take their traces from _pair_traces. For a Salem pair,
+    s*ab and s*ba compete as representatives, each formed row by row from
+    the involutions' columns only until a row differs from the kept matrix.
     """
     if linalg.det_bareiss(lat.gram_rows()) == 0:
         raise HkddError("search needs a nondegenerate lattice (det G = 0)")
@@ -498,32 +504,74 @@ def search_salem_isometries(
                 return s, cls
         return 0, None
 
-    def consider(rows: Iterator[list[int]], cls: SalemClassification):
-        """Make these rows cls's representative if they strictly precede the
-        kept one in row-major order; rows are formed up to the first that differs."""
-        kept, m = hits.get(cls.salem_factor.coeffs, ([],))[0], []
-        for old, row in zip(kept, rows):  # kept first: no row is drawn past its end
-            m.append(row)
-            if row != old:
-                break
-        if kept and m[-1] >= kept[len(m) - 1]:
-            return
-        m.extend(rows)
-        hits[cls.salem_factor.coeffs] = (m, cls.salem_root)
+    def consider(rows: list[list[int]], cols: list[list[int]] | None, s: int, cls: SalemClassification):
+        """Make s * rows * cols (s * rows when cols is None) cls's
+        representative if it strictly precedes the kept one in row-major
+        order; rows are formed up to the first that differs."""
+        key = cls.salem_factor.coeffs
+        kept, m = hits[key][0] if key in hits else None, []
+        for row in rows:
+            m.append([s * sum(map(mul, row, col)) for col in cols] if cols else [s * x for x in row])
+            if kept is not None and m[-1] != kept[len(m) - 1]:
+                if m[-1] > kept[len(m) - 1]:
+                    return
+                kept = None
+        if kept is None:
+            hits[key] = (m, cls.salem_root)
 
-    dets = [linalg.det_bareiss(m) for m in reps]
-    for m, det in zip(reps, dets):
-        s, cls = salem_sign((-1) ** n * det, power_traces(m, n // 2))
-        if s:
-            consider(([s * x for x in row] for row in m), cls)
     ident = linalg.identity(n)
-    involutions = [(m, det, linalg.transpose(m)) for m, det in zip(reps, dets) if linalg.mat_mul(m, m) == ident]
+    involutions = []
+    for m in reps:
+        traces = power_traces(m, max(n // 2, 2))
+        involution = _as_involution(m, traces, ident)
+        if involution:
+            involutions.append(involution)
+        elif n > 1 and abs(traces[0]) > 4 - n:
+            s, cls = salem_sign((-1) ** n * linalg.det_bareiss(m), traces[: n // 2])
+            if s:
+                consider(m, None, s, cls)
     for (a, det_a, a_cols), (b, det_b, b_cols) in itertools.combinations(involutions, 2):
-        traces = [linalg.trace_of_product(a, b)] if n < 4 else power_traces(linalg.mat_mul(a, b), n // 2)
-        s, cls = salem_sign((-1) ** n * det_a * det_b, traces)
+        sign = (-1) ** n * det_a * det_b
+        traces = _pair_traces(a, b, b_cols, sign)
+        if traces is None:
+            continue
+        s, cls = salem_sign(sign, traces)
         if s:
-            consider(([s * sum(map(mul, row, col)) for col in b_cols] for row in a), cls)
-            consider(([s * sum(map(mul, row, col)) for col in a_cols] for row in b), cls)
+            consider(a, b_cols, s, cls)
+            consider(b, a_cols, s, cls)
     found = list(hits.values())
-    found.sort(key=cmp_to_key(lambda x, y: x[1].compare_to(y[1])))
-    return found
+    return [found[i] for i in sorted_order([root for _, root in found])]
+
+
+def _as_involution(m: list[list[int]], traces: list[int], ident: list[list[int]]):
+    """(m, det m, the columns of m) when the isometry m, with traces
+    t_1 = tr m and t_2 = tr(m^2), is an involution, else None. m^2 = I is
+    tested only when t_2 = n, as it must then be; an involution has
+    eigenvalues +-1 alone, so det m = (-1)^((n - t_1)/2)."""
+    n = len(m)
+    if traces[1] == n and linalg.mat_mul(m, m) == ident:
+        return m, (-1) ** ((n - traces[0]) // 2), linalg.transpose(m)
+    return None
+
+
+def _pair_traces(a: list[list[int]], b: list[list[int]], b_cols: list[list[int]], sign: int) -> list[int] | None:
+    """t_1..t_(n//2) of ab for n x n matrices a and b with sign
+    (-1)^n det(ab), b_cols the columns of b, or None when |t_1| <= 4 - n
+    rules out ab and -ab alike.
+
+    t_1 = tr(ab) takes n^2 products and no matrix. Past the bound, at rank
+    4 and up, ab is formed once, from a's rows and b's columns:
+    t_2 = sum (ab)_ij (ab)_ji is read from it, and power_traces gives the
+    higher traces where n // 2 >= 3. At rank 4 with sign -1 no product is
+    needed: the reciprocity makes the middle coefficient c_2 = -c_2 = 0,
+    so t_2 = t_1^2 by Newton's identity.
+    """
+    n, t1 = len(a), linalg.trace_of_product(a, b)
+    if n < 2 or abs(t1) <= 4 - n:
+        return None
+    if n < 4:
+        return [t1]
+    if n == 4 and sign < 0:
+        return [t1, t1 * t1]
+    ab = linalg.product_from_columns(a, b_cols)
+    return [t1, linalg.trace_of_product(ab, ab)] if n < 6 else power_traces(ab, n // 2)

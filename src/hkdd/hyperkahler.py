@@ -175,7 +175,7 @@ def _beauville_candidates(
     solution = linalg.solve_integer_system(rows, [g[x][h], g[x][e]])
     if solution is None:
         return []
-    return sorted(affine_points(g, g[x][x], bound, *solution))
+    return sorted(v for _, v in affine_points(g, (g[x][x],), bound, *solution))
 
 
 def solve_beauville(hilb: HilbertLattice, quartic_class_index: int) -> BeauvilleSolution:

@@ -4,8 +4,9 @@ A lattice is a free Z-module with an integer Gram matrix; an isometry is an
 integer matrix M with M^T G M = G, acting on column coordinate vectors.
 Everything is exact: the signature is read off the integer characteristic
 polynomial, never from floating-point eigenvalues, and every question of the
-form "which points of an affine lattice does the form send to a value?" is
-answered by the one walk affine_points.
+form "which points of an affine lattice does the form send to these values?"
+is answered by the one walk affine_points, which solves the last two
+coordinates together.
 """
 
 from __future__ import annotations
@@ -156,12 +157,11 @@ def verify_isometry(lat: GramLattice, matrix: list[list[int]]) -> LatticeIsometr
         for j in range(n):
             if product[i][j] != g[i][j]:
                 raise NotIsometryError(i, j, g[i][j], product[i][j])
-    if linalg.det_bareiss(g) != 0:
-        det = linalg.det_bareiss(m)
-        if det not in (1, -1):
-            # cannot happen once the form is preserved on a nondegenerate
-            # lattice; checked anyway rather than assumed
-            raise NotIsometryError(0, 0, 1, det)
+    det = linalg.det_bareiss(m)
+    if det not in (1, -1) and linalg.det_bareiss(g) != 0:
+        # cannot happen once the form is preserved on a nondegenerate
+        # lattice; checked anyway rather than assumed
+        raise NotIsometryError(0, 0, 1, det)
     return LatticeIsometry(
         matrix=tuple(tuple(int(x) for x in row) for row in m),
         lattice=lat,
@@ -188,11 +188,11 @@ def norm_of(lat: GramLattice, v: list[int]) -> int:
     return linalg.bilinear(lat.gram_rows(), list(v), list(v))
 
 
-def _prefixes(gram, xs, q0: int = 0, lin0=None):
-    """Every prefix (v_1, ..., v_(n-1)) with entries in xs, in lexicographic
-    order, as (prefix, q, b): q is the value on the prefix and b the linear
-    coefficient it gives v_n, so that the value on (prefix, x) is
-    q + b*x + g_nn*x^2.
+def _prefixes(gram, xs, q0: int = 0, lin0=None, left: int = 1):
+    """Every prefix (v_1, ..., v_(n-left)) with entries in xs, in
+    lexicographic order, as (prefix, q, lin): q is the value on the prefix
+    and lin the linear coefficients it gives the left coordinates after it,
+    so that with left = 1 the value on (prefix, x) is q + lin[0]*x + g_nn*x^2.
 
     The value is that of the affine form q0 + lin0 . v + v^T G v; the
     defaults q0 = 0 and lin0 = 0 give the quadratic form itself, and the
@@ -201,14 +201,15 @@ def _prefixes(gram, xs, q0: int = 0, lin0=None):
     coordinate to the value and to the linear terms of the coordinates after
     it, so no vector costs an n x n product.
 
-    Its two callers are affine_points, which solves the last coordinate
-    from q + b*x + g_nn*x^2, and the congruence certificate of represents,
-    which runs the last coordinate over its residues.
+    Its callers are affine_points, which solves the last two coordinates
+    together (left = 2) or the last one alone, and the congruence
+    certificate of represents, which runs the last coordinate over its
+    residues.
     """
     n = len(gram)
     lin0 = [0] * n if lin0 is None else list(lin0)
-    if n == 1:
-        yield (), q0, lin0[0]
+    if n == left:
+        yield (), q0, lin0
         return
     xs = tuple(xs)
     # depth-first; lin[j] is the coefficient the prefix gives v_(k+j)
@@ -217,21 +218,13 @@ def _prefixes(gram, xs, q0: int = 0, lin0=None):
         prefix, q, lin = stack.pop()
         k = len(prefix)
         row = gram[k]
-        gkk, lk = row[k], lin[0]
-        if k == n - 2:
-            gkl, ll = 2 * row[k + 1], lin[1]
+        gkk, lk, rest, tail = row[k], lin[0], row[k + 1:], lin[1:]
+        if k == n - left - 1:
             for x in xs:
-                yield prefix + (x,), q + (gkk * x + lk) * x, ll + gkl * x
+                yield prefix + (x,), q + (gkk * x + lk) * x, [l + 2 * c * x for l, c in zip(tail, rest)]
             continue
-        rest, tail = row[k + 1:], lin[1:]
         for x in reversed(xs):  # popped smallest first
-            stack.append(
-                (
-                    prefix + (x,),
-                    q + (gkk * x + lk) * x,
-                    [l + 2 * c * x for l, c in zip(tail, rest)],
-                )
-            )
+            stack.append((prefix + (x,), q + (gkk * x + lk) * x, [l + 2 * c * x for l, c in zip(tail, rest)]))
 
 
 def _integer_quadratic_roots(a: int, b: int, c: int, bound: int) -> list[int]:
@@ -251,24 +244,33 @@ def _integer_quadratic_roots(a: int, b: int, c: int, bound: int) -> list[int]:
     return sorted({num // (2 * a) for num in (-b + s, -b - s) if num % (2 * a) == 0})
 
 
-def affine_points(gram, value: int, bound: int, u0=None, kernel=None):
-    """Every v = u0 + sum t_i k_i with v^T G v = value, in lexicographic
-    order of t. u0 and kernel are given together or not at all; left out,
-    the walk is the box of the form itself (u0 = 0, K = I, m = rank).
+def affine_points(gram, values, bound: int, u0=None, kernel=None):
+    """Every v = u0 + sum t_i k_i with v^T G v in values, as (value, v), in
+    lexicographic order of t for each value, from one walk for all of them.
+    u0 and kernel are given together or not at all; left out, the walk is
+    the box of the form itself (u0 = 0, K = I, m = rank).
 
-    t_1..t_(m-1) run over [-bound, bound], walked by _prefixes on the
-    restricted form K^T G K with q0 = u0^T G u0 and lin0 = 2 K^T G u0, and
-    t_m is solved from its quadratic: every root when m = 1, the roots in
-    [-bound, bound] otherwise, and all of [-bound, bound] when the
-    quadratic vanishes identically. With m = 0 the one point is u0.
+    The walk runs on the restricted form K^T G K with q0 = u0^T G u0 and
+    lin0 = 2 K^T G u0 (_prefixes). With m >= 2 and a = g_mm != 0, t_1..t_(m-2)
+    run over [-bound, bound], and so does x = t_(m-1); then t_m solves
+    a t^2 + B(x) t + C(x) - value = 0, whose discriminant
+    D(x) = B(x)^2 - 4a(C(x) - value) is a quadratic in x. Its values are
+    stepped by differences, one walk for every value, each shifted by 4a
+    times the value; a negative D is skipped before its isqrt, and the
+    roots (-B +- sqrt D) / 2a in [-bound, bound] are kept. With m = 1 or
+    a = 0, t_1..t_(m-1) run over the box and t_m is solved from its
+    quadratic: every root when m = 1, the roots in [-bound, bound]
+    otherwise, and all of [-bound, bound] when the quadratic vanishes
+    identically. With m = 0 the one point is u0.
     """
+    values = tuple(values)
     if kernel is None:
         form, q0, lin0, point = gram, 0, None, tuple
     else:
         q0 = linalg.bilinear(gram, u0, u0)
         if not kernel:
-            if q0 == value:
-                yield tuple(u0)
+            if q0 in values:
+                yield q0, tuple(u0)
             return
         g_k = [linalg.mat_vec(gram, k) for k in kernel]
         form = [[sum(map(mul, k, g_l)) for g_l in g_k] for k in kernel]
@@ -278,11 +280,33 @@ def affine_points(gram, value: int, bound: int, u0=None, kernel=None):
         def point(t):
             return tuple(u + sum(map(mul, t, row)) for u, row in zip(u0, rows))
 
-    a, one = form[-1][-1], len(form) == 1
-    for ts, q, b in _prefixes(form, range(-bound, bound + 1), q0, lin0):
-        for t in _integer_quadratic_roots(a, b, q - value, bound):
-            if one or -bound <= t <= bound:
-                yield point(ts + (t,))
+    m, a, xs = len(form), form[-1][-1], range(-bound, bound + 1)
+    if m == 1 or a == 0:
+        for ts, q, (b,) in _prefixes(form, xs, q0, lin0):
+            for value in values:
+                for t in _integer_quadratic_roots(a, b, q - value, bound):
+                    if m == 1 or -bound <= t <= bound:
+                        yield value, point(ts + (t,))
+        return
+    alpha, gamma = form[-2][-2], form[-2][-1]
+    # D(x) = dxx x^2 + dx x + d1, with d1 = l2^2 - 4a(q - value)
+    dxx, two_a, sign = 4 * (gamma * gamma - a * alpha), 2 * a, 1 if a > 0 else -1
+    shifts = [(4 * a * value, value) for value in values]
+    for ts, q, (l1, l2) in _prefixes(form, xs, q0, lin0, 2):
+        dx, d1 = 4 * (gamma * l2 - a * l1), l2 * l2 - 4 * a * q
+        for shift, value in shifts:
+            # D at x = -bound and its first difference
+            d, step = (dxx * bound - dx) * bound + d1 + shift, dx + dxx * (1 - 2 * bound)
+            for x in xs:
+                if d >= 0:
+                    s = isqrt(d) * sign  # of a's sign, so (-b - s) / 2a <= (-b + s) / 2a
+                    if s * s == d:
+                        b = l2 + 2 * gamma * x
+                        for num in (-b - s, -b + s) if s else (-b,):
+                            if num % two_a == 0 and -bound <= num // two_a <= bound:
+                                yield value, point(ts + (x, num // two_a))
+                d += step
+                step += dxx + dxx
 
 
 def _congruence_certificate(lat: GramLattice, value: int) -> str | None:
@@ -300,7 +324,7 @@ def _congruence_certificate(lat: GramLattice, value: int) -> str | None:
             break
         target = value % m
         residues: set[int] = set()
-        for _, q, b in _prefixes(lat.gram, range(m)):
+        for _, q, (b,) in _prefixes(lat.gram, range(m)):
             residues.update((q + (b + a * x) * x) % m for x in range(m))
             if target in residues:
                 break
@@ -387,7 +411,7 @@ def represents(lat: GramLattice, value: int, bound: int) -> RepresentsResult:
                     if row[i] == value:
                         return FoundVector(tuple(int(j == i) for j in range(lat.rank)), value)
             return NotFoundWithinBound(s - 1)
-        v = next((v for v in affine_points(lat.gram, value, s) if max(map(abs, v)) == s), None)
+        v = next((v for _, v in affine_points(lat.gram, (value,), s) if max(map(abs, v)) == s), None)
         if v is not None:
             return FoundVector(_normalize_sign(v), value)
     return NotFoundWithinBound(bound)

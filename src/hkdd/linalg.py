@@ -30,8 +30,12 @@ def transpose(m: Matrix) -> Matrix:
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if len(a[0]) != len(b):
         raise ValueError("matrix dimensions do not match")
-    bt = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in bt] for row in a]
+    return product_from_columns(a, list(zip(*b)))
+
+
+def product_from_columns(a: Matrix, b_cols) -> Matrix:
+    """a b from the rows of a and the columns of b."""
+    return [[sum(map(mul, row, col)) for col in b_cols] for row in a]
 
 
 def trace_of_product(a: Matrix, b: Matrix) -> int:

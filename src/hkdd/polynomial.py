@@ -7,7 +7,8 @@ of its rational counterpart, so every sign and root count is the rational
 one. Signs at rational points come from homogeneous Horner over int, and
 isolation and refinement bisect at the same midpoints as over Q; decimals
 and comparisons walk a root by quadratic interval refinement on the same
-dyadic grid, from an isolating interval held as integers (a, b, den).
+dyadic grid, from an isolating interval held as integers (a, b, den), and
+sorted_order keeps one such walk per root for a whole sort.
 Decimal output comes from certified isolating intervals, never from
 floats: rounded_decimal gives the correctly rounded (half-even) decimal
 that both ends of an interval agree on, and every value printed as a
@@ -611,6 +612,40 @@ class AlgebraicReal(_Immutable):
                 return -1
             if n * den <= a * d:
                 return 1
+
+
+SORT_BITS = 64
+
+
+def sorted_order(reals: list[AlgebraicReal]) -> list[int]:
+    """The indices of reals in increasing order of value, equal values in
+    their given order: the order sorted gives with compare_to.
+
+    Each real keeps one quadratic_path walk and its current interval for
+    the whole sort, so no root is refined twice to the same width. A
+    comparison steps the wider of two overlapping intervals until they are
+    disjoint. A pair that still overlaps once both are narrower than
+    2^-SORT_BITS, as coincident roots do, is left to compare_to.
+    """
+    walks = [[r.quadratic_path()] for r in reals]
+    for w in walks:
+        w.extend(next(w[0]))
+
+    def compare(i: int, j: int) -> int:
+        x, y = walks[i], walks[j]
+        while True:
+            _, a, b, da = x
+            _, c, d, dc = y
+            if b * dc <= c * da:
+                return -1
+            if d * da <= a * dc:
+                return 1
+            wider = x if (b - a) * dc >= (d - c) * da else y
+            if (wider[2] - wider[1]) << SORT_BITS < wider[3]:
+                return reals[i].compare_to(reals[j])
+            wider[1:] = next(wider[0])
+
+    return sorted(range(len(reals)), key=functools.cmp_to_key(compare))
 
 
 def format_fraction(n: int, den: int, sig_digits: int) -> str:

@@ -4,12 +4,18 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import settings
 
 from hkdd import fixtures, linalg
 from hkdd.hyperkahler import hilbert_lattice
 from hkdd.lattice import make_lattice, verify_isometry
 from hkdd.polynomial import AlgebraicReal, IntPolynomial, isolate_real_roots, sturm_count
 from oracles import algebraic_real_from_json, decode_coeffs, interval
+
+# every @given draws the same examples on every run, and no run depends on
+# the examples a failure stored before it
+settings.register_profile("reproducible", derandomize=True, database=None, deadline=None)
+settings.load_profile("reproducible")
 
 # the Salem factors of the T_{p,q,r} Coxeter elements in perfbench/inputs.py
 TPQR_SALEM_FACTORS = [

@@ -4,20 +4,23 @@ solvability by determinantal divisors, the product a classification
 multiplies back to, the coefficient-list decoder of the JSON polynomial
 format and the reader of its algebraic reals, the argparse parser of the
 command line, the combination search for the Beauville involution,
-the Salem search over every pair of involutions, the decimals of a
-root and of its powers and logarithms by bisection with exact powers, the
-Salem root by isolation, a reciprocality test, the constructor of an
-algebraic real from Fraction ends, its interval as Fractions and its
-float, the exact powers of a root rendered by Fraction arithmetic with a
-Sturm-indexed positional form, the Salem certificate from three root
-counts on the square-free trace polynomial, and the block extension of a
-base isometry to a Hilbert lattice.
+the Salem search over every pair of involutions, the affine-lattice walk
+that solves the last coordinate alone and the norm buckets it fills with
+one walk per norm, the decimals of a root and of its powers and
+logarithms by bisection with exact powers, the Salem root by isolation, a
+reciprocality test, the constructor of an algebraic real from Fraction
+ends, its interval as Fractions and its float, the exact powers of a root
+rendered by Fraction arithmetic with a Sturm-indexed positional form, the
+Salem certificate from three root counts on the square-free trace
+polynomial, and the block extension of a base isometry to a Hilbert
+lattice.
 """
 
 import argparse
 import functools
 import itertools
 import math
+import operator
 from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 
@@ -34,7 +37,7 @@ from hkdd.hyperkahler import (
     _e_slot_order,
 )
 from hkdd.jsonio import InputParseError, decode_int
-from hkdd.lattice import LatticeIsometry, invariant_sublattice, verify_isometry
+from hkdd.lattice import LatticeIsometry, _integer_quadratic_roots, invariant_sublattice, verify_isometry
 from hkdd.polynomial import (
     LOG10_2_Q31,
     MAX_DIGITS,
@@ -425,6 +428,76 @@ def all_pairs_search(lat, entry_bound: int) -> list[tuple[list[list[int]], Algeb
     found = [(m, root) for _, m, root in hits.values()]
     found.sort(key=functools.cmp_to_key(lambda x, y: x[1].compare_to(y[1])))
     return found
+
+
+def last_coordinate_prefixes(gram, xs, q0: int = 0, lin0=None):
+    """Every prefix (v_1, ..., v_(n-1)) with entries in xs, in lexicographic
+    order, as (prefix, q, b): the value of q0 + lin0 . v + v^T G v on
+    (prefix, x) is q + b*x + g_nn*x^2."""
+    n = len(gram)
+    lin0 = [0] * n if lin0 is None else list(lin0)
+    if n == 1:
+        yield (), q0, lin0[0]
+        return
+    xs = tuple(xs)
+    stack = [((), q0, lin0)]
+    while stack:
+        prefix, q, lin = stack.pop()
+        k = len(prefix)
+        row = gram[k]
+        gkk, lk = row[k], lin[0]
+        if k == n - 2:
+            gkl, ll = 2 * row[k + 1], lin[1]
+            for x in xs:
+                yield prefix + (x,), q + (gkk * x + lk) * x, ll + gkl * x
+            continue
+        rest, tail = row[k + 1:], lin[1:]
+        for x in reversed(xs):
+            stack.append(
+                (
+                    prefix + (x,),
+                    q + (gkk * x + lk) * x,
+                    [l + 2 * c * x for l, c in zip(tail, rest)],
+                )
+            )
+
+
+def last_coordinate_points(gram, value: int, bound: int, u0=None, kernel=None):
+    """Every v = u0 + sum t_i k_i with v^T G v = value, in lexicographic
+    order of t: t_1..t_(m-1) run over [-bound, bound] and t_m is solved from
+    its quadratic, every root when m = 1, the roots in [-bound, bound]
+    otherwise, and all of [-bound, bound] when the quadratic vanishes
+    identically. With m = 0 the one point is u0."""
+    if kernel is None:
+        form, q0, lin0, point = gram, 0, None, tuple
+    else:
+        q0 = linalg.bilinear(gram, u0, u0)
+        if not kernel:
+            if q0 == value:
+                yield tuple(u0)
+            return
+        g_k = [linalg.mat_vec(gram, k) for k in kernel]
+        form = [[sum(map(operator.mul, k, g_l)) for g_l in g_k] for k in kernel]
+        lin0 = [2 * sum(map(operator.mul, u0, g_l)) for g_l in g_k]
+        rows = list(zip(*kernel))
+
+        def point(t):
+            return tuple(u + sum(map(operator.mul, t, row)) for u, row in zip(u0, rows))
+
+    a, one = form[-1][-1], len(form) == 1
+    for ts, q, b in last_coordinate_prefixes(form, range(-bound, bound + 1), q0, lin0):
+        for t in _integer_quadratic_roots(a, b, q - value, bound):
+            if one or -bound <= t <= bound:
+                yield point(ts + (t,))
+
+
+def per_norm_buckets(gram, bound: int) -> dict[int, list[tuple[int, ...]]]:
+    """The nonzero vectors of the box [-bound, bound]^r by norm, for every
+    norm on the diagonal of G, one last_coordinate_points walk per norm."""
+    return {
+        norm: [v for v in last_coordinate_points(gram, norm, bound) if any(v)]
+        for norm in {gram[j][j] for j in range(len(gram))}
+    }
 
 
 def bisection_decimal_str(root: AlgebraicReal, sig_digits: int) -> str:

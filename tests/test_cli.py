@@ -652,6 +652,19 @@ def test_search_renders_and_flags_each_root_once(capsys, monkeypatch, fmt):
     assert [args[1:] for args in compares] == [(13, 10)] * 2
 
 
+@pytest.mark.parametrize("gram", [[[4, 0, 8], [0, -2, 0], [8, 0, 4]], [[2]], [[2, 0, 0, 0], [0, -2, 0, 0], [0, 0, -2, 0], [0, 0, 0, -2]]])
+def test_search_takes_det_g_once(capsys, monkeypatch, tmp_path, gram):
+    # at rank <= 4 the det G = 0 refusal is the one determinant of G: the
+    # closed-form last column reads det G off the adjugate, and a found
+    # isometry of det +-1 needs no det G to be checked
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps({"gram": gram}))
+    calls = count_calls(monkeypatch, linalg.det_bareiss)
+    code, _, _ = run_cli(["search", "--lattice", str(path), "--bound", "1"], capsys)
+    assert code == 0
+    assert [args[0] for args in calls].count(gram) == 1
+
+
 def test_salem_check_table_renders_the_root_once(capsys, monkeypatch):
     calls = count_calls(monkeypatch, AlgebraicReal.decimal_str, AlgebraicReal)
     code, out, _ = run_cli(["salem-check", "--", *LEHMER.split()], capsys)

@@ -143,7 +143,7 @@ def spectrum_exponents(n: int) -> list[int]:
     return [min(k, 2 * n - k) for k in range(2 * n + 1)]
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(st.integers(3, 60), st.sampled_from([1, -1]), st.integers(1, 100))
 def test_exact_power_str_matches_fraction_oracle_on_kummer_traces(t, sign, n):
     d1 = kummer_first_degree(Sl2Matrix(sign * t, 1, -1, 0))
@@ -151,7 +151,7 @@ def test_exact_power_str_matches_fraction_oracle_on_kummer_traces(t, sign, n):
     assert exact_power_str(d1, exponents) == fraction_exact_power_str(d1, exponents)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(st.integers(3, 10**6), st.integers(1, 20))
 def test_exact_power_str_matches_fraction_oracle_on_quadratics(s, n):
     d1 = salem_root_of(poly(1, -s, 1))
@@ -219,13 +219,13 @@ def assert_power_decimal_matches_oracle(d1: AlgebraicReal, n: int, digits: int):
         assert lo_e * den**e <= a**e << bits and b**e << bits <= hi_e * den**e
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(st.integers(3, 60), st.sampled_from((1, -1)), st.integers(1, 100), st.sampled_from((3, 12, 50, 200)))
 def test_power_decimal_matches_bisection_oracle_on_kummer(t, sign, n, digits):
     assert_power_decimal_matches_oracle(kummer_first_degree(Sl2Matrix(sign * t, 1, -1, 0)), n, digits)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(st.sampled_from(TPQR_SALEM_FACTORS), st.integers(1, 100), st.sampled_from((3, 12, 50, 200)))
 def test_power_decimal_matches_bisection_oracle_on_salem_factors(coeffs, n, digits):
     assert_power_decimal_matches_oracle(salem_root_of(IntPolynomial(coeffs)), n, digits)
@@ -493,15 +493,19 @@ def test_search_classifies_each_char_poly_once(rank3, monkeypatch):
     assert set(calls.values()) == {1}
     assert set(calls) <= distinct
     # a char poly goes unclassified when it is char(-X) of a Salem X, as at
-    # most one of +-X is Salem, or when its trace is at most 4 - n = 1, below
-    # that of every Salem structure; either way, it is not Salem. At rank 3
-    # the second covers the first: a Salem X has trace >= 2, so -X has <= -2.
+    # most one of +-X is Salem, when its trace is at most 4 - n = 1, below
+    # that of every Salem structure, or when it is an involution's,
+    # (x - 1)^p (x + 1)^q; either way, it is not Salem. At rank 3 the
+    # second covers the first: a Salem X has trace >= 2, so -X has <= -2.
+    involution_polys = {
+        math.prod([poly(-1, 1)] * p + [poly(1, 1)] * (3 - p), start=poly(1)).coeffs for p in range(4)
+    }
     skipped = distinct - set(calls)
-    assert skipped
+    assert skipped & involution_polys and skipped - involution_polys
     salem_negatives = 0
     for coeffs in skipped:
         assert classify_charpoly(IntPolynomial(coeffs)).kind != SALEM_STRUCTURE
-        assert -coeffs[-2] <= 1
+        assert -coeffs[-2] <= 1 or coeffs in involution_polys
         flipped = [-c if (len(coeffs) - 1 - k) % 2 else c for k, c in enumerate(coeffs)]
         salem_negatives += classify_charpoly(IntPolynomial(tuple(flipped))).kind == SALEM_STRUCTURE
     assert 0 < salem_negatives < len(skipped)
@@ -545,7 +549,7 @@ def reciprocal_keys(draw):
     return n, traces, draw(st.sampled_from((1, -1)))
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@settings(max_examples=400)
 @given(reciprocal_keys())
 def test_salem_structure_meets_the_trace_bound(key):
     n, traces, sign = key
@@ -653,7 +657,7 @@ def box_norm_counts(gram, bound):
     return counts
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@settings(max_examples=120)
 @given(small_grams_and_bounds())
 def test_enumerate_isometries_matches_box_product_sweep(case):
     gram, bound = case
@@ -676,6 +680,59 @@ def test_half_trace_polynomial_of_involution_pairs(rank3, gram, bound):
         sign = (-1) ** n * linalg.det_bareiss(a) * linalg.det_bareiss(b)
         traces = [linalg.trace_of_product(a, b)] if n < 4 else power_traces(ab, n // 2)
         assert reciprocal_char_poly(n, traces, sign) == char_poly(ab)
+
+
+@pytest.mark.parametrize(
+    "gram, bound", [(TWO_MINUS_TWO_CUBED, 2), (U_MINUS_TWO_CUBED, 1), (U_MINUS_TWO_CUBED, 2)]
+)
+def test_involutions_and_pair_traces_of_the_search(gram, bound):
+    # every isometry is an involution exactly when it squares to I, with
+    # its det read from its trace; every pair of representative involutions
+    # gets the traces of its product, or None when |tr(ab)| <= 4 - n
+    n = len(gram)
+    isometries = enumerate_isometries(make_lattice(gram), bound)
+    ident = linalg.identity(n)
+    involutions = []
+    for m in isometries:
+        found = dynamics._as_involution(m, power_traces(m, 2), ident)
+        assert (found is not None) == (linalg.mat_mul(m, m) == ident)
+        if found is not None:
+            assert found == (m, linalg.det_bareiss(m), linalg.transpose(m))
+            involutions.append(m)
+    assert {linalg.det_bareiss(m) for m in involutions} == {1, -1}
+    reps = involutions[len(involutions) // 2 :]
+    found_ids = {id(m) for m in involutions}
+    assert reps == [m for m in isometries[len(isometries) // 2 :] if id(m) in found_ids]
+    ruled_out = 0
+    for a, b in itertools.combinations(reps, 2):
+        want = power_traces(linalg.mat_mul(a, b), 2)
+        sign = (-1) ** n * linalg.det_bareiss(a) * linalg.det_bareiss(b)
+        got = dynamics._pair_traces(a, b, linalg.transpose(b), sign)
+        ruled_out += got is None
+        assert got == (None if abs(want[0]) <= 4 - n else want)
+    assert ruled_out == (186 if n == 4 else 0)
+
+
+def test_pair_with_traceless_product_forms_no_product(monkeypatch):
+    # at rank 4 a pair with tr(ab) = 0 is ruled out for both signs before
+    # ab is formed, and one with det(ab) = -1 has t_2 = t_1^2; every other
+    # pair forms ab once
+    isometries = enumerate_isometries(make_lattice(TWO_MINUS_TWO_CUBED), 2)
+    ident = linalg.identity(4)
+    reps = [m for m in isometries[len(isometries) // 2 :] if linalg.mat_mul(m, m) == ident]
+    products = []
+    real = linalg.product_from_columns
+    monkeypatch.setattr(linalg, "product_from_columns", lambda a, cols: products.append(a) or real(a, cols))
+    traceless = negative = 0
+    for a, b in itertools.combinations(reps, 2):
+        before = len(products)
+        sign = linalg.det_bareiss(a) * linalg.det_bareiss(b)
+        dynamics._pair_traces(a, b, linalg.transpose(b), sign)
+        zero = linalg.trace_of_product(a, b) == 0
+        traceless += zero
+        negative += not zero and sign < 0
+        assert len(products) - before == (0 if zero or sign < 0 else 1)
+    assert (traceless, negative, len(products)) == (186, 540, 1326 - 186 - 540)
 
 
 def assert_search_refused(lat, bound):
@@ -718,7 +775,7 @@ def test_search_matches_all_pairs(rank3, gram, bound):
     assert_search_matches_all_pairs(rank3 if gram == "rank3" else make_lattice(gram), bound)
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@settings(max_examples=120)
 @given(small_grams_and_bounds(min_rank=2, max_bound=2))
 def test_search_matches_all_pairs_sweep(case):
     gram, bound = case

@@ -13,6 +13,7 @@ from hkdd.errors import (
     NonSymmetricError,
     NotIsometryError,
 )
+from oracles import last_coordinate_points, per_norm_buckets
 from hkdd.lattice import (
     CertifiedNo,
     FoundVector,
@@ -250,7 +251,7 @@ def symmetric_forms(draw):
     return [[upper[min(i, j), max(i, j)] for j in range(rank)] for i in range(rank)]
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(symmetric_forms(), st.integers(-12, 12), st.integers(1, 4))
 def test_represents_matches_shell_order_reference(gram, value, bound):
     res = represents(make_lattice(gram), value, bound)
@@ -305,7 +306,7 @@ def affine_lattices(draw):
     return gram, value, bound, u0, kernel
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(affine_lattices())
 # m = 0: the one point u0
 @example(([[2, 1], [1, -2]], -2, 2, [1, 2], []))
@@ -319,9 +320,68 @@ def affine_lattices(draw):
 def test_affine_points_match_brute_force(case):
     gram, value, bound, u0, kernel = case
     expected = brute_force_affine_points(gram, value, bound, u0, kernel)
-    assert list(affine_points(gram, value, bound, u0, kernel)) == expected
+    assert list(affine_points(gram, (value,), bound, u0, kernel)) == [(value, v) for v in expected]
     if not any(u0) and kernel == [[int(i == j) for j in range(len(gram))] for i in range(len(gram))]:
-        assert list(affine_points(gram, value, bound)) == expected
+        assert list(affine_points(gram, (value,), bound)) == [(value, v) for v in expected]
+
+
+@st.composite
+def walk_cases(draw):
+    """(gram, values, bound, affine) for the one walk: ranks 1-4, some with
+    g_mm = 0 or a zero row; affine is () for the box, or (u0, kernel) drawn
+    at random (m = 0..3) or solved from pairing constraints as
+    _beauville_candidates solves them."""
+    rank = draw(st.integers(1, 4))
+    upper = {(i, j): draw(st.integers(-3, 3)) for i in range(rank) for j in range(i, rank)}
+    if draw(st.booleans()):
+        upper[rank - 1, rank - 1] = 0
+    if draw(st.booleans()):
+        zero = draw(st.integers(0, rank - 1))
+        upper = {key: 0 if zero in key else x for key, x in upper.items()}
+    gram = [[upper[min(i, j), max(i, j)] for j in range(rank)] for i in range(rank)]
+    bound = draw(st.integers(1, 3))
+    vec = st.lists(st.integers(-3, 3), min_size=rank, max_size=rank)
+    kind = draw(st.sampled_from(("box", "random", "solved")))
+    if kind == "box":
+        affine = ()
+    elif kind == "random":
+        affine = (draw(vec), draw(st.lists(vec, min_size=0, max_size=min(rank, 3))))
+    else:
+        rows = draw(st.lists(vec, min_size=1, max_size=2))
+        target = draw(vec)
+        solution = linalg.solve_integer_system(rows, [sum(map(int.__mul__, r, target)) for r in rows])
+        affine = (solution[0], solution[1])
+    diagonal = [gram[i][i] for i in range(rank)]
+    values = draw(st.one_of(st.just(diagonal), st.lists(st.integers(-8, 8), min_size=1, max_size=3)))
+    return gram, list(dict.fromkeys(values)), bound, affine
+
+
+@settings(max_examples=300)
+@given(walk_cases())
+# g_mm = 0: the last coordinate is linear, and on U its equation vanishes
+@example(([[0, 1], [1, 0]], [0, 2], 2, ()))
+@example(([[2, 1, 0], [1, -2, 0], [0, 0, 0]], [2, -2, 0], 2, ()))
+# a zero row, m = 1 and m = 2 through kernels
+@example(([[0, 0, 0], [0, 4, 1], [0, 1, -2]], [0, 4, -2], 2, ()))
+@example(([[2, 0], [0, -2]], [2, -2], 3, ([1, 1], [[1, 0]])))
+@example(([[4, 0, 8], [0, -2, 0], [8, 0, 4]], [4, -2], 3, ([0, 1, 0], [[1, 0, 0], [0, 0, 1]])))
+def test_one_walk_matches_a_walk_per_value(case):
+    # the per-value subsequences of the one walk are the walks that solve
+    # the last coordinate alone, point for point and in the same order
+    gram, values, bound, affine = case
+    got = list(affine_points(gram, values, bound, *affine))
+    assert {value for value, _ in got} <= set(values)
+    for value in values:
+        want = list(last_coordinate_points(gram, value, bound, *affine))
+        assert [v for val, v in got if val == value] == want
+    if not affine:
+        # the norm buckets of enumerate_isometries, from one walk of the box
+        per_norm = per_norm_buckets(gram, bound)
+        buckets = {norm: [] for norm in per_norm}
+        for norm, v in affine_points(gram, per_norm, bound):
+            if any(v):
+                buckets[norm].append(v)
+        assert buckets == per_norm
 
 
 def test_congruence_reasons_match_full_residue_sets():

@@ -129,7 +129,7 @@ def systems(draw):
     return a, b, x0
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@settings(max_examples=400)
 @given(systems())
 def test_solve_integer_system_matches_determinantal_divisors(system):
     a, b, x0 = system

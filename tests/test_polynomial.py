@@ -102,7 +102,7 @@ square_matrices = st.integers(1, 10).flatmap(
 )
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@settings(max_examples=120)
 @given(square_matrices, st.lists(st.integers(-60, 60), min_size=3, max_size=3, unique=True))
 def test_char_poly_newton_matches_references(m, points):
     p = char_poly(m)
@@ -384,7 +384,7 @@ def roots_after_a_rational_root(draw):
     return algebraic_real(later[0].poly, x0, interval(later[0])[1])
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(
     st.one_of(isolated_roots(), roots_after_a_rational_root()),
     st.integers(1, 9),
@@ -463,7 +463,7 @@ def test_quadratic_path_reaches_200_digits_in_few_steps():
     assert next(i for i, (a, b, den) in enumerate(root.bisection_path()) if (b - a) * gate < a) > 600
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(st.one_of(isolated_roots(), roots_after_a_rational_root()), st.sampled_from((3, 12, 50, 200)))
 def test_decimal_str_matches_bisection_oracle(root, digits):
     assert_walk_nests(root, Fraction(1, 10**40))

@@ -203,7 +203,7 @@ def certify_inputs(draw):
     return p * draw(st.sampled_from((ONE_POLY, poly(1, -2, 1), poly(1, 2, 1), poly(1, 0, 1))))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(certify_inputs())
 @example(LEHMER * LEHMER)
 @example(X2_34 * poly(1, -2, 1))
@@ -220,7 +220,7 @@ def test_one_chain_certificate_matches_three_sturm_counts(p):
         )
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(reciprocal_products())
 def test_classification_rebuilds_the_input(p):
     cls = classify_charpoly(p)
@@ -261,7 +261,7 @@ def looks_salem(f: IntPolynomial) -> bool:
     return len(above) == 1 == len(below) and abs(above[0].imag) < 1e-9 and above[0].real > 1
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(reciprocal_products())
 def test_classification_matches_sympy_factorization(p):
     cls = classify_charpoly(p)
@@ -357,7 +357,7 @@ def assert_descent_matches_isolation(p: IntPolynomial):
     assert 1 < interval(got)[0]
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(st.integers(3, 10**6))
 def test_salem_root_descent_matches_isolation_on_quadratics(s):
     assert_descent_matches_isolation(poly(1, -s, 1))

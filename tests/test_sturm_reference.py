@@ -4,7 +4,9 @@ intervals on random polynomials, square-free or not, with rational roots
 placed where bisection midpoints land, and the same order of roots and
 rationals as the reference isolation of their product gives."""
 
+import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from hkdd.polynomial import (
     ONE_POLY,
     isolate_real_roots,
     poly,
+    sorted_order,
     square_free_part,
     sturm_count,
 )
@@ -47,7 +50,7 @@ def endpoints(p: IntPolynomial, draw) -> list:
     return pts
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(polys(), st.data())
 def test_integer_sturm_matches_fraction_reference(p, data):
     assert square_free_part(p) == fraction_square_free_part(p)
@@ -90,7 +93,7 @@ def sign(n: int) -> int:
     return (n > 0) - (n < 0)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80)
 @given(polys(), st.one_of(dyadic, general), st.one_of(dyadic, general))
 @example(poly(-2, 0, 1), poly(1), poly(-1, 3))  # sqrt(2) on the grids of den 1 and den 4
 @example(poly(1), poly(-2, 0, 1), poly(-99, 70))  # sqrt(2) < 99/70, isolated by overlapping intervals
@@ -118,7 +121,7 @@ def test_compare_to_on_two_grids_and_overlapping_intervals():
     assert x.compare_to(z) == -1 and z.compare_to(x) == 1
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80)
 @given(polys(), st.integers(-60, 60), st.integers(1, 16))
 def test_compare_rational_matches_fraction_isolation(p, n, d):
     """compare_rational at a random n/d and at both ends of the interval, as
@@ -128,3 +131,29 @@ def test_compare_rational_matches_fraction_isolation(p, n, d):
             roots = fraction_isolate(x.poly * poly(-m, e))
             at = next(i for i, (u, v) in enumerate(roots) if u < Fraction(m, e) <= v)
             assert x.compare_rational(m, e) == sign(root_index(roots, x) - at)
+
+
+@settings(max_examples=80)
+@given(polys(), st.one_of(dyadic, general), st.one_of(dyadic, general), st.randoms(use_true_random=False))
+# sqrt(2) under x^2 - 2 and under (x^2 - 2)(3x - 1), on the grids of den 1 and den 4
+@example(poly(-2, 0, 1), poly(1), poly(-1, 3), random.Random(0))
+def test_sorted_order_matches_compare_to(f, g, h, rnd):
+    """The roots of f*g and of f*h, shuffled: the roots of f come up under
+    both, so sorted_order meets coincident roots under two polynomials."""
+    p, q = f * g, f * h
+    assume(not p.is_zero and not q.is_zero)
+    reals = isolate_real_roots(p) + isolate_real_roots(q)
+    rnd.shuffle(reals)
+    assert [reals[i] for i in sorted_order(reals)] == sorted(reals, key=cmp_to_key(AlgebraicReal.compare_to))
+
+
+def test_sorted_order_leaves_only_coincident_roots_to_compare_to(monkeypatch):
+    calls = []
+    compare_to = AlgebraicReal.compare_to
+    monkeypatch.setattr(AlgebraicReal, "compare_to", lambda x, y: calls.append((x, y)) or compare_to(x, y))
+    x = isolate_real_roots(poly(-2, 0, 1))[-1]
+    y = isolate_real_roots(poly(-2, 0, 1) * poly(-1, 3))[-1]
+    z = isolate_real_roots(poly(-99, 70))[0]  # 99/70 = sqrt(2) + 0.00007..., overlapping both
+    w = isolate_real_roots(poly(-3, 0, 1))[-1]
+    assert sorted_order([w, z, y, x]) == [2, 3, 1, 0]
+    assert {frozenset(pair) for pair in calls} == {frozenset((x, y))}
