@@ -349,12 +349,13 @@ def enumerate_isometries(lat: GramLattice, entry_bound: int) -> list[list[list[i
     in lexicographic order of their columns.
 
     Column-by-column backtracking: column j must have norm G[j][j] and
-    pair with each earlier column c_i as G[i][j]. Each walked level starts
-    from its norm bucket, in lexicographic order; one lattice.affine_points
-    walk of the box fills the buckets of every norm on the diagonal.
-    Choosing c_j filters the list of every later walked level k once, in
-    order, to the u with u.G c_j = G[j][k] (G c_j computed once per
-    choice); an empty list prunes.
+    pair with each earlier column c_i as G[i][j]. Every column, the last
+    one included, starts from its norm bucket, in lexicographic order; one
+    lattice.affine_points walk of the box fills the buckets of every norm
+    on the diagonal. Choosing c_j filters the list of every later column k
+    once, in order, to the u with u.G c_j = G[j][k] (G c_j computed once
+    per choice); an empty list prunes. So the last column's list holds
+    exactly the vectors that complete an isometry.
 
     Half the tree is walked. With M, -M is an isometry in the box, and a
     bucket is closed under negation, so the candidates under the negated
@@ -362,24 +363,6 @@ def enumerate_isometries(lat: GramLattice, entry_bound: int) -> list[list[list[i
     only first columns whose first nonzero entry is positive, the upper
     half of their bucket; the matrices under the lower half are the walked
     ones negated, in reverse order, and come first.
-
-    The last column x (j = r-1 >= 1) is solved in closed form on a
-    nondegenerate G. As M^T G M = G, det M = d = +-1 and
-    adj(M) = d M^-1 = d G^-1 M^T G, so M adj(G) = d adj(G) adj(M)^T. The
-    last row k of adj(M) is the signed (r-1)-minors of the first r-1
-    columns, free of x. These are grown with the columns: the j-minors of
-    c_0..c_(j-1), keyed by row subset, give those of c_0..c_j by Laplace
-    expansion along c_j. Applied to y = adj(G) e_(r-1), whose last entry is
-    the leading (r-1)-minor of G:
-
-        y_(r-1) x = d adj(G) k - sum_(i < r-1) y_i c_i.
-
-    Each d gives at most one candidate; one that divides exactly and lies
-    in the box with norm G[r-1][r-1] is kept. It meets the pairings
-    already: k.c_i = 0 for i < r-1, as a determinant with a repeated
-    column, and G y = det(G) e_(r-1), so y_(r-1) c_i^T G x =
-    -sum_(l < r-1) y_l G[i][l] = y_(r-1) G[i][r-1]. When det G = 0 or
-    y_(r-1) = 0, the last column is filtered from its bucket.
     """
     if entry_bound < 1:
         raise ValueError("entry bound must be >= 1")
@@ -389,49 +372,15 @@ def enumerate_isometries(lat: GramLattice, entry_bound: int) -> list[list[list[i
     for norm, v in affine_points(g, buckets, entry_bound):
         if any(v):
             buckets[norm].append(v)
-    adj_g = linalg.adjugate(g)
-    *y_head, y_last = adj_g[-1]  # adj(G) e_(r-1), as adj(G) is symmetric
-    # det G = (G adj(G))_00
-    closed_form = r > 1 and y_last != 0 and sum(map(mul, g[0], adj_g[0])) != 0
-    last_bucket = set(buckets[g[-1][-1]])
-    # each (j+1)-minor's Laplace terms along column j: sign, row, j-minor
-    laplace = [
-        [(rows, [((-1) ** (j + t), i, rows[:t] + rows[t + 1 :]) for t, i in enumerate(rows)])
-         for rows in itertools.combinations(range(r), j + 1)]
-        for j in range(r)
-    ]
-
-    def grown(minors: dict[tuple[int, ...], int], c: tuple[int, ...], j: int) -> dict[tuple[int, ...], int]:
-        out = {}
-        for rows, terms in laplace[j]:
-            total = 0
-            for sign, i, sub in terms:
-                total += sign * c[i] * minors[sub]
-            out[rows] = total
-        return out
-
-    def last_column(minors: dict[tuple[int, ...], int]) -> list[tuple[int, ...]]:
-        # kappa, the signed (r-1)-minors, are the cofactors of the r-minor's last column
-        kappa = [sign * minors[sub] for sign, _, sub in laplace[r - 1][0][1]]
-        adj_kappa = linalg.mat_vec(adj_g, kappa)
-        y_cols = [sum(map(mul, row, y_head)) for row in zip(*cols)]
-        found = set()
-        for d in (1, -1):
-            num = [d * a - s for a, s in zip(adj_kappa, y_cols)]
-            if all(x % y_last == 0 for x in num):
-                v = tuple(x // y_last for x in num)
-                if v in last_bucket:
-                    found.add(v)
-        return sorted(found)
 
     results: list[list[list[int]]] = []
     cols: list[tuple[int, ...]] = []
 
-    def backtrack(j: int, lists: list[list[tuple[int, ...]]], minors: dict[tuple[int, ...], int]):
+    def backtrack(j: int, lists: list[list[tuple[int, ...]]]):
         if j == r:
             results.append([list(row) for row in zip(*cols)])
             return
-        vs, row = lists[0] if lists else last_column(minors), g[j]
+        vs, row = lists[0], g[j]
         for v in vs[len(vs) // 2 :] if j == 0 else vs:
             rest = lists[1:]
             if rest:
@@ -439,10 +388,10 @@ def enumerate_isometries(lat: GramLattice, entry_bound: int) -> list[list[list[i
                 rest = [[u for u in us if sum(map(mul, u, w)) == row[k]] for k, us in enumerate(rest, j + 1)]
             if all(rest):
                 cols.append(v)
-                backtrack(j + 1, rest, grown(minors, v, j) if closed_form and j < r - 1 else minors)
+                backtrack(j + 1, rest)
                 cols.pop()
 
-    backtrack(0, [buckets[g[j][j]] for j in range(r - 1 if closed_form else r)], {(): 1})
+    backtrack(0, [buckets[g[j][j]] for j in range(r)])
     return [[[-x for x in row] for row in m] for m in reversed(results)] + results
 
 
@@ -469,8 +418,8 @@ def search_salem_isometries(
     reciprocal up to the sign (-1)^n det X, so it follows from that sign
     and t_k = tr(X^k), k <= n/2 (reciprocal_char_poly). -X, of sign
     (-1)^n times X's and traces (-1)^k t_k, is tried only when X is not
-    Salem. One dict maps these keys to classifications, so each polynomial
-    is classified at most once per search.
+    Salem. One dict maps each key, and its negation with it, to its answer,
+    so each polynomial is classified at most once per search.
 
     A Salem-structure X has tr X > 4 - n. Its eigenvalues are l and 1/l,
     whose sum exceeds 2 as l > 1, and n - 2 on the unit circle, each of
@@ -487,22 +436,27 @@ def search_salem_isometries(
     isometries = enumerate_isometries(lat, entry_bound)
     reps = isometries[len(isometries) // 2 :]
     n = lat.rank
-    by_key: dict[tuple[int, ...], SalemClassification] = {}
+    answers: dict[tuple[int, ...], tuple[int, SalemClassification | None]] = {}
     hits: dict[tuple[int, ...], tuple[list[list[int]], AlgebraicReal]] = {}
 
     def salem_sign(sign: int, traces: list[int]) -> tuple[int, SalemClassification | None]:
         """1 when X, of this sign and these traces, is Salem, -1 when -X is,
         else 0; with the Salem classification."""
-        negated = ((-1) ** n * sign, *(-t if k % 2 else t for k, t in enumerate(traces, 1)))
-        for s, key in ((1, (sign, *traces)), (-1, negated)):
-            if n < 2 or key[1] <= 4 - n:
-                continue
-            cls = by_key.get(key)
-            if cls is None:
-                cls = by_key[key] = classify_charpoly(reciprocal_char_poly(n, list(key[1:]), key[0]))
-            if cls.kind == SALEM_STRUCTURE:
-                return s, cls
-        return 0, None
+        key = (sign, *traces)
+        answer = answers.get(key)
+        if answer is None:
+            negated = ((-1) ** n * sign, *(-t if k % 2 else t for k, t in enumerate(traces, 1)))
+            answer = 0, None
+            # when -X has X's key, neither is Salem, as at most one of +-X is
+            for s, cand in ((1, key), (-1, negated)) if negated != key else ():
+                if cand[1] > 4 - n:
+                    cls = classify_charpoly(reciprocal_char_poly(n, list(cand[1:]), cand[0]))
+                    if cls.kind == SALEM_STRUCTURE:
+                        answer = s, cls
+                        break
+            answers[negated] = -answer[0], answer[1]
+            answers[key] = answer
+        return answer
 
     def consider(rows: list[list[int]], cols: list[list[int]] | None, s: int, cls: SalemClassification):
         """Make s * rows * cols (s * rows when cols is None) cls's

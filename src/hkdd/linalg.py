@@ -98,17 +98,6 @@ def det_bareiss(m: Matrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def adjugate(m: Matrix) -> Matrix:
-    """adj(m), with m adj(m) = det(m) I: entry (i, j) is the cofactor of
-    m at (j, i)."""
-    n = len(m)
-
-    def minor(i: int, j: int) -> int:  # m without row i and column j
-        return det_bareiss([row[:j] + row[j + 1 :] for k, row in enumerate(m) if k != i])
-
-    return [[(-1) ** (i + j) * minor(j, i) for j in range(n)] for i in range(n)]
-
-
 def row_hnf_transform(a: Matrix) -> tuple[Matrix, Matrix]:
     """Row Hermite form H of `a` with unimodular U such that U a = H."""
     rows = len(a)

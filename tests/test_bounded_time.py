@@ -121,8 +121,8 @@ SEARCH_CASES = {
         block_sum(U, [[-2]], [[-2]]), 4, 10, 0,
         "salem isometries of <b0, b1, b2, b3> within entry bound 4: 52",
     ),
-    # the same lattice as U + <-2> + <-2>; its leading 3-minor is 0, so the
-    # last column is filtered from the norm-0 bucket instead of solved
+    # the same lattice as U + <-2> + <-2>, with the isotropic columns last:
+    # the last column is filtered from the large norm-0 bucket
     "rank4-isotropic-last-bound8": (
         block_sum([[-2]], [[-2]], U), 8, 10, 0,
         "salem isometries of <b0, b1, b2, b3> within entry bound 8: 159",

@@ -655,8 +655,8 @@ def test_search_renders_and_flags_each_root_once(capsys, monkeypatch, fmt):
 @pytest.mark.parametrize("gram", [[[4, 0, 8], [0, -2, 0], [8, 0, 4]], [[2]], [[2, 0, 0, 0], [0, -2, 0, 0], [0, 0, -2, 0], [0, 0, 0, -2]]])
 def test_search_takes_det_g_once(capsys, monkeypatch, tmp_path, gram):
     # at rank <= 4 the det G = 0 refusal is the one determinant of G: the
-    # closed-form last column reads det G off the adjugate, and a found
-    # isometry of det +-1 needs no det G to be checked
+    # enumeration takes no determinant, and a found isometry of det +-1
+    # needs no det G to be checked
     path = tmp_path / "lattice.json"
     path.write_text(json.dumps({"gram": gram}))
     calls = count_calls(monkeypatch, linalg.det_bareiss)

@@ -619,6 +619,8 @@ ENUMERATION_CASES = [
     (TWO_MINUS_TWO_CUBED, 1),
     ([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -2, 0], [0, 0, 0, -2]], 2),
     ([[2, 2, 0, 0], [2, 2, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], 1),
+    # U + <-2>^3, rank 5: 192 isometries
+    ([[0, 1, 0, 0, 0], [1, 0, 0, 0, 0], [0, 0, -2, 0, 0], [0, 0, 0, -2, 0], [0, 0, 0, 0, -2]], 1),
 ]
 
 
@@ -628,8 +630,8 @@ def test_enumerate_isometries_matches_box_product(gram, bound):
     assert enumerate_isometries(lat, bound) == box_product_isometries(lat, bound)
 
 
-# the closed-form last column needs det G != 0 and a nonzero leading
-# (r-1)-minor of G; these take the bucket filter instead
+# a zero leading (r-1)-minor of G, and det G = 0: no minor of G enters the
+# enumeration, so the last column is filtered from its bucket as on any G
 LEADING_MINOR_ZERO = [[-2, 0, 0], [0, 0, 1], [0, 1, 0]]
 DET_ZERO = [[-2, 2, 0], [2, 4, 0], [0, 0, 0]]
 

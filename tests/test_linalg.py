@@ -43,17 +43,6 @@ def test_det_bareiss_small():
     assert linalg.det_bareiss([[1, 2], [2, 4]]) == 0
 
 
-def test_adjugate_times_matrix_is_determinant():
-    rng = random.Random(11)
-    assert linalg.adjugate([[5]]) == [[1]]
-    for n in range(1, 6):
-        for m in [random_matrix(rng, n, n, -3, 3) for _ in range(6)] + [[[1] * n] * n]:
-            det = linalg.det_bareiss(m)
-            scaled = [[det if i == j else 0 for j in range(n)] for i in range(n)]
-            assert linalg.mat_mul(m, linalg.adjugate(m)) == scaled
-            assert linalg.mat_mul(linalg.adjugate(m), m) == scaled
-
-
 def test_det_bareiss_matches_fraction_elimination():
     rng = random.Random(7)
     for _ in range(60):
