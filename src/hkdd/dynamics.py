@@ -345,8 +345,9 @@ def validate_spectrum_shape(
 
 
 def enumerate_isometries(lat: GramLattice, entry_bound: int) -> list[list[list[int]]]:
-    """All integer matrices with entries in [-bound, bound] and M^T G M = G,
-    in lexicographic order of their columns.
+    """One of each pair +-M of integer matrices with entries in
+    [-bound, bound] and M^T G M = G: the M whose first column has a
+    positive first nonzero entry, in lexicographic order of their columns.
 
     Column-by-column backtracking: column j must have norm G[j][j] and
     pair with each earlier column c_i as G[i][j]. Every column, the last
@@ -358,11 +359,9 @@ def enumerate_isometries(lat: GramLattice, entry_bound: int) -> list[list[list[i
     exactly the vectors that complete an isometry.
 
     Half the tree is walked. With M, -M is an isometry in the box, and a
-    bucket is closed under negation, so the candidates under the negated
-    columns are the negated candidates in reverse order. The walk takes
-    only first columns whose first nonzero entry is positive, the upper
-    half of their bucket; the matrices under the lower half are the walked
-    ones negated, in reverse order, and come first.
+    bucket is closed under negation, so the walk takes only first columns
+    whose first nonzero entry is positive, the upper half of their bucket.
+    The isometries under the lower half are the returned ones negated.
     """
     if entry_bound < 1:
         raise ValueError("entry bound must be >= 1")
@@ -392,7 +391,7 @@ def enumerate_isometries(lat: GramLattice, entry_bound: int) -> list[list[list[i
                 cols.pop()
 
     backtrack(0, [buckets[g[j][j]] for j in range(r)])
-    return [[[-x for x in row] for row in m] for m in reversed(results)] + results
+    return results
 
 
 def search_salem_isometries(
@@ -408,8 +407,8 @@ def search_salem_isometries(
     are classified: positive-entropy elements often arise as such
     compositions while their own entries exceed the bound.
 
-    Both run on sign representatives, the second half of
-    enumerate_isometries. An M with the Salem structure has its root l > 1
+    Both run on sign representatives, the matrices enumerate_isometries
+    returns, one of each +-M. An M with the Salem structure has its root l > 1
     as an eigenvalue, so -M has -l < -1: at most one of +-M is Salem. Pairs
     run over representatives a, b alone: {+-a, +-b} give +-ab, and {a, -a}
     gives -I. As char(ab) = char(ba), each pair is classified once.
@@ -428,13 +427,12 @@ def search_salem_isometries(
     t_1, nothing is. Involutions (_as_involution) are never Salem; other
     representatives take a det only past that bound, and pairs of
     involutions take their traces from _pair_traces. For a Salem pair,
-    s*ab and s*ba compete as representatives, each formed row by row from
-    the involutions' columns only until a row differs from the kept matrix.
+    s*ab and s*ba compete as representatives, each compared entry by entry
+    with the kept matrix and formed only when it replaces it.
     """
     if linalg.det_bareiss(lat.gram_rows()) == 0:
         raise HkddError("search needs a nondegenerate lattice (det G = 0)")
-    isometries = enumerate_isometries(lat, entry_bound)
-    reps = isometries[len(isometries) // 2 :]
+    reps = enumerate_isometries(lat, entry_bound)
     n = lat.rank
     answers: dict[tuple[int, ...], tuple[int, SalemClassification | None]] = {}
     hits: dict[tuple[int, ...], tuple[list[list[int]], AlgebraicReal]] = {}
@@ -458,20 +456,23 @@ def search_salem_isometries(
             answers[key] = answer
         return answer
 
-    def consider(rows: list[list[int]], cols: list[list[int]] | None, s: int, cls: SalemClassification):
-        """Make s * rows * cols (s * rows when cols is None) cls's
-        representative if it strictly precedes the kept one in row-major
-        order; rows are formed up to the first that differs."""
+    def consider(rows: list[list[int]], cols: list[list[int]], s: int, cls: SalemClassification):
+        """Make s * rows * cols cls's representative if it strictly precedes
+        the kept one in row-major order. Entries are taken one at a time, in
+        that order, up to the first that differs from the kept matrix; the
+        whole matrix is formed only when it replaces it. On a tie the kept
+        one stays."""
         key = cls.salem_factor.coeffs
-        kept, m = hits[key][0] if key in hits else None, []
-        for row in rows:
-            m.append([s * sum(map(mul, row, col)) for col in cols] if cols else [s * x for x in row])
-            if kept is not None and m[-1] != kept[len(m) - 1]:
-                if m[-1] > kept[len(m) - 1]:
-                    return
-                kept = None
-        if kept is None:
-            hits[key] = (m, cls.salem_root)
+        if key in hits:
+            entries = (s * sum(map(mul, row, col)) for row in rows for col in cols)
+            for x, y in zip(entries, itertools.chain.from_iterable(hits[key][0])):
+                if x != y:
+                    if x > y:
+                        return
+                    break
+            else:
+                return
+        hits[key] = ([[s * sum(map(mul, row, col)) for col in cols] for row in rows], cls.salem_root)
 
     ident = linalg.identity(n)
     involutions = []
@@ -483,10 +484,10 @@ def search_salem_isometries(
         elif n > 1 and abs(traces[0]) > 4 - n:
             s, cls = salem_sign((-1) ** n * linalg.det_bareiss(m), traces[: n // 2])
             if s:
-                consider(m, None, s, cls)
+                consider(m, ident, s, cls)  # m = m I, and I is its own columns
     for (a, det_a, a_cols), (b, det_b, b_cols) in itertools.combinations(involutions, 2):
         sign = (-1) ** n * det_a * det_b
-        traces = _pair_traces(a, b, b_cols, sign)
+        traces = _pair_traces(a, b_cols, sign)
         if traces is None:
             continue
         s, cls = salem_sign(sign, traces)
@@ -508,19 +509,19 @@ def _as_involution(m: list[list[int]], traces: list[int], ident: list[list[int]]
     return None
 
 
-def _pair_traces(a: list[list[int]], b: list[list[int]], b_cols: list[list[int]], sign: int) -> list[int] | None:
+def _pair_traces(a: list[list[int]], b_cols: list[list[int]], sign: int) -> list[int] | None:
     """t_1..t_(n//2) of ab for n x n matrices a and b with sign
     (-1)^n det(ab), b_cols the columns of b, or None when |t_1| <= 4 - n
     rules out ab and -ab alike.
 
-    t_1 = tr(ab) takes n^2 products and no matrix. Past the bound, at rank
-    4 and up, ab is formed once, from a's rows and b's columns:
+    t_1 = tr(ab) takes n^2 products from a's rows and b's columns, and no
+    matrix. Past the bound, at rank 4 and up, ab is formed once from them:
     t_2 = sum (ab)_ij (ab)_ji is read from it, and power_traces gives the
     higher traces where n // 2 >= 3. At rank 4 with sign -1 no product is
     needed: the reciprocity makes the middle coefficient c_2 = -c_2 = 0,
     so t_2 = t_1^2 by Newton's identity.
     """
-    n, t1 = len(a), linalg.trace_of_product(a, b)
+    n, t1 = len(a), linalg.trace_of_product(a, b_cols)
     if n < 2 or abs(t1) <= 4 - n:
         return None
     if n < 4:
@@ -528,4 +529,4 @@ def _pair_traces(a: list[list[int]], b: list[list[int]], b_cols: list[list[int]]
     if n == 4 and sign < 0:
         return [t1, t1 * t1]
     ab = linalg.product_from_columns(a, b_cols)
-    return [t1, linalg.trace_of_product(ab, ab)] if n < 6 else power_traces(ab, n // 2)
+    return [t1, linalg.trace_of_product(ab, zip(*ab))] if n < 6 else power_traces(ab, n // 2)

@@ -6,13 +6,18 @@ consumers without big integers still read the exact value. Reports write
 their matrices, vectors and polynomial coefficients this way; an integer
 past MAX_DIGITS digits, which CPython 3.11 will not write as a string,
 ends in exit 2.
+
+An input file is read with one binary read and decoded as UTF-8, with the
+newlines of a text-mode read (CR LF and a lone CR become LF), so a syntax
+error names the position that a text-mode read gives. Paths stay plain
+strings, and no text-mode wrapper is built: a forked worker that reads a
+file touches no path-object code or class, and so copies none of its pages.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from pathlib import Path
 
 from .errors import HkddError
 from .lattice import GramLattice, make_lattice
@@ -70,12 +75,14 @@ def dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _load(path: str | Path) -> dict:
+def _load(path: str) -> dict:
     """The JSON object in the UTF-8 file path; anything else is an InputParseError."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, "rb") as f:
+            text = f.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputParseError(f"cannot read {path}: {exc}") from exc
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -89,7 +96,7 @@ def _load(path: str | Path) -> dict:
     return obj
 
 
-def load_lattice(path: str | Path) -> GramLattice:
+def load_lattice(path: str) -> GramLattice:
     """{"labels": [...], "gram": [[...]]}; labels are optional."""
     obj = _load(path)
     if "gram" not in obj:
@@ -106,7 +113,7 @@ def load_lattice(path: str | Path) -> GramLattice:
         raise InputParseError(f"{path}: {exc}") from exc
 
 
-def load_matrix(path: str | Path) -> list[list[int]]:
+def load_matrix(path: str) -> list[list[int]]:
     """{"matrix": [[...]]}."""
     obj = _load(path)
     if "matrix" not in obj:

@@ -38,9 +38,10 @@ def product_from_columns(a: Matrix, b_cols) -> Matrix:
     return [[sum(map(mul, row, col)) for col in b_cols] for row in a]
 
 
-def trace_of_product(a: Matrix, b: Matrix) -> int:
-    """tr(a b) without forming the product: n^2 multiplications."""
-    return sum(map(mul, chain.from_iterable(a), chain.from_iterable(zip(*b))))
+def trace_of_product(a: Matrix, b_cols) -> int:
+    """tr(a b) from the rows of a and the columns of b, without forming the
+    product: n^2 multiplications. A caller holding b passes zip(*b)."""
+    return sum(map(mul, chain.from_iterable(a), chain.from_iterable(b_cols)))
 
 
 def mat_vec(m: Matrix, v: Vector) -> Vector:

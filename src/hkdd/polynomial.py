@@ -172,7 +172,7 @@ def power_traces(m: list[list[int]], count: int) -> list[int]:
         powers.append(linalg.mat_mul(powers[-1], m))
     traces = [sum(p[i][i] for i in range(len(m))) for p in powers]
     for k in range(half + 1, count + 1):
-        traces.append(linalg.trace_of_product(powers[half - 1], powers[k - half - 1]))
+        traces.append(linalg.trace_of_product(powers[half - 1], zip(*powers[k - half - 1])))
     return traces
 
 

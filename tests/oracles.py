@@ -378,13 +378,22 @@ def product_beauville(hilb, quartic_class_index: int, budget: int) -> BeauvilleS
     )
 
 
+def all_isometries(lat, entry_bound: int) -> list[list[list[int]]]:
+    """Every isometry in the box, in lexicographic order of columns:
+    enumerate_isometries returns one of each +-M, those whose first column
+    has a positive first nonzero entry, and the rest are those negated, in
+    reverse order, before them."""
+    half = enumerate_isometries(lat, entry_bound)
+    return [[[-x for x in row] for row in m] for m in reversed(half)] + half
+
+
 def all_pairs_search(lat, entry_bound: int) -> list[tuple[list[list[int]], AlgebraicReal]]:
     """search_salem_isometries without sign representatives: every
     enumerated isometry is classified, and every unordered pair of distinct
     involutions, -a and -b included, is classified once, by its half power
     traces on a nondegenerate form and by char_poly of the product on a
     degenerate one. ab and ba compete for a Salem pair."""
-    isometries = enumerate_isometries(lat, entry_bound)
+    isometries = all_isometries(lat, entry_bound)
     n = lat.rank
     classes: dict[tuple[int, ...], SalemClassification] = {}
     hits: dict[tuple[int, ...], tuple[tuple[int, ...], list[list[int]], AlgebraicReal]] = {}
@@ -417,7 +426,7 @@ def all_pairs_search(lat, entry_bound: int) -> list[tuple[list[list[int]], Algeb
             cls = classify(char_poly(ab))
         else:
             sign = (-1) ** n * dets[i] * dets[j]
-            traces = [linalg.trace_of_product(a, b)] if ab is None else power_traces(ab, n // 2)
+            traces = [linalg.trace_of_product(a, zip(*b))] if ab is None else power_traces(ab, n // 2)
             key = (sign, *traces)
             cls = by_traces.get(key)
             if cls is None:

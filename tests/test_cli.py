@@ -451,6 +451,30 @@ def test_import_leaves_dataclasses_and_inspect_out():
     assert proc.stdout == "\n"
 
 
+def test_no_module_imports_pathlib():
+    # site imports pathlib at start-up, so sys.modules cannot show this; a
+    # forked worker that builds a path object copies the pages it touches
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        imports = [n for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, (ast.Import, ast.ImportFrom))]
+        names = [getattr(n, "module", None) or "" for n in imports] + [a.name for n in imports for a in n.names]
+        assert not [name for name in names if name.split(".")[0] == "pathlib"], path.name
+
+
+@pytest.mark.parametrize("kind", ["directory", "missing", "latin-1"])
+def test_unreadable_input_exits_2_naming_the_path_as_given(capsys, tmp_path, kind):
+    path = tmp_path / kind
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "latin-1":
+        path.write_bytes('{"gram": [[2]], "labels": ["\u00e9"]}'.encode("latin-1"))
+    given = f"{tmp_path}/./{kind}"
+    code, out, err = run_cli(["lattice-info", given], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: cannot read {given}: ") and err.count("\n") == 1
+    if kind != "latin-1":  # the OS error names the path as given, not normalised
+        assert err.endswith(f": {given!r}\n")
+
+
 @pytest.mark.parametrize("argv, first_line", [
     (["-h"], "usage: hkdd [options] <command> ..."),
     (["kummer", "-h"], "usage: hkdd [options] kummer a b c d"),

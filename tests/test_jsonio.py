@@ -1,9 +1,11 @@
 import json
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from hkdd import cli, linalg
+from hkdd import cli, fixtures, linalg
 from hkdd.errors import HkddError
 from hkdd.jsonio import (
     InputParseError,
@@ -85,6 +87,29 @@ def test_load_lattice_and_matrix(tmp_path):
         f.write_bytes(raw)
         with pytest.raises(InputParseError, match=message):
             load_lattice(f)
+
+
+def test_crlf_syntax_error_reads_as_in_text_mode(tmp_path):
+    # the binary read turns CR LF and a lone CR into LF, as a text-mode read
+    # does, so the error names the same position
+    f = tmp_path / "crlf.json"
+    f.write_bytes(b'{\r\n  "gram": [[2,\r\n  0],\r  [0, 2]],\r\n  "labels": [x]\r\n}\r\n')
+    with pytest.raises(json.JSONDecodeError) as text_mode:
+        json.loads(Path(f).read_text(encoding="utf-8"))
+    with pytest.raises(json.JSONDecodeError) as raw:
+        json.loads(f.read_bytes().decode("utf-8"))
+    assert str(raw.value) != str(text_mode.value)
+    with pytest.raises(InputParseError) as exc:
+        load_lattice(str(f))
+    assert str(exc.value) == f"{f} is not valid JSON: {text_mode.value}"
+
+
+def test_fixture_paths_are_strings():
+    path = fixtures.fixture_path("m1.json")
+    assert isinstance(path, str) and os.path.dirname(path) == fixtures.fixture_dir()
+    assert load_matrix(path) == fixtures.m1_matrix()
+    with pytest.raises(FileNotFoundError, match="^no bundled fixture named 'm3.json'$"):
+        fixtures.fixture_path("m3.json")
 
 
 def test_decode_coeffs():

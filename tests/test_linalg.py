@@ -24,8 +24,9 @@ def test_trace_of_product():
     a = [[1, 2, 0], [-3, 4, 5], [7, 0, -1]]
     b = [[2, -1, 3], [0, 6, 1], [4, 4, -2]]
     ab = linalg.mat_mul(a, b)
-    assert linalg.trace_of_product(a, b) == sum(ab[i][i] for i in range(3)) == 72
-    assert linalg.trace_of_product(b, a) == 72
+    # the second factor comes as its columns
+    assert linalg.trace_of_product(a, zip(*b)) == sum(ab[i][i] for i in range(3)) == 72
+    assert linalg.trace_of_product(b, linalg.transpose(a)) == 72
 
 
 def test_mat_pow():
