@@ -355,8 +355,9 @@ def enumerate_isometries(lat: GramLattice, entry_bound: int) -> list[list[list[i
     lattice.affine_points walk of the box fills the buckets of every norm
     on the diagonal. Choosing c_j filters the list of every later column k
     once, in order, to the u with u.G c_j = G[j][k] (G c_j computed once
-    per choice); an empty list prunes. So the last column's list holds
-    exactly the vectors that complete an isometry.
+    per choice); the first list left empty prunes the choice, and the lists
+    after it are not filtered. So the last column's list holds exactly the
+    vectors that complete an isometry.
 
     Half the tree is walked. With M, -M is an isometry in the box, and a
     bucket is closed under negation, so the walk takes only first columns
@@ -379,13 +380,14 @@ def enumerate_isometries(lat: GramLattice, entry_bound: int) -> list[list[list[i
         if j == r:
             results.append([list(row) for row in zip(*cols)])
             return
-        vs, row = lists[0], g[j]
+        vs, row, later = lists[0], g[j], lists[1:]
         for v in vs[len(vs) // 2 :] if j == 0 else vs:
-            rest = lists[1:]
-            if rest:
-                w = linalg.mat_vec(g, v)
-                rest = [[u for u in us if sum(map(mul, u, w)) == row[k]] for k, us in enumerate(rest, j + 1)]
-            if all(rest):
+            w, rest = later and linalg.mat_vec(g, v), []
+            for k, us in enumerate(later, j + 1):
+                rest.append([u for u in us if sum(map(mul, u, w)) == row[k]])
+                if not rest[-1]:
+                    break
+            else:
                 cols.append(v)
                 backtrack(j + 1, rest)
                 cols.pop()
@@ -414,11 +416,12 @@ def search_salem_isometries(
     gives -I. As char(ab) = char(ba), each pair is classified once.
 
     Every candidate X takes one path: as G is nondegenerate, char(X) is
-    reciprocal up to the sign (-1)^n det X, so it follows from that sign
-    and t_k = tr(X^k), k <= n/2 (reciprocal_char_poly). -X, of sign
+    reciprocal up to the sign (-1)^n det X, so it follows from its key:
+    that sign and t_k = tr(X^k), k <= n/2 (reciprocal_char_poly). -X, of sign
     (-1)^n times X's and traces (-1)^k t_k, is tried only when X is not
     Salem. One dict maps each key, and its negation with it, to its answer,
-    so each polynomial is classified at most once per search.
+    so each polynomial is classified at most once per search, and
+    classify_charpoly certifies each remainder once (salem._certify).
 
     A Salem-structure X has tr X > 4 - n. Its eigenvalues are l and 1/l,
     whose sum exceeds 2 as l > 1, and n - 2 on the unit circle, each of
@@ -426,53 +429,62 @@ def search_salem_isometries(
     with |t_1| <= 4 - n is not classified, and at rank 1, where there is no
     t_1, nothing is. Involutions (_as_involution) are never Salem; other
     representatives take a det only past that bound, and pairs of
-    involutions take their traces from _pair_traces. For a Salem pair,
-    s*ab and s*ba compete as representatives, each compared entry by entry
-    with the kept matrix and formed only when it replaces it.
+    involutions take their keys from _pair_traces. A Salem candidate, an
+    enumerated s*M or a pair's s*ab and s*ba, is compared with the kept
+    representative from its (0, 0) entry on, one entry at a time while
+    they tie, and formed only when it replaces it.
     """
     if linalg.det_bareiss(lat.gram_rows()) == 0:
         raise HkddError("search needs a nondegenerate lattice (det G = 0)")
     reps = enumerate_isometries(lat, entry_bound)
     n = lat.rank
     answers: dict[tuple[int, ...], tuple[int, SalemClassification | None]] = {}
-    hits: dict[tuple[int, ...], tuple[list[list[int]], AlgebraicReal]] = {}
+    hits: dict[tuple[int, ...], tuple[tuple[int, ...], AlgebraicReal]] = {}
 
-    def salem_sign(sign: int, traces: list[int]) -> tuple[int, SalemClassification | None]:
-        """1 when X, of this sign and these traces, is Salem, -1 when -X is,
-        else 0; with the Salem classification."""
-        key = (sign, *traces)
-        answer = answers.get(key)
-        if answer is None:
-            negated = ((-1) ** n * sign, *(-t if k % 2 else t for k, t in enumerate(traces, 1)))
-            answer = 0, None
-            # when -X has X's key, neither is Salem, as at most one of +-X is
-            for s, cand in ((1, key), (-1, negated)) if negated != key else ():
-                if cand[1] > 4 - n:
-                    cls = classify_charpoly(reciprocal_char_poly(n, list(cand[1:]), cand[0]))
-                    if cls.kind == SALEM_STRUCTURE:
-                        answer = s, cls
-                        break
-            answers[negated] = -answer[0], answer[1]
-            answers[key] = answer
+    def salem_sign(key: tuple[int, ...]) -> tuple[int, SalemClassification | None]:
+        """1 when X, of this key (sign, t_1, ..., t_(n//2)), is Salem, -1
+        when -X is, else 0; with the Salem classification. The answer is
+        kept in answers for the key and, negated, for -X's key."""
+        negated = ((-1) ** n * key[0], *(-t if k % 2 else t for k, t in enumerate(key[1:], 1)))
+        answer = 0, None
+        # when -X has X's key, neither is Salem, as at most one of +-X is
+        for s, cand in ((1, key), (-1, negated)) if negated != key else ():
+            if cand[1] > 4 - n:
+                cls = classify_charpoly(reciprocal_char_poly(n, list(cand[1:]), cand[0]))
+                if cls.kind == SALEM_STRUCTURE:
+                    answer = s, cls
+                    break
+        answers[negated] = -answer[0], answer[1]
+        answers[key] = answer
         return answer
 
-    def consider(rows: list[list[int]], cols: list[list[int]], s: int, cls: SalemClassification):
-        """Make s * rows * cols cls's representative if it strictly precedes
-        the kept one in row-major order. Entries are taken one at a time, in
-        that order, up to the first that differs from the kept matrix; the
-        whole matrix is formed only when it replaces it. On a tie the kept
-        one stays."""
+    def consider(cls: SalemClassification, s: int, rows: list[list[int]], cols=None):
+        """Make s * rows * cols, or s * rows when cols is None, cls's
+        representative if it strictly precedes the kept one in row-major
+        order. The (0, 0) entries are compared first; later entries are
+        formed one at a time only while all before them tie, and the rest
+        only when the matrix replaces the kept one. On a tie throughout the
+        kept one stays."""
         key = cls.salem_factor.coeffs
-        if key in hits:
+        kept = hits.get(key)
+        first = rows[0][0] if cols is None else sum(map(mul, rows[0], cols[0]))
+        if kept is not None and s * first > kept[0][0]:
+            return
+        if cols is None:
+            entries = (s * x for row in rows for x in row)
+        else:
             entries = (s * sum(map(mul, row, col)) for row in rows for col in cols)
-            for x, y in zip(entries, itertools.chain.from_iterable(hits[key][0])):
+        prefix = ()
+        if kept is not None:
+            for i, (x, y) in enumerate(zip(entries, kept[0])):
                 if x != y:
                     if x > y:
                         return
+                    prefix = (*kept[0][:i], x)
                     break
             else:
                 return
-        hits[key] = ([[s * sum(map(mul, row, col)) for col in cols] for row in rows], cls.salem_root)
+        hits[key] = (*prefix, *entries), cls.salem_root
 
     ident = linalg.identity(n)
     involutions = []
@@ -482,20 +494,20 @@ def search_salem_isometries(
         if involution:
             involutions.append(involution)
         elif n > 1 and abs(traces[0]) > 4 - n:
-            s, cls = salem_sign((-1) ** n * linalg.det_bareiss(m), traces[: n // 2])
+            key = ((-1) ** n * linalg.det_bareiss(m), *traces[: n // 2])
+            s, cls = answers.get(key) or salem_sign(key)
             if s:
-                consider(m, ident, s, cls)  # m = m I, and I is its own columns
-    for (a, det_a, a_cols), (b, det_b, b_cols) in itertools.combinations(involutions, 2):
-        sign = (-1) ** n * det_a * det_b
-        traces = _pair_traces(a, b_cols, sign)
-        if traces is None:
-            continue
-        s, cls = salem_sign(sign, traces)
+                consider(cls, s, m)
+    for (a, _, a_cols), (b, _, b_cols), key in _pair_traces(involutions):
+        s, cls = answers.get(key) or salem_sign(key)
         if s:
-            consider(a, b_cols, s, cls)
-            consider(b, a_cols, s, cls)
+            consider(cls, s, a, b_cols)
+            consider(cls, s, b, a_cols)
     found = list(hits.values())
-    return [found[i] for i in sorted_order([root for _, root in found])]
+    return [
+        ([list(found[i][0][k : k + n]) for k in range(0, n * n, n)], found[i][1])
+        for i in sorted_order([root for _, root in found])
+    ]
 
 
 def _as_involution(m: list[list[int]], traces: list[int], ident: list[list[int]]):
@@ -509,24 +521,57 @@ def _as_involution(m: list[list[int]], traces: list[int], ident: list[list[int]]
     return None
 
 
-def _pair_traces(a: list[list[int]], b_cols: list[list[int]], sign: int) -> list[int] | None:
-    """t_1..t_(n//2) of ab for n x n matrices a and b with sign
-    (-1)^n det(ab), b_cols the columns of b, or None when |t_1| <= 4 - n
-    rules out ab and -ab alike.
+def _second_compound(m: list[list[int]]) -> list[int]:
+    """The entries, row by row, of the second compound of the square m:
+    its 2 x 2 minors, rows and columns indexed by the pairs i < j in
+    lexicographic order."""
+    pairs = list(itertools.combinations(range(len(m)), 2))
+    return [m[i][k] * m[j][l] - m[i][l] * m[j][k] for i, j in pairs for k, l in pairs]
 
-    t_1 = tr(ab) takes n^2 products from a's rows and b's columns, and no
-    matrix. Past the bound, at rank 4 and up, ab is formed once from them:
-    t_2 = sum (ab)_ij (ab)_ji is read from it, and power_traces gives the
-    higher traces where n // 2 >= 3. At rank 4 with sign -1 no product is
-    needed: the reciprocity makes the middle coefficient c_2 = -c_2 = 0,
-    so t_2 = t_1^2 by Newton's identity.
+
+def _pair_traces(involutions: list[tuple[list[list[int]], int, list[list[int]]]]):
+    """Yield (x, y, key) for each pair x, y of involutions, x before y in
+    the list, whose product ab is not ruled out with -ab by the trace gate
+    |t_1| <= 4 - n; x = (a, det a, columns of a) and y likewise, as
+    _as_involution gives them. key is (sign, t_1, ..., t_(n//2)) of ab,
+    with sign = (-1)^n det(ab).
+
+    Each involution is flattened once, rows and columns, so t_1 = tr(ab)
+    is one sum of n^2 products and no matrix is formed. t_2 = tr((ab)^2),
+    needed at ranks 4 and 5, is t_1^2 - 2 tr(C(ab)), where C is the second
+    compound: tr C(X) is the second elementary symmetric function of X's
+    eigenvalues, and C(ab) = C(a) C(b) (Cauchy-Binet), so tr C(ab) is one
+    sum of (n choose 2)^2 products from C(a) and C(b)^T = C(b^T), both
+    taken once per involution. At rank 4 with sign -1 the reciprocity makes
+    the middle coefficient c_2 = -c_2 = 0, so t_2 = t_1^2 by Newton's
+    identity. Only at rank 6 and up is ab formed, for power_traces.
     """
-    n, t1 = len(a), linalg.trace_of_product(a, b_cols)
-    if n < 2 or abs(t1) <= 4 - n:
-        return None
-    if n < 4:
-        return [t1]
-    if n == 4 and sign < 0:
-        return [t1, t1 * t1]
-    ab = linalg.product_from_columns(a, b_cols)
-    return [t1, linalg.trace_of_product(ab, zip(*ab))] if n < 6 else power_traces(ab, n // 2)
+    n = len(involutions[0][0]) if involutions else 0
+    if n < 2:
+        return
+    gate, parity, compounds = 4 - n, (-1) ** n, n in (4, 5)
+    flat = [
+        (
+            x,
+            list(itertools.chain.from_iterable(x[0])),
+            list(itertools.chain.from_iterable(x[2])),
+            parity * x[1],
+            _second_compound(x[0]) if compounds else None,
+            _second_compound(x[2]) if compounds else None,
+        )
+        for x in involutions
+    ]
+    for i, (x, rows, _, sign_x, compound, _) in enumerate(flat):
+        for y, _, cols, sign_y, _, compound_t in flat[i + 1 :]:
+            t1 = sum(map(mul, rows, cols))
+            if -gate <= t1 <= gate:
+                continue
+            sign = parity * sign_x * sign_y
+            if n < 4:
+                yield x, y, (sign, t1)
+            elif n == 4 and sign < 0:
+                yield x, y, (sign, t1, t1 * t1)
+            elif compounds:
+                yield x, y, (sign, t1, t1 * t1 - 2 * sum(map(mul, compound, compound_t)))
+            else:
+                yield x, y, (sign, *power_traces(linalg.product_from_columns(x[0], y[2]), n // 2))

@@ -8,7 +8,7 @@ one. Signs at rational points come from homogeneous Horner over int, and
 isolation and refinement bisect at the same midpoints as over Q; decimals
 and comparisons walk a root by quadratic interval refinement on the same
 dyadic grid, from an isolating interval held as integers (a, b, den), and
-sorted_order keeps one such walk per root for a whole sort.
+each root keeps one such walk for every sort, decimal and comparison.
 Decimal output comes from certified isolating intervals, never from
 floats: rounded_decimal gives the correctly rounded (half-even) decimal
 that both ends of an interval agree on, and every value printed as a
@@ -436,16 +436,17 @@ class AlgebraicReal(_Immutable):
     Instances are immutable; refinement returns a new value with a nested
     interval. Ordering comparisons are exact (interval refinement plus a gcd
     test for shared roots), so `sorted` never misorders close roots. Two
-    instances are equal only when they are the same object.
+    instances are equal only when they are the same object. The one walk of
+    quadratic_path an instance keeps changes none of its values.
     """
 
-    __slots__ = ("poly", "a", "b", "den")
+    __slots__ = ("poly", "a", "b", "den", "_walk")
 
     def __init__(self, poly: IntPolynomial, a: int, b: int, den: int = 1):
         if den <= 0 or a >= b:
             raise ValueError("isolating interval must satisfy den > 0 and lo < hi")
         g = gcd(a, b, den)
-        for name, value in (("poly", poly), ("a", a // g), ("b", b // g), ("den", den // g)):
+        for name, value in (("poly", poly), ("a", a // g), ("b", b // g), ("den", den // g), ("_walk", [])):
             object.__setattr__(self, name, value)
 
     def __repr__(self) -> str:
@@ -494,7 +495,27 @@ class AlgebraicReal(_Immutable):
     def quadratic_path(self):
         """Yield intervals (a, b, den * 2^k) on the grid of bisection_path,
         each nested in the one before and holding the root, narrowed by
-        quadratic interval refinement (Abbott, arXiv:1203.1227).
+        quadratic interval refinement (_quadratic_walk).
+
+        The instance keeps one walk: a call starts from the narrowest
+        interval any earlier call reached and carries that walk on. So a
+        root that a sort, a decimal and a comparison read in turn, as a
+        search report does, is walked once, and no reader sees an interval
+        wider than one already found.
+        """
+        walk = self._walk
+        if not walk:
+            path = self._quadratic_walk()
+            walk += [path, next(path)]
+        yield walk[1]
+        for interval in walk[0]:
+            walk[1] = interval
+            yield interval
+
+    def _quadratic_walk(self):
+        """Yield the intervals of quadratic_path from the isolating interval
+        on, narrowed by quadratic interval refinement (Abbott,
+        arXiv:1203.1227).
 
         The interval is cut into N = 2^m cells. The secant through p's values
         at both ends picks one, and the exact signs at the cell's two ends
@@ -621,8 +642,8 @@ def sorted_order(reals: list[AlgebraicReal]) -> list[int]:
     """The indices of reals in increasing order of value, equal values in
     their given order: the order sorted gives with compare_to.
 
-    Each real keeps one quadratic_path walk and its current interval for
-    the whole sort, so no root is refined twice to the same width. A
+    Each real's quadratic_path, its one walk, is stepped only as far as
+    the sort needs, so no root is refined twice to the same width. A
     comparison steps the wider of two overlapping intervals until they are
     disjoint. A pair that still overlaps once both are narrower than
     2^-SORT_BITS, as coincident roots do, is left to compare_to.

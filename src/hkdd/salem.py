@@ -30,6 +30,7 @@ from .polynomial import (
     _quotient,
     _sign_at,
     _sturm_chain,
+    _variations,
     _variations_at,
     _weights,
     cauchy_bound,
@@ -168,7 +169,8 @@ def peel_cyclotomic(
     first meets a modular Graeffe test (_may_have_cyclotomic_factor),
     again after each factor found, which ends the scan once it shows that
     the remainder has no cyclotomic factor. So such an input with none
-    costs two trial divisions and one test. The remainder has no
+    costs two trial divisions and one test. A remainder of degree phi(n)
+    is compared with Phi_n, not divided by it. The remainder has no
     cyclotomic factor left.
     """
     if not p.is_monic:
@@ -183,8 +185,12 @@ def peel_cyclotomic(
             if not _may_have_cyclotomic_factor(rem):
                 break
             test_due = False
-        mult = 0
-        while phi < len(rem) and (quot := _quotient(rem, cyclotomic(n).coeffs)) is not None:
+        cyc, mult = cyclotomic(n).coeffs, 0
+        while phi < len(rem):
+            # the monic rem of degree phi(n) has the factor Phi_n only as itself
+            quot = _quotient(rem, cyc) if phi < len(rem) - 1 else (1,) if rem == cyc else None
+            if quot is None:
+                break
             rem, mult = quot, mult + 1
         if mult:
             factors.append((n, mult))
@@ -213,6 +219,7 @@ def is_salem_polynomial(p: IntPolynomial) -> SalemCheck:
     return _certify(p)
 
 
+@functools.lru_cache(maxsize=None)
 def _certify(p: IntPolynomial) -> SalemCheck:
     """The test of is_salem_polynomial for a monic p of degree >= 1 with no
     cyclotomic factor: even degree, palindromic, and the trace-root layout.
@@ -220,18 +227,24 @@ def _certify(p: IntPolynomial) -> SalemCheck:
     The counts are differences of the sign variations of the Sturm chain of
     the trace polynomial q at -oo, -2, 2 and +oo. Divided by its last term
     gcd(q, q'), the chain is a Sturm sequence of q's square-free part with
-    the same variations wherever that gcd is nonzero: at +-2, as q(+-2) != 0."""
+    the same variations wherever that gcd is nonzero: at +-2, as q(+-2) != 0.
+
+    Each p is certified once per process, and its root isolated once: the
+    char polys of a search share few Salem factors among many keys, and the
+    check, its root included, is immutable."""
     if p.degree % 2 != 0:
         return SalemCheck(False, f"odd degree {p.degree}")
     if not is_palindromic(p):
         return SalemCheck(False, "coefficient vector is not palindromic")
     d = p.degree // 2
-    q = trace_polynomial(p)
-    if q(2) == 0 or q(-2) == 0:
+    chain = _sturm_chain(trace_polynomial(p).coeffs)
+    # signs at the integers -2 and 2 by Horner, as the weights for D = 1
+    # are the coefficients; the chain starts with q itself
+    at_ends = [[_sign_at(c, x, 0) for c in chain] for x in (-2, 2)]
+    if not at_ends[0][0] or not at_ends[1][0]:
         return SalemCheck(False, "trace polynomial vanishes at +/-2")
-    chain = _sturm_chain(q.coeffs)
-    ends = ((None, -1), (-2, 1), (2, 1), (None, 1))
-    low, at_minus_2, at_2, high = (_variations_at(chain, x, side) for x, side in ends)
+    low, high = (_variations_at(chain, None, side) for side in (-1, 1))
+    at_minus_2, at_2 = map(_variations, at_ends)
     total, above, inside = low - high, at_2 - high, at_minus_2 - at_2
     if total != d or above != 1 or inside != d - 1:
         return SalemCheck(

@@ -127,6 +127,16 @@ SEARCH_CASES = {
         block_sum([[-2]], [[-2]], U), 8, 10, 0,
         "salem isometries of <b0, b1, b2, b3> within entry bound 8: 159",
     ),
+    # the benchmark's rank-4 lattices: their involution pairs take t_2
+    # from second compounds, or from t_1 alone when det(ab) = -1
+    "rank4-u-2-4-bound3": (
+        block_sum(U, [[-2]], [[-4]]), 3, 10, 0,
+        "salem isometries of <b0, b1, b2, b3> within entry bound 3: 2",
+    ),
+    "rank4-diag-bound2": (
+        diagonal([2, -2, -2, -2]), 2, 10, 0,
+        "salem isometries of <b0, b1, b2, b3> within entry bound 2: 10",
+    ),
     "rank5-bound1": (
         block_sum(U, [[-2]], [[-2]], [[-2]]), 1, 10, 0,
         "salem isometries of <b0, b1, b2, b3, b4> within entry bound 1: 0",

@@ -676,6 +676,17 @@ def test_search_renders_and_flags_each_root_once(capsys, monkeypatch, fmt):
     assert [args[1:] for args in compares] == [(13, 10)] * 2
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_search_walks_each_root_once(capsys, monkeypatch, fmt):
+    # the sort, the decimal and the small-Salem flag of a root all step one
+    # quadratic refinement walk; bound 8 finds twelve roots
+    salem._certify.cache_clear()
+    walks = count_calls(monkeypatch, AlgebraicReal._quadratic_walk, AlgebraicReal)
+    code, out, _ = run_cli(["--format", fmt, "search", "--lattice", rank3_path(), "--bound", "8"], capsys)
+    assert code == 0
+    assert len(walks) == len({id(args[0]) for args in walks}) == 12
+
+
 @pytest.mark.parametrize("gram", [[[4, 0, 8], [0, -2, 0], [8, 0, 4]], [[2]], [[2, 0, 0, 0], [0, -2, 0, 0], [0, 0, -2, 0], [0, 0, 0, -2]]])
 def test_search_takes_det_g_once(capsys, monkeypatch, tmp_path, gram):
     # at rank <= 4 the det G = 0 refusal is the one determinant of G: the

@@ -4,14 +4,14 @@ import random
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
 
 import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hkdd import dynamics, linalg
+from hkdd import dynamics, linalg, salem
 from hkdd.dynamics import (
     degree_spectrum,
     enumerate_isometries,
@@ -694,47 +694,47 @@ def test_involutions_and_pair_traces_of_the_search(gram, bound):
     n = len(gram)
     isometries = enumerate_isometries(make_lattice(gram), bound)
     ident = linalg.identity(n)
-    involutions = []
+    involutions, records = [], []
     for m in isometries:
         found = dynamics._as_involution(m, power_traces(m, 2), ident)
         assert (found is not None) == (linalg.mat_mul(m, m) == ident)
         if found is not None:
             assert found == (m, linalg.det_bareiss(m), linalg.transpose(m))
             involutions.append(m)
+            records.append(found)
     assert {linalg.det_bareiss(m) for m in involutions} == {1, -1}
     # the representatives are the second half of every involution in the box
     everyone = [m for m in all_isometries(make_lattice(gram), bound) if linalg.mat_mul(m, m) == ident]
     assert everyone[len(everyone) // 2 :] == involutions
+    keys = {(id(x[0]), id(y[0])): key for x, y, key in dynamics._pair_traces(records)}
     ruled_out = 0
     for a, b in itertools.combinations(involutions, 2):
         want = power_traces(linalg.mat_mul(a, b), 2)
         sign = (-1) ** n * linalg.det_bareiss(a) * linalg.det_bareiss(b)
-        got = dynamics._pair_traces(a, linalg.transpose(b), sign)
+        key = keys.get((id(a), id(b)))
+        assert key is None or key[0] == sign
+        got = None if key is None else list(key[1:])
         ruled_out += got is None
         assert got == (None if abs(want[0]) <= 4 - n else want)
     assert ruled_out == (186 if n == 4 else 0)
 
 
 def test_pair_with_traceless_product_forms_no_product(monkeypatch):
-    # at rank 4 a pair with tr(ab) = 0 is ruled out for both signs before
-    # ab is formed, and one with det(ab) = -1 has t_2 = t_1^2; every other
-    # pair forms ab once
+    # at rank 4 no pair forms ab, whatever its sign: a pair with tr(ab) = 0
+    # is ruled out for both signs, one with det(ab) = -1 has t_2 = t_1^2,
+    # and every other takes t_2 from the second compounds of a and b
     isometries = enumerate_isometries(make_lattice(TWO_MINUS_TWO_CUBED), 2)
     ident = linalg.identity(4)
-    reps = [m for m in isometries if linalg.mat_mul(m, m) == ident]
-    products = []
-    real = linalg.product_from_columns
-    monkeypatch.setattr(linalg, "product_from_columns", lambda a, cols: products.append(a) or real(a, cols))
-    traceless = negative = 0
-    for a, b in itertools.combinations(reps, 2):
-        before = len(products)
-        sign = linalg.det_bareiss(a) * linalg.det_bareiss(b)
-        dynamics._pair_traces(a, linalg.transpose(b), sign)
-        zero = linalg.trace_of_product(a, zip(*b)) == 0
-        traceless += zero
-        negative += not zero and sign < 0
-        assert len(products) - before == (0 if zero or sign < 0 else 1)
-    assert (traceless, negative, len(products)) == (186, 540, 1326 - 186 - 540)
+    records = [found for m in isometries if (found := dynamics._as_involution(m, power_traces(m, 2), ident))]
+
+    def forbidden(*args):
+        raise AssertionError("a pair formed a matrix product")
+
+    for module, name in ((linalg, "product_from_columns"), (linalg, "mat_mul"), (dynamics, "power_traces")):
+        monkeypatch.setattr(module, name, forbidden)
+    keys = [key for _, _, key in dynamics._pair_traces(records)]
+    negative = sum(key[0] < 0 for key in keys)
+    assert (len(records), 1326 - len(keys), negative, len(keys) - negative) == (52, 186, 540, 600)
 
 
 def assert_search_refused(lat, bound):
@@ -786,3 +786,71 @@ def test_search_matches_all_pairs_sweep(case):
         counts = box_norm_counts(gram, bound)
         assume(math.prod(counts[row[i]] for i, row in enumerate(gram)) <= 20_000)
     assert_search_matches_all_pairs(make_lattice(gram), bound)
+
+
+RANK3 = [[4, 0, 8], [0, -2, 0], [8, 0, 4]]
+U_2_2 = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -2, 0], [0, 0, 0, -2]]
+METAMORPHIC_CASES = [
+    (RANK3, 4), (RANK3, 6), (U_2_2, 2), (U_2_4, 2), (U_2_4, 3), (TWO_MINUS_TWO_CUBED, 2),
+    ([[0, 1, 0], [1, 0, 0], [0, 0, -4]], 4),
+]
+
+
+@st.composite
+def signed_permutations(draw, rank):
+    """P with P e_j = s_j e_(pi(j)) for a permutation pi and signs s_j."""
+    perm = draw(st.permutations(range(rank)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=rank, max_size=rank))
+    return [[signs[j] if i == perm[j] else 0 for j in range(rank)] for i in range(rank)]
+
+
+@lru_cache(maxsize=None)
+def within_bound_or_involution_pair(case):
+    """The row-major entries of every isometry of METAMORPHIC_CASES[case]
+    within its bound and of every product +-ab of two involutions there."""
+    gram, bound = METAMORPHIC_CASES[case]
+    isometries = all_isometries(make_lattice(gram), bound)
+    ident = linalg.identity(len(gram))
+    involutions = [m for m in isometries if linalg.mat_mul(m, m) == ident]
+    products = [linalg.mat_mul(a, b) for a in involutions for b in involutions]
+    return {tuple(itertools.chain.from_iterable(m)) for m in isometries + products}
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_search_is_invariant_under_signed_permutations(data):
+    # a signed permutation P maps the box onto itself and the isometries of
+    # P^T G P onto those of G (M -> P M P^T), so both lattices have the same
+    # catalogue of Salem polynomials and roots; the representatives differ,
+    # but each one, mapped back, is an isometry of G within the bound or a
+    # product of two involutions within it, with the same Salem factor
+    case = data.draw(st.sampled_from(range(len(METAMORPHIC_CASES))))
+    gram, bound = METAMORPHIC_CASES[case]
+    p = data.draw(signed_permutations(len(gram)))
+    lat = make_lattice(gram)
+    moved = make_lattice(linalg.mat_mul(linalg.transpose(p), linalg.mat_mul(gram, p)))
+    want = search_salem_isometries(lat, bound)
+    got = search_salem_isometries(moved, bound)
+    assert [(r.poly, interval(r)) for _, r in got] == [(r.poly, interval(r)) for _, r in want]
+    for m, root in got:
+        back = linalg.mat_mul(p, linalg.mat_mul(m, linalg.transpose(p)))
+        verify_isometry(lat, back)
+        assert tuple(itertools.chain.from_iterable(back)) in within_bound_or_involution_pair(case)
+        assert classify_charpoly(char_poly(back)).salem_factor == root.poly
+
+
+def test_search_certifies_each_salem_factor_once(rank3, monkeypatch):
+    # the 25 Salem classifications at bound 12 share 18 factors, and each
+    # factor's root is isolated once
+    calls = Counter()
+    real = salem.salem_root_of
+
+    def counting(p):
+        calls[p.coeffs] += 1
+        return real(p)
+
+    monkeypatch.setattr(salem, "salem_root_of", counting)
+    salem._certify.cache_clear()
+    found = search_salem_isometries(rank3, 12)
+    assert (sum(calls.values()), len(calls)) == (18, 18)
+    assert set(calls) == {r.poly.coeffs for _, r in found}
