@@ -20,7 +20,7 @@ import itertools
 from collections import namedtuple
 from collections.abc import Sequence
 from decimal import ROUND_FLOOR, Decimal, localcontext
-from operator import mul
+from operator import itemgetter, mul
 
 from . import linalg
 from .errors import HkddError, SpectralStructureViolatedError
@@ -35,7 +35,6 @@ from .polynomial import (
     quadratic_surd_str,
     reciprocal_char_poly,
     rounded_decimal,
-    sorted_order,
     square_part,
 )
 from .salem import (
@@ -401,7 +400,7 @@ def search_salem_isometries(
 ) -> list[tuple[list[list[int]], AlgebraicReal]]:
     """Catalogue of Salem-structure isometries found within the entry bound,
     one representative per Salem polynomial (the least in row-major order),
-    sorted by increasing root (polynomial.sorted_order).
+    sorted by increasing root (AlgebraicReal.compare_to).
 
     The lattice must be nondegenerate, as H^2 and Neron-Severi lattices
     are: det G = 0 ends in an exit-2 HkddError before any enumeration.
@@ -503,10 +502,9 @@ def search_salem_isometries(
         if s:
             consider(cls, s, a, b_cols)
             consider(cls, s, b, a_cols)
-    found = list(hits.values())
     return [
-        ([list(found[i][0][k : k + n]) for k in range(0, n * n, n)], found[i][1])
-        for i in sorted_order([root for _, root in found])
+        ([list(flat[k : k + n]) for k in range(0, n * n, n)], root)
+        for flat, root in sorted(hits.values(), key=itemgetter(1))
     ]
 
 

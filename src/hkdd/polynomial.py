@@ -5,10 +5,11 @@ sequences, square-free parts and gcds are integer pseudo-remainder
 sequences with the content divided out; each term is a positive multiple
 of its rational counterpart, so every sign and root count is the rational
 one. Signs at rational points come from homogeneous Horner over int, and
-isolation and refinement bisect at the same midpoints as over Q; decimals
-and comparisons walk a root by quadratic interval refinement on the same
-dyadic grid, from an isolating interval held as integers (a, b, den), and
-each root keeps one such walk for every sort, decimal and comparison.
+isolation and refinement bisect at the same midpoints as over Q. A walk
+from an isolating interval, held as integers (a, b, den), reads only the
+signs of the square-free part, of which the root is the one root there;
+decimals and compare_to, the one comparison, walk a root by quadratic
+interval refinement on the same grid, one walk per root.
 Decimal output comes from certified isolating intervals, never from
 floats: rounded_decimal gives the correctly rounded (half-even) decimal
 that both ends of an interval agree on, and every value printed as a
@@ -426,6 +427,8 @@ def cauchy_bound(p: IntPolynomial) -> tuple[int, int]:
 # real algebraic numbers
 # ---------------------------------------------------------------------------
 
+SORT_BITS = 64  # compare_to tests for a shared root below width 2^-SORT_BITS
+
 
 class AlgebraicReal(_Immutable):
     """A real algebraic number: defining polynomial plus an isolating half-open
@@ -456,12 +459,11 @@ class AlgebraicReal(_Immutable):
         """Yield the isolating interval as integers (a, b, den), lo = a/den
         and hi = b/den, first as it is and then after each bisection step.
 
-        A step keeps (lo, mid] when p(mid) is 0 or its sign differs from the
-        sign of p(lo), otherwise (mid, hi]. For a square-free p whose
-        interval holds one root, that is the half the Sturm count picks.
-        While p(lo) = 0 (a neighbouring root sits on the open end) or p is
-        not square-free, the sign says nothing and the step counts Sturm
-        sign variations instead.
+        Signs come from q = square_free_part(p), of which the root is a
+        simple root and the only one in the interval; so q changes sign at
+        the root and nowhere else there. A step keeps (mid, hi] when q(hi) = 0
+        (the root is hi) or when q(mid) is nonzero and of the other sign
+        than q(hi), otherwise (lo, mid]: only one half holds the root.
 
         refined walks this path, so its interval is a function of the
         isolating interval and eps alone. Decimals and comparisons, which
@@ -469,27 +471,17 @@ class AlgebraicReal(_Immutable):
         """
         a, b, den = self.a, self.b, self.den
         yield a, b, den
-        coeffs = self.poly.coeffs
         # after k steps the endpoints are over den * 2^k
-        chain = _sturm_chain(coeffs)
-        weights = _weights(coeffs, den)
-        weighted = None  # the whole chain's weights, made when first needed
-        square_free = len(chain[-1]) == 1
-        s_lo = _sign_at(weights, a, 0)
+        weights = _weights(square_free_part(self.poly).coeffs, den)
+        s_hi = _sign_at(weights, b, 0)
         k = 0
         while True:
             m, a, b, k = a + b, 2 * a, 2 * b, k + 1
-            if square_free and s_lo:
-                left = _sign_at(weights, m, k) != s_lo
-            else:
-                weighted = weighted or [_weights(c, den) for c in chain]
-                left = _chain_variations(weighted, a, k) - _chain_variations(weighted, m, k) == 1
-            if left:
-                b = m
+            s_mid = _sign_at(weights, m, k)
+            if s_hi and s_mid * s_hi >= 0:
+                b, s_hi = m, s_mid
             else:
                 a = m
-                if not s_lo:
-                    s_lo = _sign_at(weights, a, k)
             yield a, b, den << k
 
     def quadratic_path(self):
@@ -515,42 +507,38 @@ class AlgebraicReal(_Immutable):
     def _quadratic_walk(self):
         """Yield the intervals of quadratic_path from the isolating interval
         on, narrowed by quadratic interval refinement (Abbott,
-        arXiv:1203.1227).
+        arXiv:1203.1227), with the values of q = square_free_part(p).
 
-        The interval is cut into N = 2^m cells. The secant through p's values
+        The interval is cut into N = 2^m cells. The secant through q's values
         at both ends picks one, and the exact signs at the cell's two ends
         confirm it: a hit keeps that half-open cell, so a root on its right
-        end is in it, and doubles m; a miss takes one bisection step and
-        halves m, down to 2. Near a simple root the secant hits, so the bits
-        gained double with each step. While the sign at lo cannot steer
-        (p(lo) = 0, or p is not square-free) the steps are bisection_path's.
+        end is in it, and doubles m; a miss takes one step of
+        bisection_path's sign rule and halves m, down to 2. Near a simple
+        root the secant hits, so the bits gained double with each step.
+        While q(lo) = 0 (a neighbouring root on the open end) the secant
+        cannot point, and the steps are bisection steps alone.
         """
-        path = self.bisection_path()
-        a, b, den = next(path)
+        a, b, den = self.a, self.b, self.den
         yield a, b, den
-        coeffs = self.poly.coeffs
+        coeffs = square_free_part(self.poly).coeffs
         weights = _weights(coeffs, den)
-        square_free = len(_sturm_chain(coeffs)[-1]) == 1
-        k = 0
-        while not (square_free and _value_at(weights, a, k)):
-            a, b, _ = next(path)
-            k += 1
-            yield a, b, den << k
         degree = len(coeffs) - 1  # a value scales by 2^degree per step of k
-        f_lo, f_hi, m = _value_at(weights, a, k), _value_at(weights, b, k), 2
+        f_lo, f_hi, k, m = _value_at(weights, a, 0), _value_at(weights, b, 0), 0, 2
         while True:
-            cells, w = 1 << m, b - a
-            c = (a << m) + min(cells * f_lo // (f_lo - f_hi), cells - 1) * w
-            f_c, f_d = _value_at(weights, c, k + m), _value_at(weights, c + w, k + m)
-            if f_c * f_lo > 0 >= f_d * f_lo:
-                a, b, k, m, f_lo, f_hi = c, c + w, k + m, 2 * m, f_c, f_d
+            if f_lo:
+                cells, w = 1 << m, b - a
+                c = (a << m) + min(cells * f_lo // (f_lo - f_hi), cells - 1) * w
+                f_c, f_d = _value_at(weights, c, k + m), _value_at(weights, c + w, k + m)
+                if f_c * f_lo > 0 >= f_d * f_lo:
+                    a, b, k, m, f_lo, f_hi = c, c + w, k + m, 2 * m, f_c, f_d
+                    yield a, b, den << k
+                    continue
+            mid, a, b, k, m = a + b, 2 * a, 2 * b, k + 1, max(2, m // 2)
+            f_mid = _value_at(weights, mid, k)
+            if f_hi and f_mid * f_hi >= 0:
+                b, f_lo, f_hi = mid, f_lo << degree, f_mid
             else:
-                mid, a, b, k, m = a + b, 2 * a, 2 * b, k + 1, max(2, m // 2)
-                f_mid = _value_at(weights, mid, k)
-                if f_mid * f_lo > 0:
-                    a, f_lo, f_hi = mid, f_mid, f_hi << degree
-                else:
-                    b, f_lo, f_hi = mid, f_lo << degree, f_mid
+                a, f_lo, f_hi = mid, f_mid, f_hi << degree
             yield a, b, den << k
 
     def refined(self, eps) -> AlgebraicReal:
@@ -587,28 +575,39 @@ class AlgebraicReal(_Immutable):
     def compare_to(self, other: AlgebraicReal) -> int:
         """Exact three-way comparison: -1, 0, or 1.
 
-        Both intervals are walked in step by quadratic_path until they are
-        disjoint, or until their overlap holds a root of gcd(p, q), which is
+        Each step walks the wider of the two intervals one interval further
+        on its quadratic_path, until they are disjoint. Once both are
+        narrower than 2^-SORT_BITS, as coincident roots make them, each step
+        first asks whether their overlap holds a root of gcd(p, q), which is
         then the one root of p in the first interval and of q in the second.
         The overlap's ends are ints over the product of the two denominators,
         where the Sturm chain of gcd(p, q) counts its roots.
         """
+        x, y = self.quadratic_path(), other.quadratic_path()
+        (a, b, da), (c, d, dc) = next(x), next(y)
         weighted = None
-        for (a, b, da), (c, d, dc) in zip(self.quadratic_path(), other.quadratic_path()):
+        while True:
             if b * dc <= c * da:
                 return -1
             if d * da <= a * dc:
                 return 1
-            if weighted is None:
-                pair = sorted((self.poly.coeffs, other.poly.coeffs), key=len, reverse=True)
-                common = square_free_part(IntPolynomial(_remainder_sequence(*pair)[-1]))
-                base = da * dc
-                weighted = [_weights(t, base) for t in _sturm_chain(common.coeffs)]
-            # the overlap (max(a/da, c/dc), min(b/da, d/dc)] over da * dc = base * 2^k
-            k = (da * dc).bit_length() - base.bit_length()
-            lo, hi = max(a * dc, c * da), min(b * dc, d * da)
-            if _chain_variations(weighted, lo, k) - _chain_variations(weighted, hi, k) >= 1:
-                return 0
+            self_wider = (b - a) * dc >= (d - c) * da
+            width, den = (b - a, da) if self_wider else (d - c, dc)
+            if width << SORT_BITS < den:
+                if weighted is None:
+                    pair = sorted((self.poly.coeffs, other.poly.coeffs), key=len, reverse=True)
+                    common = square_free_part(IntPolynomial(_remainder_sequence(*pair)[-1]))
+                    base = da * dc
+                    weighted = [_weights(t, base) for t in _sturm_chain(common.coeffs)]
+                # the overlap (max(a/da, c/dc), min(b/da, d/dc)] over da * dc = base * 2^k
+                k = (da * dc).bit_length() - base.bit_length()
+                lo, hi = max(a * dc, c * da), min(b * dc, d * da)
+                if _chain_variations(weighted, lo, k) - _chain_variations(weighted, hi, k) >= 1:
+                    return 0
+            if self_wider:
+                a, b, da = next(x)
+            else:
+                c, d, dc = next(y)
 
     def __lt__(self, other):
         return self.compare_to(other) < 0
@@ -633,40 +632,6 @@ class AlgebraicReal(_Immutable):
                 return -1
             if n * den <= a * d:
                 return 1
-
-
-SORT_BITS = 64
-
-
-def sorted_order(reals: list[AlgebraicReal]) -> list[int]:
-    """The indices of reals in increasing order of value, equal values in
-    their given order: the order sorted gives with compare_to.
-
-    Each real's quadratic_path, its one walk, is stepped only as far as
-    the sort needs, so no root is refined twice to the same width. A
-    comparison steps the wider of two overlapping intervals until they are
-    disjoint. A pair that still overlaps once both are narrower than
-    2^-SORT_BITS, as coincident roots do, is left to compare_to.
-    """
-    walks = [[r.quadratic_path()] for r in reals]
-    for w in walks:
-        w.extend(next(w[0]))
-
-    def compare(i: int, j: int) -> int:
-        x, y = walks[i], walks[j]
-        while True:
-            _, a, b, da = x
-            _, c, d, dc = y
-            if b * dc <= c * da:
-                return -1
-            if d * da <= a * dc:
-                return 1
-            wider = x if (b - a) * dc >= (d - c) * da else y
-            if (wider[2] - wider[1]) << SORT_BITS < wider[3]:
-                return reals[i].compare_to(reals[j])
-            wider[1:] = next(wider[0])
-
-    return sorted(range(len(reals)), key=functools.cmp_to_key(compare))
 
 
 def format_fraction(n: int, den: int, sig_digits: int) -> str:

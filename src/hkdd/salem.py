@@ -299,8 +299,6 @@ def classify_charpoly(p: IntPolynomial) -> SalemClassification:
     has modulus at most 1, d1^k is attained once among the k-fold products
     that are the eigenvalues of Sym^k.
     """
-    if not p.is_monic:
-        raise NotMonicError(f"({p}) is not monic")
     factors, rem = peel_cyclotomic(p)
     cyc = tuple(factors)
     if rem.degree == 0:

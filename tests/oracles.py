@@ -26,6 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from fraction_sturm import fraction_sturm_count
 from hkdd import linalg
 from hkdd.dynamics import INV_LN10_UPPER, SpectrumDecimals, enumerate_isometries
 from hkdd.errors import HkddError, LatticeMismatchError, NotIsometryError, ZeroPolynomialError
@@ -190,6 +191,17 @@ def algebraic_real(p: IntPolynomial, lo: Fraction, hi: Fraction) -> AlgebraicRea
 def interval(root: AlgebraicReal) -> tuple[Fraction, Fraction]:
     """The isolating interval (lo, hi] of root as Fractions, each in lowest terms."""
     return Fraction(root.a, root.den), Fraction(root.b, root.den)
+
+
+def root_index(roots: list[tuple[Fraction, Fraction]], x: AlgebraicReal) -> int:
+    """The index of x among roots, the fraction_isolate intervals of a
+    multiple of x.poly: the one whose overlap with x's interval holds a root
+    of x.poly."""
+    lo, hi = interval(x)
+    overlaps = [(i, max(lo, u), min(hi, v)) for i, (u, v) in enumerate(roots)]
+    hits = [i for i, a, b in overlaps if a < b and fraction_sturm_count(x.poly, a, b)]
+    assert len(hits) == 1
+    return hits[0]
 
 
 def as_float(x: AlgebraicReal) -> float:

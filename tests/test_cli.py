@@ -169,9 +169,11 @@ def test_salem_check(capsys):
     assert (code, out.splitlines()[-1]) == (0, "NotSpectrallyValid: (x^2 + 5)")
     code, out, _ = run_cli(["salem-check", "--", "-5", "5", "-1", "1"], capsys)
     assert (code, out.splitlines()[-1]) == (0, "NotSpectrallyValid: Phi_1 x (x^2 + 5)")
-    code, _, err = run_cli(["salem-check", "--", "1", "-3", "2"], capsys)
-    assert code == 2
-    assert "not monic" in err
+    # not monic: peel_cyclotomic, the first step of classify_charpoly, says so
+    for coeffs, shown in [("1 -3 2", "2*x^2 - 3*x + 1"), ("1 2", "2*x + 1"), ("0 0", "0"), ("3", "3")]:
+        assert run_cli(["salem-check", "--", *coeffs.split()], capsys) == (
+            2, "", f"input error: ({shown}) is not monic\n"
+        )
 
 
 def test_kummer(capsys):

@@ -37,6 +37,7 @@ from hkdd.polynomial import (
     sturm_count,
 )
 from hkdd.salem import SALEM_STRUCTURE, classify_charpoly, is_salem_polynomial, salem_root_of
+from fraction_sturm import fraction_isolate
 from conftest import TPQR_SALEM_FACTORS, assert_correctly_rounded, assert_walk_nests, mp_root
 from oracles import (
     all_isometries,
@@ -46,6 +47,7 @@ from oracles import (
     fraction_exact_power_str,
     interval,
     power_iteration_radius,
+    root_index,
     sym_power_dim,
     sym_power_matrix,
 )
@@ -786,6 +788,17 @@ def test_search_matches_all_pairs_sweep(case):
         counts = box_norm_counts(gram, bound)
         assume(math.prod(counts[row[i]] for i, row in enumerate(gram)) <= 20_000)
     assert_search_matches_all_pairs(make_lattice(gram), bound)
+
+
+@pytest.mark.parametrize("gram, bound", [("rank3", 8), (TWO_MINUS_TWO_CUBED, 2)])
+def test_search_catalogue_is_in_the_reference_order_of_its_roots(rank3, gram, bound):
+    """The roots come in the order of the fraction_isolate intervals of the
+    product of their Salem factors, an order compare_to takes no part in."""
+    found = search_salem_isometries(rank3 if gram == "rank3" else make_lattice(gram), bound)
+    assert len(found) >= 10
+    reference = fraction_isolate(math.prod((root.poly for _, root in found), start=poly(1)))
+    indices = [root_index(reference, root) for _, root in found]
+    assert indices == sorted(indices)
 
 
 RANK3 = [[4, 0, 8], [0, -2, 0], [8, 0, 4]]

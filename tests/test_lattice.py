@@ -13,7 +13,7 @@ from hkdd.errors import (
     NonSymmetricError,
     NotIsometryError,
 )
-from oracles import last_coordinate_points, per_norm_buckets
+from oracles import all_isometries, last_coordinate_points, per_norm_buckets
 from hkdd.lattice import (
     CertifiedNo,
     FoundVector,
@@ -166,6 +166,22 @@ def test_verify_isometry(rank3, m1):
     assert (err.value.i, err.value.j) == (0, 0)
     with pytest.raises(NonSquareError):
         verify_isometry(rank3, [[1, 0], [0, 1]])
+
+
+@pytest.mark.parametrize(
+    "gram, bound",
+    [([[4, 0, 8], [0, -2, 0], [8, 0, 4]], 3), ([[0, 1, 0], [1, 0, 0], [0, 0, -2]], 3), ([[2, 1], [1, -2]], 4)],
+)
+def test_isometries_of_a_nondegenerate_lattice_are_unimodular(gram, bound):
+    """M^T G M = G gives det(M)^2 det G = det G, so det M = +-1 once
+    det G != 0: verify_isometry needs no determinant test of its own."""
+    assert linalg.det_bareiss(gram) != 0
+    lat = make_lattice(gram)
+    dets = set()
+    for m in all_isometries(lat, bound):
+        verify_isometry(lat, m)
+        dets.add(linalg.det_bareiss(m))
+    assert dets == {1, -1}
 
 
 def test_invariant_sublattice(rank3, m1, m1m2):

@@ -1,25 +1,27 @@
 """The integer Sturm machinery against the Fraction reference in
 fraction_sturm.py: the same root counts, square-free parts and isolating
 intervals on random polynomials, square-free or not, with rational roots
-placed where bisection midpoints land, and the same order of roots and
-rationals as the reference isolation of their product gives."""
+placed where bisection midpoints land, the same order of roots and
+rationals as the reference isolation of their product gives, and root
+walks that hold the root without counting Sturm variations."""
 
-import random
+import itertools
 from fractions import Fraction
 from functools import cmp_to_key
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fraction_sturm import fraction_isolate, fraction_square_free_part, fraction_sturm_count
-from oracles import interval
+from oracles import interval, root_index
+from hkdd import polynomial
 from hkdd.polynomial import (
     AlgebraicReal,
     IntPolynomial,
     ONE_POLY,
     isolate_real_roots,
     poly,
-    sorted_order,
     square_free_part,
     sturm_count,
 )
@@ -78,17 +80,6 @@ def test_roots_on_midpoints_match_reference():
     assert [interval(r) for r in isolate_real_roots(q)] == fraction_isolate(q)
 
 
-def root_index(roots: list[tuple[Fraction, Fraction]], x: AlgebraicReal) -> int:
-    """The index of x among roots, the fraction_isolate intervals of a
-    multiple of x.poly: the one whose overlap with x's interval holds a root
-    of x.poly."""
-    lo, hi = interval(x)
-    overlaps = [(i, max(lo, u), min(hi, v)) for i, (u, v) in enumerate(roots)]
-    hits = [i for i, a, b in overlaps if a < b and fraction_sturm_count(x.poly, a, b)]
-    assert len(hits) == 1
-    return hits[0]
-
-
 def sign(n: int) -> int:
     return (n > 0) - (n < 0)
 
@@ -133,27 +124,61 @@ def test_compare_rational_matches_fraction_isolation(p, n, d):
             assert x.compare_rational(m, e) == sign(root_index(roots, x) - at)
 
 
-@settings(max_examples=80)
-@given(polys(), st.one_of(dyadic, general), st.one_of(dyadic, general), st.randoms(use_true_random=False))
-# sqrt(2) under x^2 - 2 and under (x^2 - 2)(3x - 1), on the grids of den 1 and den 4
-@example(poly(-2, 0, 1), poly(1), poly(-1, 3), random.Random(0))
-def test_sorted_order_matches_compare_to(f, g, h, rnd):
-    """The roots of f*g and of f*h, shuffled: the roots of f come up under
-    both, so sorted_order meets coincident roots under two polynomials."""
-    p, q = f * g, f * h
-    assume(not p.is_zero and not q.is_zero)
-    reals = isolate_real_roots(p) + isolate_real_roots(q)
-    rnd.shuffle(reals)
-    assert [reals[i] for i in sorted_order(reals)] == sorted(reals, key=cmp_to_key(AlgebraicReal.compare_to))
-
-
-def test_sorted_order_leaves_only_coincident_roots_to_compare_to(monkeypatch):
-    calls = []
-    compare_to = AlgebraicReal.compare_to
-    monkeypatch.setattr(AlgebraicReal, "compare_to", lambda x, y: calls.append((x, y)) or compare_to(x, y))
+def test_compare_to_runs_the_shared_root_test_only_on_coincident_roots(monkeypatch):
     x = isolate_real_roots(poly(-2, 0, 1))[-1]
     y = isolate_real_roots(poly(-2, 0, 1) * poly(-1, 3))[-1]
     z = isolate_real_roots(poly(-99, 70))[0]  # 99/70 = sqrt(2) + 0.00007..., overlapping both
     w = isolate_real_roots(poly(-3, 0, 1))[-1]
-    assert sorted_order([w, z, y, x]) == [2, 3, 1, 0]
-    assert {frozenset(pair) for pair in calls} == {frozenset((x, y))}
+    assert z.a * x.den < x.b * z.den and z.a * y.den < y.b * z.den
+    calls = []
+    remainder_sequence = polynomial._remainder_sequence
+    monkeypatch.setattr(
+        polynomial, "_remainder_sequence", lambda a, b: calls.append((a, b)) or remainder_sequence(a, b)
+    )
+    assert sorted([w, z, y, x], key=cmp_to_key(AlgebraicReal.compare_to)) == [y, x, z, w]
+    # a Sturm chain's call pairs a polynomial with its derivative; the
+    # shared-root test pairs the two polynomials compared
+    polys = {r.poly.coeffs for r in (w, z, y, x)}
+    assert {frozenset(pair) for pair in calls if set(pair) <= polys} == {frozenset((x.poly.coeffs, y.poly.coeffs))}
+
+
+def forbidden(*args):
+    raise AssertionError("a walk counted Sturm sign variations")
+
+
+def assert_walks_hold_the_root(x: AlgebraicReal) -> None:
+    """bisection_path for 80 steps and _quadratic_walk for 12, with Sturm
+    variations forbidden: every interval nests in the one before, and the
+    last holds one root of x.poly by the Fraction reference. The first, the
+    isolating interval, holds only that root, so every interval holds it."""
+    assert fraction_sturm_count(x.poly, *interval(x)) == 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polynomial, "_chain_variations", forbidden)
+        walks = [list(itertools.islice(path, steps + 1)) for path, steps in
+                 ((x.bisection_path(), 80), (x._quadratic_walk(), 12))]
+    for walk in walks:
+        prev = interval(x)
+        for a, b, den in walk:
+            lo, hi = Fraction(a, den), Fraction(b, den)
+            assert prev[0] <= lo < hi <= prev[1]
+            prev = lo, hi
+        assert fraction_sturm_count(x.poly, *prev) == 1
+
+
+@settings(max_examples=100, derandomize=True)
+@given(polys())
+@example(poly(-2, 0, 1) * poly(-2, 0, 1))
+@example(poly(0, -1, 0, 1))  # -1 and 0 on midpoints: each is the open end of the next interval
+def test_walks_never_count_sturm_variations(p):
+    """Each isolating interval of p, with p itself as the polynomial,
+    square-free or not, so the walks must take their signs from its
+    square-free part; dyadic roots fall on midpoints and on open ends."""
+    for r in isolate_real_roots(p):
+        assert_walks_hold_the_root(AlgebraicReal(p, r.a, r.b, r.den))
+
+
+def test_walks_steer_by_the_sign_at_hi_when_lo_is_a_root():
+    # 2 in (1, 3], with the other root of x^2 - 3x + 2 on the open end
+    assert_walks_hold_the_root(AlgebraicReal(poly(2, -3, 1), 1, 3))
+    # 1 in (0, 1], a root on the closed end, with 0 on the open end
+    assert_walks_hold_the_root(AlgebraicReal(poly(0, -1, 1) * poly(0, -1, 1), 0, 1))
