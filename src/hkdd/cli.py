@@ -13,11 +13,12 @@ nothing more and returns 0. Each HkddError carries its code and stderr label
 (see errors), so main has one handler for them all. Every printed decimal is
 correctly rounded (half-even) to --precision digits by
 polynomial.rounded_decimal, from a certified interval narrowed by quadratic
-interval refinement (AlgebraicReal.quadratic_path); those of a spectrum
-report, the entropy and the JSON d1 included, come from one walk
-(dynamics.spectrum_decimals), with the table's powers bounded in fixed
-point. Every exact form, a Salem root's too, comes from
-dynamics.exact_power_str. Report integers past 53 bits are strings
+interval refinement (AlgebraicReal.quadratic_path), and every root printed
+is a unit larger than 1: a root's decimal and a spectrum's powers come from
+one loop (AlgebraicReal.power_decimals), in fixed point, and those of a
+spectrum report, the entropy and the JSON d1 included, from one walk
+(dynamics.spectrum_decimals). Every exact form, a Salem root's too, comes
+from dynamics.exact_power_str. Report integers past 53 bits are strings
 (jsonio.encode_int). An integer argument, a report integer or an exact
 form past polynomial.MAX_DIGITS digits ends in exit 2, and so does search
 on a degenerate lattice.
@@ -256,8 +257,6 @@ def cmd_search(args):
     if lat.rank > 4 and linalg.det_bareiss(lat.gram_rows()):  # a degenerate lattice is refused first
         print(f"warning: rank {lat.rank} > 4; the bounded search may be very slow", file=sys.stderr)
     results = search_salem_isometries(lat, args.bound)
-    for m, _ in results:
-        verify_isometry(lat, m)
     entries = [
         {
             "matrix": encode_matrix(m),

@@ -141,79 +141,31 @@ def power_decimal(
     d1: AlgebraicReal, exponents: list[int], sig_digits: int, scale: int = 1
 ) -> SpectrumDecimals:
     """Correctly rounded decimals of d1^e for every e in exponents, in their
-    order, and of scale*ln(d1) and scale*log10(d1), from one walk of d1's
-    interval (AlgebraicReal.quadratic_path).
+    order (AlgebraicReal.power_decimals), and of scale*ln(d1) and
+    scale*log10(d1), from the one walk of d1's interval
+    (AlgebraicReal.quadratic_path), which the logarithms carry on from the
+    narrowest interval the powers reached.
 
-    Every interval (lo, hi] of the walk is checked. Once
-    (hi - lo) * 10^(sig_digits + 2) * e_max < lo, e_max the largest pending
-    exponent, _power_bounds gives bounds [L_e, H_e] / 2^W of every
-    [lo^e, hi^e] from fixed-point products with W fraction bits,
-    W = ceil(3.33 (sig_digits + 2)) + bitlen(e_max) + 16 to start with. Each
-    pending exponent, in ascending order, first meets the width gate
-    (H_e - L_e) * 10^(sig_digits + 2) < L_e and then rounded_decimal on
-    [L_e, H_e] / 2^W; the first it cannot yet decide waits for a later
-    interval, and so do the larger ones, with W grown by half. The
-    logarithms are tried, on the bounds of _log_bounds, at each interval
-    with (hi - lo) * 10^(sig_digits + 2) < lo - 1 until both are decided,
-    with its digit budget grown by half after each failure.
+    The logarithms are tried, on the bounds of _log_bounds, at each interval
+    (lo, hi] with (hi - lo) * 10^(sig_digits + 2) < lo - 1 until both are
+    decided, with the digit budget grown by half after each failure.
 
-    d1 must be an algebraic unit larger than 1 (leading coefficient and
-    constant term +-1), as every first dynamical degree is: it is an
-    eigenvalue of an integer matrix of determinant +-1. Then no value sits on
-    a rounding boundary, which is rational, so the walk ends: d1^e for
-    e >= 1 is a unit larger than 1, so irrational; ln(d1) is transcendental
-    (Lindemann); and scale*log10(d1) = a/b would make the unit d1^b equal
-    10^a.
+    d1 must be an algebraic unit larger than 1, as every first dynamical
+    degree is: it is an eigenvalue of an integer matrix of determinant +-1.
+    Then no logarithm sits on a rounding boundary, which is rational, so the
+    walk ends: ln(d1) is transcendental (Lindemann), and scale*log10(d1) = a/b
+    would make the unit d1^b equal 10^a.
     """
-    if any(e < 0 for e in exponents):
-        raise ValueError("power decimals need nonnegative exponents")
-    coeffs = d1.poly.coeffs
-    if abs(coeffs[0]) != 1 or abs(coeffs[-1]) != 1:
-        raise ValueError("power decimals need an algebraic unit")
-    if d1.compare_rational(1) <= 0:
-        raise ValueError("power decimals need a base larger than 1")
-    done = {0: "1"}
-    pending = sorted(set(exponents) - {0})
-    logs = None
+    entries = d1.power_decimals(exponents, sig_digits)
     gate = 10 ** (sig_digits + 2)
-    bits = -(-333 * (sig_digits + 2) // 100) + max(exponents, default=0).bit_length() + 16
     log_digits = sig_digits + 10
     for a, b, den in d1.quadratic_path():
-        if pending and (b - a) * gate * pending[-1] < a:
-            bounds = _power_bounds(a, b, den, bits, pending[-1])
-            while pending:
-                lo_e, hi_e = bounds[pending[0] - 1]
-                if (hi_e - lo_e) * gate >= lo_e:
-                    break
-                text = rounded_decimal(lo_e, hi_e, 1 << bits, sig_digits)
-                if text is None:
-                    break
-                done[pending.pop(0)] = text
-            if pending:
-                bits += bits // 2
-        if logs is None and (b - a) * gate < a - den:
+        if (b - a) * gate < a - den:
             bounds = _log_bounds(a, b, den, log_digits)
             logs = [rounded_decimal(scale * lo, scale * hi, d, sig_digits) for lo, hi, d in bounds]
-            if None in logs:
-                logs = None
-                log_digits += log_digits // 2
-        if not pending and logs is not None:
-            return SpectrumDecimals(tuple(done[e] for e in exponents), *logs)
-
-
-def _power_bounds(a: int, b: int, den: int, bits: int, count: int) -> list[tuple[int, int]]:
-    """[(L_e, H_e) for e = 1..count] with L_e / 2^bits <= (a/den)^e and
-    (b/den)^e <= H_e / 2^bits, for 0 <= a <= b: L_1 and H_1 are a/den and
-    b/den on the grid 2^-bits rounded outward, and each later pair is the
-    one before times (L_1, H_1), shifted right by bits and rounded outward.
-    So the e-th pair has bits + e * log2(b/den) bits, however long a, b and
-    den are."""
-    low, high = (a << bits) // den, -((-b << bits) // den)
-    out = [(low, high)]
-    for _ in range(count - 1):
-        lo_e, hi_e = out[-1]
-        out.append((lo_e * low >> bits, -(-hi_e * high >> bits)))
-    return out
+            if None not in logs:
+                return SpectrumDecimals(entries, *logs)
+            log_digits += log_digits // 2
 
 
 def _log_bounds(a: int, b: int, den: int, digits: int) -> list[tuple[int, int, int]]:

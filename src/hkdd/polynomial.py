@@ -5,15 +5,16 @@ sequences, square-free parts and gcds are integer pseudo-remainder
 sequences with the content divided out; each term is a positive multiple
 of its rational counterpart, so every sign and root count is the rational
 one. Signs at rational points come from homogeneous Horner over int, and
-isolation and refinement bisect at the same midpoints as over Q. A walk
-from an isolating interval, held as integers (a, b, den), reads only the
-signs of the square-free part, of which the root is the one root there;
-decimals and compare_to, the one comparison, walk a root by quadratic
-interval refinement on the same grid, one walk per root.
+isolation bisects at the same midpoints as over Q. A root has one walk
+from its isolating interval, held as integers (a, b, den): quadratic
+interval refinement on the same grid, which reads only the signs of the
+square-free part, of which the root is the one root there. refined,
+decimals and compare_to, the one comparison, all walk it.
 Decimal output comes from certified isolating intervals, never from
 floats: rounded_decimal gives the correctly rounded (half-even) decimal
 that both ends of an interval agree on, and every value printed as a
-decimal comes from it; format_fraction writes only the exact endpoints in
+decimal comes from it, through one loop, AlgebraicReal.power_decimals, for
+a unit root larger than 1; format_fraction writes only the exact endpoints in
 a root's positional description. A root has no exact string of its own:
 dynamics.exact_power_str, the one exact renderer, writes the positional
 form and, through quadratic_surd_str, the closed forms (p + q*sqrt(d))/2
@@ -437,8 +438,9 @@ class AlgebraicReal(_Immutable):
     b/den, need not be in lowest terms.
 
     Instances are immutable; refinement returns a new value with a nested
-    interval. Ordering comparisons are exact (interval refinement plus a gcd
-    test for shared roots), so `sorted` never misorders close roots. Two
+    interval. The one ordering, <, is exact (compare_to: interval refinement
+    plus a gcd test for shared roots), so `sorted` never misorders close
+    roots. Two
     instances are equal only when they are the same object. The one walk of
     quadratic_path an instance keeps changes none of its values.
     """
@@ -455,39 +457,10 @@ class AlgebraicReal(_Immutable):
     def __repr__(self) -> str:
         return f"AlgebraicReal(poly={self.poly!r}, a={self.a!r}, b={self.b!r}, den={self.den!r})"
 
-    def bisection_path(self):
-        """Yield the isolating interval as integers (a, b, den), lo = a/den
-        and hi = b/den, first as it is and then after each bisection step.
-
-        Signs come from q = square_free_part(p), of which the root is a
-        simple root and the only one in the interval; so q changes sign at
-        the root and nowhere else there. A step keeps (mid, hi] when q(hi) = 0
-        (the root is hi) or when q(mid) is nonzero and of the other sign
-        than q(hi), otherwise (lo, mid]: only one half holds the root.
-
-        refined walks this path, so its interval is a function of the
-        isolating interval and eps alone. Decimals and comparisons, which
-        promise only a value, walk quadratic_path, which narrows faster.
-        """
-        a, b, den = self.a, self.b, self.den
-        yield a, b, den
-        # after k steps the endpoints are over den * 2^k
-        weights = _weights(square_free_part(self.poly).coeffs, den)
-        s_hi = _sign_at(weights, b, 0)
-        k = 0
-        while True:
-            m, a, b, k = a + b, 2 * a, 2 * b, k + 1
-            s_mid = _sign_at(weights, m, k)
-            if s_hi and s_mid * s_hi >= 0:
-                b, s_hi = m, s_mid
-            else:
-                a = m
-            yield a, b, den << k
-
     def quadratic_path(self):
-        """Yield intervals (a, b, den * 2^k) on the grid of bisection_path,
-        each nested in the one before and holding the root, narrowed by
-        quadratic interval refinement (_quadratic_walk).
+        """Yield intervals (a, b, den * 2^k), each nested in the one before
+        and holding the root, narrowed by quadratic interval refinement
+        (_quadratic_walk).
 
         The instance keeps one walk: a call starts from the narrowest
         interval any earlier call reached and carries that walk on. So a
@@ -512,11 +485,13 @@ class AlgebraicReal(_Immutable):
         The interval is cut into N = 2^m cells. The secant through q's values
         at both ends picks one, and the exact signs at the cell's two ends
         confirm it: a hit keeps that half-open cell, so a root on its right
-        end is in it, and doubles m; a miss takes one step of
-        bisection_path's sign rule and halves m, down to 2. Near a simple
-        root the secant hits, so the bits gained double with each step.
-        While q(lo) = 0 (a neighbouring root on the open end) the secant
-        cannot point, and the steps are bisection steps alone.
+        end is in it, and doubles m. A miss halves m, down to 2, and takes
+        one bisection step: q changes sign only at the root, so the step
+        keeps (mid, hi] when q(hi) = 0 or q(mid) != 0 has the other sign
+        than q(hi), else (lo, mid]. Near a simple root the secant hits, so
+        the bits gained double with each step. While q(lo) = 0 (a
+        neighbouring root on the open end) the secant cannot point, and the
+        steps are bisection steps alone.
         """
         a, b, den = self.a, self.b, self.den
         yield a, b, den
@@ -542,35 +517,69 @@ class AlgebraicReal(_Immutable):
             yield a, b, den << k
 
     def refined(self, eps) -> AlgebraicReal:
-        """Shrink the isolating interval to width < eps, a positive rational
-        read through .numerator and .denominator, by bisection."""
+        """The first interval of a fresh _quadratic_walk narrower than eps, a
+        positive rational read through .numerator and .denominator. A fresh
+        walk, not the instance's quadratic_path, keeps the result a function
+        of the isolating interval and eps alone."""
         if eps <= 0:
             raise ValueError("eps must be positive")
-        for a, b, den in self.bisection_path():
+        for a, b, den in self._quadratic_walk():
             if (b - a) * eps.denominator < eps.numerator * den:
                 return AlgebraicReal(self.poly, a, b, den)
 
     def decimal_str(self, sig_digits: int = 12) -> str:
-        """The root correctly rounded (half-even) to sig_digits digits.
+        """The root correctly rounded (half-even) to sig_digits digits, for a
+        unit larger than 1, as every d_1 and Salem root is: power_decimals
+        of the one exponent 1."""
+        return self.power_decimals([1], sig_digits)[0]
 
-        The walk of quadratic_path asks rounded_decimal once the interval,
-        on the root's side of zero, is narrower than 10^-(sig_digits+2) of
-        its end nearer zero. When the ends round to adjacent strings, the
-        boundary between them is tested: a root of the polynomial there is
-        the value. Any other value lies off the boundary, so the walk ends.
+    def power_decimals(self, exponents: list[int], sig_digits: int) -> tuple[str, ...]:
+        """Correctly rounded decimals of x^e for every e in exponents, in
+        their order, from the walk of quadratic_path.
+
+        Once an interval (lo, hi] of the walk has
+        (hi - lo) * 10^(sig_digits + 2) * e_max < lo, e_max the largest
+        pending exponent, _power_bounds gives bounds [L_e, H_e] / 2^W of every
+        [lo^e, hi^e] from fixed-point products with W fraction bits,
+        W = ceil(3.33 (sig_digits + 2)) + bitlen(e_max) + 16 to start with.
+        Each pending exponent, in ascending order, first meets the width gate
+        (H_e - L_e) * 10^(sig_digits + 2) < L_e and then rounded_decimal on
+        [L_e, H_e] / 2^W; the first it cannot yet decide waits for a later
+        interval, and so do the larger ones, with W grown by half.
+
+        x must be an algebraic unit larger than 1 (leading coefficient and
+        constant term +-1), or ValueError is raised: then x^e for e >= 1 is a
+        unit larger than 1, so irrational, and never sits on a rounding
+        boundary, which is rational, so the walk ends. An isolating interval
+        with lo >= 1 shows x > 1 without a comparison.
         """
-        if self.poly(0) == 0 and self.a < 0 <= self.b:
-            return "0"
-        scale = 10 ** (sig_digits + 2)
-        for a, b, den in self.quadratic_path():
-            sign, lo, hi = (1, a, b) if a > 0 else (-1, -b, -a)
-            if (hi - lo) * scale >= lo:
+        if any(e < 0 for e in exponents):
+            raise ValueError("power decimals need nonnegative exponents")
+        coeffs = self.poly.coeffs
+        if abs(coeffs[0]) != 1 or abs(coeffs[-1]) != 1:
+            raise ValueError("power decimals need an algebraic unit")
+        if self.a < self.den and self.compare_rational(1) <= 0:
+            raise ValueError("power decimals need a base larger than 1")
+        done = {0: "1"}
+        pending = sorted(set(exponents) - {0})
+        gate = 10 ** (sig_digits + 2)
+        bits = -(-333 * (sig_digits + 2) // 100) + max(exponents, default=0).bit_length() + 16
+        walk = self.quadratic_path()
+        while pending:
+            a, b, den = next(walk)
+            if (b - a) * gate * pending[-1] >= a:
                 continue
-            text = rounded_decimal(lo, hi, den, sig_digits)
-            if text is None:
-                text = _boundary_decimal(self.poly.coeffs, sign, lo, hi, den, sig_digits)
-            if text is not None:
-                return text if sign > 0 else "-" + text
+            bounds = _power_bounds(a, b, den, bits, pending[-1])
+            while pending:
+                lo_e, hi_e = bounds[pending[0] - 1]
+                if (hi_e - lo_e) * gate >= lo_e:
+                    break
+                text = rounded_decimal(lo_e, hi_e, 1 << bits, sig_digits)
+                if text is None:
+                    break
+                done[pending.pop(0)] = text
+            bits += bits // 2
+        return tuple(done[e] for e in exponents)
 
     def compare_to(self, other: AlgebraicReal) -> int:
         """Exact three-way comparison: -1, 0, or 1.
@@ -611,15 +620,6 @@ class AlgebraicReal(_Immutable):
 
     def __lt__(self, other):
         return self.compare_to(other) < 0
-
-    def __le__(self, other):
-        return self.compare_to(other) <= 0
-
-    def __gt__(self, other):
-        return self.compare_to(other) > 0
-
-    def __ge__(self, other):
-        return self.compare_to(other) >= 0
 
     def compare_rational(self, n: int, d: int = 1) -> int:
         """Sign of (root - n/d) for ints n and d > 0, exactly: 0 when n/d is
@@ -685,23 +685,19 @@ def rounded_decimal(a: int, b: int, den: int, sig_digits: int) -> str | None:
     return str(Decimal(f"{q}E{-s}"))
 
 
-def _boundary_decimal(
-    coeffs: Coeffs, sign: int, lo: int, hi: int, den: int, sig_digits: int
-) -> str | None:
-    """The rounded value of sign * B when B, the rounding boundary between
-    the differently rounded ends of [lo/den, hi/den], a hundredth of a unit
-    wide, is the root there of the polynomial with these coeffs; else None.
-
-    B = (q + 1/2) * 10^-s from the digits q of lo. The isolating interval
-    leaves out lo (sign > 0) or hi (sign < 0, negated); a root there is
-    another root.
-    """
-    q, s, h = _scaled_floor(lo, den, sig_digits)
-    num, d = (2 * q + 1, 2 * 10**s) if s >= 0 else ((2 * q + 1) * 10**-s, 2)
-    open_end = lo if sign > 0 else hi
-    if h > 0 or num * den == open_end * d or _sign_at(_weights(coeffs, d), sign * num, 0):
-        return None
-    return rounded_decimal(num, num, d, sig_digits)
+def _power_bounds(a: int, b: int, den: int, bits: int, count: int) -> list[tuple[int, int]]:
+    """[(L_e, H_e) for e = 1..count] with L_e / 2^bits <= (a/den)^e and
+    (b/den)^e <= H_e / 2^bits, for 0 <= a <= b: L_1 and H_1 are a/den and
+    b/den on the grid 2^-bits rounded outward, and each later pair is the
+    one before times (L_1, H_1), shifted right by bits and rounded outward.
+    So the e-th pair has bits + e * log2(b/den) bits, however long a, b and
+    den are."""
+    low, high = (a << bits) // den, -((-b << bits) // den)
+    out = [(low, high)]
+    for _ in range(count - 1):
+        lo_e, hi_e = out[-1]
+        out.append((lo_e * low >> bits, -(-hi_e * high >> bits)))
+    return out
 
 
 def isolate_real_roots(p: IntPolynomial) -> list[AlgebraicReal]:

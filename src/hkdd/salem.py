@@ -273,8 +273,8 @@ def salem_root_of(p: IntPolynomial) -> AlgebraicReal:
     rational, with S < 0 between them: m < lambda iff S(m) < 0 or m < 1.
     Bisecting the Cauchy bound's (-N/D, N/D] toward lambda with one sign per
     step first drops 1/lambda where S(lo) < 0, on the interval that
-    isolate_real_roots returns; from there the steps go in pairs, as
-    refined((hi - lo) / 2) takes them, until lo > 1.
+    isolate_real_roots returns; from there the steps go in pairs until
+    lo > 1.
     """
     n, den = cauchy_bound(p)
     weights = _weights(p.coeffs, den)

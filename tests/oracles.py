@@ -6,8 +6,9 @@ format and the reader of its algebraic reals, the argparse parser of the
 command line, the combination search for the Beauville involution,
 the Salem search over every pair of involutions, the affine-lattice walk
 that solves the last coordinate alone and the norm buckets it fills with
-one walk per norm, the decimals of a root and of its powers and
-logarithms by bisection with exact powers, the Salem root by isolation, a
+one walk per norm, the bisection walk of a root and its decimals, of any
+real algebraic number and of the powers and logarithms of a unit, with
+exact powers and the rounding-boundary test, the Salem root by isolation, a
 reciprocality test, the constructor of an algebraic real from Fraction
 ends, its interval as Fractions and its float, the exact powers of a root
 rendered by Fraction arithmetic with a Sturm-indexed positional form, the
@@ -43,8 +44,11 @@ from hkdd.polynomial import (
     LOG10_2_Q31,
     MAX_DIGITS,
     AlgebraicReal,
+    Coeffs,
     IntPolynomial,
-    _boundary_decimal,
+    _scaled_floor,
+    _sign_at,
+    _weights,
     char_poly,
     cyclotomic,
     is_palindromic,
@@ -53,6 +57,7 @@ from hkdd.polynomial import (
     power_traces,
     reciprocal_char_poly,
     rounded_decimal,
+    square_free_part,
     square_part,
     sturm_count,
     trace_polynomial,
@@ -206,7 +211,7 @@ def root_index(roots: list[tuple[Fraction, Fraction]], x: AlgebraicReal) -> int:
 
 def as_float(x: AlgebraicReal) -> float:
     """A float near x, its 17-digit decimal, to compare with float oracles."""
-    return float(x.decimal_str(17))
+    return float(bisection_decimal_str(x, 17))
 
 
 def is_reciprocal(p: IntPolynomial) -> bool:
@@ -219,13 +224,11 @@ def is_reciprocal(p: IntPolynomial) -> bool:
 
 def isolation_salem_root(p: IntPolynomial) -> AlgebraicReal:
     """salem_root_of by isolation: the last root isolate_real_roots finds,
-    refined two bisection steps at a time until its interval lies right of 1."""
+    walked two bisection steps at a time until its interval lies right of 1."""
     root = isolate_real_roots(p)[-1]
-    lo, hi = interval(root)
-    while lo <= 1:
-        root = root.refined((hi - lo) / 2)
-        lo, hi = interval(root)
-    return root
+    for a, b, den in itertools.islice(bisection_path(root), 0, None, 2):
+        if a > den:
+            return AlgebraicReal(root.poly, a, b, den)
 
 
 def decode_coeffs(obj) -> list[int]:
@@ -521,23 +524,67 @@ def per_norm_buckets(gram, bound: int) -> dict[int, list[tuple[int, ...]]]:
     }
 
 
+def bisection_path(x: AlgebraicReal):
+    """Yield x's isolating interval as integers (a, b, den), lo = a/den
+    and hi = b/den, first as it is and then after each bisection step.
+
+    Signs come from q = square_free_part(p), of which the root is a
+    simple root and the only one in the interval; so q changes sign at
+    the root and nowhere else there. A step keeps (mid, hi] when q(hi) = 0
+    (the root is hi) or when q(mid) is nonzero and of the other sign
+    than q(hi), otherwise (lo, mid]: only one half holds the root.
+    """
+    a, b, den = x.a, x.b, x.den
+    yield a, b, den
+    # after k steps the endpoints are over den * 2^k
+    weights = _weights(square_free_part(x.poly).coeffs, den)
+    s_hi = _sign_at(weights, b, 0)
+    k = 0
+    while True:
+        m, a, b, k = a + b, 2 * a, 2 * b, k + 1
+        s_mid = _sign_at(weights, m, k)
+        if s_hi and s_mid * s_hi >= 0:
+            b, s_hi = m, s_mid
+        else:
+            a = m
+        yield a, b, den << k
+
+
 def bisection_decimal_str(root: AlgebraicReal, sig_digits: int) -> str:
-    """AlgebraicReal.decimal_str on bisection_path: the walk asks
-    rounded_decimal once the interval, on the root's side of zero, is
-    narrower than 10^-(sig_digits+2) of its end nearer zero, and tests the
-    rounding boundary when the ends round to adjacent strings."""
+    """The root correctly rounded (half-even), whatever real algebraic
+    number it is, on bisection_path: the walk asks rounded_decimal once the
+    interval, on the root's side of zero, is narrower than
+    10^-(sig_digits+2) of its end nearer zero, and tests the rounding
+    boundary when the ends round to adjacent strings."""
     if root.poly(0) == 0 and root.a < 0 <= root.b:
         return "0"
     scale = 10 ** (sig_digits + 2)
-    for a, b, den in root.bisection_path():
+    for a, b, den in bisection_path(root):
         sign, lo, hi = (1, a, b) if a > 0 else (-1, -b, -a)
         if (hi - lo) * scale >= lo:
             continue
         text = rounded_decimal(lo, hi, den, sig_digits)
         if text is None:
-            text = _boundary_decimal(root.poly.coeffs, sign, lo, hi, den, sig_digits)
+            text = boundary_decimal(root.poly.coeffs, sign, lo, hi, den, sig_digits)
         if text is not None:
             return text if sign > 0 else "-" + text
+
+
+def boundary_decimal(coeffs: Coeffs, sign: int, lo: int, hi: int, den: int, sig_digits: int) -> str | None:
+    """The rounded value of sign * B when B, the rounding boundary between
+    the differently rounded ends of [lo/den, hi/den], a hundredth of a unit
+    wide, is the root there of the polynomial with these coeffs; else None.
+
+    B = (q + 1/2) * 10^-s from the digits q of lo. The isolating interval
+    leaves out lo (sign > 0) or hi (sign < 0, negated); a root there is
+    another root.
+    """
+    q, s, h = _scaled_floor(lo, den, sig_digits)
+    num, d = (2 * q + 1, 2 * 10**s) if s >= 0 else ((2 * q + 1) * 10**-s, 2)
+    open_end = lo if sign > 0 else hi
+    if h > 0 or num * den == open_end * d or _sign_at(_weights(coeffs, d), sign * num, 0):
+        return None
+    return rounded_decimal(num, num, d, sig_digits)
 
 
 def bisection_power_decimal(
@@ -551,7 +598,7 @@ def bisection_power_decimal(
     pending = sorted(set(exponents) - {0})
     logs = None
     gate = 10 ** (sig_digits + 2)
-    for step, (a, b, den) in enumerate(d1.bisection_path()):
+    for step, (a, b, den) in enumerate(bisection_path(d1)):
         if step % 2:
             continue
         while pending and a > 0:

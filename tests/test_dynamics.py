@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hkdd import dynamics, linalg, salem
+from hkdd import dynamics, linalg, polynomial, salem
 from hkdd.dynamics import (
     degree_spectrum,
     enumerate_isometries,
@@ -43,6 +43,7 @@ from oracles import (
     all_isometries,
     all_pairs_search,
     as_float,
+    bisection_path,
     bisection_power_decimal,
     fraction_exact_power_str,
     interval,
@@ -218,7 +219,7 @@ def assert_power_decimal_matches_oracle(d1: AlgebraicReal, n: int, digits: int):
     assert got == bisection_power_decimal(d1, exponents, digits, n)
     a, b, den = next(x for x in d1.quadratic_path() if (x[1] - x[0]) * 10 ** (digits + 2) * n < x[0])
     bits = -(-333 * (digits + 2) // 100) + n.bit_length() + 16
-    for e, (lo_e, hi_e) in enumerate(dynamics._power_bounds(a, b, den, bits, n), 1):
+    for e, (lo_e, hi_e) in enumerate(polynomial._power_bounds(a, b, den, bits, n), 1):
         assert lo_e * den**e <= a**e << bits and b**e << bits <= hi_e * den**e
 
 
@@ -275,7 +276,7 @@ def test_power_decimal_logarithm_near_one():
     # root 1 + 10^-30: ln is about 10^-30 and needs 30 digits past the leading
     # zeros, which the working precision of _log_bounds counts
     x = AlgebraicReal(poly(-(10**30 + 1), 10**30), 1, 2)
-    a, b, den = next((a, b, den) for a, b, den in x.bisection_path() if (b - a) * 10**14 < a - den)
+    a, b, den = next((a, b, den) for a, b, den in bisection_path(x) if (b - a) * 10**14 < a - den)
     # the digit budget power_decimal starts from at 12 digits
     (ln_lo, ln_hi, ln_den), (lg_lo, lg_hi, lg_den) = dynamics._log_bounds(a, b, den, 12 + 10)
     with mpmath.workdps(80):
@@ -398,18 +399,29 @@ def test_catalogue_degrees_match_float_radius(rank3, catalogue):
         assert d1 == pytest.approx(as_float(root), rel=1e-12)
 
 
-def test_search_catalogue_sound(rank3, catalogue):
-    assert catalogue
-    roots = [as_float(root) for _, root in catalogue]
+def assert_catalogue_sound(lat, found) -> set:
+    """Every found matrix is an isometry of lat (the search command checks
+    none), the roots ascend, and each is the root of its own Salem
+    polynomial; returns the polynomials."""
+    roots = [as_float(root) for _, root in found]
     assert roots == sorted(roots)
     seen_polys = set()
-    for m, root in catalogue:
-        verify_isometry(rank3, m)
-        check = is_salem_polynomial(root.poly)
-        assert check
+    for m, root in found:
+        verify_isometry(lat, m)
+        assert is_salem_polynomial(root.poly)
         assert root.poly.coeffs not in seen_polys
         seen_polys.add(root.poly.coeffs)
-    assert (1, -34, 1) in seen_polys
+    return seen_polys
+
+
+def test_search_catalogue_sound(rank3, catalogue):
+    assert catalogue
+    assert (1, -34, 1) in assert_catalogue_sound(rank3, catalogue)
+    # at rank 4 the involution pairs are classified from compound traces
+    lat = make_lattice([[2, 0, 0, 0], [0, -2, 0, 0], [0, 0, -2, 0], [0, 0, 0, -2]])
+    found = search_salem_isometries(lat, 2)
+    assert len(found) == 10
+    assert (1, -14, 1) in assert_catalogue_sound(lat, found)
 
 
 def test_search_deterministic(rank3):

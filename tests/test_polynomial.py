@@ -1,9 +1,11 @@
 import importlib
+import itertools
 import math
 import pathlib
 import pkgutil
 import random
 import re
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -39,7 +41,16 @@ from hkdd.polynomial import (
     trace_polynomial,
 )
 from conftest import assert_correctly_rounded, assert_walk_nests, mp_root
-from oracles import algebraic_real, algebraic_real_from_json, as_float, bisection_decimal_str, interval, is_reciprocal
+from fraction_sturm import fraction_sturm_count
+from oracles import (
+    algebraic_real,
+    algebraic_real_from_json,
+    as_float,
+    bisection_decimal_str,
+    bisection_path,
+    interval,
+    is_reciprocal,
+)
 
 LEHMER = poly(1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
 
@@ -330,25 +341,17 @@ def test_refine_nests_and_shrinks():
     assert as_float(big_root) == pytest.approx(33.970562748477, abs=1e-9)
 
 
-def sturm_refined(a: AlgebraicReal, eps) -> tuple[Fraction, Fraction]:
-    """Reference refinement: bisect, keeping (lo, mid] when its Sturm count is 1."""
-    lo, hi = interval(a)
-    while hi - lo >= eps:
-        mid = (lo + hi) / 2
-        if sturm_count(a.poly, lo, mid) == 1:
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
-
-
-def assert_refines_like_reference(a: AlgebraicReal, eps) -> AlgebraicReal:
+def assert_refines_by_the_walk(a: AlgebraicReal, eps) -> AlgebraicReal:
+    """refined(eps) nests in a's isolating interval, is narrower than eps, is
+    the first interval of a fresh _quadratic_walk narrower than eps, and
+    holds one root of a.poly by the Fraction reference."""
     r = a.refined(eps)
     (lo, hi), (r_lo, r_hi) = interval(a), interval(r)
-    assert (r_lo, r_hi) == sturm_refined(a, eps)
     assert lo <= r_lo < r_hi <= hi
     assert r_hi - r_lo < eps
-    assert sturm_count(a.poly, r_lo, r_hi) == 1
+    walk = ((Fraction(u, den), Fraction(v, den)) for u, v, den in a._quadratic_walk())
+    assert (r_lo, r_hi) == next(x for x in walk if x[1] - x[0] < eps)
+    assert fraction_sturm_count(a.poly, r_lo, r_hi) == 1
     return r
 
 
@@ -391,47 +394,48 @@ def roots_after_a_rational_root(draw):
     st.integers(0, 40),
     st.integers(1, 9),
 )
-def test_refined_matches_sturm_bisection(root, num, digits, shrink):
+def test_refined_is_the_first_narrow_walk_interval(root, num, digits, shrink):
     eps = Fraction(num, 10**digits)
-    fine = assert_refines_like_reference(root, eps)
-    assert_refines_like_reference(fine, eps / (shrink + 1))
+    fine = assert_refines_by_the_walk(root, eps)
+    assert_refines_by_the_walk(fine, eps / (shrink + 1))
 
 
 def test_refined_with_root_on_open_end():
-    # roots 1 and 2: p(lo) = 0, so the sign at lo cannot steer the bisection
+    # roots 1 and 2: p(lo) = 0, so the sign at lo cannot steer the walk
     a = AlgebraicReal(poly(2, -3, 1), 1, 3)
-    r = assert_refines_like_reference(a, Fraction(1, 10**30))
+    r = assert_refines_by_the_walk(a, Fraction(1, 10**30))
     assert interval(r)[0] < 2 <= interval(r)[1]
-    assert_refines_like_reference(a, Fraction(1, 3))
+    assert_refines_by_the_walk(a, Fraction(1, 3))
 
 
 def test_refined_rational_root_hit_by_midpoint():
     # (2x - 1)(x - 3): the first midpoint of (0, 1] is the root 1/2
     a = AlgebraicReal(poly(3, -7, 2), 0, 1)
-    r = assert_refines_like_reference(a, Fraction(1, 10**20))
-    assert interval(r)[1] == Fraction(1, 2)
+    r = assert_refines_by_the_walk(a, Fraction(1, 10**20))
+    assert interval(r)[0] < Fraction(1, 2) <= interval(r)[1]
     b = algebraic_real(poly(-3, 4), Fraction(1, 2), Fraction(1))  # root 3/4, hit at step 1
-    assert interval(assert_refines_like_reference(b, Fraction(1, 10**15)))[1] == Fraction(3, 4)
+    lo, hi = interval(assert_refines_by_the_walk(b, Fraction(1, 10**15)))
+    assert lo < Fraction(3, 4) <= hi
 
 
 def test_refined_non_dyadic_interval_from_json():
     a = algebraic_real_from_json({"poly": [-2, 0, 1], "lo": "4/3", "hi": "3/2"})
-    r = assert_refines_like_reference(a, Fraction(1, 10**25))
-    back = algebraic_real_from_json(cli._root_json(r, r.decimal_str(12)))
+    r = assert_refines_by_the_walk(a, Fraction(1, 10**25))
+    back = algebraic_real_from_json(cli._root_json(r, bisection_decimal_str(r, 12)))
     assert interval(back) == interval(r)
 
 
-def test_refined_non_square_free_poly_uses_sturm_counts():
-    # (x^2 - 2)^2 keeps its sign across sqrt(2); only the Sturm count can steer
+def test_refined_non_square_free_poly():
+    # (x^2 - 2)^2 keeps its sign across sqrt(2); the walk steers by x^2 - 2
     a = AlgebraicReal(poly(-2, 0, 1) * poly(-2, 0, 1), 1, 2)
-    r = assert_refines_like_reference(a, Fraction(1, 10**12))
+    r = assert_refines_by_the_walk(a, Fraction(1, 10**12))
     lo, hi = interval(r)
     assert lo < Fraction(14142135623731, 10**13) and hi > Fraction(14142135623730, 10**13)
 
 
-def test_refined_lehmer_matches_reference_at_50_digits():
+def test_refined_lehmer_at_50_digits():
     root = isolate_real_roots(LEHMER)[-1]
-    assert_refines_like_reference(root, Fraction(1, 10**50))
+    assert_refines_by_the_walk(root, Fraction(1, 10**50))
 
 
 @pytest.mark.parametrize(
@@ -460,14 +464,25 @@ def test_quadratic_path_reaches_200_digits_in_few_steps():
     gate = 10**202
     steps = next(i for i, (a, b, den) in enumerate(root.quadratic_path()) if (b - a) * gate < a)
     assert steps < 20
-    assert next(i for i, (a, b, den) in enumerate(root.bisection_path()) if (b - a) * gate < a) > 600
+    assert next(i for i, (a, b, den) in enumerate(bisection_path(root)) if (b - a) * gate < a) > 600
+
+
+def is_unit_above_one(root: AlgebraicReal) -> bool:
+    c = root.poly.coeffs
+    return abs(c[0]) == abs(c[-1]) == 1 and root.compare_rational(1) > 0
 
 
 @settings(max_examples=150)
 @given(st.one_of(isolated_roots(), roots_after_a_rational_root()), st.sampled_from((3, 12, 50, 200)))
 def test_decimal_str_matches_bisection_oracle(root, digits):
+    # decimal_str prints a unit larger than 1 and refuses any other root
     assert_walk_nests(root, Fraction(1, 10**40))
-    assert root.decimal_str(digits) == bisection_decimal_str(root, digits)
+    want = bisection_decimal_str(root, digits)
+    if is_unit_above_one(root):
+        assert root.decimal_str(digits) == want
+    else:
+        with pytest.raises(ValueError):
+            root.decimal_str(digits)
 
 
 @pytest.mark.parametrize(
@@ -493,26 +508,66 @@ def test_decimal_str():
     assert root.decimal_str(12) == "33.9705627485"
     assert root.decimal_str(6) == "33.9706"
     neg = isolate_real_roots(poly(-4, 0, 1))[0]
-    assert neg.decimal_str(6) == "-2.00000"
+    assert bisection_decimal_str(neg, 6) == "-2.00000"
 
 
 @pytest.mark.parametrize("digits", [3, 12, 50, 200])
 @pytest.mark.parametrize("defining", [LEHMER, poly(1, -34, 1), poly(-2, 0, 1), poly(1, 3, -5, -1)], ids=str)
 def test_decimal_str_correctly_rounded(defining, digits):
+    # decimal_str on the units larger than 1, the oracle on every other root
     for root in isolate_real_roots(defining):
-        assert_correctly_rounded(root.decimal_str(digits), mp_root(defining, root), digits)
+        text = root.decimal_str(digits) if is_unit_above_one(root) else bisection_decimal_str(root, digits)
+        assert_correctly_rounded(text, mp_root(defining, root), digits)
+
+
+@pytest.mark.parametrize(
+    "root",
+    [
+        isolate_real_roots(LEHMER)[-1],
+        isolate_real_roots(poly(1, -34, 1))[-1],  # 17+12*sqrt(2)
+        isolate_real_roots(poly(1, 0, -1, -1, -1, 0, 1))[-1],  # degree 6, of T_{3,3,4}
+    ],
+    ids=["lehmer", "root34", "degree6"],
+)
+@pytest.mark.parametrize("digits", [3, 12, 50, 200])
+def test_decimal_str_power_decimal_and_bisection_agree(root, digits):
+    want = bisection_decimal_str(root, digits)
+    assert root.decimal_str(digits) == power_decimal(root, [1], digits).entries[0] == want
+
+
+@pytest.mark.parametrize(
+    "root",
+    [
+        isolate_real_roots(poly(-2, 0, 1))[-1],  # sqrt(2): no unit
+        isolate_real_roots(poly(1, -34, 1))[0],  # 1/lambda = 17-12*sqrt(2) < 1
+        AlgebraicReal(poly(-249, 2000), 0, 1),  # 249/2000, on a 3-digit rounding boundary
+    ],
+    ids=["sqrt2", "below-one", "boundary"],
+)
+def test_decimal_str_refuses_a_root_that_is_not_a_unit_above_one(root, monkeypatch):
+    walk = AlgebraicReal._quadratic_walk
+
+    def bounded(self):
+        yield from itertools.islice(walk(self), 200)
+        raise AssertionError("walked without end")
+
+    monkeypatch.setattr(AlgebraicReal, "_quadratic_walk", bounded)
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        root.decimal_str(3)
+    assert time.perf_counter() - start < 1
 
 
 def test_decimal_str_on_a_rounding_boundary():
     # 249/2000 = 0.1245 lies on the boundary of 0.124 and 0.125; half-even
     # keeps the even 0.124, on either side of zero
-    assert AlgebraicReal(poly(-249, 2000), 0, 1).decimal_str(3) == "0.124"
-    assert AlgebraicReal(poly(249, 2000), -1, 0).decimal_str(3) == "-0.124"
-    assert AlgebraicReal(poly(-9995, 1000), 9, 10).decimal_str(3) == "10.0"
+    assert bisection_decimal_str(AlgebraicReal(poly(-249, 2000), 0, 1), 3) == "0.124"
+    assert bisection_decimal_str(AlgebraicReal(poly(249, 2000), -1, 0), 3) == "-0.124"
+    assert bisection_decimal_str(AlgebraicReal(poly(-9995, 1000), 9, 10), 3) == "10.0"
     # a boundary that is the closed end of the interval, and one that is the
     # open end and another root: 1/8 = 0.125 at 2 digits
     def two_digits(p, lo, hi):
-        return algebraic_real(p, Fraction(*lo), Fraction(*hi)).decimal_str(2)
+        return bisection_decimal_str(algebraic_real(p, Fraction(*lo), Fraction(*hi)), 2)
 
     assert two_digits(poly(-1, 8) * poly(-13, 100), (1, 16), (1, 8)) == "0.12"
     assert two_digits(poly(1, 8) * poly(13, 100), (-13, 100), (-1, 8)) == "-0.12"

@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fraction_sturm import fraction_isolate, fraction_square_free_part, fraction_sturm_count
-from oracles import interval, root_index
+from oracles import bisection_path, interval, root_index
 from hkdd import polynomial
 from hkdd.polynomial import (
     AlgebraicReal,
@@ -155,7 +155,7 @@ def assert_walks_hold_the_root(x: AlgebraicReal) -> None:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(polynomial, "_chain_variations", forbidden)
         walks = [list(itertools.islice(path, steps + 1)) for path, steps in
-                 ((x.bisection_path(), 80), (x._quadratic_walk(), 12))]
+                 ((bisection_path(x), 80), (x._quadratic_walk(), 12))]
     for walk in walks:
         prev = interval(x)
         for a, b, den in walk:
