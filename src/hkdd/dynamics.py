@@ -47,9 +47,6 @@ from .salem import (
 # d_1 is either the exact integer 1 or a Salem root, an exact AlgebraicReal.
 FirstDegree = AlgebraicReal | int
 
-# 1/ln(10) < 10000/23025, as ln(10) = 2.302585...
-INV_LN10_UPPER = (10000, 23025)
-
 
 # row k of a table: d_k = d_1^exponent, exponent = min(k, 2n - k), as an exact string
 SpectrumEntry = namedtuple("SpectrumEntry", "k exponent exact")
@@ -146,9 +143,10 @@ def power_decimal(
     (AlgebraicReal.quadratic_path), which the logarithms carry on from the
     narrowest interval the powers reached.
 
-    The logarithms are tried, on the bounds of _log_bounds, at each interval
-    (lo, hi] with (hi - lo) * 10^(sig_digits + 2) < lo - 1 until both are
-    decided, with the digit budget grown by half after each failure.
+    The logarithms are tried, on the bounds of _log_bounds, one Decimal.ln
+    at lo and ln(10) per try, at each interval (lo, hi] with
+    (hi - lo) * 10^(sig_digits + 2) < lo - 1 until both are decided, with
+    the digit budget grown by half after each failure.
 
     d1 must be an algebraic unit larger than 1, as every first dynamical
     degree is: it is an eigenvalue of an integer matrix of determinant +-1.
@@ -170,35 +168,46 @@ def power_decimal(
 
 def _log_bounds(a: int, b: int, den: int, digits: int) -> list[tuple[int, int, int]]:
     """Bounds (low, high, d) with low/d <= log(x) <= high/d for every x in
-    [a/den, b/den], 1 < a/den, for ln and then log10.
+    [a/den, b/den], 1 < a/den, for ln and then log10, from one Decimal.ln.
 
-    lo = a/den is rounded down to a Decimal; Decimal.ln and .log10 round
-    correctly, so one step down from each is a lower bound, and as
-    log(hi) - log(lo) <= (hi/lo - 1) / ln(e or 10), one call per logarithm
-    bounds it from above too. The working precision is the digits of
-    b/(b - a) plus a guard, so it follows the interval's width, but at most
-    digits plus the digits of a/(a - den): the caller rounds to fewer than
-    digits, and for x near 1 the leading zeros of x - 1 carry none of ln(x).
+    lo = a/den is rounded down to a Decimal; Decimal.ln rounds correctly, so
+    one step down from ln(lo) is a lower bound on ln(x), and as
+    ln(x) - ln(lo) <= x/lo - 1, one step up plus that rise is an upper
+    bound. log10(x) = ln(x)/ln(10), and ln(10) lies between one step either
+    side of Decimal(10).ln(), which libmpdec returns from a stored constant
+    up to about 1,200 digits: the lower ln bound is divided by the upper
+    end of that pair and the upper ln bound by the lower end, which keeps
+    both outward as both are positive.
+
+    The working precision is the digits of b/(b - a) plus a guard, so it
+    follows the interval's width, but at most digits plus the digits of
+    a/(a - den): the caller rounds to fewer than digits, and for x near 1
+    the leading zeros of x - 1 carry none of ln(x). It is at least those
+    leading digits plus 3, which keeps lo > 1, so ln(lo) > 0: at lo = 1 the
+    steps from ln(lo) = 0 would have denominators of a million digits.
     """
-    out = []
     with localcontext() as ctx:
         width_digits = (b.bit_length() - (b - a).bit_length()) * LOG10_2_Q31 >> 31
         near_one = (a.bit_length() - (a - den).bit_length()) * LOG10_2_Q31 >> 31
-        ctx.prec = min(width_digits + 6, digits + near_one)
+        ctx.prec = max(min(width_digits + 6, digits + near_one), near_one + 3)
         ctx.rounding = ROUND_FLOOR
         lo = Decimal(a) / den
         num, dn = lo.as_integer_ratio()
         # x / lo - 1 <= rise / rise_den
         rise, rise_den = b * dn - den * num, den * num
-        for log, (per, per_den) in ((Decimal.ln, (1, 1)), (Decimal.log10, INV_LN10_UPPER)):
-            at_lo = log(lo)
-            low, low_den = at_lo.next_minus().as_integer_ratio()
-            high, high_den = at_lo.next_plus().as_integer_ratio()
-            # high/high_den + rise/rise_den * per/per_den, over one denominator
-            high = high * rise_den * per_den + rise * per * high_den
-            high_den *= rise_den * per_den
-            out.append((low * high_den, high * low_den, low_den * high_den))
-    return out
+        at_lo, ln10 = lo.ln(), Decimal(10).ln()
+        low, low_den = at_lo.next_minus().as_integer_ratio()
+        high, high_den = at_lo.next_plus().as_integer_ratio()
+        ten_low, ten_low_den = ln10.next_minus().as_integer_ratio()
+        ten_high, ten_high_den = ln10.next_plus().as_integer_ratio()
+    # high/high_den + rise/rise_den, over one denominator
+    high, high_den = high * rise_den + rise * high_den, high_den * rise_den
+    low10, low10_den = low * ten_high_den, low_den * ten_high
+    high10, high10_den = high * ten_low_den, high_den * ten_low
+    return [
+        (low * high_den, high * low_den, low_den * high_den),
+        (low10 * high10_den, high10 * low10_den, low10_den * high10_den),
+    ]
 
 
 def degree_spectrum(n: int, d1: FirstDegree) -> DegreeSpectrum:

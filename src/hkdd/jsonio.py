@@ -7,6 +7,12 @@ their matrices, vectors and polynomial coefficients this way; an integer
 past MAX_DIGITS digits, which CPython 3.11 will not write as a string,
 ends in exit 2.
 
+Reports are written by dump_json, which gives the bytes of
+json.dumps(obj, indent=2, sort_keys=True) with a trailing newline. With an
+indent, json.dumps runs its pure-Python encoder; dump_json builds each
+container with one join and escapes every string with the C function that
+encoder calls, so the output cannot differ.
+
 An input file is read with one binary read and decoded as UTF-8, with the
 newlines of a text-mode read (CR LF and a lone CR become LF), so a syntax
 error names the position that a text-mode read gives. Paths stay plain
@@ -18,6 +24,7 @@ from __future__ import annotations
 
 import json
 import re
+from json.encoder import encode_basestring_ascii
 
 from .errors import HkddError
 from .lattice import GramLattice, make_lattice
@@ -72,7 +79,37 @@ def decode_matrix(obj) -> list[list[int]]:
 
 
 def dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """json.dumps(obj, indent=2, sort_keys=True) + "\n" for the types a
+    report holds: dicts with str keys, lists, tuples, str, int, bool and
+    None. Any other value, a float or a set, or a key that is not a str
+    (encode_basestring_ascii takes only str), raises TypeError."""
+    return _dump(obj, "\n") + "\n"
+
+
+def _dump(obj, newline: str) -> str:
+    """obj as json.dumps writes it with indent=2, newline being a line break
+    and the indent of obj's own line."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (encode_basestring_ascii(k) + ": " + _dump(v, inner) for k, v in sorted(obj.items()))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join(_dump(v, inner) for v in obj) + newline + "]"
+    raise TypeError(f"a report holds no {type(obj).__name__}")
 
 
 def _load(path: str) -> dict:

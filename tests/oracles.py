@@ -8,7 +8,8 @@ the Salem search over every pair of involutions, the affine-lattice walk
 that solves the last coordinate alone and the norm buckets it fills with
 one walk per norm, the bisection walk of a root and its decimals, of any
 real algebraic number and of the powers and logarithms of a unit, with
-exact powers and the rounding-boundary test, the Salem root by isolation, a
+exact powers, logarithm bounds from one Decimal.ln and one Decimal.log10
+call, and the rounding-boundary test, the Salem root by isolation, a
 reciprocality test, the constructor of an algebraic real from Fraction
 ends, its interval as Fractions and its float, the exact powers of a root
 rendered by Fraction arithmetic with a Sturm-indexed positional form, the
@@ -29,7 +30,7 @@ import numpy as np
 
 from fraction_sturm import fraction_sturm_count
 from hkdd import linalg
-from hkdd.dynamics import INV_LN10_UPPER, SpectrumDecimals, enumerate_isometries
+from hkdd.dynamics import SpectrumDecimals, enumerate_isometries
 from hkdd.errors import HkddError, LatticeMismatchError, NotIsometryError, ZeroPolynomialError
 from hkdd.hyperkahler import (
     BeauvilleSolution,
@@ -620,13 +621,35 @@ def bisection_power_decimal(
             return SpectrumDecimals(tuple(done[e] for e in exponents), *logs)
 
 
+# 1/ln(10) < 10000/23025, as ln(10) = 2.302585...
+INV_LN10_UPPER = (10000, 23025)
+
+
 def width_log_bounds(a: int, b: int, den: int) -> list[tuple[int, int, int]]:
     """Bounds (low, high, d) on ln and then log10 of every x in
-    [a/den, b/den], 1 < a/den, as dynamics._log_bounds makes them, but at a
-    working precision of the digits of b/(b - a) plus a guard alone."""
+    [a/den, b/den], 1 < a/den, from two_call_bounds at a working precision
+    of the digits of b/(b - a) plus a guard alone."""
+    return two_call_bounds(a, b, den, ((b.bit_length() - (b - a).bit_length()) * LOG10_2_Q31 >> 31) + 6)
+
+
+def two_call_log_bounds(a: int, b: int, den: int, digits: int) -> list[tuple[int, int, int]]:
+    """dynamics._log_bounds as it was before it took one Decimal.ln: the
+    bounds of two_call_bounds at the digits of b/(b - a) plus a guard, but
+    at most digits plus the digits of a/(a - den), with no floor."""
+    width_digits = (b.bit_length() - (b - a).bit_length()) * LOG10_2_Q31 >> 31
+    near_one = (a.bit_length() - (a - den).bit_length()) * LOG10_2_Q31 >> 31
+    return two_call_bounds(a, b, den, min(width_digits + 6, digits + near_one))
+
+
+def two_call_bounds(a: int, b: int, den: int, prec: int) -> list[tuple[int, int, int]]:
+    """Bounds (low, high, d) on ln and then log10 of every x in
+    [a/den, b/den], 1 < a/den, from one correctly rounded Decimal.ln and one
+    Decimal.log10 at lo = a/den rounded down to prec digits, each widened
+    above by the rise x/lo - 1 >= ln(x) - ln(lo), times INV_LN10_UPPER for
+    log10."""
     out = []
     with localcontext() as ctx:
-        ctx.prec = ((b.bit_length() - (b - a).bit_length()) * LOG10_2_Q31 >> 31) + 6
+        ctx.prec = prec
         ctx.rounding = ROUND_FLOOR
         lo = Decimal(a) / den
         num, dn = lo.as_integer_ratio()

@@ -1,10 +1,13 @@
 import itertools
+import json
 import math
 import random
+import sys
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
+from unittest import mock
 
 import mpmath
 import pytest
@@ -39,6 +42,7 @@ from hkdd.polynomial import (
 from hkdd.salem import SALEM_STRUCTURE, classify_charpoly, is_salem_polynomial, salem_root_of
 from fraction_sturm import fraction_isolate
 from conftest import TPQR_SALEM_FACTORS, assert_correctly_rounded, assert_walk_nests, mp_root
+from test_cli_golden import _argv, run
 from oracles import (
     all_isometries,
     all_pairs_search,
@@ -51,6 +55,7 @@ from oracles import (
     root_index,
     sym_power_dim,
     sym_power_matrix,
+    two_call_log_bounds,
 )
 
 
@@ -284,6 +289,97 @@ def test_power_decimal_logarithm_near_one():
         for lo, hi, d, value in ((ln_lo, ln_hi, ln_den, true), (lg_lo, lg_hi, lg_den, true / mpmath.log(10))):
             assert mpmath.mpf(lo) / d <= value <= mpmath.mpf(hi) / d
             assert hi - lo < Fraction(1, 10**13) * lo
+
+
+def entropies(report) -> int:
+    """The number of spectra with d_1 > 1 in a JSON report."""
+    if isinstance(report, list):
+        return sum(map(entropies, report))
+    if not isinstance(report, dict):
+        return 0
+    own = "entropy" in report and report["entropy"]["nats"] != "0"
+    return own + sum(map(entropies, report.values()))
+
+
+@pytest.mark.parametrize("digits", [12, 50, 200])
+@pytest.mark.parametrize("case", ["kummer-t3", "degrees-m1m2", "degrees-e10-lehmer", "beauville-demo"])
+def test_one_ln_per_report(case, digits):
+    """Each spectrum of a report takes one Decimal.ln at its interval's end
+    and one of 10, and no Decimal.log10. Decimal's methods are C functions,
+    so sys.setprofile counts them."""
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__qualname__", "") in ("Decimal.ln", "Decimal.log10"):
+            calls[arg.__qualname__, arg.__self__ == 10] += 1
+
+    sys.setprofile(profile)
+    try:
+        code, out = run(_argv(case, "json", digits))
+    finally:
+        sys.setprofile(None)
+    spectra = entropies(json.loads(out))
+    assert code == 0 and spectra == (3 if case == "beauville-demo" else 1)
+    assert calls == {("Decimal.ln", False): spectra, ("Decimal.ln", True): spectra}
+
+
+LEHMER = IntPolynomial(TPQR_SALEM_FACTORS[0])
+
+
+@settings(max_examples=150)
+@given(
+    st.one_of(st.integers(3, 10**6).map(lambda s: poly(1, -s, 1)), st.just(LEHMER)),
+    st.sampled_from((3, 12, 50, 200)),
+    st.integers(1, 30),
+)
+def test_power_decimal_logarithms_match_the_two_call_path(defining, digits, scale):
+    """One Decimal.ln and ln(10) give the decimals that Decimal.ln and
+    Decimal.log10, each called at lo, gave."""
+    got = power_decimal(salem_root_of(defining), [1, 2], digits, scale)
+    with mock.patch.object(dynamics, "_log_bounds", two_call_log_bounds):
+        assert power_decimal(salem_root_of(defining), [1, 2], digits, scale) == got
+
+
+def assert_log_bounds_enclose(a: int, b: int, den: int, digits: int, dps: int):
+    """The _log_bounds of [a/den, b/den] at digits hold ln and log10 of both
+    ends, which mpmath takes at dps digits, and both lower bounds are
+    positive."""
+    bounds = dynamics._log_bounds(a, b, den, digits)
+    with mpmath.workdps(dps):
+        ends = mpmath.mpf(a) / den, mpmath.mpf(b) / den
+        for (low, high, d), log in zip(bounds, (mpmath.log, mpmath.log10)):
+            assert 0 < low and mpmath.mpf(low) / d <= log(ends[0])
+            assert log(ends[1]) <= mpmath.mpf(high) / d
+
+
+@pytest.mark.parametrize("digits", [3, 12, 50, 200])
+@pytest.mark.parametrize(
+    "defining",
+    [poly(1, -3, 1), poly(1, -34, 1), poly(1, -3134, 1), LEHMER],
+    ids=["s3", "root34", "kummer_t56", "lehmer"],
+)
+def test_log_bounds_enclose_mpmath(defining, digits):
+    """Every interval of the walk up to the one power_decimal takes its
+    logarithms from, against mpmath at 60 digits more than the bounds'."""
+    gate = 10 ** (digits + 2)
+    for a, b, den in salem_root_of(defining).quadratic_path():
+        if a > den:
+            assert_log_bounds_enclose(a, b, den, digits + 10, digits + 10 + 60)
+        if (b - a) * gate < a - den:
+            break
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 10**6), st.integers(1, 60), st.integers(0, 10**6), st.integers(-70, 10))
+def test_log_bounds_near_one(m, zeros, step, width):
+    """a/den = 1 + (1 + step % m)/(m*10^zeros), within 10^-zeros of 1 for
+    zeros from 1 to 60 (past the 22 digits asked for), on intervals from far
+    narrower to far wider than that distance: lo, a/den rounded down, stays
+    above 1, so both lower bounds stay positive."""
+    den = m * 10**zeros
+    a = den + 1 + step % m
+    b = a + max(1, a * 10**width // den if width >= 0 else den // 10**-width)
+    assert_log_bounds_enclose(a, b, den, 22, zeros + 150)
 
 
 @pytest.mark.parametrize("digits", [3, 12, 50, 200])

@@ -4,6 +4,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hkdd import cli, fixtures, linalg
 from hkdd.errors import HkddError
@@ -21,6 +23,7 @@ from hkdd.polynomial import IntPolynomial, isolate_real_roots, poly
 from hkdd.salem import salem_root_of
 from conftest import TPQR_SALEM_FACTORS
 from oracles import algebraic_real_from_json, decode_coeffs
+from test_cli_golden import CASES, PRECISIONS, _argv, read_snapshot, run
 
 
 def test_int53_rule():
@@ -122,6 +125,50 @@ def test_dump_json_stable():
     obj = {"b": 1, "a": [3, 2]}
     out = dump_json(obj)
     assert dump_json(json.loads(out)) == out
+
+
+# strings with quotes, backslashes, control characters, line separators and
+# characters past the BMP, which \uXXXX escapes write as surrogate pairs
+TEXT = st.text(st.sampled_from('a"\\/\x00\x1f\x7f\n\t\u00e9\u2028\u20ac\U0001f600')) | st.text()
+INT53 = 2**53
+REPORT_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(INT53 - 2, INT53 + 2)
+    | st.integers(-INT53 - 2, -INT53 + 2)
+    | TEXT
+    | st.integers(10**4299, 10**4300 - 1).map(str)
+    | st.integers(-(10**4300) + 1, -(10**4299)).map(str),
+    lambda children: st.lists(children) | st.lists(children).map(tuple) | st.dictionaries(TEXT, children),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400)
+@given(REPORT_VALUES)
+def test_dump_json_writes_what_json_dumps_writes(obj):
+    assert dump_json(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("obj", [1.5, [1, 2.0], {1, 2}, {"a": frozenset()}, {1: "a"}, {"a": {None: 1}}])
+def test_dump_json_refuses_what_no_report_holds(obj):
+    with pytest.raises(TypeError):
+        dump_json(obj)
+
+
+def test_json_goldens_never_reach_the_python_encoder(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("json.JSONEncoder.iterencode called")
+
+    monkeypatch.setattr(json.encoder.JSONEncoder, "iterencode", forbidden)
+    with pytest.raises(AssertionError):
+        json.dumps([1], indent=2)
+    for case in CASES:
+        snapshot = read_snapshot(case)
+        for precision in PRECISIONS:
+            argv = _argv(case, "json", precision)
+            assert run(argv) == snapshot[" ".join(argv)], " ".join(argv)
 
 
 def test_algebraic_real_json_roundtrip():
