@@ -51,6 +51,9 @@ CASES = {
         "natural-check --lattice {rank3_plus_minus4} --isometry {identity4} --half-dim 2"
     ),
     "search": "search --lattice {rank3} --bound 3",
+    # twelve quadratic roots, and ten roots of which five are quartic
+    "search-rank3-bound8": "search --lattice {rank3} --bound 8",
+    "search-diag-bound2": "search --lattice {diag_2_m2x3} --bound 2",
 }
 HEADER = re.compile(r"^\$ hkdd (.*) \[exit (\d+)\]\n", re.MULTILINE)
 
@@ -111,7 +114,7 @@ def test_snapshot_decimals_correctly_rounded():
                 for printed, value in decimals_of(json.loads(out)):
                     assert_correctly_rounded(printed, value, precision)
                     checked += 1
-    assert checked == 268  # so that the walk cannot pass by finding nothing
+    assert checked == 356  # so that the walk cannot pass by finding nothing
 
 
 if __name__ == "__main__":
