@@ -323,6 +323,11 @@ def enumerate_isometries(lat: GramLattice, entry_bound: int) -> list[list[list[i
     bucket is closed under negation, so the walk takes only first columns
     whose first nonzero entry is positive, the upper half of their bucket.
     The isometries under the lower half are the returned ones negated.
+
+    A list still closed under negation (closed[j][k]: a bucket, or one
+    filtered with c = 0 alone) pairs on its upper half: in lexicographic
+    order its (h + i)-th and (h - 1 - i)-th of 2h vectors are u and -u, so
+    one product u.G c_j keeps u when it is c and -u when it is -c.
     """
     if entry_bound < 1:
         raise ValueError("entry bound must be >= 1")
@@ -335,6 +340,7 @@ def enumerate_isometries(lat: GramLattice, entry_bound: int) -> list[list[list[i
 
     results: list[list[list[int]]] = []
     cols: list[tuple[int, ...]] = []
+    closed = [[not any(g[i][k] for i in range(j)) for k in range(r)] for j in range(r)]
 
     def backtrack(j: int, lists: list[list[tuple[int, ...]]]):
         if j == r:
@@ -344,7 +350,13 @@ def enumerate_isometries(lat: GramLattice, entry_bound: int) -> list[list[list[i
         for v in vs[len(vs) // 2 :] if j == 0 else vs:
             w, rest = later and linalg.mat_vec(g, v), []
             for k, us in enumerate(later, j + 1):
-                rest.append([u for u in us if sum(map(mul, u, w)) == row[k]])
+                if closed[j][k]:
+                    h, c = len(us) // 2, row[k]
+                    dots = [sum(map(mul, u, w)) for u in us[h:]]
+                    rest.append([u for u, x in zip(us[:h], reversed(dots)) if x == -c]
+                                + [u for u, x in zip(us[h:], dots) if x == c])
+                else:
+                    rest.append([u for u in us if sum(map(mul, u, w)) == row[k]])
                 if not rest[-1]:
                     break
             else:

@@ -6,10 +6,11 @@ sequences with the content divided out; each term is a positive multiple
 of its rational counterpart, so every sign and root count is the rational
 one. Signs at rational points come from homogeneous Horner over int, and
 isolation bisects at the same midpoints as over Q. A root has one walk
-from its isolating interval, held as integers (a, b, den): quadratic
-interval refinement on the same grid, which reads only the signs of the
-square-free part, of which the root is the one root there. refined,
-decimals and compare_to, the one comparison, all walk it.
+from its isolating interval, held as integers (a, b, den): isqrt cells for
+a quadratic Salem root, else quadratic interval refinement on the same
+grid, which reads only the signs of the square-free part, of which the
+root is the one root there. refined, decimals and compare_to, the one
+comparison, all walk it.
 Decimal output comes from certified isolating intervals, never from
 floats: rounded_decimal gives the correctly rounded (half-even) decimal
 that both ends of an interval agree on, and every value printed as a
@@ -438,10 +439,10 @@ class AlgebraicReal(_Immutable):
     b/den, need not be in lowest terms.
 
     Instances are immutable; refinement returns a new value with a nested
-    interval. The one ordering, <, is exact (compare_to: interval refinement
-    plus a gcd test for shared roots), so `sorted` never misorders close
-    roots. Two
-    instances are equal only when they are the same object. The one walk of
+    interval, from isqrt for a quadratic Salem root. The one ordering, <, is
+    exact (compare_to: interval refinement plus a gcd test for shared
+    roots), so `sorted` never misorders close roots. Two instances are
+    equal only when they are the same object. The one walk of
     quadratic_path an instance keeps changes none of its values.
     """
 
@@ -459,8 +460,8 @@ class AlgebraicReal(_Immutable):
 
     def quadratic_path(self):
         """Yield intervals (a, b, den * 2^k), each nested in the one before
-        and holding the root, narrowed by quadratic interval refinement
-        (_quadratic_walk).
+        and holding the root, narrowed by isqrt cells or by quadratic
+        interval refinement (_quadratic_walk).
 
         The instance keeps one walk: a call starts from the narrowest
         interval any earlier call reached and carries that walk on. So a
@@ -479,7 +480,11 @@ class AlgebraicReal(_Immutable):
 
     def _quadratic_walk(self):
         """Yield the intervals of quadratic_path from the isolating interval
-        on, narrowed by quadratic interval refinement (Abbott,
+        on. The root (s + sqrt(s^2 - 4))/2 of x^2 - s*x + 1, s > 2, isolated
+        above 1 over a power of two, is irrational, so it lies inside the
+        cell (t, t + 1] / 2^(w+1), t = s*2^w + isqrt((s^2 - 4) * 4^w), for
+        w = max(64, bit length of den), doubled at each step. Other roots
+        are narrowed by quadratic interval refinement (Abbott,
         arXiv:1203.1227), with the values of q = square_free_part(p).
 
         The interval is cut into N = 2^m cells. The secant through q's values
@@ -495,6 +500,13 @@ class AlgebraicReal(_Immutable):
         """
         a, b, den = self.a, self.b, self.den
         yield a, b, den
+        c = self.poly.coeffs
+        if len(c) == 3 and c[0] == c[2] == 1 and c[1] < -2 and a >= den and not den & (den - 1):
+            w = max(64, den.bit_length())
+            while True:
+                t = (-c[1] << w) + isqrt((c[1] * c[1] - 4) << 2 * w)
+                yield t, t + 1, 2 << w
+                w *= 2
         coeffs = square_free_part(self.poly).coeffs
         weights = _weights(coeffs, den)
         degree = len(coeffs) - 1  # a value scales by 2^degree per step of k
@@ -578,6 +590,7 @@ class AlgebraicReal(_Immutable):
                 if text is None:
                     break
                 done[pending.pop(0)] = text
+            del bounds  # freed before the next, wider list is built
             bits += bits // 2
         return tuple(done[e] for e in exponents)
 

@@ -228,10 +228,14 @@ def _certify(p: IntPolynomial) -> SalemCheck:
     the trace polynomial q at -oo, -2, 2 and +oo. Divided by its last term
     gcd(q, q'), the chain is a Sturm sequence of q's square-free part with
     the same variations wherever that gcd is nonzero: at +-2, as q(+-2) != 0.
+    x^2 - s*x + 1 with s > 2 needs no chain: q = y - s has its one root
+    above 2.
 
     Each p is certified once per process, and its root isolated once: the
     char polys of a search share few Salem factors among many keys, and the
     check, its root included, is immutable."""
+    if p.degree == 2 and p.coeffs[0] == 1 and p.coeffs[1] < -2:
+        return SalemCheck(True, "salem certificate holds", 1, 1, 0, salem_root_of(p))
     if p.degree % 2 != 0:
         return SalemCheck(False, f"odd degree {p.degree}")
     if not is_palindromic(p):

@@ -1,22 +1,26 @@
 """natural-check on lattices of rank 6 to 15 and on degenerate Grams,
 search at rank 4 (up to bound 8, with U first or last) and at rank 5 up to
 bound 2 and on zero Grams (refused), polynomial work on huge traces and
-degree 160, degree tables of half-dimension 1000 at 12, 50 and 200 digits
-and of trace 56 at half-dimension 300 and 200 digits end within a stated
-time with a documented exit code (0, 2, 3 or 4), and exact forms and
-report integers past 4300 digits end in exit 2 with a message naming the
-bound, within a memory cap. Each case runs `python -m hkdd.cli` in a fresh
-process with a timeout, so a hang fails the test instead of stalling the
-suite.
+degree 160, degree tables of half-dimension 1000 at 12, 50 and 200 digits,
+of trace 56 at half-dimension 300 and 200 digits, and of Lehmer's number
+at half-dimension 40000 end within a stated time with a documented exit
+code (0, 2, 3 or 4), and exact forms and report integers past 4300 digits
+end in exit 2 with a message naming the bound, both within a memory cap.
+Each case runs `python -m hkdd.cli` in a fresh process with a timeout, so
+a hang fails the test instead of stalling the suite.
 """
 
 import json
+import pathlib
 import random
 import resource
 import subprocess
 import sys
 
 import pytest
+
+INPUTS = pathlib.Path(__file__).parent / "golden" / "inputs"
+
 
 def diagonal(entries):
     return [[x if i == j else 0 for j, x in enumerate(entries)] for i in range(len(entries))]
@@ -231,6 +235,14 @@ CLI_CASES = {
             "595416538606922235561752599791088858478625403056 log10)"
         ),
     ),
+    # 80,001 rows of Lehmer powers: each retry of power_decimals at more
+    # bits frees the failed attempt's bounds before it builds the next
+    "degrees-e10-half-dim-40000": (
+        ["degrees", "--lattice", str(INPUTS / "e10_lattice.json"),
+         "--isometry", str(INPUTS / "e10_coxeter.json"), "--half-dim", "40000"], 20,
+        "entropy = 40000*log(root #2 of x^10 + x^9 - x^7 - x^6 - x^5 - x^4 - x^3 + x + 1 "
+        "in [1.125, 1.1875]) = 6494.30448031 nats (2820.44059960 log10)",
+    ),
 }
 
 
@@ -242,6 +254,7 @@ def test_cli_ends_in_time(case):
         capture_output=True,
         text=True,
         timeout=seconds,
+        preexec_fn=cap_memory,
     )
     assert proc.returncode in (0, 2, 3, 4), proc.stderr
     if line is not None:

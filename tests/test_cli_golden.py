@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from hkdd import fixtures
+from hkdd import fixtures, polynomial, salem
 from hkdd.cli import main
 from conftest import assert_correctly_rounded, decimals_of
 
@@ -102,6 +102,22 @@ def test_cli_matches_snapshot(case):
     assert sorted(snapshot) == sorted(" ".join(a) for a in argvs)
     for argv in argvs:
         assert run(argv) == snapshot[" ".join(argv)], " ".join(argv)
+
+
+def test_quadratic_roots_take_no_sturm_chain_and_no_refinement_step(monkeypatch):
+    # every root of this catalogue is quadratic: certified from s > 2 and
+    # walked by isqrt, so neither a Sturm chain nor square_free_part, the
+    # first call of quadratic interval refinement, is needed
+    def refuse(*args):
+        raise AssertionError("not needed for a quadratic Salem root")
+
+    salem._certify.cache_clear()
+    for module, name in ((polynomial, "square_free_part"), (polynomial, "_sturm_chain"), (salem, "_sturm_chain")):
+        monkeypatch.setattr(module, name, refuse)
+    snapshot = read_snapshot("search-rank3-bound8")
+    for argv in (_argv("search-rank3-bound8", fmt, p) for fmt in FORMATS for p in PRECISIONS):
+        assert run(argv) == snapshot[" ".join(argv)], " ".join(argv)
+    salem._certify.cache_clear()
 
 
 def test_snapshot_decimals_correctly_rounded():

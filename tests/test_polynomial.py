@@ -8,6 +8,7 @@ import re
 import time
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 import hkdd
 from hkdd import cli, linalg
 from hkdd.dynamics import power_decimal
+from hkdd.salem import salem_root_of
 from hkdd.errors import (
     HkddError,
     NotDivisibleError,
@@ -48,6 +50,7 @@ from oracles import (
     as_float,
     bisection_decimal_str,
     bisection_path,
+    bisection_power_decimal,
     interval,
     is_reciprocal,
 )
@@ -610,6 +613,79 @@ def test_algebraic_comparisons():
     assert r2.compare_rational(1) > 0
     one = isolate_real_roots(poly(-1, 1))[0]
     assert one.compare_rational(1) == 0
+
+
+# --- quadratic Salem roots ----------------------------------------------------
+
+# s of x^2 - s*x + 1: every s up to 10^6, and some up to 10^60
+TRACES = st.one_of(st.integers(3, 10**6), st.integers(3, 10**60))
+
+
+def quadratic_root(s: int) -> AlgebraicReal:
+    return salem_root_of(poly(1, -s, 1))
+
+
+@settings(max_examples=200)
+@given(TRACES)
+def test_quadratic_walk_is_isqrt_cells_holding_the_root(s):
+    # each cell nests in the one before, holds (s + sqrt(s^2 - 4))/2 and
+    # has a power-of-two denominator 2^(w+1), w = 64, 128, ...; by Liouville
+    # the root is about 2^-(w+1)/s of a cell or more from either end, so 2w
+    # bits and twice those of s tell it apart
+    root = quadratic_root(s)
+    walk = root._quadratic_walk()
+    prev = next(walk)
+    assert prev == (root.a, root.b, root.den) and root.a >= root.den
+    for w in (64 << i for i in range(5)):
+        a, b, den = next(walk)
+        assert (b - a, den) == (1, 2 << w)
+        assert prev[0] * den <= a * prev[2] and b * prev[2] <= prev[1] * den
+        with mpmath.workprec(2 * w + 2 * s.bit_length() + 16):
+            lam = (s + mpmath.sqrt(mpmath.mpf(s) ** 2 - 4)) / 2
+            assert mpmath.mpf(a) / den < lam < mpmath.mpf(b) / den
+        prev = a, b, den
+
+
+@settings(max_examples=60)
+@given(st.integers(3, 10**6), st.sampled_from((1, 3, 12, 50, 200)))
+def test_quadratic_decimals_match_the_bisection_oracles(s, digits):
+    exponents = [1, 2, 5, 0, 3]
+    assert quadratic_root(s).decimal_str(digits) == bisection_decimal_str(quadratic_root(s), digits)
+    want = bisection_power_decimal(quadratic_root(s), exponents, digits).entries
+    assert quadratic_root(s).power_decimals(exponents, digits) == want
+
+
+@settings(max_examples=200)
+@given(TRACES, TRACES)
+def test_quadratic_roots_compare_as_their_traces(s, t):
+    # the root grows with s; equal s share their root, found by the gcd test
+    assert quadratic_root(s).compare_to(quadratic_root(t)) == (s > t) - (s < t)
+
+
+@settings(max_examples=300)
+@given(TRACES, st.integers(1, 2**400), st.integers(0, 2**400), st.integers(-3, 3))
+def test_quadratic_root_against_a_rational(s, d, k, offset):
+    # n/d > 1 lies below the root exactly when p(n/d) < 0: n/d anywhere in
+    # (1, s + 1], and n/d within 2^-200 of the root, n = floor(lambda * e) + offset
+    e = d << 202
+    near = (s * e + math.isqrt((s * s - 4) * e * e)) // 2 + offset
+    for n, den in ((d + 1 + k % (s * d), d), (near, e)):
+        want = s * n * den - n * n - den * den
+        assert quadratic_root(s).compare_rational(n, den) == (want > 0) - (want < 0)
+
+
+@pytest.mark.parametrize(
+    "other",
+    [LEHMER, poly(1, -1, -2, -1, 1), poly(1, -2, -2, -2, 1), poly(1, -5, 4, -5, 1)],
+    ids=["lehmer", "quartic-2.08", "quartic-2.89", "quartic-4.33"],
+)
+@pytest.mark.parametrize("s", [3, 4, 5])
+def test_quadratic_root_against_a_qir_root_matches_mpmath(other, s):
+    root = isolate_real_roots(other)[-1]
+    with mpmath.workdps(30):
+        diff = (s + mpmath.sqrt(s * s - 4)) / 2 - mp_root(other, root)()
+    assert quadratic_root(s).compare_to(root) == (diff > 0) - (diff < 0)
+    assert root.compare_to(quadratic_root(s)) == (diff < 0) - (diff > 0)
 
 
 # --- trace polynomial --------------------------------------------------------

@@ -210,6 +210,11 @@ def certify_inputs(draw):
 @example(X2_34 * poly(1, 2, 1))
 @example(poly(1, 1, 1, 1))
 @example(poly(1, 2, 3, 4, 1))
+# x^2 - s*x + 1 certified from s > 2 alone, and its neighbours at s = 2, -3
+@example(poly(1, -3, 1))
+@example(poly(1, -(10**60), 1))
+@example(poly(1, -2, 1))
+@example(poly(1, 3, 1))
 def test_one_chain_certificate_matches_three_sturm_counts(p):
     got, want = salem._certify(p), sturm_count_certify(p)
     assert got[:-1] == want[:-1]
