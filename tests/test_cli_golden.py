@@ -117,7 +117,6 @@ def test_quadratic_roots_take_no_sturm_chain_and_no_refinement_step(monkeypatch)
     snapshot = read_snapshot("search-rank3-bound8")
     for argv in (_argv("search-rank3-bound8", fmt, p) for fmt in FORMATS for p in PRECISIONS):
         assert run(argv) == snapshot[" ".join(argv)], " ".join(argv)
-    salem._certify.cache_clear()
 
 
 def test_snapshot_decimals_correctly_rounded():
