@@ -50,10 +50,18 @@ CASES = {
     "natural-check-rank4": (
         "natural-check --lattice {rank3_plus_minus4} --isometry {identity4} --half-dim 2"
     ),
+    # NotNatural by the congruence rule and by the definite signature
+    "natural-check-congruence": "natural-check --lattice {diag_4_m2_m4} --isometry {negate_e3}",
+    "natural-check-signature": (
+        "natural-check --lattice {diag_1_m2_1x3} --isometry {negate_e5} --e-index 1"
+    ),
     "search": "search --lattice {rank3} --bound 3",
     # twelve quadratic roots, and ten roots of which five are quartic
     "search-rank3-bound8": "search --lattice {rank3} --bound 8",
     "search-diag-bound2": "search --lattice {diag_2_m2x3} --bound 2",
+    # <-2> + <-2> + U: the last coordinate has g_mm = 0, so the box walk
+    # solves it from a linear equation
+    "search-u-last-bound2": "search --lattice {m2_m2_u} --bound 2",
 }
 HEADER = re.compile(r"^\$ hkdd (.*) \[exit (\d+)\]\n", re.MULTILINE)
 
@@ -129,7 +137,7 @@ def test_snapshot_decimals_correctly_rounded():
                 for printed, value in decimals_of(json.loads(out)):
                     assert_correctly_rounded(printed, value, precision)
                     checked += 1
-    assert checked == 356  # so that the walk cannot pass by finding nothing
+    assert checked == 492  # so that the walk cannot pass by finding nothing
 
 
 if __name__ == "__main__":
