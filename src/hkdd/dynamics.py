@@ -24,7 +24,7 @@ from operator import itemgetter, mul
 
 from . import linalg
 from .errors import HkddError, SpectralStructureViolatedError
-from .lattice import GramLattice, LatticeIsometry, affine_points
+from .lattice import GramLattice, LatticeIsometry, box_points
 from .polynomial import (
     AlgebraicReal,
     DIGITS_BOUND,
@@ -312,7 +312,7 @@ def enumerate_isometries(lat: GramLattice, entry_bound: int) -> list[list[list[i
     Column-by-column backtracking: column j must have norm G[j][j] and
     pair with each earlier column c_i as G[i][j]. Every column, the last
     one included, starts from its norm bucket, in lexicographic order; one
-    lattice.affine_points walk of the box fills the buckets of every norm
+    lattice.box_points walk of the box fills the buckets of every norm
     on the diagonal. Choosing c_j filters the list of every later column k
     once, in order, to the u with u.G c_j = G[j][k] (G c_j computed once
     per choice); the first list left empty prunes the choice, and the lists
@@ -334,7 +334,7 @@ def enumerate_isometries(lat: GramLattice, entry_bound: int) -> list[list[list[i
     g = lat.gram_rows()
     r = lat.rank
     buckets = {g[j][j]: [] for j in range(r)}
-    for norm, v in affine_points(g, buckets, entry_bound):
+    for norm, v in box_points(g, buckets, entry_bound):
         if any(v):
             buckets[norm].append(v)
 

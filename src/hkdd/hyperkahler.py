@@ -21,7 +21,6 @@ from .errors import (
     BadNError,
     DimensionMismatchError,
     LatticeMismatchError,
-    NotIsometryError,
     NotUnimodularError,
 )
 from .lattice import (
@@ -29,7 +28,7 @@ from .lattice import (
     FoundVector,
     GramLattice,
     LatticeIsometry,
-    affine_points,
+    _integer_quadratic_roots,
     invariant_sublattice,
     make_lattice,
     norm_of,
@@ -40,10 +39,6 @@ from .lattice import (
 from .polynomial import IntPolynomial, is_perfect_square
 from .dynamics import DegreeSpectrum, FirstDegree, degree_spectrum
 from .salem import salem_root_of
-
-# The kernel coordinates other than the last run over [-64, 64] when
-# _beauville_candidates solves a basis vector's image at rank >= 4.
-BEAUVILLE_COORDINATE_BOUND = 64
 
 
 class HilbertLattice(namedtuple("HilbertLattice", "base n extended e_index")):
@@ -82,12 +77,12 @@ NOT_NATURAL = "NotNatural"
 POSSIBLY_NATURAL = "PossiblyNatural"
 
 
-# Solver trace for one basis vector: the integer candidate images (int
-# tuples) _beauville_candidates lists, the chosen one, and why the rejected
-# ones fail, as (candidate, reason) pairs.
+# Solver trace for the basis vector other than h and e at rank 3: the integer
+# candidate images (int tuples) _beauville_candidates lists, the chosen one,
+# and why the rejected ones fail, as (candidate, reason) pairs.
 CandidateRecord = namedtuple("CandidateRecord", "basis_index candidates chosen rejections")
-# the LatticeIsometry, a CandidateRecord per basis vector, and the hypotheses
-# (strings) that a lattice cannot check
+# the LatticeIsometry, a tuple of at most one CandidateRecord, and the
+# hypotheses (strings) that a lattice cannot check
 BeauvilleSolution = namedtuple("BeauvilleSolution", "isometry h_index e_index records assumed_hypotheses")
 
 
@@ -129,6 +124,8 @@ def hilbert_from_extended(
         e_index = matches[0]
     if not 0 <= e_index < lat.rank:
         raise DimensionMismatchError(f"e_index {e_index} out of range")
+    if lat.rank == 1:
+        raise DimensionMismatchError("the lattice has no class besides e")
     expected = -2 * n + 2
     if lat.gram[e_index][e_index] != expected:
         raise DimensionMismatchError(
@@ -159,23 +156,23 @@ def _beauville_candidates(
     x: int,
     iota_h: list[int],
     iota_e: list[int],
-    bound: int = BEAUVILLE_COORDINATE_BOUND,
 ) -> list[tuple[int, ...]]:
-    """Integer candidates for the image of basis vector x under the involution.
+    """Integer candidates for the image of basis vector x under the involution,
+    on a nondegenerate lattice of rank 3.
 
     The two pairing constraints (image, iota_h) = (x, h) and
-    (image, iota_e) = (x, e) are solved exactly; the norm constraint on the
-    general integer solution u0 + sum t_i k_i is then lattice.affine_points,
-    which solves the last t from its quadratic. At rank 3 that is the only
-    variable; at higher rank the other t run over [-bound, bound] and only
-    roots in that range are kept.
+    (image, iota_e) = (x, e) are solved exactly; iota(x) meets them, so
+    they have a solution. It is a line u0 + t k: k spans the orthogonal
+    complement of the plane of iota_h and iota_e (Gram diag(4, -2)), and
+    (k, k) != 0 as G is nondegenerate. So the norm constraint is a proper
+    quadratic in t, and its integer roots, at most two, are the candidates.
     """
     g = lat.gram_rows()
     rows = [linalg.mat_vec(g, iota_h), linalg.mat_vec(g, iota_e)]
-    solution = linalg.solve_integer_system(rows, [g[x][h], g[x][e]])
-    if solution is None:
-        return []
-    return sorted(v for _, v in affine_points(g, (g[x][x],), bound, *solution))
+    u0, (k,) = linalg.solve_integer_system(rows, [g[x][h], g[x][e]])
+    a, b = linalg.bilinear(g, k, k), 2 * linalg.bilinear(g, u0, k)
+    roots = _integer_quadratic_roots(a, b, linalg.bilinear(g, u0, u0) - g[x][x], 0)
+    return sorted(tuple(u + t * c for u, c in zip(u0, k)) for t in roots)
 
 
 def solve_beauville(hilb: HilbertLattice, quartic_class_index: int) -> BeauvilleSolution:
@@ -192,11 +189,13 @@ def solve_beauville(hilb: HilbertLattice, quartic_class_index: int) -> Beauville
     The Gram entries (h, h) = 4, (h, e) = 0 and (e, e) = -2 are checked, not
     assumed.
 
-    The records keep the candidate trace: for each basis vector x other than
-    h and e, the integer images that meet the pairing and norm constraints
-    (at rank >= 4 only those inside the kernel-coordinate box), iota(x) as
-    the chosen one, and each other candidate with the first filter it fails
-    in place of column x of iota.
+    On a nondegenerate lattice of rank 3 the records keep the candidate
+    trace of the one basis vector x other than h and e: the integer images
+    that meet the pairing and norm constraints, iota(x) as the chosen one,
+    and each other candidate with the filter it fails in place of column x
+    of iota. Only there is the candidate set finite and a function of the
+    lattice alone; at any other rank, or on a degenerate lattice, the
+    records are empty.
     """
     lat = hilb.extended
     if hilb.n != 2:
@@ -216,35 +215,24 @@ def solve_beauville(hilb: HilbertLattice, quartic_class_index: int) -> Beauville
             f"(e, {lat.labels[h]}) = {lat.gram[h][e]}, need 0"
         )
     r = lat.rank
+    g = lat.gram_rows()
     v = [0] * r
     v[h], v[e] = 1, -1
-    pairings = linalg.mat_vec(lat.gram_rows(), v)
+    pairings = linalg.mat_vec(g, v)
     m = [[pairings[j] * v[i] - (i == j) for j in range(r)] for i in range(r)]
     iso = verify_isometry(lat, m)
-    iota_h, iota_e = ([row[j] for row in m] for j in (h, e))
-    records = []
-    for x in range(r):
-        if x in (h, e):
-            continue
+    records = ()
+    if r == 3 and linalg.det_bareiss(g) != 0:
+        (x,) = {0, 1, 2} - {h, e}
+        iota_h, iota_e, chosen = (tuple(row[j] for row in m) for j in (h, e, x))
         cands = _beauville_candidates(lat, h, e, x, iota_h, iota_e)
-        chosen = tuple(row[x] for row in m)
-        records.append(
-            CandidateRecord(
-                basis_index=x,
-                candidates=tuple(cands),
-                chosen=chosen,
-                rejections=tuple(
-                    (cand, _first_failed_filter(lat, m, x, cand))
-                    for cand in cands
-                    if cand != chosen
-                ),
-            )
-        )
+        rejections = tuple((c, _first_failed_filter(lat, m, x, c)) for c in cands if c != chosen)
+        records = (CandidateRecord(x, tuple(cands), chosen, rejections),)
     return BeauvilleSolution(
         isometry=iso,
         h_index=h,
         e_index=e,
-        records=tuple(records),
+        records=records,
         assumed_hypotheses=(
             "quartic class is very ample",
             "the surface contains no line",
@@ -253,17 +241,18 @@ def solve_beauville(hilb: HilbertLattice, quartic_class_index: int) -> Beauville
 
 
 def _first_failed_filter(lat: GramLattice, m: list[list[int]], x: int, image) -> str:
-    """The first filter that m fails with image in place of its column x."""
-    trial = [[*row[:x], y, *row[x + 1 :]] for row, y in zip(m, image)]
-    try:
-        iso = verify_isometry(lat, trial)
-    except NotIsometryError:
-        return "not an isometry"
-    if linalg.mat_mul(trial, trial) != linalg.identity(len(trial)):
-        return "square is not the identity"
-    # m is the only involution with these h and e columns and a fixed
-    # sublattice of rank 1, so this one's rank differs
-    return f"invariant sublattice has rank {len(invariant_sublattice(iso))}, need 1"
+    """The filter that m fails with image in place of its column x, on a
+    nondegenerate lattice of rank 3.
+
+    The image meets all six pairings of the trial matrix, so the trial is an
+    isometry; it is iota composed with the reflection in the line k of
+    _beauville_candidates, which commutes with iota, so it squares to the
+    identity. m is the only involution with these h and e columns and a
+    fixed sublattice of rank 1, so the trial's fixed rank differs.
+    """
+    trial = tuple((*row[:x], y, *row[x + 1 :]) for row, y in zip(m, image))
+    fixed = invariant_sublattice(LatticeIsometry(trial, lat))
+    return f"invariant sublattice has rank {len(fixed)}, need 1"
 
 
 def kummer_first_degree(m: Sl2Matrix) -> FirstDegree:

@@ -4,8 +4,8 @@ A lattice is a free Z-module with an integer Gram matrix; an isometry is an
 integer matrix M with M^T G M = G, acting on column coordinate vectors.
 Everything is exact: the signature is read off the integer characteristic
 polynomial, never from floating-point eigenvalues, and every question of the
-form "which points of an affine lattice does the form send to these values?"
-is answered by the one walk affine_points, which solves the last two
+form "which points of the box [-bound, bound]^n does the form send to these
+values?" is answered by the one walk box_points, which solves the last two
 coordinates together.
 """
 
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import isqrt
-from operator import mul
 
 from . import linalg
 from .errors import (
@@ -183,32 +182,27 @@ def norm_of(lat: GramLattice, v: list[int]) -> int:
     return linalg.bilinear(lat.gram_rows(), list(v), list(v))
 
 
-def _prefixes(gram, xs, q0: int = 0, lin0=None, left: int = 1):
+def _prefixes(gram, xs, left: int = 1):
     """Every prefix (v_1, ..., v_(n-left)) with entries in xs, in
-    lexicographic order, as (prefix, q, lin): q is the value on the prefix
-    and lin the linear coefficients it gives the left coordinates after it,
-    so that with left = 1 the value on (prefix, x) is q + lin[0]*x + g_nn*x^2.
+    lexicographic order, as (prefix, q, lin): q is the value of the form on
+    the prefix and lin the linear coefficients it gives the left coordinates
+    after it, so that with left = 1 the value on (prefix, x) is
+    q + lin[0]*x + g_nn*x^2. Each level adds its coordinate to the value and
+    to the linear terms of the coordinates after it, so no vector costs an
+    n x n product.
 
-    The value is that of the affine form q0 + lin0 . v + v^T G v; the
-    defaults q0 = 0 and lin0 = 0 give the quadratic form itself, and the
-    norm (u0 + K t)^T G (u0 + K t) on an affine lattice is walked in t with
-    gram K^T G K, q0 = u0^T G u0 and lin0 = 2 K^T G u0. Each level adds its
-    coordinate to the value and to the linear terms of the coordinates after
-    it, so no vector costs an n x n product.
-
-    Its callers are affine_points, which solves the last two coordinates
+    Its callers are box_points, which solves the last two coordinates
     together (left = 2) or the last one alone, and the congruence
     certificate of represents, which runs the last coordinate over its
     residues.
     """
     n = len(gram)
-    lin0 = [0] * n if lin0 is None else list(lin0)
     if n == left:
-        yield (), q0, lin0
+        yield (), 0, [0] * n
         return
     xs = tuple(xs)
     # depth-first; lin[j] is the coefficient the prefix gives v_(k+j)
-    stack = [((), q0, lin0)]
+    stack = [((), 0, [0] * n)]
     while stack:
         prefix, q, lin = stack.pop()
         k = len(prefix)
@@ -239,55 +233,37 @@ def _integer_quadratic_roots(a: int, b: int, c: int, bound: int) -> list[int]:
     return sorted({num // (2 * a) for num in (-b + s, -b - s) if num % (2 * a) == 0})
 
 
-def affine_points(gram, values, bound: int, u0=None, kernel=None):
-    """Every v = u0 + sum t_i k_i with v^T G v in values, as (value, v), in
-    lexicographic order of t for each value, from one walk for all of them.
-    u0 and kernel are given together or not at all; left out, the walk is
-    the box of the form itself (u0 = 0, K = I, m = rank).
+def box_points(gram, values, bound: int):
+    """Every v in the box [-bound, bound]^m with v^T G v in values, as
+    (value, v), in lexicographic order for each value, from one walk for all
+    of them.
 
-    The walk runs on the restricted form K^T G K with q0 = u0^T G u0 and
-    lin0 = 2 K^T G u0 (_prefixes). With m >= 2 and a = g_mm != 0, t_1..t_(m-2)
-    run over [-bound, bound], and so does x = t_(m-1); then t_m solves
+    With m >= 2 and a = g_mm != 0, v_1..v_(m-2) run over [-bound, bound]
+    (_prefixes), and so does x = v_(m-1); then v_m is a root of
     a t^2 + B(x) t + C(x) - value = 0, whose discriminant
     D(x) = B(x)^2 - 4a(C(x) - value) is a quadratic in x. Its values are
     stepped by differences, one walk for every value, each shifted by 4a
     times the value; a negative D is skipped before its isqrt, and the
     roots (-B +- sqrt D) / 2a in [-bound, bound] are kept. With m = 1 or
-    a = 0, t_1..t_(m-1) run over the box and t_m is solved from its
+    a = 0, v_1..v_(m-1) run over the box and v_m is solved from its
     quadratic: every root when m = 1, the roots in [-bound, bound]
     otherwise, and all of [-bound, bound] when the quadratic vanishes
-    identically. With m = 0 the one point is u0.
+    identically.
     """
     values = tuple(values)
-    if kernel is None:
-        form, q0, lin0, point = gram, 0, None, tuple
-    else:
-        q0 = linalg.bilinear(gram, u0, u0)
-        if not kernel:
-            if q0 in values:
-                yield q0, tuple(u0)
-            return
-        g_k = [linalg.mat_vec(gram, k) for k in kernel]
-        form = [[sum(map(mul, k, g_l)) for g_l in g_k] for k in kernel]
-        lin0 = [2 * sum(map(mul, u0, g_l)) for g_l in g_k]
-        rows = list(zip(*kernel))
-
-        def point(t):
-            return tuple(u + sum(map(mul, t, row)) for u, row in zip(u0, rows))
-
-    m, a, xs = len(form), form[-1][-1], range(-bound, bound + 1)
+    m, a, xs = len(gram), gram[-1][-1], range(-bound, bound + 1)
     if m == 1 or a == 0:
-        for ts, q, (b,) in _prefixes(form, xs, q0, lin0):
+        for ts, q, (b,) in _prefixes(gram, xs):
             for value in values:
                 for t in _integer_quadratic_roots(a, b, q - value, bound):
                     if m == 1 or -bound <= t <= bound:
-                        yield value, point(ts + (t,))
+                        yield value, ts + (t,)
         return
-    alpha, gamma = form[-2][-2], form[-2][-1]
+    alpha, gamma = gram[-2][-2], gram[-2][-1]
     # D(x) = dxx x^2 + dx x + d1, with d1 = l2^2 - 4a(q - value)
     dxx, two_a, sign = 4 * (gamma * gamma - a * alpha), 2 * a, 1 if a > 0 else -1
     shifts = [(4 * a * value, value) for value in values]
-    for ts, q, (l1, l2) in _prefixes(form, xs, q0, lin0, 2):
+    for ts, q, (l1, l2) in _prefixes(gram, xs, 2):
         dx, d1 = 4 * (gamma * l2 - a * l1), l2 * l2 - 4 * a * q
         for shift, value in shifts:
             # D at x = -bound and its first difference
@@ -299,7 +275,7 @@ def affine_points(gram, values, bound: int, u0=None, kernel=None):
                         b = l2 + 2 * gamma * x
                         for num in (-b - s, -b + s) if s else (-b,):
                             if num % two_a == 0 and -bound <= num // two_a <= bound:
-                                yield value, point(ts + (x, num // two_a))
+                                yield value, ts + (x, num // two_a)
                 d += step
                 step += dxx + dxx
 
@@ -406,7 +382,7 @@ def represents(lat: GramLattice, value: int, bound: int) -> RepresentsResult:
                     if row[i] == value:
                         return FoundVector(tuple(int(j == i) for j in range(lat.rank)), value)
             return NotFoundWithinBound(s - 1)
-        v = next((v for _, v in affine_points(lat.gram, (value,), s) if max(map(abs, v)) == s), None)
+        v = next((v for _, v in box_points(lat.gram, (value,), s) if max(map(abs, v)) == s), None)
         if v is not None:
             return FoundVector(_normalize_sign(v), value)
     return NotFoundWithinBound(bound)

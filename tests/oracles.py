@@ -32,13 +32,7 @@ from fraction_sturm import fraction_sturm_count
 from hkdd import linalg
 from hkdd.dynamics import SpectrumDecimals, enumerate_isometries
 from hkdd.errors import HkddError, LatticeMismatchError, NotIsometryError, ZeroPolynomialError
-from hkdd.hyperkahler import (
-    BeauvilleSolution,
-    CandidateRecord,
-    HilbertLattice,
-    _beauville_candidates,
-    _e_slot_order,
-)
+from hkdd.hyperkahler import BeauvilleSolution, CandidateRecord, HilbertLattice, _e_slot_order
 from hkdd.jsonio import InputParseError, decode_int
 from hkdd.lattice import LatticeIsometry, _integer_quadratic_roots, invariant_sublattice, verify_isometry
 from hkdd.polynomial import (
@@ -319,6 +313,10 @@ def product_beauville(hilb, quartic_class_index: int, budget: int) -> BeauvilleS
     an isometric involution with a fixed sublattice of rank 1. A candidate's
     reason is the first filter failed by the first combination holding it.
 
+    The candidates of x are the points of norm (x, x) on the solutions
+    u0 + sum t_i k_i of the two pairing constraints, with the last t solved
+    from its quadratic and the others in [-64, 64] (last_coordinate_points).
+
     Returns None when the combinations number more than budget, and raises
     ValueError when none or several survive.
     """
@@ -331,9 +329,12 @@ def product_beauville(hilb, quartic_class_index: int, budget: int) -> BeauvilleS
     iota_e = [0] * r
     iota_e[h], iota_e[e] = 2, -3
     others = [i for i in range(r) if i not in (h, e)]
+    g = lat.gram_rows()
+    rows = [linalg.mat_vec(g, iota_h), linalg.mat_vec(g, iota_e)]
     per_vector: list[list[tuple[int, ...]]] = []
     for x in others:
-        cands = _beauville_candidates(lat, h, e, x, iota_h, iota_e)
+        u0, kernel = linalg.solve_integer_system(rows, [g[x][h], g[x][e]])
+        cands = sorted(last_coordinate_points(g, g[x][x], 64, u0, kernel))
         if not cands:
             raise ValueError(f"no integer image for basis vector {lat.labels[x]}")
         per_vector.append(cands)

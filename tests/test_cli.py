@@ -150,6 +150,18 @@ def test_exit_code_spectral_violation(capsys, tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "lattice, options", [({"gram": [[-2]]}, ["--e-index", "0"]), ({"gram": [[-2]], "labels": ["e"]}, [])]
+)
+def test_natural_check_on_e_alone_names_the_missing_base(capsys, tmp_path, lattice, options):
+    lat = tmp_path / "e.json"
+    iso = tmp_path / "minus.json"
+    lat.write_text(json.dumps(lattice))
+    iso.write_text(json.dumps({"matrix": [[-1]]}))
+    code, out, err = run_cli(["natural-check", "--lattice", str(lat), "--isometry", str(iso), *options], capsys)
+    assert (code, out, err) == (2, "", "input error: the lattice has no class besides e\n")
+
+
 def test_salem_check(capsys):
     code, out, _ = run_cli(["salem-check", "--", "1", "-34", "1"], capsys)
     assert code == 0

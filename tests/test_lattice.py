@@ -18,7 +18,7 @@ from hkdd.lattice import (
     CertifiedNo,
     FoundVector,
     NotFoundWithinBound,
-    affine_points,
+    box_points,
     invariant_sublattice,
     is_even,
     make_lattice,
@@ -283,70 +283,55 @@ def test_represents_matches_shell_order_reference(gram, value, bound):
         assert res.bound == bound  # the budget never binds at these sizes
 
 
-def brute_force_affine_points(gram, value, bound, u0, kernel):
-    """Scan t over [-bound, bound]^m for u0 + sum t_i k_i of norm value. At
-    m = 1 the line is scanned far enough to hold every root; more than two
-    hits mean the quadratic vanishes, and then t runs over [-bound, bound]."""
-    m = len(kernel)
-
-    def point(t):
-        return tuple(u + sum(ti * k[i] for ti, k in zip(t, kernel)) for i, u in enumerate(u0))
+def brute_force_box_points(gram, value, bound):
+    """Scan [-bound, bound]^m for the v of norm value. At m = 1 the line is
+    scanned far enough to hold every root; more than two hits mean the
+    quadratic vanishes, and then v runs over [-bound, bound]."""
+    m = len(gram)
 
     def hits(reach):
-        vs = map(point, itertools.product(range(-reach, reach + 1), repeat=m))
+        vs = itertools.product(range(-reach, reach + 1), repeat=m)
         return [v for v in vs if linalg.bilinear(gram, v, v) == value]
 
     if m != 1:
         return hits(bound)
-    # at the sizes drawn below every root has |t| < 1100
+    # at the sizes drawn below every root has |v| < 1100
     found = hits(1100)
-    return found if len(found) <= 2 else [point((t,)) for t in range(-bound, bound + 1)]
+    return found if len(found) <= 2 else [(t,) for t in range(-bound, bound + 1)]
 
 
 @st.composite
-def affine_lattices(draw):
+def box_cases(draw):
     rank = draw(st.integers(1, 4))
     upper = {(i, j): draw(st.integers(-3, 3)) for i in range(rank) for j in range(i, rank)}
     gram = [[upper[min(i, j), max(i, j)] for j in range(rank)] for i in range(rank)]
-    if draw(st.booleans()):
-        m, u0, kernel = rank, [0] * rank, [[int(i == j) for j in range(rank)] for i in range(rank)]
-    else:
-        m = draw(st.integers(0, min(rank, 3)))
-        vec = st.lists(st.integers(-3, 3), min_size=rank, max_size=rank)
-        u0, kernel = draw(vec), draw(st.lists(vec, min_size=m, max_size=m))
     bound = draw(st.integers(1, 3))
     # the value of a point, sometimes one outside the box
-    t = draw(st.lists(st.integers(-bound - 3, bound + 3), min_size=m, max_size=m))
-    v = [u + sum(ti * k[i] for ti, k in zip(t, kernel)) for i, u in enumerate(u0)]
+    v = draw(st.lists(st.integers(-bound - 3, bound + 3), min_size=rank, max_size=rank))
     value = linalg.bilinear(gram, v, v) + draw(st.sampled_from((0, 0, 0, 1, -2)))
-    return gram, value, bound, u0, kernel
+    return gram, value, bound
 
 
 @settings(max_examples=200)
-@given(affine_lattices())
-# m = 0: the one point u0
-@example(([[2, 1], [1, -2]], -2, 2, [1, 2], []))
-# m = 1: the roots t = 4 and t = -6 lie outside [-2, 2], and both are kept
-@example(([[1, 0], [0, -1]], 25, 2, [1, 0], [[1, 0]]))
-# on the hyperbolic plane U the norm of (t, 0) vanishes identically
-@example(([[0, 1], [1, 0]], 0, 2, [0, 0], [[1, 0]]))
-@example(([[0, 1], [1, 0]], 0, 2, [0, 0], [[1, 0], [0, 1]]))
+@given(box_cases())
+# m = 1: the roots 4 and -4 lie outside [-2, 2], and both are kept
+@example(([[1]], 16, 2))
+# on <0> and on the hyperbolic plane U the norm vanishes identically in the
+# last coordinate
+@example(([[0]], 0, 2))
+@example(([[0, 1], [1, 0]], 0, 2))
 # m = 2: 3^2 + 4^2 = 25 has no point in [-3, 3]^2
-@example(([[1, 0], [0, 1]], 25, 3, [0, 0], [[1, 0], [0, 1]]))
-def test_affine_points_match_brute_force(case):
-    gram, value, bound, u0, kernel = case
-    expected = brute_force_affine_points(gram, value, bound, u0, kernel)
-    assert list(affine_points(gram, (value,), bound, u0, kernel)) == [(value, v) for v in expected]
-    if not any(u0) and kernel == [[int(i == j) for j in range(len(gram))] for i in range(len(gram))]:
-        assert list(affine_points(gram, (value,), bound)) == [(value, v) for v in expected]
+@example(([[1, 0], [0, 1]], 25, 3))
+def test_box_points_match_brute_force(case):
+    gram, value, bound = case
+    expected = brute_force_box_points(gram, value, bound)
+    assert list(box_points(gram, (value,), bound)) == [(value, v) for v in expected]
 
 
 @st.composite
 def walk_cases(draw):
-    """(gram, values, bound, affine) for the one walk: ranks 1-4, some with
-    g_mm = 0 or a zero row; affine is () for the box, or (u0, kernel) drawn
-    at random (m = 0..3) or solved from pairing constraints as
-    _beauville_candidates solves them."""
+    """(gram, values, bound) for the one walk of a box: ranks 1-4, some with
+    g_mm = 0 or a zero row."""
     rank = draw(st.integers(1, 4))
     upper = {(i, j): draw(st.integers(-3, 3)) for i in range(rank) for j in range(i, rank)}
     if draw(st.booleans()):
@@ -356,48 +341,34 @@ def walk_cases(draw):
         upper = {key: 0 if zero in key else x for key, x in upper.items()}
     gram = [[upper[min(i, j), max(i, j)] for j in range(rank)] for i in range(rank)]
     bound = draw(st.integers(1, 3))
-    vec = st.lists(st.integers(-3, 3), min_size=rank, max_size=rank)
-    kind = draw(st.sampled_from(("box", "random", "solved")))
-    if kind == "box":
-        affine = ()
-    elif kind == "random":
-        affine = (draw(vec), draw(st.lists(vec, min_size=0, max_size=min(rank, 3))))
-    else:
-        rows = draw(st.lists(vec, min_size=1, max_size=2))
-        target = draw(vec)
-        solution = linalg.solve_integer_system(rows, [sum(map(int.__mul__, r, target)) for r in rows])
-        affine = (solution[0], solution[1])
     diagonal = [gram[i][i] for i in range(rank)]
     values = draw(st.one_of(st.just(diagonal), st.lists(st.integers(-8, 8), min_size=1, max_size=3)))
-    return gram, list(dict.fromkeys(values)), bound, affine
+    return gram, list(dict.fromkeys(values)), bound
 
 
 @settings(max_examples=300)
 @given(walk_cases())
 # g_mm = 0: the last coordinate is linear, and on U its equation vanishes
-@example(([[0, 1], [1, 0]], [0, 2], 2, ()))
-@example(([[2, 1, 0], [1, -2, 0], [0, 0, 0]], [2, -2, 0], 2, ()))
-# a zero row, m = 1 and m = 2 through kernels
-@example(([[0, 0, 0], [0, 4, 1], [0, 1, -2]], [0, 4, -2], 2, ()))
-@example(([[2, 0], [0, -2]], [2, -2], 3, ([1, 1], [[1, 0]])))
-@example(([[4, 0, 8], [0, -2, 0], [8, 0, 4]], [4, -2], 3, ([0, 1, 0], [[1, 0, 0], [0, 0, 1]])))
+@example(([[0, 1], [1, 0]], [0, 2], 2))
+@example(([[2, 1, 0], [1, -2, 0], [0, 0, 0]], [2, -2, 0], 2))
+# a zero row
+@example(([[0, 0, 0], [0, 4, 1], [0, 1, -2]], [0, 4, -2], 2))
 def test_one_walk_matches_a_walk_per_value(case):
     # the per-value subsequences of the one walk are the walks that solve
     # the last coordinate alone, point for point and in the same order
-    gram, values, bound, affine = case
-    got = list(affine_points(gram, values, bound, *affine))
+    gram, values, bound = case
+    got = list(box_points(gram, values, bound))
     assert {value for value, _ in got} <= set(values)
     for value in values:
-        want = list(last_coordinate_points(gram, value, bound, *affine))
+        want = list(last_coordinate_points(gram, value, bound))
         assert [v for val, v in got if val == value] == want
-    if not affine:
-        # the norm buckets of enumerate_isometries, from one walk of the box
-        per_norm = per_norm_buckets(gram, bound)
-        buckets = {norm: [] for norm in per_norm}
-        for norm, v in affine_points(gram, per_norm, bound):
-            if any(v):
-                buckets[norm].append(v)
-        assert buckets == per_norm
+    # the norm buckets of enumerate_isometries, from one walk of the box
+    per_norm = per_norm_buckets(gram, bound)
+    buckets = {norm: [] for norm in per_norm}
+    for norm, v in box_points(gram, per_norm, bound):
+        if any(v):
+            buckets[norm].append(v)
+    assert buckets == per_norm
 
 
 def test_congruence_reasons_match_full_residue_sets():
