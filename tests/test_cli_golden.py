@@ -44,6 +44,10 @@ CASES = {
     "kummer-flat": "kummer 1 1 0 1 --half-dim 2",
     "kummer-t6": "kummer 5 2 2 1 --half-dim 7",
     "kummer-one-point": "kummer 2 1 1 1 --half-dim 1",
+    # tall tables: exact forms of hundreds of digits (17+12*sqrt(2) to the
+    # 120th power), and the degree-10 Lehmer root in positional form
+    "kummer-t6-half-dim-120": "kummer 5 2 2 1 --half-dim 120",
+    "degrees-e10-half-dim-60": "degrees --lattice {e10_lattice} --isometry {e10_coxeter} --half-dim 60",
     "beauville-demo": "beauville-demo",
     "natural-check": "natural-check --lattice {rank3} --isometry {m1m2} --half-dim 2",
     "natural-check-identity3": "natural-check --lattice {rank3} --isometry {identity3} --half-dim 2",
@@ -137,7 +141,10 @@ def test_snapshot_decimals_correctly_rounded():
                 for printed, value in decimals_of(json.loads(out)):
                     assert_correctly_rounded(printed, value, precision)
                     checked += 1
-    assert checked == 492  # so that the walk cannot pass by finding nothing
+    # 492 before the two tall tables, which add 4 x 242 (kummer: d_1, 239
+    # powers, nats, log10) and 4 x 123 (E10: the root twice, 119 powers, nats,
+    # log10)
+    assert checked == 1952  # so that the walk cannot pass by finding nothing
 
 
 if __name__ == "__main__":
