@@ -80,5 +80,6 @@ from .hyperkahler import (
     power,
     solve_beauville,
 )
+from .fixtures import fixture_path
 
 __version__ = "0.1.0"

@@ -23,7 +23,10 @@ from dynamics.exact_power_str. Report integers past 53 bits are strings
 form past polynomial.MAX_DIGITS digits ends in exit 2, and so does search
 on a degenerate lattice.
 _parse reads every command line from one table, COMMANDS, without argparse.
-File inputs use the JSON formats documented in jsonio.
+File inputs use the JSON formats documented in jsonio; a lattice or matrix
+of rank above jsonio.MAX_RANK (64) ends in exit 2. beauville-demo reads no
+file: it builds its lattice and involutions and compares them with the
+constants of fixtures.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from .hyperkahler import (
     power,
     solve_beauville,
 )
-from .jsonio import dump_json, encode_int, encode_matrix, encode_vector, load_lattice, load_matrix
+from .jsonio import MAX_RANK, dump_json, encode_int, encode_matrix, encode_vector, load_lattice, load_matrix
 from .lattice import is_even, signature, verify_isometry
 from .polynomial import MAX_DIGITS, AlgebraicReal, IntPolynomial, char_poly
 from .salem import SALEM_STRUCTURE, SalemClassification, classify_charpoly
@@ -305,10 +308,9 @@ def cmd_beauville_demo(args):
     companion = [[int(i == j + 1) for j in range(len(salem) - 2)] + [-c] for i, c in enumerate(salem[:-1])]
     spectra = []
     for ell in (1, 2, 3):
-        iso_l = power(comp, ell)
-        cls_l = classify_charpoly(char_poly(iso_l.rows()))
-        check = None
+        cls_l, check = cls, None  # l = 1 is comp itself, classified above
         if ell > 1:
+            cls_l = classify_charpoly(char_poly(power(comp, ell).rows()))
             expected = char_poly(linalg.mat_pow(companion, ell))
             if cls_l.salem_factor != expected:
                 raise AssertionError(f"d_1 of (iota2 iota1)^{ell} is not d_1^{ell}: Salem factor "
@@ -392,12 +394,12 @@ GLOBAL_OPTIONS = {
     "--precision": Option(int, 12, 3, MAX_DIGITS,
                           help="significant digits for decimals (default: 12, minimum 3, maximum 4300)"),
 }
-_LATTICE = Option(required=True, help="lattice JSON file (required)")
+_LATTICE = Option(required=True, help=f"lattice JSON file (required; rank at most {MAX_RANK})")
 _HALF_DIM = Option(int, 2, 1, help="n, the number of points; the variety has dimension 2n (default 2)")
-_ISOMETRY = Option(required=True, help="isometry JSON file (required)")
+_ISOMETRY = Option(required=True, help=f"isometry JSON file (required; at most {MAX_RANK} x {MAX_RANK})")
 _ISOMETRY_OPTIONS = {"--lattice": _LATTICE, "--isometry": _ISOMETRY, "--half-dim": _HALF_DIM}
 COMMANDS = {
-    "lattice-info": Command("rank, parity, signature, determinant", ("lattice",)),
+    "lattice-info": Command(f"rank, parity, signature, determinant (rank at most {MAX_RANK})", ("lattice",)),
     "degrees": Command("full dynamical degree spectrum and entropy", options=_ISOMETRY_OPTIONS),
     "salem-check": Command("classify a monic integer polynomial, coefficients constant term first "
                            "(x^2 - 34x + 1 is 1 -34 1)", ("coeffs...",), int),
@@ -405,7 +407,7 @@ COMMANDS = {
                       ("a", "b", "c", "d"), int, {"--half-dim": _HALF_DIM}),
     "beauville-demo": Command("reproduce the quartic-pair example end to end (no inputs needed)"),
     "natural-check": Command("necessary condition for being induced from a surface automorphism", options={
-        **_ISOMETRY_OPTIONS, "--lattice": _LATTICE._replace(help="extended lattice JSON file (required)"),
+        **_ISOMETRY_OPTIONS, "--lattice": _LATTICE._replace(help="extended " + _LATTICE.help),
         "--e-index": Option(int, help='index of the exceptional class (default: the one labelled "e")')}),
     "search": Command("catalogue Salem isometries within an entry bound", options={
         "--lattice": _LATTICE, "--bound": Option(int, 8, 1, help="entry bound (default 8)")}),

@@ -1,14 +1,20 @@
-"""Bundled demo fixtures: the rank-3 quartic-pair lattice and the two
-involution matrices acting on it. Every bundled file, the SL(2, Z) matrices
-keyed by trace in sl2_by_trace.json included, is reachable by fixture_path.
-Paths are plain strings built with os.path."""
+"""Bundled demo fixtures: the rank-2 quartic-pair lattice, its rank-3
+extension and the two involution matrices acting on that, held as constants,
+so that beauville-demo reads no file. The same four objects ship as JSON
+files for the command line (a test pins each file to its constant), beside
+the SL(2, Z) matrices keyed by trace in sl2_by_trace.json; fixture_path
+names any bundled file. Paths are plain strings built with os.path."""
 
 from __future__ import annotations
 
 import os
 
-from .jsonio import load_lattice, load_matrix
 from .lattice import GramLattice
+
+QUARTIC_PAIR_LATTICE = GramLattice(((4, 8), (8, 4)), ("H1", "H2"))  # quartic_pair_lattice.json
+RANK3_LATTICE = GramLattice(((4, 0, 8), (0, -2, 0), (8, 0, 4)), ("H1", "e", "H2"))  # rank3_lattice.json
+M1 = ((3, 2, 8), (-4, -3, -8), (0, 0, -1))  # m1.json
+M2 = ((-1, 0, 0), (-8, -3, -4), (8, 2, 3))  # m2.json
 
 
 def fixture_dir() -> str:
@@ -23,16 +29,16 @@ def fixture_path(name: str) -> str:
 
 
 def rank3_lattice() -> GramLattice:
-    return load_lattice(fixture_path("rank3_lattice.json"))
+    return RANK3_LATTICE
 
 
 def quartic_pair_lattice() -> GramLattice:
-    return load_lattice(fixture_path("quartic_pair_lattice.json"))
+    return QUARTIC_PAIR_LATTICE
 
 
 def m1_matrix() -> list[list[int]]:
-    return load_matrix(fixture_path("m1.json"))
+    return [list(row) for row in M1]
 
 
 def m2_matrix() -> list[list[int]]:
-    return load_matrix(fixture_path("m2.json"))
+    return [list(row) for row in M2]

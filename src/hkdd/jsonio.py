@@ -5,7 +5,9 @@ plain JSON numbers; anything larger is serialized as a decimal string so that
 consumers without big integers still read the exact value. Reports write
 their matrices, vectors and polynomial coefficients this way; an integer
 past MAX_DIGITS digits, which CPython 3.11 will not write as a string,
-ends in exit 2.
+ends in exit 2. An input matrix, a Gram matrix or an isometry, has at most
+MAX_RANK rows and columns: a larger one is an input error (exit 2) before
+any entry is read.
 
 Reports are written by dump_json, which gives the bytes of
 json.dumps(obj, indent=2, sort_keys=True) with a trailing newline. With an
@@ -31,6 +33,10 @@ from .lattice import GramLattice, make_lattice
 from .polynomial import MAX_DIGITS
 
 _INT53 = 1 << 53
+# the largest rank a lattice or matrix file may have: the lattices of the
+# paper have rank at most 24, and the traces behind a char poly cost O(r^4)
+# integer operations, about 0.4 s for a degree table at rank 64
+MAX_RANK = 64
 # the strings encode_int writes: an optional minus sign and ASCII digits
 _DECIMAL = re.compile(r"-?[0-9]+")
 
@@ -75,6 +81,8 @@ def encode_matrix(m: list[list[int]]) -> list[list[int | str]]:
 def decode_matrix(obj) -> list[list[int]]:
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise InputParseError("matrix must be a non-empty list of rows")
+    if (size := max(len(obj), *map(len, obj))) > MAX_RANK:
+        raise InputParseError(f"matrix of size {size} exceeds the rank limit of {MAX_RANK}")
     return [[decode_int(x) for x in row] for row in obj]
 
 

@@ -246,9 +246,8 @@ def box_points(gram, values, bound: int):
     times the value; a negative D is skipped before its isqrt, and the
     roots (-B +- sqrt D) / 2a in [-bound, bound] are kept. With m = 1 or
     a = 0, v_1..v_(m-1) run over the box and v_m is solved from its
-    quadratic: every root when m = 1, the roots in [-bound, bound]
-    otherwise, and all of [-bound, bound] when the quadratic vanishes
-    identically.
+    quadratic: the roots in [-bound, bound], and all of [-bound, bound]
+    when the quadratic vanishes identically.
     """
     values = tuple(values)
     m, a, xs = len(gram), gram[-1][-1], range(-bound, bound + 1)
@@ -256,7 +255,7 @@ def box_points(gram, values, bound: int):
         for ts, q, (b,) in _prefixes(gram, xs):
             for value in values:
                 for t in _integer_quadratic_roots(a, b, q - value, bound):
-                    if m == 1 or -bound <= t <= bound:
+                    if -bound <= t <= bound:
                         yield value, ts + (t,)
         return
     alpha, gamma = gram[-2][-2], gram[-2][-1]

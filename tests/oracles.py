@@ -315,7 +315,7 @@ def product_beauville(hilb, quartic_class_index: int, budget: int) -> BeauvilleS
 
     The candidates of x are the points of norm (x, x) on the solutions
     u0 + sum t_i k_i of the two pairing constraints, with the last t solved
-    from its quadratic and the others in [-64, 64] (last_coordinate_points).
+    from its quadratic, all in [-64, 64] (last_coordinate_points).
 
     Returns None when the combinations number more than budget, and raises
     ValueError when none or several survive.
@@ -491,9 +491,9 @@ def last_coordinate_prefixes(gram, xs, q0: int = 0, lin0=None):
 def last_coordinate_points(gram, value: int, bound: int, u0=None, kernel=None):
     """Every v = u0 + sum t_i k_i with v^T G v = value, in lexicographic
     order of t: t_1..t_(m-1) run over [-bound, bound] and t_m is solved from
-    its quadratic, every root when m = 1, the roots in [-bound, bound]
-    otherwise, and all of [-bound, bound] when the quadratic vanishes
-    identically. With m = 0 the one point is u0."""
+    its quadratic, the roots in [-bound, bound], and all of [-bound, bound]
+    when the quadratic vanishes identically. With m = 0 the one point is
+    u0."""
     if kernel is None:
         form, q0, lin0, point = gram, 0, None, tuple
     else:
@@ -510,10 +510,10 @@ def last_coordinate_points(gram, value: int, bound: int, u0=None, kernel=None):
         def point(t):
             return tuple(u + sum(map(operator.mul, t, row)) for u, row in zip(u0, rows))
 
-    a, one = form[-1][-1], len(form) == 1
+    a = form[-1][-1]
     for ts, q, b in last_coordinate_prefixes(form, range(-bound, bound + 1), q0, lin0):
         for t in _integer_quadratic_roots(a, b, q - value, bound):
-            if one or -bound <= t <= bound:
+            if -bound <= t <= bound:
                 yield point(ts + (t,))
 
 

@@ -4,8 +4,9 @@ bound 2 and on zero Grams (refused), polynomial work on huge traces and
 degree 160, degree tables of half-dimension 1000 at 12, 50 and 200 digits,
 of trace 56 at half-dimension 300 and 200 digits, and of Lehmer's number
 at half-dimension 40000 end within a stated time with a documented exit
-code (0, 2, 3 or 4), and exact forms and report integers past 4300 digits
-end in exit 2 with a message naming the bound, both within a memory cap.
+code (0, 2, 3 or 4), and exact forms and report integers past 4300 digits,
+and a lattice of rank 163, end in exit 2 with a message naming the bound,
+all within a memory cap.
 Each case runs `python -m hkdd.cli` in a fresh process with a timeout, so
 a hang fails the test instead of stalling the suite.
 """
@@ -310,6 +311,40 @@ def test_exact_form_past_the_digit_bound_exits_2(case, tmp_path):
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == f"input error: {what} has an integer of more than 4300 digits\n"
+
+
+def t23_coxeter(r):
+    """The T_{2,3,r} lattice, a tree of r + 3 roots of norm -2, and its
+    Coxeter element s_1 s_2 ... s_(r+3), s_i(v) = v + (v, a_i) a_i."""
+    n = r + 3
+    gram = diagonal([-2] * n)
+    for i, j in [(0, 1), (0, 2), (2, 3), (0, 4)] + [(k, k + 1) for k in range(4, n - 1)]:
+        gram[i][j] = gram[j][i] = 1
+    m = identity(n)
+    for i in range(n):  # m s_i = m + (column i of m) (row i of G)
+        column = [row[i] for row in m]
+        for j in (j for j in range(n) if gram[i][j]):
+            for row, c in zip(m, column):
+                row[j] += c * gram[i][j]
+    return gram, m
+
+
+def test_degrees_past_the_rank_limit_exits_2(tmp_path):
+    # at rank 163 the traces behind the char poly took 9.4 s; the rank
+    # limit refuses the lattice as it is read
+    gram, coxeter = t23_coxeter(160)
+    lattice, isometry = tmp_path / "t23_160.json", tmp_path / "t23_160_cox.json"
+    lattice.write_text(json.dumps({"gram": gram}))
+    isometry.write_text(json.dumps({"matrix": coxeter}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hkdd.cli", "degrees", "--lattice", str(lattice), "--isometry", str(isometry)],
+        capture_output=True,
+        text=True,
+        timeout=1,
+        preexec_fn=cap_memory,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "input error: matrix of size 163 exceeds the rank limit of 64\n"
 
 
 # the involution is closed form at every rank; candidate records are kept

@@ -1,4 +1,5 @@
 import ast
+import builtins
 import inspect
 import io
 import json
@@ -11,6 +12,8 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hkdd import cli, dynamics, errors, fixtures, hyperkahler, jsonio, linalg, polynomial, salem
 from hkdd.cli import main
@@ -18,7 +21,7 @@ from hkdd.jsonio import dump_json
 from hkdd.polynomial import AlgebraicReal, IntPolynomial
 from conftest import assert_correctly_rounded, decimals_of
 from oracles import algebraic_real_from_json, build_parser, decode_coeffs
-from test_cli_golden import CASES, LEHMER
+from test_cli_golden import CASES, LEHMER, _argv, read_snapshot, run
 
 
 @pytest.fixture()
@@ -646,6 +649,64 @@ def test_power_check_catches_a_wrong_exponent(capsys, monkeypatch, iso_m1m2, fmt
         d1 = dynamics.first_dynamical_degree(cli.power(iso_m1m2, ell))
         dec = dynamics.spectrum_decimals(dynamics.degree_spectrum(2, d1), 12)
         assert dynamics.validate_spectrum_shape(dec.entries, Decimal("1e-10")).ok
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_beauville_demo_opens_no_file(capsys, monkeypatch, fmt):
+    # the lattice and the involutions it compares with are constants of
+    # fixtures; the bundled files are for the command line
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"open{args}")
+
+    monkeypatch.setattr(builtins, "open", refuse)
+    monkeypatch.setattr(io, "open", refuse)
+    code, out, err = run_cli(["--format", fmt, "beauville-demo"], capsys)
+    monkeypatch.undo()
+    assert (code, err) == (0, "")
+    assert out == read_snapshot("beauville-demo")[" ".join(_argv("beauville-demo", fmt, 12))][1]
+
+
+def test_beauville_demo_classifies_each_polynomial_once(capsys, monkeypatch):
+    # char(M) for l = 1, then char(M^2) and char(M^3)
+    calls = count_calls(monkeypatch, salem.classify_charpoly)
+    assert run_cli(["beauville-demo"], capsys)[0] == 0
+    assert len(calls) == 3
+
+
+# T, T^-1, S, U = [[1, 0], [1, 1]] and -I
+SL2_GENERATORS = (((1, 1), (0, 1)), ((1, -1), (0, 1)), ((0, -1), (1, 0)), ((1, 0), (1, 1)), ((-1, 0), (0, -1)))
+
+
+def sl2_word(factors):
+    m = ((1, 0), (0, 1))
+    for f in factors:
+        m = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*f)) for row in m)
+    return m
+
+
+sl2_words = st.lists(st.sampled_from(SL2_GENERATORS), max_size=7).map(sl2_word)
+
+
+@settings(max_examples=40)
+@given(sl2_words, sl2_words, st.integers(2, 4))
+def test_kummer_spectrum_is_a_conjugacy_invariant(m, p, n):
+    # M, its inverse, its transpose and P M P^-1 have one trace, so one
+    # Kummer spectrum; only the echoed matrix differs
+    (a, b), (c, d) = m
+    p_inv = ((p[1][1], -p[0][1]), (-p[1][0], p[0][0]))
+    variants = [m, ((d, -b), (-c, a)), ((a, c), (b, d)), sl2_word([p, m, p_inv])]
+    for fmt in ("table", "json"):
+        sections = set()
+        for v in variants:
+            code, out = run(["--format", fmt, "kummer", *(str(x) for row in v for x in row), "--half-dim", str(n)])
+            assert code == 0
+            if fmt == "json":
+                report = json.loads(out)
+                del report["matrix"]
+                sections.add(dump_json(report))
+            else:
+                sections.add(out.split("\n", 1)[1])
+        assert len(sections) == 1
 
 
 def test_every_error_has_a_documented_exit_code():

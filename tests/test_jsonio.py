@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hkdd import cli, fixtures, linalg
 from hkdd.errors import HkddError
 from hkdd.jsonio import (
+    MAX_RANK,
     InputParseError,
     decode_int,
     decode_matrix,
@@ -110,9 +111,34 @@ def test_crlf_syntax_error_reads_as_in_text_mode(tmp_path):
 def test_fixture_paths_are_strings():
     path = fixtures.fixture_path("m1.json")
     assert isinstance(path, str) and os.path.dirname(path) == fixtures.fixture_dir()
-    assert load_matrix(path) == fixtures.m1_matrix()
     with pytest.raises(FileNotFoundError, match="^no bundled fixture named 'm3.json'$"):
         fixtures.fixture_path("m3.json")
+
+
+@pytest.mark.parametrize("name, load, constant", [
+    ("quartic_pair_lattice.json", load_lattice, fixtures.quartic_pair_lattice),
+    ("rank3_lattice.json", load_lattice, fixtures.rank3_lattice),
+    ("m1.json", load_matrix, fixtures.m1_matrix),
+    ("m2.json", load_matrix, fixtures.m2_matrix),
+])
+def test_bundled_fixture_file_equals_its_constant(name, load, constant):
+    # the command line reads the files and beauville-demo the constants
+    assert load(fixtures.fixture_path(name)) == constant()
+
+
+def test_fixture_matrices_are_fresh_lists():
+    first = fixtures.m1_matrix()
+    first[0][0] = 0
+    assert fixtures.m1_matrix()[0][0] == 3 and fixtures.m2_matrix() is not fixtures.m2_matrix()
+
+
+def test_matrix_past_the_rank_limit_is_an_input_error():
+    square = [[0] * MAX_RANK for _ in range(MAX_RANK)]
+    assert decode_matrix(square) == square
+    message = f"^matrix of size {MAX_RANK + 1} exceeds the rank limit of {MAX_RANK}$"
+    for big in (square + [[0] * MAX_RANK], [row + [0] for row in square], [[0] * (MAX_RANK + 1)]):
+        with pytest.raises(InputParseError, match=message):
+            decode_matrix(big)
 
 
 def test_decode_coeffs():

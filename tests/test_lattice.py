@@ -284,20 +284,9 @@ def test_represents_matches_shell_order_reference(gram, value, bound):
 
 
 def brute_force_box_points(gram, value, bound):
-    """Scan [-bound, bound]^m for the v of norm value. At m = 1 the line is
-    scanned far enough to hold every root; more than two hits mean the
-    quadratic vanishes, and then v runs over [-bound, bound]."""
-    m = len(gram)
-
-    def hits(reach):
-        vs = itertools.product(range(-reach, reach + 1), repeat=m)
-        return [v for v in vs if linalg.bilinear(gram, v, v) == value]
-
-    if m != 1:
-        return hits(bound)
-    # at the sizes drawn below every root has |v| < 1100
-    found = hits(1100)
-    return found if len(found) <= 2 else [(t,) for t in range(-bound, bound + 1)]
+    """Scan [-bound, bound]^m for the v of norm value."""
+    vs = itertools.product(range(-bound, bound + 1), repeat=len(gram))
+    return [v for v in vs if linalg.bilinear(gram, v, v) == value]
 
 
 @st.composite
@@ -314,7 +303,7 @@ def box_cases(draw):
 
 @settings(max_examples=200)
 @given(box_cases())
-# m = 1: the roots 4 and -4 lie outside [-2, 2], and both are kept
+# m = 1: the roots 4 and -4 lie outside [-2, 2], and neither is kept
 @example(([[1]], 16, 2))
 # on <0> and on the hyperbolic plane U the norm vanishes identically in the
 # last coordinate
