@@ -684,17 +684,23 @@ def sl2_word(factors):
     return m
 
 
+def sl2_inverse(m):
+    (a, b), (c, d) = m
+    return ((d, -b), (-c, a))
+
+
 sl2_words = st.lists(st.sampled_from(SL2_GENERATORS), max_size=7).map(sl2_word)
+# s [[1 + ab, a], [b, 1]], of trace s (2 + ab): each branch of the trace rule
+sl2_by_trace = st.builds(lambda s, a, b: ((s * (1 + a * b), s * a), (s * b, s)),
+                         st.sampled_from((1, -1)), st.integers(-6, 6), st.integers(-6, 6))
 
 
 @settings(max_examples=40)
-@given(sl2_words, sl2_words, st.integers(2, 4))
+@given(sl2_by_trace, sl2_words, st.integers(2, 4))
 def test_kummer_spectrum_is_a_conjugacy_invariant(m, p, n):
     # M, its inverse, its transpose and P M P^-1 have one trace, so one
     # Kummer spectrum; only the echoed matrix differs
-    (a, b), (c, d) = m
-    p_inv = ((p[1][1], -p[0][1]), (-p[1][0], p[0][0]))
-    variants = [m, ((d, -b), (-c, a)), ((a, c), (b, d)), sl2_word([p, m, p_inv])]
+    variants = [m, sl2_inverse(m), tuple(zip(*m)), sl2_word([p, m, sl2_inverse(p)])]
     for fmt in ("table", "json"):
         sections = set()
         for v in variants:
