@@ -8,21 +8,11 @@ reproduces the classical Kummer-surface and quartic-involution examples.
 """
 
 from .errors import (
-    BadNError,
-    DegreeTooSmallError,
-    DimensionMismatchError,
     HkddError,
-    LatticeMismatchError,
-    NonSquareError,
-    NonSymmetricError,
-    NotDivisibleError,
     NotIsometryError,
-    NotMonicError,
-    NotPalindromicError,
     NotUnimodularError,
-    OddDegreeError,
     SpectralStructureViolatedError,
-    ZeroPolynomialError,
+    UsageError,
 )
 from .lattice import (
     CertifiedNo,

@@ -1,29 +1,27 @@
-"""Exception types shared across the package, with the CLI's exit codes.
+"""The CLI's exit-code table: one exception class per (exit code, label) row.
 
-Each error carries the exit code and stderr label the CLI reports it with:
-2 for malformed input, 3 for an isometry or determinant failure, 4 for a
-violated spectral structure. A subclass without its own entry inherits the
-base class's code 2 and label "input error".
+    class                           exit  stderr label
+    HkddError                       2     input error
+    UsageError                      2     usage error
+    NotIsometryError                3     not an isometry
+    NotUnimodularError              3     not unimodular
+    SpectralStructureViolatedError  4     spectral structure violated
+
+Every domain error is one of these; its message says what went wrong.
 """
 
 
 class HkddError(Exception):
-    """Base class for all domain errors raised by this package."""
+    """Malformed or unsupported input, and the base class of the table."""
 
     exit_code = 2
     label = "input error"
 
 
-class NonSquareError(HkddError):
-    """Matrix is not square."""
+class UsageError(HkddError):
+    """Malformed command line: unknown name, missing or extra argument, bad value."""
 
-
-class NonSymmetricError(HkddError):
-    """Gram matrix is not symmetric."""
-
-
-class DimensionMismatchError(HkddError):
-    """Vector or matrix size disagrees with the lattice rank."""
+    label = "usage error"
 
 
 class NotIsometryError(HkddError):
@@ -39,28 +37,11 @@ class NotIsometryError(HkddError):
         )
 
 
-class ZeroPolynomialError(HkddError):
-    """Operation undefined for the zero polynomial."""
+class NotUnimodularError(HkddError):
+    """2x2 integer matrix must have determinant exactly 1."""
 
-
-class NotDivisibleError(HkddError):
-    """Exact polynomial division over the integers failed."""
-
-
-class NotPalindromicError(HkddError):
-    """Coefficient vector is not palindromic."""
-
-
-class OddDegreeError(HkddError):
-    """Operation requires even degree."""
-
-
-class NotMonicError(HkddError):
-    """Polynomial must be monic."""
-
-
-class DegreeTooSmallError(HkddError):
-    """Polynomial degree below the operation's minimum."""
+    exit_code = 3
+    label = "not unimodular"
 
 
 class SpectralStructureViolatedError(HkddError):
@@ -72,24 +53,3 @@ class SpectralStructureViolatedError(HkddError):
 
     exit_code = 4
     label = "spectral structure violated"
-
-
-class LatticeMismatchError(HkddError):
-    """Operands act on different lattices."""
-
-
-class BadNError(HkddError):
-    """Hilbert scheme point count must be >= 2."""
-
-
-class NotUnimodularError(HkddError):
-    """2x2 integer matrix must have determinant exactly 1."""
-
-    exit_code = 3
-    label = "not unimodular"
-
-
-class UsageError(HkddError):
-    """Malformed command line: unknown name, missing or extra argument, bad value."""
-
-    label = "usage error"

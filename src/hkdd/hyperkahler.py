@@ -17,12 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import linalg
-from .errors import (
-    BadNError,
-    DimensionMismatchError,
-    LatticeMismatchError,
-    NotUnimodularError,
-)
+from .errors import HkddError, NotUnimodularError
 from .lattice import (
     CertifiedNo,
     FoundVector,
@@ -93,12 +88,12 @@ def hilbert_lattice(base: GramLattice, n: int, e_index: int | None = None) -> Hi
     classical ordering <H1, e, H2> is available directly.
     """
     if n < 2:
-        raise BadNError(f"need n >= 2 points, got {n}")
+        raise HkddError(f"need n >= 2 points, got {n}")
     r = base.rank
     if e_index is None:
         e_index = r
     if not 0 <= e_index <= r:
-        raise DimensionMismatchError(f"e_index {e_index} out of range 0..{r}")
+        raise HkddError(f"e_index {e_index} out of range 0..{r}")
     gram = [[*row, 0] for row in base.gram] + [[0] * r + [-2 * n + 2]]
     extended = permute_basis(make_lattice(gram, [*base.labels, "e"]), _e_slot_order(r, e_index))
     return HilbertLattice(base=base, n=n, extended=extended, e_index=e_index)
@@ -114,28 +109,22 @@ def hilbert_from_extended(
     n-point Hilbert-scheme model it claims to be.
     """
     if n < 2:
-        raise BadNError(f"need n >= 2 points, got {n}")
+        raise HkddError(f"need n >= 2 points, got {n}")
     if e_index is None:
         matches = [i for i, lab in enumerate(lat.labels) if lab == "e"]
         if len(matches) != 1:
-            raise DimensionMismatchError(
-                'no unique basis label "e"; pass e_index explicitly'
-            )
+            raise HkddError('no unique basis label "e"; pass e_index explicitly')
         e_index = matches[0]
     if not 0 <= e_index < lat.rank:
-        raise DimensionMismatchError(f"e_index {e_index} out of range")
+        raise HkddError(f"e_index {e_index} out of range")
     if lat.rank == 1:
-        raise DimensionMismatchError("the lattice has no class besides e")
+        raise HkddError("the lattice has no class besides e")
     expected = -2 * n + 2
     if lat.gram[e_index][e_index] != expected:
-        raise DimensionMismatchError(
-            f"(e, e) = {lat.gram[e_index][e_index]}, need {expected} for n = {n}"
-        )
+        raise HkddError(f"(e, e) = {lat.gram[e_index][e_index]}, need {expected} for n = {n}")
     for j in range(lat.rank):
         if j != e_index and lat.gram[e_index][j] != 0:
-            raise DimensionMismatchError(
-                f"e is not orthogonal to {lat.labels[j]}"
-            )
+            raise HkddError(f"e is not orthogonal to {lat.labels[j]}")
     rest = [i for i in range(lat.rank) if i != e_index]
     base = make_lattice(
         [[lat.gram[i][j] for j in rest] for i in rest],
@@ -199,21 +188,17 @@ def solve_beauville(hilb: HilbertLattice, quartic_class_index: int) -> Beauville
     """
     lat = hilb.extended
     if hilb.n != 2:
-        raise BadNError(f"the quartic involution needs n = 2, got {hilb.n}")
+        raise HkddError(f"the quartic involution needs n = 2, got {hilb.n}")
     h = quartic_class_index
     e = hilb.e_index
     if h == e or not 0 <= h < lat.rank:
-        raise DimensionMismatchError(f"bad quartic class index {h}")
+        raise HkddError(f"bad quartic class index {h}")
     if lat.gram[h][h] != 4:
-        raise DimensionMismatchError(
-            f"class {lat.labels[h]} has norm {lat.gram[h][h]}, need 4"
-        )
+        raise HkddError(f"class {lat.labels[h]} has norm {lat.gram[h][h]}, need 4")
     if lat.gram[e][e] != -2:
-        raise DimensionMismatchError(f"(e, e) = {lat.gram[e][e]}, need -2")
+        raise HkddError(f"(e, e) = {lat.gram[e][e]}, need -2")
     if lat.gram[h][e] != 0:
-        raise DimensionMismatchError(
-            f"(e, {lat.labels[h]}) = {lat.gram[h][e]}, need 0"
-        )
+        raise HkddError(f"(e, {lat.labels[h]}) = {lat.gram[h][e]}, need 0")
     r = lat.rank
     g = lat.gram_rows()
     v = [0] * r
@@ -269,7 +254,7 @@ def kummer_spectrum(m: Sl2Matrix, n: int) -> DegreeSpectrum:
     """Degree table of the induced automorphism on the Hilbert scheme of n
     points of the Kummer surface; d_1 passes through unchanged."""
     if n < 2:
-        raise BadNError(f"need n >= 2 points, got {n}")
+        raise HkddError(f"need n >= 2 points, got {n}")
     return degree_spectrum(n, kummer_first_degree(m))
 
 
@@ -286,7 +271,7 @@ def naturality_certificate(
     PossiblyNatural carries no converse guarantee.
     """
     if iso.lattice.gram != hilb.extended.gram:
-        raise LatticeMismatchError("isometry does not act on the extended lattice")
+        raise HkddError("isometry does not act on the extended lattice")
     required = hilb.e_norm
     fixed = invariant_sublattice(iso)
     if not fixed:
@@ -359,7 +344,7 @@ def _square_times_equals(norm: int, required: int) -> bool:
 def compose(a: LatticeIsometry, b: LatticeIsometry) -> LatticeIsometry:
     """Pullback composition: compose(a, b).matrix = a.matrix * b.matrix."""
     if a.lattice.gram != b.lattice.gram:
-        raise LatticeMismatchError("cannot compose isometries of different lattices")
+        raise HkddError("cannot compose isometries of different lattices")
     return verify_isometry(a.lattice, linalg.mat_mul(a.rows(), b.rows()))
 
 

@@ -41,13 +41,6 @@ MAX_RANK = 64
 _DECIMAL = re.compile(r"-?[0-9]+")
 
 
-class InputParseError(HkddError):
-    """Input file or payload does not match the documented JSON formats.
-
-    The CLI reports it with the base class's exit code 2, "input error".
-    """
-
-
 def encode_int(x: int) -> int | str:
     try:
         return x if -_INT53 < x < _INT53 else str(x)
@@ -57,7 +50,7 @@ def encode_int(x: int) -> int | str:
 
 def decode_int(v) -> int:
     if isinstance(v, bool):
-        raise InputParseError(f"expected an integer, got {v!r}")
+        raise HkddError(f"expected an integer, got {v!r}")
     if isinstance(v, int):
         return v
     if isinstance(v, str):
@@ -65,9 +58,9 @@ def decode_int(v) -> int:
             try:
                 return int(v)
             except ValueError:  # past the interpreter's digit limit
-                raise InputParseError(f"integer string has more than {MAX_DIGITS} digits") from None
-        raise InputParseError(f"bad integer string {v!r}")
-    raise InputParseError(f"expected an integer, got {type(v).__name__}")
+                raise HkddError(f"integer string has more than {MAX_DIGITS} digits") from None
+        raise HkddError(f"bad integer string {v!r}")
+    raise HkddError(f"expected an integer, got {type(v).__name__}")
 
 
 def encode_vector(v) -> list[int | str]:
@@ -80,9 +73,9 @@ def encode_matrix(m: list[list[int]]) -> list[list[int | str]]:
 
 def decode_matrix(obj) -> list[list[int]]:
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
-        raise InputParseError("matrix must be a non-empty list of rows")
+        raise HkddError("matrix must be a non-empty list of rows")
     if (size := max(len(obj), *map(len, obj))) > MAX_RANK:
-        raise InputParseError(f"matrix of size {size} exceeds the rank limit of {MAX_RANK}")
+        raise HkddError(f"matrix of size {size} exceeds the rank limit of {MAX_RANK}")
     return [[decode_int(x) for x in row] for row in obj]
 
 
@@ -121,23 +114,23 @@ def _dump(obj, newline: str) -> str:
 
 
 def _load(path: str) -> dict:
-    """The JSON object in the UTF-8 file path; anything else is an InputParseError."""
+    """The JSON object in the UTF-8 file path; anything else is an HkddError."""
     try:
         with open(path, "rb") as f:
             text = f.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise InputParseError(f"cannot read {path}: {exc}") from exc
+        raise HkddError(f"cannot read {path}: {exc}") from exc
     text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InputParseError(f"{path} is not valid JSON: {exc}") from exc
+        raise HkddError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError:
-        raise InputParseError(f"{path}: JSON nested too deeply") from None
+        raise HkddError(f"{path}: JSON nested too deeply") from None
     except ValueError:  # a number literal past the interpreter's digit limit
-        raise InputParseError(f"{path}: integer has more than {MAX_DIGITS} digits") from None
+        raise HkddError(f"{path}: integer has more than {MAX_DIGITS} digits") from None
     if not isinstance(obj, dict):
-        raise InputParseError(f"{path}: top-level JSON object expected")
+        raise HkddError(f"{path}: top-level JSON object expected")
     return obj
 
 
@@ -145,22 +138,22 @@ def load_lattice(path: str) -> GramLattice:
     """{"labels": [...], "gram": [[...]]}; labels are optional."""
     obj = _load(path)
     if "gram" not in obj:
-        raise InputParseError(f'{path}: missing "gram"')
+        raise HkddError(f'{path}: missing "gram"')
     gram = decode_matrix(obj["gram"])
     labels = obj.get("labels")
     if labels is not None and (
         not isinstance(labels, list) or not all(isinstance(s, str) for s in labels)
     ):
-        raise InputParseError(f'{path}: "labels" must be a list of strings')
+        raise HkddError(f'{path}: "labels" must be a list of strings')
     try:
         return make_lattice(gram, labels)
     except HkddError as exc:
-        raise InputParseError(f"{path}: {exc}") from exc
+        raise HkddError(f"{path}: {exc}") from exc
 
 
 def load_matrix(path: str) -> list[list[int]]:
     """{"matrix": [[...]]}."""
     obj = _load(path)
     if "matrix" not in obj:
-        raise InputParseError(f'{path}: missing "matrix"')
+        raise HkddError(f'{path}: missing "matrix"')
     return decode_matrix(obj["matrix"])

@@ -15,12 +15,7 @@ from collections import namedtuple
 from math import isqrt
 
 from . import linalg
-from .errors import (
-    DimensionMismatchError,
-    NonSquareError,
-    NonSymmetricError,
-    NotIsometryError,
-)
+from .errors import HkddError, NotIsometryError
 from .polynomial import char_poly, is_perfect_square
 
 
@@ -104,19 +99,17 @@ def make_lattice(gram: list[list[int]], labels: list[str] | None = None) -> Gram
     """Validated lattice from an integer Gram matrix (must be symmetric)."""
     n = len(gram)
     if any(len(row) != n for row in gram):
-        raise NonSquareError("Gram matrix must be square")
+        raise HkddError("Gram matrix must be square")
     if n < 1:
-        raise NonSquareError("rank must be at least 1")
+        raise HkddError("rank must be at least 1")
     for i in range(n):
         for j in range(i + 1, n):
             if gram[i][j] != gram[j][i]:
-                raise NonSymmetricError(
-                    f"gram[{i}][{j}] = {gram[i][j]} != gram[{j}][{i}] = {gram[j][i]}"
-                )
+                raise HkddError(f"gram[{i}][{j}] = {gram[i][j]} != gram[{j}][{i}] = {gram[j][i]}")
     if labels is None:
         labels = [f"b{i + 1}" for i in range(n)]
     elif len(labels) != n:
-        raise DimensionMismatchError(f"{len(labels)} labels for rank {n}")
+        raise HkddError(f"{len(labels)} labels for rank {n}")
     return GramLattice(
         gram=tuple(tuple(int(x) for x in row) for row in gram),
         labels=tuple(labels),
@@ -148,7 +141,7 @@ def verify_isometry(lat: GramLattice, matrix: list[list[int]]) -> LatticeIsometr
     first disagreeing position as witness."""
     n = lat.rank
     if len(matrix) != n or any(len(row) != n for row in matrix):
-        raise NonSquareError(f"isometry matrix must be {n}x{n}")
+        raise HkddError(f"isometry matrix must be {n}x{n}")
     g = lat.gram_rows()
     m = [list(row) for row in matrix]
     product = linalg.mat_mul(linalg.mat_mul(linalg.transpose(m), g), m)
@@ -178,7 +171,7 @@ def invariant_sublattice(iso: LatticeIsometry) -> list[list[int]]:
 def norm_of(lat: GramLattice, v: list[int]) -> int:
     """v^T G v."""
     if len(v) != lat.rank:
-        raise DimensionMismatchError(f"vector length {len(v)} != rank {lat.rank}")
+        raise HkddError(f"vector length {len(v)} != rank {lat.rank}")
     return linalg.bilinear(lat.gram_rows(), list(v), list(v))
 
 
@@ -390,7 +383,7 @@ def represents(lat: GramLattice, value: int, bound: int) -> RepresentsResult:
 def permute_basis(lat: GramLattice, order: list[int]) -> GramLattice:
     """Lattice with basis reordered; order[i] is the old index of new slot i."""
     if sorted(order) != list(range(lat.rank)):
-        raise DimensionMismatchError(f"not a permutation of 0..{lat.rank - 1}")
+        raise HkddError(f"not a permutation of 0..{lat.rank - 1}")
     gram = [[lat.gram[order[i]][order[j]] for j in range(lat.rank)] for i in range(lat.rank)]
     labels = [lat.labels[i] for i in order]
     return GramLattice(tuple(tuple(r) for r in gram), tuple(labels))

@@ -29,14 +29,7 @@ from decimal import Decimal, localcontext
 from math import gcd, isqrt
 
 from . import linalg
-from .errors import (
-    HkddError,
-    NonSquareError,
-    NotDivisibleError,
-    NotPalindromicError,
-    OddDegreeError,
-    ZeroPolynomialError,
-)
+from .errors import HkddError
 
 
 class _Immutable:
@@ -146,7 +139,6 @@ def poly(*coeffs: int) -> IntPolynomial:
     return IntPolynomial(tuple(coeffs))
 
 
-X = poly(0, 1)
 ONE_POLY = poly(1)
 
 
@@ -158,7 +150,7 @@ def char_poly(m: list[list[int]]) -> IntPolynomial:
     divisible over Z.
     """
     if not m or not linalg.is_square(m):
-        raise NonSquareError("characteristic polynomial needs a square matrix")
+        raise HkddError("characteristic polynomial needs a square matrix")
     return IntPolynomial(tuple(reversed(_newton(power_traces(m, len(m))))))
 
 
@@ -213,14 +205,14 @@ def is_palindromic(p: IntPolynomial) -> bool:
 
 
 def divide_exact(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    """Quotient r with p = q * r over Z; raises NotDivisibleError otherwise."""
+    """Quotient r with p = q * r over Z; raises HkddError otherwise."""
     if q.is_zero:
-        raise ZeroPolynomialError("division by the zero polynomial")
+        raise HkddError("division by the zero polynomial")
     if p.is_zero:
         return IntPolynomial(())
     quot = _quotient(p.coeffs, q.coeffs)
     if quot is None:
-        raise NotDivisibleError("no quotient over Z")
+        raise HkddError("no quotient over Z")
     return IntPolynomial(quot)
 
 
@@ -244,11 +236,11 @@ def trace_polynomial(p: IntPolynomial) -> IntPolynomial:
     Uses the Chebyshev-like recurrence expressing x^k + x^(-k) in y = x + 1/x.
     """
     if p.is_zero:
-        raise ZeroPolynomialError("trace polynomial of the zero polynomial")
+        raise HkddError("trace polynomial of the zero polynomial")
     if p.degree % 2 != 0:
-        raise OddDegreeError(f"degree {p.degree} is odd")
+        raise HkddError(f"degree {p.degree} is odd")
     if not is_palindromic(p):
-        raise NotPalindromicError(f"({p}) is not palindromic")
+        raise HkddError(f"({p}) is not palindromic")
     d = p.degree // 2
     q = [p.coeffs[d]] + [0] * d
     t_prev, t_cur = [2], [0, 1]  # x^0 + x^0 = 2, x + 1/x = y
@@ -350,7 +342,7 @@ def _quotient(p: Coeffs, q: Coeffs) -> Coeffs | None:
 def square_free_part(p: IntPolynomial) -> IntPolynomial:
     """p / gcd(p, p'), made primitive with positive leading coefficient."""
     if p.is_zero:
-        raise ZeroPolynomialError("square-free part of the zero polynomial")
+        raise HkddError("square-free part of the zero polynomial")
     if p.degree == 0:
         return ONE_POLY
     g = _sturm_chain(p.coeffs)[-1]
@@ -411,7 +403,7 @@ def sturm_count(p: IntPolynomial, lo, hi) -> int:
     is taken internally, so multiple roots are counted once.
     """
     if p.is_zero:
-        raise ZeroPolynomialError("root counting needs a nonzero polynomial")
+        raise HkddError("root counting needs a nonzero polynomial")
     q = square_free_part(p)
     if q.degree < 1:
         return 0
@@ -551,9 +543,10 @@ class AlgebraicReal(_Immutable):
 
         Once an interval (lo, hi] of the walk has
         (hi - lo) * 10^(sig_digits + 2) * e_max < lo, e_max the largest
-        pending exponent, _power_bounds gives bounds [L_e, H_e] / 2^W of every
-        [lo^e, hi^e] from fixed-point products with W fraction bits,
-        W = ceil(3.33 (sig_digits + 2)) + bitlen(e_max) + 16 to start with.
+        pending exponent, _power_bounds yields bounds [L_e, H_e] / 2^W of
+        [lo^e, hi^e] in exponent order, from fixed-point products with W
+        fraction bits, W = ceil(3.33 (sig_digits + 2)) + bitlen(e_max) + 16
+        to start with.
         Each pending exponent, in ascending order, first meets the width gate
         (H_e - L_e) * 10^(sig_digits + 2) < L_e and then rounded_decimal on
         [L_e, H_e] / 2^W; the first it cannot yet decide waits for a later
@@ -573,24 +566,25 @@ class AlgebraicReal(_Immutable):
         if self.a < self.den and self.compare_rational(1) <= 0:
             raise ValueError("power decimals need a base larger than 1")
         done = {0: "1"}
-        pending = sorted(set(exponents) - {0})
+        pending = sorted(set(exponents) - {0}, reverse=True)  # the next one last
         gate = 10 ** (sig_digits + 2)
         bits = -(-333 * (sig_digits + 2) // 100) + max(exponents, default=0).bit_length() + 16
         walk = self.quadratic_path()
         while pending:
             a, b, den = next(walk)
-            if (b - a) * gate * pending[-1] >= a:
+            if (b - a) * gate * pending[0] >= a:
                 continue
-            bounds = _power_bounds(a, b, den, bits, pending[-1])
-            while pending:
-                lo_e, hi_e = bounds[pending[0] - 1]
+            for e, (lo_e, hi_e) in enumerate(_power_bounds(a, b, den, bits), 1):
+                if e < pending[-1]:
+                    continue
                 if (hi_e - lo_e) * gate >= lo_e:
                     break
                 text = rounded_decimal(lo_e, hi_e, 1 << bits, sig_digits)
                 if text is None:
                     break
-                done[pending.pop(0)] = text
-            del bounds  # freed before the next, wider list is built
+                done[pending.pop()] = text
+                if not pending:
+                    break
             bits += bits // 2
         return tuple(done[e] for e in exponents)
 
@@ -698,19 +692,18 @@ def rounded_decimal(a: int, b: int, den: int, sig_digits: int) -> str | None:
     return str(Decimal(f"{q}E{-s}"))
 
 
-def _power_bounds(a: int, b: int, den: int, bits: int, count: int) -> list[tuple[int, int]]:
-    """[(L_e, H_e) for e = 1..count] with L_e / 2^bits <= (a/den)^e and
-    (b/den)^e <= H_e / 2^bits, for 0 <= a <= b: L_1 and H_1 are a/den and
-    b/den on the grid 2^-bits rounded outward, and each later pair is the
-    one before times (L_1, H_1), shifted right by bits and rounded outward.
-    So the e-th pair has bits + e * log2(b/den) bits, however long a, b and
-    den are."""
+def _power_bounds(a: int, b: int, den: int, bits: int):
+    """(L_e, H_e) for e = 1, 2, ... without end, with L_e / 2^bits <=
+    (a/den)^e and (b/den)^e <= H_e / 2^bits, for 0 <= a <= b: L_1 and H_1
+    are a/den and b/den on the grid 2^-bits rounded outward, and each later
+    pair is the one before times (L_1, H_1), shifted right by bits and
+    rounded outward. So the e-th pair has bits + e * log2(b/den) bits,
+    however long a, b and den are."""
     low, high = (a << bits) // den, -((-b << bits) // den)
-    out = [(low, high)]
-    for _ in range(count - 1):
-        lo_e, hi_e = out[-1]
-        out.append((lo_e * low >> bits, -(-hi_e * high >> bits)))
-    return out
+    lo_e, hi_e = low, high
+    while True:
+        yield lo_e, hi_e
+        lo_e, hi_e = lo_e * low >> bits, -(-hi_e * high >> bits)
 
 
 def isolate_real_roots(p: IntPolynomial) -> list[AlgebraicReal]:
@@ -722,7 +715,7 @@ def isolate_real_roots(p: IntPolynomial) -> list[AlgebraicReal]:
     weights for D. Left halves go first, so the roots come out ascending.
     """
     if p.is_zero:
-        raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
+        raise HkddError("cannot isolate roots of the zero polynomial")
     q = square_free_part(p)
     if q.degree < 1:
         return []

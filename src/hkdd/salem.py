@@ -23,7 +23,7 @@ from collections import namedtuple
 from itertools import zip_longest
 from math import isqrt
 
-from .errors import DegreeTooSmallError, NotMonicError
+from .errors import HkddError
 from .polynomial import (
     AlgebraicReal,
     IntPolynomial,
@@ -174,7 +174,7 @@ def peel_cyclotomic(
     cyclotomic factor left.
     """
     if not p.is_monic:
-        raise NotMonicError(f"({p}) is not monic")
+        raise HkddError(f"({p}) is not monic")
     factors: list[tuple[int, int]] = []
     rem = p.coeffs
     test_due = True
@@ -208,9 +208,9 @@ def is_salem_polynomial(p: IntPolynomial) -> SalemCheck:
     (Kronecker), so irreducibility needs no separate factorization.
     """
     if not p.is_monic:
-        raise NotMonicError(f"({p}) is not monic")
+        raise HkddError(f"({p}) is not monic")
     if p.degree < 2:
-        raise DegreeTooSmallError(f"degree {p.degree} < 2")
+        raise HkddError(f"degree {p.degree} < 2")
     if p.degree % 2 == 0 and is_palindromic(p):
         factors, _ = peel_cyclotomic(p)
         if factors:
@@ -279,7 +279,13 @@ def salem_root_of(p: IntPolynomial) -> AlgebraicReal:
     step first drops 1/lambda where S(lo) < 0, on the interval that
     isolate_real_roots returns; from there the steps go in pairs until
     lo > 1.
+
+    p must have p(1) < 0 < lead(p), or ValueError is raised: then p has a
+    root above 1, where the bisection ends. A Salem factor is negative at 1,
+    which lies between 1/lambda and lambda.
     """
+    if not sum(p.coeffs) < 0 < p.coeffs[-1]:
+        raise ValueError(f"({p}) has no root above 1 to isolate: need p(1) < 0 < lead(p)")
     n, den = cauchy_bound(p)
     weights = _weights(p.coeffs, den)
     a, b, k, s_lo = -n, n, 0, 1

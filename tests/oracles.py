@@ -31,9 +31,9 @@ import numpy as np
 from fraction_sturm import fraction_sturm_count
 from hkdd import linalg
 from hkdd.dynamics import SpectrumDecimals, enumerate_isometries
-from hkdd.errors import HkddError, LatticeMismatchError, NotIsometryError, ZeroPolynomialError
+from hkdd.errors import HkddError, NotIsometryError
 from hkdd.hyperkahler import BeauvilleSolution, CandidateRecord, HilbertLattice, _e_slot_order
-from hkdd.jsonio import InputParseError, decode_int
+from hkdd.jsonio import decode_int
 from hkdd.lattice import LatticeIsometry, _integer_quadratic_roots, invariant_sublattice, verify_isometry
 from hkdd.polynomial import (
     LOG10_2_Q31,
@@ -212,7 +212,7 @@ def as_float(x: AlgebraicReal) -> float:
 def is_reciprocal(p: IntPolynomial) -> bool:
     """True iff x^deg * p(1/x) equals p or -p."""
     if p.is_zero:
-        raise ZeroPolynomialError("reciprocality undefined for the zero polynomial")
+        raise HkddError("reciprocality undefined for the zero polynomial")
     rev = tuple(reversed(p.coeffs))
     return rev == p.coeffs or rev == tuple(-c for c in p.coeffs)
 
@@ -228,7 +228,7 @@ def isolation_salem_root(p: IntPolynomial) -> AlgebraicReal:
 
 def decode_coeffs(obj) -> list[int]:
     if not isinstance(obj, list):
-        raise InputParseError("polynomial must be a list of coefficients")
+        raise HkddError("polynomial must be a list of coefficients")
     return [decode_int(x) for x in obj]
 
 
@@ -789,7 +789,7 @@ def natural_isometry(g: LatticeIsometry, hilb: HilbertLattice) -> LatticeIsometr
     """Block extension of a base isometry fixing e; d_1 is unchanged since the
     extra eigenvalue is 1."""
     if g.lattice.gram != hilb.base.gram:
-        raise LatticeMismatchError("isometry does not act on the base lattice")
+        raise HkddError("isometry does not act on the base lattice")
     r = hilb.base.rank
     order = _e_slot_order(r, hilb.e_index)
     m = [[*row, 0] for row in g.matrix] + [[0] * r + [1]]

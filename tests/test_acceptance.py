@@ -27,7 +27,7 @@ from hkdd.dynamics import (
     spectrum_decimals,
     validate_spectrum_shape,
 )
-from hkdd.errors import DegreeTooSmallError
+from hkdd.errors import HkddError
 from hkdd.hyperkahler import Sl2Matrix, kummer_spectrum, naturality_certificate, solve_beauville
 from hkdd.lattice import (
     CertifiedNo,
@@ -160,12 +160,12 @@ def test_criterion_5_salem_recognizer(catalogue8):
         assert lehmer_check
         assert abs(as_float(lehmer_check.root) - 1.17628) < 5e-6  # 5 decimal places
 
-        with pytest.raises(DegreeTooSmallError):
+        with pytest.raises(HkddError, match="degree 1 < 2"):
             is_salem_polynomial(poly(-1, 1))  # x - 1
         for n in range(1, 31):
             p = cyclotomic(n)
             if p.degree < 2:
-                with pytest.raises(DegreeTooSmallError):
+                with pytest.raises(HkddError, match="degree 1 < 2"):
                     is_salem_polynomial(p)
             else:
                 assert not is_salem_polynomial(p), f"Phi_{n} accepted"

@@ -1,8 +1,10 @@
 import ast
 import builtins
+import importlib
 import inspect
 import io
 import json
+import pkgutil
 import subprocess
 import sys
 import tomllib
@@ -12,16 +14,19 @@ from pathlib import Path
 
 import mpmath
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hkdd import cli, dynamics, errors, fixtures, hyperkahler, jsonio, linalg, polynomial, salem
+import hkdd
+from hkdd import cli, dynamics, errors, fixtures, hyperkahler, linalg, polynomial, salem
 from hkdd.cli import main
-from hkdd.jsonio import dump_json
+from hkdd.jsonio import dump_json, load_lattice, load_matrix
 from hkdd.polynomial import AlgebraicReal, IntPolynomial
 from conftest import assert_correctly_rounded, decimals_of
 from oracles import algebraic_real_from_json, build_parser, decode_coeffs
-from test_cli_golden import CASES, LEHMER, _argv, read_snapshot, run
+from test_cli_golden import CASES, LEHMER, _argv, _resolve, read_snapshot, run
+from test_lattice import random_unimodular
 
 
 @pytest.fixture()
@@ -715,22 +720,117 @@ def test_kummer_spectrum_is_a_conjugacy_invariant(m, p, n):
         assert len(sections) == 1
 
 
+# (lattice, isometry) inputs of the goldens: a quadratic Salem d_1, Lehmer's
+# number, a reflection, the identity, and last a squared Salem factor, which
+# exits 4 and so has no table
+ISOMETRY_INPUTS = [("rank3", "m1m2"), ("e10_lattice", "e10_coxeter"), ("diag_4_m2_m4", "negate_e3"),
+                   ("rank3", "identity3"), ("g4", "m4_salem_squared")]
+
+
+def isometry_input(case):
+    lattice, isometry = _resolve(["{%s}" % case[0], "{%s}" % case[1]])
+    return load_lattice(lattice).gram_rows(), load_matrix(isometry)
+
+
+def run_on(directory, gram, matrix=None, *options):
+    """(exit code, stdout, stderr) of degrees on files holding gram and
+    matrix, or of lattice-info on gram alone, in table and JSON form; labels
+    are left to their default."""
+    lattice, isometry = directory / "lattice.json", directory / "isometry.json"
+    lattice.write_text(json.dumps({"gram": gram}))
+    argv = ["lattice-info", str(lattice)]
+    if matrix is not None:
+        isometry.write_text(json.dumps({"matrix": matrix}))
+        argv = ["degrees", "--lattice", str(lattice), "--isometry", str(isometry), *options]
+    runs = []
+    for fmt in ("table", "json"):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["--format", fmt, *argv])
+        runs.append((code, out.getvalue(), err.getvalue()))
+    return runs
+
+
+def without_echo(runs, *keys):
+    """runs with the echoed input taken out: the keys of the JSON report,
+    and the indented Gram rows of the table."""
+    (code, table, err), (json_code, text, json_err) = runs
+    table = "\n".join(line for line in table.split("\n") if not line.startswith("  ["))
+    report = {key: value for key, value in json.loads(text or "{}").items() if key not in keys}
+    return (code, table, err), (json_code, report, json_err)
+
+
+def integer_inverse(m):
+    return [[int(x) for x in row] for row in sympy.Matrix(m).inv().tolist()]
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(ISOMETRY_INPUTS), st.randoms(use_true_random=False), st.sampled_from((3, 12, 50)))
+def test_degrees_and_lattice_info_are_invariant_under_a_change_of_basis(tmp_path_factory, case, rng, digits):
+    # (P^T G P, P^-1 M P) is the same isometry in another basis, and M^-1
+    # has M's characteristic polynomial: only the echoed input differs
+    directory = tmp_path_factory.mktemp("basis")
+    gram, m = isometry_input(case)
+    p = random_unimodular(rng, len(gram))
+    gram_p = linalg.mat_mul(linalg.mat_mul(linalg.transpose(p), gram), p)
+    m_p = linalg.mat_mul(linalg.mat_mul(integer_inverse(p), m), p)
+    options = ("--half-dim", "2", "--precision", str(digits))
+    want = without_echo(run_on(directory, gram, m, *options), "lattice", "isometry")
+    assert want[0][0] in (0, 4)
+    assert without_echo(run_on(directory, gram_p, m_p, *options), "lattice", "isometry") == want
+    inverse = integer_inverse(m)
+    assert without_echo(run_on(directory, gram, inverse, *options), "lattice", "isometry") == want
+    info = without_echo(run_on(directory, gram), "gram")
+    assert without_echo(run_on(directory, gram_p), "gram") == info
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(ISOMETRY_INPUTS[:4]), st.integers(2, 4), st.integers(1, 3), st.sampled_from((3, 12, 50)))
+def test_degrees_of_a_power_read_the_table_of_its_base(tmp_path_factory, case, ell, n, digits):
+    # d_1(M^l) = d_1(M)^l, so M^l's table at half-dim n is every l-th row
+    # of M's at half-dim l*n, its d_1 being M's d_l, with the same entropy
+    directory = tmp_path_factory.mktemp("power")
+    gram, m = isometry_input(case)
+
+    def spectrum(matrix, half_dim):
+        code, out, _ = run_on(directory, gram, matrix, "--half-dim", str(half_dim), "--precision", str(digits))[1]
+        assert code == 0
+        return json.loads(out)["spectrum"]
+
+    base, power = spectrum(m, ell * n), spectrum(linalg.mat_pow(m, ell), n)
+    assert power["d1"]["decimal"] == base["entries"][ell]["decimal"]
+    assert [e["decimal"] for e in power["entries"]] == [e["decimal"] for e in base["entries"][::ell]]
+    assert (power["entropy"]["nats"], power["entropy"]["log10"]) == (base["entropy"]["nats"], base["entropy"]["log10"])
+
+
 def test_every_error_has_a_documented_exit_code():
-    classes = {
-        cls
-        for module in (errors, jsonio)
-        for _, cls in inspect.getmembers(module, inspect.isclass)
-        if issubclass(cls, errors.HkddError)
+    # hkdd.errors is the exit-code table: one class per (exit code, label)
+    # row, none elsewhere in the package, and each named in the README
+    for info in pkgutil.iter_modules(hkdd.__path__):
+        importlib.import_module(f"hkdd.{info.name}")
+    classes, todo = [], [errors.HkddError]
+    while todo:
+        cls = todo.pop()
+        classes.append(cls)
+        todo.extend(cls.__subclasses__())
+    assert {cls.__module__ for cls in classes} == {"hkdd.errors"}
+    rows = {cls.__name__: (cls.exit_code, cls.label) for cls in classes}
+    assert rows == {
+        "HkddError": (2, "input error"),
+        "UsageError": (2, "usage error"),
+        "NotIsometryError": (3, "not an isometry"),
+        "NotUnimodularError": (3, "not unimodular"),
+        "SpectralStructureViolatedError": (4, "spectral structure violated"),
     }
-    assert jsonio.InputParseError in classes and len(classes) == 17
-    for cls in classes:
-        assert cls.exit_code in {2, 3, 4}, cls
-        assert isinstance(cls.label, str) and cls.label, cls
+    assert len(classes) == len(set(rows.values()))
+    readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
+    for name, (code, label) in rows.items():
+        assert f"`{name}` ({code}, `{label}`)" in readme, name
 
 
 def test_error_without_own_entry_exits_with_base_code(capsys, monkeypatch):
     def mismatched(hilb, index):
-        raise errors.LatticeMismatchError("operands act on different lattices")
+        raise errors.HkddError("operands act on different lattices")
 
     monkeypatch.setattr(cli, "solve_beauville", mismatched)
     code, out, err = run_cli(["beauville-demo"], capsys)

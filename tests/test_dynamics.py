@@ -224,7 +224,7 @@ def assert_power_decimal_matches_oracle(d1: AlgebraicReal, n: int, digits: int):
     assert got == bisection_power_decimal(d1, exponents, digits, n)
     a, b, den = next(x for x in d1.quadratic_path() if (x[1] - x[0]) * 10 ** (digits + 2) * n < x[0])
     bits = -(-333 * (digits + 2) // 100) + n.bit_length() + 16
-    for e, (lo_e, hi_e) in enumerate(polynomial._power_bounds(a, b, den, bits, n), 1):
+    for e, (lo_e, hi_e) in zip(range(1, n + 1), polynomial._power_bounds(a, b, den, bits)):
         assert lo_e * den**e <= a**e << bits and b**e << bits <= hi_e * den**e
 
 

@@ -6,12 +6,7 @@ import pytest
 
 from hkdd import hyperkahler, linalg
 from hkdd.dynamics import degree_spectrum, exact_power_str, first_dynamical_degree, spectrum_decimals
-from hkdd.errors import (
-    BadNError,
-    DimensionMismatchError,
-    LatticeMismatchError,
-    NotUnimodularError,
-)
+from hkdd.errors import HkddError, NotUnimodularError
 from hkdd.hyperkahler import (
     NOT_NATURAL,
     POSSIBLY_NATURAL,
@@ -48,7 +43,7 @@ def test_hilbert_lattice_examples(quartic_pair):
     mid = hilbert_lattice(quartic_pair, 2, e_index=1)
     assert mid.extended.gram == ((4, 0, 8), (0, -2, 0), (8, 0, 4))
     assert mid.extended.labels == ("H1", "e", "H2")
-    with pytest.raises(BadNError):
+    with pytest.raises(HkddError, match="need n >= 2 points, got 1"):
         hilbert_lattice(quartic_pair, 1)
 
 
@@ -56,7 +51,7 @@ def test_hilbert_from_extended(rank3):
     h = hilbert_from_extended(rank3, 2)
     assert h.e_index == 1
     assert h.base.gram == ((4, 8), (8, 4))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(HkddError, match=r"\(e, e\) = -2, need -4 for n = 3"):
         hilbert_from_extended(rank3, 3)  # (e,e) = -2 but -2n+2 = -4
 
 
@@ -119,10 +114,10 @@ def test_beauville_involution_invariants(hilb2):
 
 def test_beauville_error_paths(quartic_pair):
     h = hilbert_lattice(quartic_pair, 2, e_index=1)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(HkddError, match="bad quartic class index 1"):
         solve_beauville(h, 1)  # e itself
     h3 = hilbert_lattice(make_lattice([[2]]), 2)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(HkddError, match="class b1 has norm 2, need 4"):
         solve_beauville(h3, 0)  # norm 2, not a quartic class
 
 
@@ -138,7 +133,7 @@ def test_beauville_checks_the_gram_hypotheses(gram, message):
     hilb = HilbertLattice(
         base=make_lattice([[4]], ["H"]), n=2, extended=make_lattice(gram, ["H", "e"]), e_index=1
     )
-    with pytest.raises(DimensionMismatchError, match=message):
+    with pytest.raises(HkddError, match=message):
         solve_beauville(hilb, 0)
 
 
@@ -265,7 +260,7 @@ def test_compose_convention_and_power(rank3, m1, m2, m1m2):
     assert compose(i1, i2).rows() == m1m2
     assert power(i1, 2).rows() == linalg.identity(3)
     assert power(i1, 0).rows() == linalg.identity(3)
-    with pytest.raises(LatticeMismatchError):
+    with pytest.raises(HkddError, match="cannot compose isometries of different lattices"):
         compose(i1, verify_isometry(make_lattice([[4]]), [[1]]))
 
 
@@ -330,7 +325,7 @@ def test_kummer_spectrum_values():
     flat = spectrum_decimals(kummer_spectrum(Sl2Matrix(1, 1, 0, 1), 5), 17)
     assert [float(d) for d in flat.entries] == [1.0] * 11
     assert float(flat.nats) == 0.0
-    with pytest.raises(BadNError):
+    with pytest.raises(HkddError, match="need n >= 2 points, got 1"):
         kummer_spectrum(Sl2Matrix(2, 1, 1, 1), 1)
 
 

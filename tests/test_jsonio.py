@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +12,6 @@ from hkdd import cli, fixtures, linalg
 from hkdd.errors import HkddError
 from hkdd.jsonio import (
     MAX_RANK,
-    InputParseError,
     decode_int,
     decode_matrix,
     dump_json,
@@ -41,11 +41,11 @@ def test_int53_rule():
     assert decode_int(7) == 7
     assert decode_int("-12") == -12
     for bad in ("x", "1_000", " 7 ", "+7", "\u0661\u0662", "7\n", "-", ""):
-        with pytest.raises(InputParseError):
+        with pytest.raises(HkddError, match=f"^bad integer string {re.escape(repr(bad))}$"):
             decode_int(bad)
-    with pytest.raises(InputParseError):
+    with pytest.raises(HkddError, match="^expected an integer, got True$"):
         decode_int(True)
-    with pytest.raises(InputParseError):
+    with pytest.raises(HkddError, match="^expected an integer, got float$"):
         decode_int(3.5)
 
 
@@ -53,7 +53,7 @@ def test_integer_string_past_the_digit_limit_is_named(tmp_path):
     # a valid integer that CPython's 4300-digit limit refuses to read
     f = tmp_path / "lat.json"
     f.write_text(json.dumps({"gram": [["1" * 5001]]}))
-    with pytest.raises(InputParseError) as exc:
+    with pytest.raises(HkddError) as exc:
         load_lattice(f)
     assert str(exc.value) == "integer string has more than 4300 digits"
     assert decode_int("1" * 4300) == int("1" * 4300)
@@ -73,13 +73,14 @@ def test_load_lattice_and_matrix(tmp_path):
     lat = load_lattice(f)
     assert lat.labels == ("b1", "b2")
     f.write_text(json.dumps({"gram": [[2, 1], [1, 2]], "labels": ["x", 3]}))
-    with pytest.raises(InputParseError):
+    with pytest.raises(HkddError, match='"labels" must be a list of strings$'):
         load_lattice(f)
     f.write_text(json.dumps({"gram": [[2, 1], [3, 2]]}))
-    with pytest.raises(InputParseError):
+    with pytest.raises(HkddError) as exc:
         load_lattice(f)
+    assert str(exc.value) == f"{f}: gram[0][1] = 1 != gram[1][0] = 3"
     f.write_text(json.dumps({"matrix": [[1, 0], [0, 1]]}))
-    with pytest.raises(InputParseError):
+    with pytest.raises(HkddError, match='missing "gram"$'):
         load_lattice(f)
     assert load_matrix(f) == [[1, 0], [0, 1]]
     # not UTF-8, nested past the recursion limit, a number literal past the digit limit
@@ -89,7 +90,7 @@ def test_load_lattice_and_matrix(tmp_path):
         (b'{"gram": [[' + b"1" * 5001 + b"]]}", "integer has more than 4300 digits"),
     ):
         f.write_bytes(raw)
-        with pytest.raises(InputParseError, match=message):
+        with pytest.raises(HkddError, match=message):
             load_lattice(f)
 
 
@@ -103,7 +104,7 @@ def test_crlf_syntax_error_reads_as_in_text_mode(tmp_path):
     with pytest.raises(json.JSONDecodeError) as raw:
         json.loads(f.read_bytes().decode("utf-8"))
     assert str(raw.value) != str(text_mode.value)
-    with pytest.raises(InputParseError) as exc:
+    with pytest.raises(HkddError) as exc:
         load_lattice(str(f))
     assert str(exc.value) == f"{f} is not valid JSON: {text_mode.value}"
 
@@ -137,13 +138,13 @@ def test_matrix_past_the_rank_limit_is_an_input_error():
     assert decode_matrix(square) == square
     message = f"^matrix of size {MAX_RANK + 1} exceeds the rank limit of {MAX_RANK}$"
     for big in (square + [[0] * MAX_RANK], [row + [0] for row in square], [[0] * (MAX_RANK + 1)]):
-        with pytest.raises(InputParseError, match=message):
+        with pytest.raises(HkddError, match=message):
             decode_matrix(big)
 
 
 def test_decode_coeffs():
     assert decode_coeffs([1, -34, 1]) == [1, -34, 1]
-    with pytest.raises(InputParseError):
+    with pytest.raises(HkddError, match="^polynomial must be a list of coefficients$"):
         decode_coeffs("1 -34 1")
 
 

@@ -1,4 +1,5 @@
 import random
+import signal
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from hkdd import polynomial, salem
 from hkdd.dynamics import exact_power_str
-from hkdd.errors import DegreeTooSmallError, NotMonicError
+from hkdd.errors import HkddError
 from hkdd.polynomial import ONE_POLY, IntPolynomial, char_poly, cyclotomic, isolate_real_roots, poly
 from hkdd.salem import (
     ALL_CYCLOTOMIC,
@@ -43,7 +44,7 @@ def test_peel_cyclotomic_examples(m1):
     factors, rem = peel_cyclotomic(poly(-2, 0, 1))
     assert factors == []
     assert rem == poly(-2, 0, 1)
-    with pytest.raises(NotMonicError):
+    with pytest.raises(HkddError, match="is not monic"):
         peel_cyclotomic(poly(1, -3, 2))
 
 
@@ -72,11 +73,11 @@ def test_is_salem_rejections():
     for n in range(1, 31):
         p = cyclotomic(n)
         if p.degree < 2:
-            with pytest.raises(DegreeTooSmallError):
+            with pytest.raises(HkddError, match="degree 1 < 2"):
                 is_salem_polynomial(p)
         else:
             assert not is_salem_polynomial(p)
-    with pytest.raises(NotMonicError):
+    with pytest.raises(HkddError, match="is not monic"):
         is_salem_polynomial(poly(1, -34, 2))
     # negative dominant root is not a Salem number
     assert not is_salem_polynomial(poly(1, 34, 1))
@@ -383,4 +384,24 @@ def test_salem_root_of_builds_no_sturm_chain(monkeypatch):
     monkeypatch.setattr(polynomial, "square_free_part", forbidden)
     got = salem_root_of(LEHMER)
     assert (got.a, got.b, got.den) == (want.a, want.b, want.den)
+
+
+@pytest.mark.parametrize("coeffs", [(1, -2, 1), (1, 1, 1), (1, 2, 1), (-1, 0, 1), (2, -3, 1), (-1, 0, 0, -1)])
+def test_salem_root_of_refuses_a_polynomial_without_a_root_above_one(coeffs):
+    # (x - 1)^2, Phi_3 and (x + 1)^2 have no root above 1, x^2 - 1 and
+    # (x - 1)(x - 2) vanish at 1, and -x^3 - 1 has a negative leading
+    # coefficient: each is refused. A bisection that looked
+    # for a root above 1 would never end on the first three, so a 2 s alarm
+    # turns that regression into a failure instead of a hung run.
+    def too_slow(signum, frame):
+        raise TimeoutError("salem_root_of did not return within 2 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 2)
+    try:
+        with pytest.raises(ValueError, match=r"no root above 1 to isolate: need p\(1\) < 0 < lead\(p\)$"):
+            salem_root_of(IntPolynomial(coeffs))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
