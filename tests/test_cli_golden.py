@@ -66,6 +66,9 @@ CASES = {
     # <-2> + <-2> + U: the last coordinate has g_mm = 0, so the box walk
     # solves it from a linear equation
     "search-u-last-bound2": "search --lattice {m2_m2_u} --bound 2",
+    # its twin with U first, so that a change of representative or order in
+    # the search shows in both bases
+    "search-u-first-bound2": "search --lattice {u_m2_m2} --bound 2",
 }
 HEADER = re.compile(r"^\$ hkdd (.*) \[exit (\d+)\]\n", re.MULTILINE)
 
@@ -143,8 +146,8 @@ def test_snapshot_decimals_correctly_rounded():
                     checked += 1
     # 492 before the two tall tables, which add 4 x 242 (kummer: d_1, 239
     # powers, nats, log10) and 4 x 123 (E10: the root twice, 119 powers, nats,
-    # log10)
-    assert checked == 1952  # so that the walk cannot pass by finding nothing
+    # log10), and the U-first search 4 x 34 roots
+    assert checked == 2088  # so that the walk cannot pass by finding nothing
 
 
 if __name__ == "__main__":
