@@ -55,6 +55,7 @@ from .dynamics import (
     first_dynamical_degree,
     search_salem_isometries,
     spectrum_decimals,
+    spectrum_rows,
 )
 from .hyperkahler import (
     BeauvilleSolution,

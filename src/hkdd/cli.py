@@ -3,20 +3,23 @@ quartic-involution demo, naturality certificates, and the bounded search.
 
 Each cmd_<name> builds its report once and returns (report, table): the
 report is the JSON-ready dict, and the table a generator of the aligned text
-lines, read from the same values. main alone reads --format and writes the
-one or the other to stdout in one write; diagnostics go to stderr. Exit
-codes are stable: 0 success, 2 malformed input, 3 isometry/determinant
-failures, 4 spectral structure violations, and 1 for an unexpected internal
-error, reported as the single stderr line `internal error: <Type>:
-<message>`. A reader that closes stdout early ends the output: main prints
-nothing more and returns 0. Each HkddError carries its code and stderr label
-(see errors), so main has one handler for them all. Every printed decimal is
-correctly rounded (half-even) to --precision digits by
-polynomial.rounded_decimal, from a certified interval narrowed by quadratic
-interval refinement (AlgebraicReal.quadratic_path), and every root printed
-is a unit larger than 1: a root's decimal and a spectrum's powers come from
-one loop (AlgebraicReal.power_decimals), in fixed point, and those of a
-spectrum report, the entropy and the JSON d1 included, from one walk
+lines, read from the same values; both make a spectrum's rows from its
+n + 1 powers (dynamics.spectrum_rows) as they are written. Every check runs
+before the command returns, so a failed run writes no stdout. main alone
+reads --format and writes the JSON in one write or the table line by line
+to stdout; diagnostics go to stderr. Exit codes are stable: 0 success, 2
+malformed input, 3 isometry/determinant failures, 4 spectral structure
+violations, and 1 for an unexpected internal error, reported as the single
+stderr line `internal error: <Type>: <message>`. A reader that closes
+stdout early ends the output: main prints nothing more and returns 0. Each
+HkddError carries its code and stderr label (see errors), so main has one
+handler for them all. Every printed decimal is correctly rounded
+(half-even) to --precision digits by polynomial.rounded_decimal, from a
+certified interval narrowed by quadratic interval refinement
+(AlgebraicReal.quadratic_path), and every root printed is a unit larger
+than 1: a root's decimal and a spectrum's powers come from one loop
+(AlgebraicReal.power_decimals), in fixed point, and those of a spectrum
+report, the entropy and the JSON d1 included, from one walk
 (dynamics.spectrum_decimals). Every exact form, a Salem root's too, comes
 from dynamics.exact_power_str. Report integers past 53 bits are strings
 (jsonio.encode_int). An integer argument, a report integer or an exact
@@ -47,6 +50,7 @@ from .dynamics import (
     exact_power_str,
     search_salem_isometries,
     spectrum_decimals,
+    spectrum_rows,
 )
 from .errors import HkddError, UsageError
 from .hyperkahler import (
@@ -100,25 +104,22 @@ def _classification_json(cls: SalemClassification, root_decimal: str | None) -> 
 
 def _spectrum_json(spec: DegreeSpectrum, dec: SpectrumDecimals) -> dict:
     poly = None if isinstance(spec.d1, int) else encode_vector(spec.d1.poly.coeffs)
-    d1 = {"exact": spec.entries[1].exact, "decimal": dec.entries[1], "poly": poly}  # the table's d_1
+    d1 = {"exact": spec.powers[1], "decimal": dec.entries[1], "poly": poly}  # the table's d_1
     return {
         "half_dim": spec.half_dim,
         "d1": d1,
-        "entries": [
-            {"k": e.k, "exponent": e.exponent, "exact": e.exact, "decimal": d}
-            for e, d in zip(spec.entries, dec.entries)
-        ],
+        "entries": ({"k": k, "exponent": e, "exact": exact, "decimal": d}
+                    for k, e, exact, d in spectrum_rows(spec, dec)),
         "entropy": {"exact": spec.entropy_exact, "nats": dec.nats, "log10": dec.log10},
     }
 
 
-def _spectrum_table(spec: DegreeSpectrum, dec: SpectrumDecimals) -> str:
-    rows = [(f"d_{e.k}", e.exact, d) for e, d in zip(spec.entries, dec.entries)]
-    w0 = max(len(r[0]) for r in rows)
-    w1 = max(len(r[1]) for r in rows)
-    lines = [f"{r[0]:<{w0}}  {r[1]:<{w1}}  {r[2]}" for r in rows]
-    lines.append(f"entropy = {spec.entropy_exact} = {dec.nats} nats ({dec.log10} log10)")
-    return "\n".join(lines)
+def _spectrum_table(spec: DegreeSpectrum, dec: SpectrumDecimals):
+    """The lines of spec's table, a row d_k per k, then the entropy."""
+    w0, w1 = len(f"d_{2 * spec.half_dim}"), max(map(len, spec.powers))
+    for k, _, exact, d in spectrum_rows(spec, dec):
+        yield f"{f'd_{k}':<{w0}}  {exact:<{w1}}  {d}"
+    yield f"entropy = {spec.entropy_exact} = {dec.nats} nats ({dec.log10} log10)"
 
 
 def _classification_summary(cls) -> str:
@@ -193,7 +194,7 @@ def cmd_degrees(args):
         yield f"char poly: {cp}"
         yield _classification_summary(cls)
         yield f"degree spectrum for half-dimension n = {spec.half_dim}:"
-        yield _spectrum_table(spec, dec)
+        yield from _spectrum_table(spec, dec)
 
     return report, table()
 
@@ -202,7 +203,7 @@ def cmd_salem_check(args):
     p = IntPolynomial(tuple(args.coeffs))
     cls = classify_charpoly(p)
     root = cls.salem_root
-    exact = root and exact_power_str(root, [1])[0]  # built in both formats, so both fail alike
+    exact = root and exact_power_str(root, 1)[1]  # built in both formats, so both fail alike
     decimal = root and root.decimal_str(args.precision)
     report = {"input": encode_vector(p.coeffs), "classification": _classification_json(cls, decimal)}
 
@@ -233,7 +234,7 @@ def cmd_kummer(args):
         yield f"SL(2,Z) matrix {m.rows()}, trace {t}"
         yield f"case: {branch}"
         yield f"degree spectrum on the Hilbert scheme of n = {args.half_dim} points:"
-        yield _spectrum_table(spec, dec)
+        yield from _spectrum_table(spec, dec)
 
     return report, table()
 
@@ -348,10 +349,10 @@ def cmd_beauville_demo(args):
         yield f"\ncomposition M1*M2 = {comp.rows()}"
         yield f"char poly: {cp}"
         yield _classification_summary(cls)
-        yield f"salem root: {spectra[0][1].entries[1].exact} = {root_decimal}"
+        yield f"salem root: {spectra[0][1].powers[1]} = {root_decimal}"
         for ell, s, dec, check in spectra:
             yield f"\ndegree spectrum of (iota2 iota1)^l for l = {ell} (n = 2):"
-            yield _spectrum_table(s, dec)
+            yield from _spectrum_table(s, dec)
             if check:
                 yield check
         yield "\nnaturality certificate:"
@@ -498,7 +499,7 @@ def main(argv: list[str] | None = None) -> int:
         args = _parse(sys.argv[1:] if argv is None else argv)
         if args is not None:
             report, table = globals()["cmd_" + args.command.replace("-", "_")](args)
-            sys.stdout.write(dump_json(report) if args.format == "json" else "\n".join(table) + "\n")
+            sys.stdout.writelines([dump_json(report)] if args.format == "json" else (line + "\n" for line in table))
         sys.stdout.flush()  # so that a reader gone before the last write is seen here
         return EXIT_OK
     except BrokenPipeError:

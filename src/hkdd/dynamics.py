@@ -3,15 +3,16 @@
 The degree law for hyperkahler-type isometries says d_k = d_1^min(k, 2n-k)
 across k = 0..2n, with entropy n*ln(d_1). The first degree is the Salem root
 of the characteristic polynomial on the lattice (or exactly 1 when every
-factor is cyclotomic). A DegreeSpectrum is d_1 and the exponents, with
-exact entries from exact_power_str, the one exact renderer; spectrum_decimals
-renders it from one walk of d_1's certified isolating interval, the entropy
-included, each decimal correctly rounded (polynomial.rounded_decimal). No
-floating point is used: a structure violation is reported with the exact
-reason the Salem test gave. The bounded Salem search takes nondegenerate
-lattices only (det G = 0 ends in exit 2) and classifies every candidate,
-a sign representative or an involution pair, by its reciprocity sign and
-half power traces.
+factor is cyclotomic). The law leaves n + 1 distinct values in 2n + 1
+rows: a DegreeSpectrum holds d_1^0..d_1^n in exact form, from
+exact_power_str, the one exact renderer, and spectrum_decimals renders them
+and the entropy from one walk of d_1's certified isolating interval, each
+decimal correctly rounded (polynomial.rounded_decimal); spectrum_rows alone
+lays out the 2n + 1 rows. No floating point is used: a structure violation
+is reported with the exact reason the Salem test gave. The bounded Salem
+search takes nondegenerate lattices only (det G = 0 ends in exit 2) and
+classifies every candidate, a sign representative or an involution pair,
+by its reciprocity sign and half power traces.
 """
 
 from __future__ import annotations
@@ -48,16 +49,13 @@ from .salem import (
 FirstDegree = AlgebraicReal | int
 
 
-# row k of a table: d_k = d_1^exponent, exponent = min(k, 2n - k), as an exact string
-SpectrumEntry = namedtuple("SpectrumEntry", "k exponent exact")
-# The table (k, d_k) for k = 0..2n, a tuple of SpectrumEntry, plus entropy,
-# palindromic by the degree law. Entries are exact symbolic powers of d_1;
-# their decimals and the entropy's come from spectrum_decimals at a chosen
-# precision.
-DegreeSpectrum = namedtuple("DegreeSpectrum", "half_dim d1 entries entropy_exact")
-# Correctly rounded decimal strings at one precision: the d_k of a degree
-# table, k = 0..2n (or d_1^e in the order power_decimal was asked), and the
-# entropy n*ln(d_1) in nats and n*log10(d_1).
+# The degree table at half dimension n: powers holds the exact forms of
+# d_1^0..d_1^n, a tuple of str, and entropy_exact that of n*ln(d_1); their
+# decimals come from spectrum_decimals, and the rows from spectrum_rows.
+DegreeSpectrum = namedtuple("DegreeSpectrum", "half_dim d1 powers entropy_exact")
+# Correctly rounded decimal strings at one precision: entries[e] is that of
+# d_1^e for e = 0..top (top = n for a spectrum), and the entropy n*ln(d_1)
+# in nats and n*log10(d_1).
 SpectrumDecimals = namedtuple("SpectrumDecimals", "entries nats log10")
 
 
@@ -100,8 +98,8 @@ def degree_from_classification(cls: SalemClassification) -> FirstDegree:
 # ---------------------------------------------------------------------------
 
 
-def exact_power_str(d1: FirstDegree, exponents: Sequence[int]) -> list[str]:
-    """Exact renderings of d1^e for every e in exponents, in their order.
+def exact_power_str(d1: FirstDegree, top: int) -> list[str]:
+    """Exact renderings of d1^e for e = 0..top.
 
     d1 is 1 or a Salem root lambda > 1; its polynomial S must be monic and
     reciprocal. For S = x^2 - s*x + 1, lambda^e = (V_e + U_e*t*sqrt(D))/2,
@@ -113,35 +111,30 @@ def exact_power_str(d1: FirstDegree, exponents: Sequence[int]) -> list[str]:
     certificate puts the real roots of S at 1/lambda < 1 < lambda.
     """
     if isinstance(d1, int):
-        return ["1"] * len(exponents)
+        return ["1"] * (top + 1)
     coeffs = d1.poly.coeffs
     if coeffs[-1] != 1 or coeffs != coeffs[::-1]:
         raise ValueError(f"exact powers need 1 or a Salem root, not a root of {d1.poly}")
     if d1.poly.degree > 2:
         lo, hi = format_fraction(d1.a, d1.den, 8), format_fraction(d1.b, d1.den, 8)
         base = f"root #2 of {d1.poly} in [{lo}, {hi}]"
-        return ["1" if e == 0 else base if e == 1 else f"({base})^{e}" for e in exponents]
+        return ["1" if e == 0 else base if e == 1 else f"({base})^{e}" for e in range(top + 1)]
     s = -coeffs[1]
     t, d = square_part(s * s - 4)
-    e_max, bound = max(exponents, default=0), 2 * DIGITS_BOUND
     v, tu = [2, s], [0, t]  # V_e and t*U_e
-    while len(v) <= e_max and v[-1] < bound:
+    while len(v) <= top and v[-1] < 2 * DIGITS_BOUND:
         v.append(s * v[-1] - v[-2])
         tu.append(s * tu[-1] - tu[-2])
     # a walk stopped short ends at a V_e that quadratic_surd_str rejects
-    last = min(e_max, len(v) - 1)
-    forms = [quadratic_surd_str(v[e], tu[e], d) for e in range(last, 0, -1)] + ["1"]
-    return [forms[last - e] for e in exponents]
+    forms = [quadratic_surd_str(v[e], tu[e], d) for e in range(min(top, len(v) - 1), 0, -1)]
+    return ["1", *reversed(forms)]
 
 
-def power_decimal(
-    d1: AlgebraicReal, exponents: list[int], sig_digits: int, scale: int = 1
-) -> SpectrumDecimals:
-    """Correctly rounded decimals of d1^e for every e in exponents, in their
-    order (AlgebraicReal.power_decimals), and of scale*ln(d1) and
-    scale*log10(d1), from the one walk of d1's interval
-    (AlgebraicReal.quadratic_path), which the logarithms carry on from the
-    narrowest interval the powers reached.
+def power_decimal(d1: AlgebraicReal, n: int, sig_digits: int) -> SpectrumDecimals:
+    """Correctly rounded decimals of d1^e for e = 0..n
+    (AlgebraicReal.power_decimals), and of n*ln(d1) and n*log10(d1), from
+    the one walk of d1's interval (AlgebraicReal.quadratic_path), which the
+    logarithms carry on from the narrowest interval the powers reached.
 
     The logarithms are tried, on the bounds of _log_bounds, one Decimal.ln
     at lo and ln(10) per try, at each interval (lo, hi] with
@@ -151,16 +144,16 @@ def power_decimal(
     d1 must be an algebraic unit larger than 1, as every first dynamical
     degree is: it is an eigenvalue of an integer matrix of determinant +-1.
     Then no logarithm sits on a rounding boundary, which is rational, so the
-    walk ends: ln(d1) is transcendental (Lindemann), and scale*log10(d1) = a/b
+    walk ends: ln(d1) is transcendental (Lindemann), and n*log10(d1) = a/b
     would make the unit d1^b equal 10^a.
     """
-    entries = d1.power_decimals(exponents, sig_digits)
+    entries = d1.power_decimals(n, sig_digits)
     gate = 10 ** (sig_digits + 2)
     log_digits = sig_digits + 10
     for a, b, den in d1.quadratic_path():
         if (b - a) * gate < a - den:
             bounds = _log_bounds(a, b, den, log_digits)
-            logs = [rounded_decimal(scale * lo, scale * hi, d, sig_digits) for lo, hi, d in bounds]
+            logs = [rounded_decimal(n * lo, n * hi, d, sig_digits) for lo, hi, d in bounds]
             if None not in logs:
                 return SpectrumDecimals(entries, *logs)
             log_digits += log_digits // 2
@@ -211,8 +204,8 @@ def _log_bounds(a: int, b: int, den: int, digits: int) -> list[tuple[int, int, i
 
 
 def degree_spectrum(n: int, d1: FirstDegree) -> DegreeSpectrum:
-    """Full degree table d_k = d1^min(k, 2n-k) for k = 0..2n with entropy,
-    in exact symbolic form.
+    """The degree table at half dimension n, in exact symbolic form: the
+    powers d1^0..d1^n and the entropy n*log(d1).
 
     d1 = 1 (the AllCyclotomic case) gives the all-ones table and entropy 0.
     """
@@ -220,24 +213,27 @@ def degree_spectrum(n: int, d1: FirstDegree) -> DegreeSpectrum:
         raise ValueError("half dimension n must be >= 1")
     if isinstance(d1, int) and d1 != 1:
         raise ValueError("integer d1 must be exactly 1")
-    exponents = (min(k, 2 * n - k) for k in range(2 * n + 1))
-    # the n + 1 distinct powers first, so a column past the digit bound
-    # fails before any row is built
-    exact = exact_power_str(d1, range(n + 1))
-    return DegreeSpectrum(
-        half_dim=n,
-        d1=d1,
-        entries=tuple(SpectrumEntry(k, e, exact[e]) for k, e in enumerate(exponents)),
-        entropy_exact="0" if isinstance(d1, int) else f"{n}*log({exact[1]})",
-    )
+    powers = tuple(exact_power_str(d1, n))
+    entropy = "0" if isinstance(d1, int) else f"{n}*log({powers[1]})"
+    return DegreeSpectrum(half_dim=n, d1=d1, powers=powers, entropy_exact=entropy)
 
 
 def spectrum_decimals(spec: DegreeSpectrum, sig_digits: int) -> SpectrumDecimals:
     """The decimals a report prints for spec, from one power_decimal walk:
-    each d_k, and n*ln(d_1) and n*log10(d_1), all correctly rounded."""
+    d1^e for e = 0..n, n*ln(d_1) and n*log10(d_1), all correctly rounded."""
     if isinstance(spec.d1, int):
-        return SpectrumDecimals(("1",) * len(spec.entries), "0", "0")
-    return power_decimal(spec.d1, [e.exponent for e in spec.entries], sig_digits, spec.half_dim)
+        return SpectrumDecimals(("1",) * (spec.half_dim + 1), "0", "0")
+    return power_decimal(spec.d1, spec.half_dim, sig_digits)
+
+
+def spectrum_rows(spec: DegreeSpectrum, dec: SpectrumDecimals):
+    """Yield the rows (k, e, exact, decimal) of spec's table, k = 0..2n:
+    d_k = d1^e with e = min(k, 2n - k), read from the n + 1 powers and
+    their decimals dec. The one place that knows the palindromic layout."""
+    n = spec.half_dim
+    for k in range(2 * n + 1):
+        e = min(k, 2 * n - k)
+        yield k, e, spec.powers[e], dec.entries[e]
 
 
 def validate_spectrum_shape(
@@ -248,7 +244,7 @@ def validate_spectrum_shape(
     endpoints 1, log-concavity, the power law d_k = d1^min(k, 2n-k), and
     strict growth up to the middle when d1 > 1 (constancy when d1 = 1).
 
-    values are the decimals of d_0..d_2n, such as the certified strings of
+    values are the decimals of d_0..d_2n, such as spectrum_rows reads from
     spectrum_decimals. Each is read exactly as a Decimal and the checks run
     in Decimal arithmetic with twice the digits of the longest value, so no
     table is too large to judge. Equalities hold up to the relative
@@ -281,13 +277,10 @@ def validate_spectrum_shape(
             if values[k - 1] * values[k + 1] > values[k] ** 2 * (1 + tol):
                 violations.append(f"log-concavity violated at k={k}")
         d1 = values[1]
-        for k in range(2 * n + 1):
-            expected = d1 ** min(k, 2 * n - k)
+        for k in range(n + 1):  # the palindrome check above covers k > n
+            expected = d1**k
             if abs(values[k] - expected) > tol * max(1, expected):
-                violations.append(
-                    f"power-law violation at k={k}: d_k = {values[k]}, "
-                    f"d_1^{min(k, 2 * n - k)} = {expected}"
-                )
+                violations.append(f"power-law violation at k={k}: d_k = {values[k]}, d_1^{k} = {expected}")
         if d1 > 1 + tol:
             for k in range(n):
                 if not values[k] < values[k + 1]:

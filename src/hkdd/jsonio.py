@@ -13,7 +13,8 @@ Reports are written by dump_json, which gives the bytes of
 json.dumps(obj, indent=2, sort_keys=True) with a trailing newline. With an
 indent, json.dumps runs its pure-Python encoder; dump_json builds each
 container with one join and escapes every string with the C function that
-encoder calls, so the output cannot differ.
+encoder calls, so the output cannot differ. A generator is written as the
+list of what it yields.
 
 An input file is read with one binary read and decoded as UTF-8, with the
 newlines of a text-mode read (CR LF and a lone CR become LF), so a syntax
@@ -27,6 +28,7 @@ from __future__ import annotations
 import json
 import re
 from json.encoder import encode_basestring_ascii
+from types import GeneratorType
 
 from .errors import HkddError
 from .lattice import GramLattice, make_lattice
@@ -81,9 +83,10 @@ def decode_matrix(obj) -> list[list[int]]:
 
 def dump_json(obj) -> str:
     """json.dumps(obj, indent=2, sort_keys=True) + "\n" for the types a
-    report holds: dicts with str keys, lists, tuples, str, int, bool and
-    None. Any other value, a float or a set, or a key that is not a str
-    (encode_basestring_ascii takes only str), raises TypeError."""
+    report holds: dicts with str keys, lists, tuples and generators (written
+    as lists), str, int, bool and None. Any other value, a float or a set,
+    or a key that is not a str (encode_basestring_ascii takes only str),
+    raises TypeError."""
     return _dump(obj, "\n") + "\n"
 
 
@@ -106,10 +109,9 @@ def _dump(obj, newline: str) -> str:
             return "{}"
         items = (encode_basestring_ascii(k) + ": " + _dump(v, inner) for k, v in sorted(obj.items()))
         return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        return "[" + inner + ("," + inner).join(_dump(v, inner) for v in obj) + newline + "]"
+    if isinstance(obj, (list, tuple, GeneratorType)):
+        items = ("," + inner).join(_dump(v, inner) for v in obj)
+        return "[" + inner + items + newline + "]" if items else "[]"
     raise TypeError(f"a report holds no {type(obj).__name__}")
 
 

@@ -534,23 +534,21 @@ class AlgebraicReal(_Immutable):
     def decimal_str(self, sig_digits: int = 12) -> str:
         """The root correctly rounded (half-even) to sig_digits digits, for a
         unit larger than 1, as every d_1 and Salem root is: power_decimals
-        of the one exponent 1."""
-        return self.power_decimals([1], sig_digits)[0]
+        up to the exponent 1."""
+        return self.power_decimals(1, sig_digits)[1]
 
-    def power_decimals(self, exponents: list[int], sig_digits: int) -> tuple[str, ...]:
-        """Correctly rounded decimals of x^e for every e in exponents, in
-        their order, from the walk of quadratic_path.
+    def power_decimals(self, top: int, sig_digits: int) -> tuple[str, ...]:
+        """Correctly rounded decimals of x^e for e = 0..top, from the walk of
+        quadratic_path.
 
         Once an interval (lo, hi] of the walk has
-        (hi - lo) * 10^(sig_digits + 2) * e_max < lo, e_max the largest
-        pending exponent, _power_bounds yields bounds [L_e, H_e] / 2^W of
-        [lo^e, hi^e] in exponent order, from fixed-point products with W
-        fraction bits, W = ceil(3.33 (sig_digits + 2)) + bitlen(e_max) + 16
-        to start with.
-        Each pending exponent, in ascending order, first meets the width gate
-        (H_e - L_e) * 10^(sig_digits + 2) < L_e and then rounded_decimal on
-        [L_e, H_e] / 2^W; the first it cannot yet decide waits for a later
-        interval, and so do the larger ones, with W grown by half.
+        (hi - lo) * 10^(sig_digits + 2) * top < lo, _power_bounds yields
+        bounds [L_e, H_e] / 2^W of [lo^e, hi^e], e = 1..top, from fixed-point
+        products with W = ceil(3.33 (sig_digits + 2)) + bitlen(top) + 16
+        fraction bits to start with. Each e not yet done, in ascending order,
+        meets the width gate (H_e - L_e) * 10^(sig_digits + 2) < L_e and then
+        rounded_decimal on [L_e, H_e] / 2^W; the first it cannot decide waits
+        for a later interval, with the larger ones and W grown by half.
 
         x must be an algebraic unit larger than 1 (leading coefficient and
         constant term +-1), or ValueError is raised: then x^e for e >= 1 is a
@@ -558,35 +556,30 @@ class AlgebraicReal(_Immutable):
         boundary, which is rational, so the walk ends. An isolating interval
         with lo >= 1 shows x > 1 without a comparison.
         """
-        if any(e < 0 for e in exponents):
-            raise ValueError("power decimals need nonnegative exponents")
         coeffs = self.poly.coeffs
         if abs(coeffs[0]) != 1 or abs(coeffs[-1]) != 1:
             raise ValueError("power decimals need an algebraic unit")
         if self.a < self.den and self.compare_rational(1) <= 0:
             raise ValueError("power decimals need a base larger than 1")
-        done = {0: "1"}
-        pending = sorted(set(exponents) - {0}, reverse=True)  # the next one last
+        done = ["1"]  # the decimal of x^e is done[e]
         gate = 10 ** (sig_digits + 2)
-        bits = -(-333 * (sig_digits + 2) // 100) + max(exponents, default=0).bit_length() + 16
+        bits = -(-333 * (sig_digits + 2) // 100) + top.bit_length() + 16
         walk = self.quadratic_path()
-        while pending:
+        while len(done) <= top:
             a, b, den = next(walk)
-            if (b - a) * gate * pending[0] >= a:
+            if (b - a) * gate * top >= a:
                 continue
-            for e, (lo_e, hi_e) in enumerate(_power_bounds(a, b, den, bits), 1):
-                if e < pending[-1]:
+            for e, (lo_e, hi_e) in zip(range(1, top + 1), _power_bounds(a, b, den, bits)):
+                if e < len(done):
                     continue
                 if (hi_e - lo_e) * gate >= lo_e:
                     break
                 text = rounded_decimal(lo_e, hi_e, 1 << bits, sig_digits)
                 if text is None:
                     break
-                done[pending.pop()] = text
-                if not pending:
-                    break
+                done.append(text)
             bits += bits // 2
-        return tuple(done[e] for e in exponents)
+        return tuple(done)
 
     def compare_to(self, other: AlgebraicReal) -> int:
         """Exact three-way comparison: -1, 0, or 1.

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import settings
 
 from hkdd import fixtures, linalg
+from hkdd.dynamics import spectrum_rows
 from hkdd.hyperkahler import hilbert_lattice
 from hkdd.lattice import make_lattice, verify_isometry
 from hkdd.polynomial import AlgebraicReal, IntPolynomial, isolate_real_roots, sturm_count
@@ -88,6 +89,11 @@ def correctly_rounded(value, p: int) -> str:
         if digits == 10**p:
             digits, e = digits // 10, e + 1
     return sign + str(Decimal(f"{digits}E{e - p + 1}"))
+
+
+def row_decimals(spec, dec) -> list[str]:
+    """The decimals of d_0..d_2n, row by row, as a degree table prints them."""
+    return [decimal for *_, decimal in spectrum_rows(spec, dec)]
 
 
 def assert_correctly_rounded(s: str, value, p: int) -> None:

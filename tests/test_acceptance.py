@@ -41,6 +41,7 @@ from hkdd.lattice import (
 )
 from hkdd.polynomial import IntPolynomial, char_poly, cyclotomic, poly
 from hkdd.salem import SALEM_STRUCTURE, classify_charpoly, is_salem_polynomial
+from conftest import row_decimals
 from oracles import as_float, power_iteration_radius, sym_power_dim, sym_power_matrix
 
 D1_ORACLE = 17 + 12 * math.sqrt(2)
@@ -132,14 +133,15 @@ def test_criterion_3_solver_disambiguation(hilb2):
 
 def test_criterion_4_kummer_example():
     with criterion(4, "Kummer: t=2 flat; t=3, n=2 gives (1,q,q^2,q,1); t=-3 same q"):
-        flat = spectrum_decimals(kummer_spectrum(Sl2Matrix(1, 1, 0, 1), 2), 17)
-        assert [float(d) for d in flat.entries] == [1.0] * 5
+        spec_flat = kummer_spectrum(Sl2Matrix(1, 1, 0, 1), 2)
+        flat = spectrum_decimals(spec_flat, 17)
+        assert [float(d) for d in row_decimals(spec_flat, flat)] == [1.0] * 5
         assert float(flat.nats) == 0.0
 
         spec = kummer_spectrum(Sl2Matrix(2, 1, 1, 1), 2)
         assert spec.d1.poly == poly(1, -7, 1)
         dec = spectrum_decimals(spec, 17)
-        values = [float(d) for d in dec.entries]
+        values = [float(d) for d in row_decimals(spec, dec)]
         q = values[1]
         assert abs(q - 6.854101966) <= 1e-8
         assert abs(q - Q_ORACLE) <= 1e-8
@@ -190,10 +192,11 @@ def test_criterion_6_theorem_property_suite(catalogue8):
         for _ in range(200):
             d1 = rng.choice(roots)
             n = rng.randint(1, 5)
-            dec = spectrum_decimals(degree_spectrum(n, d1), 17)
-            report = validate_spectrum_shape(dec.entries, tolerance=1e-9)
+            spec = degree_spectrum(n, d1)
+            rows = row_decimals(spec, spectrum_decimals(spec, 17))
+            report = validate_spectrum_shape(rows, tolerance=1e-9)
             assert report.ok, report.violations
-            values = [float(d) for d in dec.entries]
+            values = [float(d) for d in rows]
             # palindromic symmetry and strict growth, asserted directly too
             for k in range(2 * n + 1):
                 assert values[k] == pytest.approx(values[2 * n - k], rel=1e-9)

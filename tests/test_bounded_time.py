@@ -2,8 +2,9 @@
 Beauville involution at ranks 5 and 7, search at rank 4 (up to bound 8, with U first or last) and at rank 5 up to
 bound 2 and on zero Grams (refused), polynomial work on huge traces and
 degree 160, degree tables of half-dimension 1000 at 12, 50 and 200 digits,
-of trace 56 at half-dimension 300 and 200 digits, and of Lehmer's number
-at half-dimension 40000 end within a stated time with a documented exit
+of trace 56 at half-dimension 300 and 200 digits, of Lehmer's number at
+half-dimension 40000, of ones at half-dimension 200000 and of trace 3 at
+half-dimension 5000 end within a stated time with a documented exit
 code (0, 2, 3 or 4), and exact forms and report integers past 4300 digits,
 and a lattice of rank 163, end in exit 2 with a message naming the bound,
 all within a memory cap.
@@ -235,6 +236,16 @@ CLI_CASES = {
             "33608909070140612093562495281192150313463110728431162020326119148859289592589504"
             "595416538606922235561752599791088858478625403056 log10)"
         ),
+    ),
+    # 400,001 rows of ones and 10,001 rows of closed forms of up to 4,180
+    # digits: a spectrum holds its n + 1 distinct powers, and the table is
+    # written line by line, so no row outlives its line
+    "kummer-flat-half-dim-200000": (
+        ["kummer", "1", "0", "0", "1", "--half-dim", "200000"], 10, "entropy = 0 = 0 nats (0 log10)",
+    ),
+    "kummer-half-dim-5000": (
+        ["kummer", "2", "1", "1", "1", "--half-dim", "5000"], 10,
+        "entropy = 5000*log((7+3*sqrt(5))/2) = 9624.23650119 nats (4179.75280500 log10)",
     ),
     # 80,001 rows of Lehmer powers: each retry of power_decimals at more
     # bits frees the failed attempt's bounds before it builds the next

@@ -23,7 +23,7 @@ from hkdd import cli, dynamics, errors, fixtures, hyperkahler, linalg, polynomia
 from hkdd.cli import main
 from hkdd.jsonio import dump_json, load_lattice, load_matrix
 from hkdd.polynomial import AlgebraicReal, IntPolynomial
-from conftest import assert_correctly_rounded, decimals_of
+from conftest import assert_correctly_rounded, decimals_of, row_decimals
 from oracles import algebraic_real_from_json, build_parser, decode_coeffs
 from test_cli_golden import CASES, LEHMER, _argv, _resolve, read_snapshot, run
 from test_lattice import random_unimodular
@@ -61,6 +61,31 @@ def test_lattice_info_json_roundtrip(capsys):
     assert dump_json(parsed) == out
     assert parsed["signature"] == [1, 2, 0]
     assert parsed["determinant"] == 96
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ("degrees --lattice {rank3} --isometry {not_isometry}", 3),
+        ("degrees --lattice {g4} --isometry {m4_salem_squared}", 4),
+        ("kummer 2 1 1 1 --half-dim 5300", 2),  # an exact form past the digit bound
+        ("salem-check -- 1 2", 2),
+        ("search --lattice {tmp}/degenerate.json", 2),
+        ("natural-check --lattice {rank3} --isometry {identity3} --e-index 7", 2),
+        ("lattice-info {tmp}/big_determinant.json", 2),  # 8,001 digits
+    ],
+)
+def test_a_failed_run_writes_no_stdout_in_either_format(capsys, tmp_path, argv, code):
+    # every check runs before the command returns, so before main writes the
+    # JSON or the first line of the table: both formats fail alike
+    (tmp_path / "degenerate.json").write_text(json.dumps({"gram": [[1, 1], [1, 1]]}))
+    (tmp_path / "big_determinant.json").write_text(json.dumps({"gram": [[10**4000, 0], [0, 10**4000]]}))
+    argv = _resolve(argv.replace("{tmp}", str(tmp_path)).split())
+    (table_code, table_out, table_err), (json_code, json_out, json_err) = (
+        run_cli(["--format", fmt, *argv], capsys) for fmt in ("table", "json")
+    )
+    assert (table_code, table_out) == (json_code, json_out) == (code, "")
+    assert table_err == json_err and table_err.count("\n") == 1 and table_err.endswith("\n")
 
 
 def test_lattice_info_json_determinant_past_53_bits(capsys, tmp_path):
@@ -652,8 +677,9 @@ def test_power_check_catches_a_wrong_exponent(capsys, monkeypatch, iso_m1m2, fmt
     assert err.startswith("internal error: AssertionError: d_1 of (iota2 iota1)^2 is not d_1^2")
     for ell in (1, 2, 3):  # the tables the mutant computes pass the shape check
         d1 = dynamics.first_dynamical_degree(cli.power(iso_m1m2, ell))
-        dec = dynamics.spectrum_decimals(dynamics.degree_spectrum(2, d1), 12)
-        assert dynamics.validate_spectrum_shape(dec.entries, Decimal("1e-10")).ok
+        spec = dynamics.degree_spectrum(2, d1)
+        rows = row_decimals(spec, dynamics.spectrum_decimals(spec, 12))
+        assert dynamics.validate_spectrum_shape(rows, Decimal("1e-10")).ok
 
 
 @pytest.mark.parametrize("fmt", ["table", "json"])

@@ -23,6 +23,7 @@ from hkdd.dynamics import (
     power_decimal,
     search_salem_isometries,
     spectrum_decimals,
+    spectrum_rows,
     validate_spectrum_shape,
 )
 from hkdd.errors import HkddError, SpectralStructureViolatedError
@@ -41,7 +42,7 @@ from hkdd.polynomial import (
 )
 from hkdd.salem import SALEM_STRUCTURE, classify_charpoly, is_salem_polynomial, salem_root_of
 from fraction_sturm import fraction_isolate
-from conftest import TPQR_SALEM_FACTORS, assert_correctly_rounded, assert_walk_nests, mp_root
+from conftest import TPQR_SALEM_FACTORS, assert_correctly_rounded, assert_walk_nests, mp_root, row_decimals
 from test_cli_golden import _argv, run
 from oracles import (
     all_isometries,
@@ -71,7 +72,7 @@ def catalogue(rank3):
 
 def test_first_dynamical_degree(rank3, m1, iso_m1m2):
     d1 = first_dynamical_degree(iso_m1m2)
-    assert exact_power_str(d1, [1]) == ["17+12*sqrt(2)"]
+    assert exact_power_str(d1, 1) == ["1", "17+12*sqrt(2)"]
     assert as_float(d1) == pytest.approx(33.970562748477, abs=1e-9)
     assert first_dynamical_degree(verify_isometry(rank3, m1)) == 1
     assert first_dynamical_degree(verify_isometry(rank3, linalg.identity(3))) == 1
@@ -85,14 +86,15 @@ def test_first_degree_matches_power_iteration(iso_m1m2):
 
 def test_degree_spectrum_exact_table(root34):
     spec = degree_spectrum(2, root34)
-    assert [e.exact for e in spec.entries] == [
+    assert spec.powers == ("1", "17+12*sqrt(2)", "577+408*sqrt(2)")
+    dec = spectrum_decimals(spec, 17)
+    assert [exact for _, _, exact, _ in spectrum_rows(spec, dec)] == [
         "1",
         "17+12*sqrt(2)",
         "577+408*sqrt(2)",
         "17+12*sqrt(2)",
         "1",
     ]
-    dec = spectrum_decimals(spec, 17)
     assert float(dec.entries[2]) == pytest.approx(
         (17 + 12 * math.sqrt(2)) ** 2, rel=1e-12
     )
@@ -103,16 +105,33 @@ def test_degree_spectrum_exact_table(root34):
 def test_degree_spectrum_trivial():
     spec = degree_spectrum(4, 1)
     dec = spectrum_decimals(spec, 17)
-    assert [float(d) for d in dec.entries] == [1.0] * 9
+    assert [float(d) for d in row_decimals(spec, dec)] == [1.0] * 9
     assert float(dec.nats) == 0.0
-    assert validate_spectrum_shape(dec.entries).ok
+    assert validate_spectrum_shape(row_decimals(spec, dec)).ok
+
+
+@pytest.mark.parametrize("d1", [1, "root34", "lehmer"])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_spectrum_holds_n_plus_one_powers_and_rows_are_palindromic(root34, d1, n):
+    # the degree law leaves n + 1 distinct values: the spectrum holds those,
+    # and spectrum_rows lays out the 2n + 1 rows, k and 2n - k alike, with
+    # the rows k <= n reading the powers in order
+    d1 = {"root34": root34, "lehmer": isolate_real_roots(LEHMER)[-1]}.get(d1, d1)
+    spec = degree_spectrum(n, d1)
+    dec = spectrum_decimals(spec, 12)
+    assert len(spec.powers) == len(dec.entries) == n + 1
+    rows = list(spectrum_rows(spec, dec))
+    assert [k for k, *_ in rows] == list(range(2 * n + 1))
+    assert rows == [(k, e, exact, d) for (_, e, exact, d), k in zip(reversed(rows), range(2 * n + 1))]
+    assert rows[: n + 1] == [(e, e, exact, d) for e, (exact, d) in enumerate(zip(spec.powers, dec.entries))]
 
 
 def test_spectrum_palindrome_and_product_law(root34):
     # palindrome d_k = d_{2n-k}, and the multiplicative face of the power law
     # on the rising leg: d_k * d_{n-k} = d_n
     for n in (1, 2, 3, 4):
-        values = [float(d) for d in spectrum_decimals(degree_spectrum(n, root34), 17).entries]
+        spec = degree_spectrum(n, root34)
+        values = [float(d) for d in row_decimals(spec, spectrum_decimals(spec, 17))]
         for k in range(2 * n + 1):
             assert values[k] == pytest.approx(values[2 * n - k], rel=1e-9)
         for k in range(n + 1):
@@ -120,10 +139,13 @@ def test_spectrum_palindrome_and_product_law(root34):
 
 
 def test_exact_power_str_quadratic(root34):
-    assert exact_power_str(root34, [2, 0, 1]) == ["577+408*sqrt(2)", "1", "17+12*sqrt(2)"]
-    assert exact_power_str(isolate_real_roots(poly(1, -7, 1))[-1], [1, 3]) == ["(7+3*sqrt(5))/2", "161+72*sqrt(5)"]
-    assert exact_power_str(1, [0, 1, 2]) == ["1", "1", "1"]
-    [cube] = power_decimal(root34, [3], 17).entries
+    assert exact_power_str(root34, 2) == ["1", "17+12*sqrt(2)", "577+408*sqrt(2)"]
+    assert exact_power_str(isolate_real_roots(poly(1, -7, 1))[-1], 3) == [
+        "1", "(7+3*sqrt(5))/2", "(47+21*sqrt(5))/2", "161+72*sqrt(5)"
+    ]
+    assert exact_power_str(1, 2) == ["1", "1", "1"]
+    assert exact_power_str(root34, 0) == exact_power_str(1, 0) == ["1"]
+    cube = power_decimal(root34, 3, 17).entries[3]
     assert float(cube) == pytest.approx((17 + 12 * math.sqrt(2)) ** 3, rel=1e-12)
     assert float(cube) == pytest.approx(39201.99997449, abs=1e-5)
 
@@ -133,7 +155,7 @@ def test_exact_power_str_rejects_a_root_that_is_not_salem():
     with pytest.raises(ValueError, match="Salem root"):
         degree_spectrum(2, isolate_real_roots(poly(-1, -3, 1))[-1])
     with pytest.raises(ValueError, match="Salem root"):
-        exact_power_str(isolate_real_roots(poly(-2, 0, 0, 1))[-1], [1])
+        exact_power_str(isolate_real_roots(poly(-2, 0, 0, 1))[-1], 1)
 
 
 def test_exact_power_str_builds_one_exact_string(monkeypatch):
@@ -142,30 +164,24 @@ def test_exact_power_str_builds_one_exact_string(monkeypatch):
     monkeypatch.setattr(dynamics, "format_fraction", lambda *a: calls.append(a) or format_fraction(*a))
     spec = degree_spectrum(8, lehmer)
     assert len(calls) == 2  # lo and hi, once for the column
-    base = spec.entries[1].exact
+    base = spec.powers[1]
     assert base.startswith("root #2 of x^10 + x^9")
-    assert [e.exact for e in spec.entries[:3]] == ["1", base, f"({base})^2"]
+    assert spec.powers[:3] == ("1", base, f"({base})^2") and len(spec.powers) == 9
     assert spec.entropy_exact == f"8*log({base})"
-
-
-def spectrum_exponents(n: int) -> list[int]:
-    return [min(k, 2 * n - k) for k in range(2 * n + 1)]
 
 
 @settings(max_examples=200)
 @given(st.integers(3, 60), st.sampled_from([1, -1]), st.integers(1, 100))
 def test_exact_power_str_matches_fraction_oracle_on_kummer_traces(t, sign, n):
     d1 = kummer_first_degree(Sl2Matrix(sign * t, 1, -1, 0))
-    exponents = spectrum_exponents(n)
-    assert exact_power_str(d1, exponents) == fraction_exact_power_str(d1, exponents)
+    assert exact_power_str(d1, n) == fraction_exact_power_str(d1, list(range(n + 1)))
 
 
 @settings(max_examples=200)
 @given(st.integers(3, 10**6), st.integers(1, 20))
 def test_exact_power_str_matches_fraction_oracle_on_quadratics(s, n):
     d1 = salem_root_of(poly(1, -s, 1))
-    exponents = spectrum_exponents(n)
-    assert exact_power_str(d1, exponents) == fraction_exact_power_str(d1, exponents)
+    assert exact_power_str(d1, n) == fraction_exact_power_str(d1, list(range(n + 1)))
 
 
 @pytest.mark.parametrize("coeffs", TPQR_SALEM_FACTORS)
@@ -174,8 +190,7 @@ def test_exact_power_str_matches_fraction_oracle_on_tpqr_factors(coeffs):
     s = IntPolynomial(coeffs)
     for d1 in (salem_root_of(s), isolate_real_roots(s)[-1]):
         assert sturm_count(s, None, interval(d1)[0]) + 1 == 2  # the index the form states
-        exponents = spectrum_exponents(3)
-        assert exact_power_str(d1, exponents) == fraction_exact_power_str(d1, exponents)
+        assert exact_power_str(d1, 3) == fraction_exact_power_str(d1, [0, 1, 2, 3])
 
 
 def test_degree_spectrum_makes_no_walk_and_no_float(root34, monkeypatch):
@@ -184,19 +199,20 @@ def test_degree_spectrum_makes_no_walk_and_no_float(root34, monkeypatch):
 
     monkeypatch.setattr(dynamics, "power_decimal", forbidden)
     spec = degree_spectrum(5, root34)
-    assert spec.entries[5].exact == exact_power_str(root34, [5])[0]
+    assert spec.powers == tuple(exact_power_str(root34, 5))
 
 
 def test_degree_spectrum_past_double_range():
     d1 = isolate_real_roots(poly(1, -7, 1))[-1]  # (7+3*sqrt(5))/2, log10 about 0.836
     spec = degree_spectrum(400, d1)
-    assert spec.entries[400].exact.endswith("*sqrt(5))/2")
+    assert spec.powers[400].endswith("*sqrt(5))/2")
     dec = spectrum_decimals(spec, 12)
-    assert dec.entries[368].endswith("E+307") and dec.entries[369].endswith("E+308")
-    assert dec.entries[400].endswith("E+334") and dec.entries[431] == dec.entries[369]
+    rows = row_decimals(spec, dec)
+    assert rows[368].endswith("E+307") and rows[369].endswith("E+308")
+    assert rows[400].endswith("E+334") and rows[431] == rows[369] == dec.entries[369]
     assert dec.nats == "769.938920095"  # 400 * ln((7+3*sqrt(5))/2), mpmath
     # d_1 has 12 digits, so d_1^400 is off by up to 400 half-units in the last
-    shape = validate_spectrum_shape(dec.entries, tolerance=1e-8)
+    shape = validate_spectrum_shape(rows, tolerance=1e-8)
     assert shape.ok, shape.violations
 
 
@@ -219,9 +235,8 @@ def assert_power_decimal_matches_oracle(d1: AlgebraicReal, n: int, digits: int):
     entropy match the bisection walk with exact powers; and the fixed-point
     bounds contain the exact powers of the interval they are made from."""
     assert_walk_nests(d1, Fraction(1, 10**40))
-    exponents = [min(k, 2 * n - k) for k in range(2 * n + 1)]
     got = spectrum_decimals(degree_spectrum(n, d1), digits)
-    assert got == bisection_power_decimal(d1, exponents, digits, n)
+    assert got == bisection_power_decimal(d1, list(range(n + 1)), digits, n)
     a, b, den = next(x for x in d1.quadratic_path() if (x[1] - x[0]) * 10 ** (digits + 2) * n < x[0])
     bits = -(-333 * (digits + 2) // 100) + n.bit_length() + 16
     for e, (lo_e, hi_e) in zip(range(1, n + 1), polynomial._power_bounds(a, b, den, bits)):
@@ -241,13 +256,10 @@ def test_power_decimal_matches_bisection_oracle_on_salem_factors(coeffs, n, digi
 
 
 def test_power_decimal_certified(root34):
-    assert power_decimal(root34, [2], 12).entries == ("1153.99913345",)
-    assert power_decimal(root34, [1], 12).entries == ("33.9705627485",)
-    assert power_decimal(root34, [2, 0, 1], 12).entries == ("1153.99913345", "1", "33.9705627485")
+    assert power_decimal(root34, 2, 12).entries == ("1", "33.9705627485", "1153.99913345")
+    assert power_decimal(root34, 1, 12).entries == ("1", "33.9705627485")
     with pytest.raises(ValueError):
-        power_decimal(root34, [-1], 12)
-    with pytest.raises(ValueError):
-        power_decimal(isolate_real_roots(poly(1, -34, 1))[0], [1], 12)  # 17-12*sqrt(2) < 1
+        power_decimal(isolate_real_roots(poly(1, -34, 1))[0], 1, 12)  # 17-12*sqrt(2) < 1
 
 
 def test_power_decimal_needs_a_unit():
@@ -255,7 +267,7 @@ def test_power_decimal_needs_a_unit():
     # boundary, where a walk that only compares rounded ends would never end
     d1 = AlgebraicReal(poly(-27, 0, 8), 1, 2)
     with pytest.raises(ValueError, match="unit"):
-        power_decimal(d1, [2], 3)
+        power_decimal(d1, 2, 3)
 
 
 @pytest.mark.parametrize("digits", [12, 50, 200])
@@ -332,12 +344,12 @@ LEHMER = IntPolynomial(TPQR_SALEM_FACTORS[0])
     st.sampled_from((3, 12, 50, 200)),
     st.integers(1, 30),
 )
-def test_power_decimal_logarithms_match_the_two_call_path(defining, digits, scale):
+def test_power_decimal_logarithms_match_the_two_call_path(defining, digits, n):
     """One Decimal.ln and ln(10) give the decimals that Decimal.ln and
     Decimal.log10, each called at lo, gave."""
-    got = power_decimal(salem_root_of(defining), [1, 2], digits, scale)
+    got = power_decimal(salem_root_of(defining), n, digits)
     with mock.patch.object(dynamics, "_log_bounds", two_call_log_bounds):
-        assert power_decimal(salem_root_of(defining), [1, 2], digits, scale) == got
+        assert power_decimal(salem_root_of(defining), n, digits) == got
 
 
 def assert_log_bounds_enclose(a: int, b: int, den: int, digits: int, dps: int):
@@ -386,7 +398,8 @@ def test_log_bounds_near_one(m, zeros, step, width):
 def test_shape_check_reads_certified_decimals(root34, digits):
     tolerance = Decimal(10) ** (2 - digits)
     for d1 in (root34, isolate_real_roots(poly(1, -7, 1))[-1]):
-        entries = list(spectrum_decimals(degree_spectrum(2, d1), digits).entries)
+        spec = degree_spectrum(2, d1)
+        entries = row_decimals(spec, spectrum_decimals(spec, digits))
         assert validate_spectrum_shape(entries, tolerance).ok
         # moving d_2 by 100 units in its last digit breaks the power law
         with localcontext() as ctx:

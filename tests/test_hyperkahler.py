@@ -24,6 +24,7 @@ from hkdd.hyperkahler import (
 from hkdd.lattice import invariant_sublattice, make_lattice, norm_of, verify_isometry
 from hkdd.salem import is_salem_polynomial
 from hkdd.polynomial import IntPolynomial
+from conftest import row_decimals
 from oracles import as_float, natural_isometry, product_beauville
 
 
@@ -277,7 +278,7 @@ def test_kummer_first_degree_branches():
     d = kummer_first_degree(Sl2Matrix(2, 1, 1, 1))  # t = 3
     assert d.poly == IntPolynomial((1, -7, 1))
     assert as_float(d) == pytest.approx((3 + math.sqrt(5)) ** 2 / 4, rel=1e-12)
-    assert exact_power_str(d, [1]) == ["(7+3*sqrt(5))/2"]
+    assert exact_power_str(d, 1)[1] == "(7+3*sqrt(5))/2"
     dm = kummer_first_degree(Sl2Matrix(-2, -1, -1, -1))  # t = -3
     assert dm.compare_to(d) == 0
     with pytest.raises(NotUnimodularError):
@@ -316,14 +317,16 @@ def test_kummer_family_is_salem_or_one():
 
 
 def test_kummer_spectrum_values():
-    dec = spectrum_decimals(kummer_spectrum(Sl2Matrix(2, 1, 1, 1), 2), 17)
+    spec = kummer_spectrum(Sl2Matrix(2, 1, 1, 1), 2)
+    dec = spectrum_decimals(spec, 17)
     q = (7 + 3 * math.sqrt(5)) / 2
-    assert [float(d) for d in dec.entries] == pytest.approx([1, q, q * q, q, 1], rel=1e-10)
+    assert [float(d) for d in row_decimals(spec, dec)] == pytest.approx([1, q, q * q, q, 1], rel=1e-10)
     assert float(dec.nats) == pytest.approx(2 * math.log(q), rel=1e-12)
     dec3 = spectrum_decimals(kummer_spectrum(Sl2Matrix(2, 1, 1, 1), 3), 17)
     assert float(dec3.nats) == pytest.approx(3 * math.log(q), rel=1e-12)
-    flat = spectrum_decimals(kummer_spectrum(Sl2Matrix(1, 1, 0, 1), 5), 17)
-    assert [float(d) for d in flat.entries] == [1.0] * 11
+    spec_flat = kummer_spectrum(Sl2Matrix(1, 1, 0, 1), 5)
+    flat = spectrum_decimals(spec_flat, 17)
+    assert [float(d) for d in row_decimals(spec_flat, flat)] == [1.0] * 11
     assert float(flat.nats) == 0.0
     with pytest.raises(HkddError, match="need n >= 2 points, got 1"):
         kummer_spectrum(Sl2Matrix(2, 1, 1, 1), 1)

@@ -178,10 +178,30 @@ def test_dump_json_writes_what_json_dumps_writes(obj):
     assert dump_json(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize("obj", [1.5, [1, 2.0], {1, 2}, {"a": frozenset()}, {1: "a"}, {"a": {None: 1}}])
+def as_generators(obj):
+    """obj with every list and tuple in it made a generator of its items."""
+    if isinstance(obj, (list, tuple)):
+        return (as_generators(v) for v in obj)
+    if isinstance(obj, dict):
+        return {k: as_generators(v) for k, v in obj.items()}
+    return obj
+
+
+@settings(max_examples=200)
+@given(REPORT_VALUES)
+def test_dump_json_writes_a_generator_as_a_list(obj):
+    assert dump_json(as_generators(obj)) == dump_json(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [1.5, [1, 2.0], {1, 2}, {"a": frozenset()}, {1: "a"}, {"a": {None: 1}}, [[1, 2.0]], [{"a": {1, 2}}]],
+)
 def test_dump_json_refuses_what_no_report_holds(obj):
     with pytest.raises(TypeError):
         dump_json(obj)
+    with pytest.raises(TypeError):
+        dump_json(as_generators(obj))
 
 
 def test_json_goldens_never_reach_the_python_encoder(monkeypatch):
