@@ -8,9 +8,10 @@ rows: a DegreeSpectrum holds d_1^0..d_1^n in exact form, from
 exact_power_str, the one exact renderer, and spectrum_decimals renders them
 and the entropy from one walk of d_1's certified isolating interval, each
 decimal correctly rounded (polynomial.rounded_decimal); spectrum_rows alone
-lays out the 2n + 1 rows. No floating point is used: a structure violation
-is reported with the exact reason the Salem test gave. The bounded Salem
-search takes nondegenerate lattices only (det G = 0 ends in exit 2) and
+lays out the 2n + 1 rows. No floating point is used, and no decimal: the
+entropy's logarithms are bounded on integers (_log_bounds), and a structure
+violation is reported with the exact reason the Salem test gave. The
+bounded Salem search takes nondegenerate lattices only (det G = 0 ends in exit 2) and
 classifies every candidate, a sign representative or an involution pair,
 by its reciprocity sign and half power traces.
 """
@@ -20,7 +21,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from collections.abc import Sequence
-from decimal import ROUND_FLOOR, Decimal, localcontext
+from math import isqrt
 from operator import itemgetter, mul
 
 from . import linalg
@@ -136,8 +137,9 @@ def power_decimal(d1: AlgebraicReal, n: int, sig_digits: int) -> SpectrumDecimal
     the one walk of d1's interval (AlgebraicReal.quadratic_path), which the
     logarithms carry on from the narrowest interval the powers reached.
 
-    The logarithms are tried, on the bounds of _log_bounds, one Decimal.ln
-    at lo and ln(10) per try, at each interval (lo, hi] with
+    The logarithms are tried, on the integer bounds of _log_bounds, three
+    floored logarithms per try (of lo, of 2 and of 5/4), at each interval
+    (lo, hi] with
     (hi - lo) * 10^(sig_digits + 2) < lo - 1 until both are decided, with
     the digit budget grown by half after each failure.
 
@@ -160,47 +162,72 @@ def power_decimal(d1: AlgebraicReal, n: int, sig_digits: int) -> SpectrumDecimal
 
 
 def _log_bounds(a: int, b: int, den: int, digits: int) -> list[tuple[int, int, int]]:
-    """Bounds (low, high, d) with low/d <= log(x) <= high/d for every x in
-    [a/den, b/den], 1 < a/den, for ln and then log10, from one Decimal.ln.
+    """Bounds (low, high, 2^P) with low/2^P <= log(x) <= high/2^P for every
+    x in [a/den, b/den], 1 < a/den, for ln and then log10, on integers.
 
-    lo = a/den is rounded down to a Decimal; Decimal.ln rounds correctly, so
-    one step down from ln(lo) is a lower bound on ln(x), and as
-    ln(x) - ln(lo) <= x/lo - 1, one step up plus that rise is an upper
-    bound. log10(x) = ln(x)/ln(10), and ln(10) lies between one step either
-    side of Decimal(10).ln(), which libmpdec returns from a stored constant
-    up to about 1,200 digits: the lower ln bound is divided by the upper
-    end of that pair and the upper ln bound by the lower end, which keeps
-    both outward as both are positive.
+    ln(a/den) = k*ln(2) + ln(y) with y = a/(den*2^k) in [1, 2), and
+    ln(10) = 3*ln(2) + ln(5/4); _ln_fixed bounds each of the three
+    logarithms from below with one floored pass, to within its error count.
+    ln(b/den) <= ln(a/den) + (b - a)/a gives the upper ln bound, and the
+    log10 bounds are the ln bounds divided by the upper and then the lower
+    bound on ln(10), which keeps both outward as all are positive.
 
     The working precision is the digits of b/(b - a) plus a guard, so it
     follows the interval's width, but at most digits plus the digits of
     a/(a - den): the caller rounds to fewer than digits, and for x near 1
     the leading zeros of x - 1 carry none of ln(x). It is at least those
-    leading digits plus 3, which keeps lo > 1, so ln(lo) > 0: at lo = 1 the
-    steps from ln(lo) = 0 would have denominators of a million digits.
+    leading digits plus 3, which keeps the lower ln bound above 0. P is
+    that many digits in bits, plus guard bits for the error counts.
     """
-    with localcontext() as ctx:
-        width_digits = (b.bit_length() - (b - a).bit_length()) * LOG10_2_Q31 >> 31
-        near_one = (a.bit_length() - (a - den).bit_length()) * LOG10_2_Q31 >> 31
-        ctx.prec = max(min(width_digits + 6, digits + near_one), near_one + 3)
-        ctx.rounding = ROUND_FLOOR
-        lo = Decimal(a) / den
-        num, dn = lo.as_integer_ratio()
-        # x / lo - 1 <= rise / rise_den
-        rise, rise_den = b * dn - den * num, den * num
-        at_lo, ln10 = lo.ln(), Decimal(10).ln()
-        low, low_den = at_lo.next_minus().as_integer_ratio()
-        high, high_den = at_lo.next_plus().as_integer_ratio()
-        ten_low, ten_low_den = ln10.next_minus().as_integer_ratio()
-        ten_high, ten_high_den = ln10.next_plus().as_integer_ratio()
-    # high/high_den + rise/rise_den, over one denominator
-    high, high_den = high * rise_den + rise * high_den, high_den * rise_den
-    low10, low10_den = low * ten_high_den, low_den * ten_high
-    high10, high10_den = high * ten_low_den, high_den * ten_low
+    width_digits = (b.bit_length() - (b - a).bit_length()) * LOG10_2_Q31 >> 31
+    near_one = (a.bit_length() - (a - den).bit_length()) * LOG10_2_Q31 >> 31
+    prec = max(min(width_digits + 6, digits + near_one), near_one + 3)
+    bits = -(-prec * 3322 // 1000)  # log2(10) < 3.322
+    bits += isqrt(bits) + bits.bit_length() + 8
+    k = a.bit_length() - den.bit_length()
+    if a < den << k:
+        k -= 1
+    ln2, err2 = _ln_fixed(2, 1, bits)
+    low, err = _ln_fixed(a, den << k, bits)
+    low, err = low + k * ln2, err + k * err2
+    # (b - a)/a >= ln(b/den) - ln(a/den), rounded up onto the grid
+    high = low + err - ((a - b) << bits) // a
+    ln10, err10 = _ln_fixed(5, 4, bits)
+    ln10, err10 = ln10 + 3 * ln2, err10 + 3 * err2
     return [
-        (low * high_den, high * low_den, low_den * high_den),
-        (low10 * high10_den, high10 * low10_den, low10_den * high10_den),
+        (low, high, 1 << bits),
+        ((low << bits) // (ln10 + err10), -((-high << bits) // ln10), 1 << bits),
     ]
+
+
+def _ln_fixed(n: int, d: int, bits: int) -> tuple[int, int]:
+    """(low, err) with low <= ln(n/d) * 2^bits <= low + err, for
+    1 <= n/d <= 2, in one floored pass (Brent & Zimmermann, Modern Computer
+    Arithmetic, 4.2 and 4.4): y = n/d on the grid 2^-bits, j = isqrt(bits)
+    square roots of y by isqrt, so ln(y) = 2^j * ln(y_j), and the series
+    ln(y_j) = 2 * atanh(t), t = (y_j - 1)/(y_j + 1) < 2^-(j+1), summed
+    term by term until the floored power t^(2m+1) is 0.
+
+    Each step floors, so low stays below. In units of the sum, which
+    approximates atanh(t) * 2^bits: the quotient and each root leave it
+    less than 2 units low (less than 1 in ln(y_j)), each term less than 2,
+    and the tail after the last term less than 3 (the power it stopped at
+    is below 2 units, and t^2 < 1/9). ln(y) = 2^(j+1) * atanh(t) multiplies
+    the sum and the count alike.
+    """
+    one = 1 << bits
+    roots = isqrt(bits)
+    y = (n << bits) // d
+    for _ in range(roots):
+        y = isqrt(y << bits)
+    t = ((y - one) << bits) // (y + one)
+    t2 = t * t >> bits
+    total, power, m = 0, t, 1
+    while power:
+        total += power // m
+        power, m = power * t2 >> bits, m + 2
+    terms = m // 2
+    return total << (roots + 1), (2 * (roots + 1) + 2 * terms + 3) << (roots + 1)
 
 
 def degree_spectrum(n: int, d1: FirstDegree) -> DegreeSpectrum:
@@ -236,10 +263,7 @@ def spectrum_rows(spec: DegreeSpectrum, dec: SpectrumDecimals):
         yield k, e, spec.powers[e], dec.entries[e]
 
 
-def validate_spectrum_shape(
-    values: Sequence[str | Decimal | int | float],
-    tolerance: Decimal | float = 1e-9,
-) -> ShapeReport:
+def validate_spectrum_shape(values: Sequence, tolerance=1e-9) -> ShapeReport:
     """Check a degree table against the structural laws: palindromic symmetry,
     endpoints 1, log-concavity, the power law d_k = d1^min(k, 2n-k), and
     strict growth up to the middle when d1 > 1 (constancy when d1 = 1).
@@ -253,8 +277,11 @@ def validate_spectrum_shape(
     No command calls it: a table built by the power law meets it whatever
     d_1 is, so it cannot catch a wrong d_1 (beauville-demo checks
     d_1(M^l) = d_1(M)^l exactly instead). It stays here, with ShapeReport,
-    because perfbench/tracing.py wraps it by name.
+    because perfbench/tracing.py wraps it by name, and it alone imports
+    decimal, inside its body, so that no command loads it.
     """
+    from decimal import Decimal, localcontext
+
     values = [Decimal(v) for v in values]
     tol = Decimal(tolerance)
     if len(values) % 2 != 1 or len(values) < 3:

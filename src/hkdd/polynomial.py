@@ -16,16 +16,16 @@ floats: rounded_decimal gives the correctly rounded (half-even) decimal
 that both ends of an interval agree on, and every value printed as a
 decimal comes from it, through one loop, AlgebraicReal.power_decimals, for
 a unit root larger than 1; format_fraction writes only the exact endpoints in
-a root's positional description. A root has no exact string of its own:
-dynamics.exact_power_str, the one exact renderer, writes the positional
-form and, through quadratic_surd_str, the closed forms (p + q*sqrt(d))/2
-from plain integers.
+a root's positional description. Both round on integers and write as
+str(Decimal) does, through _scientific, without the decimal module. A root
+has no exact string of its own: dynamics.exact_power_str, the one exact
+renderer, writes the positional form and, through quadratic_surd_str, the
+closed forms (p + q*sqrt(d))/2 from plain integers.
 """
 
 from __future__ import annotations
 
 import functools
-from decimal import Decimal, localcontext
 from math import gcd, isqrt
 
 from . import linalg
@@ -635,11 +635,18 @@ class AlgebraicReal(_Immutable):
 
 
 def format_fraction(n: int, den: int, sig_digits: int) -> str:
-    """n/den rounded to sig_digits significant digits, as Decimal writes it."""
-    with localcontext() as ctx:
-        ctx.prec = sig_digits
-        d = Decimal(n) / Decimal(den)
-    return str(d)
+    """n/den, den > 0, rounded half-even to sig_digits significant digits
+    and written as str(Decimal(n) / Decimal(den)) writes it at that
+    precision: an exact quotient drops its trailing zeros down to the units
+    digit (1/4 is 0.25, 10/5 is 2)."""
+    if n == 0:
+        return "0"
+    q, s = _half_even(abs(n), den, sig_digits)
+    num, d = (q * den, abs(n) * 10**s) if s >= 0 else (q * den * 10**-s, abs(n))
+    if num == d:
+        while s > 0 and q % 10 == 0:
+            q, s = q // 10, s - 1
+    return "-" * (n < 0) + _scientific(q, s)
 
 
 # log10(2) * 2^31, for the decimal exponent of a ratio from bit lengths
@@ -677,12 +684,31 @@ def rounded_decimal(a: int, b: int, den: int, sig_digits: int) -> str | None:
     """The half-even, sig_digits-significant decimal that every x in
     [a/den, b/den] rounds to, for 0 < a <= b, as str(Decimal) writes it
     (47.0, 8.20613852651E+504); None when the two ends round differently
-    (Ziv's test). Rounding is monotone, so agreeing ends decide all between.
+    (Ziv's test). Rounding is monotone, so agreeing ends decide all between:
+    a rounds to q * 10^-s, and b to the same digits unless it lies above
+    the boundary (q + 1/2) * 10^-s, or on it with q odd.
     """
     q, s = _half_even(a, den, sig_digits)
-    if _half_even(b, den, sig_digits) != (q, s):
+    c = 2 * b * 10**s - (2 * q + 1) * den if s >= 0 else 2 * b - (2 * q + 1) * den * 10**-s
+    if c > 0 or (c == 0 and q & 1):
         return None
-    return str(Decimal(f"{q}E{-s}"))
+    return _scientific(q, s)
+
+
+def _scientific(q: int, s: int) -> str:
+    """q * 10^-s, for q > 0, as Decimal's to-scientific-string writes the
+    coefficient q and exponent -s: positional when -s <= 0 and the adjusted
+    exponent, that of the leading digit, is at least -6, else d.dddE+x."""
+    digits = str(q)
+    adjusted = len(digits) - 1 - s
+    if s >= 0 and adjusted >= -6:
+        if s == 0:
+            return digits
+        if len(digits) > s:
+            return f"{digits[:-s]}.{digits[-s:]}"
+        return f"0.{digits.zfill(s)}"
+    mantissa = f"{digits[0]}.{digits[1:]}" if len(digits) > 1 else digits
+    return f"{mantissa}E{adjusted:+d}"
 
 
 def _power_bounds(a: int, b: int, den: int, bits: int):

@@ -9,7 +9,9 @@ that solves the last coordinate alone and the norm buckets it fills with
 one walk per norm, the bisection walk of a root and its decimals, of any
 real algebraic number and of the powers and logarithms of a unit, with
 exact powers, logarithm bounds from one Decimal.ln and one Decimal.log10
-call, and the rounding-boundary test, the Salem root by isolation, a
+call, the decimal-module forms of the logarithm bounds, the rounded
+decimal and the quotient that src/hkdd now computes on integers, and the
+rounding-boundary test, the Salem root by isolation, a
 reciprocality test, the constructor of an algebraic real from Fraction
 ends, its interval as Fractions and its float, the exact powers of a root
 rendered by Fraction arithmetic with a Sturm-indexed positional form, the
@@ -41,6 +43,7 @@ from hkdd.polynomial import (
     AlgebraicReal,
     Coeffs,
     IntPolynomial,
+    _half_even,
     _scaled_floor,
     _sign_at,
     _weights,
@@ -622,6 +625,59 @@ def bisection_power_decimal(
             return SpectrumDecimals(tuple(done[e] for e in exponents), *logs)
 
 
+def decimal_rounded_decimal(a: int, b: int, den: int, sig_digits: int) -> str | None:
+    """polynomial.rounded_decimal as it was with decimal: both ends rounded
+    half-even by _half_even, None unless they agree, and the digits written
+    by str(Decimal)."""
+    q, s = _half_even(a, den, sig_digits)
+    if _half_even(b, den, sig_digits) != (q, s):
+        return None
+    return str(Decimal(f"{q}E{-s}"))
+
+
+def decimal_quotient(n: int, den: int, sig_digits: int) -> str:
+    """polynomial.format_fraction as it was: Decimal division at
+    sig_digits digits."""
+    with localcontext() as ctx:
+        ctx.prec = sig_digits
+        return str(Decimal(n) / Decimal(den))
+
+
+def decimal_log_bounds(a: int, b: int, den: int, digits: int) -> list[tuple[int, int, int]]:
+    """dynamics._log_bounds as it was with decimal: bounds (low, high, d) on
+    ln and then log10 of every x in [a/den, b/den], 1 < a/den, from one
+    Decimal.ln at lo = a/den rounded down and one of 10.
+
+    Decimal.ln rounds correctly, so one step down from ln(lo) is a lower
+    bound on ln(x), and as ln(x) - ln(lo) <= x/lo - 1, one step up plus
+    that rise is an upper bound. log10(x) = ln(x)/ln(10), and ln(10) lies
+    between one step either side of Decimal(10).ln(): the lower ln bound is
+    divided by the upper end of that pair and the upper ln bound by the
+    lower end. The working precision is the one _log_bounds keeps.
+    """
+    with localcontext() as ctx:
+        width_digits = (b.bit_length() - (b - a).bit_length()) * LOG10_2_Q31 >> 31
+        near_one = (a.bit_length() - (a - den).bit_length()) * LOG10_2_Q31 >> 31
+        ctx.prec = max(min(width_digits + 6, digits + near_one), near_one + 3)
+        ctx.rounding = ROUND_FLOOR
+        lo = Decimal(a) / den
+        num, dn = lo.as_integer_ratio()
+        # x / lo - 1 <= rise / rise_den
+        rise, rise_den = b * dn - den * num, den * num
+        at_lo, ln10 = lo.ln(), Decimal(10).ln()
+        low, low_den = at_lo.next_minus().as_integer_ratio()
+        high, high_den = at_lo.next_plus().as_integer_ratio()
+        ten_low, ten_low_den = ln10.next_minus().as_integer_ratio()
+        ten_high, ten_high_den = ln10.next_plus().as_integer_ratio()
+    high, high_den = high * rise_den + rise * high_den, high_den * rise_den
+    low10, low10_den = low * ten_high_den, low_den * ten_high
+    high10, high10_den = high * ten_low_den, high_den * ten_low
+    return [
+        (low * high_den, high * low_den, low_den * high_den),
+        (low10 * high10_den, high10 * low10_den, low10_den * high10_den),
+    ]
+
+
 # 1/ln(10) < 10000/23025, as ln(10) = 2.302585...
 INV_LN10_UPPER = (10000, 23025)
 
@@ -634,7 +690,7 @@ def width_log_bounds(a: int, b: int, den: int) -> list[tuple[int, int, int]]:
 
 
 def two_call_log_bounds(a: int, b: int, den: int, digits: int) -> list[tuple[int, int, int]]:
-    """dynamics._log_bounds as it was before it took one Decimal.ln: the
+    """dynamics._log_bounds as it was before decimal_log_bounds: the
     bounds of two_call_bounds at the digits of b/(b - a) plus a guard, but
     at most digits plus the digits of a/(a - den), with no floor."""
     width_digits = (b.bit_length() - (b - a).bit_length()) * LOG10_2_Q31 >> 31
@@ -741,14 +797,8 @@ def sturm_root_str(a: AlgebraicReal) -> str:
         return fraction_surd_str(*parts)
     lo, hi = interval(a)
     idx = sturm_count(p, None, lo) + 1
-    return f"root #{idx} of {p} in [{_fraction_decimal(lo, 8)}, {_fraction_decimal(hi, 8)}]"
-
-
-def _fraction_decimal(fr: Fraction, sig_digits: int) -> str:
-    with localcontext() as ctx:
-        ctx.prec = sig_digits
-        d = Decimal(fr.numerator) / Decimal(fr.denominator)
-    return str(d)
+    ends = (decimal_quotient(end.numerator, end.denominator, 8) for end in (lo, hi))
+    return f"root #{idx} of {p} in [{', '.join(ends)}]"
 
 
 def sturm_count_certify(p: IntPolynomial) -> SalemCheck:

@@ -264,16 +264,25 @@ def test_salem_check_json_coefficients_past_53_bits(capsys):
 
 
 def test_import_leaves_numpy_out():
-    # the demo and an exit-4 report, the one path that used numpy, run too
+    # the demo and an exit-4 report, the one path that used numpy, run too,
+    # and so do a 200-digit spectrum, a Salem root of degree 10 and a
+    # search, none of which loads decimal: every printed decimal and both
+    # entropy logarithms are computed on integers
     inputs = Path(__file__).parent / "golden" / "inputs"
-    degrees = ["degrees", "--lattice", str(inputs / "g4.json"), "--isometry", str(inputs / "m4_salem_squared.json")]
+    runs = [
+        ["beauville-demo"],
+        ["degrees", "--lattice", str(inputs / "g4.json"), "--isometry", str(inputs / "m4_salem_squared.json")],
+        ["--precision", "200", "kummer", "2", "1", "1", "1", "--half-dim", "3"],
+        ["salem-check", "--", *LEHMER.split()],
+        ["search", "--lattice", rank3_path(), "--bound", "3"],
+    ]
     script = (
-        "import sys, hkdd.cli\n"
-        "codes = [hkdd.cli.main(['beauville-demo']), hkdd.cli.main(sys.argv[1:])]\n"
-        "print(codes, 'numpy' in sys.modules, file=sys.stderr)"
+        "import json, sys, hkdd.cli\n"
+        "codes = [hkdd.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(codes, 'numpy' in sys.modules, 'decimal' in sys.modules, file=sys.stderr)"
     )
-    proc = subprocess.run([sys.executable, "-c", script, *degrees], capture_output=True, text=True, check=True)
-    assert proc.stderr.splitlines()[-1] == "[0, 4] False"
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], capture_output=True, text=True, check=True)
+    assert proc.stderr.splitlines()[-1] == "[0, 4, 0, 0, 0] False False"
     with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as f:
         assert tomllib.load(f)["project"]["dependencies"] == []
 
@@ -793,11 +802,24 @@ def integer_inverse(m):
 @settings(max_examples=60)
 @given(st.sampled_from(ISOMETRY_INPUTS), st.randoms(use_true_random=False), st.sampled_from((3, 12, 50)))
 def test_degrees_and_lattice_info_are_invariant_under_a_change_of_basis(tmp_path_factory, case, rng, digits):
+    gram, _ = isometry_input(case)
+    assert_invariant_under(tmp_path_factory.mktemp("basis"), case, random_unimodular(rng, len(gram)), digits)
+
+
+def test_change_of_basis_to_a_zero_leading_entry(tmp_path_factory):
+    # P's first column (1, 0, 1) is isotropic for diag(4, -2, -4), so
+    # P^T G P starts with 0 and its determinant takes a row swap, which a
+    # random P seldom asks for
+    p = [[1, 0, 0], [0, 1, 0], [1, 0, 1]]
+    gram, _ = isometry_input(("diag_4_m2_m4", "negate_e3"))
+    assert linalg.mat_mul(linalg.mat_mul(linalg.transpose(p), gram), p)[0][0] == 0
+    assert_invariant_under(tmp_path_factory.mktemp("basis"), ("diag_4_m2_m4", "negate_e3"), p, 12)
+
+
+def assert_invariant_under(directory, case, p, digits):
     # (P^T G P, P^-1 M P) is the same isometry in another basis, and M^-1
     # has M's characteristic polynomial: only the echoed input differs
-    directory = tmp_path_factory.mktemp("basis")
     gram, m = isometry_input(case)
-    p = random_unimodular(rng, len(gram))
     gram_p = linalg.mat_mul(linalg.mat_mul(linalg.transpose(p), gram), p)
     m_p = linalg.mat_mul(linalg.mat_mul(integer_inverse(p), m), p)
     options = ("--half-dim", "2", "--precision", str(digits))

@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import json
 import math
@@ -50,6 +51,7 @@ from oracles import (
     as_float,
     bisection_path,
     bisection_power_decimal,
+    decimal_log_bounds,
     fraction_exact_power_str,
     interval,
     power_iteration_radius,
@@ -316,14 +318,19 @@ def entropies(report) -> int:
 @pytest.mark.parametrize("digits", [12, 50, 200])
 @pytest.mark.parametrize("case", ["kummer-t3", "degrees-m1m2", "degrees-e10-lehmer", "beauville-demo"])
 def test_one_ln_per_report(case, digits):
-    """Each spectrum of a report takes one Decimal.ln at its interval's end
-    and one of 10, and no Decimal.log10. Decimal's methods are C functions,
-    so sys.setprofile counts them."""
-    calls = Counter()
+    """Each spectrum of a report bounds its logarithms with one _log_bounds
+    call, and no report calls into decimal. sys.setprofile sees both: the
+    call of a Python function, and every C function of decimal and C method
+    of a Decimal or of a decimal context."""
+    log_bounds, decimal_calls = [], []
 
     def profile(frame, event, arg):
-        if event == "c_call" and getattr(arg, "__qualname__", "") in ("Decimal.ln", "Decimal.log10"):
-            calls[arg.__qualname__, arg.__self__ == 10] += 1
+        if event == "call" and frame.f_code is dynamics._log_bounds.__code__:
+            log_bounds.append(frame.f_locals["digits"])
+        elif event == "c_call" and (
+            arg.__module__ == "decimal" or isinstance(arg.__self__, (Decimal, decimal.Context))
+        ):
+            decimal_calls.append(arg.__qualname__)
 
     sys.setprofile(profile)
     try:
@@ -332,7 +339,8 @@ def test_one_ln_per_report(case, digits):
         sys.setprofile(None)
     spectra = entropies(json.loads(out))
     assert code == 0 and spectra == (3 if case == "beauville-demo" else 1)
-    assert calls == {("Decimal.ln", False): spectra, ("Decimal.ln", True): spectra}
+    assert log_bounds == [digits + 10] * spectra
+    assert decimal_calls == []
 
 
 LEHMER = IntPolynomial(TPQR_SALEM_FACTORS[0])
@@ -341,15 +349,38 @@ LEHMER = IntPolynomial(TPQR_SALEM_FACTORS[0])
 @settings(max_examples=150)
 @given(
     st.one_of(st.integers(3, 10**6).map(lambda s: poly(1, -s, 1)), st.just(LEHMER)),
-    st.sampled_from((3, 12, 50, 200)),
+    st.integers(3, 200),
     st.integers(1, 30),
 )
 def test_power_decimal_logarithms_match_the_two_call_path(defining, digits, n):
-    """One Decimal.ln and ln(10) give the decimals that Decimal.ln and
-    Decimal.log10, each called at lo, gave."""
+    """The integer bounds give the decimals that one Decimal.ln and ln(10)
+    gave, and those that Decimal.ln and Decimal.log10, each called at lo,
+    gave."""
     got = power_decimal(salem_root_of(defining), n, digits)
-    with mock.patch.object(dynamics, "_log_bounds", two_call_log_bounds):
-        assert power_decimal(salem_root_of(defining), n, digits) == got
+    for oracle in (decimal_log_bounds, two_call_log_bounds):
+        with mock.patch.object(dynamics, "_log_bounds", oracle):
+            assert power_decimal(salem_root_of(defining), n, digits) == got
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 10**30), st.integers(0, 10**30), st.integers(0, 400))
+def test_ln_fixed_encloses_mpmath(d, step, bits):
+    """low <= ln(n/d) * 2^bits <= low + err on all of [1, 2], 1 and 2
+    included, from bits = 0 up."""
+    n = d + step % (d + 1)
+    low, err = dynamics._ln_fixed(n, d, bits)
+    with mpmath.workdps(bits // 3 + 40):
+        assert low <= mpmath.log(mpmath.mpf(n) / d) * 2**bits <= low + err
+
+
+def test_ln_fixed_counts_every_step():
+    """ln 2 at 64 bits: 8 square roots leave t < 2^-9.5, so the floored
+    t^5 * 2^64 is far above 1 and t^7 * 2^64 below it, and the series adds
+    3 terms. The count: 2 units for the quotient and each root, 2 per term
+    and 3 for the tail, times 2^9."""
+    low, err = dynamics._ln_fixed(2, 1, 64)
+    assert err == (2 * 9 + 2 * 3 + 3) << 9
+    assert low <= mpmath.log(2) * 2**64 <= low + err
 
 
 def assert_log_bounds_enclose(a: int, b: int, den: int, digits: int, dps: int):

@@ -6,6 +6,7 @@ import pkgutil
 import random
 import re
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -15,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hkdd
-from hkdd import cli, linalg
+from hkdd import cli, linalg, polynomial
 from hkdd.dynamics import power_decimal
 from hkdd.errors import HkddError
 from hkdd.polynomial import (
@@ -24,7 +25,9 @@ from hkdd.polynomial import (
     ONE_POLY,
     char_poly,
     cyclotomic,
+    _half_even,
     divide_exact,
+    format_fraction,
     isolate_real_roots,
     poly,
     power_traces,
@@ -45,6 +48,8 @@ from oracles import (
     bisection_decimal_str,
     bisection_path,
     bisection_power_decimal,
+    decimal_quotient,
+    decimal_rounded_decimal,
     interval,
     is_reciprocal,
 )
@@ -581,6 +586,66 @@ def test_rounded_decimal():
     assert rounded_decimal(10**600 + 1, 10**600 + 2, 3, 3) == "3.33E+599"
     assert rounded_decimal(1, 2, 10**600 * 3, 3) is None
     assert rounded_decimal(1, 1, 10**600 * 3, 3) == "3.33E-601"
+
+
+def tie(q: int, s: int) -> tuple[int, int]:
+    """The rounding boundary (q + 1/2) * 10^-s as (num, den)."""
+    return ((2 * q + 1), 2 * 10**s) if s >= 0 else ((2 * q + 1) * 10**-s, 2)
+
+
+@settings(max_examples=500)
+@given(
+    st.integers(1, 10**40),
+    st.integers(0, 10**40),
+    st.one_of(st.integers(1, 10**30), st.integers(0, 140).map(lambda k: 1 << k)),
+    st.integers(3, 30),
+)
+def test_rounded_decimal_matches_the_decimal_oracle(a, width, den, digits):
+    """One comparison at b decides what rounding both ends with decimal
+    decided, on any 0 < a <= b, dyadic den included, and on intervals that
+    end exactly on a rounding boundary, (2q + 1) * den / (2 * 10^s), at
+    either end, with q odd and even."""
+    b = a + width % (a + 1)
+    assert rounded_decimal(a, b, den, digits) == decimal_rounded_decimal(a, b, den, digits)
+    q, s = _half_even(a, den, digits)
+    for q_tie in (q - 1, q, q + 1):
+        num, d = tie(q_tie, s)
+        for lo, hi in ((num, num), (num - 1, num), (num, num + 1), (max(1, num - width), num + width)):
+            if lo > 0:
+                assert rounded_decimal(lo, hi, d, digits) == decimal_rounded_decimal(lo, hi, d, digits)
+
+
+@pytest.mark.parametrize("q, s, text", [
+    (470, 1, "47.0"), (820613852651, -493, "8.20613852651E+504"), (12, -1, "1.2E+2"), (7, 0, "7"),
+    (1, 6, "0.000001"), (10, 7, "0.0000010"), (1, 7, "1E-7"), (123, 9, "1.23E-7"), (5, 1, "0.5"),
+])
+def test_scientific_writes_as_decimal_does(q, s, text):
+    assert polynomial._scientific(q, s) == text == str(Decimal(f"{q}E{-s}"))
+
+
+@settings(max_examples=500)
+@given(st.integers(1, 10**45), st.integers(-40, 40))
+def test_scientific_matches_decimal_in_both_notations(q, s):
+    """Positional notation while the exponent -s <= 0 and the adjusted
+    exponent is at least -6, d.dddE+x otherwise, on coefficients of 1 to 46
+    digits, across both edges."""
+    assert polynomial._scientific(q, s) == str(Decimal(f"{q}E{-s}"))
+
+
+@settings(max_examples=500)
+@given(
+    st.integers(-(10**40), 10**40),
+    st.one_of(st.integers(1, 10**30), st.integers(0, 140).map(lambda k: 1 << k)),
+    st.integers(3, 30),
+    st.booleans(),
+)
+def test_format_fraction_matches_decimal_division(n, den, digits, exact):
+    """Decimal division at digits digits, exact quotients included: those
+    drop trailing zeros down to the units digit, whether the digits run out
+    before it (1/4 = 0.25) or not (10/5 = 2)."""
+    if exact:  # r / (2^i * 5^j) with r < 10^6, i < 5 and j < 3, over any den
+        n, den = n % 10**6 * den, den * 2 ** (n % 5) * 5 ** (n % 3)
+    assert format_fraction(n, den, digits) == decimal_quotient(n, den, digits)
 
 
 def test_quadratic_surd_str_halves_even_pairs():
