@@ -51,6 +51,9 @@ CASES = {
     "beauville-demo": "beauville-demo",
     "natural-check": "natural-check --lattice {rank3} --isometry {m1m2} --half-dim 2",
     "natural-check-identity3": "natural-check --lattice {rank3} --isometry {identity3} --half-dim 2",
+    # the two rules that settle a fixed sublattice of rank below 2
+    "natural-check-trivial": "natural-check --lattice {rank3} --isometry {minus_identity3} --half-dim 2",
+    "natural-check-rank1-multiple": "natural-check --lattice {rank3} --isometry {diag_m1_1_m1} --half-dim 2",
     "natural-check-rank4": (
         "natural-check --lattice {rank3_plus_minus4} --isometry {identity4} --half-dim 2"
     ),
