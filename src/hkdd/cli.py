@@ -158,7 +158,7 @@ def cmd_lattice_info(args):
         "labels": list(lat.labels),
         "gram": encode_matrix(lat.gram_rows()),
         "even": is_even(lat),
-        "signature": list(sig.as_tuple()),
+        "signature": list(sig),
         "determinant": encode_int(det),
     }
 
@@ -282,17 +282,14 @@ def cmd_search(args):
 
 
 def cmd_beauville_demo(args):
-    base = fixtures.quartic_pair_lattice()
-    hilb = hilbert_lattice(base, 2, e_index=1)
+    hilb = hilbert_lattice(fixtures.QUARTIC_PAIR_LATTICE, 2, e_index=1)
     lat = hilb.extended
-    fixture_lat = fixtures.rank3_lattice()
-    if lat.gram != fixture_lat.gram:
+    if lat.gram != fixtures.RANK3_LATTICE.gram:
         raise AssertionError("constructed lattice disagrees with the bundled fixture")
 
     sol1 = solve_beauville(hilb, 0)
     sol2 = solve_beauville(hilb, 2)
-    m1, m2 = fixtures.m1_matrix(), fixtures.m2_matrix()
-    if sol1.isometry.rows() != m1 or sol2.isometry.rows() != m2:
+    if sol1.isometry.matrix != fixtures.M1 or sol2.isometry.matrix != fixtures.M2:
         raise AssertionError("derived involutions disagree with the bundled fixtures")
 
     comp = compose(sol1.isometry, sol2.isometry)

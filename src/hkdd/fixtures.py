@@ -27,18 +27,3 @@ def fixture_path(name: str) -> str:
         raise FileNotFoundError(f"no bundled fixture named {name!r}")
     return p
 
-
-def rank3_lattice() -> GramLattice:
-    return RANK3_LATTICE
-
-
-def quartic_pair_lattice() -> GramLattice:
-    return QUARTIC_PAIR_LATTICE
-
-
-def m1_matrix() -> list[list[int]]:
-    return [list(row) for row in M1]
-
-
-def m2_matrix() -> list[list[int]]:
-    return [list(row) for row in M2]

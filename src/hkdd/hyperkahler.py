@@ -274,61 +274,34 @@ def naturality_certificate(
         raise HkddError("isometry does not act on the extended lattice")
     required = hilb.e_norm
     fixed = invariant_sublattice(iso)
+    verdict, witness = NOT_NATURAL, None
     if not fixed:
-        return NaturalityCertificate(
-            NOT_NATURAL,
-            (),
-            required,
-            None,
-            "fixed sublattice is trivial; no class is fixed at all",
-        )
-    if len(fixed) == 1:
-        v = fixed[0]
-        norm = norm_of(hilb.extended, v)
+        detail = "fixed sublattice is trivial; no class is fixed at all"
+    elif len(fixed) == 1:
+        norm = norm_of(hilb.extended, fixed[0])
         if _square_times_equals(norm, required):
-            return NaturalityCertificate(
-                POSSIBLY_NATURAL,
-                (tuple(v),),
-                required,
-                None,
-                f"fixed generator has norm {norm}; a multiple reaches {required}",
-            )
-        return NaturalityCertificate(
-            NOT_NATURAL,
-            (tuple(v),),
-            required,
-            (tuple(v), norm),
-            f"every fixed class is a multiple of a generator of norm {norm}; "
-            f"k^2 * {norm} = {required} has no integer solution",
-        )
-    # fixed rank >= 2: restrict the form and ask the representation machinery
-    g = hilb.extended.gram_rows()
-    basis = [list(v) for v in fixed]
-    restricted = [[linalg.bilinear(g, u, w) for w in basis] for u in basis]
-    sub = make_lattice(restricted, [f"f{i + 1}" for i in range(len(basis))])
-    result = represents(sub, required, bound=16)
-    if isinstance(result, CertifiedNo):
-        return NaturalityCertificate(
-            NOT_NATURAL,
-            tuple(tuple(v) for v in fixed),
-            required,
-            None,
-            f"restricted fixed form cannot represent {required}: {result.reason}",
-        )
-    if isinstance(result, FoundVector):
-        detail = f"fixed class of norm {required} exists"
+            verdict = POSSIBLY_NATURAL
+            detail = f"fixed generator has norm {norm}; a multiple reaches {required}"
+        else:
+            witness = (tuple(fixed[0]), norm)
+            detail = (f"every fixed class is a multiple of a generator of norm {norm}; "
+                      f"k^2 * {norm} = {required} has no integer solution")
     else:
-        detail = (
-            f"no fixed class of norm {required} found within bound "
-            f"{result.bound}, and no certificate applies"
-        )
-    return NaturalityCertificate(
-        POSSIBLY_NATURAL,
-        tuple(tuple(v) for v in fixed),
-        required,
-        None,
-        detail,
-    )
+        # fixed rank >= 2: restrict the form and ask the representation machinery
+        g = hilb.extended.gram_rows()
+        restricted = [[linalg.bilinear(g, u, w) for w in fixed] for u in fixed]
+        sub = make_lattice(restricted, [f"f{i + 1}" for i in range(len(fixed))])
+        result = represents(sub, required, bound=16)
+        if isinstance(result, CertifiedNo):
+            detail = f"restricted fixed form cannot represent {required}: {result.reason}"
+        elif isinstance(result, FoundVector):
+            verdict = POSSIBLY_NATURAL
+            detail = f"fixed class of norm {required} exists"
+        else:
+            verdict = POSSIBLY_NATURAL
+            detail = (f"no fixed class of norm {required} found within bound "
+                      f"{result.bound}, and no certificate applies")
+    return NaturalityCertificate(verdict, tuple(map(tuple, fixed)), required, witness, detail)
 
 
 def _square_times_equals(norm: int, required: int) -> bool:

@@ -71,9 +71,6 @@ class LatticeIsometry(namedtuple("LatticeIsometry", "matrix lattice")):
 class Signature(namedtuple("Signature", "positive negative zero")):
     __slots__ = ()
 
-    def as_tuple(self) -> tuple[int, int, int]:
-        return tuple(self)
-
     def __str__(self) -> str:
         return f"({self.positive}, {self.negative}, {self.zero})"
 

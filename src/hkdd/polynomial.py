@@ -686,8 +686,11 @@ def rounded_decimal(a: int, b: int, den: int, sig_digits: int) -> str | None:
     (47.0, 8.20613852651E+504); None when the two ends round differently
     (Ziv's test). Rounding is monotone, so agreeing ends decide all between:
     a rounds to q * 10^-s, and b to the same digits unless it lies above
-    the boundary (q + 1/2) * 10^-s, or on it with q odd.
+    the boundary (q + 1/2) * 10^-s, or on it with q odd. a <= 0 raises
+    ValueError, as no scale s gives 0 the sig_digits digits sought.
     """
+    if a <= 0:
+        raise ValueError(f"lower end {a}/{den} is not positive")
     q, s = _half_even(a, den, sig_digits)
     c = 2 * b * 10**s - (2 * q + 1) * den if s >= 0 else 2 * b - (2 * q + 1) * den * 10**-s
     if c > 0 or (c == 0 and q & 1):

@@ -249,25 +249,11 @@ def _certify(p: IntPolynomial) -> SalemCheck:
         return SalemCheck(False, "trace polynomial vanishes at +/-2")
     low, high = (_variations_at(chain, None, side) for side in (-1, 1))
     at_minus_2, at_2 = map(_variations, at_ends)
-    total, above, inside = low - high, at_2 - high, at_minus_2 - at_2
-    if total != d or above != 1 or inside != d - 1:
-        return SalemCheck(
-            False,
-            f"trace root layout {total} real / {above} above 2 / {inside} in (-2,2), "
-            f"need {d} / 1 / {d - 1}",
-            real_roots_total=total,
-            roots_above_2=above,
-            roots_inside=inside,
-        )
-    root = salem_root_of(p)
-    return SalemCheck(
-        True,
-        "salem certificate holds",
-        real_roots_total=total,
-        roots_above_2=above,
-        roots_inside=inside,
-        root=root,
-    )
+    total, above, inside = layout = (low - high, at_2 - high, at_minus_2 - at_2)
+    if layout != (d, 1, d - 1):
+        reason = f"trace root layout {total} real / {above} above 2 / {inside} in (-2,2), need {d} / 1 / {d - 1}"
+        return SalemCheck(False, reason, *layout)
+    return SalemCheck(True, "salem certificate holds", *layout, salem_root_of(p))
 
 
 def salem_root_of(p: IntPolynomial) -> AlgebraicReal:

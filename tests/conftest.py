@@ -32,12 +32,12 @@ TPQR_SALEM_FACTORS = [
 @pytest.fixture(scope="session")
 def rank3():
     """The <H1, e, H2> lattice with gram [[4,0,8],[0,-2,0],[8,0,4]]."""
-    return fixtures.rank3_lattice()
+    return fixtures.RANK3_LATTICE
 
 
 @pytest.fixture(scope="session")
 def quartic_pair():
-    return fixtures.quartic_pair_lattice()
+    return fixtures.QUARTIC_PAIR_LATTICE
 
 
 @pytest.fixture(scope="session")
@@ -47,12 +47,12 @@ def hilb2(quartic_pair):
 
 @pytest.fixture(scope="session")
 def m1():
-    return fixtures.m1_matrix()
+    return fixtures.M1
 
 
 @pytest.fixture(scope="session")
 def m2():
-    return fixtures.m2_matrix()
+    return fixtures.M2
 
 
 @pytest.fixture(scope="session")

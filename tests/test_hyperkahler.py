@@ -1,10 +1,14 @@
+import functools
 import itertools
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hkdd import hyperkahler, linalg
+from hkdd import cli, fixtures, hyperkahler, linalg
 from hkdd.dynamics import degree_spectrum, exact_power_str, first_dynamical_degree, spectrum_decimals
 from hkdd.errors import HkddError, NotUnimodularError
 from hkdd.hyperkahler import (
@@ -21,11 +25,13 @@ from hkdd.hyperkahler import (
     power,
     solve_beauville,
 )
+from hkdd.jsonio import load_lattice, load_matrix
 from hkdd.lattice import invariant_sublattice, make_lattice, norm_of, verify_isometry
 from hkdd.salem import is_salem_polynomial
 from hkdd.polynomial import IntPolynomial
 from conftest import row_decimals
 from oracles import as_float, natural_isometry, product_beauville
+from test_cli_golden import CASES, _resolve
 
 
 def test_sl2_matrix_needs_determinant_one():
@@ -88,9 +94,9 @@ def test_beauville_rank2():
 
 def test_beauville_reproduces_m1_m2(hilb2, m1, m2):
     sol1 = solve_beauville(hilb2, 0)
-    assert sol1.isometry.rows() == m1
+    assert sol1.isometry.matrix == m1
     sol2 = solve_beauville(hilb2, 2)
-    assert sol2.isometry.rows() == m2
+    assert sol2.isometry.matrix == m2
     # the two-candidate trace of the H2 image
     (rec,) = sol1.records
     assert set(rec.candidates) == {(8, -8, -1), (4, -8, 1)}
@@ -356,3 +362,56 @@ def test_naturality_rank1_square_scaling():
     # fixed lattice is Z<H - e> of norm 4 - 2 = 2: k^2 * 2 = -2 impossible
     assert cert.verdict == NOT_NATURAL
     assert cert.witness == ((1, -1), 2)
+
+
+@functools.cache
+def box(rank: int):
+    """Every integer vector of [-4, 4]^rank, one per row."""
+    return np.array(list(itertools.product(range(-4, 5), repeat=rank)))
+
+
+def assert_certificate_holds_in_the_box(iso, hilb) -> tuple[str, int]:
+    """No NotNatural verdict meets a fixed vector of norm -2n+2 in
+    [-4, 4]^r, found by brute force, and a rank-1 PossiblyNatural verdict
+    has a multiple k v of its generator v with that norm; returns the
+    verdict and the rule that gave it: the fixed rank, 0, 1 or 2 for any
+    rank from 2 on."""
+    cert = naturality_certificate(iso, hilb)
+    required = hilb.e_norm
+    if cert.verdict == NOT_NATURAL:
+        v = box(iso.rank)
+        fixed = v[(v @ (np.array(iso.matrix) - np.eye(iso.rank, dtype=int)).T == 0).all(axis=1)]
+        norms = np.einsum("ij,jk,ik->i", fixed, np.array(hilb.extended.gram), fixed)
+        assert required not in norms
+    elif len(cert.fixed_basis) == 1:
+        (v,) = cert.fixed_basis
+        kv = [math.isqrt(required // norm_of(hilb.extended, v)) * x for x in v]
+        assert norm_of(hilb.extended, kv) == required and linalg.mat_vec(iso.rows(), kv) == kv
+    return cert.verdict, min(len(cert.fixed_basis), 2)
+
+
+WORD_LETTERS = {"M1": fixtures.M1, "M2": fixtures.M2, "-I": [[-int(i == j) for j in range(3)] for i in range(3)]}
+
+
+@settings(max_examples=80)
+@given(st.lists(st.sampled_from(sorted(WORD_LETTERS)), max_size=8))
+def test_naturality_certificate_agrees_with_brute_force_on_words(hilb2, word):
+    m = linalg.identity(3)
+    for letter in word:
+        m = linalg.mat_mul(m, WORD_LETTERS[letter])
+    assert_certificate_holds_in_the_box(verify_isometry(hilb2.extended, m), hilb2)
+
+
+def test_naturality_certificate_agrees_with_brute_force_on_the_goldens():
+    # the isometry inputs of the natural-check goldens, which between them
+    # reach every rule, and both verdicts of the rank-1 and rank >= 2 rules
+    outcomes = set()
+    for case, argv in CASES.items():
+        if case.startswith("natural-check"):
+            args = cli._parse(_resolve(argv.split()))
+            lat = load_lattice(args.lattice)
+            hilb = hilbert_from_extended(lat, args.half_dim, args.e_index)
+            iso = verify_isometry(lat, load_matrix(args.isometry))
+            outcomes.add(assert_certificate_holds_in_the_box(iso, hilb))
+    assert outcomes == {(NOT_NATURAL, 0), (NOT_NATURAL, 1), (POSSIBLY_NATURAL, 1),
+                        (NOT_NATURAL, 2), (POSSIBLY_NATURAL, 2)}

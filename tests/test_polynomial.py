@@ -5,6 +5,7 @@ import pathlib
 import pkgutil
 import random
 import re
+import signal
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -586,6 +587,23 @@ def test_rounded_decimal():
     assert rounded_decimal(10**600 + 1, 10**600 + 2, 3, 3) == "3.33E+599"
     assert rounded_decimal(1, 2, 10**600 * 3, 3) is None
     assert rounded_decimal(1, 1, 10**600 * 3, 3) == "3.33E-601"
+
+
+@pytest.mark.parametrize("a", [0, -3])
+def test_rounded_decimal_refuses_a_lower_end_not_above_zero(a):
+    # no scale gives 0 three significant digits, so a search for one would
+    # not end; the alarm turns such a hang into a failure
+    def too_slow(signum, frame):
+        raise TimeoutError("rounded_decimal did not return within 1 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1)
+    try:
+        with pytest.raises(ValueError, match=f"^lower end {a}/1 is not positive$"):
+            rounded_decimal(a, 1, 1, 3)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def tie(q: int, s: int) -> tuple[int, int]:
