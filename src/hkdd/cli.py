@@ -6,7 +6,7 @@ report is the JSON-ready dict, and the table a generator of the aligned text
 lines, read from the same values; both make a spectrum's rows from its
 n + 1 powers (dynamics.spectrum_rows) as they are written. Every check runs
 before the command returns, so a failed run writes no stdout. main alone
-reads --format and writes the JSON in one write or the table line by line
+reads --format and writes the JSON in pieces or the table line by line
 to stdout; diagnostics go to stderr. Exit codes are stable: 0 success, 2
 malformed input, 3 isometry/determinant failures, 4 spectral structure
 violations, and 1 for an unexpected internal error, reported as the single
@@ -496,7 +496,7 @@ def main(argv: list[str] | None = None) -> int:
         args = _parse(sys.argv[1:] if argv is None else argv)
         if args is not None:
             report, table = globals()["cmd_" + args.command.replace("-", "_")](args)
-            sys.stdout.writelines([dump_json(report)] if args.format == "json" else (line + "\n" for line in table))
+            sys.stdout.writelines(dump_json(report) if args.format == "json" else (line + "\n" for line in table))
         sys.stdout.flush()  # so that a reader gone before the last write is seen here
         return EXIT_OK
     except BrokenPipeError:

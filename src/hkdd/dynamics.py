@@ -35,7 +35,6 @@ from .polynomial import (
     format_fraction,
     power_traces,
     quadratic_surd_str,
-    reciprocal_char_poly,
     rounded_decimal,
     square_part,
 )
@@ -44,6 +43,7 @@ from .salem import (
     SALEM_STRUCTURE,
     SalemClassification,
     classify_charpoly,
+    classify_reciprocal,
 )
 
 # d_1 is either the exact integer 1 or a Salem root, an exact AlgebraicReal.
@@ -409,11 +409,12 @@ def search_salem_isometries(
 
     Every candidate X takes one path: as G is nondegenerate, char(X) is
     reciprocal up to the sign (-1)^n det X, so it follows from its key:
-    that sign and t_k = tr(X^k), k <= n/2 (reciprocal_char_poly). -X, of sign
-    (-1)^n times X's and traces (-1)^k t_k, is tried only when X is not
-    Salem. One dict maps each key, and its negation with it, to its answer,
-    so each polynomial is classified at most once per search, and
-    classify_charpoly certifies each remainder once (salem._certify).
+    that sign and t_k = tr(X^k), k <= n/2, which salem.classify_reciprocal
+    classifies. -X, of sign (-1)^n times X's and traces (-1)^k t_k, is
+    tried only when X is not Salem. One dict maps each key, and its
+    negation with it, to its answer, so each polynomial is classified at
+    most once per search, and each remainder is certified once
+    (salem._certify).
 
     A Salem-structure X has tr X > 4 - n. Its eigenvalues are l and 1/l,
     whose sum exceeds 2 as l > 1, and n - 2 on the unit circle, each of
@@ -442,7 +443,7 @@ def search_salem_isometries(
         # when -X has X's key, neither is Salem, as at most one of +-X is
         for s, cand in ((1, key), (-1, negated)) if negated != key else ():
             if cand[1] > 4 - n:
-                cls = classify_charpoly(reciprocal_char_poly(n, list(cand[1:]), cand[0]))
+                cls = classify_reciprocal(n, list(cand[1:]), cand[0])
                 if cls.kind == SALEM_STRUCTURE:
                     answer = s, cls
                     break

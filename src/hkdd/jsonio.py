@@ -9,12 +9,13 @@ ends in exit 2. An input matrix, a Gram matrix or an isometry, has at most
 MAX_RANK rows and columns: a larger one is an input error (exit 2) before
 any entry is read.
 
-Reports are written by dump_json, which gives the bytes of
-json.dumps(obj, indent=2, sort_keys=True) with a trailing newline. With an
-indent, json.dumps runs its pure-Python encoder; dump_json builds each
-container with one join and escapes every string with the C function that
-encoder calls, so the output cannot differ. A generator is written as the
-list of what it yields.
+Reports are written by dump_json, which yields the bytes of
+json.dumps(obj, indent=2, sort_keys=True) with a trailing newline in
+pieces: a dict member by member and a generator, written as the list of
+what it yields, item by item. With an indent, json.dumps runs its
+pure-Python encoder; dump_json builds every other container with one join
+and escapes every string with the C function that encoder calls, so the
+output cannot differ.
 
 An input file is read with one binary read and decoded as UTF-8, with the
 newlines of a text-mode read (CR LF and a lone CR become LF), so a syntax
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 from types import GeneratorType
 
@@ -81,13 +83,38 @@ def decode_matrix(obj) -> list[list[int]]:
     return [[decode_int(x) for x in row] for row in obj]
 
 
-def dump_json(obj) -> str:
-    """json.dumps(obj, indent=2, sort_keys=True) + "\n" for the types a
-    report holds: dicts with str keys, lists, tuples and generators (written
-    as lists), str, int, bool and None. Any other value, a float or a set,
-    or a key that is not a str (encode_basestring_ascii takes only str),
-    raises TypeError."""
-    return _dump(obj, "\n") + "\n"
+def dump_json(obj) -> Iterator[str]:
+    """Yield json.dumps(obj, indent=2, sort_keys=True) + "\n" in pieces, for
+    the types a report holds: dicts with str keys, lists, tuples and
+    generators (written as lists), str, int, bool and None. A dict is
+    written member by member and a generator item by item, so a report
+    whose rows come from a generator is never held as one string; any
+    other value is one piece. Any other type, a float or a set, or a key
+    that is not a str (encode_basestring_ascii takes only str), raises
+    TypeError when its piece is made."""
+    yield from _stream(obj, "\n")
+    yield "\n"
+
+
+def _stream(obj, newline: str) -> Iterator[str]:
+    """The pieces of _dump(obj, newline): a dict's members and a
+    generator's items one at a time."""
+    inner = newline + "  "
+    if isinstance(obj, dict) and obj:
+        sep = "{" + inner
+        for k, v in sorted(obj.items()):
+            yield sep + encode_basestring_ascii(k) + ": "
+            yield from _stream(v, inner)
+            sep = "," + inner
+        yield newline + "}"
+    elif isinstance(obj, GeneratorType):
+        sep = "[" + inner
+        for v in obj:
+            yield sep + _dump(v, inner)
+            sep = "," + inner
+        yield "[]" if sep[0] == "[" else newline + "]"
+    else:
+        yield _dump(obj, newline)
 
 
 def _dump(obj, newline: str) -> str:

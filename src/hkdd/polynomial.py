@@ -218,16 +218,19 @@ def divide_exact(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic(n: int) -> IntPolynomial:
-    """The n-th cyclotomic polynomial, by exact division of x^n - 1."""
+    """The n-th cyclotomic polynomial, from n = m*p with p the least prime
+    factor of n: Phi_n(x) is Phi_m(x^p) when p divides m, else
+    Phi_m(x^p) / Phi_m(x), one exact division."""
     if n < 1:
         raise ValueError("cyclotomic index must be >= 1")
     if n == 1:
         return poly(-1, 1)
-    num = IntPolynomial((-1,) + (0,) * (n - 1) + (1,))
-    for d in range(1, n):
-        if n % d == 0:
-            num = divide_exact(num, cyclotomic(d))
-    return num
+    p = next((q for q in range(2, isqrt(n) + 1) if n % q == 0), n)
+    m = n // p
+    low = cyclotomic(m).coeffs
+    stretched = [0] * ((len(low) - 1) * p + 1)
+    stretched[::p] = low
+    return IntPolynomial(stretched if m % p == 0 else _quotient(stretched, low))
 
 
 def trace_polynomial(p: IntPolynomial) -> IntPolynomial:
@@ -624,7 +627,10 @@ class AlgebraicReal(_Immutable):
     def compare_rational(self, n: int, d: int = 1) -> int:
         """Sign of (root - n/d) for ints n and d > 0, exactly: 0 when n/d is
         in (a/den, b/den] and p(n/d) = 0, as the one root there is then n/d;
-        otherwise one walk of quadratic_path until n/d leaves the interval."""
+        otherwise one walk of quadratic_path until n/d leaves the interval.
+        d <= 0 raises ValueError."""
+        if d <= 0:
+            raise ValueError("compare_rational needs a denominator d > 0")
         if self.a * d < n * self.den <= self.b * d and _sign_at(_weights(self.poly.coeffs, d), n, 0) == 0:
             return 0
         for a, b, den in self.quadratic_path():

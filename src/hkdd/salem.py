@@ -5,7 +5,9 @@ factor; what remains is either 1, a single Salem polynomial, or evidence that
 the input cannot be the characteristic polynomial of a hyperkahler-type
 isometry. Salem recognition is certified via the trace polynomial: the roots
 on the unit circle map into (-2, 2) under y = x + 1/x and the root pair
-alpha, 1/alpha maps to a single value in (2, oo).
+alpha, 1/alpha maps to a single value in (2, oo). A search key whose char
+poly is +-1 roots times one quadratic x^2 - s*x + 1 is classified from s
+alone, with no polynomial built and no peel (classify_reciprocal).
 
 Degree-2 reciprocal units such as 17+12*sqrt(2) count as Salem numbers here:
 the condition on the remaining conjugates is vacuous for them. Some texts
@@ -25,6 +27,7 @@ from math import isqrt
 
 from .errors import HkddError
 from .polynomial import (
+    ONE_POLY,
     AlgebraicReal,
     IntPolynomial,
     _quotient,
@@ -36,6 +39,7 @@ from .polynomial import (
     cauchy_bound,
     cyclotomic,
     is_palindromic,
+    reciprocal_char_poly,
     trace_polynomial,
 )
 
@@ -296,7 +300,47 @@ def classify_charpoly(p: IntPolynomial) -> SalemClassification:
     that are the eigenvalues of Sym^k.
     """
     factors, rem = peel_cyclotomic(p)
-    cyc = tuple(factors)
+    return _classified(tuple(factors), rem)
+
+
+# x^2 - s*x + 1 for |s| <= 2, as cyclotomic factors (n, multiplicity)
+_CYCLOTOMIC_QUADRATICS = {2: ((1, 2),), 1: ((6, 1),), 0: ((4, 1),), -1: ((3, 1),), -2: ((2, 2),)}
+
+
+def classify_reciprocal(n: int, traces: list[int], sign: int) -> SalemClassification:
+    """classify_charpoly(reciprocal_char_poly(n, traces, sign)), the char
+    poly p of rank n with x^n p(1/x) = sign * p(x) and power traces t_k.
+
+    Three shapes are +-1 roots times one quadratic x^2 - s*x + 1, read off
+    t_1 with no polynomial built and no peel:
+    - rank 2, sign +1: x^2 - t_1*x + 1, s = t_1;
+    - rank 3: (x + sign)(x^2 - s*x + 1), s = t_1 + sign, as the roots sum
+      to t_1; the linear factor is Phi_2 for sign +1, Phi_1 for sign -1;
+    - rank 4, sign -1: c_2 = -c_2 = 0, so p is (x^2 - 1)(x^2 - t_1*x + 1),
+      s = t_1, with Phi_1 * Phi_2.
+    The quadratic is cyclotomic for |s| <= 2, Salem for s > 2, and else the
+    remainder, which fails the Salem test: all as the peel finds them, with
+    the certificate of salem._certify. Every other key, such as rank 2 with
+    sign -1, rank 4 with sign +1 or rank 5 and up, takes the general path.
+    """
+    if n == 2 and sign > 0:
+        cyc, s = {}, traces[0]
+    elif n == 3:
+        cyc, s = {1 if sign < 0 else 2: 1}, traces[0] + sign
+    elif n == 4 and sign < 0:
+        cyc, s = {1: 1, 2: 1}, traces[0]
+    else:
+        return classify_charpoly(reciprocal_char_poly(n, traces, sign))
+    if -2 <= s <= 2:
+        for k, m in _CYCLOTOMIC_QUADRATICS[s]:
+            cyc[k] = cyc.get(k, 0) + m
+        return _classified(tuple(sorted(cyc.items())), ONE_POLY)
+    return _classified(tuple(sorted(cyc.items())), IntPolynomial((1, -s, 1)))
+
+
+def _classified(cyc: tuple[tuple[int, int], ...], rem: IntPolynomial) -> SalemClassification:
+    """The classification of the product of the cyclotomic factors cyc and
+    rem, a polynomial free of them."""
     if rem.degree == 0:
         return SalemClassification(ALL_CYCLOTOMIC, cyc, rem, None)
     check = _certify(rem)

@@ -1,7 +1,7 @@
 """Independent references that only the tests use: a float power
 iteration, a symmetric power and its dimension, a Fraction rank, integer
-solvability by determinantal divisors, the product a classification
-multiplies back to, the coefficient-list decoder of the JSON polynomial
+solvability by determinantal divisors, the cyclotomic polynomial by
+division of x^n - 1, the product a classification multiplies back to, the coefficient-list decoder of the JSON polynomial
 format and the reader of its algebraic reals, the argparse parser of the
 command line, the combination search for the Beauville involution,
 the Salem search over every pair of involutions, the affine-lattice walk
@@ -49,6 +49,7 @@ from hkdd.polynomial import (
     _weights,
     char_poly,
     cyclotomic,
+    divide_exact,
     is_palindromic,
     is_perfect_square,
     isolate_real_roots,
@@ -166,6 +167,17 @@ def integer_solvable(a: list[list[int]], b: list[int]) -> bool:
     augmented = [[*row, x] for row, x in zip(a, b)]
     r = rational_rank(a)
     return r == rational_rank(augmented) and minors_gcd(a, r) == minors_gcd(augmented, r)
+
+
+@functools.lru_cache(maxsize=None)
+def division_cyclotomic(n: int) -> IntPolynomial:
+    """Phi_n as x^n - 1 divided by every Phi_d, d a proper divisor of n,
+    each built the same way."""
+    num = IntPolynomial((-1,) + (0,) * (n - 1) + (1,))
+    for d in range(1, n):
+        if n % d == 0:
+            num = divide_exact(num, division_cyclotomic(d))
+    return num
 
 
 def rebuild_product(c: SalemClassification) -> IntPolynomial:

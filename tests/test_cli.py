@@ -58,7 +58,7 @@ def test_lattice_info_json_roundtrip(capsys):
     code, out, _ = run_cli(["--format", "json", "lattice-info", rank3_path()], capsys)
     assert code == 0
     parsed = json.loads(out)
-    assert dump_json(parsed) == out
+    assert "".join(dump_json(parsed)) == out
     assert parsed["signature"] == [1, 2, 0]
     assert parsed["determinant"] == 96
 
@@ -117,7 +117,7 @@ def test_degrees_json(capsys, m1m2_file):
     )
     assert code == 0
     parsed = json.loads(out)
-    assert dump_json(parsed) == out
+    assert "".join(dump_json(parsed)) == out
     assert parsed["char_poly"] == [-1, 35, -35, 1]
     assert parsed["classification"]["kind"] == "SalemStructure"
     assert parsed["classification"]["salem_poly"] == [1, -34, 1]
@@ -321,7 +321,7 @@ def test_beauville_demo_json(capsys):
     code, out, _ = run_cli(["--format", "json", "beauville-demo"], capsys)
     assert code == 0
     parsed = json.loads(out)
-    assert dump_json(parsed) == out
+    assert "".join(dump_json(parsed)) == out
     assert parsed["composition"]["char_poly"] == [-1, 35, -35, 1]
     assert parsed["naturality"]["verdict"] == "NotNatural"
     assert parsed["naturality"]["witness"] == {"vector": [1, -6, 1], "norm": -48}
@@ -749,7 +749,7 @@ def test_kummer_spectrum_is_a_conjugacy_invariant(m, p, n):
             if fmt == "json":
                 report = json.loads(out)
                 del report["matrix"]
-                sections.add(dump_json(report))
+                sections.add("".join(dump_json(report)))
             else:
                 sections.add(out.split("\n", 1)[1])
         assert len(sections) == 1

@@ -41,7 +41,7 @@ from hkdd.polynomial import (
     reciprocal_char_poly,
     sturm_count,
 )
-from hkdd.salem import SALEM_STRUCTURE, classify_charpoly, is_salem_polynomial, salem_root_of
+from hkdd.salem import SALEM_STRUCTURE, classify_charpoly, classify_reciprocal, is_salem_polynomial, salem_root_of
 from fraction_sturm import fraction_isolate
 from conftest import TPQR_SALEM_FACTORS, assert_correctly_rounded, assert_walk_nests, mp_root, row_decimals
 from test_cli_golden import _argv, run
@@ -631,22 +631,49 @@ def test_search_matches_ordered_pair_reference(rank3, gram, bound):
     assert [(m, r.poly, interval(r)) for m, r in got] == [(m, r.poly, interval(r)) for m, r in want]
 
 
-def test_search_classifies_each_char_poly_once(rank3, monkeypatch):
+def test_search_classifies_each_char_poly_once(monkeypatch):
+    # at rank 4 keys of sign +1, palindromic quartics, take the general path
+    lat = make_lattice(TWO_MINUS_TWO_CUBED)
     calls = Counter()
 
     def counting(p):
         calls[p.coeffs] += 1
         return classify_charpoly(p)
 
-    monkeypatch.setattr(dynamics, "classify_charpoly", counting)
+    monkeypatch.setattr(salem, "classify_charpoly", counting)
+    search_salem_isometries(lat, 2)
+    isometries = all_isometries(lat, 2)
+    ident = linalg.identity(4)
+    involutions = [m for m in isometries if linalg.mat_mul(m, m) == ident]
+    products = [linalg.mat_mul(a, b) for a, b in itertools.permutations(involutions, 2)]
+    distinct = {char_poly(m).coeffs for m in isometries + products}
+    assert calls and set(calls.values()) == {1}
+    assert set(calls) <= distinct
+    assert all(coeffs == coeffs[::-1] for coeffs in calls)
+
+
+def test_rank3_search_classifies_each_key_once_without_a_char_poly(rank3, monkeypatch):
+    keys = Counter()
+
+    def counting(n, traces, sign):
+        keys[reciprocal_char_poly(n, traces, sign).coeffs] += 1
+        return classify_reciprocal(n, traces, sign)
+
+    def forbidden(*args):
+        raise AssertionError("a rank-3 key built or peeled a char poly")
+
+    monkeypatch.setattr(dynamics, "classify_reciprocal", counting)
+    for name in ("classify_charpoly", "reciprocal_char_poly", "peel_cyclotomic"):
+        monkeypatch.setattr(salem, name, forbidden)
     search_salem_isometries(rank3, 8)
+    monkeypatch.undo()
     isometries = all_isometries(rank3, 8)
     ident = linalg.identity(3)
     involutions = [m for m in isometries if linalg.mat_mul(m, m) == ident]
     products = [linalg.mat_mul(a, b) for a, b in itertools.permutations(involutions, 2)]
     distinct = {char_poly(m).coeffs for m in isometries + products}
-    assert set(calls.values()) == {1}
-    assert set(calls) <= distinct
+    assert set(keys.values()) == {1}
+    assert set(keys) <= distinct
     # a char poly goes unclassified when it is char(-X) of a Salem X, as at
     # most one of +-X is Salem, when its trace is at most 4 - n = 1, below
     # that of every Salem structure, or when it is an involution's,
@@ -655,7 +682,7 @@ def test_search_classifies_each_char_poly_once(rank3, monkeypatch):
     involution_polys = {
         math.prod([poly(-1, 1)] * p + [poly(1, 1)] * (3 - p), start=poly(1)).coeffs for p in range(4)
     }
-    skipped = distinct - set(calls)
+    skipped = distinct - set(keys)
     assert skipped & involution_polys and skipped - involution_polys
     salem_negatives = 0
     for coeffs in skipped:

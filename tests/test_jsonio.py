@@ -148,8 +148,8 @@ def test_decode_coeffs():
 
 def test_dump_json_stable():
     obj = {"b": 1, "a": [3, 2]}
-    out = dump_json(obj)
-    assert dump_json(json.loads(out)) == out
+    out = "".join(dump_json(obj))
+    assert "".join(dump_json(json.loads(out))) == out
 
 
 # strings with quotes, backslashes, control characters, line separators and
@@ -173,7 +173,7 @@ REPORT_VALUES = st.recursive(
 @settings(max_examples=400)
 @given(REPORT_VALUES)
 def test_dump_json_writes_what_json_dumps_writes(obj):
-    assert dump_json(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    assert "".join(dump_json(obj)) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def as_generators(obj):
@@ -188,7 +188,28 @@ def as_generators(obj):
 @settings(max_examples=200)
 @given(REPORT_VALUES)
 def test_dump_json_writes_a_generator_as_a_list(obj):
-    assert dump_json(as_generators(obj)) == dump_json(obj)
+    assert "".join(dump_json(as_generators(obj))) == "".join(dump_json(obj))
+
+
+def test_dump_json_writes_a_generator_row_before_it_reads_the_next():
+    read = []
+
+    def rows():
+        for k in range(5):
+            read.append(k)
+            yield {"k": k, "exact": [str(k)]}
+
+    pieces = dump_json({"a": 1, "entries": rows(), "z": None})
+    seen = []
+    for piece in pieces:
+        seen.append(piece)
+        if '"k": 2' in piece:
+            break
+    # each row is one piece, made when the row is read
+    assert read == [0, 1, 2] and '"k": 1' in seen[-2]
+    rest = "".join(seen) + "".join(pieces)
+    assert rest == json.dumps({"a": 1, "entries": [{"k": k, "exact": [str(k)]} for k in range(5)], "z": None},
+                              indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -197,9 +218,9 @@ def test_dump_json_writes_a_generator_as_a_list(obj):
 )
 def test_dump_json_refuses_what_no_report_holds(obj):
     with pytest.raises(TypeError):
-        dump_json(obj)
+        "".join(dump_json(obj))
     with pytest.raises(TypeError):
-        dump_json(as_generators(obj))
+        "".join(dump_json(as_generators(obj)))
 
 
 def test_json_goldens_never_reach_the_python_encoder(monkeypatch):

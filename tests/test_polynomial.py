@@ -51,6 +51,7 @@ from oracles import (
     bisection_power_decimal,
     decimal_quotient,
     decimal_rounded_decimal,
+    division_cyclotomic,
     interval,
     is_reciprocal,
 )
@@ -204,6 +205,13 @@ def test_cyclotomic_small():
     assert cyclotomic(2) == poly(1, 1)
     assert cyclotomic(4) == poly(1, 0, 1)
     assert cyclotomic(12) == poly(1, 0, -1, 0, 1)
+
+
+def test_cyclotomic_matches_the_division_reference():
+    # Phi_n from its least prime factor against x^n - 1 divided by every
+    # Phi_d, d | n, d < n
+    for n in range(1, 400):
+        assert cyclotomic(n) == division_cyclotomic(n), n
 
 
 def test_cyclotomic_product_is_x_n_minus_1():
@@ -690,6 +698,16 @@ def test_algebraic_comparisons():
     assert r2.compare_rational(1) > 0
     one = isolate_real_roots(poly(-1, 1))[0]
     assert one.compare_rational(1) == 0
+
+
+def test_compare_rational_refuses_a_denominator_below_1():
+    # (3 + sqrt(5))/2 = 2.618... > 5/2: with n/d = -5/-2 the signs would
+    # flip each cross-multiplied test, and d = 0 names no number
+    root = salem_root_of(poly(1, -3, 1))
+    assert root.compare_rational(5, 2) == 1
+    for n, d in ((-5, -2), (5, 0), (0, 0), (1, -1)):
+        with pytest.raises(ValueError, match="denominator"):
+            root.compare_rational(n, d)
 
 
 # --- quadratic Salem roots ----------------------------------------------------

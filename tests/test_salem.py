@@ -10,12 +10,21 @@ from hypothesis import strategies as st
 from hkdd import polynomial, salem
 from hkdd.dynamics import exact_power_str
 from hkdd.errors import HkddError
-from hkdd.polynomial import ONE_POLY, IntPolynomial, char_poly, cyclotomic, isolate_real_roots, poly
+from hkdd.polynomial import (
+    ONE_POLY,
+    IntPolynomial,
+    char_poly,
+    cyclotomic,
+    isolate_real_roots,
+    poly,
+    reciprocal_char_poly,
+)
 from hkdd.salem import (
     ALL_CYCLOTOMIC,
     NOT_SPECTRALLY_VALID,
     SALEM_STRUCTURE,
     classify_charpoly,
+    classify_reciprocal,
     is_salem_polynomial,
     peel_cyclotomic,
     salem_root_of,
@@ -137,6 +146,43 @@ def test_classification_multiplies_back():
         cls = classify_charpoly(p)
         assert rebuild_product(cls) == p
         assert cls.kind != NOT_SPECTRALLY_VALID
+
+
+def test_closed_form_keys_classify_as_their_char_poly(monkeypatch):
+    # rank 2 with sign +1, rank 3, and rank 4 with sign -1 (where t_2 = t_1^2):
+    # +-1 roots times x^2 - s*x + 1, classified with no char poly and no peel
+    keys = [(n, sign, [t] if n < 4 else [t, t * t])
+            for n, sign in ((2, 1), (3, 1), (3, -1), (4, -1)) for t in range(-1000, 1001)]
+    general = [classify_charpoly(reciprocal_char_poly(n, traces, sign)) for n, sign, traces in keys]
+
+    def forbidden(*args):
+        raise AssertionError("a closed-form key built or peeled a char poly")
+
+    for name in ("classify_charpoly", "reciprocal_char_poly", "peel_cyclotomic"):
+        monkeypatch.setattr(salem, name, forbidden)
+    salem_keys = 0
+    for (n, sign, traces), want in zip(keys, general):
+        got = classify_reciprocal(n, traces, sign)
+        assert (got.kind, got.cyclotomic_factors, got.remainder, got.reason) == (
+            want.kind, want.cyclotomic_factors, want.remainder, want.reason), (n, sign, traces)
+        assert got.salem_factor == want.salem_factor and got.salem_root is want.salem_root
+        salem_keys += got.kind == SALEM_STRUCTURE
+    assert salem_keys == 3992
+
+
+def test_other_keys_take_the_general_path(monkeypatch):
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return classify_charpoly(p)
+
+    monkeypatch.setattr(salem, "classify_charpoly", counting)
+    # rank 2 with sign -1, rank 4 with sign +1, rank 5 and 6
+    for n, traces, sign in ((2, [3], -1), (2, [0], -1), (4, [4, 6], 1), (5, [5, 5], 1), (6, [3, 5, 6], -1)):
+        p = reciprocal_char_poly(n, traces, sign)
+        assert classify_reciprocal(n, traces, sign) == classify_charpoly(p)
+        assert calls.pop() == p
 
 
 def test_constant_one_classifies_all_cyclotomic():
