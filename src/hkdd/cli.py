@@ -5,9 +5,11 @@ Each cmd_<name> builds its report once and returns (report, table): the
 report is the JSON-ready dict, and the table a generator of the aligned text
 lines, read from the same values; both make a spectrum's rows from its
 n + 1 powers (dynamics.spectrum_rows) as they are written. Every check runs
-before the command returns, so a failed run writes no stdout. main alone
-reads --format and writes the JSON in pieces or the table line by line
-to stdout; diagnostics go to stderr. Exit codes are stable: 0 success, 2
+before the command returns, so a run that fails a check (an HkddError)
+writes no stdout. main alone reads --format and writes the JSON in pieces
+or the table line by line to stdout, so an internal error raised while
+they are made (exit 1) can leave the output cut short in either format;
+diagnostics go to stderr. Exit codes are stable: 0 success, 2
 malformed input, 3 isometry/determinant failures, 4 spectral structure
 violations, and 1 for an unexpected internal error, reported as the single
 stderr line `internal error: <Type>: <message>`. A reader that closes

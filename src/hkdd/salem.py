@@ -311,21 +311,19 @@ def classify_reciprocal(n: int, traces: list[int], sign: int) -> SalemClassifica
     """classify_charpoly(reciprocal_char_poly(n, traces, sign)), the char
     poly p of rank n with x^n p(1/x) = sign * p(x) and power traces t_k.
 
-    Three shapes are +-1 roots times one quadratic x^2 - s*x + 1, read off
-    t_1 with no polynomial built and no peel:
-    - rank 2, sign +1: x^2 - t_1*x + 1, s = t_1;
+    Two shapes, the ones the search catalogue's rank-3 and rank-4 lattices
+    reach, are +-1 roots times one quadratic x^2 - s*x + 1, read off t_1
+    with no polynomial built and no peel:
     - rank 3: (x + sign)(x^2 - s*x + 1), s = t_1 + sign, as the roots sum
       to t_1; the linear factor is Phi_2 for sign +1, Phi_1 for sign -1;
     - rank 4, sign -1: c_2 = -c_2 = 0, so p is (x^2 - 1)(x^2 - t_1*x + 1),
       s = t_1, with Phi_1 * Phi_2.
     The quadratic is cyclotomic for |s| <= 2, Salem for s > 2, and else the
     remainder, which fails the Salem test: all as the peel finds them, with
-    the certificate of salem._certify. Every other key, such as rank 2 with
-    sign -1, rank 4 with sign +1 or rank 5 and up, takes the general path.
+    the certificate of salem._certify. Every other key, rank 2, rank 4 with
+    sign +1 or rank 5 and up, takes the general path.
     """
-    if n == 2 and sign > 0:
-        cyc, s = {}, traces[0]
-    elif n == 3:
+    if n == 3:
         cyc, s = {1 if sign < 0 else 2: 1}, traces[0] + sign
     elif n == 4 and sign < 0:
         cyc, s = {1: 1, 2: 1}, traces[0]

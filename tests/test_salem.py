@@ -149,10 +149,10 @@ def test_classification_multiplies_back():
 
 
 def test_closed_form_keys_classify_as_their_char_poly(monkeypatch):
-    # rank 2 with sign +1, rank 3, and rank 4 with sign -1 (where t_2 = t_1^2):
-    # +-1 roots times x^2 - s*x + 1, classified with no char poly and no peel
+    # rank 3, and rank 4 with sign -1 (where t_2 = t_1^2): +-1 roots times
+    # x^2 - s*x + 1, classified with no char poly and no peel
     keys = [(n, sign, [t] if n < 4 else [t, t * t])
-            for n, sign in ((2, 1), (3, 1), (3, -1), (4, -1)) for t in range(-1000, 1001)]
+            for n, sign in ((3, 1), (3, -1), (4, -1)) for t in range(-1000, 1001)]
     general = [classify_charpoly(reciprocal_char_poly(n, traces, sign)) for n, sign, traces in keys]
 
     def forbidden(*args):
@@ -167,7 +167,7 @@ def test_closed_form_keys_classify_as_their_char_poly(monkeypatch):
             want.kind, want.cyclotomic_factors, want.remainder, want.reason), (n, sign, traces)
         assert got.salem_factor == want.salem_factor and got.salem_root is want.salem_root
         salem_keys += got.kind == SALEM_STRUCTURE
-    assert salem_keys == 3992
+    assert salem_keys == 2994
 
 
 def test_other_keys_take_the_general_path(monkeypatch):
@@ -178,8 +178,8 @@ def test_other_keys_take_the_general_path(monkeypatch):
         return classify_charpoly(p)
 
     monkeypatch.setattr(salem, "classify_charpoly", counting)
-    # rank 2 with sign -1, rank 4 with sign +1, rank 5 and 6
-    for n, traces, sign in ((2, [3], -1), (2, [0], -1), (4, [4, 6], 1), (5, [5, 5], 1), (6, [3, 5, 6], -1)):
+    # rank 2 of either sign, rank 4 with sign +1, rank 5 and 6
+    for n, traces, sign in ((2, [3], 1), (2, [2], 1), (2, [3], -1), (2, [0], -1), (4, [4, 6], 1), (5, [5, 5], 1), (6, [3, 5, 6], -1)):
         p = reciprocal_char_poly(n, traces, sign)
         assert classify_reciprocal(n, traces, sign) == classify_charpoly(p)
         assert calls.pop() == p
