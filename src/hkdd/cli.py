@@ -390,7 +390,7 @@ Command = namedtuple("Command", "help positionals type options", defaults=((), s
 
 GLOBAL_OPTIONS = {
     "--format": Option(("table", "json"), "table", help="report format, table or json (default: table)"),
-    # past MAX_DIGITS digits CPython's default limit refuses to write an int as a string
+    # past MAX_DIGITS digits, the int/str limit main sets, no int is written as a string
     "--precision": Option(int, 12, 3, MAX_DIGITS,
                           help="significant digits for decimals (default: 12, minimum 3, maximum 4300)"),
 }
@@ -494,6 +494,7 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    sys.set_int_max_str_digits(MAX_DIGITS)  # the digit bound, whatever PYTHONINTMAXSTRDIGITS says
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
         if args is not None:

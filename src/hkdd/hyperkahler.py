@@ -27,7 +27,6 @@ from .lattice import (
     invariant_sublattice,
     make_lattice,
     norm_of,
-    permute_basis,
     represents,
     verify_isometry,
 )
@@ -85,18 +84,18 @@ def hilbert_lattice(base: GramLattice, n: int, e_index: int | None = None) -> Hi
     """Extend base by the exceptional class e with (e, e) = -2n+2, e _|_ base.
 
     e_index selects where e sits in the new basis (default: last), so the
-    classical ordering <H1, e, H2> is available directly.
+    classical ordering <H1, e, H2> is available directly. The extended
+    lattice is checked by hilbert_from_extended, as any other is.
     """
-    if n < 2:
-        raise HkddError(f"need n >= 2 points, got {n}")
     r = base.rank
     if e_index is None:
         e_index = r
     if not 0 <= e_index <= r:
         raise HkddError(f"e_index {e_index} out of range 0..{r}")
-    gram = [[*row, 0] for row in base.gram] + [[0] * r + [-2 * n + 2]]
-    extended = permute_basis(make_lattice(gram, [*base.labels, "e"]), _e_slot_order(r, e_index))
-    return HilbertLattice(base=base, n=n, extended=extended, e_index=e_index)
+    gram = [[*row[:e_index], 0, *row[e_index:]] for row in base.gram]
+    gram.insert(e_index, [0] * e_index + [-2 * n + 2] + [0] * (r - e_index))
+    labels = [*base.labels[:e_index], "e", *base.labels[e_index:]]
+    return hilbert_from_extended(make_lattice(gram, labels), n, e_index)
 
 
 def hilbert_from_extended(
@@ -131,11 +130,6 @@ def hilbert_from_extended(
         [lat.labels[i] for i in rest],
     )
     return HilbertLattice(base=base, n=n, extended=lat, e_index=e_index)
-
-
-def _e_slot_order(r: int, e_index: int) -> list[int]:
-    """The basis order that moves e, appended last as slot r, to e_index."""
-    return [*range(e_index), r, *range(e_index, r)]
 
 
 def _beauville_candidates(

@@ -4,7 +4,7 @@ Matrices are row-major lists of lists. Integers within the 53-bit range are
 plain JSON numbers; anything larger is serialized as a decimal string so that
 consumers without big integers still read the exact value. Reports write
 their matrices, vectors and polynomial coefficients this way; an integer
-past MAX_DIGITS digits, which CPython 3.11 will not write as a string,
+past MAX_DIGITS digits, which CPython's int/str limit will not write,
 ends in exit 2. An input matrix, a Gram matrix or an isometry, has at most
 MAX_RANK rows and columns: a larger one is an input error (exit 2) before
 any entry is read.

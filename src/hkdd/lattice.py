@@ -155,7 +155,7 @@ def verify_isometry(lat: GramLattice, matrix: list[list[int]]) -> LatticeIsometr
 def invariant_sublattice(iso: LatticeIsometry) -> list[list[int]]:
     """Primitive basis of the fixed sublattice {v : M v = v}.
 
-    Computed as the saturated integer kernel of (M - I) via Hermite reduction;
+    Computed as the saturated integer kernel of M - I (linalg.integer_kernel);
     the basis vectors are content-free and sign-normalized.
     """
     n = iso.rank

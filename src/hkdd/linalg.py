@@ -1,6 +1,6 @@
 """Exact integer matrix plumbing: products, determinants, and one integer
-elimination, the row Hermite transform, behind both the saturated kernels
-and the solutions of linear systems.
+elimination, the unimodular row echelon transform, behind the solutions of
+linear systems and so behind the saturated kernels.
 
 Matrices are row-major lists of lists of Python ints (arbitrary precision)
 acting on column vectors. Nothing here ever touches floating point.
@@ -99,8 +99,9 @@ def det_bareiss(m: Matrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def row_hnf_transform(a: Matrix) -> tuple[Matrix, Matrix]:
-    """Row Hermite form H of `a` with unimodular U such that U a = H."""
+def row_echelon_transform(a: Matrix) -> tuple[Matrix, Matrix]:
+    """Row echelon form H of `a` with unimodular U such that U a = H: the
+    zero rows of H come last, and each pivot lies right of the one above."""
     rows = len(a)
     cols = len(a[0]) if rows else 0
     h = copy_matrix(a)
@@ -129,47 +130,31 @@ def row_hnf_transform(a: Matrix) -> tuple[Matrix, Matrix]:
             if done:
                 break
         if h[pivot_row][c] != 0:
-            if h[pivot_row][c] < 0:
-                h[pivot_row] = [-x for x in h[pivot_row]]
-                u[pivot_row] = [-x for x in u[pivot_row]]
-            for i in range(pivot_row):
-                q = h[i][c] // h[pivot_row][c]
-                if q:
-                    h[i] = [x - q * y for x, y in zip(h[i], h[pivot_row])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[pivot_row])]
             pivot_row += 1
     return h, u
 
 
 def integer_kernel(a: Matrix) -> list[Vector]:
     """Primitive basis of {v : a v = 0} over the integers, sorted, each
-    vector with its first nonzero entry positive.
-
-    Rows of the unimodular transform aligned with zero rows of the row
-    Hermite form of a^T give a basis of the saturated kernel lattice; as
-    rows of a unimodular matrix they are primitive already.
-    """
+    vector with its first nonzero entry positive: the kernel basis of
+    solve_integer_system(a, 0), which is primitive already."""
     if not a or not a[0]:
         return []
-    h, u = row_hnf_transform(transpose(a))
-    return sorted(
-        u_i if next(x for x in u_i if x) > 0 else [-x for x in u_i]
-        for h_i, u_i in zip(h, u)
-        if not any(h_i)
-    )
+    _, kernel = solve_integer_system(a, [0] * len(a))
+    return sorted(v if next(x for x in v if x) > 0 else [-x for x in v] for v in kernel)
 
 
 def solve_integer_system(a: Matrix, b: Vector) -> tuple[Vector, list[Vector]] | None:
     """All integer solutions of a x = b as (particular, kernel basis), or None.
 
-    With U a^T = H from row_hnf_transform, x = U^T y turns a x = b into
+    With U a^T = H from row_echelon_transform, x = U^T y turns a x = b into
     sum_i y_i H_i = b, solved down the echelon: each nonzero row fixes y_i
     from its pivot (exactly, or there is no solution) and leaves a residual
     that must end at 0. The particular solution is sum_i y_i U_i, and the
-    rows of U at the zero rows of H are the kernel basis: the vectors of
-    integer_kernel before it fixes their signs and sorts them.
+    rows of U at the zero rows of H are a basis of the saturated kernel
+    lattice: rows of a unimodular matrix, so primitive.
     """
-    h, u = row_hnf_transform(transpose(a))
+    h, u = row_echelon_transform(transpose(a))
     rest = list(b)
     particular = [0] * len(u)
     kernel = []

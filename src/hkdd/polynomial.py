@@ -77,40 +77,6 @@ class IntPolynomial(_Immutable):
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def __call__(self, x):
-        """p(x) by Horner's rule, exact for an int or any exact rational x."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __add__(self, other: IntPolynomial) -> IntPolynomial:
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return IntPolynomial(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
-
-    def __sub__(self, other: IntPolynomial) -> IntPolynomial:
-        return self + (-other)
-
-    def __neg__(self) -> IntPolynomial:
-        return IntPolynomial(tuple(-x for x in self.coeffs))
-
-    def __mul__(self, other: IntPolynomial | int) -> IntPolynomial:
-        if isinstance(other, int):
-            return IntPolynomial(tuple(other * x for x in self.coeffs))
-        if self.is_zero or other.is_zero:
-            return IntPolynomial(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPolynomial(tuple(out))
-
-    __rmul__ = __mul__
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -805,7 +771,7 @@ def is_perfect_square(n: int) -> bool:
     return n >= 0 and isqrt(n) ** 2 == n
 
 
-# CPython 3.11 converts an int to or from a string of at most this many digits
+# the int/str conversion limit of CPython's default, which cli.main sets
 MAX_DIGITS = 4300
 DIGITS_BOUND = 10**MAX_DIGITS
 

@@ -1,7 +1,9 @@
 """Independent references that only the tests use: a float power
 iteration, a symmetric power and its dimension, a Fraction rank, integer
-solvability by determinantal divisors, the cyclotomic polynomial by
-division of x^n - 1, the product a classification multiplies back to, the coefficient-list decoder of the JSON polynomial
+solvability by determinantal divisors, polynomial values, sums,
+differences and products, the cyclotomic polynomial by division of
+x^n - 1, the product a classification multiplies back to, the
+coefficient-list decoder of the JSON polynomial
 format and the reader of its algebraic reals, the argparse parser of the
 command line, the combination search for the Beauville involution,
 the Salem search over every pair of involutions, the affine-lattice walk
@@ -34,7 +36,7 @@ from fraction_sturm import fraction_sturm_count
 from hkdd import linalg
 from hkdd.dynamics import SpectrumDecimals, enumerate_isometries
 from hkdd.errors import HkddError, NotIsometryError
-from hkdd.hyperkahler import BeauvilleSolution, CandidateRecord, HilbertLattice, _e_slot_order
+from hkdd.hyperkahler import BeauvilleSolution, CandidateRecord, HilbertLattice
 from hkdd.jsonio import decode_int
 from hkdd.lattice import LatticeIsometry, _integer_quadratic_roots, invariant_sublattice, verify_isometry
 from hkdd.polynomial import (
@@ -180,13 +182,39 @@ def division_cyclotomic(n: int) -> IntPolynomial:
     return num
 
 
+def poly_value(p: IntPolynomial, x):
+    """p(x) by Horner's rule, exact for an int or any exact rational x."""
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def poly_add(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
+    a, b = sorted((p.coeffs, q.coeffs), key=len, reverse=True)
+    return IntPolynomial(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
+
+
+def poly_sub(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
+    return poly_add(p, poly_mul(-1, q))
+
+
+def poly_mul(*factors: IntPolynomial | int) -> IntPolynomial:
+    """The product of the factors, each a polynomial or an int scalar."""
+    out = [1]
+    for f in factors:
+        b = [f] if isinstance(f, int) else f.coeffs
+        prod = [0] * (len(out) + len(b) - 1)
+        for i, x in enumerate(out):
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+        out = prod
+    return IntPolynomial(out)
+
+
 def rebuild_product(c: SalemClassification) -> IntPolynomial:
     """Multiply the classified factors, the remainder included, back together."""
-    out = c.remainder
-    for n, mult in c.cyclotomic_factors:
-        for _ in range(mult):
-            out = out * cyclotomic(n)
-    return out
+    return poly_mul(c.remainder, *(cyclotomic(n) for n, mult in c.cyclotomic_factors for _ in range(mult)))
 
 
 def algebraic_real_from_json(obj: dict) -> AlgebraicReal:
@@ -573,7 +601,7 @@ def bisection_decimal_str(root: AlgebraicReal, sig_digits: int) -> str:
     interval, on the root's side of zero, is narrower than
     10^-(sig_digits+2) of its end nearer zero, and tests the rounding
     boundary when the ends round to adjacent strings."""
-    if root.poly(0) == 0 and root.a < 0 <= root.b:
+    if poly_value(root.poly, 0) == 0 and root.a < 0 <= root.b:
         return "0"
     scale = 10 ** (sig_digits + 2)
     for a, b, den in bisection_path(root):
@@ -822,7 +850,7 @@ def sturm_count_certify(p: IntPolynomial) -> SalemCheck:
         return SalemCheck(False, "coefficient vector is not palindromic")
     d = p.degree // 2
     q = trace_polynomial(p)
-    if q(2) == 0 or q(-2) == 0:
+    if poly_value(q, 2) == 0 or poly_value(q, -2) == 0:
         return SalemCheck(False, "trace polynomial vanishes at +/-2")
     total = sturm_count(q, None, None)
     above = sturm_count(q, 2, None)
@@ -852,7 +880,7 @@ def natural_isometry(g: LatticeIsometry, hilb: HilbertLattice) -> LatticeIsometr
     extra eigenvalue is 1."""
     if g.lattice.gram != hilb.base.gram:
         raise HkddError("isometry does not act on the base lattice")
-    r = hilb.base.rank
-    order = _e_slot_order(r, hilb.e_index)
+    r, e = hilb.base.rank, hilb.e_index
+    order = [*range(e), r, *range(e, r)]  # e, appended as slot r, moves to slot e
     m = [[*row, 0] for row in g.matrix] + [[0] * r + [1]]
     return verify_isometry(hilb.extended, [[m[i][j] for j in order] for i in order])

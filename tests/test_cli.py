@@ -4,6 +4,7 @@ import importlib
 import inspect
 import io
 import json
+import os
 import pkgutil
 import subprocess
 import sys
@@ -327,10 +328,38 @@ def test_beauville_demo_json(capsys):
     assert parsed["naturality"]["witness"] == {"vector": [1, -6, 1], "norm": -48}
 
 
-def test_search_flags_small_candidates(capsys, tmp_path):
-    code, out, _ = run_cli(["search", "--lattice", rank3_path(), "--bound", "3"], capsys)
+def test_search_flags_small_candidates(capsys, monkeypatch):
+    # a Salem number below 13/10 has degree >= 8, beyond any search that
+    # ends in test time, so the search returns Lehmer's root, about 1.176,
+    # and 17 + 12*sqrt(2); only the first is flagged, in either format
+    roots = [salem.salem_root_of(IntPolynomial(map(int, LEHMER.split()))),
+             salem.salem_root_of(polynomial.poly(1, -34, 1))]
+    monkeypatch.setattr(cli, "search_salem_isometries", lambda lat, bound: [(linalg.identity(3), r) for r in roots])
+    argv = ["search", "--lattice", rank3_path(), "--bound", "3"]
+    code, out, _ = run_cli(argv, capsys)
     assert code == 0
-    assert "salem isometries" in out
+    assert [line.endswith("  [small Salem candidate]") for line in out.splitlines()[1:]] == [True, False]
+    code, out, _ = run_cli(["--format", "json", *argv], capsys)
+    assert code == 0
+    assert [e["small_salem_candidate"] for e in json.loads(out)["entries"]] == [True, False]
+
+
+@pytest.mark.parametrize("setting", ["640", "0"])
+def test_the_digit_bound_does_not_depend_on_the_interpreter_limit(tmp_path, setting):
+    # main sets the int/str limit to MAX_DIGITS, so a report past it ends in
+    # exit 2 and one within it is written, whatever PYTHONINTMAXSTRDIGITS says
+    big = "1" + "0" * 3999 + "7"  # 10^4000 + 7, written without str(), which the limit governs here too
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"gram": [[big, "0"], ["0", big]]}))  # det has 8,001 digits
+    argvs = [["kummer", "2", "1", "1", "1", "--half-dim", "1000"], ["lattice-info", str(path)],
+             ["--format", "json", "lattice-info", str(path)]]
+    default = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    for argv in argvs:
+        want, got = (subprocess.run([sys.executable, "-m", "hkdd.cli", *argv], env=env, capture_output=True)
+                     for env in (default, {**default, "PYTHONINTMAXSTRDIGITS": setting}))
+        assert (got.returncode, got.stdout, got.stderr) == (want.returncode, want.stdout, want.stderr)
+        assert want.returncode == (0 if argv[0] == "kummer" else 2)
+    assert want.stderr == b"input error: report has an integer of more than 4300 digits\n"
 
 
 @pytest.mark.parametrize("digits", [3, 12, 50, 200])

@@ -54,6 +54,7 @@ from oracles import (
     decimal_log_bounds,
     fraction_exact_power_str,
     interval,
+    poly_mul,
     power_iteration_radius,
     root_index,
     sym_power_dim,
@@ -680,7 +681,7 @@ def test_rank3_search_classifies_each_key_once_without_a_char_poly(rank3, monkey
     # (x - 1)^p (x + 1)^q; either way, it is not Salem. At rank 3 the
     # second covers the first: a Salem X has trace >= 2, so -X has <= -2.
     involution_polys = {
-        math.prod([poly(-1, 1)] * p + [poly(1, 1)] * (3 - p), start=poly(1)).coeffs for p in range(4)
+        poly_mul(*[poly(-1, 1)] * p, *[poly(1, 1)] * (3 - p)).coeffs for p in range(4)
     }
     skipped = distinct - set(keys)
     assert skipped & involution_polys and skipped - involution_polys
@@ -742,9 +743,7 @@ def test_salem_structure_meets_the_trace_bound(key):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_trace_bound_is_attained(n):
     # (x^2 - 3x + 1)(x + 1)^(n - 2) is Salem-structure with trace 5 - n
-    p = poly(1, -3, 1)
-    for _ in range(n - 2):
-        p = p * poly(1, 1)
+    p = poly_mul(poly(1, -3, 1), *[poly(1, 1)] * (n - 2))
     assert classify_charpoly(p).kind == SALEM_STRUCTURE and -p.coeffs[-2] == 5 - n
 
 
@@ -865,13 +864,20 @@ def test_half_trace_polynomial_of_involution_pairs(rank3, gram, bound):
         assert reciprocal_char_poly(n, traces, sign) == char_poly(ab)
 
 
+U_MINUS_TWO_FOURTH = [[0, 1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0], [0, 0, -2, 0, 0, 0], [0, 0, 0, -2, 0, 0],
+                      [0, 0, 0, 0, -2, 0], [0, 0, 0, 0, 0, -2]]
+
+
 @pytest.mark.parametrize(
-    "gram, bound", [(TWO_MINUS_TWO_CUBED, 2), (U_MINUS_TWO_CUBED, 1), (U_MINUS_TWO_CUBED, 2)]
+    "gram, bound, step",
+    [(TWO_MINUS_TWO_CUBED, 2, 1), (U_MINUS_TWO_CUBED, 1, 1), (U_MINUS_TWO_CUBED, 2, 1), (U_MINUS_TWO_FOURTH, 1, 4)],
 )
-def test_involutions_and_pair_traces_of_the_search(gram, bound):
+def test_involutions_and_pair_traces_of_the_search(gram, bound, step):
     # every isometry is an involution exactly when it squares to I, with
     # its det read from its trace; every pair of representative involutions
-    # gets the traces of its product, or None when |tr(ab)| <= 4 - n
+    # gets the traces of its product, or None when |tr(ab)| <= 4 - n. At
+    # rank 6, where each of the 11,476 pairs of the 152 involutions forms
+    # ab, only the pairs of every step-th involution are checked.
     n = len(gram)
     isometries = enumerate_isometries(make_lattice(gram), bound)
     ident = linalg.identity(n)
@@ -887,17 +893,19 @@ def test_involutions_and_pair_traces_of_the_search(gram, bound):
     # the representatives are the second half of every involution in the box
     everyone = [m for m in all_isometries(make_lattice(gram), bound) if linalg.mat_mul(m, m) == ident]
     assert everyone[len(everyone) // 2 :] == involutions
+    involutions, records = involutions[::step], records[::step]
     keys = {(id(x[0]), id(y[0])): key for x, y, key in dynamics._pair_traces(records)}
     ruled_out = 0
     for a, b in itertools.combinations(involutions, 2):
-        want = power_traces(linalg.mat_mul(a, b), 2)
-        sign = (-1) ** n * linalg.det_bareiss(a) * linalg.det_bareiss(b)
+        ab = linalg.mat_mul(a, b)
+        want = power_traces(ab, n // 2)
         key = keys.get((id(a), id(b)))
-        assert key is None or key[0] == sign
+        assert key is None or key[0] == (-1) ** n * linalg.det_bareiss(ab)
         got = None if key is None else list(key[1:])
         ruled_out += got is None
         assert got == (None if abs(want[0]) <= 4 - n else want)
     assert ruled_out == (186 if n == 4 else 0)
+    assert len(keys) == math.comb(len(involutions), 2) - ruled_out
 
 
 def test_pair_with_traceless_product_forms_no_product(monkeypatch):
@@ -975,7 +983,7 @@ def test_search_catalogue_is_in_the_reference_order_of_its_roots(rank3, gram, bo
     product of their Salem factors, an order compare_to takes no part in."""
     found = search_salem_isometries(rank3 if gram == "rank3" else make_lattice(gram), bound)
     assert len(found) >= 10
-    reference = fraction_isolate(math.prod((root.poly for _, root in found), start=poly(1)))
+    reference = fraction_isolate(poly_mul(*(root.poly for _, root in found)))
     indices = [root_index(reference, root) for _, root in found]
     assert indices == sorted(indices)
 

@@ -67,14 +67,17 @@ def test_det_bareiss_matches_fraction_elimination():
         assert linalg.det_bareiss(m) == det
 
 
-def test_hnf_transform_is_unimodular_and_reduces():
+def test_echelon_transform_is_unimodular_and_echelon():
     rng = random.Random(11)
     for _ in range(40):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
         a = random_matrix(rng, rows, cols)
-        h, u = linalg.row_hnf_transform(a)
+        h, u = linalg.row_echelon_transform(a)
         assert linalg.mat_mul(u, a) == h
         assert linalg.det_bareiss(u) in (1, -1)
+        # zero rows last, and each pivot strictly right of the one above
+        pivots = [next((c for c, x in enumerate(row) if x), cols) for row in h]
+        assert all(p < q or p == q == cols for p, q in zip(pivots, pivots[1:]))
 
 
 def test_integer_kernel_basics():

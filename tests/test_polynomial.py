@@ -54,6 +54,10 @@ from oracles import (
     division_cyclotomic,
     interval,
     is_reciprocal,
+    poly_add,
+    poly_mul,
+    poly_sub,
+    poly_value,
 )
 
 LEHMER = poly(1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
@@ -76,8 +80,8 @@ def det_xI_minus_M(m):
         total = IntPolynomial(())
         for idx, c in enumerate(cols):
             minor = det(rows[1:], cols[:idx] + cols[idx + 1 :])
-            term = rows[0][c] * minor
-            total = total + term if idx % 2 == 0 else total - term
+            term = poly_mul(rows[0][c], minor)
+            total = poly_add(total, term) if idx % 2 == 0 else poly_sub(total, term)
         return total
 
     return det(entries, list(range(n)))
@@ -85,8 +89,8 @@ def det_xI_minus_M(m):
 
 def test_char_poly_fixture_matrices(m1, m1m2):
     assert char_poly(m1m2) == poly(-1, 35, -35, 1)
-    assert char_poly(m1) == poly(-1, 1) * poly(1, 1) * poly(1, 1)
-    assert char_poly(linalg.identity(4)) == poly(-1, 1) * poly(-1, 1) * poly(-1, 1) * poly(-1, 1)
+    assert char_poly(m1) == poly_mul(poly(-1, 1), poly(1, 1), poly(1, 1))
+    assert char_poly(linalg.identity(4)) == poly_mul(*[poly(-1, 1)] * 4)
 
 
 def test_char_poly_matches_cofactor_oracle():
@@ -125,7 +129,7 @@ def test_char_poly_newton_matches_references(m, points):
     n = len(m)
     for x in points:
         shifted = [[(x if i == j else 0) - m[i][j] for j in range(n)] for i in range(n)]
-        assert p(x) == linalg.det_bareiss(shifted)
+        assert poly_value(p, x) == linalg.det_bareiss(shifted)
 
 
 @pytest.mark.parametrize("count", range(6))
@@ -189,12 +193,12 @@ def test_divide_exact_matches_fraction_reference():
         r = IntPolynomial(tuple(rng.randint(-6, 6) for _ in range(rng.randint(1, 5))))
         if r.is_zero:
             continue
-        assert divide_exact(q * r, q) == r
-        p = q * r + IntPolynomial(tuple(rng.randint(-1, 1) for _ in range(q.degree + 1)))
+        assert divide_exact(poly_mul(q, r), q) == r
+        p = poly_add(poly_mul(q, r), IntPolynomial(tuple(rng.randint(-1, 1) for _ in range(q.degree + 1))))
         if p.degree < q.degree:
             continue
         if fraction_divides(p, q):
-            assert divide_exact(p, q) * q == p
+            assert poly_mul(divide_exact(p, q), q) == p
         else:
             with pytest.raises(HkddError, match="no quotient over Z"):
                 divide_exact(p, q)
@@ -216,10 +220,7 @@ def test_cyclotomic_matches_the_division_reference():
 
 def test_cyclotomic_product_is_x_n_minus_1():
     for n in range(1, 61):
-        prod = ONE_POLY
-        for d in range(1, n + 1):
-            if n % d == 0:
-                prod = prod * cyclotomic(d)
+        prod = poly_mul(*(cyclotomic(d) for d in range(1, n + 1) if n % d == 0))
         assert prod == IntPolynomial((-1,) + (0,) * (n - 1) + (1,))
 
 
@@ -231,7 +232,7 @@ def test_sturm_count_examples():
     assert sturm_count(poly(1, 0, 1), -10, 10) == 0
     assert sturm_count(poly(-2, 0, 1), 0, 2) == 1
     # multiple roots counted once; half-open includes the right endpoint
-    cube = poly(-1, 1) * poly(-1, 1) * poly(-1, 1)
+    cube = poly_mul(*[poly(-1, 1)] * 3)
     assert sturm_count(cube, 0, 1) == 1
     assert sturm_count(cube, 1, 2) == 0
     assert sturm_count(poly(-2, 0, 1), None, None) == 2
@@ -246,7 +247,7 @@ def test_isolate_real_roots_quadratic():
 
 
 def test_isolate_multiplicity_collapsed():
-    cube = poly(-1, 1) * poly(-1, 1) * poly(-1, 1)
+    cube = poly_mul(*[poly(-1, 1)] * 3)
     roots = isolate_real_roots(cube)
     assert len(roots) == 1
     assert roots[0].poly == poly(-1, 1)
@@ -264,11 +265,9 @@ def test_isolation_count_matches_sturm_random():
     for _ in range(40):
         # product of distinct linear factors and an irreducible quadratic
         roots = rng.sample(range(-8, 9), rng.randint(1, 4))
-        p = ONE_POLY
-        for a in roots:
-            p = p * poly(-a, 1)
+        p = poly_mul(*(poly(-a, 1) for a in roots))
         if rng.random() < 0.5:
-            p = p * poly(1, 0, 1)  # no real roots added
+            p = poly_mul(p, poly(1, 0, 1))  # no real roots added
         isolated = isolate_real_roots(p)
         assert len(isolated) == len(set(roots))
         assert len(isolated) == sturm_count(p, None, None)
@@ -372,10 +371,7 @@ def polys(draw):
     where bisection midpoints land."""
     dyadic = st.builds(lambda n, j: poly(-n, 2**j), st.integers(-40, 40), st.integers(0, 5))
     general = st.lists(st.integers(-9, 9), min_size=2, max_size=6).map(lambda c: IntPolynomial(tuple(c)))
-    p = ONE_POLY
-    for f in draw(st.lists(st.one_of(dyadic, general), min_size=1, max_size=3)):
-        if not f.is_zero:
-            p = p * f
+    p = poly_mul(*(f for f in draw(st.lists(st.one_of(dyadic, general), min_size=1, max_size=3)) if not f.is_zero))
     assume(p.degree >= 1)
     return p
 
@@ -392,7 +388,7 @@ def isolated_roots(draw):
 def roots_after_a_rational_root(draw):
     """The next root after a rational root x0, isolated by (x0, hi]: p(lo) = 0."""
     x0 = Fraction(draw(st.integers(-40, 40)), 2 ** draw(st.integers(0, 5)))
-    p = poly(-x0.numerator, x0.denominator) * draw(polys())
+    p = poly_mul(poly(-x0.numerator, x0.denominator), draw(polys()))
     later = [r for r in isolate_real_roots(p) if r.compare_rational(x0.numerator, x0.denominator) > 0]
     assume(later)
     return algebraic_real(later[0].poly, x0, interval(later[0])[1])
@@ -438,7 +434,7 @@ def test_refined_non_dyadic_interval_from_json():
 
 def test_refined_non_square_free_poly():
     # (x^2 - 2)^2 keeps its sign across sqrt(2); the walk steers by x^2 - 2
-    a = AlgebraicReal(poly(-2, 0, 1) * poly(-2, 0, 1), 1, 2)
+    a = AlgebraicReal(poly_mul(poly(-2, 0, 1), poly(-2, 0, 1)), 1, 2)
     r = assert_refines_by_the_walk(a, Fraction(1, 10**12))
     lo, hi = interval(r)
     assert lo < Fraction(14142135623731, 10**13) and hi > Fraction(14142135623730, 10**13)
@@ -453,10 +449,10 @@ def test_refined_lehmer_at_50_digits():
     "root",
     [
         AlgebraicReal(poly(2, -3, 1), 1, 3),  # roots 1 and 2: p(lo) = 0
-        AlgebraicReal(poly(-2, 0, 1) * poly(-2, 0, 1), 1, 2),  # (x^2 - 2)^2
+        AlgebraicReal(poly_mul(poly(-2, 0, 1), poly(-2, 0, 1)), 1, 2),  # (x^2 - 2)^2
         AlgebraicReal(poly(-3, 4), 0, 1),  # 3/4, the right end of cell 3 of 4
-        AlgebraicReal(poly(-3, 4) * poly(-3, 0, 1), 0, 1),  # 3/4 beside sqrt(3)
-        AlgebraicReal(poly(-5, 8) * poly(1, 1, -1), 0, 1),  # 5/8 beside the golden ratio
+        AlgebraicReal(poly_mul(poly(-3, 4), poly(-3, 0, 1)), 0, 1),  # 3/4 beside sqrt(3)
+        AlgebraicReal(poly_mul(poly(-5, 8), poly(1, 1, -1)), 0, 1),  # 5/8 beside the golden ratio
         isolate_real_roots(poly(-2, 0, 1))[0],  # negative roots: -sqrt(2)
         isolate_real_roots(poly(1, 3, -5, -1))[0],  # -5.51140 in (-6, -3]
         AlgebraicReal(poly(1, 3, -5, -1), -1, 0),  # -0.241113, an end at 0
@@ -580,10 +576,10 @@ def test_decimal_str_on_a_rounding_boundary():
     def two_digits(p, lo, hi):
         return bisection_decimal_str(algebraic_real(p, Fraction(*lo), Fraction(*hi)), 2)
 
-    assert two_digits(poly(-1, 8) * poly(-13, 100), (1, 16), (1, 8)) == "0.12"
-    assert two_digits(poly(1, 8) * poly(13, 100), (-13, 100), (-1, 8)) == "-0.12"
-    assert two_digits(poly(-1, 8) * poly(-13, 100), (1, 8), (13, 100)) == "0.13"
-    assert two_digits(poly(1, 8) * poly(12, 100), (-1, 8), (-1, 10)) == "-0.12"
+    assert two_digits(poly_mul(poly(-1, 8), poly(-13, 100)), (1, 16), (1, 8)) == "0.12"
+    assert two_digits(poly_mul(poly(1, 8), poly(13, 100)), (-13, 100), (-1, 8)) == "-0.12"
+    assert two_digits(poly_mul(poly(-1, 8), poly(-13, 100)), (1, 8), (13, 100)) == "0.13"
+    assert two_digits(poly_mul(poly(1, 8), poly(12, 100)), (-1, 8), (-1, 10)) == "-0.12"
 
 
 def test_rounded_decimal():
@@ -689,7 +685,7 @@ def test_quadratic_surd_str_halves_even_pairs():
 
 def test_algebraic_comparisons():
     r2 = isolate_real_roots(poly(-2, 0, 1))[-1]
-    r2_again = isolate_real_roots(poly(-2, 0, 1) * poly(-5, 1))[1]
+    r2_again = isolate_real_roots(poly_mul(poly(-2, 0, 1), poly(-5, 1)))[1]
     assert r2.compare_to(r2_again) == 0
     r3 = isolate_real_roots(poly(-3, 0, 1))[-1]
     assert r2 < r3
@@ -792,12 +788,8 @@ def expand_trace(q: IntPolynomial, d: int) -> IntPolynomial:
     """Oracle: x^d * q(x + 1/x) = sum_j q_j x^(d-j) (x^2+1)^j."""
     total = IntPolynomial(())
     for j, c in enumerate(q.coeffs):
-        term = poly(c)
-        for _ in range(j):
-            term = term * poly(1, 0, 1)
-        shift = d - j
-        term = term * IntPolynomial((0,) * shift + (1,))
-        total = total + term
+        term = poly_mul(c, *[poly(1, 0, 1)] * j, IntPolynomial((0,) * (d - j) + (1,)))
+        total = poly_add(total, term)
     return total
 
 

@@ -24,11 +24,6 @@ UNREACHED = {
     "dynamics.ShapeReport.ok": "the verdict of validate_spectrum_shape",
     "dynamics.ShapeReport.__bool__": "the verdict of validate_spectrum_shape",
     "polynomial.AlgebraicReal.refined": "wrapped by the traced benchmark run, and the tests' width-bounded walk",
-    "polynomial.IntPolynomial.__add__": "polynomial arithmetic for library users; no command adds polynomials",
-    "polynomial.IntPolynomial.__sub__": "polynomial arithmetic for library users; no command subtracts polynomials",
-    "polynomial.IntPolynomial.__mul__": "polynomial arithmetic for library users; no command multiplies polynomials",
-    "polynomial.IntPolynomial.__neg__": "polynomial arithmetic for library users; no command negates a polynomial",
-    "polynomial.IntPolynomial.__call__": "evaluation for library users; commands take signs by _sign_at",
     "polynomial._chain_variations": "used by the exported isolate_real_roots, and by compare_to only for two "
                                     "roots within 2^-64 of each other, which no golden case compares",
     "lattice._binary_isotropy_certificate": "represents(lat, 0) on a binary form; no command asks for the value 0",
